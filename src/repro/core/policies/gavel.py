@@ -130,8 +130,10 @@ class _JointArrays:
         Greedy by marginal saving ``sum_{j on D} T_j / d_D``, vectorised
         via argsort + cumulative sums over the dataset sizes.
         """
-        saving = np.zeros(len(self.ds_size))
-        np.add.at(saving, self.ds_index, targets / self.d)
+        saving = np.bincount(
+            self.ds_index, weights=targets / self.d,
+            minlength=len(self.ds_size),
+        )
         order = np.argsort(-saving, kind="stable")
         sizes = self.ds_size[order]
         before = np.concatenate(([0.0], np.cumsum(sizes)[:-1]))

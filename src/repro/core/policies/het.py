@@ -36,9 +36,9 @@ exactly 1.0, so allocations are bit-identical to ``GavelPolicy``
 Like ``gavel.py``, this module imports numpy unconditionally: the
 joint solver is deliberately outside the ``REPRO_NO_NUMPY`` fallback
 surface, so backend choice never changes policy numerics. The
-assignment search helper (:func:`common_ratio_for_assignment`) is pure
-Python for the same reason — the brute-force property test calls it
-directly.
+assignment scorer (:class:`_AssignmentScorer`, wrapped by
+:func:`common_ratio_for_assignment`) is pure Python for the same
+reason — the brute-force property test calls it directly.
 """
 
 from __future__ import annotations
@@ -68,27 +68,27 @@ _ENUM_LIMIT = 256
 
 def _greedy_cache_plan(
     jobs: Sequence[Job],
-    targets: Dict[str, float],
+    targets: Sequence[float],
     budget_mb: float,
 ) -> Dict[str, float]:
     """Pure-Python mirror of ``_JointArrays.cache_plan_with_budget``.
 
-    Greedy by marginal IO saving ``sum_{j on D} T_j / d_D``, stable on
-    ties by first-appearance order (matching numpy's stable argsort
-    over the same dataset ordering).
+    Greedy by marginal IO saving ``sum_{j on D} T_j / d_D`` (``targets``
+    aligned with ``jobs``), stable on ties by first-appearance order
+    (matching numpy's stable argsort over the same dataset ordering).
     """
-    order: List[str] = []
+    position: Dict[str, int] = {}
     sizes: Dict[str, float] = {}
     saving: Dict[str, float] = {}
-    for job in jobs:
+    for job, target in zip(jobs, targets):
         name = job.dataset.name
-        if name not in sizes:
-            order.append(name)
+        if name not in position:
+            position[name] = len(position)
             sizes[name] = job.dataset.size_mb
             saving[name] = 0.0
-        saving[name] += targets.get(job.job_id, 0.0) / job.dataset.size_mb
+        saving[name] += target / job.dataset.size_mb
     ranked = sorted(
-        order, key=lambda name: (-saving[name], order.index(name))
+        position, key=lambda name: (-saving[name], position[name])
     )
     grants: Dict[str, float] = {}
     before = 0.0
@@ -96,6 +96,123 @@ def _greedy_cache_plan(
         grants[name] = min(sizes[name], max(0.0, budget_mb - before))
         before += sizes[name]
     return grants
+
+
+class _AssignmentScorer:
+    """One round's state for scoring generation assignments.
+
+    A candidate is a tuple of generation names, one per job in job
+    order. Everything a score depends on is snapshotted at construction
+    — per-generation ``f*``, the normalisers, GPU counts and the
+    effective cache view — so a score computed later sees the round's
+    inputs, not the live cluster's.
+
+    Feasibility of a ratio ``t`` has three parts: every target
+    ``t * normaliser`` within the job's ``f*``, every generation pool's
+    GPU demand within its capacity, and the remote IO left after the
+    greedy cache plan within the IO budget. The normalisers do not
+    depend on the assignment, so neither does the cache/IO part: it is
+    memoised per ratio for the round. Only the first two parts run per
+    candidate.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        pools: Dict[str, int],
+        total: ResourceVector,
+        estimator: HetSiloDPerfEstimator,
+        normalisers: Dict[str, float],
+        effective_cache_mb=None,
+        iters: int = _ITERS,
+    ) -> None:
+        self.jobs = tuple(jobs)
+        self.pools = tuple(pools.items())
+        self.cache_mb = total.cache_mb
+        self.remote_io_mbps = total.remote_io_mbps
+        self.iters = iters
+        self.f_star_by_gen = [
+            estimator.f_star_by_generation(job) for job in self.jobs
+        ]
+        self.norms = [normalisers[job.job_id] for job in self.jobs]
+        self.floors = [max(norm, 1e-12) for norm in self.norms]
+        self.gpus = [job.num_gpus for job in self.jobs]
+        if effective_cache_mb is None:
+            self.eff = [job.dataset.size_mb for job in self.jobs]
+        else:
+            self.eff = [effective_cache_mb(job) for job in self.jobs]
+        self._io_memo: Dict[float, bool] = {}
+
+    def _f_star(self, candidate: Sequence[str]) -> List[float]:
+        """Each job's ``f*`` on its generation in ``candidate``."""
+        return [
+            by_gen[gen]
+            for by_gen, gen in zip(self.f_star_by_gen, candidate)
+        ]
+
+    def _hi(self, f_star: List[float]) -> float:
+        """The ratio at which the first job reaches its ``f*``."""
+        return min(f / floor for f, floor in zip(f_star, self.floors))
+
+    def bound(self, candidate: Sequence[str]) -> float:
+        """Upper bound on :meth:`ratio`: ``max(hi, 0)``.
+
+        The bisection returns ``hi`` itself or a point of ``[0, hi)``.
+        """
+        return max(self._hi(self._f_star(candidate)), 0.0)
+
+    def _io_feasible(self, ratio: float, targets: List[float]) -> bool:
+        """Cache/IO part of feasibility, memoised per ratio."""
+        ok = self._io_memo.get(ratio)
+        if ok is None:
+            cache = _greedy_cache_plan(self.jobs, targets, self.cache_mb)
+            total_io = 0.0
+            for job, target, eff in zip(self.jobs, targets, self.eff):
+                hits = min(cache[job.dataset.name], eff)
+                miss = 1.0 - min(1.0, hits / job.dataset.size_mb)
+                total_io += target * miss
+            ok = total_io <= self.remote_io_mbps * (1.0 + _EPS)
+            self._io_memo[ratio] = ok
+        return ok
+
+    def ratio(self, candidate: Sequence[str]) -> float:
+        """Largest common ratio reachable under ``candidate``."""
+        if not self.jobs:
+            return 0.0
+        f_star = self._f_star(candidate)
+        members = [
+            (
+                capacity,
+                [j for j, gen in enumerate(candidate) if gen == pool],
+            )
+            for pool, capacity in self.pools
+        ]
+
+        def feasible(ratio: float) -> bool:
+            targets = [ratio * norm for norm in self.norms]
+            for target, cap in zip(targets, f_star):
+                if target > cap * (1.0 + _EPS):
+                    return False
+            for capacity, indices in members:
+                demand = 0.0
+                for j in indices:
+                    if f_star[j] > 0:
+                        demand += targets[j] / f_star[j] * self.gpus[j]
+                if demand > capacity * (1.0 + _EPS):
+                    return False
+            return self._io_feasible(ratio, targets)
+
+        hi = self._hi(f_star)
+        if feasible(hi):
+            return hi
+        lo = 0.0
+        for _ in range(self.iters):
+            mid = (lo + hi) / 2.0
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def common_ratio_for_assignment(
@@ -114,70 +231,20 @@ def common_ratio_for_assignment(
     heterogeneous compute bound, per-generation GPU pool capacities,
     the shared cache budget (greedy IO-minimising plan), and the shared
     remote-IO budget. Pure Python — the max-min brute-force property
-    test scores candidate assignments with exactly this function.
+    test scores candidate assignments with exactly this function, and
+    :class:`HetMaxMinPolicy` scores them with the same
+    :class:`_AssignmentScorer`.
     """
-    jobs = list(jobs)
-    if not jobs:
-        return 0.0
-    f_star: Dict[str, float] = {}
-    for job in jobs:
-        by_gen = estimator.f_star_by_generation(job)
-        generation = assignment.get(job.job_id, estimator.default_generation)
-        f_star[job.job_id] = by_gen[generation]
-    if effective_cache_mb is None:
-        eff = {job.job_id: job.dataset.size_mb for job in jobs}
-    else:
-        eff = {job.job_id: effective_cache_mb(job) for job in jobs}
-
-    def feasible(ratio: float) -> bool:
-        targets = {
-            job.job_id: ratio * normalisers[job.job_id] for job in jobs
-        }
-        for job in jobs:
-            if targets[job.job_id] > f_star[job.job_id] * (1.0 + _EPS):
-                return False
-        for gen, capacity in pools.items():
-            demand = 0.0
-            for job in jobs:
-                if (
-                    assignment.get(
-                        job.job_id, estimator.default_generation
-                    )
-                    != gen
-                ):
-                    continue
-                if f_star[job.job_id] > 0:
-                    demand += (
-                        targets[job.job_id]
-                        / f_star[job.job_id]
-                        * job.num_gpus
-                    )
-            if demand > capacity * (1.0 + _EPS):
-                return False
-        cache = _greedy_cache_plan(jobs, targets, total.cache_mb)
-        total_io = 0.0
-        for job in jobs:
-            hits = min(
-                cache.get(job.dataset.name, 0.0), eff[job.job_id]
-            )
-            miss = 1.0 - min(1.0, hits / job.dataset.size_mb)
-            total_io += targets[job.job_id] * miss
-        return total_io <= total.remote_io_mbps * (1.0 + _EPS)
-
-    hi = min(
-        f_star[job.job_id] / max(normalisers[job.job_id], 1e-12)
-        for job in jobs
+    scorer = _AssignmentScorer(
+        jobs, pools, total, estimator, normalisers, effective_cache_mb,
+        iters,
     )
-    if feasible(hi):
-        return hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return scorer.ratio(
+        tuple(
+            assignment.get(job.job_id, estimator.default_generation)
+            for job in scorer.jobs
+        )
+    )
 
 
 class _HetGavelBase(GavelPolicy):
@@ -187,10 +254,9 @@ class _HetGavelBase(GavelPolicy):
     #: generation scores) and for the scheduler's provenance plumbing.
     heterogeneity_aware = True
 
-    #: Per-round state consumed by :meth:`_feasible`; ``None`` outside
-    #: a heterogeneous scheduling round.
-    _active_pools: Optional[Dict[str, int]] = None
-    _assignment: Optional[Dict[str, str]] = None
+    #: Per-round ``(capacity, job mask)`` per generation pool, consumed
+    #: by :meth:`_feasible`; ``None`` outside a heterogeneous round.
+    _pool_masks: Optional[List[Tuple[int, np.ndarray]]] = None
 
     def schedule(
         self,
@@ -215,20 +281,29 @@ class _HetGavelBase(GavelPolicy):
                     ctx.gen_assignments[job.job_id] = (
                         estimator.default_generation
                     )
-            self._active_pools = None
-            self._assignment = None
+            self._pool_masks = None
             return super().schedule(jobs, total, ctx)
         assignment = self._assign(list(jobs), dict(pools), total, ctx)
         for job_id, generation in assignment.items():
             estimator.assignments[job_id] = generation
             ctx.gen_assignments[job_id] = generation
-        self._active_pools = dict(pools)
-        self._assignment = assignment
+        # The joint solver's arrays keep ``jobs`` order, so the masks
+        # are built once here rather than on every bisection step.
+        self._pool_masks = [
+            (
+                capacity,
+                np.fromiter(
+                    (assignment.get(job.job_id) == gen for job in jobs),
+                    bool,
+                    count=len(jobs),
+                ),
+            )
+            for gen, capacity in pools.items()
+        ]
         try:
             return super().schedule(jobs, total, ctx)
         finally:
-            self._active_pools = None
-            self._assignment = None
+            self._pool_masks = None
 
     def _assign(
         self,
@@ -257,10 +332,9 @@ class _HetGavelBase(GavelPolicy):
             ratio, arrays, frozen, frozen_targets, total
         ):
             return False
-        pools = self._active_pools
-        if not pools:
+        masks = self._pool_masks
+        if not masks:
             return True
-        assignment = self._assignment or {}
         targets = np.where(
             frozen, frozen_targets, ratio * arrays.perf_eq
         )
@@ -269,16 +343,7 @@ class _HetGavelBase(GavelPolicy):
                 arrays.f_star > 0, targets / arrays.f_star, 0.0
             )
         demand = fractions * arrays.gpus
-        n = len(arrays.jobs)
-        for gen, capacity in pools.items():
-            mask = np.fromiter(
-                (
-                    assignment.get(job.job_id) == gen
-                    for job in arrays.jobs
-                ),
-                bool,
-                count=n,
-            )
+        for capacity, mask in masks:
             if float(demand[mask].sum()) > capacity * (1.0 + _EPS):
                 return False
         return True
@@ -293,89 +358,13 @@ class _HetGavelBase(GavelPolicy):
             key=lambda gen: (-estimator.speedups.get(gen, 1.0), gen),
         )
 
-
-class HetMaxMinPolicy(_HetGavelBase):
-    """Max-min fairness over heterogeneous (gen, cache, IO) allocations.
-
-    The generation assignment maximising the common throughput ratio is
-    found exhaustively while ``len(pools) ** len(jobs)`` stays within
-    :data:`_ENUM_LIMIT` (ties broken by the lexicographically first
-    assignment tuple, so rounds are deterministic); larger instances
-    use a greedy placer that sends the highest-density jobs to the
-    fastest pools. :attr:`last_assignment_ratio` records the chosen
-    assignment's score for diagnostics and the property test.
-    """
-
-    name = "het-max-min"
-
-    #: Common ratio of the most recent heterogeneous assignment search.
-    last_assignment_ratio: float = 0.0
-
-    def _assign(
-        self,
-        jobs: List[Job],
-        pools: Dict[str, int],
-        total: ResourceVector,
-        ctx: ScheduleContext,
-    ) -> Dict[str, str]:
-        estimator = ctx.estimator
-        # Normalisers must be assignment-independent: clear any stale
-        # generation map before evaluating equal shares.
-        for job in jobs:
-            estimator.assignments.pop(job.job_id, None)
-        shares = self._normalisers(jobs, total, ctx)
-        normalisers = {
-            job_id: max(share.perf_mbps, 1e-12)
-            for job_id, share in shares.items()
-        }
-        gens = sorted(pools)
-        n = len(jobs)
-        if n == 0:
-            return {}
-        if len(gens) ** n <= _ENUM_LIMIT:
-            best: Optional[Tuple[str, ...]] = None
-            best_ratio = -1.0
-            for candidate in itertools.product(gens, repeat=n):
-                assignment = {
-                    job.job_id: gen
-                    for job, gen in zip(jobs, candidate)
-                }
-                ratio = common_ratio_for_assignment(
-                    jobs,
-                    assignment,
-                    pools,
-                    total,
-                    estimator,
-                    normalisers,
-                    ctx.effective_cache_mb,
-                )
-                if ratio > best_ratio * (1.0 + _EPS) + 1e-15:
-                    best_ratio = ratio
-                    best = candidate
-            self.last_assignment_ratio = best_ratio
-            assert best is not None
-            return {
-                job.job_id: gen for job, gen in zip(jobs, best)
-            }
-        assignment = self._greedy_assign(jobs, pools, estimator)
-        self.last_assignment_ratio = common_ratio_for_assignment(
-            jobs,
-            assignment,
-            pools,
-            total,
-            estimator,
-            normalisers,
-            ctx.effective_cache_mb,
-        )
-        return assignment
-
     def _greedy_assign(
         self,
         jobs: List[Job],
         pools: Dict[str, int],
         estimator: HetSiloDPerfEstimator,
     ) -> Dict[str, str]:
-        """Deterministic fallback: densest jobs onto the fastest pools."""
+        """Deterministic placer: densest jobs onto the fastest pools."""
         order = self._pools_fastest_first(pools, estimator)
         remaining = dict(pools)
         assignment: Dict[str, str] = {}
@@ -405,6 +394,95 @@ class HetMaxMinPolicy(_HetGavelBase):
             )
             assignment[job.job_id] = placed
         return assignment
+
+
+class HetMaxMinPolicy(_HetGavelBase):
+    """Max-min fairness over heterogeneous (gen, cache, IO) allocations.
+
+    The generation assignment maximising the common throughput ratio is
+    found exhaustively while ``len(pools) ** len(jobs)`` stays within
+    :data:`_ENUM_LIMIT` (ties broken by the lexicographically first
+    assignment tuple, so rounds are deterministic); larger instances
+    use a greedy placer that sends the highest-density jobs to the
+    fastest pools. :attr:`last_assignment_ratio` records the chosen
+    assignment's score for diagnostics and the property test.
+
+    The search skips a candidate whose upper bound
+    (:meth:`_AssignmentScorer.bound`) cannot beat the best ratio by the
+    strict-improvement margin: its score could not either, so the
+    chosen assignment and its ratio are those of the full search.
+    """
+
+    name = "het-max-min"
+
+    _last_ratio: float = 0.0
+    #: ``(scorer, candidate)`` of a greedy round, scored on first read.
+    _unscored: Optional[Tuple[_AssignmentScorer, Tuple[str, ...]]] = None
+
+    @property
+    def last_assignment_ratio(self) -> float:
+        """Common ratio of the most recent heterogeneous assignment.
+
+        Exhaustive rounds record it during the search. Greedy rounds
+        defer the bisection to the first read, over the inputs the
+        round's scorer snapshotted at schedule time.
+        """
+        if self._unscored is not None:
+            scorer, candidate = self._unscored
+            self._unscored = None
+            self._last_ratio = scorer.ratio(candidate)
+        return self._last_ratio
+
+    def _assign(
+        self,
+        jobs: List[Job],
+        pools: Dict[str, int],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+    ) -> Dict[str, str]:
+        estimator = ctx.estimator
+        # Normalisers must be assignment-independent: clear any stale
+        # generation map before evaluating equal shares.
+        for job in jobs:
+            estimator.assignments.pop(job.job_id, None)
+        shares = self._normalisers(jobs, total, ctx)
+        normalisers = {
+            job_id: max(share.perf_mbps, 1e-12)
+            for job_id, share in shares.items()
+        }
+        gens = sorted(pools)
+        n = len(jobs)
+        if n == 0:
+            return {}
+        scorer = _AssignmentScorer(
+            jobs,
+            pools,
+            total,
+            estimator,
+            normalisers,
+            ctx.effective_cache_mb,
+        )
+        if len(gens) ** n > _ENUM_LIMIT:
+            assignment = self._greedy_assign(jobs, pools, estimator)
+            self._unscored = (
+                scorer,
+                tuple(assignment[job.job_id] for job in jobs),
+            )
+            return assignment
+        best: Optional[Tuple[str, ...]] = None
+        best_ratio = -1.0
+        for candidate in itertools.product(gens, repeat=n):
+            threshold = best_ratio * (1.0 + _EPS) + 1e-15
+            if scorer.bound(candidate) <= threshold:
+                continue
+            ratio = scorer.ratio(candidate)
+            if ratio > threshold:
+                best_ratio = ratio
+                best = candidate
+        self._last_ratio = best_ratio
+        self._unscored = None
+        assert best is not None
+        return {job.job_id: gen for job, gen in zip(jobs, best)}
 
 
 class HetMaxThroughputPolicy(_HetGavelBase):
@@ -452,31 +530,4 @@ class HetMaxThroughputPolicy(_HetGavelBase):
         estimator = ctx.estimator
         for job in jobs:
             estimator.assignments.pop(job.job_id, None)
-        order = self._pools_fastest_first(pools, estimator)
-        remaining = dict(pools)
-        assignment: Dict[str, str] = {}
-        ranked = sorted(
-            jobs,
-            key=lambda j: (
-                -estimator.f_star_by_generation(j)[
-                    estimator.default_generation
-                ]
-                / max(j.num_gpus, 1),
-                j.job_id,
-            ),
-        )
-        for job in ranked:
-            placed = None
-            for gen in order:
-                if remaining[gen] >= job.num_gpus:
-                    placed = gen
-                    break
-            if placed is None:
-                placed = max(
-                    order, key=lambda gen: (remaining[gen], gen)
-                )
-            remaining[placed] = max(
-                0, remaining[placed] - job.num_gpus
-            )
-            assignment[job.job_id] = placed
-        return assignment
+        return self._greedy_assign(jobs, pools, estimator)

@@ -1,13 +1,14 @@
 """Property-based tests of the Gavel joint solver."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext
-from repro.core.policies.gavel import GavelPolicy
+from repro.core.policies.gavel import GavelPolicy, _JointArrays
 from repro.core.resources import ResourceVector
 
 GB = 1024.0
@@ -140,3 +141,58 @@ def test_single_job_is_never_worse_than_equal_share(specs):
     for j in jobs:
         share = equal_share(j, len(jobs), total, ESTIMATOR, True)
         assert achieved[j.job_id] >= share.perf_mbps * (1 - 1e-4)
+
+
+def _add_at_cache_plan(arrays, targets, budget_mb):
+    """The cache plan as first written, accumulating with ``np.add.at``."""
+    saving = np.zeros(len(arrays.ds_size))
+    np.add.at(saving, arrays.ds_index, targets / arrays.d)
+    order = np.argsort(-saving, kind="stable")
+    sizes = arrays.ds_size[order]
+    before = np.concatenate(([0.0], np.cumsum(sizes)[:-1]))
+    grants_sorted = np.clip(budget_mb - before, 0.0, sizes)
+    grants = np.empty_like(grants_sorted)
+    grants[order] = grants_sorted
+    return grants
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),       # dataset
+            st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7]),  # target MB/s
+        ),
+        min_size=2,
+        max_size=10,
+    ),
+    budget_gb=st.floats(min_value=0.0, max_value=200.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_cache_plan_bincount_matches_add_at_bitwise(rows, budget_gb):
+    """``np.bincount`` and ``np.add.at`` both sum each dataset's savings
+    in job order, so the plan is bit-identical when jobs share datasets.
+    Equal-size datasets and decimal targets make near-tied savings,
+    where a different summation order would reorder the plan."""
+    jobs = [
+        Job(
+            job_id=f"s{i}",
+            model="m",
+            dataset=Dataset(f"shared-{k}", 50.0 * GB),
+            num_gpus=1,
+            ideal_throughput_mbps=100.0,
+            total_work_mb=GB,
+        )
+        for i, (k, _) in enumerate(rows)
+    ]
+    total = ResourceVector(
+        gpus=8, cache_mb=budget_gb * GB, remote_io_mbps=100.0
+    )
+    ctx = ScheduleContext(estimator=ESTIMATOR)
+    arrays = _JointArrays(
+        jobs, GavelPolicy()._normalisers(jobs, total, ctx), ctx
+    )
+    assume(len(arrays.ds_names) < len(jobs))  # some dataset is shared
+    targets = np.array([target for _, target in rows])
+    got = arrays.cache_plan_with_budget(targets, total.cache_mb)
+    want = _add_at_cache_plan(arrays, targets, total.cache_mb)
+    assert got.tobytes() == want.tobytes()

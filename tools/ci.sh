@@ -33,6 +33,10 @@
 #      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
 #      metrics are bit-exact anchors, including the
 #      max-sum >= max-min >= fifo aggregate-throughput ordering.
+#   8. benchmark tests         — the benchmark's own suite
+#      (perfbench/tests: drain deadline, job-by-job outcome compare,
+#      layer wrappers restored). It lives outside the tier-1
+#      `testpaths`, so only this stage runs it.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -69,3 +73,6 @@ python -m repro bench --backend fallback --no-write --threshold 3.0 \
 echo "== het smoke (bench --compare) =="
 python -m repro bench --backend fallback --no-write --threshold 3.0 \
     --compare benchmarks/baselines/BENCH_het_tiny.json
+
+echo "== benchmark tests (perfbench/tests) =="
+python -m pytest perfbench/tests -q
