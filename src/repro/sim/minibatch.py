@@ -50,6 +50,36 @@ from repro.sim.metrics import JobRecord, RunResult, TimelineSample
 _LRU_POOL_KEY = "lru_pool"
 
 
+def _shuffle(rng: random.Random, x: List[int]) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` would.
+
+    The contract is CPython's: the same permutation *and* the same
+    generator state afterwards, so every item order (and every draw
+    after it) matches ``random.Random.shuffle`` on the running
+    interpreter. ``tests/sim/test_minibatch_shuffle.py`` pins it.
+
+    It is the stdlib's Fisher–Yates with ``_randbelow`` inlined. For
+    ``i`` from ``len(x) - 1`` down to 1 the stdlib draws
+    ``getrandbits(k)`` with ``k = (i + 1).bit_length()`` until the draw
+    is ``<= i``, then swaps ``x[i]`` and ``x[r]``. Here ``k`` is
+    computed once per power-of-two block of ``i`` values instead of
+    once per element, and no method call sits between the draws.
+    """
+    getrandbits = rng.getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        # Every i with (i + 1).bit_length() == k lies in
+        # [2**(k-1) - 1, 2**k - 2]; ``stop`` is the exclusive lower end.
+        stop = max((1 << (k - 1)) - 2, 0)
+        for i in range(hi, stop, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            x[i], x[r] = x[r], x[i]
+        hi = stop
+
+
 class _JobRuntime:
     """Per-job pipeline state at item granularity."""
 
@@ -72,7 +102,7 @@ class _JobRuntime:
         self.effective_items = 0
         self.rng = random.Random(seed)
         self.order: List[int] = list(range(self.epoch_items))
-        self.rng.shuffle(self.order)
+        _shuffle(self.rng, self.order)
         self.io_free_t = 0.0
         self.comp_free_t = 0.0
         # Measured hit statistics feeding the work-conserving bandwidth
@@ -97,19 +127,6 @@ class _JobRuntime:
     def done(self) -> bool:
         """Whether every item of the job's work has been consumed."""
         return self.items_done >= self.total_items
-
-    def next_item(self) -> int:
-        """Item id the pipeline will read next (current epoch order)."""
-        return self.order[self.epoch_pos]
-
-    def advance_item(self) -> None:
-        """Consume one item; reshuffle at epoch boundaries."""
-        self.items_done += 1
-        self.epoch_pos += 1
-        if self.epoch_pos >= self.epoch_items:
-            self.epoch_pos = 0
-            self.epochs_done += 1
-            self.rng.shuffle(self.order)
 
 
 class MinibatchEmulator:
@@ -911,75 +928,111 @@ class MinibatchEmulator:
         fetch_time: float,
         local_time: float,
     ) -> None:
+        """Advance one job item by item until ``t_end`` or completion.
+
+        The hot loop of the emulator: its state lives in locals and is
+        written back to ``rt`` once at the end. Cache lookups still go
+        through ``item in cache`` and the pool's ``access`` so that
+        wrappers on those methods see every item.
+        """
         key = self.cache_system.cache_key(rt.job)
-        tracing = self._tracer.enabled
-        target_items = int(
-            self._decision.cache_targets.get(key, 0.0) / self._item_size_mb
-        )
+        tracer = self._tracer
+        tracing = tracer.enabled
+        item_size = self._item_size_mb
+        admits = self._admits_interval
+        pool = self._lru_pool if self._is_lru else None
+        if pool is not None:
+            pool_access = pool.access
+            cache = None
+        else:
+            cache = self._uniform_caches.get(key)
+            target_items = int(
+                self._decision.cache_targets.get(key, 0.0) / item_size
+            )
+        # No remote bandwidth: the first miss stalls the job until t_end.
+        stall_on_miss = math.isinf(fetch_time)
+        order = rt.order
+        epoch_items = rt.epoch_items
+        epoch_pos = rt.epoch_pos
+        items_done = rt.items_done
+        total_items = rt.total_items
+        io_free = rt.io_free_t
+        comp_free = rt.comp_free_t
+        history = rt.comp_finish_history
+        depth = rt.prefetch_depth
+        consumed = rt.bytes_consumed_interval
+        fetched = rt.bytes_fetched_interval
+        hits = 0
         steps = 0
-        while rt.comp_free_t < t_end and not rt.done:
+        while comp_free < t_end and items_done < total_items:
             steps += 1
-            item = (key, rt.next_item())
-            if self._is_lru:
-                hit = self._lru_pool.access(item)
-                if tracing and not hit and self._lru_pool.capacity > 0:
-                    self._admits_interval[key] = (
-                        self._admits_interval.get(key, 0) + 1
-                    )
+            item = (key, order[epoch_pos])
+            if pool is not None:
+                hit = pool_access(item)
+                if tracing and not hit and pool.capacity > 0:
+                    admits[key] = admits.get(key, 0) + 1
+            elif cache is None:
+                hit = False
             else:
-                cache = self._uniform_caches.get(key)
-                hit = cache is not None and item in cache
-                if not hit and cache is not None and cache.size < target_items:
+                hit = item in cache
+                if not hit and cache.size < target_items:
                     cache.access(item)  # admit under target
                     if tracing:
-                        self._admits_interval[key] = (
-                            self._admits_interval.get(key, 0) + 1
-                        )
-            rt.accesses_recent += 1
+                        admits[key] = admits.get(key, 0) + 1
             if hit:
-                rt.hits_recent += 1
+                hits += 1
                 io_time = local_time
+            elif stall_on_miss:
+                comp_free = t_end
+                break
             else:
                 io_time = fetch_time
-                if math.isinf(io_time):
-                    # No remote bandwidth: the job stalls this interval.
-                    rt.comp_free_t = t_end
-                    break
-                rt.bytes_fetched_interval += self._item_size_mb
+                fetched += item_size
             # Bounded prefetch: the loader may run at most
-            # ``prefetch_depth`` items ahead of compute.
-            gate = (
-                rt.comp_finish_history[0]
-                if len(rt.comp_finish_history) == rt.prefetch_depth
-                else 0.0
-            )
-            io_start = max(rt.io_free_t, gate)
-            rt.io_free_t = io_start + io_time
-            comp_start = max(rt.comp_free_t, rt.io_free_t)
-            rt.comp_free_t = comp_start + step_time
-            rt.comp_finish_history.append(rt.comp_free_t)
-            rt.bytes_consumed_interval += self._item_size_mb
-            was_last_of_epoch = rt.epoch_pos == rt.epoch_items - 1
-            rt.advance_item()
-            if was_last_of_epoch:
+            # ``prefetch_depth`` items ahead of compute. The conditionals
+            # break ties the way ``max()`` does (first argument wins).
+            gate = history[0] if len(history) == depth else 0.0
+            if gate > io_free:
+                io_free = gate
+            io_free += io_time
+            if io_free > comp_free:
+                comp_free = io_free + step_time
+            else:
+                comp_free += step_time
+            history.append(comp_free)
+            consumed += item_size
+            items_done += 1
+            epoch_pos += 1
+            if epoch_pos >= epoch_items:
+                epoch_pos = 0
+                rt.epochs_done += 1
+                _shuffle(rt.rng, order)
                 # Delayed effectiveness: everything resident *now* becomes
                 # usable from the next epoch on.
                 rt.effective_items = self._cache_items_of(key)
-                if tracing and not rt.done:
+                if tracing and items_done < total_items:
                     # The final epoch's boundary coincides with completion
                     # and is not emitted — matching the fluid simulator.
-                    self._tracer.epoch_boundary(
-                        rt.comp_free_t, rt.job.job_id, epoch=rt.epochs_done
+                    tracer.epoch_boundary(
+                        comp_free, rt.job.job_id, epoch=rt.epochs_done
                     )
-                    self._tracer.promote_effective(
-                        rt.comp_free_t,
+                    tracer.promote_effective(
+                        comp_free,
                         rt.job.job_id,
                         key=key,
-                        effective_mb=rt.effective_items * self._item_size_mb,
+                        effective_mb=rt.effective_items * item_size,
                         reason="epoch_boundary",
                     )
-            if rt.done:
-                rt.finish_time_s = rt.comp_free_t
+        rt.epoch_pos = epoch_pos
+        rt.items_done = items_done
+        rt.io_free_t = io_free
+        rt.comp_free_t = comp_free
+        rt.bytes_consumed_interval = consumed
+        rt.bytes_fetched_interval = fetched
+        rt.hits_recent += hits
+        rt.accesses_recent += steps
+        if items_done >= total_items:
+            rt.finish_time_s = comp_free
         self.loop_events += steps
 
     # ------------------------------------------------------------------

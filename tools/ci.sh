@@ -33,6 +33,10 @@
 #      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
 #      metrics are bit-exact anchors, including the
 #      max-sum >= max-min >= fifo aggregate-throughput ordering.
+#      The minibatch emulator's bit-exact anchors sit beside these two:
+#      tests/sim/test_minibatch_anchors.py (one cell per cache system,
+#      a mid-epoch preemption and an IO stall, traced and untraced)
+#      runs in stage 3 as part of the tier-1 suite.
 #   8. benchmark tests         — the benchmark's own suite
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
