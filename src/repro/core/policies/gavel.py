@@ -22,15 +22,24 @@ the current ratio are frozen at ``f*`` and the ratio keeps rising for the
 rest; when a shared resource binds, the loop ends and remaining slack is
 handed out in a final filling pass.
 
-The joint solver is vectorised with numpy: it runs on every scheduling
-round of cluster-scale simulations, where the active job set reaches
-hundreds of jobs.
+The joint solver runs on every scheduling round, so it has two
+implementations of the same float operations in the same order. Rounds
+of at most :data:`_SCALAR_MAX_JOBS` jobs (every round of the
+heterogeneous churn benchmark holds 1-29) run :class:`_ScalarRound` on
+plain floats, where a numpy call would cost more in dispatch than in
+arithmetic. Larger rounds run the numpy :class:`_JointArrays`, whose
+per-element cost is lower: most Figure 12/13 Gavel x SiloD rounds are
+larger (up to 152 jobs on the default 100-GPU slice, mostly above 100
+at 400 GPUs), and there numpy solves them faster;
+``benchmarks/test_perf_gavel_rounds.py`` measures both. The scalar side
+copies numpy's pairwise summation (:func:`_pairwise_sum`), so both give
+bit-identical targets and grants.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +52,110 @@ from repro.core.resources import Allocation, ResourceVector
 #: Bisection iterations (relative precision ~1e-9 on the ratio).
 _ITERS = 40
 _EPS = 1e-9
+
+#: Largest round the joint solver runs in pure Python (:class:`_ScalarRound`);
+#: larger rounds take the numpy path. Set from the measured crossover
+#: recorded in docs/PERFORMANCE.md; not an option, since both paths give
+#: the same floats.
+_SCALAR_MAX_JOBS = 40
+
+def _pairwise(values: Sequence[float], start: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` over ``values[start:start + n]``: in
+    order below 8 elements, 8 strided partial sums up to 128 (numpy's
+    unroll factor and block size), halves beyond."""
+    if n < 8:
+        res = 0.0
+        for i in range(start, start + n):
+            res += values[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, start + n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, start, half) + _pairwise(
+        values, start + half, n - half
+    )
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(np.array(values)))``, bit for bit, in pure Python.
+
+    numpy reduces a float64 vector from ``0.0`` plus a pairwise sum of
+    all of it: sequential below 8 elements, 8 strided accumulators
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128, and
+    halves split at a multiple of 8 beyond. ``sum()`` and ``math.fsum``
+    round differently.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+class _Datasets:
+    """The round's datasets, numbered in first-appearance job order."""
+
+    def __init__(self, jobs: Sequence[Job]) -> None:
+        index: Dict[str, int] = {}
+        #: Dataset names and sizes, by dataset number.
+        self.names: List[str] = []
+        self.size: List[float] = []
+        #: Each job's dataset number and dataset size.
+        self.index: List[int] = []
+        self.d: List[float] = []
+        for job in jobs:
+            name = job.dataset.name
+            if name not in index:
+                index[name] = len(self.names)
+                self.names.append(name)
+                self.size.append(float(job.dataset.size_mb))
+            self.index.append(index[name])
+            self.d.append(float(job.dataset.size_mb))
+        self.private = len(self.names) == len(self.index)
+
+    def cache_plan(
+        self, targets: Sequence[float], budget_mb: float
+    ) -> List[float]:
+        """Cache grant per dataset: :meth:`_JointArrays.cache_plan_with_budget`
+        in pure Python, with the same floats.
+
+        Savings accumulate per dataset in job order from ``0.0`` (as
+        ``np.bincount`` does), rank by a stable sort on the negated
+        saving (as ``argsort(kind="stable")``), and the budget is spent
+        against a running prefix sum (``cumsum``) clipped to
+        ``[0, size]``.
+        """
+        d = self.d
+        if self.private:
+            saving = [t / size for t, size in zip(targets, d)]
+        else:
+            saving = [0.0] * len(self.names)
+            for k, t, size in zip(self.index, targets, d):
+                saving[k] += t / size
+        neg = [-x for x in saving]
+        sizes = self.size
+        grants = [0.0] * len(neg)
+        before = 0.0
+        for k in sorted(range(len(neg)), key=neg.__getitem__):
+            size = sizes[k]
+            # ``min(max(budget - before, 0.0), size)``, without the calls.
+            grant = budget_mb - before
+            if grant < 0.0:
+                grant = 0.0
+            grants[k] = size if size < grant else grant
+            before += size
+        return grants
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,7 +203,6 @@ class _JointArrays:
     ) -> None:
         estimator = ctx.estimator
         self.jobs = list(jobs)
-        n = len(self.jobs)
         self.f_star = np.array(
             [estimator.compute_bound(j, j.num_gpus) for j in self.jobs]
         )
@@ -108,19 +220,10 @@ class _JointArrays:
             self.eff = np.array(
                 [ctx.effective_cache_mb(j) for j in self.jobs]
             )
-        names: List[str] = []
-        index: Dict[str, int] = {}
-        self.ds_index = np.empty(n, dtype=np.intp)
-        ds_sizes: List[float] = []
-        for i, job in enumerate(self.jobs):
-            name = job.dataset.name
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-                ds_sizes.append(job.dataset.size_mb)
-            self.ds_index[i] = index[name]
-        self.ds_names = names
-        self.ds_size = np.array(ds_sizes)
+        datasets = _Datasets(self.jobs)
+        self.ds_index = np.array(datasets.index, dtype=np.intp)
+        self.ds_names = datasets.names
+        self.ds_size = np.array(datasets.size)
 
     def cache_plan_with_budget(
         self, targets: np.ndarray, budget_mb: float
@@ -158,10 +261,173 @@ class _JointArrays:
         return float(np.sum(targets * self.miss_ratios(cache_grants)))
 
 
+@dataclasses.dataclass
+class _JointSolution:
+    """One round's max-min targets and the grants that meet them."""
+
+    #: Per dataset, in first-appearance job order.
+    ds_names: List[str]
+    cache_mb: List[float]
+    #: Per job, in round order.
+    targets: List[float]
+    gpus: List[float]
+    remote_io_mbps: List[float]
+    #: ``sum(remote_io_mbps)`` as numpy sums it.
+    used_io_mbps: float
+
+
+class _ScalarRound:
+    """The joint solver on plain floats, for rounds of a few dozen jobs.
+
+    The round's constants are lists built once. :meth:`solve` runs the
+    progressive-filling loop, the bisection and the grant computation of
+    :meth:`GavelPolicy._solve_numpy` with the same float operations in
+    the same order, so every target and grant is bit-identical to it.
+    Every job's ``f*`` must be positive: numpy's ``t/0`` and ``0/0``
+    give inf and nan, which plain floats do not reproduce, so
+    :meth:`GavelPolicy._solve_scalar` sends such rounds to numpy. The
+    numpy path's ``f* > 0`` guard on per-pool demand therefore always
+    holds here.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        shares: Dict[str, EqualShare],
+        ctx: ScheduleContext,
+        total: ResourceVector,
+        pools: Sequence[Tuple[int, List[int]]],
+    ) -> None:
+        estimator = ctx.estimator
+        self.f_star = [
+            float(estimator.compute_bound(j, j.num_gpus)) for j in jobs
+        ]
+        self.f_cap = [f * (1.0 + _EPS) for f in self.f_star]
+        self.perf_eq = [
+            float(max(shares[j.job_id].perf_mbps, 1e-12)) for j in jobs
+        ]
+        self.gpus = [float(j.num_gpus) for j in jobs]
+        self.datasets = _Datasets(jobs)
+        if ctx.effective_cache_mb is None:
+            self.eff = self.datasets.d
+        else:
+            self.eff = [float(ctx.effective_cache_mb(j)) for j in jobs]
+        self.cache_budget_mb = total.cache_mb
+        self.gpu_cap = total.gpus * (1.0 + _EPS)
+        self.io_cap = total.remote_io_mbps * (1.0 + _EPS)
+        self.pools = [
+            (capacity * (1.0 + _EPS), members) for capacity, members in pools
+        ]
+
+    def _remote_io(
+        self, targets: List[float], cache: List[float]
+    ) -> List[float]:
+        """Per-job IO at the targets: ``target * miss_ratio``, with
+        ``miss_ratio = 1 - min(1, min(grant, effective) / d)``."""
+        io = []
+        for t, k, eff, d in zip(
+            targets, self.datasets.index, self.eff, self.datasets.d
+        ):
+            hits = cache[k]
+            if eff < hits:
+                hits = eff
+            hit_ratio = hits / d
+            io.append(t * (1.0 - (hit_ratio if hit_ratio < 1.0 else 1.0)))
+        return io
+
+    def _feasible(self, targets: List[float]) -> bool:
+        """:meth:`GavelPolicy._feasible` at the given per-job targets.
+
+        Checking frozen jobs against their cap too changes nothing: a
+        frozen target is ``f*``, which never exceeds ``f* * (1 + eps)``.
+        """
+        for t, cap in zip(targets, self.f_cap):
+            if t > cap:
+                return False
+        f_star, gpus = self.f_star, self.gpus
+        demand = [t / f * g for t, f, g in zip(targets, f_star, gpus)]
+        if _pairwise_sum(demand) > self.gpu_cap:
+            return False
+        for cap, members in self.pools:
+            if _pairwise_sum([demand[j] for j in members]) > cap:
+                return False
+        cache = self.datasets.cache_plan(targets, self.cache_budget_mb)
+        return _pairwise_sum(self._remote_io(targets, cache)) <= self.io_cap
+
+    def _bisect(self, frozen: List[bool], fixed: List[float]) -> float:
+        """:meth:`GavelPolicy._bisect_ratio`: the largest common ratio
+        the active jobs reach, frozen jobs held at ``fixed``."""
+        perf_eq = self.perf_eq
+        if any(frozen):
+            def targets(ratio: float) -> List[float]:
+                return [
+                    t if fr else ratio * pe
+                    for t, fr, pe in zip(fixed, frozen, perf_eq)
+                ]
+        else:
+            def targets(ratio: float) -> List[float]:
+                return [ratio * pe for pe in perf_eq]
+        hi = min(
+            f / pe
+            for f, pe, fr in zip(self.f_star, perf_eq, frozen)
+            if not fr
+        )
+        if self._feasible(targets(hi)):
+            return hi
+        lo = 0.0
+        for _ in range(_ITERS):
+            mid = (lo + hi) / 2.0
+            if self._feasible(targets(mid)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def solve(self) -> _JointSolution:
+        f_star, perf_eq = self.f_star, self.perf_eq
+        n = len(f_star)
+        frozen = [False] * n
+        targets = [0.0] * n
+        while not all(frozen):
+            ratio = self._bisect(frozen, targets)
+            capped = [
+                i
+                for i in range(n)
+                if not frozen[i]
+                and ratio * perf_eq[i] >= f_star[i] * (1.0 - 1e-6)
+            ]
+            for i in capped:
+                targets[i] = f_star[i]
+                frozen[i] = True
+            if not capped:
+                for i in range(n):
+                    if not frozen[i]:
+                        targets[i] = ratio * perf_eq[i]
+                break
+        cache = self.datasets.cache_plan(targets, self.cache_budget_mb)
+        io = self._remote_io(targets, cache)
+        return _JointSolution(
+            ds_names=self.datasets.names,
+            cache_mb=cache,
+            targets=targets,
+            gpus=[
+                min(1.0, t / f) * g
+                for t, f, g in zip(targets, f_star, self.gpus)
+            ],
+            remote_io_mbps=io,
+            used_io_mbps=_pairwise_sum(io),
+        )
+
+
 class GavelPolicy(SchedulingPolicy):
     """Max-min fairness over (GPU share, cache, remote IO)."""
 
     name = "gavel"
+
+    #: The round's per-generation GPU pools as ``(capacity, member job
+    #: indices)``, checked by both joint solvers; empty on a homogeneous
+    #: fleet. Heterogeneity-aware subclasses set it around a round.
+    _pool_members: Sequence[Tuple[int, List[int]]] = ()
 
     def schedule(
         self,
@@ -258,6 +524,48 @@ class GavelPolicy(SchedulingPolicy):
         shares: Dict[str, EqualShare],
         allocation: Allocation,
     ) -> None:
+        solution = None
+        if len(jobs) <= _SCALAR_MAX_JOBS:
+            solution = self._solve_scalar(jobs, total, ctx, shares)
+        if solution is None:
+            solution = self._solve_numpy(jobs, total, ctx, shares)
+        for job, target in zip(jobs, solution.targets):
+            ctx.job_scores[job.job_id] = target
+        for name, grant in zip(solution.ds_names, solution.cache_mb):
+            if grant > 0:
+                allocation.grant_cache(name, grant)
+        for job, gpus, io in zip(
+            jobs, solution.gpus, solution.remote_io_mbps
+        ):
+            allocation.grant_gpus(job.job_id, gpus)
+            allocation.grant_remote_io(job.job_id, io)
+        self._distribute_slack(
+            jobs, total, allocation, ctx, solution.used_io_mbps
+        )
+
+    def _solve_scalar(
+        self,
+        jobs: Sequence[Job],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+        shares: Dict[str, EqualShare],
+    ) -> Optional[_JointSolution]:
+        """The joint solve on plain floats; ``None`` when some job's
+        ``f*`` is not positive (see :class:`_ScalarRound`)."""
+        solver = _ScalarRound(jobs, shares, ctx, total, self._pool_members)
+        if min(solver.f_star) <= 0.0:
+            return None
+        return solver.solve()
+
+    def _solve_numpy(
+        self,
+        jobs: Sequence[Job],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+        shares: Dict[str, EqualShare],
+    ) -> _JointSolution:
+        """The joint solve on numpy arrays: progressive filling over
+        :meth:`_bisect_ratio`, then the grants that meet the targets."""
         arrays = _JointArrays(jobs, shares, ctx)
         n = len(arrays.jobs)
         frozen = np.zeros(n, dtype=bool)
@@ -277,25 +585,22 @@ class GavelPolicy(SchedulingPolicy):
             targets[active] = proposed[active]
             frozen[:] = True
 
-        for i, job in enumerate(arrays.jobs):
-            ctx.job_scores[job.job_id] = float(targets[i])
-
         cache_grants = arrays.cache_plan_with_budget(targets, total.cache_mb)
-        for k, name in enumerate(arrays.ds_names):
-            if cache_grants[k] > 0:
-                allocation.grant_cache(name, float(cache_grants[k]))
         io_grants = targets * arrays.miss_ratios(cache_grants)
-        used_io = float(np.sum(io_grants))
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.where(
                 arrays.f_star > 0,
                 np.minimum(1.0, targets / arrays.f_star),
                 0.0,
             )
-        for i, job in enumerate(arrays.jobs):
-            allocation.grant_gpus(job.job_id, float(fractions[i] * arrays.gpus[i]))
-            allocation.grant_remote_io(job.job_id, float(io_grants[i]))
-        self._distribute_slack(jobs, total, allocation, ctx, used_io)
+        return _JointSolution(
+            ds_names=arrays.ds_names,
+            cache_mb=cache_grants.tolist(),
+            targets=targets.tolist(),
+            gpus=(fractions * arrays.gpus).tolist(),
+            remote_io_mbps=io_grants.tolist(),
+            used_io_mbps=float(np.sum(io_grants)),
+        )
 
     def _feasible(
         self,
@@ -314,11 +619,20 @@ class GavelPolicy(SchedulingPolicy):
             targets[active] > arrays.f_star[active] * (1.0 + _EPS)
         ):
             return False
-        gpu_needed = float(
-            np.sum(targets / arrays.f_star * arrays.gpus)
-        )
-        if gpu_needed > total.gpus * (1.0 + _EPS):
+        demand = targets / arrays.f_star * arrays.gpus
+        if float(np.sum(demand)) > total.gpus * (1.0 + _EPS):
             return False
+        if self._pool_members:
+            # Per-generation pools. GPU slack handed out after the
+            # max-min targets are met still draws on the shared total
+            # (slack only raises throughputs, never the binding minimum).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                demand = np.where(
+                    arrays.f_star > 0, targets / arrays.f_star, 0.0
+                ) * arrays.gpus
+            for capacity, members in self._pool_members:
+                if float(demand[members].sum()) > capacity * (1.0 + _EPS):
+                    return False
         cache_grants = arrays.cache_plan_with_budget(
             targets, total.cache_mb
         )

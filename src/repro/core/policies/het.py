@@ -33,20 +33,21 @@ speedup table anchored at the fleet's generation the factors are
 exactly 1.0, so allocations are bit-identical to ``GavelPolicy``
 (the collapse property of ``tests/core/test_het_perf_model.py``).
 
-Like ``gavel.py``, this module imports numpy unconditionally: the
-joint solver is deliberately outside the ``REPRO_NO_NUMPY`` fallback
-surface, so backend choice never changes policy numerics. The
-assignment scorer (:class:`_AssignmentScorer`, wrapped by
-:func:`common_ratio_for_assignment`) is pure Python for the same
-reason — the brute-force property test calls it directly.
+The joint solver (``gavel.py``) imports numpy unconditionally: it is
+deliberately outside the ``REPRO_NO_NUMPY`` fallback surface, so
+backend choice never changes policy numerics. This module is pure
+Python: the assignment scorer (:class:`_AssignmentScorer`, wrapped by
+:func:`common_ratio_for_assignment`) is called directly by the
+brute-force property test, and it shares the joint solver's scalar
+cache plan (:meth:`~repro.core.policies.gavel._Datasets.cache_plan`).
+The generation pools reach both joint solvers as per-round member
+index lists (``_pool_members``).
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
@@ -56,6 +57,7 @@ from repro.core.policies.gavel import (
     _ITERS,
     EqualShare,
     GavelPolicy,
+    _Datasets,
     equal_share,
 )
 from repro.core.resources import Allocation, ResourceVector
@@ -64,38 +66,6 @@ from repro.core.resources import Allocation, ResourceVector
 #: ``len(pools) ** len(jobs)`` stays at or below this; larger instances
 #: fall back to the deterministic greedy placer.
 _ENUM_LIMIT = 256
-
-
-def _greedy_cache_plan(
-    jobs: Sequence[Job],
-    targets: Sequence[float],
-    budget_mb: float,
-) -> Dict[str, float]:
-    """Pure-Python mirror of ``_JointArrays.cache_plan_with_budget``.
-
-    Greedy by marginal IO saving ``sum_{j on D} T_j / d_D`` (``targets``
-    aligned with ``jobs``), stable on ties by first-appearance order
-    (matching numpy's stable argsort over the same dataset ordering).
-    """
-    position: Dict[str, int] = {}
-    sizes: Dict[str, float] = {}
-    saving: Dict[str, float] = {}
-    for job, target in zip(jobs, targets):
-        name = job.dataset.name
-        if name not in position:
-            position[name] = len(position)
-            sizes[name] = job.dataset.size_mb
-            saving[name] = 0.0
-        saving[name] += target / job.dataset.size_mb
-    ranked = sorted(
-        position, key=lambda name: (-saving[name], position[name])
-    )
-    grants: Dict[str, float] = {}
-    before = 0.0
-    for name in ranked:
-        grants[name] = min(sizes[name], max(0.0, budget_mb - before))
-        before += sizes[name]
-    return grants
 
 
 class _AssignmentScorer:
@@ -137,6 +107,7 @@ class _AssignmentScorer:
         self.norms = [normalisers[job.job_id] for job in self.jobs]
         self.floors = [max(norm, 1e-12) for norm in self.norms]
         self.gpus = [job.num_gpus for job in self.jobs]
+        self.datasets = _Datasets(self.jobs)
         if effective_cache_mb is None:
             self.eff = [job.dataset.size_mb for job in self.jobs]
         else:
@@ -165,11 +136,14 @@ class _AssignmentScorer:
         """Cache/IO part of feasibility, memoised per ratio."""
         ok = self._io_memo.get(ratio)
         if ok is None:
-            cache = _greedy_cache_plan(self.jobs, targets, self.cache_mb)
+            datasets = self.datasets
+            cache = datasets.cache_plan(targets, self.cache_mb)
             total_io = 0.0
-            for job, target, eff in zip(self.jobs, targets, self.eff):
-                hits = min(cache[job.dataset.name], eff)
-                miss = 1.0 - min(1.0, hits / job.dataset.size_mb)
+            for k, d, target, eff in zip(
+                datasets.index, datasets.d, targets, self.eff
+            ):
+                hits = min(cache[k], eff)
+                miss = 1.0 - min(1.0, hits / d)
                 total_io += target * miss
             ok = total_io <= self.remote_io_mbps * (1.0 + _EPS)
             self._io_memo[ratio] = ok
@@ -254,10 +228,6 @@ class _HetGavelBase(GavelPolicy):
     #: generation scores) and for the scheduler's provenance plumbing.
     heterogeneity_aware = True
 
-    #: Per-round ``(capacity, job mask)`` per generation pool, consumed
-    #: by :meth:`_feasible`; ``None`` outside a heterogeneous round.
-    _pool_masks: Optional[List[Tuple[int, np.ndarray]]] = None
-
     def schedule(
         self,
         jobs: Sequence[Job],
@@ -281,29 +251,29 @@ class _HetGavelBase(GavelPolicy):
                     ctx.gen_assignments[job.job_id] = (
                         estimator.default_generation
                     )
-            self._pool_masks = None
             return super().schedule(jobs, total, ctx)
         assignment = self._assign(list(jobs), dict(pools), total, ctx)
         for job_id, generation in assignment.items():
             estimator.assignments[job_id] = generation
             ctx.gen_assignments[job_id] = generation
-        # The joint solver's arrays keep ``jobs`` order, so the masks
-        # are built once here rather than on every bisection step.
-        self._pool_masks = [
+        # Both joint solvers keep ``jobs`` order, so each pool's member
+        # indices are listed once here rather than on every bisection
+        # step.
+        self._pool_members = [
             (
                 capacity,
-                np.fromiter(
-                    (assignment.get(job.job_id) == gen for job in jobs),
-                    bool,
-                    count=len(jobs),
-                ),
+                [
+                    i
+                    for i, job in enumerate(jobs)
+                    if assignment.get(job.job_id) == gen
+                ],
             )
             for gen, capacity in pools.items()
         ]
         try:
             return super().schedule(jobs, total, ctx)
         finally:
-            self._pool_masks = None
+            self._pool_members = ()
 
     def _assign(
         self,
@@ -313,40 +283,6 @@ class _HetGavelBase(GavelPolicy):
         ctx: ScheduleContext,
     ) -> Dict[str, str]:
         raise NotImplementedError
-
-    def _feasible(
-        self,
-        ratio: float,
-        arrays,
-        frozen: np.ndarray,
-        frozen_targets: np.ndarray,
-        total: ResourceVector,
-    ) -> bool:
-        """Parent feasibility plus per-generation GPU pool capacities.
-
-        GPU slack distributed after the max-min targets are met still
-        draws on the shared total (a deliberate approximation — slack
-        only raises throughputs, never the binding minimum).
-        """
-        if not super()._feasible(
-            ratio, arrays, frozen, frozen_targets, total
-        ):
-            return False
-        masks = self._pool_masks
-        if not masks:
-            return True
-        targets = np.where(
-            frozen, frozen_targets, ratio * arrays.perf_eq
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(
-                arrays.f_star > 0, targets / arrays.f_star, 0.0
-            )
-        demand = fractions * arrays.gpus
-        for capacity, mask in masks:
-            if float(demand[mask].sum()) > capacity * (1.0 + _EPS):
-                return False
-        return True
 
     @staticmethod
     def _pools_fastest_first(

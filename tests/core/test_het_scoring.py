@@ -20,12 +20,11 @@ from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.perf_model import default_speedup_table
 from repro.core.policies.base import ScheduleContext
-from repro.core.policies.gavel import _EPS, _ITERS, equal_share
+from repro.core.policies.gavel import _EPS, _ITERS, _Datasets, equal_share
 from repro.core.policies.het import (
     _ENUM_LIMIT,
     HetMaxMinPolicy,
     _AssignmentScorer,
-    _greedy_cache_plan,
     common_ratio_for_assignment,
 )
 from repro.core.resources import ResourceVector
@@ -66,10 +65,11 @@ def _direct_ratio(jobs, generations, pools, total, f_star_by_gen, norms, eff):
                     demand += targets[j] / f_star[j] * jobs[j].num_gpus
             if demand > capacity * (1.0 + _EPS):
                 return False
-        cache = _greedy_cache_plan(jobs, targets, total.cache_mb)
+        datasets = _Datasets(jobs)
+        cache = datasets.cache_plan(targets, total.cache_mb)
         total_io = 0.0
-        for job, target, visible in zip(jobs, targets, eff):
-            hits = min(cache[job.dataset.name], visible)
+        for job, k, target, visible in zip(jobs, datasets.index, targets, eff):
+            hits = min(cache[k], visible)
             total_io += target * (1.0 - min(1.0, hits / job.dataset.size_mb))
         return total_io <= total.remote_io_mbps * (1.0 + _EPS)
 

@@ -33,10 +33,13 @@
 #      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
 #      metrics are bit-exact anchors, including the
 #      max-sum >= max-min >= fifo aggregate-throughput ordering.
-#      The minibatch emulator's bit-exact anchors sit beside these two:
-#      tests/sim/test_minibatch_anchors.py (one cell per cache system,
-#      a mid-epoch preemption and an IO stall, traced and untraced)
-#      runs in stage 3 as part of the tier-1 suite.
+#      Two tier-1 bit-exact anchor suites sit beside these two and run
+#      in stage 3: tests/sim/test_minibatch_anchors.py (the minibatch
+#      emulator: one cell per cache system, a mid-epoch preemption and
+#      an IO stall, traced and untraced) and
+#      tests/core/policies/test_gavel_anchors.py (Gavel's joint solver:
+#      gavel x silod with a frozen job, finish-time-fairness,
+#      het-max-min under churn, and a round large enough for numpy).
 #   8. benchmark tests         — the benchmark's own suite
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
