@@ -164,6 +164,12 @@ class CacheSystem(abc.ABC):
         override it to reuse work across consecutive rounds, but must
         return bit-identical decisions to ``decide`` on the same
         context.
+
+        Returning the *same object* as the previous call means
+        "unchanged; apply nothing": the simulator then keeps the
+        targets and rates it installed for that decision. A system may
+        do so only when ``decide`` would return an equal decision and
+        the previous one is still the one in force.
         """
         return self.decide(ctx)
 

@@ -52,12 +52,22 @@ class SiloDPerfEstimator:
     compute_estimator:
         The original scheduler's ``perf(j, R)`` in MB/s. Defaults to
         :func:`linear_compute_estimator`.
+
+    Attributes
+    ----------
+    numpy:
+        The numpy module when the vectorized backend was selected at
+        construction (``REPRO_NO_NUMPY`` unset), else ``None``. Batched
+        evaluations and the policy helpers that take this estimator
+        read the backend from here instead of re-checking the
+        environment on every call.
     """
 
     def __init__(
         self, compute_estimator: ComputeEstimator = linear_compute_estimator
     ) -> None:
         self._compute_estimator = compute_estimator
+        self.numpy = require_numpy() if numpy_enabled() else None
 
     @property
     def compute_estimator(self) -> ComputeEstimator:
@@ -83,12 +93,12 @@ class SiloDPerfEstimator:
         ``REPRO_NO_NUMPY=1`` fallback) take the loop.
         """
         jobs = list(jobs)
+        np = self.numpy
         if (
             len(jobs) >= _BATCH_MIN_JOBS
             and self._compute_estimator is linear_compute_estimator
-            and numpy_enabled()
+            and np is not None
         ):
-            np = require_numpy()
             n = len(jobs)
             f_star = np.fromiter(
                 (job.ideal_throughput_mbps for job in jobs), float, count=n

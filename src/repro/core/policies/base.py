@@ -29,7 +29,6 @@ from repro.core.policies import io_share
 from repro.core.policies.greedy import greedy_cache_allocation
 from repro.core.resources import Allocation, ResourceVector
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.perf.backend import numpy_enabled, require_numpy
 
 
 @dataclasses.dataclass
@@ -163,8 +162,8 @@ def instantaneous_io_demands(
     f_stars = ctx.estimator.compute_bound_batch(
         jobs, [gpu_map.get(job.job_id, 0.0) for job in jobs]
     )
-    if n >= 8 and numpy_enabled():
-        np = require_numpy()
+    np = ctx.estimator.numpy
+    if n >= 8 and np is not None:
         # Eq 2 elementwise: f* * (1 - min(1, hits/size)) — bit-identical
         # to perf_model.remote_io_demand on each element.
         eff_map = ctx.effective_cache_map
@@ -227,7 +226,9 @@ def allocate_storage_greedily(
     when the policy has a job ordering to respect.
     """
     for name, cache_mb in greedy_cache_allocation(
-        running_jobs, total.cache_mb
+        running_jobs,
+        total.cache_mb,
+        vectorized=ctx.estimator.numpy is not None,
     ).items():
         allocation.grant_cache(name, cache_mb)
     demands = instantaneous_io_demands(running_jobs, allocation, ctx)

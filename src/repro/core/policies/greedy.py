@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.job import Job
 from repro.core import perf_model
-from repro.perf.backend import numpy_enabled, require_numpy
+from repro.perf.backend import numpy_enabled
 
 #: Below this many jobs the scalar per-dataset sums win; matches the
 #: estimator's batch cutoff.
@@ -29,14 +29,21 @@ def group_jobs_by_dataset(jobs: Iterable[Job]) -> Dict[str, List[Job]]:
     return groups
 
 
-def dataset_efficiencies(jobs: Iterable[Job]) -> List[Tuple[str, float, float]]:
+def dataset_efficiencies(
+    jobs: Iterable[Job], vectorized: Optional[bool] = None
+) -> List[Tuple[str, float, float]]:
     """Per-dataset ``(name, cache_efficiency, size_mb)``, best first.
 
     Cache efficiency is in MB/s of remote IO saved per MB of cache; ties
-    break on dataset name for determinism.
+    break on dataset name for determinism. ``vectorized`` is the
+    caller's backend (policies pass their estimator's); ``None``
+    consults :func:`~repro.perf.backend.numpy_enabled`. Both give the
+    same rows.
     """
     jobs = list(jobs)
-    if len(jobs) >= _BATCH_MIN_JOBS and numpy_enabled():
+    if vectorized is None:
+        vectorized = numpy_enabled()
+    if len(jobs) >= _BATCH_MIN_JOBS and vectorized:
         rows = _dataset_efficiencies_batch(jobs)
         if rows is not None:
             rows.sort(key=lambda row: (-row[1], row[0]))
@@ -65,7 +72,8 @@ def _dataset_efficiencies_batch(
     ``None`` for inputs the scalar path rejects (non-positive sizes,
     negative throughputs), so its ``ValueError`` fires unchanged.
     """
-    np = require_numpy()
+    import numpy as np  # the caller selected the vectorized backend
+
     n = len(jobs)
     first_size: Dict[str, float] = {}
     for job in jobs:
@@ -92,7 +100,9 @@ def _dataset_efficiencies_batch(
 
 
 def greedy_cache_allocation(
-    jobs: Iterable[Job], total_cache_mb: float
+    jobs: Iterable[Job],
+    total_cache_mb: float,
+    vectorized: Optional[bool] = None,
 ) -> Dict[str, float]:
     """Algorithm 2: fill the cache with the most cache-efficient datasets.
 
@@ -101,12 +111,13 @@ def greedy_cache_allocation(
     whatever space remains.
 
     Returns ``{dataset_name: cache_mb}`` (datasets receiving 0 are omitted).
+    ``vectorized`` selects the backend as in :func:`dataset_efficiencies`.
     """
     if total_cache_mb < 0:
         raise ValueError("total cache must be non-negative")
     allocation: Dict[str, float] = {}
     remaining = total_cache_mb
-    for name, _efficiency, size_mb in dataset_efficiencies(jobs):
+    for name, _efficiency, size_mb in dataset_efficiencies(jobs, vectorized):
         if remaining <= 0:
             break
         grant = min(size_mb, remaining)

@@ -235,14 +235,19 @@ class FluidSimulator:
         self._arrival_idx = 0
         self._active: Dict[str, JobProgress] = {}
         self._finished: List[JobProgress] = []
+        #: numpy when the vectorized backend was selected at
+        #: construction, else ``None``; every structure below follows it.
+        self._np = require_numpy() if numpy_enabled() else None
+        vectorized = self._np is not None
         #: Per-key residency/target state (dict or numpy columns).
-        self._cache = make_residency_store()
+        self._cache = make_residency_store(vectorized)
         #: Columnar per-job progress and rates for the hot sweeps.
         self._table = JobTable(
             capacity=len(jobs),
             rate_eps=_RATE_EPS,
             work_eps_mb=_WORK_EPS_MB,
             snap_mb=_EPOCH_SNAP_MB,
+            vectorized=vectorized,
         )
         #: Cache key per admitted job (``cache_key`` is deterministic, so
         #: it is computed once at admission instead of per event).
@@ -872,17 +877,19 @@ class FluidSimulator:
             effective_cache_map=self._effective,
         )
         # Mirror the round's generation placement into the job table's
-        # gen column (trivially the reference generation on homogeneous
-        # fleets); ``generation_of`` reads it back.
-        generations = self.scheduler.last_generations
-        default_gen = self.scheduler.default_generation
-        for progress in self._active.values():
-            job_id = progress.job.job_id
-            row = self._table.row_of(job_id)
-            if row is not None:
-                self._table.set_generation(
-                    row, generations.get(job_id, default_gen)
-                )
+        # gen column; ``generation_of`` reads it back. A one-pool fleet
+        # places every job on the reference generation, so nothing is
+        # written there.
+        if self.scheduler.gpu_pools is not None:
+            generations = self.scheduler.last_generations
+            default_gen = self.scheduler.default_generation
+            for progress in self._active.values():
+                job_id = progress.job.job_id
+                row = self._table.row_of(job_id)
+                if row is not None:
+                    self._table.set_generation(
+                        row, generations.get(job_id, default_gen)
+                    )
         self._invalidate_epoch_view()
         if tracer.enabled:
             start_candidates = self._active.values()
@@ -961,12 +968,16 @@ class FluidSimulator:
     def generation_of(self, job_id: str) -> Optional[str]:
         """The GPU generation ``job_id`` is currently placed on.
 
-        Read from the job table's gen column; ``None`` before the job's
-        first scheduling round (or for unknown ids).
+        Read from the job table's gen column on a mixed fleet (``None``
+        before the job's first scheduling round); a one-pool fleet
+        answers its reference generation for every admitted job. Unknown
+        ids get ``None``.
         """
         row = self._table.row_of(job_id)
         if row is None:
             return None
+        if self.scheduler.gpu_pools is None:
+            return self.scheduler.default_generation
         return self._table.generation(row)
 
     def _running_jobs(self) -> List[Job]:
@@ -1012,8 +1023,8 @@ class FluidSimulator:
         view.keys_list = view.key_codes = view.job_keys = None
         view.store_rows = None
         view.store_rows_version = -1
-        if numpy_enabled() and running:
-            np = require_numpy()
+        np = self._np
+        if np is not None and running:
             n = len(running)
             rates_arr = np.asarray(f_stars, float)
             size_arr = np.fromiter(
@@ -1085,9 +1096,19 @@ class FluidSimulator:
             tracer=self._tracer,
             batch=view.hints,
         )
-        self._decision = self.cache_system.reallocate(ctx)
-        self._apply_targets()
-        self._recompute_rates(view.running)
+        decision = self.cache_system.reallocate(ctx)
+        if decision is self._decision:
+            # The cache system handed back the decision already in force
+            # (same allocation epoch, same effective bytes): its targets
+            # are applied — fills cap at min(target, size), so a replay
+            # finds no over-target key — and the rates are a pure
+            # function of the decision and the epoch view. Only the
+            # pool-capacity check runs again.
+            self._reclaim_overshoot()
+        else:
+            self._decision = decision
+            self._apply_targets()
+            self._recompute_rates(view.running)
         if self._tracer.enabled:
             emit_decision_provenance(
                 self._tracer,
@@ -1249,8 +1270,8 @@ class FluidSimulator:
         io_grants = self._decision.io_grants
         n = len(running)
         groups: Dict[str, List[Tuple[str, float]]] = {}
-        if table.backend == "vectorized" and n >= 8:
-            np = require_numpy()
+        np = self._np
+        if np is not None and n >= 8:
             if f_arr is None:
                 f_arr = np.asarray(f_stars, float)
             batch = self._decision.batch

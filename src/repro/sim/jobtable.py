@@ -10,6 +10,13 @@ throughput, miss rate, completed epochs) columnarly so those sweeps are
 single numpy expressions; the pure-Python fallback (``REPRO_NO_NUMPY=1``)
 runs the same arithmetic as explicit loops.
 
+The three per-event sweeps (advance, next completion, next epoch
+boundary) only touch *moving* rows — live with a rate above
+``rate_eps``. That set changes only when a rate is written or a row is
+admitted or retired, so the numpy table keeps the moving rows' index
+(and their rate and total-work gathers) between those writes instead of
+rebuilding the mask on every call.
+
 Rows are append-only in admission order — exactly the insertion order of
 the simulator's ``_active`` dict — and retirement tombstones a row via a
 :class:`~repro.cache.bitset.RowBitset` instead of compacting, so
@@ -81,6 +88,10 @@ class JobTable:
         #: codes so the column stays numeric on both backends.
         self._gen_names: List[str] = []
         self._gen_codes = {}  # name -> index
+        #: ``(rows, rate[rows], total[rows])`` over the moving rows
+        #: (numpy backend), rebuilt lazily after any rate write,
+        #: admission or retirement.
+        self._moving_cache = None
         capacity = max(1, capacity)
         if self._vectorized:
             np = require_numpy()
@@ -159,6 +170,7 @@ class JobTable:
         self._miss[row] = 0.0
         self._epochs_done[row] = 0.0
         self._gen[row] = -1
+        self._moving_cache = None
         if self._vectorized:
             self._alive.set(row)
         else:
@@ -169,6 +181,7 @@ class JobTable:
         """Tombstone a finished job's row (rates zeroed, mask cleared)."""
         self._rate[row] = 0.0
         self._miss[row] = 0.0
+        self._moving_cache = None
         if self._vectorized:
             self._alive.clear(row)
         else:
@@ -231,6 +244,7 @@ class JobTable:
 
     def clear_rates(self) -> None:
         """Zero every row's throughput and miss rate (pre-recompute)."""
+        self._moving_cache = None
         if self._vectorized:
             self._rate[: self._n] = 0.0
             self._miss[: self._n] = 0.0
@@ -241,6 +255,7 @@ class JobTable:
 
     def set_rate(self, row: int, rate: float, miss_rate: float) -> None:
         """Install ``row``'s freshly recomputed throughput and miss rate."""
+        self._moving_cache = None
         self._rate[row] = rate
         self._miss[row] = miss_rate
 
@@ -258,6 +273,7 @@ class JobTable:
         """
         if len(rows) == 0:
             return
+        self._moving_cache = None
         if self._vectorized:
             np = self._np
             idx = np.asarray(rows, dtype=np.intp)
@@ -272,23 +288,33 @@ class JobTable:
     # Whole-table sweeps (the per-event hot path).
     # ------------------------------------------------------------------
 
+    def _moving(self):
+        """``(rows, rate[rows], total[rows])`` of live, moving rows.
+
+        Cached between rate writes, admissions and retirements — the
+        only mutations that can change the set or the gathered values.
+        """
+        cached = self._moving_cache
+        if cached is None:
+            np = self._np
+            n = self._n
+            rows = np.nonzero(
+                self._alive.mask(n) & (self._rate[:n] > self._rate_eps)
+            )[0]
+            cached = (rows, self._rate[rows], self._total[rows])
+            self._moving_cache = cached
+        return cached
+
     def advance(self, dt: float) -> None:
         """Advance every live, moving job by ``rate * dt`` (work-capped)."""
         if self._vectorized:
-            np = self._np
-            n = self._n
-            if n == 0:
+            rows, rate, total = self._moving()
+            if rows.size == 0:
                 return
-            work = self._work[:n]
-            rate = self._rate[:n]
-            moving = self._alive.mask(n) & (rate > self._rate_eps)
             # Same expression as the scalar path:
             # min(total, work + rate * dt).
-            np.copyto(
-                work,
-                np.minimum(self._total[:n], work + rate * dt),
-                where=moving,
-            )
+            work = self._work
+            work[rows] = self._np.minimum(total, work[rows] + rate * dt)
             return
         for row in self._live:
             rate = self._rate[row]
@@ -301,17 +327,11 @@ class JobTable:
         """Earliest ``clock + remaining/rate`` over live, moving jobs."""
         if self._vectorized:
             np = self._np
-            n = self._n
-            if n == 0:
+            rows, rate, total = self._moving()
+            if rows.size == 0:
                 return math.inf
-            rate = self._rate[:n]
-            idx = np.nonzero(self._alive.mask(n) & (rate > self._rate_eps))[0]
-            if idx.size == 0:
-                return math.inf
-            remaining = np.maximum(
-                0.0, self._total[idx] - self._work[idx]
-            )
-            return float(np.min(clock_s + remaining / rate[idx]))
+            remaining = np.maximum(0.0, total - self._work[rows])
+            return float(np.min(clock_s + remaining / rate))
         best = math.inf
         for row in self._live:
             rate = self._rate[row]
@@ -324,16 +344,12 @@ class JobTable:
         """Earliest upcoming epoch boundary strictly before completion."""
         if self._vectorized:
             np = self._np
-            n = self._n
-            if n == 0:
+            rows, rate, total = self._moving()
+            if rows.size == 0:
                 return math.inf
-            rate = self._rate[:n]
-            idx = np.nonzero(self._alive.mask(n) & (rate > self._rate_eps))[0]
-            if idx.size == 0:
-                return math.inf
-            work = self._work[idx]
-            epoch = self._epoch[idx]
-            remaining = np.maximum(0.0, self._total[idx] - work)
+            work = self._work[rows]
+            epoch = self._epoch[rows]
+            remaining = np.maximum(0.0, total - work)
             # JobProgress.work_to_epoch_boundary_mb, term by term.
             epoch_index = np.floor_divide(work + self._snap, epoch)
             position = np.maximum(0.0, work - epoch_index * epoch)
@@ -341,9 +357,7 @@ class JobTable:
             sel = to_boundary < remaining - self._work_eps
             if not sel.any():
                 return math.inf
-            return float(
-                np.min(clock_s + to_boundary[sel] / rate[idx][sel])
-            )
+            return float(np.min(clock_s + to_boundary[sel] / rate[sel]))
         best = math.inf
         for row in self._live:
             rate = self._rate[row]

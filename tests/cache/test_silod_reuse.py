@@ -1,0 +1,342 @@
+"""The SiloD data manager's decision reuse (``reallocate``).
+
+Within one allocation epoch a SiloD decision depends only on the running
+jobs' effective bytes, so ``reallocate`` hands the previous decision
+object back when none of them moved, and the fluid simulator then skips
+re-applying it. The unit tests pin when reuse may and may not happen;
+the differential test runs whole simulations against a data manager
+that always recomputes and requires bit-identical records and timeline.
+"""
+
+import dataclasses
+import math
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import units
+from repro.cache.base import StorageBatchHints, StorageContext
+from repro.cache.silod_cache import SiloDDataManager
+from repro.cluster.dataset import Dataset
+from repro.cluster.hardware import Cluster
+from repro.cluster.job import Job
+from repro.core.estimator import SiloDPerfEstimator
+from repro.core.resources import Allocation
+from repro.faults import FaultEvent
+from repro.obs import Tracer
+from repro.sim.fluid import FluidSimulator
+from repro.sim.runner import make_system
+
+GB = 1024.0
+
+
+def bitwise(x):
+    """Hashable bit-exact view (floats as ``hex``)."""
+    if dataclasses.is_dataclass(x):
+        return tuple(
+            (f.name, bitwise(getattr(x, f.name)))
+            for f in dataclasses.fields(x)
+            if f.name != "batch"
+        )
+    if isinstance(x, dict):
+        return tuple(sorted((k, bitwise(v)) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return tuple(bitwise(v) for v in x)
+    if isinstance(x, float):
+        return "nan" if math.isnan(x) else x.hex()
+    return x
+
+
+# ----------------------------------------------------------------------
+# Unit tests on hand-built contexts.
+# ----------------------------------------------------------------------
+
+
+def _jobs(n):
+    return [
+        Job(
+            job_id=f"j{i}",
+            model="m",
+            dataset=Dataset(f"d{i % 3}", (100.0 + 10.0 * i) * GB),
+            num_gpus=1 + i % 2,
+            ideal_throughput_mbps=50.0 + 7.0 * i,
+            total_work_mb=1e6,
+        )
+        for i in range(n)
+    ]
+
+
+def _allocation(jobs):
+    allocation = Allocation()
+    for i, job in enumerate(jobs):
+        allocation.grant_gpus(job.job_id, float(job.num_gpus))
+        allocation.grant_remote_io(job.job_id, 5.0 + 3.0 * i)
+    allocation.grant_cache("d0", 80.0 * GB)
+    allocation.grant_cache("d1", 40.0 * GB)
+    return allocation
+
+
+def _hints(jobs, allocation, effective, estimator):
+    """The fluid simulator's per-epoch hints for ``jobs``."""
+    job_ids = [job.job_id for job in jobs]
+    rates = estimator.compute_bound_batch(
+        jobs, [allocation.gpus_of(jid) for jid in job_ids]
+    )
+    np = estimator.numpy
+    arrays = {}
+    if np is not None:
+        arrays = dict(
+            rates_arr=np.asarray(rates, float),
+            size_arr=np.asarray([j.dataset.size_mb for j in jobs], float),
+            io_alloc_arr=np.asarray(
+                [allocation.remote_io_of(jid) for jid in job_ids], float
+            ),
+        )
+    return StorageBatchHints(
+        job_ids=job_ids,
+        rates=rates,
+        effective=effective,
+        targets={k: v for k, v in allocation.cache.items() if v > 0},
+        **arrays,
+    )
+
+
+class _Epoch:
+    """One allocation epoch: jobs, allocation, live effective bytes."""
+
+    def __init__(self, n):
+        self.jobs = _jobs(n)
+        self.allocation = _allocation(self.jobs)
+        self.estimator = SiloDPerfEstimator()
+        self.effective = {
+            job.job_id: 4.0 * GB * i for i, job in enumerate(self.jobs)
+        }
+        self.hints = _hints(
+            self.jobs, self.allocation, self.effective, self.estimator
+        )
+
+    def ctx(self, tracer=None, total_io_mbps=200.0, hints="same"):
+        extra = {} if tracer is None else {"tracer": tracer}
+        return StorageContext(
+            running_jobs=self.jobs,
+            gpu_grants=dict(self.allocation.gpus),
+            total_gpus=16.0,
+            total_cache_mb=120.0 * GB,
+            total_io_mbps=total_io_mbps,
+            effective_mb=lambda job: self.effective.get(job.job_id, 0.0),
+            first_epoch_done=lambda job: True,
+            estimator=self.estimator,
+            scheduler_allocation=self.allocation,
+            batch=self.hints if hints == "same" else hints,
+            **extra,
+        )
+
+
+SIZES = pytest.mark.parametrize("n", [3, 10])
+
+
+@SIZES
+def test_unchanged_effective_bytes_return_the_same_object(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx())
+    assert manager.reallocate(epoch.ctx()) is first
+    assert manager.reallocate(epoch.ctx()) is first
+
+
+@SIZES
+def test_one_changed_value_gives_a_fresh_decision(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx())
+    epoch.effective["j1"] += 1.0 * GB
+    fresh = manager.reallocate(epoch.ctx())
+    assert fresh is not first
+    assert bitwise(fresh) == bitwise(SiloDDataManager().decide(epoch.ctx()))
+    assert bitwise(fresh) != bitwise(first)
+    # The fresh decision is reusable in turn.
+    assert manager.reallocate(epoch.ctx()) is fresh
+
+
+@SIZES
+def test_snapshot_is_what_decide_read(n):
+    """Scaling effective bytes after a decision (as applying its
+    targets does) must defeat the reuse: the snapshot is taken when
+    ``decide`` reads, not afterwards."""
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx())
+    for jid in epoch.effective:
+        epoch.effective[jid] *= 0.5
+    again = manager.reallocate(epoch.ctx())
+    assert again is not first
+    assert bitwise(again) == bitwise(SiloDDataManager().decide(epoch.ctx()))
+
+
+@SIZES
+def test_tracing_means_no_reuse(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    traced = manager.reallocate(epoch.ctx(tracer=Tracer()))
+    # A traced decision is never stored, and a traced round never reuses.
+    assert manager.reallocate(epoch.ctx()) is not traced
+    untraced = manager.reallocate(epoch.ctx())
+    assert manager.reallocate(epoch.ctx(tracer=Tracer())) is not untraced
+
+
+@SIZES
+def test_reset_drops_the_reusable_decision(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx())
+    manager.reset()
+    assert manager.reallocate(epoch.ctx()) is not first
+
+
+@SIZES
+def test_new_hints_mean_no_reuse(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx())
+    new_hints = _hints(
+        epoch.jobs, epoch.allocation, epoch.effective, epoch.estimator
+    )
+    assert manager.reallocate(epoch.ctx(hints=new_hints)) is not first
+    # Without hints there is nothing to tie an epoch to.
+    manager.reallocate(epoch.ctx(hints=None))
+    unhinted = manager.reallocate(epoch.ctx(hints=None))
+    assert manager.reallocate(epoch.ctx(hints=None)) is not unhinted
+
+
+@SIZES
+def test_egress_change_means_no_reuse(n):
+    epoch = _Epoch(n)
+    manager = SiloDDataManager(io_allocation=False)
+    first = manager.reallocate(epoch.ctx())
+    halved = manager.reallocate(epoch.ctx(total_io_mbps=100.0))
+    assert halved is not first
+    assert bitwise(halved) == bitwise(
+        SiloDDataManager(io_allocation=False).decide(
+            epoch.ctx(total_io_mbps=100.0)
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# Differential: whole simulations against an always-recomputing manager.
+# ----------------------------------------------------------------------
+
+
+class _AlwaysDecide(SiloDDataManager):
+    """The data manager with reuse disabled: every round recomputes."""
+
+    def reallocate(self, ctx):
+        return self.decide(ctx)
+
+
+def _trace(seed, num_jobs, shared):
+    rng = random.Random(seed)
+    jobs = []
+    for i in range(num_jobs):
+        dataset = f"d{rng.randrange(3)}" if shared else f"d{i}"
+        size_gb = 20.0 + 10.0 * (sum(map(ord, dataset)) % 9)
+        jobs.append(
+            Job(
+                job_id=f"j{i:02d}",
+                model="m",
+                dataset=Dataset(dataset, size_gb * GB),
+                num_gpus=rng.choice((1, 1, 2, 4)),
+                ideal_throughput_mbps=rng.uniform(20.0, 200.0),
+                total_work_mb=rng.uniform(0.5, 3.0) * size_gb * GB,
+                submit_time_s=rng.uniform(0.0, 3000.0),
+            )
+        )
+    return jobs
+
+
+def _simulate(manager_cls, cache, policy, jobs, cache_gb, faults, online):
+    scheduler, _ = make_system(policy, "silod")
+    sim = FluidSimulator(
+        Cluster.build(4, 4, units.gb(cache_gb), 150.0),
+        scheduler,
+        manager_cls(io_allocation=(cache == "silod")),
+        jobs,
+        reschedule_interval_s=600.0,
+        sample_interval_s=300.0,
+        **faults,
+    )
+    if not online:
+        result = sim.run()
+    else:
+        sim.begin()
+        extra = [
+            dataclasses.replace(job, job_id=f"o{i}")
+            for i, job in enumerate(_trace(99, 3, shared=True))
+        ]
+        script = [
+            (500.0, "submit", extra[0]),
+            (900.0, "cancel", jobs[1].job_id),
+            (1200.0, "submit", extra[1]),
+            (1500.0, "cancel", "o1"),
+            (2000.0, "submit", extra[2]),
+        ]
+        for at_s, action, arg in script:
+            while sim.step(limit_s=at_s):
+                pass
+            if action == "submit":
+                sim.submit_job(dataclasses.replace(arg, submit_time_s=at_s))
+            else:
+                sim.cancel_job(arg)
+        while sim.step():
+            pass
+        result = sim.finish()
+    counters = (sim.sched_rounds, sim.decision_rounds, sim.loop_events)
+    return bitwise(result.records), bitwise(result.timeline), counters
+
+
+FAULTS = {
+    "none": {},
+    "churn": {
+        "server_loss_times_s": (1100.0,),
+        "data_manager_crash_times_s": (1700.0,),
+        "faults": [
+            FaultEvent(800.0, "bandwidth", magnitude=0.25),
+            FaultEvent(2600.0, "bandwidth", magnitude=1.0),
+            FaultEvent(2000.0, "cache_loss", magnitude=0.5),
+        ],
+    },
+}
+
+
+@settings(max_examples=30, deadline=None)
+# Two draws where a target shrink is followed by a quiet epoch boundary:
+# a snapshot taken after the eviction instead of as decide read the
+# bytes would reuse a stale decision here.
+@example(
+    seed=2642, num_jobs=16, shared=False, cache_gb=8.0, faults="churn",
+    online=True, policy="fifo", cache="silod",
+)
+@example(
+    seed=54080, num_jobs=17, shared=False, cache_gb=60.0, faults="none",
+    online=False, policy="gavel", cache="silod",
+)
+@given(
+    seed=st.integers(0, 2**16),
+    num_jobs=st.integers(6, 18),
+    shared=st.booleans(),
+    cache_gb=st.sampled_from([8.0, 60.0, 400.0]),
+    faults=st.sampled_from(sorted(FAULTS)),
+    online=st.booleans(),
+    policy=st.sampled_from(["fifo", "sjf", "gavel"]),
+    cache=st.sampled_from(["silod", "silod-no-io-alloc"]),
+)
+def test_reuse_is_bit_identical_to_always_deciding(
+    seed, num_jobs, shared, cache_gb, faults, online, policy, cache
+):
+    jobs = _trace(seed, num_jobs, shared)
+    args = (cache, policy, jobs, cache_gb, FAULTS[faults], online)
+    assert _simulate(SiloDDataManager, *args) == _simulate(
+        _AlwaysDecide, *args
+    )

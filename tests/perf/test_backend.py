@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.perf import backend
 from repro.perf.backend import (
     BACKEND_FALLBACK,
     BACKEND_VECTORIZED,
@@ -13,6 +14,9 @@ from repro.perf.backend import (
     require_numpy,
     using_backend,
 )
+from repro.sim.fluid import FluidSimulator
+from repro.sim.runner import make_system
+from tests.perf.test_equivalence import tiny_cluster, tiny_trace
 
 pytestmark = pytest.mark.perf
 
@@ -65,3 +69,36 @@ def test_using_backend_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown backend"):
         with using_backend("simd"):
             pass
+
+
+def _fluid_run_backend_checks(monkeypatch, num_jobs):
+    """(backend checks during ``run``, loop events) for one fluid run."""
+    calls = [0]
+    available = backend._numpy_available
+
+    def counting():
+        calls[0] += 1
+        return available()
+
+    monkeypatch.setattr(backend, "_numpy_available", counting)
+    scheduler, cache_system = make_system("fifo", "silod")
+    sim = FluidSimulator(
+        tiny_cluster(16),
+        scheduler,
+        cache_system,
+        tiny_trace(5, num_jobs, 16),
+    )
+    before = calls[0]
+    sim.run()
+    return calls[0] - before, sim.loop_events
+
+
+def test_fluid_run_resolves_the_backend_at_construction(monkeypatch):
+    # The simulator, estimator and cache system pick their backend when
+    # built; the event loop never re-reads the environment, so the
+    # number of checks does not grow with the number of events.
+    monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
+    small_checks, small_events = _fluid_run_backend_checks(monkeypatch, 12)
+    large_checks, large_events = _fluid_run_backend_checks(monkeypatch, 48)
+    assert large_events > 2 * small_events
+    assert large_checks == small_checks == 0

@@ -147,3 +147,57 @@ def test_scheduler_name_and_cache_name_propagate():
     result = run([simple_job("a", d_gb=5.0, epochs=1.0)], cache="alluxio")
     assert result.scheduler_name == "fifo"
     assert result.cache_name == "alluxio"
+
+
+def test_one_pool_generation_answers_without_the_mirror():
+    """A one-pool fleet writes no generation column: every admitted job
+    (queued, running or finished) reports the reference generation and
+    unknown ids report ``None``."""
+    jobs = [
+        simple_job("a", d_gb=10.0, epochs=1.0, gpus=4),
+        simple_job("b", d_gb=10.0, epochs=1.0, gpus=4),
+        simple_job("late", d_gb=10.0, epochs=1.0, submit=1e6),
+    ]
+    scheduler, cache_system = make_system("fifo", "silod")
+    sim = FluidSimulator(small_cluster(), scheduler, cache_system, jobs)
+    calls = []
+    set_generation = sim._table.set_generation
+
+    def counting(row, name):
+        calls.append((row, name))
+        set_generation(row, name)
+
+    sim._table.set_generation = counting
+    sim.begin()
+    sim.step()  # admits a and b; only a fits on the four GPUs
+    assert scheduler.gpu_pools is None
+    assert sim.generation_of("a") == "V100"
+    assert sim.generation_of("b") == "V100"
+    assert sim.generation_of("late") is None
+    assert sim.generation_of("nope") is None
+    while sim.step():
+        pass
+    sim.finish()
+    assert sim.generation_of("a") == "V100"
+    assert sim.generation_of("late") == "V100"
+    assert calls == []
+
+
+def test_mixed_fleet_generation_mirror_still_written():
+    cluster = Cluster.build_mixed(
+        (("K80", 1), ("V100", 1)),
+        gpus_per_server=4,
+        cache_per_server_mb=100.0 * GB,
+        remote_io_mbps=100.0,
+    )
+    jobs = [simple_job(f"j{i}", d_gb=10.0, epochs=1.0) for i in range(3)]
+    scheduler, cache_system = make_system("het-max-min", "silod")
+    sim = FluidSimulator(cluster, scheduler, cache_system, jobs)
+    sim.begin()
+    sim.step()
+    assert scheduler.gpu_pools is not None
+    placed = {sim.generation_of(j.job_id) for j in jobs}
+    assert placed <= {"K80", "V100"}
+    assert placed == {
+        scheduler.last_generations.get(j.job_id, "V100") for j in jobs
+    }

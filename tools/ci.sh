@@ -33,13 +33,17 @@
 #      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
 #      metrics are bit-exact anchors, including the
 #      max-sum >= max-min >= fifo aggregate-throughput ordering.
-#      Two tier-1 bit-exact anchor suites sit beside these two and run
-#      in stage 3: tests/sim/test_minibatch_anchors.py (the minibatch
-#      emulator: one cell per cache system, a mid-epoch preemption and
-#      an IO stall, traced and untraced) and
+#      Three tier-1 bit-exact anchor suites sit beside these two and
+#      run in stage 3: tests/sim/test_minibatch_anchors.py (the
+#      minibatch emulator: one cell per cache system, a mid-epoch
+#      preemption and an IO stall, traced and untraced),
 #      tests/core/policies/test_gavel_anchors.py (Gavel's joint solver:
 #      gavel x silod with a frozen job, finish-time-fairness,
-#      het-max-min under churn, and a round large enough for numpy).
+#      het-max-min under churn, and a round large enough for numpy) and
+#      tests/sim/test_fluid_anchors.py (the fluid simulator under both
+#      backends: fifo x silod on private datasets, shared datasets on
+#      the exponential multi-filler path, server loss + data-manager
+#      crash + bandwidth flap, and an online submit/cancel run).
 #   8. benchmark tests         — the benchmark's own suite
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
