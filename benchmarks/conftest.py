@@ -21,8 +21,8 @@ from typing import Dict, Tuple
 import pytest
 
 from repro import units
+from repro.analysis.artifacts import write_benchmark_artifact
 from repro.cluster.hardware import Cluster, cluster_400gpu
-from repro.perf.record import write_benchmark_artifact
 from repro.sim.metrics import RunResult
 from repro.sim.runner import run_experiment
 from repro.workloads.trace import (
@@ -159,7 +159,7 @@ def report():
 
     Each table is written twice: the raw ``.txt`` that EXPERIMENTS.md
     embeds, and a schema-versioned ``.json`` envelope
-    (``repro.perf.record``) so every artifact under ``results/`` is
+    (``repro.analysis.artifacts``) so every artifact under ``results/`` is
     self-describing and machine-diffable across revisions.
     """
 

@@ -8,13 +8,13 @@ scaling behaviour can be tracked across revisions.
 """
 
 from repro import units
-from repro.analysis.tables import render_table
-from repro.cluster.hardware import Cluster
-from repro.obs import Tracer
-from repro.perf.record import (
+from repro.analysis.artifacts import (
     load_benchmark_artifact,
     write_benchmark_artifact,
 )
+from repro.analysis.tables import render_table
+from repro.cluster.hardware import Cluster
+from repro.obs import Tracer
 from repro.sim.runner import run_experiment
 from repro.workloads.trace import (
     TraceConfig,

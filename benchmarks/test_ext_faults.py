@@ -9,13 +9,13 @@ is driven through all four cache systems on the same trace.
 """
 
 from repro import units
-from repro.analysis.tables import render_table
-from repro.cluster.hardware import Cluster
-from repro.faults import FaultEvent, FaultSchedule
-from repro.perf.record import (
+from repro.analysis.artifacts import (
     load_benchmark_artifact,
     write_benchmark_artifact,
 )
+from repro.analysis.tables import render_table
+from repro.cluster.hardware import Cluster
+from repro.faults import FaultEvent, FaultSchedule
 from repro.sim.runner import run_experiment
 from repro.workloads.trace import (
     TraceConfig,

@@ -6,25 +6,24 @@ in ``core/estimator.py``) are selected at *construction* time through
 :func:`numpy_enabled`, so a single environment variable —
 ``REPRO_NO_NUMPY=1`` — flips an entire run onto the pure-Python
 fallback. The two paths are contractually bit-identical (see
-``docs/PERFORMANCE.md``); the switch exists for three reasons:
+``docs/PERFORMANCE.md``); the switch exists for two reasons:
 
 * environments without numpy (the fallback keeps the repo importable);
-* recording pre-vectorization baselines for ``repro bench --compare``;
-* the equivalence tests, which run every seeded trace through both
-  backends and diff the decisions and event sequences.
+* the equivalence and anchor tests, which run seeded traces through
+  both backends and diff the decisions, event sequences and results.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterator, Optional
+from typing import Iterator
 
 #: Environment variable forcing the pure-Python fallback when set to a
 #: non-empty value other than ``0``.
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
-#: Backend labels used in ``BenchRecord.backend`` and reports.
+#: Backend labels accepted by :func:`using_backend`.
 BACKEND_VECTORIZED = "vectorized"
 BACKEND_FALLBACK = "fallback"
 
@@ -41,17 +40,12 @@ def numpy_enabled() -> bool:
     """Whether vectorized implementations should be used *right now*.
 
     Checked at object-construction time (never cached at import) so
-    tests and the bench CLI can flip backends per run.
+    tests can flip backends per run.
     """
     flag = os.environ.get(NO_NUMPY_ENV, "").strip()
     if flag and flag != "0":
         return False
     return _numpy_available()
-
-
-def backend_name() -> str:
-    """``"vectorized"`` or ``"fallback"`` for the current environment."""
-    return BACKEND_VECTORIZED if numpy_enabled() else BACKEND_FALLBACK
 
 
 def require_numpy():
@@ -72,25 +66,21 @@ def require_numpy():
 
 
 @contextlib.contextmanager
-def using_backend(backend: Optional[str]) -> Iterator[None]:
-    """Temporarily force a backend (``None``/"auto" keeps the current one).
+def using_backend(backend: str) -> Iterator[None]:
+    """Temporarily force a backend, restoring the environment on exit.
 
-    Used by ``repro bench --backend fallback`` to record pre-vectorization
-    baselines and by the equivalence tests; restores the previous
-    environment on exit.
+    Used by the equivalence and anchor tests to run one trace under
+    both backends.
     """
-    if backend in (None, "auto"):
-        yield
-        return
     if backend not in (BACKEND_VECTORIZED, BACKEND_FALLBACK):
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == BACKEND_VECTORIZED and not _numpy_available():
+        raise RuntimeError("numpy unavailable; cannot force vectorized")
     before = os.environ.get(NO_NUMPY_ENV)
     if backend == BACKEND_FALLBACK:
         os.environ[NO_NUMPY_ENV] = "1"
     else:
         os.environ.pop(NO_NUMPY_ENV, None)
-        if not _numpy_available():  # pragma: no cover
-            raise RuntimeError("numpy unavailable; cannot force vectorized")
     try:
         yield
     finally:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional, Set
 
-from repro.perf.backend import numpy_enabled, require_numpy
+from repro.backend import numpy_enabled, require_numpy
 
 
 class JobAccessBitset:

@@ -39,8 +39,8 @@ import dataclasses
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.backend import numpy_enabled, require_numpy
 from repro.cache.bitset import RowBitset
-from repro.perf.backend import numpy_enabled, require_numpy
 
 
 @dataclasses.dataclass
@@ -628,7 +628,7 @@ def make_residency_store(
 ) -> ResidencyStore:
     """Build the residency store for the current backend.
 
-    ``vectorized=None`` consults :func:`repro.perf.backend.numpy_enabled`
+    ``vectorized=None`` consults :func:`repro.backend.numpy_enabled`
     (the ``REPRO_NO_NUMPY`` switch) at call time.
     """
     if vectorized is None:

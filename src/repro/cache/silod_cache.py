@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
+from repro.backend import numpy_enabled, require_numpy
 from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
@@ -36,7 +37,6 @@ from repro.cache.base import (
 )
 from repro.core.policies import io_share
 from repro.core.resources import Allocation
-from repro.perf.backend import numpy_enabled, require_numpy
 
 
 class _Reusable(NamedTuple):

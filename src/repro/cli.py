@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine subcommands cover the end-to-end workflow:
+Eight subcommands cover the end-to-end workflow:
 
 * ``trace``     — generate a synthetic trace (JSON Lines) and print its
   summary statistics;
@@ -21,11 +21,7 @@ Nine subcommands cover the end-to-end workflow:
   submissions over a line-JSON socket against simulated virtual time
   (see ``docs/SERVE.md``);
 * ``lint``      — run the AST-based invariant linter (``repro.lint``)
-  over the source tree (see ``docs/LINT.md``);
-* ``bench``     — run the scaling-scenario benchmark suite (including
-  the online ``serve_*`` scenarios) and write repo-root
-  ``BENCH_<scenario>.json`` artifacts; ``--compare`` gates against a
-  baseline record (see ``docs/PERFORMANCE.md``).
+  over the source tree (see ``docs/LINT.md``).
 
 See ``docs/CLI.md`` for worked invocations and ``docs/OBSERVABILITY.md``
 for the event schema.
@@ -44,7 +40,6 @@ from repro.cluster.hardware import Cluster, parse_gpu_mix
 from repro.core import perf_model
 from repro.faults import FaultSchedule, generate_churn
 from repro.lint.cli import configure_parser as configure_lint_parser
-from repro.perf.cli import configure_parser as configure_bench_parser
 from repro.serve.cli import configure_parser as configure_serve_parser
 from repro.obs import (
     Tracer,
@@ -534,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="run the invariant linter (repro.lint)"
     )
     configure_lint_parser(p_lint)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the perf benchmark suite (repro.perf)"
-    )
-    configure_bench_parser(p_bench)
 
     p_serve = sub.add_parser(
         "serve",

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+from repro.backend import numpy_enabled, require_numpy
 from repro.cluster.job import Job
 from repro.core import perf_model
 from repro.core.resources import ResourceVector
-from repro.perf.backend import numpy_enabled, require_numpy
 
 #: Signature of a compute-only estimator: (job, gpus granted) -> MB/s.
 ComputeEstimator = Callable[[Job, float], float]

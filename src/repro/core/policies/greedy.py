@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.backend import numpy_enabled
 from repro.cluster.job import Job
 from repro.core import perf_model
-from repro.perf.backend import numpy_enabled
 
 #: Below this many jobs the scalar per-dataset sums win; matches the
 #: estimator's batch cutoff.
@@ -37,7 +37,7 @@ def dataset_efficiencies(
     Cache efficiency is in MB/s of remote IO saved per MB of cache; ties
     break on dataset name for determinism. ``vectorized`` is the
     caller's backend (policies pass their estimator's); ``None``
-    consults :func:`~repro.perf.backend.numpy_enabled`. Both give the
+    consults :func:`~repro.backend.numpy_enabled`. Both give the
     same rows.
     """
     jobs = list(jobs)

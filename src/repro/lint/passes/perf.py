@@ -30,11 +30,8 @@ from typing import List
 from repro.lint.engine import LintPass, SourceFile
 from repro.lint.findings import Finding
 
-#: Importing any of these marks a module as vectorization-aware.
-_VECTOR_MODULES = (
-    "repro.perf.backend",
-    "repro.perf",
-)
+#: Importing this marks a module as vectorization-aware.
+_VECTOR_MODULES = ("repro.backend",)
 
 #: Iterable-producing methods that enumerate cache state per key.
 _SWEEP_METHODS = {"keys", "stale_first_keys", "items"}

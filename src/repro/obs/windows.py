@@ -51,8 +51,8 @@ SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 def nearest_rank(sorted_samples: List[float], q: float) -> float:
     """Nearest-rank percentile over an already-sorted sample list.
 
-    The same convention the serve bench uses (``ceil(q·n)``-th order
-    statistic, clamped into range); returns 0.0 on an empty list.
+    The ``ceil(q·n)``-th order statistic, clamped into range; returns
+    0.0 on an empty list.
     """
     if not sorted_samples:
         return 0.0

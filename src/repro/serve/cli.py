@@ -1,7 +1,7 @@
 """CLI wiring for ``python -m repro serve``.
 
-Kept in the serve package (same pattern as ``repro.lint.cli`` /
-``repro.perf.cli``): the main CLI calls :func:`configure_parser` on its
+Kept in the serve package (same pattern as ``repro.lint.cli``): the
+main CLI calls :func:`configure_parser` on its
 ``serve`` subparser, and :func:`cmd_serve` builds the stack and runs the
 asyncio server until a shutdown request (socket ``shutdown`` op or
 SIGINT/SIGTERM) drains it. Helpers shared with the batch commands

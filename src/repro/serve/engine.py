@@ -12,9 +12,9 @@ pin down with ``localize_divergence``.
 
 The engine is transport-agnostic and synchronous: the asyncio server
 (:mod:`repro.serve.server`) serialises all calls onto its event loop,
-and the bench/test harnesses call it directly. Wall-clock reads here
-meter observable latency (admission→placement) only; they never feed
-back into scheduling.
+and the tests call it directly. Wall-clock reads here meter observable
+latency (admission→placement) only; they never feed back into
+scheduling.
 """
 
 from __future__ import annotations

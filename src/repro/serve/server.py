@@ -18,8 +18,8 @@ An optional HTTP listener exposes read-only ``/status``, ``/metrics``,
 and ``/healthz`` for curl/browser consumption of the same payloads.
 
 :class:`ServerThread` hosts the whole stack on a dedicated event-loop
-thread so synchronous tests and the bench harness can drive a real
-socket server without touching asyncio themselves.
+thread so synchronous tests can drive a real socket server without
+touching asyncio themselves.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ async def serve_until_shutdown(
 class ServerThread:
     """A real socket server on a dedicated event-loop thread.
 
-    The synchronous harness the tests and the serve bench use: start it,
+    The synchronous harness the tests use: start it,
     talk to ``(host, port)`` with :class:`~repro.serve.client.ServeClient`
     from the calling thread, then ``stop()``/``join()``.
     """

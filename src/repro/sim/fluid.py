@@ -31,8 +31,8 @@ completion/epoch detection) live in a columnar
 :class:`~repro.sim.jobtable.JobTable`, and per-key cache residency in a
 :class:`~repro.cache.residency.ResidencyStore`; both are numpy-backed
 when available and pure Python under ``REPRO_NO_NUMPY=1``, with
-bit-identical results either way (the ``repro.perf`` equivalence
-contract — see ``docs/PERFORMANCE.md``).
+bit-identical results either way (the backend equivalence contract
+of :mod:`repro.backend` — see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.backend import numpy_enabled, require_numpy
 from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
@@ -57,7 +58,6 @@ from repro.faults.spec import ScheduleLike, as_schedule
 from repro.obs.prov import emit_decision_provenance
 from repro.obs.slo import SLOTracker
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.perf.backend import numpy_enabled, require_numpy
 from repro.sim.jobtable import JobTable
 from repro.sim.metrics import JobRecord, RunResult, TimelineSample
 
@@ -218,9 +218,9 @@ class FluidSimulator:
         #: Jobs held out of scheduling by an explicit ``job_preempt``.
         self._blocked: set = set()
 
-        #: Event-loop iterations processed (``repro bench`` events/sec).
+        #: Event-loop iterations processed (perfbench's events/sec).
         self.loop_events = 0
-        #: Scheduling rounds run (``repro bench`` rounds/sec).
+        #: Scheduling rounds run (perfbench's ``sim.sched_rounds``).
         self.sched_rounds = 0
         #: Storage-decision rounds run; every round gets a unique index
         #: in the ``decision_epoch``/``decision_job`` provenance events
@@ -476,10 +476,9 @@ class FluidSimulator:
     def _publish_counters(self) -> None:
         """Push the run's loop/round totals into the obs registry.
 
-        ``repro bench`` reads these through a fresh (disabled)
-        ``NullTracer`` — counting costs nothing in the hot loop and the
-        shared :data:`~repro.obs.tracer.NULL_TRACER` singleton is never
-        written.
+        A fresh (disabled) ``NullTracer`` still collects them — counting
+        costs nothing in the hot loop and the shared
+        :data:`~repro.obs.tracer.NULL_TRACER` singleton is never written.
         """
         if self._tracer is NULL_TRACER:
             return

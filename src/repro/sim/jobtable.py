@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repro.backend import numpy_enabled, require_numpy
 from repro.cache.bitset import RowBitset
-from repro.perf.backend import numpy_enabled, require_numpy
 
 
 class JobTable:

@@ -218,9 +218,9 @@ class MinibatchEmulator:
         self._blocked: set = set()
 
         #: Training steps (item fetch+compute) emulated — the emulator's
-        #: unit of work for ``repro bench`` events/sec.
+        #: unit of work for perfbench's events/sec.
         self.loop_events = 0
-        #: Scheduling rounds run (``repro bench`` rounds/sec).
+        #: Scheduling rounds run (perfbench's ``sim.sched_rounds``).
         self.sched_rounds = 0
         #: Storage-decision rounds; unique index in the provenance
         #: events (here every round is a reschedule — the emulator has

@@ -15,6 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import (
+    BACKEND_FALLBACK,
+    BACKEND_VECTORIZED,
+    using_backend,
+)
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import GPU_GENERATIONS, RESNET50_TABLE2
 from repro.cluster.job import Job
@@ -22,11 +27,6 @@ from repro.core import perf_model
 from repro.core.estimator import (
     HetSiloDPerfEstimator,
     SiloDPerfEstimator,
-)
-from repro.perf.backend import (
-    BACKEND_FALLBACK,
-    BACKEND_VECTORIZED,
-    using_backend,
 )
 
 GENERATIONS = sorted(GPU_GENERATIONS)

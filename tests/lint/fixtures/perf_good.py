@@ -1,6 +1,6 @@
 """Fixture: the clean twin of ``perf_bad`` — bulk APIs and justified scans."""
 
-from repro.perf.backend import numpy_enabled  # noqa: F401
+from repro.backend import numpy_enabled  # noqa: F401
 
 
 def total_resident(cache_store) -> float:

@@ -149,7 +149,7 @@ def test_perf_pass_only_covers_vectorized_modules(tmp_path):
         "\n".join(
             line
             for line in source.read_text().splitlines()
-            if "repro.perf.backend" not in line
+            if "repro.backend" not in line
         )
         + "\n"
     )

@@ -1,15 +1,14 @@
-"""The ``REPRO_NO_NUMPY`` backend switch (``repro.perf.backend``)."""
+"""The ``REPRO_NO_NUMPY`` backend switch (``repro.backend``)."""
 
 import os
 
 import pytest
 
-from repro.perf import backend
-from repro.perf.backend import (
+from repro import backend
+from repro.backend import (
     BACKEND_FALLBACK,
     BACKEND_VECTORIZED,
     NO_NUMPY_ENV,
-    backend_name,
     numpy_enabled,
     require_numpy,
     using_backend,
@@ -24,14 +23,12 @@ pytestmark = pytest.mark.perf
 def test_env_flag_forces_fallback(monkeypatch):
     monkeypatch.setenv(NO_NUMPY_ENV, "1")
     assert not numpy_enabled()
-    assert backend_name() == BACKEND_FALLBACK
 
 
 def test_zero_and_empty_flag_keep_numpy(monkeypatch):
     for value in ("", "0"):
         monkeypatch.setenv(NO_NUMPY_ENV, value)
         assert numpy_enabled()
-        assert backend_name() == BACKEND_VECTORIZED
 
 
 def test_require_numpy_raises_under_fallback(monkeypatch):
@@ -49,20 +46,23 @@ def test_require_numpy_returns_module(monkeypatch):
 def test_using_backend_restores_environment(monkeypatch):
     monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
     with using_backend(BACKEND_FALLBACK):
-        assert backend_name() == BACKEND_FALLBACK
+        assert not numpy_enabled()
     assert NO_NUMPY_ENV not in os.environ
     monkeypatch.setenv(NO_NUMPY_ENV, "1")
     with using_backend(BACKEND_VECTORIZED):
-        assert backend_name() == BACKEND_VECTORIZED
+        assert numpy_enabled()
     assert os.environ[NO_NUMPY_ENV] == "1"
 
 
-def test_using_backend_auto_is_a_noop(monkeypatch):
+def test_using_backend_without_numpy_leaves_environment(monkeypatch):
+    # Forcing the vectorized backend on a host without numpy must fail
+    # before the caller's REPRO_NO_NUMPY is touched.
+    monkeypatch.setattr(backend, "_numpy_available", lambda: False)
     monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    with using_backend(None):
-        assert backend_name() == BACKEND_FALLBACK
-    with using_backend("auto"):
-        assert backend_name() == BACKEND_FALLBACK
+    with pytest.raises(RuntimeError, match="numpy unavailable"):
+        with using_backend(BACKEND_VECTORIZED):
+            pass
+    assert os.environ[NO_NUMPY_ENV] == "1"
 
 
 def test_using_backend_rejects_unknown_name():

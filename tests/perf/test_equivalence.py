@@ -16,15 +16,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.cache.residency import ArrayResidencyStore, DictResidencyStore
-from repro.cluster.hardware import Cluster
-from repro.core.estimator import SiloDPerfEstimator
-from repro.obs import Tracer
-from repro.perf.backend import (
+from repro.backend import (
     BACKEND_FALLBACK,
     BACKEND_VECTORIZED,
     using_backend,
 )
+from repro.cache.residency import ArrayResidencyStore, DictResidencyStore
+from repro.cluster.hardware import Cluster
+from repro.core.estimator import SiloDPerfEstimator
+from repro.obs import Tracer
 from repro.sim.runner import run_experiment
 from repro.workloads.trace import (
     TraceConfig,
@@ -36,7 +36,7 @@ pytestmark = pytest.mark.perf
 
 np = pytest.importorskip("numpy")
 
-from repro.perf.backend import numpy_enabled  # noqa: E402
+from repro.backend import numpy_enabled  # noqa: E402
 
 #: Tests that build vectorized objects in-process (rather than through
 #: a subprocess with its own environment) cannot run when REPRO_NO_NUMPY

@@ -25,15 +25,15 @@ expected values.
 import pytest
 
 from repro import units
-from repro.cluster.dataset import Dataset
-from repro.cluster.hardware import Cluster
-from repro.cluster.job import Job
-from repro.faults import FaultEvent
-from repro.perf.backend import (
+from repro.backend import (
     BACKEND_FALLBACK,
     BACKEND_VECTORIZED,
     using_backend,
 )
+from repro.cluster.dataset import Dataset
+from repro.cluster.hardware import Cluster
+from repro.cluster.job import Job
+from repro.faults import FaultEvent
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
 

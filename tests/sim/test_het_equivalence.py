@@ -17,10 +17,10 @@ import pytest
 
 from repro import units
 from repro.analysis.fidelity import compare_simulators, localize_divergence
+from repro.backend import BACKEND_FALLBACK, using_backend
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.obs import Tracer
-from repro.perf.backend import BACKEND_FALLBACK, using_backend
 from repro.sim.runner import run_experiment
 from repro.workloads.models import make_job
 

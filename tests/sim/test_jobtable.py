@@ -17,7 +17,7 @@ from repro.sim.jobtable import JobTable
 
 np = pytest.importorskip("numpy")
 
-from repro.perf.backend import numpy_enabled  # noqa: E402
+from repro.backend import numpy_enabled  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
     not numpy_enabled(),

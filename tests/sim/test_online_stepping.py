@@ -4,7 +4,7 @@
 ``next_event_time()`` and the online mutators ``submit_job`` /
 ``cancel_job``. The batch ``run()`` executes exactly this protocol, so
 stepping by hand must reproduce it bit-for-bit — including the
-``loop_events`` counter the perf bench anchors on.
+``loop_events`` counter perfbench reads.
 """
 
 import pytest

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Check docs/OBSERVABILITY.md, docs/FAULTS.md and docs/PERFORMANCE.md
-against the code.
+"""Check docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md and
+docs/LINT.md against the code.
 
 The event schema has two sources: ``repro.obs.events`` (what the code
 emits and validates) and ``docs/OBSERVABILITY.md`` (what operators read).
@@ -15,16 +15,9 @@ The fault subsystem gets the same treatment: every fault kind in
 (``repro.obs.events.FAULT_TYPES``) must be mentioned there, so the spec
 reference cannot silently fall behind the engine.
 
-So does the benchmark artifact schema: the ``### `bench_record` ``
-field table in ``docs/PERFORMANCE.md`` must list exactly
-``repro.perf.record.BENCH_FIELDS``, and the ``### `het_bench_record` ``
-table must list exactly ``repro.perf.het_bench.HET_BENCH_FIELDS``.
-
 And the online service: ``docs/SERVE.md`` must have a ``### `op` ``
-section per protocol operation (``repro.serve.protocol.OPS``), mention
-every service-lifecycle event type and reject reason, and carry a
-``### `serve_bench_record` `` field table matching
-``repro.serve.bench.SERVE_BENCH_FIELDS``.
+section per protocol operation (``repro.serve.protocol.OPS``) and
+mention every service-lifecycle event type and reject reason.
 
 And the linter: the ``| rule | pass | summary |`` catalogue table in
 ``docs/LINT.md`` must list exactly the rules in
@@ -44,7 +37,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 FAULTS_DOC_PATH = REPO_ROOT / "docs" / "FAULTS.md"
-PERF_DOC_PATH = REPO_ROOT / "docs" / "PERFORMANCE.md"
 SERVE_DOC_PATH = REPO_ROOT / "docs" / "SERVE.md"
 LINT_DOC_PATH = REPO_ROOT / "docs" / "LINT.md"
 
@@ -147,59 +139,11 @@ def check_windows_doc(text: str, window_names: list) -> list:
     return problems
 
 
-def check_perf_doc(text: str, bench_fields: list) -> list:
-    """Drift messages for docs/PERFORMANCE.md vs the bench schema."""
-    documented = parse_doc_schema(text).get("bench_record")
-    if documented is None:
-        return [
-            "docs/PERFORMANCE.md has no '### `bench_record`' field table"
-        ]
-    problems = []
-    missing = [f for f in bench_fields if f not in documented]
-    extra = [f for f in documented if f not in bench_fields]
-    if missing:
-        problems.append(
-            f"bench_record: fields {missing} in "
-            f"repro.perf.record.BENCH_FIELDS but undocumented"
-        )
-    if extra:
-        problems.append(
-            f"bench_record: fields {extra} documented but not in "
-            f"repro.perf.record.BENCH_FIELDS"
-        )
-    return problems
-
-
-def check_het_perf_doc(text: str, het_bench_fields: list) -> list:
-    """Drift messages for docs/PERFORMANCE.md vs the het bench schema."""
-    documented = parse_doc_schema(text).get("het_bench_record")
-    if documented is None:
-        return [
-            "docs/PERFORMANCE.md has no '### `het_bench_record`' "
-            "field table"
-        ]
-    problems = []
-    missing = [f for f in het_bench_fields if f not in documented]
-    extra = [f for f in documented if f not in het_bench_fields]
-    if missing:
-        problems.append(
-            f"het_bench_record: fields {missing} in "
-            f"repro.perf.het_bench.HET_BENCH_FIELDS but undocumented"
-        )
-    if extra:
-        problems.append(
-            f"het_bench_record: fields {extra} documented but not in "
-            f"repro.perf.het_bench.HET_BENCH_FIELDS"
-        )
-    return problems
-
-
 def check_serve_doc(
     text: str,
     ops: list,
     service_types: list,
     reject_reasons: list,
-    serve_bench_fields: list,
 ) -> list:
     """Drift messages for docs/SERVE.md vs the service subsystem."""
     problems = []
@@ -238,24 +182,6 @@ def check_serve_doc(
             "docs/SERVE.md never mentions the submit job field "
             "'deadline_s' (SLO tracking)"
         )
-    documented = parse_doc_schema(text).get("serve_bench_record")
-    if documented is None:
-        problems.append(
-            "docs/SERVE.md has no '### `serve_bench_record`' field table"
-        )
-    else:
-        missing = [f for f in serve_bench_fields if f not in documented]
-        extra = [f for f in documented if f not in serve_bench_fields]
-        if missing:
-            problems.append(
-                f"serve_bench_record: fields {missing} in "
-                f"repro.serve.bench.SERVE_BENCH_FIELDS but undocumented"
-            )
-        if extra:
-            problems.append(
-                f"serve_bench_record: fields {extra} documented but not "
-                f"in repro.serve.bench.SERVE_BENCH_FIELDS"
-            )
     return problems
 
 
@@ -298,9 +224,6 @@ def main() -> int:
     from repro.faults.spec import FAULT_KINDS
     from repro.obs.events import EVENT_FIELDS, FAULT_TYPES, SERVICE_TYPES
     from repro.obs.windows import WINDOW_NAMES
-    from repro.perf.het_bench import HET_BENCH_FIELDS
-    from repro.perf.record import BENCH_FIELDS
-    from repro.serve.bench import SERVE_BENCH_FIELDS
     from repro.serve.protocol import OPS, REJECT_REASONS
 
     obs_text = DOC_PATH.read_text()
@@ -318,14 +241,6 @@ def main() -> int:
                 list(FAULT_TYPES),
             )
         )
-    if not PERF_DOC_PATH.exists():
-        problems.append("docs/PERFORMANCE.md is missing")
-    else:
-        perf_text = PERF_DOC_PATH.read_text()
-        problems.extend(check_perf_doc(perf_text, list(BENCH_FIELDS)))
-        problems.extend(
-            check_het_perf_doc(perf_text, list(HET_BENCH_FIELDS))
-        )
     if not SERVE_DOC_PATH.exists():
         problems.append("docs/SERVE.md is missing")
     else:
@@ -335,7 +250,6 @@ def main() -> int:
                 list(OPS),
                 list(SERVICE_TYPES),
                 list(REJECT_REASONS),
-                list(SERVE_BENCH_FIELDS),
             )
         )
     from repro.lint.findings import RULES
@@ -363,10 +277,7 @@ def main() -> int:
         f"{sum(len(v) for v in code_fields.values())} fields, "
         f"{len(WINDOW_NAMES)} windows; "
         f"docs/FAULTS.md in sync: {len(FAULT_KINDS)} fault kinds; "
-        f"docs/PERFORMANCE.md in sync: {len(BENCH_FIELDS)} bench fields "
-        f"+ {len(HET_BENCH_FIELDS)} het bench fields; "
-        f"docs/SERVE.md in sync: {len(OPS)} ops, "
-        f"{len(SERVE_BENCH_FIELDS)} serve bench fields; "
+        f"docs/SERVE.md in sync: {len(OPS)} ops; "
         f"docs/LINT.md in sync: {len(rule_owners)} rules catalogued"
     )
     return 0

@@ -7,9 +7,23 @@
 #      only shrink. A second (index-cached) run writes the SARIF
 #      artifact to benchmarks/results/lint.sarif.
 #   2. docs/schema sync        — tools/check_obs_docs.py keeps
-#      docs/OBSERVABILITY.md, docs/FAULTS.md and docs/PERFORMANCE.md
-#      truthful.
-#   3. the tier-1 pytest suite.
+#      docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md and
+#      docs/LINT.md truthful.
+#   3. the tier-1 pytest suite. Four bit-exact anchor suites run here,
+#      each under both numeric backends where the simulator has two:
+#      tests/sim/test_smoke_anchors.py (two small end-to-end
+#      scenarios: fifo x silod on 16 GPUs, and fifo / het-max-min /
+#      het-max-throughput on a V100+A100 fleet with the
+#      max-throughput >= max-min >= fifo ordering),
+#      tests/sim/test_minibatch_anchors.py (the minibatch emulator: one
+#      cell per cache system, a mid-epoch preemption and an IO stall,
+#      traced and untraced), tests/core/policies/test_gavel_anchors.py
+#      (Gavel's joint solver: gavel x silod with a frozen job,
+#      finish-time-fairness, het-max-min under churn, and a round large
+#      enough for numpy) and tests/sim/test_fluid_anchors.py (the fluid
+#      simulator: fifo x silod on private datasets, shared datasets on
+#      the exponential multi-filler path, server loss + data-manager
+#      crash + bandwidth flap, and an online submit/cancel run).
 #   4. serve smoke             — tools/serve_smoke.py boots
 #      `python -m repro serve` as a subprocess, drives three jobs
 #      through the socket, and requires a drained, clean exit within a
@@ -19,32 +33,7 @@
 #      `repro explain` reconstructs a nonzero decision-provenance chain
 #      and `repro report --slo` reports the injected deadline
 #      violations (see docs/OBSERVABILITY.md).
-#   6. perf smoke              — `repro bench --compare` of the tiny
-#      fluid scenario against the checked-in fallback-backend baseline
-#      (benchmarks/baselines/BENCH_fluid_tiny.json). Result anchors
-#      must match bit-for-bit ([DRIFT] fails: the simulation changed);
-#      the timing threshold is deliberately generous (3x) because CI
-#      machines vary — this stage catches drift and order-of-magnitude
-#      slowdowns, not noise. See docs/PERFORMANCE.md. Serve baselines
-#      (BENCH_serve_*.json, including decision_latency_p99_ms) gate the
-#      same way when passed to --compare.
-#   7. het smoke               — `repro bench --compare` of the tiny
-#      mixed-generation scenario against its checked-in baseline
-#      (benchmarks/baselines/BENCH_het_tiny.json): all simulated
-#      metrics are bit-exact anchors, including the
-#      max-sum >= max-min >= fifo aggregate-throughput ordering.
-#      Three tier-1 bit-exact anchor suites sit beside these two and
-#      run in stage 3: tests/sim/test_minibatch_anchors.py (the
-#      minibatch emulator: one cell per cache system, a mid-epoch
-#      preemption and an IO stall, traced and untraced),
-#      tests/core/policies/test_gavel_anchors.py (Gavel's joint solver:
-#      gavel x silod with a frozen job, finish-time-fairness,
-#      het-max-min under churn, and a round large enough for numpy) and
-#      tests/sim/test_fluid_anchors.py (the fluid simulator under both
-#      backends: fifo x silod on private datasets, shared datasets on
-#      the exponential multi-filler path, server loss + data-manager
-#      crash + bandwidth flap, and an online submit/cancel run).
-#   8. benchmark tests         — the benchmark's own suite
+#   6. benchmark tests         — the benchmark's own suite
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
 #      `testpaths`, so only this stage runs it.
@@ -76,14 +65,6 @@ python tools/serve_smoke.py
 
 echo "== obs smoke (tools/obs_smoke.py) =="
 python tools/obs_smoke.py
-
-echo "== perf smoke (bench --compare) =="
-python -m repro bench --backend fallback --no-write --threshold 3.0 \
-    --compare benchmarks/baselines/BENCH_fluid_tiny.json
-
-echo "== het smoke (bench --compare) =="
-python -m repro bench --backend fallback --no-write --threshold 3.0 \
-    --compare benchmarks/baselines/BENCH_het_tiny.json
 
 echo "== benchmark tests (perfbench/tests) =="
 python -m pytest perfbench/tests -q
