@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark suite.
 
 Every module under ``benchmarks/`` regenerates one table or figure of the
-paper (see DESIGN.md's experiment index) and prints/saves the reproduced
+paper (see docs/DESIGN.md's experiment index) and prints/saves the reproduced
 rows. Heavy simulation cells are memoised per session so figures that
 share a configuration (e.g. Figures 12 and 13) pay for it once.
 

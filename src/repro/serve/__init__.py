@@ -8,12 +8,10 @@ line-delimited-JSON socket (plus an optional minimal HTTP endpoint),
 schedules continuously against simulated virtual time, and streams the
 run's ``repro.obs`` events to live subscribers.
 
-The run path is decomposed Blox-style (Agarwal et al.) into composable
-services — :class:`~repro.serve.services.AdmissionQueue` (bounded-queue
-backpressure), :class:`~repro.serve.services.EstimatorService`,
-:class:`~repro.serve.services.PlacementService`, and
-:class:`~repro.serve.services.CacheAllocService` — each swappable
-through the existing policy/cache registries. The simulators themselves
+The run path is a :class:`~repro.serve.services.ServiceStack`: a
+bounded :class:`~repro.serve.services.AdmissionQueue` (backpressure) in
+front of the scheduler and cache system, both built through the
+existing policy/cache registries. The simulators themselves
 are the execution engine: they expose a stepped protocol
 (``begin``/``step``/``finish``) that the online engine drives one event
 at a time, so online and batch runs share a single code path and emit
@@ -29,20 +27,11 @@ from repro.serve.clock import VirtualClock
 from repro.serve.engine import OnlineEngine
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import ServeServer, ServerThread
-from repro.serve.services import (
-    AdmissionQueue,
-    CacheAllocService,
-    EstimatorService,
-    PlacementService,
-    ServiceStack,
-)
+from repro.serve.services import AdmissionQueue, ServiceStack
 
 __all__ = [
     "AdmissionQueue",
-    "CacheAllocService",
-    "EstimatorService",
     "OnlineEngine",
-    "PlacementService",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServeClient",

@@ -51,6 +51,10 @@ JOB_STATES = (
 )
 
 
+#: ``simulator`` name -> the simulator class the engine drives.
+_SIMULATORS = {"fluid": FluidSimulator, "minibatch": MinibatchEmulator}
+
+
 def _percentile(sorted_samples: List[float], q: float) -> float:
     """Nearest-rank percentile over an already-sorted sample list."""
     if not sorted_samples:
@@ -67,9 +71,9 @@ class OnlineEngine:
     cluster:
         The hardware the service schedules.
     stack:
-        The :class:`~repro.serve.services.ServiceStack` (admission,
-        estimator, placement, cache allocation) — its scheduler and
-        cache system are the objects the simulator runs.
+        The :class:`~repro.serve.services.ServiceStack` (admission
+        queue, scheduler, cache system) — its scheduler and cache
+        system are the objects the simulator runs.
     clock:
         The virtual clock gating event processing; defaults to an
         unlimited clock (process everything as soon as it is known).
@@ -98,26 +102,17 @@ class OnlineEngine:
         self.clock = clock if clock is not None else VirtualClock()
         self.simulator = simulator
         self.tracer = tracer if tracer is not None else StreamingTracer()
-        if simulator == "fluid":
-            self.sim = FluidSimulator(
-                cluster,
-                stack.placement.scheduler,
-                stack.cache_alloc.cache_system,
-                [],
-                tracer=self.tracer,
-                **sim_kwargs,
-            )
-        elif simulator == "minibatch":
-            self.sim = MinibatchEmulator(
-                cluster,
-                stack.placement.scheduler,
-                stack.cache_alloc.cache_system,
-                [],
-                tracer=self.tracer,
-                **sim_kwargs,
-            )
-        else:
+        sim_class = _SIMULATORS.get(simulator)
+        if sim_class is None:
             raise ValueError("simulator must be 'fluid' or 'minibatch'")
+        self.sim = sim_class(
+            cluster,
+            stack.scheduler,
+            stack.cache_system,
+            [],
+            tracer=self.tracer,
+            **sim_kwargs,
+        )
         #: Dataset instances by name — shared across submissions so jobs
         #: naming the same dataset share cache keys, exactly as a trace
         #: loaded in one go would (``trace_io.load_trace`` semantics).

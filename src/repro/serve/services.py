@@ -1,26 +1,18 @@
-"""Blox-style service decomposition of the online run path.
+"""The online run path's components: admission, scheduler, cache.
 
 The batch runner couples policy, estimator, and cache into a single
-``(scheduler, cache_system)`` pair. The service splits the same machinery
-into four named components — mirroring the modular scheduler decomposition
-of Blox (Agarwal et al.) — so each can be inspected, swapped, and metered
-independently while still executing the exact SiloD co-design:
+``(scheduler, cache_system)`` pair. The service keeps that pair and puts
+a bounded :class:`AdmissionQueue` in front of it — reject-with-reason
+backpressure (``queue_full``, ``duplicate_id``, ``shutting_down``) —
+in the spirit of Blox's (Agarwal et al.) decomposed scheduler services.
 
-* :class:`AdmissionQueue` — bounded admission with reject-with-reason
-  backpressure (``queue_full``, ``duplicate_id``, ``shutting_down``);
-* :class:`EstimatorService` — the throughput model (SiloDPerf) behind
-  every placement decision;
-* :class:`PlacementService` — the policy + joint-allocation step
-  (Algorithm 1), owning the :class:`~repro.core.silod.SiloDScheduler`;
-* :class:`CacheAllocService` — the cache subsystem, exposing the
-  incremental :meth:`~repro.cache.base.CacheSystem.reallocate` entry
-  point that re-runs the SiloD cache/IO split on every admission epoch.
-
-:meth:`ServiceStack.build` constructs all four from registry names with
+:meth:`ServiceStack.build` constructs the three from registry names with
 the paper's coupling rule (``silod`` cache ⇒ storage-aware policy), so
 ``serve --policy X --cache Y`` accepts exactly what the batch CLI does.
 The stack's scheduler/cache objects are *the* objects the simulator
-runs — the services are structure, not copies.
+runs, and :meth:`ServiceStack.describe` reports them per component for
+``status`` responses (admission, estimator, placement, cache
+allocation).
 """
 
 from __future__ import annotations
@@ -28,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cache.base import CacheSystem
-from repro.core.estimator import SiloDPerfEstimator
 from repro.core.silod import SiloDScheduler
 from repro.serve.protocol import (
     REJECT_DUPLICATE,
@@ -98,89 +89,25 @@ class AdmissionQueue:
         self._waiting.pop(job_id, None)
 
 
-class EstimatorService:
-    """The throughput model every placement decision consults."""
-
-    def __init__(self, estimator: SiloDPerfEstimator) -> None:
-        self.estimator = estimator
-
-    @property
-    def name(self) -> str:
-        """Class name of the live estimator."""
-        return type(self.estimator).__name__
-
-
-class PlacementService:
-    """Policy + joint allocation (Algorithm 1), owning the scheduler."""
-
-    def __init__(self, scheduler: SiloDScheduler) -> None:
-        self.scheduler = scheduler
-
-    @property
-    def policy_name(self) -> str:
-        """Registry name of the live scheduling policy."""
-        return self.scheduler.policy.name
-
-    @property
-    def storage_aware(self) -> bool:
-        """Whether the policy runs Algorithm 1's joint allocation."""
-        return self.scheduler.storage_aware
-
-    @property
-    def default_generation(self) -> str:
-        """Reference GPU generation jobs run on absent a pool choice."""
-        return self.scheduler.default_generation
-
-    @property
-    def gpu_pools(self) -> Optional[Dict[str, int]]:
-        """Per-generation GPU counts, or ``None`` on homogeneous fleets."""
-        pools = self.scheduler.gpu_pools
-        return dict(pools) if pools else None
-
-    @property
-    def heterogeneity_aware(self) -> bool:
-        """Whether the live policy scales f* by GPU generation."""
-        return bool(
-            getattr(self.scheduler.policy, "heterogeneity_aware", False)
-        )
-
-
-class CacheAllocService:
-    """The cache subsystem behind incremental re-allocation.
-
-    The simulator calls :meth:`CacheSystem.reallocate` on every admission
-    epoch (arrival, completion, reschedule tick, fault); this service
-    names that dependency so ``serve`` can report which cache system is
-    live and swap it via the registry.
-    """
-
-    def __init__(self, cache_system: CacheSystem) -> None:
-        self.cache_system = cache_system
-
-    @property
-    def name(self) -> str:
-        """Class name of the live cache system."""
-        return type(self.cache_system).__name__
-
-
 class ServiceStack:
-    """The four services plus the identity of the configuration."""
+    """The admission queue, scheduler and cache system of one service."""
 
     def __init__(
         self,
         policy: str,
         cache: str,
         admission: AdmissionQueue,
-        estimator: EstimatorService,
-        placement: PlacementService,
-        cache_alloc: CacheAllocService,
+        scheduler: SiloDScheduler,
+        cache_system: CacheSystem,
     ) -> None:
         self.policy = policy
         self.cache = cache
         self.admission = admission
-        self.estimator = estimator
-        self.placement = placement
-        self.cache_alloc = cache_alloc
+        self.scheduler = scheduler
+        self.cache_system = cache_system
+        #: The estimator as built: ``status`` keeps naming it after a
+        #: mixed-fleet simulator wraps the scheduler's estimator.
+        self._estimator_kind = type(scheduler.estimator).__name__
 
     @classmethod
     def build(
@@ -196,13 +123,13 @@ class ServiceStack:
             policy=policy,
             cache=cache,
             admission=AdmissionQueue(limit=queue_limit),
-            estimator=EstimatorService(scheduler.estimator),
-            placement=PlacementService(scheduler),
-            cache_alloc=CacheAllocService(cache_system),
+            scheduler=scheduler,
+            cache_system=cache_system,
         )
 
     def describe(self) -> dict:
-        """Service-by-service identity for ``status`` responses."""
+        """Component-by-component identity for ``status`` responses."""
+        scheduler = self.scheduler
         return {
             "admission": {
                 "limit": self.admission.limit,
@@ -211,16 +138,20 @@ class ServiceStack:
                 "rejected_total": self.admission.rejected_total,
                 "draining": self.admission.draining,
             },
-            "estimator": {"kind": self.estimator.name},
+            "estimator": {"kind": self._estimator_kind},
             "placement": {
-                "policy": self.placement.policy_name,
-                "storage_aware": self.placement.storage_aware,
-                "heterogeneity_aware": self.placement.heterogeneity_aware,
-                "default_generation": self.placement.default_generation,
-                "gpu_pools": self.placement.gpu_pools,
+                "policy": scheduler.policy.name,
+                "storage_aware": scheduler.storage_aware,
+                "heterogeneity_aware": bool(
+                    getattr(scheduler.policy, "heterogeneity_aware", False)
+                ),
+                "default_generation": scheduler.default_generation,
+                "gpu_pools": (
+                    dict(scheduler.gpu_pools) if scheduler.gpu_pools else None
+                ),
             },
             "cache_alloc": {
                 "cache": self.cache,
-                "kind": self.cache_alloc.name,
+                "kind": type(self.cache_system).__name__,
             },
         }

@@ -45,21 +45,16 @@ from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
     StorageContext,
-    StorageDecision,
 )
 from repro.cache.residency import make_residency_store
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
-from repro.core.policies.gavel import fairness_ratio
-from repro.core.resources import Allocation, ResourceVector
 from repro.core.silod import SiloDScheduler
-from repro.faults.injector import FaultInjector
-from repro.faults.spec import ScheduleLike, as_schedule
+from repro.faults.spec import ScheduleLike
 from repro.obs.prov import emit_decision_provenance
-from repro.obs.slo import SLOTracker
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.sim.jobtable import JobTable
-from repro.sim.metrics import JobRecord, RunResult, TimelineSample
+from repro.sim.kernel import SimulatorKernel
 
 #: Work below this many MB counts as "done" (guards float drift).
 _WORK_EPS_MB = 1e-3
@@ -118,7 +113,7 @@ class _EpochView:
     store_rows_version: int
 
 
-class FluidSimulator:
+class FluidSimulator(SimulatorKernel):
     """Simulate a (scheduler, cache system) pair over a job trace.
 
     Parameters
@@ -179,62 +174,13 @@ class FluidSimulator:
         faults: ScheduleLike = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be unique")
-        #: Every id ever seen (trace + online submissions) — duplicate
-        #: submissions are rejected for the life of the simulator, even
-        #: after the original job finished.
-        self._known_ids = set(ids)
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.cache_system = cache_system
-        # Adopt the cluster's GPU-generation mix (no-op numerics on
-        # homogeneous fleets; installs the het estimator on mixed ones).
-        scheduler.enable_heterogeneity(cluster)
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        if tracer is not None:
-            scheduler.tracer = tracer
-        self.total = ResourceVector(
-            gpus=cluster.total_gpus,
-            cache_mb=cluster.total_cache_mb,
-            remote_io_mbps=cluster.remote_io_mbps,
+        super().__init__(
+            cluster, scheduler, cache_system, jobs,
+            sample_interval_s, max_time_s, faults, tracer,
         )
-        self._trace = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         self._reschedule_interval_s = reschedule_interval_s
-        self._sample_interval_s = sample_interval_s
-        self._max_time_s = max_time_s
         self._crash_times = sorted(data_manager_crash_times_s)
         self._loss_times = sorted(server_loss_times_s)
-        schedule = as_schedule(faults)
-        self._injector = (
-            FaultInjector(schedule, cluster, tracer=self._tracer)
-            if schedule is not None
-            else None
-        )
-        #: The pristine capacity vector churn is measured against; when a
-        #: fault schedule is active, ``self.total`` is rebuilt from it.
-        self._base_total = self.total
-        #: Jobs held out of scheduling by an explicit ``job_preempt``.
-        self._blocked: set = set()
-
-        #: Event-loop iterations processed (perfbench's events/sec).
-        self.loop_events = 0
-        #: Scheduling rounds run (perfbench's ``sim.sched_rounds``).
-        self.sched_rounds = 0
-        #: Storage-decision rounds run; every round gets a unique index
-        #: in the ``decision_epoch``/``decision_job`` provenance events
-        #: (a policy reschedule and an epoch-boundary decision are
-        #: distinct rounds).
-        self.decision_rounds = 0
-        #: Deadline (``deadline_s``) watcher; checked only from the
-        #: event loop so warn/violation sequences are deterministic.
-        self._slo = SLOTracker(self._tracer)
-
-        self.clock_s = 0.0
-        self._arrival_idx = 0
-        self._active: Dict[str, JobProgress] = {}
-        self._finished: List[JobProgress] = []
         #: numpy when the vectorized backend was selected at
         #: construction, else ``None``; every structure below follows it.
         self._np = require_numpy() if numpy_enabled() else None
@@ -281,45 +227,11 @@ class FluidSimulator:
         self._key_jobs: Dict[str, List[str]] = {}
         self._effective: Dict[str, float] = {}
         self._epochs_done: Dict[str, int] = {}
-        self._allocation = Allocation()
-        self._decision = StorageDecision({}, {}, {})
-        self._timeline: List[TimelineSample] = []
-        #: Tick state armed by :meth:`begin` (instance attributes so the
-        #: loop can be driven one event at a time by ``repro.serve``).
-        self._next_sample = 0.0
         self._next_reschedule = 0.0
-        self._begun = False
 
     # ------------------------------------------------------------------
     # Public API.
     # ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Run to completion (or ``max_time_s``) and return the result."""
-        self.begin()
-        max_events = 20_000_000
-        for _ in range(max_events):
-            if not self.step():
-                break
-        else:
-            raise RuntimeError("fluid simulation exceeded the event budget")
-        return self.finish()
-
-    def begin(self) -> None:
-        """Arm the event loop (idempotent; ``run`` calls it for you).
-
-        The stepped protocol — ``begin()``, then ``step()`` until it
-        returns ``False``, then ``finish()`` — is what ``run`` executes
-        internally; ``repro.serve`` drives the same three methods one
-        event at a time against a virtual clock, so online and batch
-        execution share a single code path.
-        """
-        if self._begun:
-            return
-        self._begun = True
-        self.cache_system.reset()
-        self._next_sample = 0.0
-        self._next_reschedule = 0.0
 
     def next_event_time(self) -> Optional[float]:
         """Earliest time the next event can happen (``None`` = never).
@@ -395,107 +307,75 @@ class FluidSimulator:
             self._next_sample = self.clock_s + self._sample_interval_s
         return True
 
-    def finish(self) -> RunResult:
-        """Final sample + counters; returns the run's result."""
-        self._sample()
-        self._publish_counters()
-        return self._result()
-
     # ------------------------------------------------------------------
-    # Online mutation (``repro.serve``).
+    # Lifecycle hooks (see ``repro.sim.kernel``).
     # ------------------------------------------------------------------
 
-    def submit_job(self, job: Job) -> None:
-        """Inject a job into the pending trace (online admission).
+    def _new_state(self, job: Job) -> JobProgress:
+        self._epochs_done[job.job_id] = 0
+        self._table.admit(job.job_id, job.total_work_mb, job.dataset.size_mb)
+        key = self.cache_system.cache_key(job)
+        self._job_key[job.job_id] = key
+        self._key_jobs.setdefault(key, []).append(job.job_id)
+        self._invalidate_epoch_view()
+        return JobProgress(job=job)
 
-        The job is inserted in ``(submit_time_s, job_id)`` order among
-        the not-yet-admitted tail, so the admission sequence — and with
-        it every order-sensitive downstream structure — is identical to
-        a batch run whose trace contained the job from the start.
-        """
-        if job.job_id in self._known_ids:
-            raise ValueError(f"duplicate job id {job.job_id!r}")
-        self._known_ids.add(job.job_id)
-        key = (job.submit_time_s, job.job_id)
-        lo, hi = self._arrival_idx, len(self._trace)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self._trace[mid]
-            if (probe.submit_time_s, probe.job_id) <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._trace.insert(lo, job)
-
-    def cancel_job(self, job_id: str, reason: str = "user") -> bool:
-        """Withdraw a job (online cancellation); ``True`` if it existed.
-
-        A still-pending job is removed from the trace; an active one
-        retires immediately as :attr:`JobPhase.CANCELLED` (no finish
-        time) with its cache sharing dissolved, and the scheduler re-runs
-        right away — membership changes always trigger a reschedule.
-        """
-        for idx in range(self._arrival_idx, len(self._trace)):
-            if self._trace[idx].job_id == job_id:
-                del self._trace[idx]
-                self._slo.discard(job_id)
-                if self._tracer.enabled:
-                    self._tracer.job_cancel(
-                        self.clock_s, job_id, reason=reason,
-                        work_done_mb=0.0,
-                    )
-                return True
-        progress = self._active.get(job_id)
-        if progress is None:
-            return False
+    def _release(self, progress: JobProgress) -> None:
+        job_id = progress.job.job_id
         row = self._table.row_of(job_id)
         if row is not None:
+            # Sync the (otherwise table-resident) work counter so the
+            # progress object retires with its true final state.
             progress.work_done_mb = self._table.work_done_mb(row)
             self._table.retire(row)
-        progress.phase = JobPhase.CANCELLED
-        self._finished.append(progress)
-        del self._active[job_id]
-        self._blocked.discard(job_id)
-        self._slo.discard(job_id)
-        if self._tracer.enabled:
-            self._tracer.job_cancel(
-                self.clock_s, job_id, reason=reason,
-                work_done_mb=progress.work_done_mb,
-            )
         self._effective.pop(job_id, None)
         sharers = self._key_jobs.get(self._job_key.get(job_id))
         if sharers is not None and job_id in sharers:
+            # The emptied list stays: it records "no active sharer"
+            # and spares _scale_effective the O(active) fallback scan
+            # every time this stale key is later shrunk/reclaimed.
             sharers.remove(job_id)
         if self.cache_system.per_job_keys:
+            # Private caches die with their jobs.
             self._cache.pop(job_id)
+
+    def _after_cancel(self, progress: JobProgress) -> None:
+        """Membership changed: the scheduler re-runs right away."""
+        progress.phase = JobPhase.CANCELLED
         self._invalidate_epoch_view()
         self._reschedule()
         self._next_reschedule = self.clock_s + self._reschedule_interval_s
-        return True
 
-    def _publish_counters(self) -> None:
-        """Push the run's loop/round totals into the obs registry.
+    def _start_job(self, progress: JobProgress) -> Tuple[str, float]:
+        # A freshly started job immediately benefits from data already
+        # resident for its dataset (sharing, §7.3).
+        progress.phase = JobPhase.RUNNING
+        job = progress.job
+        key = self._key_of(job)
+        snap = self._cache.snapshot(key)
+        effective = min(
+            job.dataset.size_mb, snap[1] if snap is not None else 0.0
+        )
+        self._effective[job.job_id] = effective
+        return key, effective
 
-        A fresh (disabled) ``NullTracer`` still collects them — counting
-        costs nothing in the hot loop and the shared
-        :data:`~repro.obs.tracer.NULL_TRACER` singleton is never written.
-        """
-        if self._tracer is NULL_TRACER:
-            return
-        self._tracer.metrics.inc("sim.events", float(self.loop_events))
-        self._tracer.metrics.inc("sim.sched_rounds", float(self.sched_rounds))
+    def _effective_mb(self, job: Job) -> float:
+        return self._effective.get(job.job_id, 0.0)
+
+    def _schedule_args(self) -> dict:
+        return {
+            "attained_service_s": self._attained_service_s,
+            # The dict behind ``_effective_mb``, for the policies'
+            # per-job hot loops (identical values by construction).
+            "effective_cache_map": self._effective,
+        }
+
+    def _after_faults(self) -> None:
+        self._reclaim_overshoot()
 
     # ------------------------------------------------------------------
     # Event timing.
     # ------------------------------------------------------------------
-
-    def _done(self) -> bool:
-        return self._arrival_idx >= len(self._trace) and not self._active
-
-    def _next_arrival_time(self) -> Optional[float]:
-        if self._arrival_idx >= len(self._trace):
-            return None
-        return max(self.clock_s, self._trace[self._arrival_idx].submit_time_s)
 
     def _next_completion_time(self) -> float:
         return self._table.next_completion_time(self.clock_s)
@@ -633,77 +513,13 @@ class FluidSimulator:
     # Event handlers.
     # ------------------------------------------------------------------
 
-    def _admit_arrivals(self) -> bool:
-        changed = False
-        while (
-            self._arrival_idx < len(self._trace)
-            and self._trace[self._arrival_idx].submit_time_s
-            <= self.clock_s + 1e-9
-        ):
-            job = self._trace[self._arrival_idx]
-            self._arrival_idx += 1
-            self._active[job.job_id] = JobProgress(job=job)
-            self._epochs_done[job.job_id] = 0
-            self._table.admit(
-                job.job_id, job.total_work_mb, job.dataset.size_mb
-            )
-            key = self.cache_system.cache_key(job)
-            self._job_key[job.job_id] = key
-            self._key_jobs.setdefault(key, []).append(job.job_id)
-            if self._tracer.enabled:
-                self._tracer.job_submit(
-                    job.submit_time_s,
-                    job.job_id,
-                    model=job.model,
-                    dataset=job.dataset.name,
-                    num_gpus=job.num_gpus,
-                    dataset_mb=job.dataset.size_mb,
-                    total_work_mb=job.total_work_mb,
-                    deadline_s=job.deadline_s,
-                )
-            self._slo.register(
-                job.job_id, job.submit_time_s, job.deadline_s
-            )
-            changed = True
-        if changed:
-            self._invalidate_epoch_view()
-        return changed
-
     def _retire_completions(self) -> bool:
         changed = False
         for row in self._table.completed_rows():
-            job_id = self._table.job_id(row)
-            progress = self._active[job_id]
-            # Sync the (otherwise table-resident) work counter so the
-            # progress object retires with its true final state.
-            progress.work_done_mb = self._table.work_done_mb(row)
+            progress = self._active[self._table.job_id(row)]
             progress.phase = JobPhase.FINISHED
             progress.finish_time_s = self.clock_s
-            self._finished.append(progress)
-            del self._active[job_id]
-            self._table.retire(row)
-            if self._tracer.enabled:
-                # epoch_index counts completed epochs at this point
-                # (unlike _epochs_done, which excludes the final
-                # epoch — its boundary coincides with completion).
-                self._tracer.job_finish(
-                    self.clock_s,
-                    job_id,
-                    jct_s=self.clock_s - progress.job.submit_time_s,
-                    epochs_done=progress.epoch_index,
-                )
-            self._slo.finish(job_id, self.clock_s)
-            self._effective.pop(job_id, None)
-            key = self._job_key.get(job_id)
-            sharers = self._key_jobs.get(key)
-            if sharers is not None:
-                # The emptied list stays: it records "no active sharer"
-                # and spares _scale_effective the O(active) fallback scan
-                # every time this stale key is later shrunk/reclaimed.
-                sharers.remove(job_id)
-            if self.cache_system.per_job_keys:
-                # Private caches die with their jobs.
-                self._cache.pop(job_id)
+            self._retire(progress, self.clock_s)
             changed = True
         if changed:
             self._invalidate_epoch_view()
@@ -732,51 +548,6 @@ class FluidSimulator:
                 )
             changed = True
         return changed
-
-    def _apply_fault_schedule(self) -> bool:
-        """Apply due ``repro.faults`` schedule entries (churn model).
-
-        Capacity changes take hold analytically at the event's exact
-        time; returning ``True`` makes the caller re-run the scheduler,
-        so SiloD re-allocates cache within the same round the fault
-        lands in.
-        """
-        if self._injector is None:
-            return False
-        due = self._injector.pop_due(self.clock_s)
-        if not due:
-            return False
-        for event in due:
-            effect = self._injector.apply(event, self.clock_s)
-            if effect.evict_fraction > 0:
-                self._invalidate_fraction(
-                    effect.evict_fraction, cause=event.kind
-                )
-            if effect.preempt_gpus > 0:
-                victims = self._injector.select_victims(
-                    {
-                        job_id: self._allocation.gpus_of(job_id)
-                        for job_id in self._active
-                    },
-                    effect.preempt_gpus,
-                )
-                for job_id in victims:
-                    self._preempt_job(job_id, reason=event.kind)
-            if event.kind == "job_preempt" and effect.job_id in self._active:
-                self._blocked.add(effect.job_id)
-                self._preempt_job(effect.job_id, reason=event.kind)
-            elif event.kind == "job_restart":
-                self._blocked.discard(effect.job_id)
-                if self._tracer.enabled and effect.job_id in self._active:
-                    self._tracer.job_restart(
-                        self.clock_s,
-                        effect.job_id,
-                        reason=event.kind,
-                        epoch=self._active[effect.job_id].epoch_index,
-                    )
-        self.total = self._injector.effective_total(self._base_total)
-        self._reclaim_overshoot()
-        return True
 
     def _invalidate_fraction(self, fraction: float, cause: str) -> None:
         """A fault destroyed ``fraction`` of every key's resident bytes.
@@ -855,26 +626,7 @@ class FluidSimulator:
     # ------------------------------------------------------------------
 
     def _reschedule(self) -> None:
-        self.sched_rounds += 1
-        jobs = [
-            p.job
-            for p in self._active.values()
-            if p.job.job_id not in self._blocked
-        ]
-        tracer = self._tracer
-        old_gpus = dict(self._allocation.gpus) if tracer.enabled else {}
-        self._allocation = self.scheduler.schedule(
-            jobs,
-            self.total,
-            now_s=self.clock_s,
-            effective_cache_mb=lambda job: self._effective.get(
-                job.job_id, 0.0
-            ),
-            attained_service_s=self._attained_service_s,
-            # The dict behind the lambda above, for the policies' per-job
-            # hot loops (identical values by construction).
-            effective_cache_map=self._effective,
-        )
+        self._schedule_round()
         # Mirror the round's generation placement into the job table's
         # gen column; ``generation_of`` reads it back. A one-pool fleet
         # places every job on the reference generation, so nothing is
@@ -890,61 +642,6 @@ class FluidSimulator:
                         row, generations.get(job_id, default_gen)
                     )
         self._invalidate_epoch_view()
-        if tracer.enabled:
-            start_candidates = self._active.values()
-        else:
-            # Only granted jobs can start; walking the (short) grant dict
-            # beats scanning the whole active set. State outcomes are
-            # identical — starts are independent per job — but the
-            # traced path keeps active-set order for stable event order.
-            start_candidates = [
-                self._active[job_id]
-                for job_id, gpus in self._allocation.gpus.items()
-                if gpus > 0 and job_id in self._active
-            ]
-        for progress in start_candidates:
-            job_id = progress.job.job_id
-            if self._allocation.gpus_of(job_id) > 0:
-                if progress.start_time_s is None:
-                    progress.start_time_s = self.clock_s
-                    progress.phase = JobPhase.RUNNING
-                    # A freshly started job immediately benefits from data
-                    # already resident for its dataset (sharing, §7.3).
-                    key = self._key_of(progress.job)
-                    snap = self._cache.snapshot(key)
-                    self._effective[job_id] = min(
-                        progress.job.dataset.size_mb,
-                        snap[1] if snap is not None else 0.0,
-                    )
-                    if tracer.enabled:
-                        tracer.job_start(
-                            self.clock_s,
-                            job_id,
-                            gpus=self._allocation.gpus_of(job_id),
-                            queue_delay_s=self.clock_s
-                            - progress.job.submit_time_s,
-                        )
-                        tracer.promote_effective(
-                            self.clock_s,
-                            job_id,
-                            key=key,
-                            effective_mb=self._effective[job_id],
-                            reason="job_start",
-                        )
-        if tracer.enabled:
-            seen = set(old_gpus) | set(self._allocation.gpus)
-            for job_id in sorted(seen):
-                if job_id not in self._active:
-                    continue
-                before = old_gpus.get(job_id, 0.0)
-                after = self._allocation.gpus_of(job_id)
-                if abs(before - after) > 1e-9:
-                    tracer.alloc_change(
-                        self.clock_s,
-                        job_id,
-                        gpus_before=before,
-                        gpus_after=after,
-                    )
         self._storage_decide()
 
     def _attained_service_s(self, job: Job) -> float:
@@ -1433,7 +1130,6 @@ class FluidSimulator:
         view = self._epoch_view()
         running = view.running
         table = self._table
-        estimator = self.scheduler.estimator
         ideal = sum(view.f_stars)
         throughput: Dict[str, float] = {}
         miss_rate: Dict[str, float] = {}
@@ -1443,19 +1139,6 @@ class FluidSimulator:
                 miss_rate[job.job_id] = table.miss_rate(row)
         achieved = sum(throughput.get(j.job_id, 0.0) for j in running)
         io_used = sum(miss_rate.get(j.job_id, 0.0) for j in running)
-        mature = [
-            job
-            for job in running
-            if self._epochs_done.get(job.job_id, 0) > 0
-        ]
-        fairness = fairness_ratio(
-            mature,
-            throughput,
-            self.total,
-            estimator,
-            storage_aware=True,
-            num_jobs=len(running),
-        )
         # Figure 8's view: bytes allocated to *running* jobs (stale data
         # of departed jobs lingers but is not "allocated") vs the bytes
         # their jobs can actually hit.
@@ -1471,43 +1154,18 @@ class FluidSimulator:
             by_key[key] = max(
                 by_key.get(key, 0.0), self._effective.get(job.job_id, 0.0)
             )
-        effective = sum(by_key.values())
-        self._timeline.append(
-            TimelineSample(
-                time_s=self.clock_s,
-                running_jobs=len(running),
-                queued_jobs=len(self._active) - len(running),
-                total_throughput_mbps=achieved,
-                ideal_throughput_mbps=ideal,
-                remote_io_used_mbps=io_used,
-                fairness_ratio=fairness,
-                resident_cache_mb=resident,
-                effective_cache_mb=effective,
-            )
-        )
-
-    def _result(self) -> RunResult:
-        records = []
-        all_progress = self._finished + list(self._active.values())
-        for progress in sorted(
-            all_progress, key=lambda p: p.job.submit_time_s
-        ):
-            job = progress.job
-            records.append(
-                JobRecord(
-                    job_id=job.job_id,
-                    model=job.model,
-                    dataset=job.dataset.name,
-                    num_gpus=job.num_gpus,
-                    submit_time_s=job.submit_time_s,
-                    start_time_s=progress.start_time_s,
-                    finish_time_s=progress.finish_time_s,
-                )
-            )
-        return RunResult(
-            scheduler_name=self.scheduler.policy.name,
-            cache_name=self.cache_system.name,
-            records=records,
-            timeline=self._timeline,
-            end_time_s=self.clock_s,
+        mature = [
+            job
+            for job in running
+            if self._epochs_done.get(job.job_id, 0) > 0
+        ]
+        self._record_sample(
+            running,
+            mature,
+            throughput,
+            achieved=achieved,
+            ideal=ideal,
+            io_used=io_used,
+            resident=resident,
+            effective=sum(by_key.values()),
         )

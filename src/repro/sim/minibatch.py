@@ -26,24 +26,20 @@ import math
 import random
 import zlib
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.alluxio import AlluxioCache
-from repro.cache.base import CacheSystem, StorageContext, StorageDecision
+from repro.cache.base import CacheSystem, StorageContext
 from repro.cache.items import LruItemCache, UniformItemCache
 from repro.cache.silod_cache import SiloDDataManager
 from repro.core.policies import io_share
 from repro.cluster.hardware import Cluster
-from repro.cluster.job import Job, JobPhase, JobProgress
-from repro.core.policies.gavel import fairness_ratio
-from repro.core.resources import Allocation, ResourceVector
+from repro.cluster.job import Job
 from repro.core.silod import SiloDScheduler
-from repro.faults.injector import FaultInjector
-from repro.faults.spec import ScheduleLike, as_schedule
+from repro.faults.spec import ScheduleLike
 from repro.obs.prov import emit_decision_provenance
-from repro.obs.slo import SLOTracker
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.metrics import JobRecord, RunResult, TimelineSample
+from repro.obs.tracer import Tracer
+from repro.sim.kernel import SimulatorKernel
 
 #: Cache key used for the shared LRU pool in cache events (the pool is
 #: one arena shared by every dataset, unlike the per-key uniform caches).
@@ -111,9 +107,6 @@ class _JobRuntime:
         self.accesses_recent = 0
         self.prefetch_depth = prefetch_depth
         self.comp_finish_history: deque = deque(maxlen=prefetch_depth)
-        #: Assigned GPU generation this round (mirrors the fluid
-        #: simulator's job-table gen column); ``None`` until scheduled.
-        self.generation: Optional[str] = None
         self.start_time_s: Optional[float] = None
         self.finish_time_s: Optional[float] = None
         # Per-interval accounting for throughput/IO timelines.
@@ -128,8 +121,18 @@ class _JobRuntime:
         """Whether every item of the job's work has been consumed."""
         return self.items_done >= self.total_items
 
+    @property
+    def work_done_mb(self) -> float:
+        """Training data consumed so far."""
+        return self.items_done * self.item_size_mb
 
-class MinibatchEmulator:
+    @property
+    def epoch_index(self) -> int:
+        """Completed epochs (the epoch number lifecycle events report)."""
+        return self.epochs_done
+
+
+class MinibatchEmulator(SimulatorKernel):
     """Item-level pipeline emulator for a (scheduler, cache system) pair.
 
     Parameters
@@ -160,6 +163,8 @@ class MinibatchEmulator:
         ``None`` (default) keeps the free no-op tracer.
     """
 
+    _retire_at_finish = True
+
     def __init__(
         self,
         cluster: Cluster,
@@ -175,101 +180,28 @@ class MinibatchEmulator:
         faults: ScheduleLike = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be unique")
-        #: Every id ever seen (trace + online submissions).
-        self._known_ids = set(ids)
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.cache_system = cache_system
-        # Adopt the cluster's GPU-generation mix (mirrors the fluid
-        # simulator: no-op numerics on homogeneous fleets).
-        scheduler.enable_heterogeneity(cluster)
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        if tracer is not None:
-            scheduler.tracer = tracer
+        super().__init__(
+            cluster, scheduler, cache_system, jobs,
+            sample_interval_s, max_time_s, faults, tracer,
+        )
         #: Items admitted per cache key within the current interval
         #: (flushed to aggregated ``cache_admit`` events).
         self._admits_interval: Dict[str, int] = {}
-        self.total = ResourceVector(
-            gpus=cluster.total_gpus,
-            cache_mb=cluster.total_cache_mb,
-            remote_io_mbps=cluster.remote_io_mbps,
-        )
-        self._trace = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         self._item_size_mb = item_size_mb
         self._interval_s = decision_interval_s
-        self._sample_interval_s = sample_interval_s
         self._local_read_mbps = local_read_mbps
         self._seed = seed
-        self._max_time_s = max_time_s
         self._is_lru = isinstance(cache_system, AlluxioCache)
-        schedule = as_schedule(faults)
-        self._injector = (
-            FaultInjector(schedule, cluster, tracer=self._tracer)
-            if schedule is not None
-            else None
-        )
-        #: The pristine capacity vector churn is measured against; when a
-        #: fault schedule is active, ``self.total`` is rebuilt from it.
-        self._base_total = self.total
-        #: Jobs held out of scheduling by an explicit ``job_preempt``.
-        self._blocked: set = set()
-
-        #: Training steps (item fetch+compute) emulated — the emulator's
-        #: unit of work for perfbench's events/sec.
-        self.loop_events = 0
-        #: Scheduling rounds run (perfbench's ``sim.sched_rounds``).
-        self.sched_rounds = 0
-        #: Storage-decision rounds; unique index in the provenance
-        #: events (here every round is a reschedule — the emulator has
-        #: no separate epoch-triggered decisions).
-        self.decision_rounds = 0
-        #: Deadline (``deadline_s``) watcher; checked at interval
-        #: boundaries only, so warn/violation sequences are
-        #: deterministic.
-        self._slo = SLOTracker(self._tracer)
-
-        self.clock_s = 0.0
-        self._arrival_idx = 0
-        self._active: Dict[str, _JobRuntime] = {}
-        self._finished: List[_JobRuntime] = []
-        self._allocation = Allocation()
-        self._decision = StorageDecision({}, {}, {})
         self._uniform_caches: Dict[str, UniformItemCache] = {}
         self._lru_pool = LruItemCache(
             int(cluster.total_cache_mb / item_size_mb)
         )
-        self._timeline: List[TimelineSample] = []
         self._last_sample_s = 0.0
-        #: Tick state armed by :meth:`begin` (instance attribute so the
-        #: loop can be driven one interval at a time by ``repro.serve``).
-        self._next_sample = 0.0
-        self._begun = False
 
     # ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Run to completion (or ``max_time_s``) and return the result."""
-        self.begin()
-        while self.step():
-            pass
-        return self.finish()
-
-    def begin(self) -> None:
-        """Arm the decision loop (idempotent; ``run`` calls it for you).
-
-        Same stepped protocol as the fluid simulator — ``begin()``,
-        ``step()`` until ``False``, ``finish()`` — except one step is one
-        decision interval (the emulator's native granularity), not one
-        event.
-        """
-        if self._begun:
-            return
-        self._begun = True
-        self.cache_system.reset()
-        self._next_sample = 0.0
+    # The stepped protocol: one step is one decision interval (the
+    # emulator's native granularity), not one event.
+    # ------------------------------------------------------------------
 
     def next_event_time(self) -> Optional[float]:
         """Virtual time the next decision interval starts (``None`` = never)."""
@@ -277,10 +209,8 @@ class MinibatchEmulator:
             return None
         if self._max_time_s is not None and self.clock_s >= self._max_time_s:
             return None
-        if not self._active and self._arrival_idx < len(self._trace):
-            return max(
-                self.clock_s, self._trace[self._arrival_idx].submit_time_s
-            )
+        if not self._active:
+            return self._next_arrival_time()
         return self.clock_s
 
     def step(self, limit_s: Optional[float] = None) -> bool:
@@ -294,11 +224,8 @@ class MinibatchEmulator:
             return False
         if limit_s is not None and t_start > limit_s + 1e-9:
             return False
-        if not self._active and self._arrival_idx < len(self._trace):
-            self.clock_s = max(
-                self.clock_s,
-                self._trace[self._arrival_idx].submit_time_s,
-            )
+        if not self._active:
+            self.clock_s = t_start  # idle: jump to the next arrival
         self._admit_arrivals()
         self._retire_completions()
         self._apply_fault_schedule()
@@ -312,193 +239,39 @@ class MinibatchEmulator:
         self.clock_s = t_end
         return True
 
-    def finish(self) -> RunResult:
-        """Final retire + sample + counters; returns the run's result."""
-        self._retire_completions()
-        self._sample()
-        self._publish_counters()
-        return self._result()
-
     # ------------------------------------------------------------------
-    # Online mutation (``repro.serve``).
+    # Lifecycle hooks (see ``repro.sim.kernel``).
     # ------------------------------------------------------------------
 
-    def submit_job(self, job: Job) -> None:
-        """Inject a job into the pending trace (online admission).
+    def _new_state(self, job: Job) -> _JobRuntime:
+        # The shuffle seed hangs off the admission index.
+        return _JobRuntime(
+            job,
+            self._item_size_mb,
+            seed=self._seed * 1_000_003 + self._arrival_idx,
+        )
 
-        Sorted insertion among the not-yet-admitted tail keeps the
-        admission sequence — and the per-job shuffle seeds, which hang
-        off the admission index — identical to a batch run whose trace
-        contained the job from the start.
-        """
-        if job.job_id in self._known_ids:
-            raise ValueError(f"duplicate job id {job.job_id!r}")
-        self._known_ids.add(job.job_id)
-        key = (job.submit_time_s, job.job_id)
-        lo, hi = self._arrival_idx, len(self._trace)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self._trace[mid]
-            if (probe.submit_time_s, probe.job_id) <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._trace.insert(lo, job)
-
-    def cancel_job(self, job_id: str, reason: str = "user") -> bool:
-        """Withdraw a job (online cancellation); ``True`` if it existed.
-
-        A still-pending job is removed from the trace; an active one
-        retires immediately with no finish time. The re-allocation lands
-        at the next decision-interval boundary — batch granularity,
-        matching how the emulator applies faults.
-        """
-        for idx in range(self._arrival_idx, len(self._trace)):
-            if self._trace[idx].job_id == job_id:
-                del self._trace[idx]
-                self._slo.discard(job_id)
-                if self._tracer.enabled:
-                    self._tracer.job_cancel(
-                        self.clock_s, job_id, reason=reason,
-                        work_done_mb=0.0,
-                    )
-                return True
-        rt = self._active.get(job_id)
-        if rt is None:
-            return False
-        self._finished.append(rt)
-        del self._active[job_id]
-        self._blocked.discard(job_id)
-        self._slo.discard(job_id)
+    def _release(self, rt: _JobRuntime) -> None:
         if self.cache_system.per_job_keys:
-            self._uniform_caches.pop(job_id, None)
-        if self._tracer.enabled:
-            self._tracer.job_cancel(
-                self.clock_s, job_id, reason=reason,
-                work_done_mb=rt.items_done * self._item_size_mb,
-            )
-        return True
+            self._uniform_caches.pop(rt.job.job_id, None)
 
-    def _publish_counters(self) -> None:
-        """Push the run's step/round totals into the obs registry.
+    def _start_job(self, rt: _JobRuntime) -> Tuple[str, float]:
+        key = self.cache_system.cache_key(rt.job)
+        rt.effective_items = self._cache_items_of(key)
+        return key, rt.effective_items * self._item_size_mb
 
-        Mirrors :meth:`repro.sim.fluid.FluidSimulator._publish_counters`;
-        the shared :data:`~repro.obs.tracer.NULL_TRACER` singleton is
-        never written.
-        """
-        if self._tracer is NULL_TRACER:
-            return
-        self._tracer.metrics.inc("sim.events", float(self.loop_events))
-        self._tracer.metrics.inc("sim.sched_rounds", float(self.sched_rounds))
-
-    # ------------------------------------------------------------------
-
-    def _done(self) -> bool:
-        return self._arrival_idx >= len(self._trace) and not self._active
-
-    def _admit_arrivals(self) -> None:
-        while (
-            self._arrival_idx < len(self._trace)
-            and self._trace[self._arrival_idx].submit_time_s
-            <= self.clock_s + 1e-9
-        ):
-            job = self._trace[self._arrival_idx]
-            self._arrival_idx += 1
-            runtime = _JobRuntime(
-                job,
-                self._item_size_mb,
-                seed=self._seed * 1_000_003 + self._arrival_idx,
-            )
-            self._active[job.job_id] = runtime
-            if self._tracer.enabled:
-                self._tracer.job_submit(
-                    job.submit_time_s,
-                    job.job_id,
-                    model=job.model,
-                    dataset=job.dataset.name,
-                    num_gpus=job.num_gpus,
-                    dataset_mb=job.dataset.size_mb,
-                    total_work_mb=job.total_work_mb,
-                    deadline_s=job.deadline_s,
-                )
-            self._slo.register(
-                job.job_id, job.submit_time_s, job.deadline_s
-            )
-
-    def _retire_completions(self) -> None:
-        for job_id in list(self._active):
-            runtime = self._active[job_id]
-            if runtime.done:
-                self._finished.append(runtime)
-                del self._active[job_id]
-                if self.cache_system.per_job_keys:
-                    self._uniform_caches.pop(job_id, None)
-                finish = (
-                    runtime.finish_time_s
-                    if runtime.finish_time_s is not None
-                    else self.clock_s
-                )
-                if self._tracer.enabled:
-                    self._tracer.job_finish(
-                        finish,
-                        job_id,
-                        jct_s=finish - runtime.job.submit_time_s,
-                        epochs_done=runtime.epochs_done,
-                    )
-                self._slo.finish(job_id, finish)
-
-    # ------------------------------------------------------------------
-    # Fault schedule (``repro.faults``).
-    # ------------------------------------------------------------------
-
-    def _apply_fault_schedule(self) -> None:
-        """Apply due fault events at this decision-interval boundary.
-
-        The emulator's analog of the fluid simulator's handler: faults
-        land at batch granularity (the first boundary at or after their
-        scheduled time), and the reschedule that follows every interval
-        re-runs the allocator on the shrunk capacity.
-        """
-        if self._injector is None:
-            return
-        due = self._injector.pop_due(self.clock_s)
-        if not due:
-            return
-        for event in due:
-            effect = self._injector.apply(event, self.clock_s)
-            if effect.evict_fraction > 0:
-                self._invalidate_fraction(
-                    effect.evict_fraction, cause=event.kind
-                )
-            if effect.preempt_gpus > 0:
-                victims = self._injector.select_victims(
-                    {
-                        job_id: self._allocation.gpus_of(job_id)
-                        for job_id in self._active
-                    },
-                    effect.preempt_gpus,
-                )
-                for job_id in victims:
-                    self._preempt_job(job_id, reason=event.kind)
-            if event.kind == "job_preempt" and effect.job_id in self._active:
-                self._blocked.add(effect.job_id)
-                self._preempt_job(effect.job_id, reason=event.kind)
-            elif event.kind == "job_restart":
-                self._blocked.discard(effect.job_id)
-                if self._tracer.enabled and effect.job_id in self._active:
-                    self._tracer.job_restart(
-                        self.clock_s,
-                        effect.job_id,
-                        reason=event.kind,
-                        epoch=self._active[effect.job_id].epochs_done,
-                    )
-        self.total = self._injector.effective_total(self._base_total)
+    def _after_faults(self) -> None:
         if self._is_lru:
             # The shared pool tracks the (possibly shrunk) capacity; LRU
             # eviction handles any overflow.
             self._lru_pool.resize(
                 int(self.total.cache_mb / self._item_size_mb)
             )
+
+    # ------------------------------------------------------------------
+    # Faults: applied at the first interval boundary at or after their
+    # scheduled time (batch granularity).
+    # ------------------------------------------------------------------
 
     def _invalidate_fraction(self, fraction: float, cause: str) -> None:
         """A fault destroyed ``fraction`` of every cache's items.
@@ -511,38 +284,25 @@ class MinibatchEmulator:
         keep_ratio = max(0.0, 1.0 - fraction)
         tracer = self._tracer
         if self._is_lru:
-            before = self._lru_pool.size
-            keep = int(before * keep_ratio)
-            if before > 0 and keep < before:
-                cap = self._lru_pool.capacity
-                self._lru_pool.resize(keep)
-                self._lru_pool.resize(cap)
-                if tracer.enabled:
-                    tracer.cache_invalidate(
-                        self.clock_s,
-                        _LRU_POOL_KEY,
-                        delta_mb=(before - keep) * self._item_size_mb,
-                        resident_mb=keep * self._item_size_mb,
-                        cause=cause,
-                    )
+            caches = [(_LRU_POOL_KEY, self._lru_pool)]
         else:
-            for key in sorted(self._uniform_caches):
-                cache = self._uniform_caches[key]
-                before = cache.size
-                keep = int(before * keep_ratio)
-                if before <= 0 or keep >= before:
-                    continue
-                cap = cache.capacity
-                cache.resize(keep)
-                cache.resize(cap)
-                if tracer.enabled:
-                    tracer.cache_invalidate(
-                        self.clock_s,
-                        key,
-                        delta_mb=(before - keep) * self._item_size_mb,
-                        resident_mb=keep * self._item_size_mb,
-                        cause=cause,
-                    )
+            caches = sorted(self._uniform_caches.items())
+        for key, cache in caches:
+            before = cache.size
+            keep = int(before * keep_ratio)
+            if before <= 0 or keep >= before:
+                continue
+            cap = cache.capacity
+            cache.resize(keep)
+            cache.resize(cap)
+            if tracer.enabled:
+                tracer.cache_invalidate(
+                    self.clock_s,
+                    key,
+                    delta_mb=(before - keep) * self._item_size_mb,
+                    resident_mb=keep * self._item_size_mb,
+                    cause=cause,
+                )
         # Lost items were a uniform sample of what each job could hit.
         for rt in self._active.values():
             rt.effective_items = int(rt.effective_items * keep_ratio)
@@ -583,28 +343,8 @@ class MinibatchEmulator:
         return runtime.effective_items * self._item_size_mb
 
     def _reschedule(self) -> None:
-        self.sched_rounds += 1
-        jobs = [
-            rt.job
-            for rt in self._active.values()
-            if rt.job.job_id not in self._blocked
-        ]
+        self._schedule_round()
         tracer = self._tracer
-        old_gpus = dict(self._allocation.gpus) if tracer.enabled else {}
-        self._allocation = self.scheduler.schedule(
-            jobs,
-            self.total,
-            now_s=self.clock_s,
-            effective_cache_mb=self._effective_mb,
-        )
-        # Mirror the round's generation placement (the fluid simulator's
-        # job-table gen column) onto the per-job runtimes.
-        generations = self.scheduler.last_generations
-        default_gen = self.scheduler.default_generation
-        for rt in self._active.values():
-            rt.generation = generations.get(
-                rt.job.job_id, default_gen
-            )
         running = [
             rt.job
             for rt in self._active.values()
@@ -616,45 +356,6 @@ class MinibatchEmulator:
             for rt in self._active.values()
             if rt.job.job_id not in running_ids
         ]
-        for rt in self._active.values():
-            if (
-                self._allocation.gpus_of(rt.job.job_id) > 0
-                and rt.start_time_s is None
-            ):
-                rt.start_time_s = self.clock_s
-                key = self.cache_system.cache_key(rt.job)
-                rt.effective_items = self._cache_items_of(key)
-                if tracer.enabled:
-                    job_id = rt.job.job_id
-                    tracer.job_start(
-                        self.clock_s,
-                        job_id,
-                        gpus=self._allocation.gpus_of(job_id),
-                        queue_delay_s=self.clock_s
-                        - rt.job.submit_time_s,
-                    )
-                    tracer.promote_effective(
-                        self.clock_s,
-                        job_id,
-                        key=key,
-                        effective_mb=rt.effective_items
-                        * self._item_size_mb,
-                        reason="job_start",
-                    )
-        if tracer.enabled:
-            seen = set(old_gpus) | set(self._allocation.gpus)
-            for job_id in sorted(seen):
-                if job_id not in self._active:
-                    continue
-                before = old_gpus.get(job_id, 0.0)
-                after = self._allocation.gpus_of(job_id)
-                if abs(before - after) > 1e-9:
-                    tracer.alloc_change(
-                        self.clock_s,
-                        job_id,
-                        gpus_before=before,
-                        gpus_after=after,
-                    )
         ctx = StorageContext(
             running_jobs=running,
             gpu_grants=dict(self._allocation.gpus),
@@ -1059,19 +760,6 @@ class MinibatchEmulator:
             ideal += self.scheduler.estimator.compute_bound(rt.job, gpus)
             rt.bytes_consumed_interval = 0.0
             rt.bytes_fetched_interval = 0.0
-        mature = [
-            job
-            for job in running_jobs
-            if self._active[job.job_id].epochs_done > 0
-        ]
-        fairness = fairness_ratio(
-            mature,
-            throughputs,
-            self.total,
-            self.scheduler.estimator,
-            storage_aware=True,
-            num_jobs=len(running_jobs),
-        )
         if self._is_lru:
             resident = self._lru_pool.size * self._item_size_mb
         else:
@@ -1083,39 +771,18 @@ class MinibatchEmulator:
             rt.effective_items * self._item_size_mb
             for rt in self._active.values()
         )
-        self._timeline.append(
-            TimelineSample(
-                time_s=self.clock_s,
-                running_jobs=len(running_jobs),
-                queued_jobs=len(self._active) - len(running_jobs),
-                total_throughput_mbps=achieved,
-                ideal_throughput_mbps=ideal,
-                remote_io_used_mbps=io_used,
-                fairness_ratio=fairness,
-                resident_cache_mb=resident,
-                effective_cache_mb=min(effective, resident),
-            )
-        )
-
-    def _result(self) -> RunResult:
-        records = []
-        everything = self._finished + list(self._active.values())
-        for rt in sorted(everything, key=lambda r: r.job.submit_time_s):
-            records.append(
-                JobRecord(
-                    job_id=rt.job.job_id,
-                    model=rt.job.model,
-                    dataset=rt.job.dataset.name,
-                    num_gpus=rt.job.num_gpus,
-                    submit_time_s=rt.job.submit_time_s,
-                    start_time_s=rt.start_time_s,
-                    finish_time_s=rt.finish_time_s,
-                )
-            )
-        return RunResult(
-            scheduler_name=self.scheduler.policy.name,
-            cache_name=self.cache_system.name,
-            records=records,
-            timeline=self._timeline,
-            end_time_s=self.clock_s,
+        mature = [
+            job
+            for job in running_jobs
+            if self._active[job.job_id].epochs_done > 0
+        ]
+        self._record_sample(
+            running_jobs,
+            mature,
+            throughputs,
+            achieved=achieved,
+            ideal=ideal,
+            io_used=io_used,
+            resident=resident,
+            effective=min(effective, resident),
         )

@@ -19,7 +19,9 @@ every job's JCT, the end time and the loop counters (floats as
 
 Each cell has more than eight running jobs at its peak, so the numpy
 paths run, and each runs under both numeric backends against the same
-expected values.
+expected values. Each cell also runs traced: the traced run must reach
+the same anchors, and its event stream is hashed, so a moved or
+reordered emission fails here even when no finish time changes.
 """
 
 import pytest
@@ -34,8 +36,10 @@ from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.faults import FaultEvent
+from repro.obs import Tracer
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
+from tests.sim.test_minibatch_anchors import event_digest
 
 GB = 1024.0
 
@@ -119,7 +123,7 @@ ONLINE_SCRIPT = (
 )
 
 
-def build_cell(name):
+def build_cell(name, tracer=None):
     make_jobs, kwargs = CELLS[name]
     scheduler, cache_system = make_system("fifo", "silod")
     return FluidSimulator(
@@ -128,6 +132,7 @@ def build_cell(name):
         cache_system,
         make_jobs(),
         reschedule_interval_s=600.0,
+        tracer=tracer,
         **kwargs,
     )
 
@@ -284,6 +289,27 @@ EXPECTED = {
 def test_anchor(name, backend):
     with using_backend(backend):
         assert run_cell(name) == EXPECTED[name]
+
+
+#: Event-stream digests of the traced runs (``event_digest``), recorded
+#: before the simulators' shared lifecycle moved into ``repro.sim.kernel``.
+EXPECTED_EVENTS = {
+    "faults": "9da6178e1e9d722f",
+    "fifo-private": "afd0e68f3df496f1",
+    "online": "6213921cebb8f1a4",
+    "shared": "d55506d32fe64af4",
+}
+
+
+@pytest.mark.parametrize("backend", [BACKEND_VECTORIZED, BACKEND_FALLBACK])
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_traced_anchor_and_event_digest(name, backend):
+    with using_backend(backend):
+        tracer = Tracer()
+        sim = build_cell(name, tracer=tracer)
+        result = run_sim(sim, name)
+    assert anchors(sim, result) == EXPECTED[name]
+    assert event_digest(tracer) == EXPECTED_EVENTS[name]
 
 
 def _count_decides(sim):

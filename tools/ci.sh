@@ -23,7 +23,9 @@
 #      enough for numpy) and tests/sim/test_fluid_anchors.py (the fluid
 #      simulator: fifo x silod on private datasets, shared datasets on
 #      the exponential multi-filler path, server loss + data-manager
-#      crash + bandwidth flap, and an online submit/cancel run).
+#      crash + bandwidth flap, and an online submit/cancel run; each
+#      cell also runs traced and pins a digest of its event stream, so
+#      a moved emission in the shared lifecycle kernel fails here).
 #   4. serve smoke             — tools/serve_smoke.py boots
 #      `python -m repro serve` as a subprocess, drives three jobs
 #      through the socket, and requires a drained, clean exit within a
