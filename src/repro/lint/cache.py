@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.lint.findings import Finding
 
 #: Bump when index/pass semantics change in a way the key cannot see.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 #: Most-recently-used keys kept in the cache file.
 _MAX_ENTRIES = 4

@@ -112,7 +112,6 @@ class CallGraph:
         self.edges: List[CallEdge] = []
         self.unresolved: List[UnresolvedCall] = []
         self.out: Dict[str, List[CallEdge]] = {}
-        self.into: Dict[str, List[CallEdge]] = {}
 
     @classmethod
     def build(cls, table: SymbolTable) -> "CallGraph":
@@ -320,17 +319,12 @@ class CallGraph:
         )
         self.edges.append(edge)
         self.out.setdefault(caller, []).append(edge)
-        self.into.setdefault(callee, []).append(edge)
 
     # -- queries -------------------------------------------------------
 
     def callees(self, caller: str) -> List[CallEdge]:
         """Outgoing resolved edges of ``caller``."""
         return self.out.get(caller, [])
-
-    def callers(self, callee: str) -> List[CallEdge]:
-        """Incoming resolved edges of ``callee``."""
-        return self.into.get(callee, [])
 
     def unresolved_in(self, caller: str) -> List[UnresolvedCall]:
         """Unresolved call sites attributed to ``caller``."""

@@ -58,7 +58,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PASS|RULE",
         help="run only the named passes or rule prefixes "
-        "(e.g. determinism UNI001 XDET)",
+        "(e.g. determinism UNI001 XUNI)",
     )
     parser.add_argument(
         "--baseline",

@@ -6,10 +6,11 @@ one once into an :class:`ast.Module`, and hands the parsed
 (:class:`LintPass`). Phase 2 — only when whole-program passes are
 selected — indexes every file into a project-wide symbol table and call
 graph (:class:`ProjectIndex`) and runs each :class:`ProjectPass` over
-the index, so cross-module dataflow (a wall-clock read laundered
-through a helper into an event emission) is visible. All analysis
-lives in the passes (:mod:`repro.lint.passes`); findings from both
-phases are filtered through the same inline-suppression table.
+the index, so cross-module facts (a unit carried through a helper's
+return value, an event emitted through an in-scope wrapper) are
+visible. All analysis lives in the passes (:mod:`repro.lint.passes`);
+findings from both phases are filtered through the same
+inline-suppression table.
 
 Suppression syntax
 ------------------
@@ -205,11 +206,6 @@ class ProjectIndex:
         """The parsed file displayed as ``rel_path``, if indexed."""
         return self.by_rel_path.get(rel_path)
 
-    def is_suppressed(self, rel_path: str, line: int, rule: str) -> bool:
-        """Inline suppression lookup by display path (for chain edges)."""
-        src = self.by_rel_path.get(rel_path)
-        return src is not None and src.is_suppressed(line, rule)
-
 
 class ProjectPass(abc.ABC):
     """Base class for one whole-program analysis pass (phase 2).
@@ -217,12 +213,10 @@ class ProjectPass(abc.ABC):
     Unlike :class:`LintPass`, a project pass sees the entire
     :class:`ProjectIndex` at once and may report findings in any file.
     Findings are still anchored to one ``(path, line)`` and filtered
-    through that file's inline suppressions; passes that report
-    source->sink chains additionally honour suppressions on any edge of
-    the chain (see ``docs/LINT.md``).
+    through that file's inline suppressions.
     """
 
-    #: Short machine name used by ``--select`` (e.g. ``xdet``).
+    #: Short machine name used by ``--select`` (e.g. ``xuni``).
     name: str = "project-pass"
 
     #: The rule ids this pass can emit.

@@ -14,10 +14,10 @@ from typing import Dict, Tuple
 
 #: Every rule id with its one-line description, grouped by pass prefix.
 #: ``DET`` — determinism, ``UNI`` — units, ``FLT`` — float equality,
-#: ``OBS`` — event-schema conformance, ``POL`` — policy interface,
-#: ``PERF`` — vectorization, ``PAR`` — the engine's own parse-failure
-#: diagnostic, and the whole-program rules ``XDET``/``XUNI``/``XOBS``
-#: (cross-module determinism taint, unit inference, emission scoping).
+#: ``OBS`` — event-schema conformance and event scoping, ``POL`` —
+#: policy interface, ``PERF`` — vectorization, ``PAR`` — the engine's
+#: own parse-failure diagnostic, and ``XUNI`` — unit inference across
+#: project calls.
 RULES: Dict[str, str] = {
     "PAR001": "file could not be parsed as Python source",
     "DET001": "unseeded RNG constructor (random.Random() / "
@@ -28,8 +28,8 @@ RULES: Dict[str, str] = {
     "datetime.now) in simulation code",
     "DET004": "iteration over a set literal / set() value "
     "(order is salted per process)",
-    "DET005": "builtin hash() (salted per process for str/bytes; use a "
-    "stable digest such as zlib.crc32)",
+    "DET005": "builtin hash() / id() (per-process values: a salted "
+    "str/bytes hash, a memory address)",
     "UNI001": "magic unit-conversion constant outside repro.units "
     "(e.g. * 1024, * 125.0, / 8, / 60.0)",
     "UNI002": "public numeric parameter with a non-canonical unit "
@@ -40,11 +40,9 @@ RULES: Dict[str, str] = {
     "OBS002": "emitted event fields do not match the declared schema",
     "OBS003": "repro.obs.events schema is internally inconsistent "
     "(EVENT_TYPES vs EVENT_FIELDS drift)",
-    "OBS004": "service-lifecycle event (SERVICE_TYPES) emitted outside "
-    "repro/serve/ (only the online service narrates its own life)",
-    "OBS005": "simulator-scoped event (SIMULATOR_SCOPED_TYPES) emitted "
-    "outside repro/sim/ (provenance/SLO events must come from the "
-    "shared simulator code path)",
+    "OBS004": "scope-restricted event emitted, or wrapped by a direct "
+    "call, outside its home (SERVICE_TYPES: repro/serve/; "
+    "SIMULATOR_SCOPED_TYPES: repro/sim/)",
     "POL001": "policy class does not implement the SchedulingPolicy "
     "interface (schedule() and a `name` attribute)",
     "POL002": "policy module imports simulator internals (repro.sim)",
@@ -54,18 +52,10 @@ RULES: Dict[str, str] = {
     "scores (ScheduleContext.gen_scores)",
     "PERF001": "per-item Python loop over cache state in a module that "
     "imports the vectorized helpers (use the store's bulk APIs)",
-    "XDET001": "wall-clock read reaches an event emission, policy score, "
-    "or simulator-state mutation through the call graph",
-    "XDET002": "ambient RNG state (unseeded constructor, global random.*, "
-    "id()) reaches emitted/recorded state through the call graph",
-    "XDET003": "set-iteration order reaches emitted/recorded state "
-    "through the call graph",
     "XUNI001": "mixed-unit arithmetic/comparison or suffix-mismatched "
     "assignment (units inferred across project calls)",
     "XUNI002": "argument's inferred unit does not match the callee "
     "parameter's declared unit (suffix or repro.units signature)",
-    "XOBS001": "out-of-scope caller of a helper that directly emits a "
-    "scope-restricted event (the OBS004/OBS005 wrapper loophole)",
 }
 
 

@@ -17,11 +17,10 @@ from typing import List, Optional, Sequence
 from repro.lint.passes.determinism import DeterminismPass
 from repro.lint.passes.floateq import FloatEqualityPass
 from repro.lint.passes.obs_schema import ObsSchemaPass
+from repro.lint.passes.obs_scope import ObsScopePass
 from repro.lint.passes.perf import PerfPass
 from repro.lint.passes.policy import PolicyConformancePass
 from repro.lint.passes.units import UnitsPass
-from repro.lint.passes.xdet import CrossDeterminismPass
-from repro.lint.passes.xobs import CrossObsScopePass
 from repro.lint.passes.xuni import CrossUnitsPass
 
 #: Every shipped pass, in report order: per-file first, then the
@@ -33,9 +32,8 @@ ALL_PASSES: Sequence[type] = (
     ObsSchemaPass,
     PolicyConformancePass,
     PerfPass,
-    CrossDeterminismPass,
     CrossUnitsPass,
-    CrossObsScopePass,
+    ObsScopePass,
 )
 
 
@@ -44,8 +42,8 @@ def build_passes(
 ) -> List[object]:
     """Instantiate the selected passes (all of them by default).
 
-    ``select`` filters by pass name (``determinism``, ``xdet``, ...)
-    or by rule-id prefix (``DET``, ``UNI001``, ``XOBS``). Unknown
+    ``select`` filters by pass name (``determinism``, ``obs-scope``,
+    ...) or by rule-id prefix (``DET``, ``UNI001``, ``XUNI``). Unknown
     selectors raise ``ValueError`` so typos fail loudly.
     """
     if not select:

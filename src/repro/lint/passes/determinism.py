@@ -13,8 +13,13 @@ library code is a reproducibility bug:
   / ``datetime.now``) differ run to run;
 * ``DET004`` — iterating a set literal or ``set(...)`` value: string
   hashing is salted per process, so the order changes across runs;
-* ``DET005`` — builtin ``hash()`` itself, for the same reason (use a
-  stable digest such as ``zlib.crc32``).
+* ``DET005`` — builtin ``hash()`` (salted for the same reason; use a
+  stable digest such as ``zlib.crc32``) and ``id()`` (a memory address,
+  different in every process).
+
+A helper that reads one of these sources and hands the value to an
+event emission three calls away is caught here too: the finding sits
+at the source, wherever the value ends up.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ _DATETIME_NOW_ATTRS = {"now", "utcnow", "today"}
 
 
 class DeterminismPass(LintPass):
-    """Flag ambient entropy: unseeded RNGs, wall clocks, salted hashes."""
+    """Flag ambient entropy: unseeded RNGs, wall clocks, salted hashes, ids."""
 
     name = "determinism"
     rules = ("DET001", "DET002", "DET003", "DET004", "DET005")
@@ -110,9 +115,11 @@ class DeterminismPass(LintPass):
         ),
         "DET005": (
             "Builtin hash() is salted per process for str/bytes (see\n"
-            "PYTHONHASHSEED), so hash-derived values are not\n"
-            "reproducible. Use a stable digest such as zlib.crc32, or\n"
-            "a stable sort key such as repr."
+            "PYTHONHASHSEED), and builtin id() is a memory address\n"
+            "that differs in every process, so values derived from\n"
+            "either are not reproducible. Use a stable digest such as\n"
+            "zlib.crc32, a stable sort key such as repr, or an\n"
+            "explicit identifier."
         ),
     }
 
@@ -183,6 +190,15 @@ class DeterminismPass(LintPass):
                     "DET005",
                     "builtin hash() is salted per process for str/bytes; "
                     "use a stable digest (e.g. zlib.crc32) instead",
+                )
+            )
+        elif name == "id" and len(node.args) == 1:
+            out.append(
+                src.finding(
+                    node,
+                    "DET005",
+                    "builtin id() is a memory address that differs per "
+                    "process; use an explicit identifier instead",
                 )
             )
         for kw in node.keywords:

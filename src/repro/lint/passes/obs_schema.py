@@ -12,22 +12,10 @@ invariant.
 * ``OBS002`` — an emit (or typed-helper call on a tracer) whose keyword
   fields do not match the declared field set;
 * ``OBS003`` — ``EVENT_TYPES`` and ``EVENT_FIELDS`` disagreeing with
-  each other inside ``events.py`` itself;
-* ``OBS004`` — a service-lifecycle event
-  (:data:`repro.obs.events.SERVICE_TYPES`) emitted outside the
-  ``repro/serve/`` package. Those events narrate the *service's* life
-  (start/stop, admission rejections, clock changes); a simulator or
-  cache system emitting them would let a batch run masquerade as an
-  online one and break the serve/batch event-log equivalence contract.
-  The typed helpers in ``obs/tracer.py`` are the one exemption — they
-  define the emission API the service calls.
-* ``OBS005`` — the mirror image: a simulator-scoped event
-  (:data:`repro.obs.events.SIMULATOR_SCOPED_TYPES` — decision
-  provenance and SLO tracking) emitted outside ``repro/sim/`` and the
-  obs modules that implement the emission (``obs/tracer.py``,
-  ``obs/prov.py``, ``obs/slo.py``). Provenance must come from the one
-  simulator code path both batch and serve share; a serve-side emit
-  would fork the streams and break their bit-identity.
+  each other inside ``events.py`` itself.
+
+Where a scope-restricted event may be emitted (``OBS004``) is the
+whole-program ``obs-scope`` pass's business.
 
 Dynamic event types (a variable holding the type) are skipped — the
 runtime validator (:func:`repro.obs.events.validate_event`) still
@@ -70,11 +58,39 @@ def _receiver_is_tracer(func: ast.Attribute) -> bool:
     )
 
 
+def _resolve_etype(node: ast.Call, events) -> Optional[str]:
+    """The event-type argument as a string, or ``None`` if dynamic."""
+    etype_arg = None
+    if len(node.args) >= 2:
+        etype_arg = node.args[1]
+    for kw in node.keywords:
+        if kw.arg == "etype":
+            etype_arg = kw.value
+    if etype_arg is None:
+        return None
+    if isinstance(etype_arg, ast.Constant) and isinstance(
+        etype_arg.value, str
+    ):
+        return etype_arg.value
+    if isinstance(etype_arg, (ast.Name, ast.Attribute)):
+        name = dotted_name(etype_arg)
+        if name is None:
+            return None
+        const = name.split(".")[-1]
+        value = getattr(events, const, None)
+        if isinstance(value, str):
+            return value
+        if const.isupper():
+            # Looks like a schema constant but is not one.
+            return const.lower()
+    return None
+
+
 class ObsSchemaPass(LintPass):
     """Check emit sites against the declared event schema."""
 
     name = "obs-schema"
-    rules = ("OBS001", "OBS002", "OBS003", "OBS004", "OBS005")
+    rules = ("OBS001", "OBS002", "OBS003")
 
     docs = {
         "OBS001": (
@@ -95,23 +111,6 @@ class ObsSchemaPass(LintPass):
             "disagree about which event types exist. The two\n"
             "declarations must list exactly the same types."
         ),
-        "OBS004": (
-            "A service-lifecycle event (SERVICE_TYPES) emitted outside\n"
-            "repro/serve/. Those events narrate the online service's\n"
-            "life (start/stop, admission rejections, clock changes); a\n"
-            "simulator emitting them would let a batch run masquerade\n"
-            "as an online one. See docs/SERVE.md. XOBS001 extends this\n"
-            "check across call edges."
-        ),
-        "OBS005": (
-            "A simulator-scoped event (SIMULATOR_SCOPED_TYPES:\n"
-            "decision provenance, SLO tracking) emitted outside\n"
-            "repro/sim/ and the obs modules that implement the\n"
-            "emission. Provenance must come from the one simulator\n"
-            "code path batch and serve share, or the two event streams\n"
-            "fork. See docs/OBSERVABILITY.md. XOBS001 extends this\n"
-            "check across call edges."
-        ),
     }
 
     def run(self, src: SourceFile) -> List[Finding]:
@@ -128,73 +127,13 @@ class ObsSchemaPass(LintPass):
                 continue
             if func.attr == "emit":
                 findings.extend(self._check_emit(src, node, events))
-                etype = self._resolve_etype(node, events)
-                if etype in events.SERVICE_TYPES:
-                    findings.extend(
-                        self._check_service_scope(src, node, etype)
-                    )
-                if etype in events.SIMULATOR_SCOPED_TYPES:
-                    findings.extend(
-                        self._check_simulator_scope(src, node, etype)
-                    )
             elif func.attr in events.EVENT_FIELDS and _receiver_is_tracer(
                 func
             ):
                 findings.extend(
                     self._check_helper_call(src, node, func.attr, events)
                 )
-                if func.attr in events.SERVICE_TYPES:
-                    findings.extend(
-                        self._check_service_scope(src, node, func.attr)
-                    )
-                if func.attr in events.SIMULATOR_SCOPED_TYPES:
-                    findings.extend(
-                        self._check_simulator_scope(src, node, func.attr)
-                    )
         return findings
-
-    def _check_service_scope(
-        self, src: SourceFile, node: ast.Call, etype: str
-    ) -> List[Finding]:
-        """OBS004: service-lifecycle events belong to ``repro/serve/``."""
-        rel = src.rel_path
-        if "repro/serve/" in rel or rel.endswith("obs/tracer.py"):
-            return []
-        return [
-            src.finding(
-                node,
-                "OBS004",
-                f"service-lifecycle event {etype!r} emitted outside "
-                "repro/serve/; only the online service may narrate "
-                "service start/stop, admission rejections, and clock "
-                "changes (see docs/SERVE.md)",
-            )
-        ]
-
-    def _check_simulator_scope(
-        self, src: SourceFile, node: ast.Call, etype: str
-    ) -> List[Finding]:
-        """OBS005: provenance/SLO events belong to the simulators."""
-        rel = src.rel_path
-        allowed = (
-            "repro/sim/" in rel
-            or rel.endswith("obs/tracer.py")
-            or rel.endswith("obs/prov.py")
-            or rel.endswith("obs/slo.py")
-        )
-        if allowed:
-            return []
-        return [
-            src.finding(
-                node,
-                "OBS005",
-                f"simulator-scoped event {etype!r} emitted outside "
-                "repro/sim/; decision provenance and SLO events must "
-                "come from the shared simulator code path so batch and "
-                "serve event logs stay bit-identical "
-                "(see docs/OBSERVABILITY.md)",
-            )
-        ]
 
     def _check_schema_consistency(
         self, src: SourceFile, events
@@ -216,37 +155,10 @@ class ObsSchemaPass(LintPass):
             )
         ]
 
-    def _resolve_etype(self, node: ast.Call, events) -> Optional[str]:
-        """The event-type argument as a string, or ``None`` if dynamic."""
-        etype_arg = None
-        if len(node.args) >= 2:
-            etype_arg = node.args[1]
-        for kw in node.keywords:
-            if kw.arg == "etype":
-                etype_arg = kw.value
-        if etype_arg is None:
-            return None
-        if isinstance(etype_arg, ast.Constant) and isinstance(
-            etype_arg.value, str
-        ):
-            return etype_arg.value
-        if isinstance(etype_arg, (ast.Name, ast.Attribute)):
-            name = dotted_name(etype_arg)
-            if name is None:
-                return None
-            const = name.split(".")[-1]
-            value = getattr(events, const, None)
-            if isinstance(value, str):
-                return value
-            if const.isupper():
-                # Looks like a schema constant but is not one.
-                return const.lower()
-        return None
-
     def _check_emit(
         self, src: SourceFile, node: ast.Call, events
     ) -> List[Finding]:
-        etype = self._resolve_etype(node, events)
+        etype = _resolve_etype(node, events)
         if etype is None:
             return []
         expected = events.EVENT_FIELDS.get(etype)

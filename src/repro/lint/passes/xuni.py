@@ -115,7 +115,7 @@ class CrossUnitsPass(ProjectPass):
                 mod.name, mod.src
             ):
                 checker = _Checker(index, mod.name, mod.src, returns)
-                checker.check(node, envs.get(id(node)))
+                checker.check(node, envs.get(node))
                 findings.extend(checker.findings)
         return findings
 
@@ -147,7 +147,7 @@ class _ContextInfo:
     """Pre-walked pieces of one context the fixpoint reuses per round."""
 
     def __init__(self, context: ast.AST) -> None:
-        self.node_id = id(context)
+        self.context = context
         #: [(name-target, value)] from Assign/AnnAssign, in walk order.
         self.assigns: List[Tuple[ast.Name, ast.AST]] = []
         #: non-bare ``return`` value expressions.
@@ -181,11 +181,13 @@ class _ContextInfo:
 
 def _infer_return_units(
     index: ProjectIndex,
-) -> Tuple[Dict[str, str], Dict[int, Dict[str, str]]]:
+) -> Tuple[Dict[str, str], Dict[ast.AST, Dict[str, str]]]:
     """Fixpoint over project functions: qname -> consistent return unit.
 
     Also returns the final name->unit env per context (keyed by the
-    context node's ``id``), so the checking walk does not re-derive it.
+    context node itself), so the checking walk does not re-derive it.
+    A module-body context is a fresh holder node per
+    :func:`iter_contexts` call, so its env is rebuilt at check time.
     """
     infos: List[Tuple[Optional[str], str, _ContextInfo]] = []
     for mod in index.table.modules.values():
@@ -200,12 +202,12 @@ def _infer_return_units(
             )
             infos.append((exported, mod.name, _ContextInfo(node)))
     returns: Dict[str, str] = {}
-    envs: Dict[int, Dict[str, str]] = {}
+    envs: Dict[ast.AST, Dict[str, str]] = {}
     for _ in range(_FIXPOINT_ROUNDS):
         changed = False
         for qname, module, info in infos:
             env = _build_env(index, module, info, returns)
-            envs[info.node_id] = env
+            envs[info.context] = env
             if qname is None:
                 continue
             unit = _return_unit(index, module, info, env, returns)

@@ -1,7 +1,7 @@
 """Project-wide symbol table: phase 1 of the two-phase lint engine.
 
 The per-file passes see one ``ast.Module`` at a time; the cross-module
-passes (``XDET``/``XUNI``/``XOBS``) need to know *who defines what* and
+passes (``xuni``, ``obs-scope``) need to know *who defines what* and
 *what a dotted name means* in any given module. :class:`SymbolTable`
 indexes every :class:`~repro.lint.engine.SourceFile` into
 

@@ -55,13 +55,13 @@ Event types
     ``decision_job`` per running job carrying the Eq. 4 estimator
     inputs (``f*``, hit ratio, IO grant), the policy score, and the
     resulting allocation. Emitted by the simulators only (lint rule
-    OBS005), so batch and online runs produce identical provenance.
+    OBS004), so batch and online runs produce identical provenance.
 ``slo_warn`` / ``slo_violation``
     SLO tracking against a job's optional ``deadline_s`` (a JCT
     budget): a single warning as the budget nears exhaustion, and a
     single violation when it is exceeded — while still running or,
     failing that, at finish. Simulator-scoped like provenance
-    (lint rule OBS005).
+    (lint rule OBS004).
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ FAULT_TYPES = (
 
 #: Decision-provenance and SLO subset. Only the simulators (and the
 #: typed helpers in ``obs/tracer.py`` that define the emission API) may
-#: emit these — enforced by lint rule OBS005. The online service reuses
+#: emit these — enforced by lint rule OBS004. The online service reuses
 #: the simulator code path, which is what keeps batch and serve
 #: provenance bit-identical.
 SIMULATOR_SCOPED_TYPES = (

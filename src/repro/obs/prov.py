@@ -7,7 +7,7 @@ job, carrying exactly the inputs Eq. 4 consumed — the compute-bound
 rate ``f*``, the modelled hit ratio, the remote-IO grant — plus the
 policy's score for the job and the resulting allocation (GPUs, cache
 share, IO). Because emission happens inside the simulators (lint rule
-OBS005 keeps it out of ``repro/serve/``), a batch run and an online
+OBS004 keeps it out of ``repro/serve/``), a batch run and an online
 run over the same trace produce bit-identical provenance, which the
 serve equivalence tests pin down with ``localize_divergence``.
 

@@ -453,7 +453,7 @@ class Tracer:
 
     # ------------------------------------------------------------------
     # Decision-provenance and SLO helpers (simulator-scoped; lint rule
-    # OBS005 confines their emission to ``repro/sim/`` and the prov/slo
+    # OBS004 confines their emission to ``repro/sim/`` and the prov/slo
     # modules so batch and online runs stay bit-identical).
     # ------------------------------------------------------------------
 

@@ -105,9 +105,6 @@ class ServiceStack:
         self.admission = admission
         self.scheduler = scheduler
         self.cache_system = cache_system
-        #: The estimator as built: ``status`` keeps naming it after a
-        #: mixed-fleet simulator wraps the scheduler's estimator.
-        self._estimator_kind = type(scheduler.estimator).__name__
 
     @classmethod
     def build(
@@ -138,7 +135,7 @@ class ServiceStack:
                 "rejected_total": self.admission.rejected_total,
                 "draining": self.admission.draining,
             },
-            "estimator": {"kind": self._estimator_kind},
+            "estimator": {"kind": type(scheduler.estimator).__name__},
             "placement": {
                 "policy": scheduler.policy.name,
                 "storage_aware": scheduler.storage_aware,

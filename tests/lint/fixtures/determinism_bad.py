@@ -20,4 +20,5 @@ def entropy_soup(events):
         total += hash(tag)  # DET005: salted hash
     ordered = sorted(events, key=hash)  # DET005: salted sort key
     shuffle(ordered)
-    return rng, gen, jitter, started, stamped, total, ordered
+    handle = id(ordered)  # DET005: per-process address
+    return rng, gen, jitter, started, stamped, total, ordered, handle

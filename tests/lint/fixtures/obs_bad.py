@@ -20,3 +20,10 @@ def emit_drifted(tracer, ts_s: float) -> None:
     tracer.emit(  # OBS004
         ts_s, ev.CLOCK_SET, action="pause", speedup=0.0, virtual_s=ts_s
     )
+    # Simulator-scoped events outside repro/sim/: scope violations.
+    tracer.slo_warn(  # OBS004
+        ts_s, "j1", deadline_s=60.0, elapsed_s=50.0, remaining_s=10.0,
+        ratio=0.83,
+    )
+    provenance = {"round": 1, "gpus": 1.0, "score": 0.5}
+    tracer.emit(ts_s, ev.DECISION_JOB, "j1", **provenance)  # OBS004

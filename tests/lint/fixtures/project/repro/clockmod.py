@@ -1,4 +1,4 @@
-"""XDET fixture: the entropy source, two call hops from the sink."""
+"""DET fixture: the entropy source, two call hops from the sink."""
 
 import time
 

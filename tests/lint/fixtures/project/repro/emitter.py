@@ -1,4 +1,4 @@
-"""XDET fixture: the sink; the wall clock it records is two hops away."""
+"""DET fixture: the sink; the wall clock it records is two hops away."""
 
 from repro import middle
 

@@ -1,4 +1,4 @@
-"""XDET fixture: the laundering hop between source and sink.
+"""DET fixture: the laundering hop between source and sink.
 
 The relative import also exercises the symbol table's level-1
 ``from .`` resolution.

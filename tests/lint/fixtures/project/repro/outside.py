@@ -1,4 +1,4 @@
-"""XOBS fixture: out-of-scope caller of the in-scope emitting wrapper."""
+"""OBS004 fixture: out-of-scope caller of the service-scope wrapper."""
 
 from repro.serve import narrate
 

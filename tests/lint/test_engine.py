@@ -307,17 +307,17 @@ class TestCli:
             "FLT001",
             "OBS001",
             "POL003",
-            "XDET001",
+            "DET005",
             "XUNI002",
-            "XOBS001",
+            "OBS004",
         ):
             assert rule in out
 
     def test_explain_prints_the_long_doc(self, capsys):
-        assert main(["lint", "--explain", "XDET001"]) == 0
+        assert main(["lint", "--explain", "OBS004"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("XDET001:")
-        assert "call chain" in out
+        assert out.startswith("OBS004:")
+        assert "call edge" in out
 
     def test_explain_covers_engine_rules_too(self, capsys):
         assert main(["lint", "--explain", "PAR001"]) == 0

@@ -8,6 +8,7 @@ from repro.lint import build_passes, lint_paths
 from repro.lint.passes.determinism import DeterminismPass
 from repro.lint.passes.floateq import FloatEqualityPass
 from repro.lint.passes.obs_schema import ObsSchemaPass
+from repro.lint.passes.obs_scope import ObsScopePass
 from repro.lint.passes.perf import PerfPass
 from repro.lint.passes.policy import PolicyConformancePass
 from repro.lint.passes.units import UnitsPass
@@ -39,7 +40,13 @@ CASES = [
     (
         ObsSchemaPass,
         "obs_bad.py",
-        {"OBS001", "OBS002", "OBS004"},
+        {"OBS001", "OBS002"},
+        "obs_good.py",
+    ),
+    (
+        ObsScopePass,
+        "obs_bad.py",
+        {"OBS004"},
         "obs_good.py",
     ),
     (
@@ -98,7 +105,7 @@ def test_determinism_counts_every_site():
         "DET002": 2,  # from random import shuffle; random.random()
         "DET003": 2,  # time.time(), datetime.now()
         "DET004": 1,  # set-literal iteration
-        "DET005": 2,  # hash(tag), key=hash
+        "DET005": 3,  # hash(tag), key=hash, id(ordered)
     }
 
 
@@ -121,12 +128,28 @@ def test_obs_pass_reports_field_drift_detail():
     assert "['flavour']" in messages  # helper-call drift
 
 
+def _obs004(kind):
+    findings = run_single(ObsScopePass, "obs_bad.py")
+    return [
+        f for f in findings if f.rule == "OBS004" and kind in f.message
+    ]
+
+
 def test_obs004_counts_both_service_emission_forms():
     """OBS004 fires for the typed helper and the raw-emit spelling."""
-    findings = run_single(ObsSchemaPass, "obs_bad.py")
-    obs004 = [f for f in findings if f.rule == "OBS004"]
+    obs004 = _obs004("service-lifecycle")
     assert len(obs004) == 2
     assert {"'service_start'" in f.message for f in obs004} == {True, False}
+
+
+def test_obs004_counts_both_simulator_emission_forms():
+    """Simulator-scoped events outside repro/sim/: helper and raw emit."""
+    obs004 = _obs004("simulator-scoped")
+    assert [(f.line, f.message.split("'")[1]) for f in obs004] == [
+        (24, "slo_warn"),
+        (29, "decision_job"),
+    ]
+    assert all("outside repro/sim/" in f.message for f in obs004)
 
 
 def test_obs004_exempts_serve_package_and_tracer_helpers():
@@ -136,9 +159,31 @@ def test_obs004_exempts_serve_package_and_tracer_helpers():
 
     findings = lint_paths(
         [Path(engine_module.__file__), Path(tracer_module.__file__)],
-        [ObsSchemaPass()],
+        [ObsScopePass()],
     )
-    assert [f for f in findings if f.rule == "OBS004"] == []
+    assert findings == []
+
+
+def test_obs004_exempts_simulators_and_emission_modules():
+    """repro/sim/ and the prov/slo emitters are legal provenance sites."""
+    import repro.obs.prov as prov_module
+    import repro.obs.slo as slo_module
+    import repro.sim.fluid as fluid_module
+    import repro.sim.kernel as kernel_module
+
+    findings = lint_paths(
+        [
+            Path(module.__file__)
+            for module in (
+                prov_module,
+                slo_module,
+                fluid_module,
+                kernel_module,
+            )
+        ],
+        [ObsScopePass()],
+    )
+    assert findings == []
 
 
 def test_perf_pass_only_covers_vectorized_modules(tmp_path):

@@ -16,7 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 def sample_findings():
     return [
         Finding("repro/sim/fluid.py", 10, "DET003", "wall clock"),
-        Finding("repro/serve/engine.py", 3, "XDET001", "taint chain"),
+        Finding("repro/core/silod.py", 3, "OBS004", "out of scope"),
     ]
 
 
@@ -30,7 +30,7 @@ class TestEmitter:
     def test_one_result_per_finding_with_location(self):
         doc = to_sarif(sample_findings())
         results = doc["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["DET003", "XDET001"]
+        assert [r["ruleId"] for r in results] == ["DET003", "OBS004"]
         location = results[0]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "repro/sim/fluid.py"
         assert location["region"]["startLine"] == 10
@@ -38,7 +38,7 @@ class TestEmitter:
     def test_rule_catalogue_covers_used_rules_only(self):
         doc = to_sarif(sample_findings())
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        assert sorted(r["id"] for r in rules) == ["DET003", "XDET001"]
+        assert sorted(r["id"] for r in rules) == ["DET003", "OBS004"]
 
     def test_empty_findings_still_validate(self):
         assert validate_min_sarif(to_sarif([])) == []

@@ -117,3 +117,18 @@ def test_het_placement_service_describes_pools():
     homogeneous.drain()
     plain = homogeneous.stack.describe()["placement"]
     assert plain["heterogeneity_aware"] is False
+
+
+def test_status_names_the_live_estimator_on_a_mixed_fleet():
+    """A mixed fleet installs the het estimator; status reports it."""
+    engine = _online_engine("het-max-min", "fluid")
+    assert engine.stack.describe()["estimator"] == {
+        "kind": "HetSiloDPerfEstimator"
+    }
+
+    homogeneous = make_engine(policy="fifo")
+    homogeneous.start()
+    homogeneous.drain()
+    assert homogeneous.stack.describe()["estimator"] == {
+        "kind": "SiloDPerfEstimator"
+    }
