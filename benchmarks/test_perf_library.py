@@ -98,7 +98,7 @@ def test_perf_waterfill_1000_jobs(benchmark):
 def test_perf_greedy_cache_1000_jobs(benchmark):
     jobs = synthetic_jobs(1000, seed=2)
     allocation = benchmark(
-        greedy_cache_allocation, jobs, 144_000 * GB
+        greedy_cache_allocation, jobs, 144_000 * GB, vectorized=True
     )
     assert allocation
     assert benchmark.stats["mean"] < 0.05

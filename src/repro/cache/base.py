@@ -176,6 +176,9 @@ class CacheSystem(abc.ABC):
     def reset(self) -> None:
         """Clear any internal profiling state between simulation runs."""
 
+    def use_numpy(self, numpy) -> None:
+        """Adopt the simulator's backend (the numpy module, or ``None``)."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 

@@ -10,16 +10,15 @@ cannot produce hits until the next epoch (delayed effectiveness).
 :class:`RowBitset` is the pool-level analogue used by the vectorized hot
 paths (the array residency store in :mod:`repro.cache.residency` and the
 fluid simulator's job table): columnar state is append-only, so "which
-rows are live" is one growable bitset — a numpy bool array whose raw mask
-feeds elementwise math directly, or a bytearray under the pure-Python
-fallback (``REPRO_NO_NUMPY=1``).
+rows are live" is one growable numpy bool array whose raw mask feeds
+elementwise math directly.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Set
+from typing import Hashable, Iterable, List, Set
 
-from repro.backend import numpy_enabled, require_numpy
+from repro.backend import require_numpy
 
 
 class JobAccessBitset:
@@ -73,29 +72,15 @@ class RowBitset:
     """A growable bitset over dense row indices (tombstone tracking).
 
     Append-only columnar stores mark retired rows dead here instead of
-    compacting. The numpy backend exposes the raw bool array through
+    compacting. The bits are a numpy bool array, exposed raw through
     :meth:`mask` so hot-path math can exclude tombstoned rows without a
-    Python loop; the fallback backend stores a bytearray and offers the
-    same scalar operations.
+    Python loop. Only the vectorized backend uses it: the fallback
+    stores keep their live rows in ordered dicts.
     """
 
-    def __init__(
-        self, capacity: int = 0, vectorized: Optional[bool] = None
-    ) -> None:
-        self._vectorized = (
-            numpy_enabled() if vectorized is None else vectorized
-        )
-        capacity = max(1, capacity)
-        if self._vectorized:
-            self._np = require_numpy()
-            self._bits = self._np.zeros(capacity, dtype=bool)
-        else:
-            self._bits = bytearray(capacity)
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the bitset is numpy-backed."""
-        return self._vectorized
+    def __init__(self, capacity: int = 0) -> None:
+        self._np = require_numpy()
+        self._bits = self._np.zeros(max(1, capacity), dtype=bool)
 
     @property
     def capacity(self) -> int:
@@ -106,13 +91,9 @@ class RowBitset:
         """Ensure at least ``capacity`` addressable rows (amortised 2x)."""
         if capacity <= len(self._bits):
             return
-        new_cap = max(capacity, 2 * len(self._bits))
-        if self._vectorized:
-            bits = self._np.zeros(new_cap, dtype=bool)
-            bits[: len(self._bits)] = self._bits
-            self._bits = bits
-        else:
-            self._bits.extend(bytearray(new_cap - len(self._bits)))
+        bits = self._np.zeros(max(capacity, 2 * len(self._bits)), dtype=bool)
+        bits[: len(self._bits)] = self._bits
+        self._bits = bits
 
     def set(self, row: int) -> None:
         """Mark ``row`` live."""
@@ -127,23 +108,13 @@ class RowBitset:
         return bool(self._bits[row])
 
     def mask(self, n: int):
-        """Bool array view of the first ``n`` rows (numpy backend only)."""
-        if not self._vectorized:
-            raise RuntimeError("mask() requires the numpy backend")
+        """Bool array view of the first ``n`` rows."""
         return self._bits[:n]
 
     def count(self, n: int) -> int:
         """Number of live rows among the first ``n``."""
-        if self._vectorized:
-            return int(self._np.count_nonzero(self._bits[:n]))
-        total = 0
-        for row in range(n):
-            if self._bits[row]:
-                total += 1
-        return total
+        return int(self._np.count_nonzero(self._bits[:n]))
 
     def live_rows(self, n: int) -> List[int]:
         """Ascending list of live row indices among the first ``n``."""
-        if self._vectorized:
-            return self._np.nonzero(self._bits[:n])[0].tolist()
-        return [row for row in range(n) if self._bits[row]]
+        return self._np.nonzero(self._bits[:n])[0].tolist()

@@ -39,7 +39,7 @@ import dataclasses
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.backend import numpy_enabled, require_numpy
+from repro.backend import require_numpy
 from repro.cache.bitset import RowBitset
 
 
@@ -351,7 +351,7 @@ class ArrayResidencyStore(ResidencyStore):
         self._size = np.zeros(capacity)
         self._resident = np.zeros(capacity)
         self._target = np.zeros(capacity)
-        self._live = RowBitset(capacity, vectorized=True)
+        self._live = RowBitset(capacity)
         self.keyset_version = 0
 
     def _grow(self, capacity: int) -> None:
@@ -623,14 +623,6 @@ class ArrayResidencyStore(ResidencyStore):
         return True
 
 
-def make_residency_store(
-    vectorized: Optional[bool] = None,
-) -> ResidencyStore:
-    """Build the residency store for the current backend.
-
-    ``vectorized=None`` consults :func:`repro.backend.numpy_enabled`
-    (the ``REPRO_NO_NUMPY`` switch) at call time.
-    """
-    if vectorized is None:
-        vectorized = numpy_enabled()
+def make_residency_store(vectorized: bool) -> ResidencyStore:
+    """Build the residency store for the caller's backend."""
     return ArrayResidencyStore() if vectorized else DictResidencyStore()

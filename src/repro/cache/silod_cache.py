@@ -73,8 +73,9 @@ class SiloDDataManager(CacheSystem):
         self._io_allocation = io_allocation
         if not io_allocation:
             self.name = "silod-no-io-alloc"
-        #: numpy when the vectorized backend was selected at
-        #: construction, else ``None`` (resolved once, not per decision).
+        #: numpy when the vectorized backend is selected, else ``None``:
+        #: resolved at construction, then set to the simulator's choice
+        #: by :meth:`use_numpy` (never re-read per decision).
         self._np = require_numpy() if numpy_enabled() else None
         #: The last reusable decision (see :meth:`reallocate`).
         self._memo: Optional[_Reusable] = None
@@ -82,6 +83,9 @@ class SiloDDataManager(CacheSystem):
     def reset(self) -> None:
         """Drop the reusable decision (a data-manager crash loses it)."""
         self._memo = None
+
+    def use_numpy(self, numpy) -> None:
+        self._np = numpy
 
     def reallocate(self, ctx: StorageContext) -> StorageDecision:
         """Return the previous decision object when nothing it read moved.

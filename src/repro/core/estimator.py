@@ -17,7 +17,7 @@ This module provides that wrapper as :class:`SiloDPerfEstimator`. It
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.backend import numpy_enabled, require_numpy
 from repro.cluster.job import Job
@@ -56,10 +56,12 @@ class SiloDPerfEstimator:
     Attributes
     ----------
     numpy:
-        The numpy module when the vectorized backend was selected at
-        construction (``REPRO_NO_NUMPY`` unset), else ``None``. Batched
-        evaluations and the policy helpers that take this estimator
-        read the backend from here instead of re-checking the
+        The numpy module when the vectorized backend is selected, else
+        ``None``: resolved at construction (``REPRO_NO_NUMPY`` unset),
+        then set to the simulator's choice for its run by
+        :meth:`~repro.core.silod.SiloDScheduler.enable_heterogeneity`.
+        Batched evaluations and the policy helpers that take this
+        estimator read the backend from here instead of re-checking the
         environment on every call.
     """
 
@@ -235,94 +237,3 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
             )
         }
 
-
-class ThroughputMatrix:
-    """Job × GPU-generation compute-bound throughput matrix.
-
-    Capacity planning asks "what would this job mix consume on other
-    hardware?" — e.g. sizing the egress limit a Figure 1-style upgrade
-    would demand. Row *i*, column *k* is job *i*'s compute-bound data
-    rate (``f*`` at its requested GPU count) scaled by generation *k*'s
-    fp32 TFLOPS relative to the ``reference`` generation the jobs were
-    profiled on (the paper profiles on V100, Table 2). These are the
-    Figure 1 *plotted* TFLOPS (H100: with sparsity) — deliberate for
-    capacity planning, which sizes against the headline trend; runtime
-    scheduling instead uses the measured/dense-anchored
-    ``perf_model.default_speedup_table`` via
-    :class:`HetSiloDPerfEstimator`.
-
-    The matrix is one outer product on the vectorized backend and a
-    nested loop under ``REPRO_NO_NUMPY=1``; both produce bit-identical
-    values (each entry is the same two-factor product).
-
-    Attributes
-    ----------
-    job_ids:
-        Row labels, in input order.
-    generations:
-        Column labels (GPU generation names), in input order.
-    values:
-        ``values[i][k]`` in MB/s, as plain Python floats.
-    """
-
-    def __init__(
-        self,
-        jobs: Sequence[Job],
-        generations: Optional[Sequence[str]] = None,
-        reference: str = "V100",
-        estimator: Optional["SiloDPerfEstimator"] = None,
-    ) -> None:
-        from repro.cluster.hardware import GPU_GENERATIONS
-
-        if generations is None:
-            generations = sorted(
-                GPU_GENERATIONS,
-                key=lambda name: GPU_GENERATIONS[name].release_year,
-            )
-        for name in list(generations) + [reference]:
-            if name not in GPU_GENERATIONS:
-                raise ValueError(f"unknown GPU generation {name!r}")
-        estimator = estimator or SiloDPerfEstimator()
-        jobs = list(jobs)
-        self.job_ids: List[str] = [job.job_id for job in jobs]
-        self.generations: List[str] = list(generations)
-        self.reference = reference
-        ref_tflops = GPU_GENERATIONS[reference].fp32_tflops
-        factors = [
-            GPU_GENERATIONS[name].fp32_tflops / ref_tflops
-            for name in self.generations
-        ]
-        f_stars = estimator.compute_bound_batch(
-            jobs, [job.num_gpus for job in jobs]
-        )
-        if len(jobs) >= _BATCH_MIN_JOBS and numpy_enabled():
-            np = require_numpy()
-            matrix = np.multiply.outer(
-                np.asarray(f_stars, float), np.asarray(factors, float)
-            )
-            self.values: List[List[float]] = matrix.tolist()
-        else:
-            self.values = [
-                [f_star * factor for factor in factors]
-                for f_star in f_stars
-            ]
-
-    def row(self, job_id: str) -> List[float]:
-        """One job's throughput across generations."""
-        return self.values[self.job_ids.index(job_id)]
-
-    def column(self, generation: str) -> List[float]:
-        """Every job's throughput on one generation."""
-        k = self.generations.index(generation)
-        return [row[k] for row in self.values]
-
-    def total_demand_mbps(self, generation: str) -> float:
-        """Aggregate compute-bound data demand on one generation.
-
-        Sequential left-to-right sum (backend-identical); this is the
-        egress a cluster of that generation would need with zero cache.
-        """
-        total = 0.0
-        for value in self.column(generation):
-            total += value
-        return total

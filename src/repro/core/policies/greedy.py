@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.backend import numpy_enabled
 from repro.cluster.job import Job
 from repro.core import perf_model
 
@@ -30,19 +29,16 @@ def group_jobs_by_dataset(jobs: Iterable[Job]) -> Dict[str, List[Job]]:
 
 
 def dataset_efficiencies(
-    jobs: Iterable[Job], vectorized: Optional[bool] = None
+    jobs: Iterable[Job], vectorized: bool
 ) -> List[Tuple[str, float, float]]:
     """Per-dataset ``(name, cache_efficiency, size_mb)``, best first.
 
     Cache efficiency is in MB/s of remote IO saved per MB of cache; ties
     break on dataset name for determinism. ``vectorized`` is the
-    caller's backend (policies pass their estimator's); ``None``
-    consults :func:`~repro.backend.numpy_enabled`. Both give the
+    caller's backend (policies pass their estimator's); both give the
     same rows.
     """
     jobs = list(jobs)
-    if vectorized is None:
-        vectorized = numpy_enabled()
     if len(jobs) >= _BATCH_MIN_JOBS and vectorized:
         rows = _dataset_efficiencies_batch(jobs)
         if rows is not None:
@@ -102,7 +98,7 @@ def _dataset_efficiencies_batch(
 def greedy_cache_allocation(
     jobs: Iterable[Job],
     total_cache_mb: float,
-    vectorized: Optional[bool] = None,
+    vectorized: bool,
 ) -> Dict[str, float]:
     """Algorithm 2: fill the cache with the most cache-efficient datasets.
 

@@ -82,15 +82,17 @@ class SiloDScheduler:
         #: the per-generation compute bounds the policy weighed.
         self.last_gen_scores: Dict[str, Dict[str, float]] = {}
 
-    def enable_heterogeneity(self, cluster) -> None:
-        """Adopt the cluster's generation mix (called by the simulators).
+    def enable_heterogeneity(self, cluster, numpy) -> None:
+        """Adopt the cluster's generation mix and the simulator's backend
+        (called by the simulators).
 
         Homogeneous clusters only update :attr:`default_generation` —
         numerics are untouched, so pre-heterogeneity runs stay
         bit-identical. Mixed fleets install a
         :class:`HetSiloDPerfEstimator` anchored at the cluster's
         reference generation and expose per-generation GPU pools to
-        the policy.
+        the policy. Either way the estimator's :attr:`numpy` becomes
+        ``numpy``, the run's backend (the module, or ``None``).
         """
         gpu = getattr(cluster, "gpu", None)
         if gpu is not None:
@@ -98,16 +100,17 @@ class SiloDScheduler:
         pools = getattr(cluster, "gpus_by_generation", None)
         if not pools or len(pools) <= 1:
             self.gpu_pools = None
-            return
-        self.gpu_pools = dict(pools)
-        if not isinstance(self.estimator, HetSiloDPerfEstimator):
-            self.estimator = HetSiloDPerfEstimator(
-                speedups=perf_model.default_speedup_table(
-                    reference=self.default_generation
-                ),
-                default_generation=self.default_generation,
-                base_estimator=self.estimator.compute_estimator,
-            )
+        else:
+            self.gpu_pools = dict(pools)
+            if not isinstance(self.estimator, HetSiloDPerfEstimator):
+                self.estimator = HetSiloDPerfEstimator(
+                    speedups=perf_model.default_speedup_table(
+                        reference=self.default_generation
+                    ),
+                    default_generation=self.default_generation,
+                    base_estimator=self.estimator.compute_estimator,
+                )
+        self.estimator.numpy = numpy
 
     def schedule(
         self,

@@ -29,10 +29,13 @@ Backends
 The per-event sweeps over the active set (advance, next-event search,
 completion/epoch detection) live in a columnar
 :class:`~repro.sim.jobtable.JobTable`, and per-key cache residency in a
-:class:`~repro.cache.residency.ResidencyStore`; both are numpy-backed
-when available and pure Python under ``REPRO_NO_NUMPY=1``, with
-bit-identical results either way (the backend equivalence contract
-of :mod:`repro.backend` — see ``docs/PERFORMANCE.md``).
+:class:`~repro.cache.residency.ResidencyStore`. The simulator picks
+their backend once, from the fleet size
+(:func:`repro.backend.fleet_numpy`): numpy from
+``VECTORIZE_MIN_GPUS`` GPUs up, pure Python below it or under
+``REPRO_NO_NUMPY=1``, with bit-identical results either way (the
+backend equivalence contract of :mod:`repro.backend` — see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import numpy_enabled, require_numpy
+from repro.backend import fleet_numpy
 from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
@@ -181,9 +184,8 @@ class FluidSimulator(SimulatorKernel):
         self._reschedule_interval_s = reschedule_interval_s
         self._crash_times = sorted(data_manager_crash_times_s)
         self._loss_times = sorted(server_loss_times_s)
-        #: numpy when the vectorized backend was selected at
-        #: construction, else ``None``; every structure below follows it.
-        self._np = require_numpy() if numpy_enabled() else None
+        # ``self._np`` (the kernel's, from :meth:`_pick_numpy`) picks
+        # the backend; every structure below follows it.
         vectorized = self._np is not None
         #: Per-key residency/target state (dict or numpy columns).
         self._cache = make_residency_store(vectorized)
@@ -310,6 +312,11 @@ class FluidSimulator(SimulatorKernel):
     # ------------------------------------------------------------------
     # Lifecycle hooks (see ``repro.sim.kernel``).
     # ------------------------------------------------------------------
+
+    def _pick_numpy(self, cluster: Cluster):
+        # Below VECTORIZE_MIN_GPUS numpy's per-call dispatch costs more
+        # than its arrays save (docs/PERFORMANCE.md).
+        return fleet_numpy(cluster.total_gpus)
 
     def _new_state(self, job: Job) -> JobProgress:
         self._epochs_done[job.job_id] = 0

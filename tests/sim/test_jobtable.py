@@ -1,16 +1,17 @@
 """The numpy job table against its pure-Python reference, bitwise.
 
-The numpy table keeps the moving rows' index (and their rate and
-total-work gathers) between rate writes; the fallback rescans its live
-rows on every sweep. Any interleaving of rate writes, admissions,
-retirements and rollbacks with the sweeps must give both tables the
-same floats.
+Both tables keep the moving rows (with their rate and total-work
+gathers) between rate writes, the numpy one as index arrays and the
+fallback as a row list; a fallback table that rescans its live rows on
+every sweep is the reference. Any interleaving of rate writes,
+admissions, retirements and rollbacks with the sweeps must give both
+tables the reference's floats.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.jobtable import JobTable
@@ -64,6 +65,15 @@ OPS = st.lists(
 )
 
 
+class UncachedTable(JobTable):
+    """The fallback table rescanning its live rows on every sweep: the
+    reference both caching tables are held to."""
+
+    def _moving(self):
+        self._moving_cache = None
+        return super()._moving()
+
+
 def _sweeps(table, clock_s):
     return (
         table.next_completion_time(clock_s),
@@ -83,10 +93,14 @@ def _bits(value):
 
 @settings(max_examples=150, deadline=None)
 @given(ops=OPS)
+# A rate write right after a sweep filled the moving-row caches.
+@example(ops=[("admit", 100.0, 50.0), ("set_rate", 0, 1.0)])
+@example(ops=[("admit", 100.0, 50.0), ("set_rates_bulk", [0], 1.0)])
 def test_numpy_table_matches_fallback_bitwise(ops):
     tables = [
         JobTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=True),
         JobTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=False),
+        UncachedTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=False),
     ]
     rows = 0
     clock_s = 0.0
@@ -120,8 +134,11 @@ def test_numpy_table_matches_fallback_bitwise(ops):
             rows += 1
         elif op == "advance":
             clock_s += value
-        vec, ref = tables
-        assert _bits(_sweeps(vec, clock_s)) == _bits(_sweeps(ref, clock_s))
-        assert [vec.work_done_mb(r).hex() for r in range(rows)] == [
-            ref.work_done_mb(r).hex() for r in range(rows)
-        ]
+        *cached, ref = tables
+        for table in cached:
+            assert _bits(_sweeps(table, clock_s)) == _bits(
+                _sweeps(ref, clock_s)
+            )
+            assert [table.work_done_mb(r).hex() for r in range(rows)] == [
+                ref.work_done_mb(r).hex() for r in range(rows)
+            ]
