@@ -46,6 +46,14 @@ TOTAL = ResourceVector(gpus=400, cache_mb=144_000 * GB, remote_io_mbps=4000.0)
 CTX = ScheduleContext(estimator=SiloDPerfEstimator())
 
 
+def assert_mean_below(benchmark, bound_s):
+    """Every timed run keeps its latency bound. Under
+    ``--benchmark-disable`` the function ran once, untimed, and there
+    are no stats to check."""
+    if not benchmark.disabled:
+        assert benchmark.stats["mean"] < bound_s
+
+
 def test_perf_gavel_joint_solve_500_jobs(benchmark):
     jobs = synthetic_jobs(500)
     assert len(jobs) > _SCALAR_MAX_JOBS  # the numpy solver
@@ -53,7 +61,7 @@ def test_perf_gavel_joint_solve_500_jobs(benchmark):
     alloc = benchmark(policy.schedule, jobs, TOTAL, CTX)
     assert alloc.total().gpus <= TOTAL.gpus + 1e-6
     # One solve must be fast enough for sub-minute scheduling rounds.
-    assert benchmark.stats["mean"] < 0.25
+    assert_mean_below(benchmark, 0.25)
 
 
 @pytest.mark.parametrize("solver", ["scalar", "numpy"])
@@ -84,7 +92,7 @@ def test_perf_sjf_scoring_500_jobs(benchmark):
     policy = SjfPolicy()
     alloc = benchmark(policy.schedule, jobs, TOTAL, CTX)
     assert alloc.gpus
-    assert benchmark.stats["mean"] < 0.25
+    assert_mean_below(benchmark, 0.25)
 
 
 def test_perf_waterfill_1000_jobs(benchmark):
@@ -92,13 +100,11 @@ def test_perf_waterfill_1000_jobs(benchmark):
     demands = {f"j{i}": float(rng.uniform(0, 200)) for i in range(1000)}
     grants = benchmark(io_share.max_min_waterfill, demands, 4000.0)
     assert sum(grants.values()) <= 4000.0 + 1e-6
-    assert benchmark.stats["mean"] < 0.05
+    assert_mean_below(benchmark, 0.05)
 
 
 def test_perf_greedy_cache_1000_jobs(benchmark):
     jobs = synthetic_jobs(1000, seed=2)
-    allocation = benchmark(
-        greedy_cache_allocation, jobs, 144_000 * GB, vectorized=True
-    )
+    allocation = benchmark(greedy_cache_allocation, jobs, 144_000 * GB)
     assert allocation
-    assert benchmark.stats["mean"] < 0.05
+    assert_mean_below(benchmark, 0.05)

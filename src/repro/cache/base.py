@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
@@ -50,9 +50,6 @@ class StorageBatchHints:
     * ``effective`` is the *live* effective-bytes map behind
       ``ctx.effective_mb`` (``effective.get(job_id, 0.0)`` ≡
       ``ctx.effective_mb(job)``);
-    * the ``*_arr`` fields are numpy float64 mirrors of ``rates``, the
-      jobs' dataset sizes, and ``scheduler_allocation.remote_io_of`` per
-      job — ``None`` under the pure-Python backend;
     * ``targets``, when present, equals
       ``{name: mb for name, mb in scheduler_allocation.cache.items()
       if mb > 0}`` — the positive-grant filter every decide would
@@ -63,25 +60,7 @@ class StorageBatchHints:
     job_ids: List[str]
     rates: List[float]
     effective: Dict[str, float]
-    rates_arr: Any = None
-    size_arr: Any = None
-    io_alloc_arr: Any = None
     targets: Optional[Dict[str, float]] = None
-
-
-@dataclasses.dataclass
-class StorageDecisionBatch:
-    """Columnar mirror of a decision, for the simulator's rate recompute.
-
-    ``hit_arr[i]`` / ``io_grant_arr[i]`` are the float64 values behind
-    ``hit_ratios[job_ids[i]]`` / ``io_grants[job_ids[i]]`` — producers
-    must build the dicts from these same arrays (``.tolist()`` round-
-    trips float64 exactly) so consumers may use either form.
-    """
-
-    job_ids: List[str]
-    hit_arr: Any
-    io_grant_arr: Any
 
 
 @dataclasses.dataclass
@@ -132,9 +111,6 @@ class StorageDecision:
     prefetch_rates: Dict[str, float] = dataclasses.field(
         default_factory=dict
     )
-    #: Optional columnar mirror of ``hit_ratios``/``io_grants`` (see
-    #: :class:`StorageDecisionBatch`); ``None`` from scalar paths.
-    batch: Optional[StorageDecisionBatch] = None
 
 
 class CacheSystem(abc.ABC):
@@ -175,9 +151,6 @@ class CacheSystem(abc.ABC):
 
     def reset(self) -> None:
         """Clear any internal profiling state between simulation runs."""
-
-    def use_numpy(self, numpy) -> None:
-        """Adopt the simulator's backend (the numpy module, or ``None``)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

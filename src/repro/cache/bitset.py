@@ -1,4 +1,4 @@
-"""Per-job access bitsets (§6) and the row-liveness bitset.
+"""Per-job access bitsets (§6).
 
 SiloD "maintains a bitset for each job to track its accessed items",
 enabling fine-grained policies to inspect the *effective* cache size and
@@ -6,19 +6,11 @@ the instantaneous remote-IO demand. The testbed emulator uses
 :class:`JobAccessBitset` for exactly that: items cached before the job's
 current epoch began are effective; items cached mid-epoch are resident but
 cannot produce hits until the next epoch (delayed effectiveness).
-
-:class:`RowBitset` is the pool-level analogue used by the vectorized hot
-paths (the array residency store in :mod:`repro.cache.residency` and the
-fluid simulator's job table): columnar state is append-only, so "which
-rows are live" is one growable numpy bool array whose raw mask feeds
-elementwise math directly.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Set
-
-from repro.backend import require_numpy
+from typing import Hashable, Iterable, Set
 
 
 class JobAccessBitset:
@@ -67,54 +59,3 @@ class JobAccessBitset:
         self._accessed_this_epoch.clear()
         self._epoch = 0
 
-
-class RowBitset:
-    """A growable bitset over dense row indices (tombstone tracking).
-
-    Append-only columnar stores mark retired rows dead here instead of
-    compacting. The bits are a numpy bool array, exposed raw through
-    :meth:`mask` so hot-path math can exclude tombstoned rows without a
-    Python loop. Only the vectorized backend uses it: the fallback
-    stores keep their live rows in ordered dicts.
-    """
-
-    def __init__(self, capacity: int = 0) -> None:
-        self._np = require_numpy()
-        self._bits = self._np.zeros(max(1, capacity), dtype=bool)
-
-    @property
-    def capacity(self) -> int:
-        """Rows currently addressable without growing."""
-        return len(self._bits)
-
-    def grow(self, capacity: int) -> None:
-        """Ensure at least ``capacity`` addressable rows (amortised 2x)."""
-        if capacity <= len(self._bits):
-            return
-        bits = self._np.zeros(max(capacity, 2 * len(self._bits)), dtype=bool)
-        bits[: len(self._bits)] = self._bits
-        self._bits = bits
-
-    def set(self, row: int) -> None:
-        """Mark ``row`` live."""
-        self._bits[row] = True
-
-    def clear(self, row: int) -> None:
-        """Mark ``row`` dead (tombstone)."""
-        self._bits[row] = False
-
-    def test(self, row: int) -> bool:
-        """Whether ``row`` is live."""
-        return bool(self._bits[row])
-
-    def mask(self, n: int):
-        """Bool array view of the first ``n`` rows."""
-        return self._bits[:n]
-
-    def count(self, n: int) -> int:
-        """Number of live rows among the first ``n``."""
-        return int(self._np.count_nonzero(self._bits[:n]))
-
-    def live_rows(self, n: int) -> List[int]:
-        """Ascending list of live row indices among the first ``n``."""
-        return self._np.nonzero(self._bits[:n])[0].tolist()

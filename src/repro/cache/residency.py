@@ -1,35 +1,33 @@
-"""Pool-level cache residency state, with a vectorized backend.
+"""Pool-level cache residency state.
 
 The fluid simulator tracks three scalars per cache key — the dataset
 size (fill ceiling), the bytes currently resident, and the placement
 target — and, *every event*, needs two aggregate views of them: the
 total resident bytes (the overshoot reclaimer's admission check) and a
 stale-data-first ordering (smallest target first) when the pool is
-oversubscribed. Historically this was a dict of per-key dataclasses and
-every event paid a Python scan proportional to the number of keys.
+oversubscribed.
 
 :class:`ResidencyStore` keeps the per-key scalars behind accessor
-methods so the storage layout is a backend choice:
+methods, with two implementations of the one contract:
 
-* :class:`DictResidencyStore` — the pure-Python fallback
-  (``REPRO_NO_NUMPY=1``): a dict of :class:`KeyState`, preserving the
-  historical behaviour operation for operation;
-* :class:`ArrayResidencyStore` — columnar numpy arrays with a
-  :class:`~repro.cache.bitset.RowBitset` liveness mask. Rows are
+* :class:`DictResidencyStore` — the store the fluid simulator runs on:
+  a dict of :class:`KeyState`;
+* :class:`ArrayResidencyStore` — columnar numpy arrays. Rows are
   append-only; popped keys are tombstoned with all scalars zeroed, so
-  aggregate reductions over the raw columns remain exact.
+  aggregate reductions over the raw columns remain exact. No simulator
+  constructs it: it is the independent reference the residency
+  property tests hold the dict store to.
 
-Equivalence contract (see ``docs/PERFORMANCE.md``): for any operation
-sequence the two backends return bit-identical floats. The two
-non-trivial cases are handled explicitly:
+Equivalence contract: for any operation sequence the two stores return
+bit-identical floats. The two non-trivial cases are handled explicitly:
 
 * :meth:`ResidencyStore.total_resident_mb` must equal a sequential
   left-to-right Python sum over keys in insertion order. The array
-  backend uses ``np.cumsum(...)[-1]`` — a *sequential* prefix sum, not
+  store uses ``np.cumsum(...)[-1]`` — a *sequential* prefix sum, not
   numpy's pairwise ``np.sum`` — and tombstoned rows contribute an exact
   ``0.0`` (``x + 0.0 == x`` for every non-negative float).
 * :meth:`ResidencyStore.stale_first_keys` must equal Python's stable
-  ``sorted(keys, key=target)``. The array backend gathers live rows in
+  ``sorted(keys, key=target)``. The array store gathers live rows in
   insertion order and applies ``np.argsort(kind="stable")``.
 """
 
@@ -39,8 +37,7 @@ import dataclasses
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.backend import require_numpy
-from repro.cache.bitset import RowBitset
+import numpy as np
 
 
 @dataclasses.dataclass
@@ -53,7 +50,7 @@ class KeyState:
 
 
 class ResidencyStore:
-    """Accessor contract shared by the two backends.
+    """Accessor contract shared by the two stores.
 
     Keys iterate in insertion order (the order :meth:`ensure` first saw
     them); a popped key's order slot is gone for good. All getters raise
@@ -61,20 +58,13 @@ class ResidencyStore:
     ``None`` — the hot loop's one-lookup read.
 
     The *plan* APIs (:meth:`prepare_targets` / :meth:`make_fill_plan`)
-    let a caller hoist the per-key lookups of a repeated operation out of
-    its hot loop: the plan captures the key→row mapping once, and
-    re-running it is pure array math on the vectorized backend. Plans are
-    tied to the key set they were built against — they report staleness
-    (via :attr:`keyset_version`) instead of silently touching the wrong
-    rows, and the caller rebuilds.
+    let a caller hoist the per-key work of a repeated operation out of
+    its hot loop. The dict store's plans resolve keys on every run and
+    never go stale. The array store's plans capture the key→row mapping
+    once, so they are tied to the key set they were built against: they
+    report staleness (via ``keyset_version``) instead of silently
+    touching the wrong rows, and the caller rebuilds.
     """
-
-    #: Backend label for diagnostics.
-    backend = "base"
-
-    #: Bumped whenever the key set changes (a key created or popped);
-    #: plan objects captured under an older version are stale.
-    keyset_version = 0
 
     def ensure(self, key: str, size_mb: float) -> None:
         """Create ``key`` (resident and target zero) if absent."""
@@ -182,7 +172,7 @@ class ResidencyStore:
         ``rate * dt`` MB, capped at ``min(target, size)`` and skipping
         keys already at target (``resident >= target - 1e-9``) — the
         single-filler fast path of the fluid simulator's
-        ``_advance_to``, with bit-identical arithmetic on both backends.
+        ``_advance_to``, with bit-identical arithmetic on both stores.
         Keys missing at plan time are skipped (the caller re-plans when
         the key set changes).
         """
@@ -205,22 +195,17 @@ class ResidencyStore:
 
 
 class DictResidencyStore(ResidencyStore):
-    """The pure-Python fallback: a dict of :class:`KeyState`."""
-
-    backend = "fallback"
+    """The simulator's store: a dict of :class:`KeyState`."""
 
     def __init__(self) -> None:
         self._states: Dict[str, KeyState] = {}
-        self.keyset_version = 0
 
     def ensure(self, key: str, size_mb: float) -> None:
         if key not in self._states:
             self._states[key] = KeyState(size_mb=size_mb)
-            self.keyset_version += 1
 
     def pop(self, key: str) -> None:
-        if self._states.pop(key, None) is not None:
-            self.keyset_version += 1
+        self._states.pop(key, None)
 
     def keys(self) -> List[str]:
         return list(self._states)
@@ -330,19 +315,19 @@ class DictResidencyStore(ResidencyStore):
             target = state.target_mb
             if resident >= target - 1e-9:
                 continue
-            cap = min(target, state.size_mb)
-            state.resident_mb = min(cap, resident + rate * dt)
+            # min(target, size) and min(cap, filled), written as the
+            # builtins' own comparisons (same ties, same NaN choice).
+            size = state.size_mb
+            cap = size if size < target else target
+            filled = resident + rate * dt
+            state.resident_mb = filled if filled < cap else cap
         return True
 
 
 class ArrayResidencyStore(ResidencyStore):
-    """Columnar numpy backend with tombstoned (bitset-masked) rows."""
-
-    backend = "vectorized"
+    """Columnar numpy store with tombstoned rows."""
 
     def __init__(self, capacity: int = 16) -> None:
-        np = require_numpy()
-        self._np = np
         capacity = max(1, capacity)
         self._n = 0  # rows allocated (live + tombstoned)
         #: key -> row, insertion-ordered; pops delete, so iterating this
@@ -351,18 +336,17 @@ class ArrayResidencyStore(ResidencyStore):
         self._size = np.zeros(capacity)
         self._resident = np.zeros(capacity)
         self._target = np.zeros(capacity)
-        self._live = RowBitset(capacity)
+        #: Bumped whenever the key set changes (a key created or popped);
+        #: plans captured under an older version are stale.
         self.keyset_version = 0
 
     def _grow(self, capacity: int) -> None:
-        np = self._np
         new_cap = max(capacity, 2 * len(self._size))
         for name in ("_size", "_resident", "_target"):
             old = getattr(self, name)
             new = np.zeros(new_cap)
             new[: len(old)] = old
             setattr(self, name, new)
-        self._live.grow(new_cap)
 
     def ensure(self, key: str, size_mb: float) -> None:
         if key in self._index:
@@ -375,7 +359,6 @@ class ArrayResidencyStore(ResidencyStore):
         self._size[row] = size_mb
         self._resident[row] = 0.0
         self._target[row] = 0.0
-        self._live.set(row)
         self.keyset_version += 1
 
     def pop(self, key: str) -> None:
@@ -383,7 +366,6 @@ class ArrayResidencyStore(ResidencyStore):
         if row is None:
             return
         # Zero the tombstone so raw-column reductions stay exact.
-        self._live.clear(row)
         self._size[row] = 0.0
         self._resident[row] = 0.0
         self._target[row] = 0.0
@@ -430,14 +412,13 @@ class ArrayResidencyStore(ResidencyStore):
         if self._n == 0:
             return 0.0
         # cumsum is a sequential prefix sum — unlike np.sum's pairwise
-        # reduction it adds left to right, exactly like the fallback
-        # loop; tombstoned rows contribute an exact 0.0.
-        return float(self._np.cumsum(self._resident[: self._n])[-1])
+        # reduction it adds left to right, exactly like the dict
+        # store's loop; tombstoned rows contribute an exact 0.0.
+        return float(np.cumsum(self._resident[: self._n])[-1])
 
     def stale_first_keys(self) -> List[str]:
         if not self._index:
             return []
-        np = self._np
         keys = list(self._index)
         rows = np.fromiter(
             self._index.values(), dtype=np.intp, count=len(keys)
@@ -448,7 +429,6 @@ class ArrayResidencyStore(ResidencyStore):
     def reclaim_candidates(self) -> List[Tuple[str, float, float]]:
         if not self._index:
             return []
-        np = self._np
         keys = list(self._index)
         rows = np.fromiter(
             self._index.values(), dtype=np.intp, count=len(keys)
@@ -470,7 +450,6 @@ class ArrayResidencyStore(ResidencyStore):
     def clear_targets_except(self, keep: Iterable[str]) -> None:
         if not self._index:
             return
-        np = self._np
         rows = np.fromiter(
             self._index.values(), dtype=np.intp, count=len(self._index)
         )
@@ -491,7 +470,6 @@ class ArrayResidencyStore(ResidencyStore):
         """Install a placement decision's targets in one pass."""
         if not targets:
             return []
-        np = self._np
         keys = list(targets)
         for key in keys:
             if key not in self._index:
@@ -516,7 +494,6 @@ class ArrayResidencyStore(ResidencyStore):
         return [(keys[i], float(new_targets[i])) for i in over.tolist()]
 
     def prepare_targets(self, targets, sizes):
-        np = self._np
         keys = list(targets)
         for key in keys:
             if key not in self._index:
@@ -543,7 +520,6 @@ class ArrayResidencyStore(ResidencyStore):
             return None
         if not keys:
             return []
-        np = self._np
         # Same arithmetic as apply_targets, minus the key resolution:
         # size = max(size, floor); target = min(wanted, size).
         size = np.maximum(self._size[rows], floors)
@@ -554,7 +530,6 @@ class ArrayResidencyStore(ResidencyStore):
         return [(keys[i], float(new_targets[i])) for i in over.tolist()]
 
     def make_fill_plan(self, items):
-        np = self._np
         index = self._index
         rows = []
         rates = []
@@ -570,46 +545,12 @@ class ArrayResidencyStore(ResidencyStore):
             np.asarray(rates, dtype=float),
         )
 
-    def resolve_fill_rows(self, keys):
-        """``(keyset_version, row array)`` for ``keys`` (missing → -1).
-
-        The columnar companion of :meth:`make_fill_plan`'s key
-        resolution: callers that already hold per-key rates as arrays
-        resolve rows once per key set, drop the ``-1`` entries (exactly
-        the keys ``make_fill_plan`` would skip), and assemble plans with
-        :meth:`fill_plan_from_rows` — no per-key Python loop per plan.
-        """
-        np = self._np
-        index = self._index
-        rows = np.fromiter(
-            (index.get(key, -1) for key in keys),
-            dtype=np.intp,
-            count=len(keys),
-        )
-        return self.keyset_version, rows
-
-    def fill_plan_from_rows(self, version, rows, rates):
-        """A :meth:`run_fill_plan` plan from pre-resolved rows.
-
-        ``version``/``rows`` must come from :meth:`resolve_fill_rows`
-        with the ``-1`` (missing-key) entries already filtered out;
-        ``rates`` is the matching float array. Equivalent to
-        ``make_fill_plan`` over the same ``(key, rate)`` pairs.
-        """
-        np = self._np
-        return (
-            version,
-            np.asarray(rows, dtype=np.intp),
-            np.asarray(rates, dtype=float),
-        )
-
     def run_fill_plan(self, plan, dt: float) -> bool:
         version, rows, rates = plan
         if version != self.keyset_version:
             return False
         if rows.size == 0:
             return True
-        np = self._np
         resident = self._resident[rows]
         target = self._target[rows]
         # Scalar path, elementwise: skip keys at target; cap at
@@ -622,7 +563,3 @@ class ArrayResidencyStore(ResidencyStore):
         self._resident[rows[filling]] = new[filling]
         return True
 
-
-def make_residency_store(vectorized: bool) -> ResidencyStore:
-    """Build the residency store for the caller's backend."""
-    return ArrayResidencyStore() if vectorized else DictResidencyStore()

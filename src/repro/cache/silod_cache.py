@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.backend import numpy_enabled, require_numpy
 from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
     StorageContext,
     StorageDecision,
-    StorageDecisionBatch,
     trace_io_grants,
 )
 from repro.core.policies import io_share
@@ -48,11 +46,6 @@ class _Reusable(NamedTuple):
     #: The effective bytes ``decide`` read, in ``hints.job_ids`` order.
     effective: List[float]
     decision: StorageDecision
-
-
-#: Below this many running jobs the scalar comprehensions win; matches
-#: the estimator's batch cutoff.
-_BATCH_MIN_JOBS = 8
 
 
 class SiloDDataManager(CacheSystem):
@@ -73,19 +66,12 @@ class SiloDDataManager(CacheSystem):
         self._io_allocation = io_allocation
         if not io_allocation:
             self.name = "silod-no-io-alloc"
-        #: numpy when the vectorized backend is selected, else ``None``:
-        #: resolved at construction, then set to the simulator's choice
-        #: by :meth:`use_numpy` (never re-read per decision).
-        self._np = require_numpy() if numpy_enabled() else None
         #: The last reusable decision (see :meth:`reallocate`).
         self._memo: Optional[_Reusable] = None
 
     def reset(self) -> None:
         """Drop the reusable decision (a data-manager crash loses it)."""
         self._memo = None
-
-    def use_numpy(self, numpy) -> None:
-        self._np = numpy
 
     def reallocate(self, ctx: StorageContext) -> StorageDecision:
         """Return the previous decision object when nothing it read moved.
@@ -139,7 +125,7 @@ class SiloDDataManager(CacheSystem):
                 "run it with a storage-aware SiloDScheduler"
             )
 
-        # desired_rate(job, ctx) for every job at once — one vectorized
+        # desired_rate(job, ctx) for every job at once — one batched
         # compute-bound evaluation instead of a per-job estimator call.
         # The simulator's per-epoch hints carry the same values already
         # gathered (their contract guarantees bit-identical floats).
@@ -166,32 +152,7 @@ class SiloDDataManager(CacheSystem):
                 for name, cache_mb in allocation.cache.items()
                 if cache_mb > 0
             }
-        hits = demand_arr = None
-        np = self._np
-        if n >= _BATCH_MIN_JOBS and np is not None:
-            # min(1.0, effective/size) and rate*(1-hit), elementwise —
-            # bit-identical to the scalar comprehensions below.
-            if hints is not None and hints.rates_arr is not None:
-                eff = np.fromiter(
-                    (hints.effective.get(jid, 0.0) for jid in job_ids),
-                    float,
-                    count=n,
-                )
-                size = hints.size_arr
-                rate_arr = hints.rates_arr
-            else:
-                eff = np.fromiter(
-                    (ctx.effective_mb(job) for job in jobs), float, count=n
-                )
-                size = np.fromiter(
-                    (job.dataset.size_mb for job in jobs), float, count=n
-                )
-                rate_arr = np.asarray(rates, float)
-            hits = np.minimum(1.0, eff / size)
-            demand_arr = rate_arr * (1.0 - hits)
-            hit_ratios = dict(zip(job_ids, hits.tolist()))
-            demands = dict(zip(job_ids, demand_arr.tolist()))
-        elif hints is not None:
+        if hints is not None:
             effective = hints.effective
             hit_ratios = {
                 jid: min(
@@ -235,30 +196,13 @@ class SiloDDataManager(CacheSystem):
         # does not second-guess them; capping at the current demand only
         # keeps the accounting honest (a job cannot pull bytes it cannot
         # consume).
-        batch = None
-        if demand_arr is not None:
-            if hints is not None and hints.io_alloc_arr is not None:
-                io_alloc = hints.io_alloc_arr
-            else:
-                io_alloc = np.fromiter(
-                    (allocation.remote_io_of(jid) for jid in job_ids),
-                    float,
-                    count=n,
-                )
-            granted = np.minimum(io_alloc, demand_arr)
-            io_grants = dict(zip(job_ids, granted.tolist()))
-            batch = StorageDecisionBatch(
-                job_ids=job_ids, hit_arr=hits, io_grant_arr=granted
-            )
-        else:
-            io_grants = {
-                jid: min(allocation.remote_io_of(jid), demands[jid])
-                for jid in job_ids
-            }
+        io_grants = {
+            jid: min(allocation.remote_io_of(jid), demands[jid])
+            for jid in job_ids
+        }
         trace_io_grants(ctx, hit_ratios, io_grants)
         return StorageDecision(
             cache_targets=targets,
             hit_ratios=hit_ratios,
             io_grants=io_grants,
-            batch=batch,
         )

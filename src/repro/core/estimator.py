@@ -19,18 +19,12 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.backend import numpy_enabled, require_numpy
 from repro.cluster.job import Job
 from repro.core import perf_model
 from repro.core.resources import ResourceVector
 
 #: Signature of a compute-only estimator: (job, gpus granted) -> MB/s.
 ComputeEstimator = Callable[[Job, float], float]
-
-#: Below this many jobs the vectorized batch path is not worth the numpy
-#: call overhead; the loop fallback runs instead (results are identical
-#: either way, so the cutoff is purely a latency knob).
-_BATCH_MIN_JOBS = 8
 
 
 def linear_compute_estimator(job: Job, gpus: float) -> float:
@@ -52,24 +46,12 @@ class SiloDPerfEstimator:
     compute_estimator:
         The original scheduler's ``perf(j, R)`` in MB/s. Defaults to
         :func:`linear_compute_estimator`.
-
-    Attributes
-    ----------
-    numpy:
-        The numpy module when the vectorized backend is selected, else
-        ``None``: resolved at construction (``REPRO_NO_NUMPY`` unset),
-        then set to the simulator's choice for its run by
-        :meth:`~repro.core.silod.SiloDScheduler.enable_heterogeneity`.
-        Batched evaluations and the policy helpers that take this
-        estimator read the backend from here instead of re-checking the
-        environment on every call.
     """
 
     def __init__(
         self, compute_estimator: ComputeEstimator = linear_compute_estimator
     ) -> None:
         self._compute_estimator = compute_estimator
-        self.numpy = require_numpy() if numpy_enabled() else None
 
     @property
     def compute_estimator(self) -> ComputeEstimator:
@@ -83,34 +65,13 @@ class SiloDPerfEstimator:
     def compute_bound_batch(
         self, jobs: Sequence[Job], gpus: Sequence[float]
     ) -> List[float]:
-        """``[compute_bound(j, g) for j, g in zip(jobs, gpus)]``, batched.
+        """``[compute_bound(j, g) for j, g in zip(jobs, gpus)]``.
 
         The hot callers (the fluid simulator's rate recompute, the
         per-round IO-demand pass, the SiloD data manager) evaluate the
-        compute bound for every running job at once; with the default
-        :func:`linear_compute_estimator` that is one elementwise numpy
-        expression mirroring the scalar formula operation for operation
-        (``f* * min(1.0, gpus / num_gpus)``), so the returned floats are
-        bit-identical to the loop. Custom estimators (and the
-        ``REPRO_NO_NUMPY=1`` fallback) take the loop.
+        compute bound for every running job at once through this one
+        entry point.
         """
-        jobs = list(jobs)
-        np = self.numpy
-        if (
-            len(jobs) >= _BATCH_MIN_JOBS
-            and self._compute_estimator is linear_compute_estimator
-            and np is not None
-        ):
-            n = len(jobs)
-            f_star = np.fromiter(
-                (job.ideal_throughput_mbps for job in jobs), float, count=n
-            )
-            requested = np.fromiter(
-                (job.num_gpus for job in jobs), float, count=n
-            )
-            granted = np.fromiter(gpus, float, count=n)
-            fraction = np.minimum(1.0, granted / requested)
-            return (f_star * fraction).tolist()
         return [
             self.compute_bound(job, grant)
             for job, grant in zip(jobs, gpus)
@@ -181,11 +142,6 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
     single-generation fleet) produces bit-identical numbers to the
     plain :class:`SiloDPerfEstimator`.
 
-    Because the wrapped compute estimator is not the module-level
-    ``linear_compute_estimator`` object, :meth:`compute_bound_batch`
-    always takes the scalar loop — heterogeneous estimates are
-    backend-identical by construction (``REPRO_NO_NUMPY=1`` changes
-    nothing).
     """
 
     def __init__(

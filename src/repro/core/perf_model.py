@@ -240,7 +240,7 @@ def het_silod_perf(
 
     On the reference generation the speedup factor is exactly 1.0, so
     this is bit-identical to :func:`silod_perf` — the collapse property
-    ``tests/core/test_het_perf_model.py`` pins under both backends.
+    ``tests/core/test_het_perf_model.py`` pins.
     """
     return silod_perf(
         het_f_star(

@@ -157,49 +157,10 @@ def instantaneous_io_demands(
     steady-state demand.
     """
     jobs = list(jobs)
-    n = len(jobs)
     gpu_map = allocation.gpus
     f_stars = ctx.estimator.compute_bound_batch(
         jobs, [gpu_map.get(job.job_id, 0.0) for job in jobs]
     )
-    np = ctx.estimator.numpy
-    if n >= 8 and np is not None:
-        # Eq 2 elementwise: f* * (1 - min(1, hits/size)) — bit-identical
-        # to perf_model.remote_io_demand on each element.
-        eff_map = ctx.effective_cache_map
-        cache_map = allocation.cache
-        if eff_map is not None:
-            # Same min() as effective_hits_mb, inlined to plain dict
-            # lookups for the per-job sweep.
-            hits = np.fromiter(
-                (
-                    min(
-                        cache_map.get(job.dataset.name, 0.0),
-                        eff_map.get(job.job_id, 0.0),
-                    )
-                    for job in jobs
-                ),
-                float,
-                count=n,
-            )
-        else:
-            hits = np.fromiter(
-                (
-                    ctx.effective_hits_mb(
-                        job, cache_map.get(job.dataset.name, 0.0)
-                    )
-                    for job in jobs
-                ),
-                float,
-                count=n,
-            )
-        size = np.fromiter(
-            (job.dataset.size_mb for job in jobs), float, count=n
-        )
-        demand_arr = np.asarray(f_stars, float) * (
-            1.0 - np.minimum(1.0, hits / size)
-        )
-        return dict(zip((job.job_id for job in jobs), demand_arr.tolist()))
     demands: Dict[str, float] = {}
     for job, f_star in zip(jobs, f_stars):
         hits_mb = ctx.effective_hits_mb(
@@ -226,9 +187,7 @@ def allocate_storage_greedily(
     when the policy has a job ordering to respect.
     """
     for name, cache_mb in greedy_cache_allocation(
-        running_jobs,
-        total.cache_mb,
-        vectorized=ctx.estimator.numpy is not None,
+        running_jobs, total.cache_mb
     ).items():
         allocation.grant_cache(name, cache_mb)
     demands = instantaneous_io_demands(running_jobs, allocation, ctx)

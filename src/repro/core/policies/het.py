@@ -33,10 +33,8 @@ speedup table anchored at the fleet's generation the factors are
 exactly 1.0, so allocations are bit-identical to ``GavelPolicy``
 (the collapse property of ``tests/core/test_het_perf_model.py``).
 
-The joint solver (``gavel.py``) imports numpy unconditionally: it is
-deliberately outside the ``REPRO_NO_NUMPY`` fallback surface, so
-backend choice never changes policy numerics. This module is pure
-Python: the assignment scorer (:class:`_AssignmentScorer`, wrapped by
+The joint solver (``gavel.py``) picks its float-list or numpy path by
+round size only. This module is pure Python: the assignment scorer (:class:`_AssignmentScorer`, wrapped by
 :func:`common_ratio_for_assignment`) is called directly by the
 brute-force property test, and it shares the joint solver's scalar
 cache plan (:meth:`~repro.core.policies.gavel._Datasets.cache_plan`).

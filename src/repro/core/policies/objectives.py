@@ -71,9 +71,7 @@ class MaxTotalThroughputPolicy(SchedulingPolicy):
         # consumed, the Tetris packing heuristic specialised to
         # SiloDPerf's two consumable resources.
         for name, cache_mb in greedy_cache_allocation(
-            jobs,
-            total.cache_mb,
-            vectorized=ctx.estimator.numpy is not None,
+            jobs, total.cache_mb
         ).items():
             allocation.grant_cache(name, cache_mb)
 

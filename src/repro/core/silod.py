@@ -82,17 +82,15 @@ class SiloDScheduler:
         #: the per-generation compute bounds the policy weighed.
         self.last_gen_scores: Dict[str, Dict[str, float]] = {}
 
-    def enable_heterogeneity(self, cluster, numpy) -> None:
-        """Adopt the cluster's generation mix and the simulator's backend
-        (called by the simulators).
+    def enable_heterogeneity(self, cluster) -> None:
+        """Adopt the cluster's generation mix (called by the simulators).
 
         Homogeneous clusters only update :attr:`default_generation` —
         numerics are untouched, so pre-heterogeneity runs stay
         bit-identical. Mixed fleets install a
         :class:`HetSiloDPerfEstimator` anchored at the cluster's
         reference generation and expose per-generation GPU pools to
-        the policy. Either way the estimator's :attr:`numpy` becomes
-        ``numpy``, the run's backend (the module, or ``None``).
+        the policy.
         """
         gpu = getattr(cluster, "gpu", None)
         if gpu is not None:
@@ -110,7 +108,6 @@ class SiloDScheduler:
                     default_generation=self.default_generation,
                     base_estimator=self.estimator.compute_estimator,
                 )
-        self.estimator.numpy = numpy
 
     def schedule(
         self,

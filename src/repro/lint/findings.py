@@ -51,7 +51,7 @@ RULES: Dict[str, str] = {
     "POL004": "heterogeneity-aware policy never publishes per-generation "
     "scores (ScheduleContext.gen_scores)",
     "PERF001": "per-item Python loop over cache state in a module that "
-    "imports the vectorized helpers (use the store's bulk APIs)",
+    "imports repro.sim or repro.cache (use the store's bulk APIs)",
     "XUNI001": "mixed-unit arithmetic/comparison or suffix-mismatched "
     "assignment (units inferred across project calls)",
     "XUNI002": "argument's inferred unit does not match the callee "

@@ -1,14 +1,12 @@
-"""Perf pass: per-item Python sweeps over cache state in vectorized code.
+"""Perf pass: per-item Python sweeps over cache state on the hot paths.
 
-The vectorization campaign (``docs/PERFORMANCE.md``) moved the
-simulators' cache bookkeeping into bulk, array-friendly APIs
-(``ResidencyStore.apply_targets`` / ``total_resident_mb`` / the job
-table's masked sweeps). A module that imports the backend switch has
-opted into that contract, so a hand-written ``for key in
-store.keys(): ... store.resident_mb(key) ...`` loop there is a perf
-bug waiting to scale: it re-introduces the O(keys)-per-event scalar
-scans the campaign removed, and it silently bypasses the numpy path on
-both backends.
+The simulators' cache bookkeeping goes through bulk store APIs
+(``ResidencyStore.apply_targets`` / ``total_resident_mb`` /
+``reclaim_candidates`` / fill plans). A module that imports from
+``repro.sim`` or ``repro.cache`` works with that state, so a
+hand-written ``for key in store.keys(): ... store.resident_mb(key)
+...`` loop there is a perf bug waiting to scale: it re-introduces an
+O(keys)-per-event scan next to a store that already has a bulk answer.
 
 ``PERF001`` fires on a ``for`` loop in such a module when
 
@@ -30,8 +28,8 @@ from typing import List
 from repro.lint.engine import LintPass, SourceFile
 from repro.lint.findings import Finding
 
-#: Importing this marks a module as vectorization-aware.
-_VECTOR_MODULES = ("repro.backend",)
+#: Importing from these packages marks a module as handling cache state.
+_CACHE_PACKAGES = ("repro.sim", "repro.cache")
 
 #: Iterable-producing methods that enumerate cache state per key.
 _SWEEP_METHODS = {"keys", "stale_first_keys", "items"}
@@ -51,15 +49,22 @@ _SCALAR_ACCESSORS = {
 }
 
 
-def _imports_vector_helpers(tree: ast.AST) -> bool:
-    """Whether the module imports the vectorized-backend helpers."""
+def _in_cache_package(module: str) -> bool:
+    """``repro.sim`` / ``repro.cache`` or a module below either."""
+    return any(
+        module == package or module.startswith(package + ".")
+        for package in _CACHE_PACKAGES
+    )
+
+
+def _imports_cache_packages(tree: ast.AST) -> bool:
+    """Whether the module imports from ``repro.sim`` or ``repro.cache``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith(_VECTOR_MODULES):
-                    return True
+            if any(_in_cache_package(alias.name) for alias in node.names):
+                return True
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith(_VECTOR_MODULES):
+            if _in_cache_package(node.module):
                 return True
     return False
 
@@ -96,7 +101,7 @@ def _body_hits_scalar_accessor(loop: ast.For) -> bool:
 
 
 class PerfPass(LintPass):
-    """Flag scalar per-key cache sweeps in vectorization-aware modules."""
+    """Flag scalar per-key cache sweeps in modules handling cache state."""
 
     name = "perf"
     rules = ("PERF001",)
@@ -105,18 +110,18 @@ class PerfPass(LintPass):
         "PERF001": (
             "A for-loop over cache-state keys (store.keys() /\n"
             "stale_first_keys() / items()) whose body calls per-key\n"
-            "scalar accessors, in a module that imports the vectorized\n"
-            "backend helpers. That re-introduces the O(keys)-per-event\n"
-            "scans the vectorization campaign removed; use the store's\n"
-            "bulk APIs (apply_targets, total_resident_mb, masked\n"
-            "sweeps). Deliberate rare-path scans suppress the line\n"
-            "with a one-line justification."
+            "scalar accessors, in a module that imports from repro.sim\n"
+            "or repro.cache. That re-introduces an O(keys)-per-event\n"
+            "scan next to a store that has a bulk answer; use the\n"
+            "store's bulk APIs (apply_targets, total_resident_mb,\n"
+            "reclaim_candidates). Deliberate rare-path scans suppress\n"
+            "the line with a one-line justification."
         ),
     }
 
     def run(self, src: SourceFile) -> List[Finding]:
-        """Scan every ``for`` loop once the module opts into the backend."""
-        if not _imports_vector_helpers(src.tree):
+        """Scan every ``for`` loop once the module imports cache state."""
+        if not _imports_cache_packages(src.tree):
             return []
         findings: List[Finding] = []
         for node in ast.walk(src.tree):
@@ -131,7 +136,7 @@ class PerfPass(LintPass):
                     node,
                     "PERF001",
                     "per-item Python loop over cache state in a "
-                    "vectorized module; use the store's bulk APIs "
+                    "module handling it; use the store's bulk APIs "
                     "(apply_targets / total_resident_mb / "
                     "clear_targets_except) or justify the scan with a "
                     "disable comment",

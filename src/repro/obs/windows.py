@@ -13,8 +13,7 @@ over the samples still inside the window. Two eviction rules compose:
 
 Everything here is pure Python over ``ts_s``-ordered appends, so the
 percentiles are a deterministic function of the simulated run: the same
-event log produces the same snapshot with or without numpy
-(``REPRO_NO_NUMPY=1``) and across reruns. The one deliberately
+event log produces the same snapshot across reruns. The one deliberately
 non-deterministic *signal* is decision latency, whose samples are
 wall-clock milliseconds — the window machinery is still deterministic,
 the values are not (same carve-out as ``sched_decision.latency_ms``;

@@ -24,18 +24,14 @@ randomly (proportional effectiveness loss) when a target shrinks. A job's
 epoch boundaries, and initialised from resident bytes when it starts —
 which is how dataset sharing pays off immediately (§7.3).
 
-Backends
---------
+Job table and residency store
+-----------------------------
 The per-event sweeps over the active set (advance, next-event search,
-completion/epoch detection) live in a columnar
-:class:`~repro.sim.jobtable.JobTable`, and per-key cache residency in a
-:class:`~repro.cache.residency.ResidencyStore`. The simulator picks
-their backend once, from the fleet size
-(:func:`repro.backend.fleet_numpy`): numpy from
-``VECTORIZE_MIN_GPUS`` GPUs up, pure Python below it or under
-``REPRO_NO_NUMPY=1``, with bit-identical results either way (the
-backend equivalence contract of :mod:`repro.backend` — see
-``docs/PERFORMANCE.md``).
+completion/epoch detection) live in a :class:`~repro.sim.jobtable.JobTable`,
+and per-key cache residency in a
+:class:`~repro.cache.residency.DictResidencyStore`. Both are plain
+Python: every run takes the same numeric path (docs/PERFORMANCE.md has
+the measurements behind that choice).
 """
 
 from __future__ import annotations
@@ -43,13 +39,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import fleet_numpy
 from repro.cache.base import (
     CacheSystem,
     StorageBatchHints,
     StorageContext,
 )
-from repro.cache.residency import make_residency_store
+from repro.cache.residency import DictResidencyStore
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
 from repro.core.silod import SiloDScheduler
@@ -88,11 +83,6 @@ class _EpochView:
         "gpu_grants",
         "f_stars",
         "hints",
-        "keys_list",
-        "key_codes",
-        "job_keys",
-        "store_rows",
-        "store_rows_version",
     )
 
     running: List[Job]
@@ -102,18 +92,6 @@ class _EpochView:
     gpu_grants: Dict[str, float]
     f_stars: List[float]
     hints: StorageBatchHints
-    #: Distinct cache keys of the running set, first-sharer order; with
-    #: ``key_codes`` (small-int key per running job, numpy) and
-    #: ``job_keys`` (key string per running job) these make the rate
-    #: recompute's per-key grouping pure array math. ``None`` under the
-    #: pure-Python backend.
-    keys_list: Optional[List[str]]
-    key_codes: object
-    job_keys: Optional[List[str]]
-    #: Lazy ``resolve_fill_rows`` result over ``keys_list`` (store row
-    #: per key code), revalidated against the store's keyset version.
-    store_rows: object
-    store_rows_version: int
 
 
 class FluidSimulator(SimulatorKernel):
@@ -184,18 +162,14 @@ class FluidSimulator(SimulatorKernel):
         self._reschedule_interval_s = reschedule_interval_s
         self._crash_times = sorted(data_manager_crash_times_s)
         self._loss_times = sorted(server_loss_times_s)
-        # ``self._np`` (the kernel's, from :meth:`_pick_numpy`) picks
-        # the backend; every structure below follows it.
-        vectorized = self._np is not None
-        #: Per-key residency/target state (dict or numpy columns).
-        self._cache = make_residency_store(vectorized)
-        #: Columnar per-job progress and rates for the hot sweeps.
+        #: Per-key residency/target state.
+        self._cache = DictResidencyStore()
+        #: Per-job progress and rates for the hot sweeps.
         self._table = JobTable(
             capacity=len(jobs),
             rate_eps=_RATE_EPS,
             work_eps_mb=_WORK_EPS_MB,
             snap_mb=_EPOCH_SNAP_MB,
-            vectorized=vectorized,
         )
         #: Cache key per admitted job (``cache_key`` is deterministic, so
         #: it is computed once at admission instead of per event).
@@ -206,19 +180,12 @@ class FluidSimulator(SimulatorKernel):
         #: active set.
         self._filler_groups: List[Tuple[str, List[Tuple[str, float]]]] = []
         #: ``_filler_groups`` split by contributor count: single-filler
-        #: keys run through the store's bulk fill plan, shared keys take
-        #: the scalar exponential path (``math.exp`` — deliberately never
-        #: vectorized, see docs/PERFORMANCE.md).
-        self._filler_singles: List[Tuple[str, float]] = []
+        #: keys run as the store's fill plan (a linear fill), shared keys
+        #: take the exponential path (``math.exp``).
+        self._fill_plan: List[Tuple[str, float]] = []
         self._filler_multis: List[
             Tuple[str, List[Tuple[str, float]]]
         ] = []
-        #: Store-prepared fill plan for the single-filler keys (lazy).
-        self._fill_plan = None
-        #: Columnar source for the fill plan — ``(epoch view, key codes,
-        #: rates)`` from the vectorized rate recompute; ``None`` when the
-        #: recompute produced ``_filler_singles`` pairs instead.
-        self._fill_src = None
         #: Per-allocation-epoch job gathers (lazy; see ``_epoch_view``).
         self._epoch: Optional[_EpochView] = None
         #: ``(cache_targets, store plan)`` of the last applied decision;
@@ -313,11 +280,6 @@ class FluidSimulator(SimulatorKernel):
     # Lifecycle hooks (see ``repro.sim.kernel``).
     # ------------------------------------------------------------------
 
-    def _pick_numpy(self, cluster: Cluster):
-        # Below VECTORIZE_MIN_GPUS numpy's per-call dispatch costs more
-        # than its arrays save (docs/PERFORMANCE.md).
-        return fleet_numpy(cluster.total_gpus)
-
     def _new_state(self, job: Job) -> JobProgress:
         self._epochs_done[job.job_id] = 0
         self._table.admit(job.job_id, job.total_work_mb, job.dataset.size_mb)
@@ -406,7 +368,7 @@ class FluidSimulator(SimulatorKernel):
         if dt <= 0:
             self.clock_s = max(self.clock_s, t)
             return
-        # Job progress (one masked sweep over the job table).
+        # Job progress (one sweep over the job table's moving rows).
         self._table.advance(dt)
         # Cache fill. A job's own misses are by definition items it has
         # not read this epoch and that are not effective for it, so they
@@ -458,21 +420,12 @@ class FluidSimulator(SimulatorKernel):
                         via="miss",
                     )
         else:
-            # Single-filler keys: one store-level bulk plan (linear fill,
-            # bit-identical to the scalar arithmetic above). The plan
-            # caches the key->row resolution between rate recomputes and
-            # reports staleness if the key set changed underneath.
-            plan = self._fill_plan
-            if plan is None:
-                plan = self._build_fill_plan()
-            if plan is not None and not store.run_fill_plan(plan, dt):
-                # Keyset changed under the plan: re-resolve and retry.
-                plan = self._build_fill_plan()
-                if plan is not None:
-                    store.run_fill_plan(plan, dt)
-            # Shared keys solve the exponential ODE with math.exp — kept
-            # scalar on purpose: np.exp is not guaranteed bit-identical
-            # to libm's exp (see docs/PERFORMANCE.md).
+            # Single-filler keys: the store's fill plan (linear fill,
+            # bit-identical to the arithmetic above). A dict-store plan
+            # never goes stale: it skips keys that have gone.
+            if self._fill_plan:
+                store.run_fill_plan(self._fill_plan, dt)
+            # Shared keys solve the exponential ODE with math.exp.
             for key, contribs in self._filler_multis:
                 snap = store.snapshot(key)
                 if snap is None:
@@ -722,42 +675,6 @@ class FluidSimulator(SimulatorKernel):
             running, [gpu_map.get(job_id, 0.0) for job_id in job_ids]
         )
         view.f_stars = f_stars
-        rates_arr = size_arr = io_alloc_arr = None
-        view.keys_list = view.key_codes = view.job_keys = None
-        view.store_rows = None
-        view.store_rows_version = -1
-        np = self._np
-        if np is not None and running:
-            n = len(running)
-            rates_arr = np.asarray(f_stars, float)
-            size_arr = np.fromiter(
-                (job.dataset.size_mb for job in running), float, count=n
-            )
-            io_map = allocation.remote_io
-            io_alloc_arr = np.fromiter(
-                (io_map.get(job_id, 0.0) for job_id in job_ids),
-                float,
-                count=n,
-            )
-            # Key identity per running job, encoded as small ints so the
-            # rate recompute can group fillers by key without a per-job
-            # Python loop.
-            key_index: Dict[str, int] = {}
-            keys_list: List[str] = []
-            job_keys: List[str] = []
-            codes: List[int] = []
-            for job in running:
-                key = self._key_of(job)
-                job_keys.append(key)
-                code = key_index.get(key)
-                if code is None:
-                    code = len(keys_list)
-                    key_index[key] = code
-                    keys_list.append(key)
-                codes.append(code)
-            view.keys_list = keys_list
-            view.key_codes = np.asarray(codes, dtype=np.intp)
-            view.job_keys = job_keys
         # The positive-grant filter every decide would rebuild; the
         # epoch's decisions share this one dict (read-only per the
         # hints contract).
@@ -770,9 +687,6 @@ class FluidSimulator(SimulatorKernel):
             job_ids=job_ids,
             rates=f_stars,
             effective=self._effective,
-            rates_arr=rates_arr,
-            size_arr=size_arr,
-            io_alloc_arr=io_alloc_arr,
             targets=targets,
         )
         self._epoch = view
@@ -841,15 +755,14 @@ class FluidSimulator(SimulatorKernel):
         store = self._cache
         cached = self._targets_plan
         if cached is not None and cached[0] == targets:
-            # Same decision against the same key set: replay the
-            # store-prepared plan (clear_targets_except is a no-op — no
-            # key gained a target since the full application below).
-            over = store.apply_targets_prepared(cached[1])
-            if over is not None:
-                for key, new_target in over:
-                    self._shrink(key, new_target)
-                self._reclaim_overshoot()
-                return
+            # Same decision: replay the store-prepared plan, which a
+            # dict store never lets go stale (clear_targets_except is a
+            # no-op — no key gained a target since the full application
+            # below).
+            for key, new_target in store.apply_targets_prepared(cached[1]):
+                self._shrink(key, new_target)
+            self._reclaim_overshoot()
+            return
         # Dataset size per targeted key, from its most recently admitted
         # active sharer — the job whose write would win the historical
         # full scan over the active set.
@@ -867,7 +780,7 @@ class FluidSimulator(SimulatorKernel):
         self._cache.clear_targets_except(targets)
         plan = store.prepare_targets(targets, sizes)
         self._targets_plan = (dict(targets), plan)
-        for key, new_target in store.apply_targets_prepared(plan) or ():
+        for key, new_target in store.apply_targets_prepared(plan):
             self._shrink(key, new_target)
         # Keys without a current target keep their data only while the
         # total pool is not oversubscribed (uniform caching never evicts
@@ -954,13 +867,10 @@ class FluidSimulator(SimulatorKernel):
         view = self._epoch
         if view is not None and view.running is running:
             # The per-epoch gathers cover exactly this job list.
-            running = view.running
             f_stars = view.f_stars
             job_ids = view.job_ids
             rows = view.rows
-            f_arr = view.hints.rates_arr
         else:
-            view = None
             running = list(running)
             f_stars = self.scheduler.estimator.compute_bound_batch(
                 running,
@@ -968,119 +878,32 @@ class FluidSimulator(SimulatorKernel):
             )
             job_ids = [job.job_id for job in running]
             rows = [table.row_of(job_id) for job_id in job_ids]
-            f_arr = None
         hit_ratios = self._decision.hit_ratios
         io_grants = self._decision.io_grants
-        n = len(running)
         groups: Dict[str, List[Tuple[str, float]]] = {}
-        np = self._np
-        if np is not None and n >= 8:
-            if f_arr is None:
-                f_arr = np.asarray(f_stars, float)
-            batch = self._decision.batch
-            if batch is not None and batch.job_ids is job_ids:
-                # The decision's columnar mirror is aligned with this
-                # epoch's job list — skip the dict gathers entirely.
-                hit_src = batch.hit_arr
-                grant = batch.io_grant_arr
-            else:
-                hit_src = np.fromiter(
-                    (hit_ratios.get(jid, 0.0) for jid in job_ids),
-                    float,
-                    count=n,
-                )
-                grant = np.fromiter(
-                    (io_grants.get(jid, 0.0) for jid in job_ids),
-                    float,
-                    count=n,
-                )
-            hit = np.minimum(1.0, np.maximum(0.0, hit_src))
+        rates: List[float] = []
+        miss_rates: List[float] = []
+        for job_id, f_star in zip(job_ids, f_stars):
+            hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
             miss = 1.0 - hit
-            # Same selection as the scalar branch below: the division's
-            # inf/nan where miss vanishes is discarded by the where().
-            with np.errstate(divide="ignore", invalid="ignore"):
-                io_rate = grant / miss
-            rate_arr = np.where(
-                miss <= 1e-12, f_arr, np.minimum(f_arr, io_rate)
-            )
-            miss_arr = rate_arr * miss
-            table.set_rates_bulk(rows, rate_arr, miss_arr)
-            if (
-                view is not None
-                and view.key_codes is not None
-                and not self._tracer.enabled
-                and self._cache.backend == "vectorized"
-            ):
-                # Columnar grouping: count positive-miss fillers per key
-                # with bincount; single-filler keys become the fill
-                # plan's (code, rate) columns directly, shared keys drop
-                # to the (short) scalar exponential list. No events are
-                # emitted in this mode, so ``_filler_groups`` (the
-                # traced walk's structure) stays empty.
-                codes = view.key_codes
-                pos = np.nonzero(miss_arr > 0)[0]
-                singles_codes = rates_of_singles = None
-                multis: Dict[str, List[Tuple[str, float]]] = {}
-                if pos.size:
-                    counts = np.bincount(
-                        codes[pos], minlength=len(view.keys_list)
-                    )
-                    sharers = counts[codes[pos]]
-                    single_i = pos[sharers == 1]
-                    if single_i.size:
-                        singles_codes = codes[single_i]
-                        rates_of_singles = miss_arr[single_i]
-                    multi_i = pos[sharers > 1]
-                    if multi_i.size:
-                        job_keys = view.job_keys
-                        for i, miss_rate in zip(
-                            multi_i.tolist(),
-                            miss_arr[multi_i].tolist(),
-                        ):
-                            multis.setdefault(job_keys[i], []).append(
-                                (job_ids[i], miss_rate)
-                            )
-                self._filler_groups = []
-                self._filler_singles = []
-                self._filler_multis = list(multis.items())
-                self._fill_src = (
-                    (view, singles_codes, rates_of_singles)
-                    if singles_codes is not None
-                    else None
-                )
-                self._fill_plan = None
-                return
-            miss_list = miss_arr.tolist()
-            for i in np.nonzero(miss_arr > 0)[0].tolist():
-                job_id = job_ids[i]
+            grant = io_grants.get(job_id, 0.0)
+            if miss <= 1e-12:
+                rate = f_star
+            else:
+                rate = min(f_star, grant / miss)
+            miss_rate = rate * miss
+            rates.append(rate)
+            miss_rates.append(miss_rate)
+            if miss_rate > 0:
                 groups.setdefault(self._job_key[job_id], []).append(
-                    (job_id, miss_list[i])
+                    (job_id, miss_rate)
                 )
-        else:
-            rates: List[float] = []
-            miss_rates: List[float] = []
-            for job_id, f_star in zip(job_ids, f_stars):
-                hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
-                miss = 1.0 - hit
-                grant = io_grants.get(job_id, 0.0)
-                if miss <= 1e-12:
-                    rate = f_star
-                else:
-                    rate = min(f_star, grant / miss)
-                miss_rate = rate * miss
-                rates.append(rate)
-                miss_rates.append(miss_rate)
-                if miss_rate > 0:
-                    groups.setdefault(self._job_key[job_id], []).append(
-                        (job_id, miss_rate)
-                    )
-            table.set_rates_bulk(rows, rates, miss_rates)
+        table.set_rates_bulk(rows, rates, miss_rates)
         # Only these jobs can fill the cache until the next recompute;
         # _advance_to walks this per-key grouping (keys in first-filler
         # order, contributions in running order) instead of the whole
         # active set. Single-filler keys (linear fill) additionally get
-        # a store-level bulk plan; shared keys keep the scalar
-        # exponential path.
+        # a store fill plan; shared keys keep the exponential path.
         self._filler_groups = list(groups.items())
         singles: List[Tuple[str, float]] = []
         multis: List[Tuple[str, List[Tuple[str, float]]]] = []
@@ -1089,45 +912,8 @@ class FluidSimulator(SimulatorKernel):
                 singles.append((key, contribs[0][1]))
             else:
                 multis.append((key, contribs))
-        self._filler_singles = singles
+        self._fill_plan = self._cache.make_fill_plan(singles)
         self._filler_multis = multis
-        self._fill_src = None
-        self._fill_plan = None
-
-    def _build_fill_plan(self):
-        """Assemble the store fill plan for the current single fillers.
-
-        The columnar source resolves key codes to store rows through the
-        epoch view's (keyset-versioned) row cache — missing keys are
-        dropped exactly as ``make_fill_plan`` skips them; the pair-list
-        source delegates to the store. Returns ``None`` when there is
-        nothing to fill.
-        """
-        store = self._cache
-        src = self._fill_src
-        if src is not None:
-            view, codes, rates = src
-            if (
-                view.store_rows is None
-                or view.store_rows_version != store.keyset_version
-            ):
-                view.store_rows_version, view.store_rows = (
-                    store.resolve_fill_rows(view.keys_list)
-                )
-            rows = view.store_rows[codes]
-            found = rows >= 0
-            if not found.all():
-                rows = rows[found]
-                rates = rates[found]
-            plan = store.fill_plan_from_rows(
-                view.store_rows_version, rows, rates
-            )
-        elif self._filler_singles:
-            plan = store.make_fill_plan(self._filler_singles)
-        else:
-            plan = None
-        self._fill_plan = plan
-        return plan
 
     # ------------------------------------------------------------------
     # Sampling and results.

@@ -1,44 +1,31 @@
-"""Columnar per-job progress state for the fluid simulator's hot loop.
+"""Per-job progress state for the fluid simulator's hot loop.
 
 Between events the fluid simulator repeatedly answers four questions
 over the whole active set — when is the next completion, when is the
 next epoch boundary, advance everyone by ``dt``, who just finished or
-crossed an epoch — and each was a Python loop over
-:class:`~repro.cluster.job.JobProgress` objects. :class:`JobTable`
-stores the loop-carried scalars (work done, total work, epoch size,
-throughput, miss rate, completed epochs) columnarly so those sweeps are
-single numpy expressions; the pure-Python fallback (``REPRO_NO_NUMPY=1``)
-runs the same arithmetic as explicit loops.
+crossed an epoch. :class:`JobTable` stores the loop-carried scalars
+(work done, total work, epoch size, throughput, miss rate, completed
+epochs) in per-column Python lists indexed by row, so each sweep is one
+tight loop over plain floats instead of attribute reads on
+:class:`~repro.cluster.job.JobProgress` objects.
 
 The three per-event sweeps (advance, next completion, next epoch
 boundary) only touch *moving* rows — live with a rate above
 ``rate_eps``. That set changes only when a rate is written or a row is
-admitted or retired, so both tables keep the moving rows (with their
-rate and total-work gathers) between those writes instead of
-rescanning every live row on every call.
+admitted or retired, so the table keeps the moving rows (with their
+rate and total-work values) between those writes instead of rescanning
+every live row on every call.
 
 Rows are append-only in admission order — exactly the insertion order of
-the simulator's ``_active`` dict — and retirement tombstones a row via a
-:class:`~repro.cache.bitset.RowBitset` instead of compacting, so
-ascending row order is always the fallback's iteration order and
-``np.nonzero`` row lists line up with it.
-
-Equivalence contract (``docs/PERFORMANCE.md``): both backends produce
-bit-identical floats. Every vectorized expression mirrors the scalar
-formula operation for operation (same operand order, same intermediate
-expressions); reductions are value-only ``min``s (order-independent);
-and the one subtle primitive — float floor division in the epoch index —
-relies on ``np.floor_divide`` matching CPython's ``//`` for positive
-finite doubles, which the property tests fuzz explicitly.
+the simulator's ``_active`` dict — and retirement drops a row from the
+ordered live set instead of compacting, so ascending row order is the
+sweeps' iteration order.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
-
-from repro.backend import require_numpy
-from repro.cache.bitset import RowBitset
 
 
 class JobTable:
@@ -60,8 +47,6 @@ class JobTable:
         (:data:`repro.cluster.job._EPOCH_SNAP_MB`'s value).
     done_eps_mb:
         The ``JobProgress.done`` threshold (promotion skips done jobs).
-    vectorized:
-        The caller's backend: numpy columns or Python lists.
     """
 
     def __init__(
@@ -71,10 +56,7 @@ class JobTable:
         work_eps_mb: float,
         snap_mb: float,
         done_eps_mb: float = 1e-9,
-        *,
-        vectorized: bool,
     ) -> None:
-        self._vectorized = vectorized
         self._rate_eps = rate_eps
         self._work_eps = work_eps_mb
         self._snap = snap_mb
@@ -83,77 +65,38 @@ class JobTable:
         self._job_ids: List[str] = []
         self._rows = {}  # job_id -> row
         #: Interned GPU-generation names; the ``_gen`` column stores
-        #: indices into this list (-1 = unassigned). Kept as small-int
-        #: codes so the column stays numeric on both backends.
+        #: indices into this list (-1 = unassigned).
         self._gen_names: List[str] = []
         self._gen_codes = {}  # name -> index
-        #: The moving rows with their rate and total work, on both
-        #: backends (index arrays on numpy, a row list on the fallback;
-        #: see :meth:`_moving`), rebuilt lazily after any rate write,
+        #: The moving rows with their rate and total work (see
+        #: :meth:`_moving`), rebuilt lazily after any rate write,
         #: admission or retirement.
         self._moving_cache = None
         capacity = max(1, capacity)
-        if self._vectorized:
-            np = require_numpy()
-            self._np = np
-            self._work = np.zeros(capacity)
-            self._total = np.zeros(capacity)
-            self._epoch = np.ones(capacity)  # avoid 0-division on spares
-            self._rate = np.zeros(capacity)
-            self._miss = np.zeros(capacity)
-            self._epochs_done = np.zeros(capacity)
-            self._gen = np.full(capacity, -1, dtype=np.intp)
-            self._alive = RowBitset(capacity)
-        else:
-            self._work = [0.0] * capacity
-            self._total = [0.0] * capacity
-            self._epoch = [1.0] * capacity
-            self._rate = [0.0] * capacity
-            self._miss = [0.0] * capacity
-            self._epochs_done = [0.0] * capacity
-            self._gen = [-1] * capacity
-            #: Ordered set of live rows (dict preserves admission order;
-            #: rows only append, so iteration is ascending).
-            self._live = {}
-
-    @property
-    def backend(self) -> str:
-        """``"vectorized"`` or ``"fallback"``."""
-        return "vectorized" if self._vectorized else "fallback"
+        self._work = [0.0] * capacity
+        self._total = [0.0] * capacity
+        self._epoch = [1.0] * capacity
+        self._rate = [0.0] * capacity
+        self._miss = [0.0] * capacity
+        self._epochs_done = [0.0] * capacity
+        self._gen = [-1] * capacity
+        #: Ordered set of live rows (dict preserves admission order;
+        #: rows only append, so iteration is ascending).
+        self._live = {}
 
     # ------------------------------------------------------------------
     # Row lifecycle.
     # ------------------------------------------------------------------
 
     def _grow(self, capacity: int) -> None:
-        if self._vectorized:
-            np = self._np
-            new_cap = max(capacity, 2 * len(self._work))
-            for name, fill in (
-                ("_work", 0.0),
-                ("_total", 0.0),
-                ("_epoch", 1.0),
-                ("_rate", 0.0),
-                ("_miss", 0.0),
-                ("_epochs_done", 0.0),
-            ):
-                old = getattr(self, name)
-                new = np.full(new_cap, fill)
-                new[: len(old)] = old
-                setattr(self, name, new)
-            gen = np.full(new_cap, -1, dtype=np.intp)
-            gen[: len(self._gen)] = self._gen
-            self._gen = gen
-            self._alive.grow(new_cap)
-        else:
-            extra = max(capacity - len(self._work), len(self._work))
-            self._work.extend([0.0] * extra)
-            self._total.extend([0.0] * extra)
-            self._epoch.extend([1.0] * extra)
-            self._rate.extend([0.0] * extra)
-            self._miss.extend([0.0] * extra)
-            self._epochs_done.extend([0.0] * extra)
-            self._gen.extend([-1] * extra)
+        extra = max(capacity - len(self._work), len(self._work))
+        self._work.extend([0.0] * extra)
+        self._total.extend([0.0] * extra)
+        self._epoch.extend([1.0] * extra)
+        self._rate.extend([0.0] * extra)
+        self._miss.extend([0.0] * extra)
+        self._epochs_done.extend([0.0] * extra)
+        self._gen.extend([-1] * extra)
 
     def admit(self, job_id: str, total_work_mb: float, epoch_mb: float) -> int:
         """Append a row for a newly admitted job; returns its row index."""
@@ -171,21 +114,15 @@ class JobTable:
         self._epochs_done[row] = 0.0
         self._gen[row] = -1
         self._moving_cache = None
-        if self._vectorized:
-            self._alive.set(row)
-        else:
-            self._live[row] = None
+        self._live[row] = None
         return row
 
     def retire(self, row: int) -> None:
-        """Tombstone a finished job's row (rates zeroed, mask cleared)."""
+        """Tombstone a finished job's row (rates zeroed, row not live)."""
         self._rate[row] = 0.0
         self._miss[row] = 0.0
         self._moving_cache = None
-        if self._vectorized:
-            self._alive.clear(row)
-        else:
-            self._live.pop(row, None)
+        self._live.pop(row, None)
 
     def row_of(self, job_id: str) -> Optional[int]:
         """Row index for ``job_id`` (``None`` if never admitted)."""
@@ -196,7 +133,7 @@ class JobTable:
         return self._job_ids[row]
 
     # ------------------------------------------------------------------
-    # Scalar accessors (always plain Python floats).
+    # Scalar accessors.
     # ------------------------------------------------------------------
 
     def work_done_mb(self, row: int) -> float:
@@ -245,13 +182,9 @@ class JobTable:
     def clear_rates(self) -> None:
         """Zero every row's throughput and miss rate (pre-recompute)."""
         self._moving_cache = None
-        if self._vectorized:
-            self._rate[: self._n] = 0.0
-            self._miss[: self._n] = 0.0
-        else:
-            for row in range(self._n):
-                self._rate[row] = 0.0
-                self._miss[row] = 0.0
+        for row in range(self._n):
+            self._rate[row] = 0.0
+            self._miss[row] = 0.0
 
     def set_rate(self, row: int, rate: float, miss_rate: float) -> None:
         """Install ``row``'s freshly recomputed throughput and miss rate."""
@@ -265,21 +198,11 @@ class JobTable:
         rates: Sequence[float],
         miss_rates: Sequence[float],
     ) -> None:
-        """Scatter freshly recomputed rates for many rows at once.
-
-        One fancy-indexed assignment instead of per-row numpy scalar
-        writes — the rate recompute runs on every storage decision, so
-        the per-element write cost matters. Accepts lists or arrays.
-        """
+        """Install freshly recomputed rates for many rows at once (one
+        moving-row invalidation for the whole recompute)."""
         if len(rows) == 0:
             return
         self._moving_cache = None
-        if self._vectorized:
-            np = self._np
-            idx = np.asarray(rows, dtype=np.intp)
-            self._rate[idx] = np.asarray(rates, dtype=float)
-            self._miss[idx] = np.asarray(miss_rates, dtype=float)
-            return
         for row, rate, miss in zip(rows, rates, miss_rates):
             self._rate[row] = rate
             self._miss[row] = miss
@@ -288,136 +211,100 @@ class JobTable:
     # Whole-table sweeps (the per-event hot path).
     # ------------------------------------------------------------------
 
-    def _moving(self):
+    def _moving(self) -> List[Tuple[int, float, float]]:
         """The live, moving rows with their rate and total work.
 
-        ``(rows, rate[rows], total[rows])`` arrays on the numpy backend,
-        a list of ``(row, rate, total)`` in ascending row order on the
-        fallback. Cached between rate writes, admissions and
-        retirements — the only mutations that can change the set or
-        the gathered values.
+        A list of ``(row, rate, total)`` in ascending row order, cached
+        between rate writes, admissions and retirements — the only
+        mutations that can change the set or the gathered values.
         """
         cached = self._moving_cache
         if cached is None:
             rate, total, eps = self._rate, self._total, self._rate_eps
-            if self._vectorized:
-                n = self._n
-                rows = self._np.nonzero(
-                    self._alive.mask(n) & (rate[:n] > eps)
-                )[0]
-                cached = (rows, rate[rows], total[rows])
-            else:
-                cached = [
-                    (row, rate[row], total[row])
-                    for row in self._live
-                    if rate[row] > eps
-                ]
+            cached = [
+                (row, rate[row], total[row])
+                for row in self._live
+                if rate[row] > eps
+            ]
             self._moving_cache = cached
         return cached
 
+    # The per-event sweeps below write ``min(a, b)`` as
+    # ``b if b < a else a`` and ``max(0.0, x)`` as
+    # ``x if x > 0.0 else 0.0``: the same comparisons the builtins make,
+    # so ties and NaNs pick the same operand, without a call per row.
+
     def advance(self, dt: float) -> None:
         """Advance every live, moving job by ``rate * dt`` (work-capped)."""
-        if self._vectorized:
-            rows, rate, total = self._moving()
-            if rows.size == 0:
-                return
-            # Same expression as the scalar path:
-            # min(total, work + rate * dt).
-            work = self._work
-            work[rows] = self._np.minimum(total, work[rows] + rate * dt)
-            return
+        work = self._work
         for row, rate, total in self._moving():
-            self._work[row] = min(total, self._work[row] + rate * dt)
+            done = work[row] + rate * dt
+            work[row] = done if done < total else total
 
     def next_completion_time(self, clock_s: float) -> float:
         """Earliest ``clock + remaining/rate`` over live, moving jobs."""
-        if self._vectorized:
-            np = self._np
-            rows, rate, total = self._moving()
-            if rows.size == 0:
-                return math.inf
-            remaining = np.maximum(0.0, total - self._work[rows])
-            return float(np.min(clock_s + remaining / rate))
+        work = self._work
         best = math.inf
         for row, rate, total in self._moving():
-            remaining = max(0.0, total - self._work[row])
-            best = min(best, clock_s + remaining / rate)
+            remaining = total - work[row]
+            if not remaining > 0.0:
+                remaining = 0.0
+            t = clock_s + remaining / rate
+            if t < best:
+                best = t
         return best
 
     def next_epoch_boundary_time(self, clock_s: float) -> float:
         """Earliest upcoming epoch boundary strictly before completion."""
-        if self._vectorized:
-            np = self._np
-            rows, rate, total = self._moving()
-            if rows.size == 0:
-                return math.inf
-            work = self._work[rows]
-            epoch = self._epoch[rows]
-            remaining = np.maximum(0.0, total - work)
-            # JobProgress.work_to_epoch_boundary_mb, term by term.
-            epoch_index = np.floor_divide(work + self._snap, epoch)
-            position = np.maximum(0.0, work - epoch_index * epoch)
-            to_boundary = np.minimum(epoch - position, remaining)
-            sel = to_boundary < remaining - self._work_eps
-            if not sel.any():
-                return math.inf
-            return float(np.min(clock_s + to_boundary[sel] / rate[sel]))
+        work_col, epoch_col = self._work, self._epoch
+        snap, work_eps = self._snap, self._work_eps
         best = math.inf
         for row, rate, total in self._moving():
-            work = self._work[row]
-            epoch = self._epoch[row]
-            remaining = max(0.0, total - work)
-            epoch_index = (work + self._snap) // epoch
-            position = max(0.0, work - epoch_index * epoch)
-            to_boundary = min(epoch - position, remaining)
-            if to_boundary < remaining - self._work_eps:
-                best = min(best, clock_s + to_boundary / rate)
+            work = work_col[row]
+            epoch = epoch_col[row]
+            remaining = total - work
+            if not remaining > 0.0:
+                remaining = 0.0
+            # JobProgress.work_to_epoch_boundary_mb, term by term.
+            epoch_index = (work + snap) // epoch
+            position = work - epoch_index * epoch
+            if not position > 0.0:
+                position = 0.0
+            to_boundary = epoch - position
+            if remaining < to_boundary:
+                to_boundary = remaining
+            if to_boundary < remaining - work_eps:
+                t = clock_s + to_boundary / rate
+                if t < best:
+                    best = t
         return best
 
     def completed_rows(self) -> List[int]:
         """Live rows whose remaining work is within ``work_eps`` (asc)."""
-        if self._vectorized:
-            np = self._np
-            n = self._n
-            if n == 0:
-                return []
-            remaining = np.maximum(0.0, self._total[:n] - self._work[:n])
-            mask = self._alive.mask(n) & (remaining <= self._work_eps)
-            return np.nonzero(mask)[0].tolist()
+        total, work, eps = self._total, self._work, self._work_eps
         done = []
         for row in self._live:
-            remaining = max(0.0, self._total[row] - self._work[row])
-            if remaining <= self._work_eps:
+            remaining = total[row] - work[row]
+            if not remaining > 0.0:
+                remaining = 0.0
+            if remaining <= eps:
                 done.append(row)
         return done
 
     def epoch_flips(self) -> List[Tuple[int, int]]:
         """``(row, epochs_now)`` for unfinished jobs past a new boundary."""
-        if self._vectorized:
-            np = self._np
-            n = self._n
-            if n == 0:
-                return []
-            work = self._work[:n]
-            remaining = np.maximum(0.0, self._total[:n] - work)
-            epoch_index = np.floor_divide(
-                work + self._snap, self._epoch[:n]
-            )
-            mask = (
-                self._alive.mask(n)
-                & (remaining > self._done_eps)
-                & (epoch_index > self._epochs_done[:n])
-            )
-            rows = np.nonzero(mask)[0]
-            counts = epoch_index[rows].astype(int)
-            return list(zip(rows.tolist(), counts.tolist()))
+        total, work_col, epoch = self._total, self._work, self._epoch
+        epochs_done, snap, done_eps = (
+            self._epochs_done, self._snap, self._done_eps
+        )
         flips = []
         for row in self._live:
-            work = self._work[row]
-            remaining = max(0.0, self._total[row] - work)
-            epoch_index = (work + self._snap) // self._epoch[row]
-            if remaining > self._done_eps and (
-                epoch_index > self._epochs_done[row]
-            ):
-                flips.append((row, int(epoch_index)))
+            work = work_col[row]
+            remaining = total[row] - work
+            if not remaining > 0.0:
+                remaining = 0.0
+            if remaining > done_eps:
+                epoch_index = (work + snap) // epoch[row]
+                if epoch_index > epochs_done[row]:
+                    flips.append((row, int(epoch_index)))
         return flips

@@ -24,15 +24,13 @@ class body and fill in a few hooks:
   ``scheduler.schedule``;
 * :meth:`_invalidate_fraction`, :meth:`_preempt_job` and
   :meth:`_after_faults` — what a fault does to the cache model;
-* :meth:`_after_cancel` — what an active cancellation tears down;
-* :meth:`_pick_numpy` — the run's numeric backend.
+* :meth:`_after_cancel` — what an active cancellation tears down.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import numpy_enabled, require_numpy
 from repro.cache.base import CacheSystem, StorageDecision
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
@@ -82,14 +80,9 @@ class SimulatorKernel:
         self.cluster = cluster
         self.scheduler = scheduler
         self.cache_system = cache_system
-        #: numpy when this run's numerics are vectorized, else ``None``:
-        #: chosen once here and handed to the scheduler's estimator and
-        #: the cache system.
-        self._np = self._pick_numpy(cluster)
         # Adopt the cluster's GPU-generation mix (no-op numerics on
         # homogeneous fleets; installs the het estimator on mixed ones).
-        scheduler.enable_heterogeneity(cluster, self._np)
-        cache_system.use_numpy(self._np)
+        scheduler.enable_heterogeneity(cluster)
         self._tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None:
             scheduler.tracer = tracer
@@ -512,10 +505,6 @@ class SimulatorKernel:
     # ------------------------------------------------------------------
     # Hooks.
     # ------------------------------------------------------------------
-
-    def _pick_numpy(self, cluster: Cluster):
-        """The run's backend: numpy unless ``REPRO_NO_NUMPY`` forbids it."""
-        return require_numpy() if numpy_enabled() else None
 
     def _schedule_args(self) -> dict:
         """Extra keyword arguments for ``scheduler.schedule``."""

@@ -84,22 +84,11 @@ def _hints(jobs, allocation, effective, estimator):
     rates = estimator.compute_bound_batch(
         jobs, [allocation.gpus_of(jid) for jid in job_ids]
     )
-    np = estimator.numpy
-    arrays = {}
-    if np is not None:
-        arrays = dict(
-            rates_arr=np.asarray(rates, float),
-            size_arr=np.asarray([j.dataset.size_mb for j in jobs], float),
-            io_alloc_arr=np.asarray(
-                [allocation.remote_io_of(jid) for jid in job_ids], float
-            ),
-        )
     return StorageBatchHints(
         job_ids=job_ids,
         rates=rates,
         effective=effective,
         targets={k: v for k, v in allocation.cache.items() if v > 0},
-        **arrays,
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backend import numpy_enabled
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
 from repro.core.policies import greedy
@@ -32,9 +31,7 @@ def test_microbenchmark_allocation_matches_paper():
         job("eff1", 69.0, Dataset("d-eff1", 1.3 * tb)),
         job("bert", 8.0, Dataset("d-bert", 20.9 * tb)),
     ]
-    alloc = greedy.greedy_cache_allocation(
-        jobs, 2.0 * tb, vectorized=False
-    )
+    alloc = greedy.greedy_cache_allocation(jobs, 2.0 * tb)
     assert alloc["d-rn0"] == pytest.approx(1.3 * tb)
     assert alloc["d-rn1"] == pytest.approx(0.7 * tb)
     assert "d-eff0" not in alloc
@@ -45,7 +42,7 @@ def test_partial_caching_is_allowed():
     # Unlike Quiver, a dataset larger than the remaining space still gets
     # the remainder (Eq 4: partial caching still helps).
     jobs = [job("a", 100.0, Dataset("big", 1000.0))]
-    alloc = greedy.greedy_cache_allocation(jobs, 300.0, vectorized=False)
+    alloc = greedy.greedy_cache_allocation(jobs, 300.0)
     assert alloc["big"] == pytest.approx(300.0)
 
 
@@ -58,19 +55,17 @@ def test_dataset_sharing_sums_efficiency():
         job("c", 100.0, solo),
     ]
     # Shared dataset: 120/1000 beats solo's 100/1000.
-    rows = greedy.dataset_efficiencies(jobs, vectorized=False)
+    rows = greedy.dataset_efficiencies(jobs)
     assert rows[0][0] == "shared"
-    alloc = greedy.greedy_cache_allocation(
-        jobs, 1000.0, vectorized=False
-    )
+    alloc = greedy.greedy_cache_allocation(jobs, 1000.0)
     assert alloc == {"shared": 1000.0}
 
 
 def test_zero_cache():
     jobs = [job("a", 100.0, Dataset("d", 1000.0))]
-    assert greedy.greedy_cache_allocation(jobs, 0.0, vectorized=False) == {}
+    assert greedy.greedy_cache_allocation(jobs, 0.0) == {}
     with pytest.raises(ValueError):
-        greedy.greedy_cache_allocation(jobs, -1.0, vectorized=False)
+        greedy.greedy_cache_allocation(jobs, -1.0)
 
 
 def test_group_jobs_by_dataset():
@@ -93,26 +88,21 @@ def test_greedy_never_overcommits_and_is_sorted(f_stars, cache):
         job(f"j{i}", f, Dataset(f"d{i}", 1000.0 * (i + 1)))
         for i, f in enumerate(f_stars)
     ]
-    # Both backends where numpy is available (ten jobs reach the
-    # vectorized path's cutoff).
-    for vectorized in (False, True) if numpy_enabled() else (False,):
-        alloc = greedy.greedy_cache_allocation(jobs, cache, vectorized)
-        assert sum(alloc.values()) <= cache + 1e-6
-        for name, grant in alloc.items():
-            size = next(
-                j.dataset.size_mb for j in jobs if j.dataset.name == name
-            )
-            assert grant <= size + 1e-9
-        # Every allocated dataset is at least as efficient as any
-        # unallocated one that would have fit.
-        effs = dict(
-            (name, eff)
-            for name, eff, _size in greedy.dataset_efficiencies(
-                jobs, vectorized
-            )
+    alloc = greedy.greedy_cache_allocation(jobs, cache)
+    assert sum(alloc.values()) <= cache + 1e-6
+    for name, grant in alloc.items():
+        size = next(
+            j.dataset.size_mb for j in jobs if j.dataset.name == name
         )
-        if alloc:
-            worst_allocated = min(effs[name] for name in alloc)
-            for name, eff in effs.items():
-                if name not in alloc:
-                    assert eff <= worst_allocated + 1e-12
+        assert grant <= size + 1e-9
+    # Every allocated dataset is at least as efficient as any
+    # unallocated one that would have fit.
+    effs = dict(
+        (name, eff)
+        for name, eff, _size in greedy.dataset_efficiencies(jobs)
+    )
+    if alloc:
+        worst_allocated = min(effs[name] for name in alloc)
+        for name, eff in effs.items():
+            if name not in alloc:
+                assert eff <= worst_allocated + 1e-12

@@ -1,12 +1,11 @@
-"""Heterogeneous Eq. 4: calibration, collapse, and backend identity.
+"""Heterogeneous Eq. 4: calibration and collapse.
 
 The tentpole property is **collapse**: on a single-generation fleet the
 heterogeneity-aware machinery must be *bit-identical* to the
 homogeneous path. The speedup table guarantees it structurally — it is
 renormalised so the reference generation's factor is exactly ``1.0``,
 and ``x * 1.0 == x`` in IEEE-754 — and these tests pin the guarantee
-with hypothesis, under the vectorized and the pure-Python
-(``REPRO_NO_NUMPY=1``) backends alike.
+with hypothesis.
 """
 
 import math
@@ -15,11 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import (
-    BACKEND_FALLBACK,
-    BACKEND_VECTORIZED,
-    using_backend,
-)
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import GPU_GENERATIONS, RESNET50_TABLE2
 from repro.cluster.job import Job
@@ -120,13 +114,11 @@ def test_het_eq4_collapses_bit_identically(
     ideal=st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
     gpus=st.floats(min_value=0.0, max_value=64.0, allow_nan=False),
     reference=st.sampled_from(GENERATIONS),
-    backend=st.sampled_from([BACKEND_VECTORIZED, BACKEND_FALLBACK]),
 )
 def test_het_estimator_collapses_on_single_generation(
-    ideal, gpus, reference, backend
+    ideal, gpus, reference
 ):
-    """Het estimator with every job on the reference == base estimator,
-    under both backends (the REPRO_NO_NUMPY=1 contract)."""
+    """Het estimator with every job on the reference == base estimator."""
     job = Job(
         job_id="j",
         model="resnet50",
@@ -135,26 +127,25 @@ def test_het_estimator_collapses_on_single_generation(
         ideal_throughput_mbps=ideal,
         total_work_mb=2048.0,
     )
-    with using_backend(backend):
-        base = SiloDPerfEstimator()
-        het = HetSiloDPerfEstimator(
-            speedups=perf_model.default_speedup_table(
-                reference=reference
-            ),
-            default_generation=reference,
-        )
-        # Unassigned -> default generation -> factor exactly 1.0.
-        assert het.compute_bound(job, gpus) == base.compute_bound(
-            job, gpus
-        )
-        assert het.compute_bound_batch([job], [gpus]) == [
-            base.compute_bound(job, gpus)
-        ]
-        # Explicit assignment to the reference is the same collapse.
-        het.assignments[job.job_id] = reference
-        assert het.compute_bound(job, gpus) == base.compute_bound(
-            job, gpus
-        )
+    base = SiloDPerfEstimator()
+    het = HetSiloDPerfEstimator(
+        speedups=perf_model.default_speedup_table(
+            reference=reference
+        ),
+        default_generation=reference,
+    )
+    # Unassigned -> default generation -> factor exactly 1.0.
+    assert het.compute_bound(job, gpus) == base.compute_bound(
+        job, gpus
+    )
+    assert het.compute_bound_batch([job], [gpus]) == [
+        base.compute_bound(job, gpus)
+    ]
+    # Explicit assignment to the reference is the same collapse.
+    het.assignments[job.job_id] = reference
+    assert het.compute_bound(job, gpus) == base.compute_bound(
+        job, gpus
+    )
 
 
 @settings(max_examples=50, deadline=None)
@@ -163,11 +154,12 @@ def test_het_estimator_collapses_on_single_generation(
     gpus=st.floats(min_value=0.0, max_value=64.0, allow_nan=False),
     generation=st.sampled_from(GENERATIONS),
 )
-def test_het_estimator_is_backend_identical_off_reference(
+def test_het_estimator_batch_matches_scalar_off_reference(
     ideal, gpus, generation
 ):
-    """Generation-scaled f* is bit-identical across backends even when
-    the factor is not 1.0 (the scalar loop is forced either way)."""
+    """Generation-scaled f* from the batch entry point is bit-identical
+    to the per-job estimate and to ``f_star_by_generation``, even when
+    the factor is not 1.0."""
     job = Job(
         job_id="j",
         model="resnet50",
@@ -176,37 +168,14 @@ def test_het_estimator_is_backend_identical_off_reference(
         ideal_throughput_mbps=ideal,
         total_work_mb=2048.0,
     )
-    results = {}
-    for backend in (BACKEND_VECTORIZED, BACKEND_FALLBACK):
-        with using_backend(backend):
-            het = HetSiloDPerfEstimator(
-                speedups=perf_model.default_speedup_table()
-            )
-            het.assignments[job.job_id] = generation
-            results[backend] = (
-                het.compute_bound(job, gpus),
-                het.compute_bound_batch([job, job], [gpus, gpus]),
-                het.f_star_by_generation(job),
-            )
-    vec = results[BACKEND_VECTORIZED]
-    fb = results[BACKEND_FALLBACK]
-    assert [x.hex() for x in _flatten(vec)] == [
-        x.hex() for x in _flatten(fb)
-    ]
-
-
-def _flatten(value):
-    if isinstance(value, dict):
-        out = []
-        for key in sorted(value):
-            out.extend(_flatten(value[key]))
-        return out
-    if isinstance(value, (list, tuple)):
-        out = []
-        for item in value:
-            out.extend(_flatten(item))
-        return out
-    return [float(value)]
+    het = HetSiloDPerfEstimator(speedups=perf_model.default_speedup_table())
+    het.assignments[job.job_id] = generation
+    scalar = het.compute_bound(job, gpus)
+    batch = het.compute_bound_batch([job, job], [gpus, gpus])
+    assert [x.hex() for x in batch] == [scalar.hex()] * 2
+    assert het.f_star_by_generation(job)[generation].hex() == (
+        het.compute_bound(job, job.num_gpus).hex()
+    )
 
 
 def test_f_star_by_generation_orders_slowest_first():

@@ -1,6 +1,6 @@
-"""Fixture: scalar per-key cache sweep in a vectorization-aware module."""
+"""Fixture: scalar per-key cache sweep in a module handling cache state."""
 
-from repro.backend import numpy_enabled  # noqa: F401
+from repro.cache.residency import ResidencyStore  # noqa: F401
 
 
 def total_resident(cache_store) -> float:

@@ -187,14 +187,15 @@ def test_obs004_exempts_simulators_and_emission_modules():
 
 
 def test_perf_pass_only_covers_vectorized_modules(tmp_path):
-    """The same sweep is legal in a module that never opted in."""
+    """The same sweep is legal in a module that imports neither
+    ``repro.sim`` nor ``repro.cache``."""
     source = FIXTURES / "perf_bad.py"
     opted_out = tmp_path / "plain.py"
     opted_out.write_text(
         "\n".join(
             line
             for line in source.read_text().splitlines()
-            if "repro.backend" not in line
+            if "repro.cache" not in line
         )
         + "\n"
     )

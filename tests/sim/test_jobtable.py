@@ -1,29 +1,19 @@
-"""The numpy job table against its pure-Python reference, bitwise.
+"""The job table against a plain reference, bitwise.
 
-Both tables keep the moving rows (with their rate and total-work
-gathers) between rate writes, the numpy one as index arrays and the
-fallback as a row list; a fallback table that rescans its live rows on
-every sweep is the reference. Any interleaving of rate writes,
-admissions, retirements and rollbacks with the sweeps must give both
-tables the reference's floats.
+The table keeps its moving rows (with their rate and total-work values)
+between rate writes, and its per-event sweeps write the builtin
+``min``/``max`` as comparisons. The reference rescans its live rows on
+every sweep and calls the builtins. Any interleaving of rate writes,
+admissions, retirements and rollbacks with the sweeps must give the
+table the reference's floats.
 """
 
 import math
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.jobtable import JobTable
-
-np = pytest.importorskip("numpy")
-
-from repro.backend import numpy_enabled  # noqa: E402
-
-pytestmark = pytest.mark.skipif(
-    not numpy_enabled(),
-    reason="REPRO_NO_NUMPY forces the pure-Python fallback",
-)
 
 RATE_EPS = 1e-9
 
@@ -65,13 +55,57 @@ OPS = st.lists(
 )
 
 
-class UncachedTable(JobTable):
-    """The fallback table rescanning its live rows on every sweep: the
-    reference both caching tables are held to."""
+class ReferenceTable(JobTable):
+    """Rescans its live rows on every sweep and uses the builtin
+    ``min``/``max``: the reference the table is held to."""
 
     def _moving(self):
         self._moving_cache = None
         return super()._moving()
+
+    def advance(self, dt):
+        for row, rate, total in self._moving():
+            self._work[row] = min(total, self._work[row] + rate * dt)
+
+    def next_completion_time(self, clock_s):
+        best = math.inf
+        for row, rate, total in self._moving():
+            remaining = max(0.0, total - self._work[row])
+            best = min(best, clock_s + remaining / rate)
+        return best
+
+    def next_epoch_boundary_time(self, clock_s):
+        best = math.inf
+        for row, rate, total in self._moving():
+            work = self._work[row]
+            epoch = self._epoch[row]
+            remaining = max(0.0, total - work)
+            epoch_index = (work + self._snap) // epoch
+            position = max(0.0, work - epoch_index * epoch)
+            to_boundary = min(epoch - position, remaining)
+            if to_boundary < remaining - self._work_eps:
+                best = min(best, clock_s + to_boundary / rate)
+        return best
+
+    def completed_rows(self):
+        done = []
+        for row in self._live:
+            remaining = max(0.0, self._total[row] - self._work[row])
+            if remaining <= self._work_eps:
+                done.append(row)
+        return done
+
+    def epoch_flips(self):
+        flips = []
+        for row in self._live:
+            work = self._work[row]
+            remaining = max(0.0, self._total[row] - work)
+            epoch_index = (work + self._snap) // self._epoch[row]
+            if remaining > self._done_eps and (
+                epoch_index > self._epochs_done[row]
+            ):
+                flips.append((row, int(epoch_index)))
+        return flips
 
 
 def _sweeps(table, clock_s):
@@ -96,11 +130,10 @@ def _bits(value):
 # A rate write right after a sweep filled the moving-row caches.
 @example(ops=[("admit", 100.0, 50.0), ("set_rate", 0, 1.0)])
 @example(ops=[("admit", 100.0, 50.0), ("set_rates_bulk", [0], 1.0)])
-def test_numpy_table_matches_fallback_bitwise(ops):
+def test_table_matches_reference_bitwise(ops):
     tables = [
-        JobTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=True),
-        JobTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=False),
-        UncachedTable(4, RATE_EPS, 1e-3, 1e-6, vectorized=False),
+        JobTable(4, RATE_EPS, 1e-3, 1e-6),
+        ReferenceTable(4, RATE_EPS, 1e-3, 1e-6),
     ]
     rows = 0
     clock_s = 0.0
@@ -134,11 +167,10 @@ def test_numpy_table_matches_fallback_bitwise(ops):
             rows += 1
         elif op == "advance":
             clock_s += value
-        *cached, ref = tables
-        for table in cached:
-            assert _bits(_sweeps(table, clock_s)) == _bits(
-                _sweeps(ref, clock_s)
-            )
-            assert [table.work_done_mb(r).hex() for r in range(rows)] == [
-                ref.work_done_mb(r).hex() for r in range(rows)
-            ]
+        table, ref = tables
+        assert _bits(_sweeps(table, clock_s)) == _bits(
+            _sweeps(ref, clock_s)
+        )
+        assert [table.work_done_mb(r).hex() for r in range(rows)] == [
+            ref.work_done_mb(r).hex() for r in range(rows)
+        ]

@@ -9,9 +9,6 @@ same item order, and an IO starvation that takes the loop's stall
 branch. Each cell runs untraced and traced: both must land on the same
 ``repr`` of every finish time, and the traced run's event stream is
 hashed as well.
-
-Six jobs keep every round below the vectorised paths' batch threshold,
-so the anchors are the same under both numeric backends.
 """
 
 import hashlib

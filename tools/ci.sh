@@ -9,16 +9,9 @@
 #   2. docs/schema sync        — tools/check_obs_docs.py keeps
 #      docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md and
 #      docs/LINT.md truthful.
-#   3. the tier-1 pytest suite. By default each fluid run takes the
-#      backend its fleet size picks (repro.backend.fleet_numpy: the
-#      pure-Python fallback below VECTORIZE_MIN_GPUS GPUs, numpy from
-#      there up), so most tier-1 fluid runs, whose fleets are small,
-#      run the fallback; the emulator runs numpy.
-#      tests/perf/test_backend.py runs one cell on each side of that
-#      threshold against the other backend. Four bit-exact anchor
-#      suites run here, each forcing both numeric backends in turn
-#      (using_backend) where the simulator has two:
-#      tests/sim/test_smoke_anchors.py (two small end-to-end
+#   3. the tier-1 pytest suite. Every run takes the one pure-Python
+#      numeric path of the simulators. Four bit-exact anchor suites
+#      run here: tests/sim/test_smoke_anchors.py (two small end-to-end
 #      scenarios: fifo x silod on 16 GPUs, and fifo / het-max-min /
 #      het-max-throughput on a V100+A100 fleet with the
 #      max-throughput >= max-min >= fifo ordering),
