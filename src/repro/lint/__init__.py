@@ -12,19 +12,15 @@ passes, each reporting ``(file, line, rule-id, message)`` findings.
 
 Entry points
 ------------
-* ``python -m repro lint`` — the CLI subcommand (text or JSON output,
-  ``--strict`` for CI);
+* ``python -m repro lint`` — the CLI subcommand (text or JSON output;
+  ``python -m repro lint src/repro tools benchmarks`` is the CI gate);
 * :func:`lint_paths` — the library API used by the tests;
 * ``docs/LINT.md`` — the rule catalogue and the guide for adding a pass.
 
-Findings can be silenced inline (``# lint: disable=RULE``) or recorded
-in a checked-in baseline file (``tools/lint_baseline.json``) while a
-violation is being burned down; the repo itself lints clean with an
-empty baseline.
+Findings can be silenced inline (``# lint: disable=RULE``) with a
+reason; the repo itself lints clean.
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import IndexCache, default_cache_path
 from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (
     LintPass,
@@ -37,15 +33,12 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import RULES, Finding
 from repro.lint.passes import ALL_PASSES, build_passes
-from repro.lint.sarif import to_sarif, validate_min_sarif
 from repro.lint.symbols import SymbolTable
 
 __all__ = [
     "ALL_PASSES",
-    "Baseline",
     "CallGraph",
     "Finding",
-    "IndexCache",
     "LintPass",
     "ProjectIndex",
     "ProjectPass",
@@ -53,10 +46,7 @@ __all__ = [
     "SourceFile",
     "SymbolTable",
     "build_passes",
-    "default_cache_path",
     "default_target",
     "discover_files",
     "lint_paths",
-    "to_sarif",
-    "validate_min_sarif",
 ]

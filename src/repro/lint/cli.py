@@ -1,13 +1,10 @@
 """The ``repro lint`` subcommand.
 
-Wires the engine, pass registry, baseline, and index cache into
-``python -m repro lint``. Exit code 0 means clean (after suppressions
-and the baseline); 1 means new findings — and, under ``--strict``, also
-a stale baseline entry, so CI can guarantee the baseline only ever
-shrinks. ``--format sarif`` prints a SARIF 2.1.0 log for code hosts,
-``--explain RULE`` prints the long-form rationale a finding's one-liner
-cannot carry, and the whole-program phase is memoized in
-``.lint_cache.json`` (disable with ``--no-cache``).
+Wires the engine and pass registry into ``python -m repro lint``. Exit
+code 0 means clean (after inline suppressions), 1 means findings, 2 a
+usage error; ``python -m repro lint src/repro tools benchmarks`` is the
+CI gate. ``--explain RULE`` prints the long-form rationale a finding's
+one-liner cannot carry.
 """
 
 from __future__ import annotations
@@ -17,14 +14,9 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import IndexCache, default_cache_path
-from repro.lint.engine import default_target, lint_paths, repo_root
+from repro.lint.engine import default_target, lint_paths
 from repro.lint.findings import RULES, Finding
 from repro.lint.passes import build_passes
-
-#: Default baseline location, relative to the repository root.
-DEFAULT_BASELINE = Path("tools") / "lint_baseline.json"
 
 #: Explain-docs for findings the engine itself emits (no pass owns them).
 _ENGINE_DOCS = {
@@ -33,8 +25,8 @@ _ENGINE_DOCS = {
         "(SyntaxError or undecodable bytes). The file is reported once\n"
         "and skipped, so one broken file cannot hide every other\n"
         "diagnostic in the run; the finding clears when the file\n"
-        "parses again. PAR001 cannot be suppressed inline (comments in\n"
-        "an unparseable file are unreachable) but can be baselined."
+        "parses again. PAR001 cannot be suppressed inline: comments in\n"
+        "an unparseable file are unreachable."
     ),
 }
 
@@ -48,7 +40,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="output format (default text)",
     )
@@ -61,23 +53,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "(e.g. determinism UNI001 XUNI)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline JSON of tolerated findings "
-        f"(default {DEFAULT_BASELINE} if it exists)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries (CI mode)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -88,18 +63,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         metavar="RULE",
         help="print the long-form explanation of one rule and exit",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the whole-program index cache (.lint_cache.json)",
-    )
     parser.set_defaults(func=cmd_lint)
-
-
-def _baseline_path(args: argparse.Namespace) -> Path:
-    if args.baseline is not None:
-        return Path(args.baseline)
-    return repo_root() / DEFAULT_BASELINE
 
 
 def _explain_docs() -> Dict[str, str]:
@@ -123,16 +87,8 @@ def _cmd_explain(rule: str) -> int:
     return 0
 
 
-def _render_text(
-    findings: List[Finding], stale: list, strict: bool
-) -> str:
+def _render_text(findings: List[Finding]) -> str:
     lines = [f.render() for f in findings]
-    for key in stale:
-        prefix = "error" if strict else "warning"
-        lines.append(
-            f"{prefix}: stale baseline entry {key[1]} for {key[0]} "
-            f"({key[2]!r} no longer fires); remove it from the baseline"
-        )
     if findings:
         lines.append(f"{len(findings)} finding(s)")
     else:
@@ -159,38 +115,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"error: no such path(s): {[str(p) for p in missing]}")
         return 2
-    cache = None if args.no_cache else IndexCache(default_cache_path())
     stats: Dict[str, int] = {}
-    findings = lint_paths(paths, passes, cache=cache, stats=stats)
-    baseline_path = _baseline_path(args)
-    if args.write_baseline:
-        Baseline.save(baseline_path, findings)
-        print(
-            f"baseline: {len(findings)} finding(s) -> {baseline_path}"
-        )
-        return 0
-    baseline = Baseline.load(baseline_path)
-    new, stale = baseline.apply(findings)
-    if args.format == "sarif":
-        from repro.lint.sarif import to_sarif
-
-        print(json.dumps(to_sarif(new), indent=2))
-    elif args.format == "json":
+    findings = lint_paths(paths, passes, stats=stats)
+    if args.format == "json":
         print(
             json.dumps(
                 {
-                    "findings": [f.to_dict() for f in new],
-                    "baselined": len(findings) - len(new),
-                    "stale_baseline": [list(key) for key in stale],
+                    "findings": [f.to_dict() for f in findings],
                     "unresolved_calls": stats.get("unresolved_calls"),
                 },
                 indent=2,
             )
         )
     else:
-        print(_render_text(new, stale, args.strict))
-    if new:
-        return 1
-    if stale and args.strict:
-        return 1
-    return 0
+        print(_render_text(findings))
+    return 1 if findings else 0

@@ -263,7 +263,6 @@ def lint_paths(
     paths: Sequence[Path],
     passes: Sequence[object],
     display_root: Path = None,
-    cache=None,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Finding]:
     """Run ``passes`` over ``paths`` and return sorted, unsuppressed findings.
@@ -272,9 +271,6 @@ def lint_paths(
     :class:`ProjectPass` instances; the engine partitions them, runs
     phase 1 (per-file) over each file, then — if any project pass is
     selected — builds the :class:`ProjectIndex` and runs phase 2.
-    When ``cache`` (an :class:`repro.lint.cache.IndexCache`) is given,
-    phase 2 results are memoized on the content hashes of every indexed
-    file, so an unchanged tree skips index construction entirely.
 
     When ``stats`` is a dict, phase 2 records its soundness gap in it
     (``unresolved_calls``: call sites the graph could not resolve), so
@@ -310,7 +306,7 @@ def lint_paths(
                     findings.append(finding)
     if project_passes:
         findings.extend(
-            _run_project_passes(sources, project_passes, cache, stats)
+            _run_project_passes(sources, project_passes, stats)
         )
     return sorted(findings)
 
@@ -318,23 +314,12 @@ def lint_paths(
 def _run_project_passes(
     sources: Sequence[SourceFile],
     project_passes: Sequence[ProjectPass],
-    cache,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Finding]:
-    """Phase 2: build (or skip, on cache hit) the index and run passes."""
-    key = None
-    if cache is not None:
-        key = cache.key(sources, project_passes)
-        cached = cache.load(key)
-        if cached is not None:
-            findings, cached_stats = cached
-            if stats is not None:
-                stats.update(cached_stats)
-            return findings
+    """Phase 2: build the index and run the whole-program passes."""
     index = ProjectIndex(sources)
-    run_stats = {"unresolved_calls": len(index.graph.unresolved)}
     if stats is not None:
-        stats.update(run_stats)
+        stats["unresolved_calls"] = len(index.graph.unresolved)
     findings: List[Finding] = []
     for project_pass in project_passes:
         for finding in project_pass.run_project(index):
@@ -344,7 +329,4 @@ def _run_project_passes(
             ):
                 continue
             findings.append(finding)
-    findings.sort()
-    if cache is not None and key is not None:
-        cache.save(key, findings, run_stats)
     return findings

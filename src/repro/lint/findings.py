@@ -10,7 +10,7 @@ humans, and the CLI's ``--list-rules`` prints it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Every rule id with its one-line description, grouped by pass prefix.
 #: ``DET`` — determinism, ``UNI`` — units, ``FLT`` — float equality,
@@ -65,22 +65,14 @@ class Finding:
 
     ``path`` is repo-relative (POSIX separators) so findings are stable
     across machines; ``line`` is 1-based. Findings sort by
-    ``(path, line, rule, message)``, which gives reports and baselines a
-    deterministic order.
+    ``(path, line, rule, message)``, which gives reports a deterministic
+    order.
     """
 
     path: str
     line: int
     rule: str
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching.
-
-        Dropping the line number keeps a recorded baseline valid while
-        unrelated edits shift code around the violation.
-        """
-        return (self.path, self.rule, self.message)
 
     def to_dict(self) -> dict:
         """JSON-safe representation (used by ``--format json``)."""

@@ -166,7 +166,6 @@ class FluidSimulator(SimulatorKernel):
         self._cache = DictResidencyStore()
         #: Per-job progress and rates for the hot sweeps.
         self._table = JobTable(
-            capacity=len(jobs),
             rate_eps=_RATE_EPS,
             work_eps_mb=_WORK_EPS_MB,
             snap_mb=_EPOCH_SNAP_MB,

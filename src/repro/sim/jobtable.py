@@ -33,9 +33,6 @@ class JobTable:
 
     Parameters
     ----------
-    capacity:
-        Expected number of rows (the trace length); the table grows past
-        it if needed.
     rate_eps:
         Rates at or below this are "stalled" (the simulator's
         ``_RATE_EPS``).
@@ -51,7 +48,6 @@ class JobTable:
 
     def __init__(
         self,
-        capacity: int,
         rate_eps: float,
         work_eps_mb: float,
         snap_mb: float,
@@ -61,25 +57,20 @@ class JobTable:
         self._work_eps = work_eps_mb
         self._snap = snap_mb
         self._done_eps = done_eps_mb
-        self._n = 0
         self._job_ids: List[str] = []
         self._rows = {}  # job_id -> row
-        #: Interned GPU-generation names; the ``_gen`` column stores
-        #: indices into this list (-1 = unassigned).
-        self._gen_names: List[str] = []
-        self._gen_codes = {}  # name -> index
         #: The moving rows with their rate and total work (see
         #: :meth:`_moving`), rebuilt lazily after any rate write,
         #: admission or retirement.
         self._moving_cache = None
-        capacity = max(1, capacity)
-        self._work = [0.0] * capacity
-        self._total = [0.0] * capacity
-        self._epoch = [1.0] * capacity
-        self._rate = [0.0] * capacity
-        self._miss = [0.0] * capacity
-        self._epochs_done = [0.0] * capacity
-        self._gen = [-1] * capacity
+        self._work: List[float] = []
+        self._total: List[float] = []
+        self._epoch: List[float] = []
+        self._rate: List[float] = []
+        self._miss: List[float] = []
+        self._epochs_done: List[int] = []
+        #: Assigned GPU-generation name per row (``None`` = unassigned).
+        self._gen: List[Optional[str]] = []
         #: Ordered set of live rows (dict preserves admission order;
         #: rows only append, so iteration is ascending).
         self._live = {}
@@ -88,31 +79,18 @@ class JobTable:
     # Row lifecycle.
     # ------------------------------------------------------------------
 
-    def _grow(self, capacity: int) -> None:
-        extra = max(capacity - len(self._work), len(self._work))
-        self._work.extend([0.0] * extra)
-        self._total.extend([0.0] * extra)
-        self._epoch.extend([1.0] * extra)
-        self._rate.extend([0.0] * extra)
-        self._miss.extend([0.0] * extra)
-        self._epochs_done.extend([0.0] * extra)
-        self._gen.extend([-1] * extra)
-
     def admit(self, job_id: str, total_work_mb: float, epoch_mb: float) -> int:
         """Append a row for a newly admitted job; returns its row index."""
-        if self._n >= len(self._work):
-            self._grow(self._n + 1)
-        row = self._n
-        self._n += 1
+        row = len(self._job_ids)
         self._job_ids.append(job_id)
         self._rows[job_id] = row
-        self._work[row] = 0.0
-        self._total[row] = total_work_mb
-        self._epoch[row] = epoch_mb
-        self._rate[row] = 0.0
-        self._miss[row] = 0.0
-        self._epochs_done[row] = 0.0
-        self._gen[row] = -1
+        self._work.append(0.0)
+        self._total.append(total_work_mb)
+        self._epoch.append(epoch_mb)
+        self._rate.append(0.0)
+        self._miss.append(0.0)
+        self._epochs_done.append(0)
+        self._gen.append(None)
         self._moving_cache = None
         self._live[row] = None
         return row
@@ -138,7 +116,7 @@ class JobTable:
 
     def work_done_mb(self, row: int) -> float:
         """Work completed so far at ``row``, in MB."""
-        return float(self._work[row])
+        return self._work[row]
 
     def set_work_done_mb(self, row: int, value: float) -> None:
         """Overwrite ``row``'s completed work (preemption rollback)."""
@@ -146,51 +124,31 @@ class JobTable:
 
     def rate(self, row: int) -> float:
         """Current end-to-end throughput at ``row``, in MB/s."""
-        return float(self._rate[row])
+        return self._rate[row]
 
     def miss_rate(self, row: int) -> float:
         """Current remote-fetch (miss) rate at ``row``, in MB/s."""
-        return float(self._miss[row])
-
-    def epochs_done(self, row: int) -> int:
-        """Epoch boundaries already promoted for ``row``."""
-        return int(self._epochs_done[row])
+        return self._miss[row]
 
     def set_epochs_done(self, row: int, value: int) -> None:
         """Record that ``row`` has promoted ``value`` epoch boundaries."""
-        self._epochs_done[row] = float(value)
+        self._epochs_done[row] = value
 
     def set_generation(self, row: int, name: Optional[str]) -> None:
         """Record ``row``'s assigned GPU generation (``None`` clears)."""
-        if name is None:
-            self._gen[row] = -1
-            return
-        code = self._gen_codes.get(name)
-        if code is None:
-            code = len(self._gen_names)
-            self._gen_codes[name] = code
-            self._gen_names.append(name)
-        self._gen[row] = code
+        self._gen[row] = name
 
     def generation(self, row: int) -> Optional[str]:
         """``row``'s assigned GPU generation, or ``None``."""
-        code = int(self._gen[row])
-        if code < 0:
-            return None
-        return self._gen_names[code]
+        return self._gen[row]
 
     def clear_rates(self) -> None:
-        """Zero every row's throughput and miss rate (pre-recompute)."""
+        """Zero every live row's throughput and miss rate (pre-recompute;
+        :meth:`retire` already zeroed the rest)."""
         self._moving_cache = None
-        for row in range(self._n):
+        for row in self._live:
             self._rate[row] = 0.0
             self._miss[row] = 0.0
-
-    def set_rate(self, row: int, rate: float, miss_rate: float) -> None:
-        """Install ``row``'s freshly recomputed throughput and miss rate."""
-        self._moving_cache = None
-        self._rate[row] = rate
-        self._miss[row] = miss_rate
 
     def set_rates_bulk(
         self,

@@ -1,11 +1,11 @@
-"""Engine behaviour: suppressions, baselines, CLI output, parse errors."""
+"""Engine behaviour: suppressions, CLI output, parse errors."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.lint import Baseline, Finding, lint_paths
+from repro.lint import lint_paths
 from repro.lint.passes.determinism import DeterminismPass
 
 pytestmark = pytest.mark.lint
@@ -123,97 +123,11 @@ class TestParseErrors:
         )
         assert sorted(f.rule for f in findings) == ["DET003", "PAR001"]
 
-
-class TestBaseline:
-    def make_finding(self, **overrides):
-        base = {
-            "path": "repro/x.py",
-            "line": 3,
-            "rule": "DET003",
-            "message": "wall clock",
-        }
-        base.update(overrides)
-        return Finding(**base)
-
-    def test_matching_is_line_insensitive(self):
-        recorded = self.make_finding(line=3)
-        current = self.make_finding(line=99)
-        new, stale = Baseline([recorded]).apply([current])
-        assert new == [] and stale == []
-
-    def test_new_findings_pass_through(self):
-        baseline = Baseline([self.make_finding()])
-        other = self.make_finding(rule="UNI001")
-        new, stale = baseline.apply([other])
-        assert new == [other]
-        assert stale == [self.make_finding().key()]
-
-    def test_multiset_semantics(self):
-        one = self.make_finding()
-        new, stale = Baseline([one]).apply([one, one])
-        assert len(new) == 1 and stale == []
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        finding = self.make_finding()
-        Baseline.save(path, [finding])
-        loaded = Baseline.load(path)
-        new, stale = loaded.apply([finding])
-        assert new == [] and stale == []
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert len(baseline) == 0
-
-    def test_duplicate_key_round_trip_keeps_the_count(self, tmp_path):
-        """Two findings sharing a key survive save/load as a multiset."""
-        path = tmp_path / "baseline.json"
-        pair = [self.make_finding(line=3), self.make_finding(line=99)]
-        assert pair[0].key() == pair[1].key()
-        Baseline.save(path, pair)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 2
-        new, stale = loaded.apply(pair)
-        assert new == [] and stale == []
-        # A third occurrence exceeds the recorded count: it is new.
-        new, _stale = loaded.apply(pair + [self.make_finding(line=7)])
-        assert len(new) == 1
-
-    def test_par001_can_be_baselined(self, tmp_path, capsys):
-        """A tolerated parse error is absorbed; fixing it goes stale."""
+    def test_cli_fails_on_par001(self, tmp_path, capsys):
         broken = tmp_path / "broken.py"
         broken.write_text("def broken(:\n")
-        baseline = tmp_path / "b.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(broken),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(["lint", str(broken), "--baseline", str(baseline)])
-            == 0
-        )
-        broken.write_text("x = 1\n")
-        assert (
-            main(
-                [
-                    "lint",
-                    str(broken),
-                    "--baseline",
-                    str(baseline),
-                    "--strict",
-                ]
-            )
-            == 1
-        )
-        assert "stale baseline" in capsys.readouterr().out
+        assert main(["lint", str(broken)]) == 1
+        assert "PAR001" in capsys.readouterr().out
 
 
 class TestCli:
@@ -224,74 +138,18 @@ class TestCli:
 
     def test_findings_exit_code_and_text(self, tmp_path, capsys):
         path = self.write_dirty(tmp_path)
-        code = main(
-            ["lint", str(path), "--baseline", str(tmp_path / "b.json")]
-        )
+        code = main(["lint", str(path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "DET003" in out and "1 finding(s)" in out
 
     def test_json_format(self, tmp_path, capsys):
         path = self.write_dirty(tmp_path)
-        code = main(
-            [
-                "lint",
-                str(path),
-                "--format",
-                "json",
-                "--baseline",
-                str(tmp_path / "b.json"),
-            ]
-        )
+        code = main(["lint", str(path), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"findings", "unresolved_calls"}
         assert payload["findings"][0]["rule"] == "DET003"
-        assert payload["stale_baseline"] == []
-
-    def test_write_then_pass_with_baseline(self, tmp_path, capsys):
-        path = self.write_dirty(tmp_path)
-        baseline = tmp_path / "b.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(path),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(["lint", str(path), "--baseline", str(baseline)]) == 0
-        )
-        capsys.readouterr()
-
-    def test_strict_fails_on_stale_baseline(self, tmp_path, capsys):
-        path = tmp_path / "clean.py"
-        path.write_text("x = 1\n")
-        baseline = tmp_path / "b.json"
-        Baseline.save(
-            baseline,
-            [Finding("clean.py", 1, "DET003", "gone")],
-        )
-        assert (
-            main(["lint", str(path), "--baseline", str(baseline)]) == 0
-        )
-        assert (
-            main(
-                [
-                    "lint",
-                    str(path),
-                    "--baseline",
-                    str(baseline),
-                    "--strict",
-                ]
-            )
-            == 1
-        )
-        assert "stale baseline" in capsys.readouterr().out
 
     def test_select_unknown_pass_errors(self, tmp_path, capsys):
         code = main(["lint", str(tmp_path), "--select", "bogus"])

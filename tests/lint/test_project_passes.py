@@ -1,8 +1,8 @@
 """Whole-program lint over the fixture project.
 
 Covers the two whole-program passes (``xuni``, ``obs-scope``), the
-index and its cache, and the cross-module entropy chains the per-file
-determinism rules report at their source.
+index, and the cross-module entropy chains the per-file determinism
+rules report at their source.
 """
 
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import IndexCache, build_passes, lint_paths
+from repro.lint import build_passes, lint_paths
 from repro.lint.engine import ProjectIndex, SourceFile
 from repro.lint.passes.obs_scope import ObsScopePass
 from repro.lint.passes.xuni import CrossUnitsPass
@@ -49,6 +49,12 @@ TAINT_SINK = (
     "def record(tracer):\n"
     "    t = a.helper()\n"
     '    tracer.emit(0.0, "epoch_boundary", "j1", epoch=t)\n'
+)
+
+#: One XUNI001: MB plus seconds.
+MIXED_UNITS = (
+    "def total(size_mb, wait_s):\n"
+    "    return size_mb + wait_s\n"
 )
 
 
@@ -114,6 +120,20 @@ class TestCrossUnits:
         assert any("'size_mb'" in m and "expects MB" in m for m in messages)
         assert any("units.gb" in m and "expects GB" in m for m in messages)
 
+    def test_cli_reruns_the_pass_on_an_unchanged_tree(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A second run reports what the passes find now, not last time."""
+        tree = write_tree(tmp_path, {"mixed.py": MIXED_UNITS})
+        argv = ["lint", str(tree), "--select", "XUNI"]
+        assert main(argv) == 1
+        assert "XUNI001" in capsys.readouterr().out
+        monkeypatch.setattr(
+            CrossUnitsPass, "run_project", lambda self, index: []
+        )
+        assert main(argv) == 0
+        assert "clean" in capsys.readouterr().out
+
 
 class TestCrossObsScope:
     def test_wrapper_call_from_outside_the_scope_is_flagged(self):
@@ -159,7 +179,7 @@ class TestSoundnessGap:
         }
         assert "callback" in texts
 
-    def test_cli_json_surfaces_the_count(self, tmp_path, capsys):
+    def test_cli_json_surfaces_the_count(self, capsys):
         code = main(
             [
                 "lint",
@@ -168,56 +188,9 @@ class TestSoundnessGap:
                 "obs-scope",
                 "--format",
                 "json",
-                "--baseline",
-                str(tmp_path / "b.json"),
-                "--no-cache",
             ]
         )
         assert code == 1  # the two planted wrapper calls.
         payload = json.loads(capsys.readouterr().out)
         assert payload["unresolved_calls"] >= 2
         assert [f["rule"] for f in payload["findings"]] == ["OBS004"] * 2
-
-
-class TestIndexCache:
-    def test_warm_run_replays_findings_and_stats(self, tmp_path):
-        cache = IndexCache(tmp_path / "cache.json")
-        cold_stats, warm_stats = {}, {}
-        cold = lint_project(
-            [ObsScopePass()], cache=cache, stats=cold_stats
-        )
-        assert (cache.misses, cache.hits) == (1, 0)
-        warm = lint_project(
-            [ObsScopePass()], cache=cache, stats=warm_stats
-        )
-        assert (cache.misses, cache.hits) == (1, 1)
-        assert warm == cold
-        assert warm_stats == cold_stats
-
-    def test_any_file_edit_invalidates(self, tmp_path):
-        tree = write_tree(
-            tmp_path / "tree",
-            {"a.py": TAINT_SOURCE, "b.py": TAINT_SINK},
-        )
-        cache = IndexCache(tmp_path / "cache.json")
-        lint_paths(
-            [tree],
-            [ObsScopePass()],
-            display_root=tree,
-            cache=cache,
-        )
-        (tree / "a.py").write_text(TAINT_SOURCE + "\nEXTRA = 1\n")
-        lint_paths(
-            [tree],
-            [ObsScopePass()],
-            display_root=tree,
-            cache=cache,
-        )
-        assert (cache.misses, cache.hits) == (2, 0)
-
-    def test_broken_cache_file_means_cold_run_not_crash(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json")
-        cache = IndexCache(cache_path)
-        findings = lint_project([ObsScopePass()], cache=cache)
-        assert [f.rule for f in findings] == ["OBS004"] * 2

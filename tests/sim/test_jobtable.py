@@ -132,8 +132,8 @@ def _bits(value):
 @example(ops=[("admit", 100.0, 50.0), ("set_rates_bulk", [0], 1.0)])
 def test_table_matches_reference_bitwise(ops):
     tables = [
-        JobTable(4, RATE_EPS, 1e-3, 1e-6),
-        ReferenceTable(4, RATE_EPS, 1e-3, 1e-6),
+        JobTable(RATE_EPS, 1e-3, 1e-6),
+        ReferenceTable(RATE_EPS, 1e-3, 1e-6),
     ]
     rows = 0
     clock_s = 0.0
@@ -142,7 +142,7 @@ def test_table_matches_reference_bitwise(ops):
             if op == "admit":
                 table.admit(f"j{rows}", arg, value)
             elif op == "set_rate" and arg < rows:
-                table.set_rate(arg, value, value * 0.5)
+                table.set_rates_bulk([arg], [value], [value * 0.5])
             elif op == "set_rates_bulk":
                 picked = [row for row in arg if row < rows]
                 table.set_rates_bulk(
