@@ -3,19 +3,19 @@
 A co-designed scheduler re-solves its allocation every scheduling round;
 the paper's 2,500-LoC production scheduler does this for hundreds of
 jobs. These benches keep our solvers honest: one Gavel joint solve over
-500 jobs must stay in the low milliseconds, and the supporting primitives
-(waterfill, greedy cache, SJF scoring) well below that.
+500 jobs must stay well inside a 0.25 s bound (tens of milliseconds),
+and the supporting primitives (waterfill, greedy cache, SJF scoring)
+well below that.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
 from repro.core.policies import io_share
 from repro.core.policies.base import ScheduleContext
-from repro.core.policies.gavel import _SCALAR_MAX_JOBS, GavelPolicy
+from repro.core.policies.gavel import GavelPolicy
 from repro.core.policies.greedy import greedy_cache_allocation
 from repro.core.policies.sjf import SjfPolicy
 from repro.core.resources import ResourceVector
@@ -56,35 +56,11 @@ def assert_mean_below(benchmark, bound_s):
 
 def test_perf_gavel_joint_solve_500_jobs(benchmark):
     jobs = synthetic_jobs(500)
-    assert len(jobs) > _SCALAR_MAX_JOBS  # the numpy solver
     policy = GavelPolicy()
     alloc = benchmark(policy.schedule, jobs, TOTAL, CTX)
     assert alloc.total().gpus <= TOTAL.gpus + 1e-6
     # One solve must be fast enough for sub-minute scheduling rounds.
     assert_mean_below(benchmark, 0.25)
-
-
-@pytest.mark.parametrize("solver", ["scalar", "numpy"])
-@pytest.mark.parametrize("num_jobs", [16, _SCALAR_MAX_JOBS, 64, 100, 500])
-def test_perf_gavel_joint_solver_crossover(benchmark, num_jobs, solver):
-    """One joint solve per solver around ``_SCALAR_MAX_JOBS``.
-
-    The cluster scales with the round (0.8 GPUs, 300 GB of cache and
-    10 MB/s of egress per job), so every round runs the full bisection
-    instead of returning at the first ``f*`` cap. docs/PERFORMANCE.md
-    records the crossover these timings set.
-    """
-    jobs = synthetic_jobs(num_jobs)
-    total = ResourceVector(
-        gpus=0.8 * num_jobs,
-        cache_mb=num_jobs * 300.0 * GB,
-        remote_io_mbps=10.0 * num_jobs,
-    )
-    policy = GavelPolicy()
-    shares = policy._normalisers(jobs, total, CTX)
-    solve = getattr(policy, f"_solve_{solver}")
-    solution = benchmark(solve, jobs, total, CTX, shares)
-    assert sum(solution.gpus) <= total.gpus * (1.0 + 1e-6)
 
 
 def test_perf_sjf_scoring_500_jobs(benchmark):

@@ -22,26 +22,19 @@ the current ratio are frozen at ``f*`` and the ratio keeps rising for the
 rest; when a shared resource binds, the loop ends and remaining slack is
 handed out in a final filling pass.
 
-The joint solver runs on every scheduling round, so it has two
-implementations of the same float operations in the same order. Rounds
-of at most :data:`_SCALAR_MAX_JOBS` jobs (every round of the
-heterogeneous churn benchmark holds 1-29) run :class:`_ScalarRound` on
-plain floats, where a numpy call would cost more in dispatch than in
-arithmetic. Larger rounds run the numpy :class:`_JointArrays`, whose
-per-element cost is lower: most Figure 12/13 Gavel x SiloD rounds are
-larger (up to 152 jobs on the default 100-GPU slice, mostly above 100
-at 400 GPUs), and there numpy solves them faster;
-``benchmarks/test_perf_gavel_rounds.py`` measures both. The scalar side
-copies numpy's pairwise summation (:func:`_pairwise_sum`), so both give
-bit-identical targets and grants.
+The joint solver runs on every scheduling round, on plain floats
+(:class:`_JointRound`). Its sums copy numpy's pairwise summation
+(:func:`_pairwise_sum`) and its cache ranking numpy's stable argsort,
+because the bit-exact anchors were pinned while a numpy solver ran every
+round; ``sum()`` would move the last bits. Every job's ``f*`` must be
+positive: a compute estimator that returns ``0`` for some job is an
+error, not a job that needs no GPUs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core import perf_model
@@ -53,11 +46,6 @@ from repro.core.resources import Allocation, ResourceVector
 _ITERS = 40
 _EPS = 1e-9
 
-#: Largest round the joint solver runs in pure Python (:class:`_ScalarRound`);
-#: larger rounds take the numpy path. Set from the measured crossover
-#: recorded in docs/PERFORMANCE.md; not an option, since both paths give
-#: the same floats.
-_SCALAR_MAX_JOBS = 40
 
 def _pairwise(values: Sequence[float], start: int, n: int) -> float:
     """numpy's ``pairwise_sum`` over ``values[start:start + n]``: in
@@ -92,7 +80,7 @@ def _pairwise(values: Sequence[float], start: int, n: int) -> float:
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
-    """``float(np.sum(np.array(values)))``, bit for bit, in pure Python.
+    """numpy's ``sum`` of ``values`` as a float64 array, bit for bit.
 
     numpy reduces a float64 vector from ``0.0`` plus a pairwise sum of
     all of it: sequential below 8 elements, 8 strided accumulators
@@ -127,13 +115,13 @@ class _Datasets:
     def cache_plan(
         self, targets: Sequence[float], budget_mb: float
     ) -> List[float]:
-        """Cache grant per dataset: :meth:`_JointArrays.cache_plan_with_budget`
-        in pure Python, with the same floats.
+        """IO-minimising cache grant per dataset for the given targets.
 
-        Savings accumulate per dataset in job order from ``0.0`` (as
-        ``np.bincount`` does), rank by a stable sort on the negated
-        saving (as ``argsort(kind="stable")``), and the budget is spent
-        against a running prefix sum (``cumsum``) clipped to
+        Greedy by marginal saving ``sum_{j on D} T_j / d_D``, with
+        numpy's floats: savings accumulate per dataset in job order from
+        ``0.0`` (as ``bincount`` does), rank by a stable sort on the
+        negated saving (as ``argsort(kind="stable")``), and the budget
+        is spent against a running prefix sum (``cumsum``) clipped to
         ``[0, size]``.
         """
         d = self.d
@@ -192,75 +180,6 @@ def equal_share(
     return EqualShare(gpus, cache_mb, io_mbps, perf)
 
 
-class _JointArrays:
-    """Vectorised view of the job set used by the joint solver."""
-
-    def __init__(
-        self,
-        jobs: Sequence[Job],
-        shares: Dict[str, EqualShare],
-        ctx: ScheduleContext,
-    ) -> None:
-        estimator = ctx.estimator
-        self.jobs = list(jobs)
-        self.f_star = np.array(
-            [estimator.compute_bound(j, j.num_gpus) for j in self.jobs]
-        )
-        self.perf_eq = np.array(
-            [max(shares[j.job_id].perf_mbps, 1e-12) for j in self.jobs]
-        )
-        self.gpus = np.array([float(j.num_gpus) for j in self.jobs])
-        self.d = np.array([j.dataset.size_mb for j in self.jobs])
-        # Effective cached bytes visible right now (§6): the IO cost of a
-        # target must be paid against hits the job can actually take.
-        # Without an effective view, assume warm caches (steady state).
-        if ctx.effective_cache_mb is None:
-            self.eff = self.d.copy()
-        else:
-            self.eff = np.array(
-                [ctx.effective_cache_mb(j) for j in self.jobs]
-            )
-        datasets = _Datasets(self.jobs)
-        self.ds_index = np.array(datasets.index, dtype=np.intp)
-        self.ds_names = datasets.names
-        self.ds_size = np.array(datasets.size)
-
-    def cache_plan_with_budget(
-        self, targets: np.ndarray, budget_mb: float
-    ) -> np.ndarray:
-        """IO-minimising cache grant per dataset for the given targets.
-
-        Greedy by marginal saving ``sum_{j on D} T_j / d_D``, vectorised
-        via argsort + cumulative sums over the dataset sizes.
-        """
-        saving = np.bincount(
-            self.ds_index, weights=targets / self.d,
-            minlength=len(self.ds_size),
-        )
-        order = np.argsort(-saving, kind="stable")
-        sizes = self.ds_size[order]
-        before = np.concatenate(([0.0], np.cumsum(sizes)[:-1]))
-        grants_sorted = np.clip(budget_mb - before, 0.0, sizes)
-        grants = np.empty_like(grants_sorted)
-        grants[order] = grants_sorted
-        return grants
-
-    def miss_ratios(self, cache_grants: np.ndarray) -> np.ndarray:
-        """Per-job instantaneous miss ratios under a cache plan.
-
-        Hits are limited to the *effective* slice of the plan:
-        ``min(grant, effective) / d``.
-        """
-        hits = np.minimum(cache_grants[self.ds_index], self.eff)
-        return 1.0 - np.minimum(1.0, hits / self.d)
-
-    def total_remote_io(
-        self, targets: np.ndarray, cache_grants: np.ndarray
-    ) -> float:
-        """Total remote IO demand at the targets under a cache plan."""
-        return float(np.sum(targets * self.miss_ratios(cache_grants)))
-
-
 @dataclasses.dataclass
 class _JointSolution:
     """One round's max-min targets and the grants that meet them."""
@@ -276,18 +195,13 @@ class _JointSolution:
     used_io_mbps: float
 
 
-class _ScalarRound:
-    """The joint solver on plain floats, for rounds of a few dozen jobs.
+class _JointRound:
+    """One round of the joint solver.
 
     The round's constants are lists built once. :meth:`solve` runs the
-    progressive-filling loop, the bisection and the grant computation of
-    :meth:`GavelPolicy._solve_numpy` with the same float operations in
-    the same order, so every target and grant is bit-identical to it.
-    Every job's ``f*`` must be positive: numpy's ``t/0`` and ``0/0``
-    give inf and nan, which plain floats do not reproduce, so
-    :meth:`GavelPolicy._solve_scalar` sends such rounds to numpy. The
-    numpy path's ``f* > 0`` guard on per-pool demand therefore always
-    holds here.
+    progressive-filling loop over :meth:`_bisect`, then computes the
+    grants that meet the targets. A job whose ``f*`` is not positive
+    raises ``ValueError``: its GPU demand ``t / f*`` would be undefined.
     """
 
     def __init__(
@@ -302,12 +216,21 @@ class _ScalarRound:
         self.f_star = [
             float(estimator.compute_bound(j, j.num_gpus)) for j in jobs
         ]
+        for job, f in zip(jobs, self.f_star):
+            if not f > 0.0:
+                raise ValueError(
+                    f"job {job.job_id}: the compute estimator gave "
+                    f"f* = {f!r}; the joint solver needs f* > 0"
+                )
         self.f_cap = [f * (1.0 + _EPS) for f in self.f_star]
         self.perf_eq = [
             float(max(shares[j.job_id].perf_mbps, 1e-12)) for j in jobs
         ]
         self.gpus = [float(j.num_gpus) for j in jobs]
         self.datasets = _Datasets(jobs)
+        # Effective cached bytes visible right now (§6): the IO cost of a
+        # target must be paid against hits the job can actually take.
+        # Without an effective view, assume warm caches (steady state).
         if ctx.effective_cache_mb is None:
             self.eff = self.datasets.d
         else:
@@ -336,10 +259,16 @@ class _ScalarRound:
         return io
 
     def _feasible(self, targets: List[float]) -> bool:
-        """:meth:`GavelPolicy._feasible` at the given per-job targets.
+        """Whether every job can reach its target: each within its
+        ``f*`` cap, GPU demand ``sum_j (T_j / f*_j) g_j`` within the
+        total and within each generation pool, and the remote IO left
+        by the cache plan within the egress budget.
 
-        Checking frozen jobs against their cap too changes nothing: a
-        frozen target is ``f*``, which never exceeds ``f* * (1 + eps)``.
+        Frozen jobs are checked against their cap too, which changes
+        nothing: a frozen target is ``f*``, below ``f* * (1 + eps)``.
+        Slack handed out after the targets are met draws on the shared
+        GPU total only (it raises throughputs, never the binding
+        minimum).
         """
         for t, cap in zip(targets, self.f_cap):
             if t > cap:
@@ -355,8 +284,8 @@ class _ScalarRound:
         return _pairwise_sum(self._remote_io(targets, cache)) <= self.io_cap
 
     def _bisect(self, frozen: List[bool], fixed: List[float]) -> float:
-        """:meth:`GavelPolicy._bisect_ratio`: the largest common ratio
-        the active jobs reach, frozen jobs held at ``fixed``."""
+        """The largest common ratio the active jobs reach, frozen jobs
+        held at ``fixed``."""
         perf_eq = self.perf_eq
         if any(frozen):
             def targets(ratio: float) -> List[float]:
@@ -425,7 +354,7 @@ class GavelPolicy(SchedulingPolicy):
     name = "gavel"
 
     #: The round's per-generation GPU pools as ``(capacity, member job
-    #: indices)``, checked by both joint solvers; empty on a homogeneous
+    #: indices)``, checked by the joint solver; empty on a homogeneous
     #: fleet. Heterogeneity-aware subclasses set it around a round.
     _pool_members: Sequence[Tuple[int, List[int]]] = ()
 
@@ -524,11 +453,9 @@ class GavelPolicy(SchedulingPolicy):
         shares: Dict[str, EqualShare],
         allocation: Allocation,
     ) -> None:
-        solution = None
-        if len(jobs) <= _SCALAR_MAX_JOBS:
-            solution = self._solve_scalar(jobs, total, ctx, shares)
-        if solution is None:
-            solution = self._solve_numpy(jobs, total, ctx, shares)
+        solution = _JointRound(
+            jobs, shares, ctx, total, self._pool_members
+        ).solve()
         for job, target in zip(jobs, solution.targets):
             ctx.job_scores[job.job_id] = target
         for name, grant in zip(solution.ds_names, solution.cache_mb):
@@ -542,127 +469,6 @@ class GavelPolicy(SchedulingPolicy):
         self._distribute_slack(
             jobs, total, allocation, ctx, solution.used_io_mbps
         )
-
-    def _solve_scalar(
-        self,
-        jobs: Sequence[Job],
-        total: ResourceVector,
-        ctx: ScheduleContext,
-        shares: Dict[str, EqualShare],
-    ) -> Optional[_JointSolution]:
-        """The joint solve on plain floats; ``None`` when some job's
-        ``f*`` is not positive (see :class:`_ScalarRound`)."""
-        solver = _ScalarRound(jobs, shares, ctx, total, self._pool_members)
-        if min(solver.f_star) <= 0.0:
-            return None
-        return solver.solve()
-
-    def _solve_numpy(
-        self,
-        jobs: Sequence[Job],
-        total: ResourceVector,
-        ctx: ScheduleContext,
-        shares: Dict[str, EqualShare],
-    ) -> _JointSolution:
-        """The joint solve on numpy arrays: progressive filling over
-        :meth:`_bisect_ratio`, then the grants that meet the targets."""
-        arrays = _JointArrays(jobs, shares, ctx)
-        n = len(arrays.jobs)
-        frozen = np.zeros(n, dtype=bool)
-        targets = np.zeros(n)
-
-        while not frozen.all():
-            active = ~frozen
-            ratio = self._bisect_ratio(arrays, frozen, targets, total)
-            proposed = ratio * arrays.perf_eq
-            capped = active & (
-                proposed >= arrays.f_star * (1.0 - 1e-6)
-            )
-            if capped.any():
-                targets[capped] = arrays.f_star[capped]
-                frozen |= capped
-                continue
-            targets[active] = proposed[active]
-            frozen[:] = True
-
-        cache_grants = arrays.cache_plan_with_budget(targets, total.cache_mb)
-        io_grants = targets * arrays.miss_ratios(cache_grants)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(
-                arrays.f_star > 0,
-                np.minimum(1.0, targets / arrays.f_star),
-                0.0,
-            )
-        return _JointSolution(
-            ds_names=arrays.ds_names,
-            cache_mb=cache_grants.tolist(),
-            targets=targets.tolist(),
-            gpus=(fractions * arrays.gpus).tolist(),
-            remote_io_mbps=io_grants.tolist(),
-            used_io_mbps=float(np.sum(io_grants)),
-        )
-
-    def _feasible(
-        self,
-        ratio: float,
-        arrays: _JointArrays,
-        frozen: np.ndarray,
-        frozen_targets: np.ndarray,
-        total: ResourceVector,
-    ) -> bool:
-        """Whether active jobs can all reach ``ratio`` x equal share."""
-        targets = np.where(
-            frozen, frozen_targets, ratio * arrays.perf_eq
-        )
-        active = ~frozen
-        if np.any(
-            targets[active] > arrays.f_star[active] * (1.0 + _EPS)
-        ):
-            return False
-        demand = targets / arrays.f_star * arrays.gpus
-        if float(np.sum(demand)) > total.gpus * (1.0 + _EPS):
-            return False
-        if self._pool_members:
-            # Per-generation pools. GPU slack handed out after the
-            # max-min targets are met still draws on the shared total
-            # (slack only raises throughputs, never the binding minimum).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                demand = np.where(
-                    arrays.f_star > 0, targets / arrays.f_star, 0.0
-                ) * arrays.gpus
-            for capacity, members in self._pool_members:
-                if float(demand[members].sum()) > capacity * (1.0 + _EPS):
-                    return False
-        cache_grants = arrays.cache_plan_with_budget(
-            targets, total.cache_mb
-        )
-        return (
-            arrays.total_remote_io(targets, cache_grants)
-            <= total.remote_io_mbps * (1.0 + _EPS)
-        )
-
-    def _bisect_ratio(
-        self,
-        arrays: _JointArrays,
-        frozen: np.ndarray,
-        frozen_targets: np.ndarray,
-        total: ResourceVector,
-    ) -> float:
-        """Largest common ratio every active job can reach."""
-        active = ~frozen
-        hi = float(
-            np.min(arrays.f_star[active] / arrays.perf_eq[active])
-        )
-        if self._feasible(hi, arrays, frozen, frozen_targets, total):
-            return hi
-        lo = 0.0
-        for _ in range(_ITERS):
-            mid = (lo + hi) / 2.0
-            if self._feasible(mid, arrays, frozen, frozen_targets, total):
-                lo = mid
-            else:
-                hi = mid
-        return lo
 
     def _distribute_slack(
         self,

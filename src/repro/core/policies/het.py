@@ -33,13 +33,13 @@ speedup table anchored at the fleet's generation the factors are
 exactly 1.0, so allocations are bit-identical to ``GavelPolicy``
 (the collapse property of ``tests/core/test_het_perf_model.py``).
 
-The joint solver (``gavel.py``) picks its float-list or numpy path by
-round size only. This module is pure Python: the assignment scorer (:class:`_AssignmentScorer`, wrapped by
+This module is pure Python. The assignment scorer
+(:class:`_AssignmentScorer`, wrapped by
 :func:`common_ratio_for_assignment`) is called directly by the
-brute-force property test, and it shares the joint solver's scalar
-cache plan (:meth:`~repro.core.policies.gavel._Datasets.cache_plan`).
-The generation pools reach both joint solvers as per-round member
-index lists (``_pool_members``).
+brute-force property test, and it shares the joint solver's cache plan
+(:meth:`~repro.core.policies.gavel._Datasets.cache_plan`). The
+generation pools reach the joint solver as per-round member index
+lists (``_pool_members``).
 """
 
 from __future__ import annotations

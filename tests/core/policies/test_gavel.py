@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
-from repro.core.estimator import SiloDPerfEstimator
+from repro.core.estimator import SiloDPerfEstimator, linear_compute_estimator
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import GavelPolicy, equal_share, fairness_ratio
 from repro.core.resources import ResourceVector
@@ -157,3 +157,20 @@ def test_empty_job_list():
         [], ResourceVector(gpus=1, cache_mb=1, remote_io_mbps=1), silod_ctx()
     )
     assert alloc.gpus == {}
+
+
+def test_joint_solver_rejects_a_job_with_no_compute_bound():
+    """A pluggable compute estimator that gives one job ``f* = 0`` is an
+    error naming that job: its GPU demand ``t / f*`` is undefined, and
+    treating it as anything would leave the GPU budget unchecked."""
+
+    def compute(j, gpus):
+        return 0.0 if j.job_id == "idle" else linear_compute_estimator(j, gpus)
+
+    jobs = [job(job_id, gpus=8) for job_id in ("a", "b", "c", "idle")]
+    total = ResourceVector(gpus=8, cache_mb=TB, remote_io_mbps=1000.0)
+    ctx = ScheduleContext(
+        estimator=SiloDPerfEstimator(compute), storage_aware=True
+    )
+    with pytest.raises(ValueError, match=r"job idle\b.*f\* = 0\.0"):
+        GavelPolicy().schedule(jobs, total, ctx)

@@ -1,11 +1,10 @@
 """Bit-exact anchors of Gavel's joint (GPU, cache, IO) solver.
 
-The joint solver's rounds are optimised by hand: small rounds run a
-pure-Python copy of the numpy solver that must reproduce every float
-operation in the same order. A change that perturbs one summation
-order, one tie in the cache ranking or one bisection step would move
-the simulated finish times, so these cells pin every job's JCT as
-``float.hex``:
+The joint solver's rounds are optimised by hand: a pure-Python solver
+that reproduces numpy's summation and ranking, float operation for
+float operation. A change that perturbs one summation order, one tie
+in the cache ranking or one bisection step would move the simulated
+finish times, so these cells pin every job's JCT as ``float.hex``:
 
 * ``gavel`` x SiloD on a homogeneous fleet, with shared datasets and a
   one-GPU job whose ``f*`` cap binds, so progressive filling freezes it
@@ -13,7 +12,8 @@ the simulated finish times, so these cells pin every job's JCT as
 * ``finish-time-fairness``, the Gavel objective with a different
   normaliser;
 * ``het-max-min`` on a K80/P100/V100 fleet under ``generate_churn``;
-* ``gavel`` with enough concurrent jobs to take the numpy path.
+* ``gavel`` with rounds of more than 40 concurrent jobs, pinned while
+  rounds that large ran a numpy solver.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro import units
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
-from repro.core.policies.gavel import _SCALAR_MAX_JOBS
 from repro.faults.spec import generate_churn
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
@@ -129,7 +128,7 @@ def run_cell(name, spy=None):
     }
 
 
-#: Recorded before the small-round scalar solver was added.
+#: Recorded while every round ran a numpy solver.
 EXPECTED = {
     "finish-time-fairness": {
         "end_time_s": "0x1.57906cfa0e15bp+13",
@@ -268,7 +267,11 @@ def test_gavel_shared_cell_freezes_a_job():
 
 
 def test_gavel_wide_cell_has_large_rounds():
-    """The wide cell reaches rounds above the scalar solver's limit."""
+    """The wide cell reaches rounds of more than 40 jobs.
+
+    Its anchor was pinned while rounds above 40 jobs ran a numpy
+    solver, so it is the cell that shows the pure-Python solver still
+    reproduces those rounds to the bit."""
     rounds = []
     run_cell("gavel-wide", spy=_round_recorder(rounds))
-    assert max(len(jobs) for jobs, _, _ in rounds) > _SCALAR_MAX_JOBS
+    assert max(len(jobs) for jobs, _, _ in rounds) > 40

@@ -1,14 +1,14 @@
-"""The scalar joint solver reproduces the numpy one bit for bit.
+"""Gavel's joint solver against numpy references.
 
-Gavel's joint (GPU, cache, IO) max-min round has two implementations:
-``GavelPolicy._solve_numpy`` (the reference, built on ``_feasible``) and
-``GavelPolicy._solve_scalar`` for small rounds. Each is called directly
-here and every target, grant and ``job_scores`` entry must be equal as
-``float.hex``. Inputs cover shared datasets (the ``bincount`` path),
-binding and slack cache budgets, near-tied savings (equal-size datasets,
-decimal throughputs), jobs whose ``f*`` cap binds so progressive filling
-freezes them, an effective-cache view, and one to three generation
-pools.
+The solver runs on plain floats, but its sums copy numpy's pairwise
+summation and its cache plan copies numpy's ``bincount``/stable
+``argsort`` ranking: the bit-exact anchors were pinned while a numpy
+solver ran every round. numpy appears here only as the reference
+those copies are checked against, as ``float.hex``. Inputs cover shared
+datasets, binding and slack cache budgets, near-tied savings
+(equal-size datasets, decimal throughputs), jobs whose ``f*`` cap binds
+so progressive filling freezes them, an effective-cache view, and one
+to three generation pools.
 """
 
 import math
@@ -24,12 +24,10 @@ from repro.core.estimator import SiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import (
     _EPS,
-    _SCALAR_MAX_JOBS,
     GavelPolicy,
     _Datasets,
-    _JointArrays,
+    _JointRound,
     _pairwise_sum,
-    _ScalarRound,
 )
 from repro.core.resources import ResourceVector
 
@@ -80,19 +78,11 @@ def test_pairwise_sum_keeps_numpy_signed_zero():
 
 
 # --------------------------------------------------------------------------
-# scalar round solver == numpy round solver
+# The cache plan == numpy's bincount / stable argsort / cumsum plan
 # --------------------------------------------------------------------------
 
 #: Equal sizes make near-tied savings; two larger ones vary the ranking.
 _DATASET_GB = {"d0": 50.0, "d1": 50.0, "d2": 50.0, "d3": 120.0, "d4": 300.0}
-
-_job_rows = st.tuples(
-    st.sampled_from(sorted(_DATASET_GB)),
-    st.sampled_from([1, 2, 4, 8]),
-    # Decimal throughputs: sums of t/d differ in the last bits only.
-    st.sampled_from([10.0, 30.0, 33.3, 60.0, 99.9, 100.0, 240.0]),
-    st.sampled_from([1.0, 1.0, 2.0]),
-)
 
 
 def _jobs(rows):
@@ -110,38 +100,102 @@ def _jobs(rows):
     ]
 
 
-def _solve_both(jobs, total, pools, effective):
+def _dataset_numbers(jobs):
+    """Each job's dataset number, in first-appearance job order."""
+    names = list(dict.fromkeys(j.dataset.name for j in jobs))
+    return np.array([names.index(j.dataset.name) for j in jobs])
+
+
+def _numpy_cache_plan(jobs, targets, budget_mb):
+    """The cache plan in numpy: savings summed per dataset with
+    ``np.add.at`` in job order, ranked by a stable ``argsort``, and the
+    budget spent against a ``cumsum`` clipped to each dataset's size."""
+    index = _dataset_numbers(jobs)
+    d = np.array([j.dataset.size_mb for j in jobs])
+    ds_size = np.zeros(index.max() + 1)
+    ds_size[index] = d
+    saving = np.zeros(len(ds_size))
+    np.add.at(saving, index, np.asarray(targets, dtype=float) / d)
+    order = np.argsort(-saving, kind="stable")
+    sizes = ds_size[order]
+    before = np.concatenate(([0.0], np.cumsum(sizes)[:-1]))
+    grants = np.empty(len(ds_size))
+    grants[order] = np.clip(budget_mb - before, 0.0, sizes)
+    return grants
+
+
+def test_cache_plan_sums_savings_in_job_order():
+    """``0.1 + 0.7 + 0.2`` over one dataset ties a single ``1.0`` on
+    another only when summed in job order, so the plan's first (and
+    only) grant depends on the accumulation order."""
+    jobs = _jobs([("d0", 1, 100.0, 1.0)] * 3 + [("d1", 1, 100.0, 1.0)])
+    targets = [0.1, 0.7, 0.2, 1.0]
+    budget = 50.0 * GB
+    want = _numpy_cache_plan(jobs, targets, budget)
+    got = _Datasets(jobs).cache_plan(targets, budget)
+    assert got == want.tolist() == [budget, 0.0]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_DATASET_GB)),
+            st.sampled_from(
+                [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 10.0, 33.3, 66.6, 99.9, 100.0]
+            ),
+        ),
+        min_size=1,
+        max_size=64,
+    ),
+    st.one_of(
+        st.sampled_from([0.0, 40.0, 50.0, 100.0, 170.0, 520.0, 1e6]),
+        st.floats(min_value=0.0, max_value=200.0),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_cache_plan_matches_numpy_bitwise(rows, budget_gb):
+    """The index-based plan the joint solver and the het scorer share
+    equals the numpy plan grant by grant. Equal-size datasets and
+    decimal targets make near-tied savings, where a different summation
+    order or an unstable sort would reorder the plan."""
+    jobs = _jobs([(name, 1, 100.0, 1.0) for name, _ in rows])
+    targets = [target for _, target in rows]
+    budget_mb = budget_gb * GB
+    want = _numpy_cache_plan(jobs, targets, budget_mb)
+    got = _Datasets(jobs).cache_plan(targets, budget_mb)
+    assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
+
+
+# --------------------------------------------------------------------------
+# The round solver
+# --------------------------------------------------------------------------
+
+_job_rows = st.tuples(
+    st.sampled_from(sorted(_DATASET_GB)),
+    st.sampled_from([1, 2, 4, 8]),
+    # Decimal throughputs: sums of t/d differ in the last bits only.
+    st.sampled_from([10.0, 30.0, 33.3, 60.0, 99.9, 100.0, 240.0]),
+    st.sampled_from([1.0, 1.0, 2.0]),
+)
+
+
+def _round(jobs, total, pools=(), effective=None):
     policy = GavelPolicy()
-    policy._pool_members = pools
     ctx = ScheduleContext(
         estimator=SiloDPerfEstimator(), effective_cache_mb=effective
     )
     shares = policy._normalisers(jobs, total, ctx)
-    scalar = policy._solve_scalar(jobs, total, ctx, shares)
-    numpy = policy._solve_numpy(jobs, total, ctx, shares)
-    return scalar, numpy
-
-
-def _hexes(solution):
-    return {
-        "ds_names": list(solution.ds_names),
-        "cache_mb": [x.hex() for x in solution.cache_mb],
-        "targets": [x.hex() for x in solution.targets],
-        "gpus": [x.hex() for x in solution.gpus],
-        "remote_io_mbps": [x.hex() for x in solution.remote_io_mbps],
-        "used_io_mbps": solution.used_io_mbps.hex(),
-    }
+    return _JointRound(jobs, shares, ctx, total, pools)
 
 
 @st.composite
 def rounds(draw):
-    rows = draw(st.lists(_job_rows, min_size=1, max_size=_SCALAR_MAX_JOBS))
+    rows = draw(st.lists(_job_rows, min_size=1, max_size=64))
     jobs = _jobs(rows)
     dataset_mb = sum(
         _DATASET_GB[name] * GB for name in {row[0] for row in rows}
     )
     total = ResourceVector(
-        # Plenty of GPUs lets small jobs hit their f* cap and freeze.
         gpus=draw(st.sampled_from([2, 8, 16, 64, 256])),
         # Budgets from nothing, through binding, to covering every set.
         cache_mb=dataset_mb * draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0])),
@@ -174,15 +228,7 @@ def rounds(draw):
     return jobs, total, pools, effective
 
 
-@given(rounds())
-@settings(max_examples=300, deadline=None)
-def test_scalar_solver_matches_numpy_bitwise(case):
-    jobs, total, pools, effective = case
-    scalar, numpy = _solve_both(jobs, total, pools, effective)
-    assert _hexes(scalar) == _hexes(numpy)
-
-
-def test_solvers_agree_on_a_round_that_freezes_jobs():
+def test_solver_freezes_jobs_whose_cap_binds():
     """One-GPU jobs reach their ``f*`` cap at a lower ratio than the
     eight-GPU jobs, so they freeze and the ratio keeps rising."""
     rows = [
@@ -194,33 +240,31 @@ def test_solvers_agree_on_a_round_that_freezes_jobs():
     ]
     jobs = _jobs(rows)
     total = ResourceVector(gpus=12, cache_mb=100.0 * GB, remote_io_mbps=400.0)
-    scalar, numpy = _solve_both(jobs, total, (), None)
-    assert _hexes(scalar) == _hexes(numpy)
+    solution = _round(jobs, total).solve()
     estimator = SiloDPerfEstimator()
     f_star = [estimator.compute_bound(j, j.num_gpus) for j in jobs]
-    frozen = [t == f for t, f in zip(scalar.targets, f_star)]
+    frozen = [t == f for t, f in zip(solution.targets, f_star)]
     assert any(frozen) and not all(frozen)
 
 
-def test_solvers_agree_when_a_job_ends_just_below_its_cap():
+def test_solver_keeps_a_job_just_below_its_cap_active():
     """A pool capacity that binds 3e-6 below job ``a``'s ``f*`` cap: the
-    job is not frozen (the freeze threshold is 1e-6), and both solvers
-    must agree on that to the bit."""
+    job is not frozen (the freeze threshold is 1e-6), so its target
+    ends between the two thresholds."""
     jobs = _jobs([("d0", 1, 60.0, 1.0), ("d1", 8, 240.0, 1.0)])
     # Six GPUs: ``a`` gets its whole request as equal share, ``b`` three
     # of eight, so ``a``'s cap binds first (at ratio 1).
     total = ResourceVector(gpus=6, cache_mb=1e9, remote_io_mbps=1e9)
-    policy = GavelPolicy()
-    ctx = ScheduleContext(estimator=SiloDPerfEstimator())
-    shares = policy._normalisers(jobs, total, ctx)
-    arrays = _JointArrays(jobs, shares, ctx)
-    per_ratio = float(np.sum(arrays.perf_eq / arrays.f_star * arrays.gpus))
-    ratio = float(arrays.f_star[0] / arrays.perf_eq[0]) * (1.0 - 3e-6)
+    free = _round(jobs, total)
+    f_star = np.array(free.f_star)
+    per_ratio = float(
+        np.sum(np.array(free.perf_eq) / f_star * np.array(free.gpus))
+    )
+    ratio = free.f_star[0] / free.perf_eq[0] * (1.0 - 3e-6)
     pools = [(ratio * per_ratio / (1.0 + _EPS), [0, 1])]
-    scalar, numpy = _solve_both(jobs, total, pools, None)
-    assert _hexes(scalar) == _hexes(numpy)
-    f_star_a = float(arrays.f_star[0])
-    assert f_star_a * (1.0 - 1e-5) < scalar.targets[0] < f_star_a * (1.0 - 1e-6)
+    solution = _round(jobs, total, pools).solve()
+    f_star_a = free.f_star[0]
+    assert f_star_a * (1.0 - 1e-5) < solution.targets[0] < f_star_a * (1.0 - 1e-6)
 
 
 def _nudged(x, steps):
@@ -232,28 +276,29 @@ def _nudged(x, steps):
 @given(rounds(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_feasibility_agrees_at_each_boundary(case, seed):
-    """Place the GPU, pool and IO limits within a few ulps of the numpy
-    totals at random targets: both feasibility checks give the same
-    answer, so the sums agree to the bit at the point where rounding
+    """Place the GPU, pool and IO limits within a few ulps of totals
+    summed with ``np.sum`` at random targets: ``_feasible`` flips
+    exactly where the numpy total crosses the limit, so the solver's
+    sums agree with numpy's to the bit at the point where rounding
     decides."""
     jobs, total, pools, effective = case
     rng = random.Random(seed)
-    policy = GavelPolicy()
     ctx = ScheduleContext(
         estimator=SiloDPerfEstimator(), effective_cache_mb=effective
     )
-    shares = policy._normalisers(jobs, total, ctx)
-    arrays = _JointArrays(jobs, shares, ctx)
-    targets = np.array([f * rng.random() for f in arrays.f_star])
-    frozen = np.ones(len(jobs), dtype=bool)  # ``_feasible`` at ``targets``
-    demand = targets / arrays.f_star * arrays.gpus
-    cache = arrays.cache_plan_with_budget(targets, total.cache_mb)
-    limits = {
-        "gpus": float(np.sum(demand)),
-        "io": arrays.total_remote_io(targets, cache),
-    }
+    shares = GavelPolicy()._normalisers(jobs, total, ctx)
+    f_star = np.array([j.ideal_throughput_mbps for j in jobs])
+    gpus = np.array([float(j.num_gpus) for j in jobs])
+    d = np.array([j.dataset.size_mb for j in jobs])
+    eff = d if effective is None else np.array([effective(j) for j in jobs])
+    targets = np.array([f * rng.random() for f in f_star])
+    demand = targets / f_star * gpus
+    cache = _numpy_cache_plan(jobs, targets, total.cache_mb)
+    hits = np.minimum(cache[_dataset_numbers(jobs)], eff)
+    io = targets * (1.0 - np.minimum(1.0, hits / d))
+    limits = {"gpus": float(np.sum(demand)), "io": float(np.sum(io))}
     for p, (_, members) in enumerate(pools):
-        limits[p] = float(demand[members].sum())
+        limits[p] = float(np.sum(demand[members]))
     for which, used in limits.items():
         for steps in range(-2, 3):
             limit = _nudged(used / (1.0 + _EPS), steps)
@@ -264,56 +309,12 @@ def test_feasibility_agrees_at_each_boundary(case, seed):
                 cache_mb=total.cache_mb,
                 remote_io_mbps=limit if which == "io" else 1e12,
             )
-            policy._pool_members = [
+            at_pools = [
                 (limit if p == which else 1e12, members)
                 for p, (_, members) in enumerate(pools)
             ]
-            want = policy._feasible(0.0, arrays, frozen, targets, at)
-            got = _ScalarRound(
-                jobs, shares, ctx, at, policy._pool_members
-            )._feasible(targets.tolist())
+            want = used <= limit * (1.0 + _EPS)
+            got = _JointRound(jobs, shares, ctx, at, at_pools)._feasible(
+                targets.tolist()
+            )
             assert got == want, (which, steps)
-
-
-def test_cache_plan_sums_savings_in_job_order():
-    """``0.1 + 0.7 + 0.2`` over one dataset ties a single ``1.0`` on
-    another only when summed in job order, so the plan's first (and
-    only) grant depends on the accumulation order."""
-    jobs = _jobs([("d0", 1, 100.0, 1.0)] * 3 + [("d1", 1, 100.0, 1.0)])
-    targets = [0.1, 0.7, 0.2, 1.0]
-    budget = 50.0 * GB
-    ctx = ScheduleContext(estimator=SiloDPerfEstimator())
-    total = ResourceVector(gpus=8, cache_mb=budget, remote_io_mbps=1.0)
-    arrays = _JointArrays(
-        jobs, GavelPolicy()._normalisers(jobs, total, ctx), ctx
-    )
-    want = arrays.cache_plan_with_budget(np.array(targets), budget)
-    got = _Datasets(jobs).cache_plan(targets, budget)
-    assert got == want.tolist() == [budget, 0.0]
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(sorted(_DATASET_GB)),
-            st.sampled_from([0.0, 10.0, 33.3, 66.6, 99.9, 100.0]),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-    st.sampled_from([0.0, 40.0, 50.0, 100.0, 170.0, 520.0, 1e6]),
-)
-@settings(max_examples=200, deadline=None)
-def test_cache_plan_matches_numpy_bitwise(rows, budget_gb):
-    """The index-based plan the scalar solver and the het scorer share
-    equals ``_JointArrays.cache_plan_with_budget`` grant by grant."""
-    jobs = _jobs([(name, 1, 100.0, 1.0) for name, _ in rows])
-    targets = [target for _, target in rows]
-    ctx = ScheduleContext(estimator=SiloDPerfEstimator())
-    total = ResourceVector(gpus=8, cache_mb=budget_gb * GB, remote_io_mbps=1.0)
-    arrays = _JointArrays(
-        jobs, GavelPolicy()._normalisers(jobs, total, ctx), ctx
-    )
-    want = arrays.cache_plan_with_budget(np.array(targets), total.cache_mb)
-    got = _Datasets(jobs).cache_plan(targets, total.cache_mb)
-    assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]

@@ -17,8 +17,8 @@
 #      cell per cache system, a mid-epoch preemption and an IO stall,
 #      traced and untraced), tests/core/policies/test_gavel_anchors.py
 #      (Gavel's joint solver: gavel x silod with a frozen job,
-#      finish-time-fairness, het-max-min under churn, and a round large
-#      enough for numpy) and tests/sim/test_fluid_anchors.py (the fluid
+#      finish-time-fairness, het-max-min under churn, and rounds of more
+#      than 40 jobs) and tests/sim/test_fluid_anchors.py (the fluid
 #      simulator: fifo x silod on private datasets, shared datasets on
 #      the exponential multi-filler path, server loss + data-manager
 #      crash + bandwidth flap, and an online submit/cancel run; each
@@ -37,6 +37,13 @@
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
 #      `testpaths`, so only this stage runs it.
+#   7. paper claims            — every module under benchmarks/ with
+#      timing off: each regenerates one table or figure of the paper
+#      (or an extension) and asserts the shape EXPERIMENTS.md reports.
+#      Every checked-in benchmarks/results/*.txt render must then come
+#      back byte-identical to the index (see the exclusions below), so
+#      a render changed on purpose passes once it is staged. The JSON
+#      twins carry timestamps and are not compared.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -61,3 +68,11 @@ python tools/obs_smoke.py
 
 echo "== benchmark tests (perfbench/tests) =="
 python -m pytest perfbench/tests -q
+
+echo "== paper claims (benchmarks/) =="
+PYTHONPATH=".:$PYTHONPATH" python -m pytest benchmarks -q --benchmark-disable
+# Renders left out of the byte-for-byte check, each because it records
+# wall-clock readings that differ on every run:
+#   ext_decision_latency.txt — measured scheduler decision latencies.
+git diff --exit-code -- 'benchmarks/results/*.txt' \
+    ':(exclude)benchmarks/results/ext_decision_latency.txt'
