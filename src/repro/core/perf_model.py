@@ -113,17 +113,6 @@ def dataset_cache_efficiency(
     )
 
 
-def min_remote_io_for_throughput(
-    target_throughput_mbps: float, cache_mb: float, dataset_mb: float
-) -> float:
-    """Remote IO needed to sustain ``target`` given a cache allocation.
-
-    This is Eq 2 evaluated at the target; policies use it as the feasibility
-    primitive (e.g. Gavel's bisection asks "can every job reach ratio t?").
-    """
-    return remote_io_demand(target_throughput_mbps, cache_mb, dataset_mb)
-
-
 def min_cache_for_throughput(
     target_throughput_mbps: float, remote_io_mbps: float, dataset_mb: float
 ) -> float:

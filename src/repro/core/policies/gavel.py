@@ -8,33 +8,46 @@ and adds cache and remote IO as allocation dimensions (Eq 9).
 
 SiloDPerf is quasi-concave in the allocation — the super-level set
 "throughput >= T" is ``{x >= T/f*} ∩ {b >= T (1 - c/d)}``, an intersection
-of half-spaces — so the max-min programme is solved *exactly* by bisection
-on the common ratio ``t``:
+of half-spaces — so the max-min programme has an exact answer at a
+common ratio ``r``, where an active job targets ``r * norm_j`` and a
+frozen job its fixed target (:meth:`Programme.feasible` is the one test):
 
-* GPU feasibility is linear: ``sum_j (T_j / f*_j) g_j <= G``.
+* GPU feasibility is linear: ``sum_j (T_j / f*_j) g_j <= G``, and so is
+  each generation pool's. With the ``f*`` caps this gives ``r`` in
+  closed form: ``(cap - frozen GPUs) / sum_active norm * g / f*``.
 * Storage feasibility is a one-dimensional greedy: to minimise total
   remote IO subject to the cache budget, give cache to the datasets with
   the highest marginal saving ``sum_{j on D} T_j / d_D`` (cache efficiency
-  evaluated at the targets), then check ``sum_j b_j <= B``.
+  evaluated at the targets), then check ``sum_j b_j <= B``. A saving is
+  the line ``a_D + r * b_D`` (frozen jobs give ``a``), so between two
+  crossings the plan is fixed and IO is ``A + B * r``;
+  :meth:`Programme.io_limit` walks those segments down from the top,
+  taking a new plan only where a crossing moves a grant.
+
+Gavel (Narayanan et al., OSDI 2020) states this programme as an LP; no
+search runs here. Sums are ``math.fsum``, correctly rounded and so the
+same float on every CPython (``sum()`` became compensated in 3.12). The
+closed form then steps down one float at a time while the predicate
+rejects it (at most :data:`_STEPS` times, then ``RuntimeError``), and up
+to the cap bound while the next float passes.
 
 Lexicographic (progressive-filling) max-min: jobs whose ``f*`` cap binds at
 the current ratio are frozen at ``f*`` and the ratio keeps rising for the
 rest; when a shared resource binds, the loop ends and remaining slack is
 handed out in a final filling pass.
 
-The joint solver runs on every scheduling round, on plain floats
-(:class:`_JointRound`). Its sums copy numpy's pairwise summation
-(:func:`_pairwise_sum`) and its cache ranking numpy's stable argsort,
-because the bit-exact anchors were pinned while a numpy solver ran every
-round; ``sum()`` would move the last bits. Every job's ``f*`` must be
-positive: a compute estimator that returns ``0`` for some job is an
-error, not a job that needs no GPUs.
+The joint solver (:class:`_JointRound`) runs on every scheduling round,
+and het-max-min's assignment scorer calls the same
+:meth:`Programme.common_ratio`. Every job's ``f*`` must be positive: a
+compute estimator that returns ``0`` for some job is an error, not a job
+that needs no GPUs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core import perf_model
@@ -42,53 +55,15 @@ from repro.core.estimator import SiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext, SchedulingPolicy
 from repro.core.resources import Allocation, ResourceVector
 
-#: Bisection iterations (relative precision ~1e-9 on the ratio).
-_ITERS = 40
+#: Relative slack on every budget and ``f*`` cap.
 _EPS = 1e-9
+#: Floats the confirmation may step from the closed form.
+_STEPS = 64
 
-
-def _pairwise(values: Sequence[float], start: int, n: int) -> float:
-    """numpy's ``pairwise_sum`` over ``values[start:start + n]``: in
-    order below 8 elements, 8 strided partial sums up to 128 (numpy's
-    unroll factor and block size), halves beyond."""
-    if n < 8:
-        res = 0.0
-        for i in range(start, start + n):
-            res += values[i]
-        return res
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
-        end = start + n - n % 8
-        for i in range(start + 8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, start + n):
-            res += values[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise(values, start, half) + _pairwise(
-        values, start + half, n - half
-    )
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's ``sum`` of ``values`` as a float64 array, bit for bit.
-
-    numpy reduces a float64 vector from ``0.0`` plus a pairwise sum of
-    all of it: sequential below 8 elements, 8 strided accumulators
-    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128, and
-    halves split at a multiple of 8 beyond. ``sum()`` and ``math.fsum``
-    round differently.
-    """
-    return 0.0 + _pairwise(values, 0, len(values))
+#: ``(GPU capacity, member job indices)`` of one pool.
+Pool = Tuple[float, Sequence[int]]
+#: Per job: its fixed target if frozen, ``None`` if active.
+Fixed = Sequence[Optional[float]]
 
 
 class _Datasets:
@@ -112,38 +87,221 @@ class _Datasets:
             self.d.append(float(job.dataset.size_mb))
         self.private = len(self.names) == len(self.index)
 
+    def savings(self, targets: Sequence[float]) -> List[float]:
+        """Each dataset's marginal saving ``sum_{j on D} T_j / d_D``,
+        accumulated in job order from ``0.0``."""
+        if self.private:
+            return [t / size for t, size in zip(targets, self.d)]
+        saving = [0.0] * len(self.names)
+        for k, t, size in zip(self.index, targets, self.d):
+            saving[k] += t / size
+        return saving
+
     def cache_plan(
         self, targets: Sequence[float], budget_mb: float
     ) -> List[float]:
         """IO-minimising cache grant per dataset for the given targets.
 
-        Greedy by marginal saving ``sum_{j on D} T_j / d_D``, with
-        numpy's floats: savings accumulate per dataset in job order from
-        ``0.0`` (as ``bincount`` does), rank by a stable sort on the
-        negated saving (as ``argsort(kind="stable")``), and the budget
-        is spent against a running prefix sum (``cumsum``) clipped to
-        ``[0, size]``.
+        Greedy by :meth:`savings`: datasets rank by a stable sort on the
+        negated saving, and the budget is spent against a running prefix
+        sum clipped to ``[0, size]``.
         """
-        d = self.d
-        if self.private:
-            saving = [t / size for t, size in zip(targets, d)]
-        else:
-            saving = [0.0] * len(self.names)
-            for k, t, size in zip(self.index, targets, d):
-                saving[k] += t / size
-        neg = [-x for x in saving]
-        sizes = self.size
+        neg = [-x for x in self.savings(targets)]
         grants = [0.0] * len(neg)
         before = 0.0
         for k in sorted(range(len(neg)), key=neg.__getitem__):
-            size = sizes[k]
-            # ``min(max(budget - before, 0.0), size)``, without the calls.
-            grant = budget_mb - before
-            if grant < 0.0:
-                grant = 0.0
-            grants[k] = size if size < grant else grant
-            before += size
+            grants[k] = min(max(budget_mb - before, 0.0), self.size[k])
+            before += self.size[k]
         return grants
+
+
+class Programme:
+    """One round's jobs, normalisers, effective cache and budgets.
+
+    ``f*`` and the pools are per call, because het-max-min scores many
+    generation assignments against one programme. The effective cache
+    (§6) is read once, here: the IO cost of a target is paid against hits
+    the job can take now. Without an effective view caches are warm.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        norms: Sequence[float],
+        effective_cache_mb: Optional[Callable[[Job], float]],
+        cache_mb: float,
+        remote_io_mbps: float,
+    ) -> None:
+        self.jobs = tuple(jobs)
+        self.norms = list(norms)
+        self.gpus = [float(job.num_gpus) for job in self.jobs]
+        self.datasets = _Datasets(self.jobs)
+        self.eff = self.datasets.d
+        if effective_cache_mb is not None:
+            self.eff = [float(effective_cache_mb(job)) for job in self.jobs]
+        self.cache_mb = cache_mb
+        self.io_cap = remote_io_mbps * (1.0 + _EPS)
+
+    def targets(self, ratio: float, fixed: Fixed) -> List[float]:
+        """Each job's target at ``ratio``."""
+        return [
+            ratio * norm if t is None else t
+            for t, norm in zip(fixed, self.norms)
+        ]
+
+    def remote_io(
+        self, targets: Sequence[float], cache: Sequence[float]
+    ) -> List[float]:
+        """Each job's remote IO under a cache plan:
+        ``t * (1 - min(1, min(grant, effective) / d))``."""
+        ds = self.datasets
+        return [
+            t * (1.0 - min(1.0, min(cache[k], eff) / d))
+            for t, k, eff, d in zip(targets, ds.index, self.eff, ds.d)
+        ]
+
+    def feasible(
+        self,
+        targets: Sequence[float],
+        f_star: Sequence[float],
+        pools: Sequence[Pool],
+    ) -> bool:
+        """Whether every job can reach its target: the one predicate."""
+        if any(t > f * (1.0 + _EPS) for t, f in zip(targets, f_star)):
+            return False
+        demand = [t / f * g for t, f, g in zip(targets, f_star, self.gpus)]
+        for capacity, members in pools:
+            used = math.fsum([demand[j] for j in members])
+            if used > capacity * (1.0 + _EPS):
+                return False
+        cache = self.datasets.cache_plan(targets, self.cache_mb)
+        return math.fsum(self.remote_io(targets, cache)) <= self.io_cap
+
+    def cap_limit(self, f_star: Sequence[float], fixed: Fixed = ()) -> float:
+        """``hi``: the ratio at which the first active job reaches its
+        ``f*`` cap; :meth:`common_ratio` never returns more."""
+        hi = math.inf
+        fixed = fixed or [None] * len(f_star)
+        for job, f, norm, t in zip(self.jobs, f_star, self.norms, fixed):
+            if t is None:
+                if not f > 0.0:
+                    raise ValueError(
+                        f"job {job.job_id}: the compute estimator gave "
+                        f"f* = {f!r}; the joint solver needs f* > 0"
+                    )
+                hi = min(hi, f * (1.0 + _EPS) / norm)
+        return hi
+
+    def io_limit(self, top: float, fixed: Fixed = ()) -> float:
+        """The largest ``r <= top`` whose remote IO fits the budget
+        (``0.0`` if none does).
+
+        The walk goes down from ``top`` to the next crossing that moves a
+        grant: swapping two datasets granted in full, or two granted
+        nothing, changes no grant. Below it the plan is taken midway to
+        the next crossing of any two lines.
+        """
+        ds, norms = self.datasets, self.norms
+        fixed = fixed or [None] * len(norms)
+
+        def line(r: float) -> Tuple[float, float, List[int]]:
+            """``A``, ``B`` and each dataset's tier (0 none, 1 part,
+            2 full) of the plan at ``r``."""
+            targets = self.targets(r, fixed)
+            cache = ds.cache_plan(targets, self.cache_mb)
+            held = self.remote_io(targets, cache)
+            unit = self.remote_io(norms, cache)
+            return (
+                math.fsum(x for x, t in zip(held, fixed) if t is not None),
+                math.fsum(x for x, t in zip(unit, fixed) if t is None),
+                [(g > 0.0) + (g >= d) for g, d in zip(cache, ds.size)],
+            )
+
+        # Each dataset's saving is ``a + r * b``.
+        active = [n if t is None else 0.0 for n, t in zip(norms, fixed)]
+        lines = list(zip(
+            ds.savings(self.targets(0.0, fixed)), ds.savings(active)
+        ))
+
+        def crossings(below: float, moving: bool) -> Iterator[float]:
+            """Crossings in ``(0, below)``; if ``moving``, only those of
+            datasets in different tiers. Lines through the origin cross
+            only there, so a frozen job's saving is on one side."""
+            # Per tier, the datasets in the other two.
+            apart = [
+                [j for j, u in enumerate(tier) if u != t] for t in range(3)
+            ]
+            for k, (a_k, b_k) in enumerate(lines):
+                if a_k > 0.0:
+                    for l in apart[tier[k]] if moving else range(len(lines)):
+                        a_l, b_l = lines[l]
+                        if b_l != b_k:
+                            x = (a_l - a_k) / (b_k - b_l)
+                            if 0.0 < x < below:
+                                yield x
+
+        ceiling = top
+        a_io, b_io, tier = line(top)
+        while a_io + b_io * ceiling > self.io_cap:
+            x = max(crossings(ceiling, True), default=0.0)
+            if a_io + b_io * x <= self.io_cap:
+                return (self.io_cap - a_io) / b_io
+            if x <= 0.0:
+                return 0.0
+            below = max(crossings(x, False), default=0.0)
+            a_io, b_io, tier = line((x + below) / 2.0)
+            ceiling = x
+        return ceiling
+
+    def common_ratio(
+        self,
+        f_star: Sequence[float],
+        pools: Sequence[Pool],
+        fixed: Fixed = (),
+        io_limit: Optional[float] = None,
+    ) -> float:
+        """The largest common ratio the active jobs reach (``0.0`` if no
+        positive one is feasible). A caller that knows :meth:`io_limit`
+        for every ``top`` passes it as ``io_limit``."""
+        fixed = fixed or [None] * len(f_star)
+        hi = top = self.cap_limit(f_star, fixed)
+        slope = [
+            norm / f * g if t is None else 0.0
+            for f, norm, g, t in zip(f_star, self.norms, self.gpus, fixed)
+        ]
+        for capacity, members in pools:
+            per_unit = math.fsum([slope[j] for j in members])
+            if per_unit > 0.0:
+                held = math.fsum([
+                    fixed[j] / f_star[j] * self.gpus[j]
+                    for j in members if fixed[j] is not None
+                ])
+                top = min(top, (capacity * (1.0 + _EPS) - held) / per_unit)
+
+        def accepts(r: float) -> bool:
+            return self.feasible(self.targets(r, fixed), f_star, pools)
+
+        # When the linear limit fits, no IO walk is needed.
+        ratio = top if io_limit is None else min(top, io_limit)
+        if ratio > 0.0 and not accepts(ratio):
+            if io_limit is None:
+                ratio = self.io_limit(top, fixed)
+            for _ in range(_STEPS):
+                if ratio <= 0.0 or accepts(ratio):
+                    break
+                ratio = math.nextafter(ratio, 0.0)
+            else:
+                raise RuntimeError(
+                    f"no feasible ratio within {_STEPS} floats of {ratio!r}"
+                )
+        if ratio <= 0.0:
+            return 0.0
+        for _ in range(_STEPS):
+            up = math.nextafter(ratio, hi)
+            if ratio >= hi or not accepts(up):
+                break
+            ratio = up
+        return ratio
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,29 +338,9 @@ def equal_share(
     return EqualShare(gpus, cache_mb, io_mbps, perf)
 
 
-@dataclasses.dataclass
-class _JointSolution:
-    """One round's max-min targets and the grants that meet them."""
-
-    #: Per dataset, in first-appearance job order.
-    ds_names: List[str]
-    cache_mb: List[float]
-    #: Per job, in round order.
-    targets: List[float]
-    gpus: List[float]
-    remote_io_mbps: List[float]
-    #: ``sum(remote_io_mbps)`` as numpy sums it.
-    used_io_mbps: float
-
-
-class _JointRound:
-    """One round of the joint solver.
-
-    The round's constants are lists built once. :meth:`solve` runs the
-    progressive-filling loop over :meth:`_bisect`, then computes the
-    grants that meet the targets. A job whose ``f*`` is not positive
-    raises ``ValueError``: its GPU demand ``t / f*`` would be undefined.
-    """
+class _JointRound(Programme):
+    """One round of the joint solver: the programme under each job's
+    ``f*``, Gavel's total GPU budget one more pool over every job."""
 
     def __init__(
         self,
@@ -216,136 +354,32 @@ class _JointRound:
         self.f_star = [
             float(estimator.compute_bound(j, j.num_gpus)) for j in jobs
         ]
-        for job, f in zip(jobs, self.f_star):
-            if not f > 0.0:
-                raise ValueError(
-                    f"job {job.job_id}: the compute estimator gave "
-                    f"f* = {f!r}; the joint solver needs f* > 0"
-                )
-        self.f_cap = [f * (1.0 + _EPS) for f in self.f_star]
         self.perf_eq = [
             float(max(shares[j.job_id].perf_mbps, 1e-12)) for j in jobs
         ]
-        self.gpus = [float(j.num_gpus) for j in jobs]
-        self.datasets = _Datasets(jobs)
-        # Effective cached bytes visible right now (§6): the IO cost of a
-        # target must be paid against hits the job can actually take.
-        # Without an effective view, assume warm caches (steady state).
-        if ctx.effective_cache_mb is None:
-            self.eff = self.datasets.d
-        else:
-            self.eff = [float(ctx.effective_cache_mb(j)) for j in jobs]
-        self.cache_budget_mb = total.cache_mb
-        self.gpu_cap = total.gpus * (1.0 + _EPS)
-        self.io_cap = total.remote_io_mbps * (1.0 + _EPS)
-        self.pools = [
-            (capacity * (1.0 + _EPS), members) for capacity, members in pools
-        ]
-
-    def _remote_io(
-        self, targets: List[float], cache: List[float]
-    ) -> List[float]:
-        """Per-job IO at the targets: ``target * miss_ratio``, with
-        ``miss_ratio = 1 - min(1, min(grant, effective) / d)``."""
-        io = []
-        for t, k, eff, d in zip(
-            targets, self.datasets.index, self.eff, self.datasets.d
-        ):
-            hits = cache[k]
-            if eff < hits:
-                hits = eff
-            hit_ratio = hits / d
-            io.append(t * (1.0 - (hit_ratio if hit_ratio < 1.0 else 1.0)))
-        return io
-
-    def _feasible(self, targets: List[float]) -> bool:
-        """Whether every job can reach its target: each within its
-        ``f*`` cap, GPU demand ``sum_j (T_j / f*_j) g_j`` within the
-        total and within each generation pool, and the remote IO left
-        by the cache plan within the egress budget.
-
-        Frozen jobs are checked against their cap too, which changes
-        nothing: a frozen target is ``f*``, below ``f* * (1 + eps)``.
-        Slack handed out after the targets are met draws on the shared
-        GPU total only (it raises throughputs, never the binding
-        minimum).
-        """
-        for t, cap in zip(targets, self.f_cap):
-            if t > cap:
-                return False
-        f_star, gpus = self.f_star, self.gpus
-        demand = [t / f * g for t, f, g in zip(targets, f_star, gpus)]
-        if _pairwise_sum(demand) > self.gpu_cap:
-            return False
-        for cap, members in self.pools:
-            if _pairwise_sum([demand[j] for j in members]) > cap:
-                return False
-        cache = self.datasets.cache_plan(targets, self.cache_budget_mb)
-        return _pairwise_sum(self._remote_io(targets, cache)) <= self.io_cap
-
-    def _bisect(self, frozen: List[bool], fixed: List[float]) -> float:
-        """The largest common ratio the active jobs reach, frozen jobs
-        held at ``fixed``."""
-        perf_eq = self.perf_eq
-        if any(frozen):
-            def targets(ratio: float) -> List[float]:
-                return [
-                    t if fr else ratio * pe
-                    for t, fr, pe in zip(fixed, frozen, perf_eq)
-                ]
-        else:
-            def targets(ratio: float) -> List[float]:
-                return [ratio * pe for pe in perf_eq]
-        hi = min(
-            f / pe
-            for f, pe, fr in zip(self.f_star, perf_eq, frozen)
-            if not fr
+        super().__init__(
+            jobs, self.perf_eq, ctx.effective_cache_mb, total.cache_mb,
+            total.remote_io_mbps,
         )
-        if self._feasible(targets(hi)):
-            return hi
-        lo = 0.0
-        for _ in range(_ITERS):
-            mid = (lo + hi) / 2.0
-            if self._feasible(targets(mid)):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        self.pools = [(total.gpus, range(len(jobs)))] + list(pools)
 
-    def solve(self) -> _JointSolution:
+    def solve(self) -> List[float]:
+        """Each job's max-min target, by progressive filling."""
         f_star, perf_eq = self.f_star, self.perf_eq
-        n = len(f_star)
-        frozen = [False] * n
-        targets = [0.0] * n
-        while not all(frozen):
-            ratio = self._bisect(frozen, targets)
+        # Frozen jobs' targets; ``None`` while a job is active.
+        fixed: List[Optional[float]] = [None] * len(f_star)
+        while None in fixed:
+            ratio = self.common_ratio(f_star, self.pools, fixed)
             capped = [
                 i
-                for i in range(n)
-                if not frozen[i]
-                and ratio * perf_eq[i] >= f_star[i] * (1.0 - 1e-6)
+                for i, t in enumerate(fixed)
+                if t is None and ratio * perf_eq[i] >= f_star[i] * (1.0 - 1e-6)
             ]
             for i in capped:
-                targets[i] = f_star[i]
-                frozen[i] = True
+                fixed[i] = f_star[i]
             if not capped:
-                for i in range(n):
-                    if not frozen[i]:
-                        targets[i] = ratio * perf_eq[i]
                 break
-        cache = self.datasets.cache_plan(targets, self.cache_budget_mb)
-        io = self._remote_io(targets, cache)
-        return _JointSolution(
-            ds_names=self.datasets.names,
-            cache_mb=cache,
-            targets=targets,
-            gpus=[
-                min(1.0, t / f) * g
-                for t, f, g in zip(targets, f_star, self.gpus)
-            ],
-            remote_io_mbps=io,
-            used_io_mbps=_pairwise_sum(io),
-        )
+        return self.targets(ratio, fixed)
 
 
 class GavelPolicy(SchedulingPolicy):
@@ -453,22 +487,18 @@ class GavelPolicy(SchedulingPolicy):
         shares: Dict[str, EqualShare],
         allocation: Allocation,
     ) -> None:
-        solution = _JointRound(
-            jobs, shares, ctx, total, self._pool_members
-        ).solve()
-        for job, target in zip(jobs, solution.targets):
-            ctx.job_scores[job.job_id] = target
-        for name, grant in zip(solution.ds_names, solution.cache_mb):
+        solver = _JointRound(jobs, shares, ctx, total, self._pool_members)
+        targets = solver.solve()
+        cache = solver.datasets.cache_plan(targets, solver.cache_mb)
+        for name, grant in zip(solver.datasets.names, cache):
             if grant > 0:
                 allocation.grant_cache(name, grant)
-        for job, gpus, io in zip(
-            jobs, solution.gpus, solution.remote_io_mbps
-        ):
-            allocation.grant_gpus(job.job_id, gpus)
-            allocation.grant_remote_io(job.job_id, io)
-        self._distribute_slack(
-            jobs, total, allocation, ctx, solution.used_io_mbps
-        )
+        io = solver.remote_io(targets, cache)
+        for job, t, f, job_io in zip(jobs, targets, solver.f_star, io):
+            ctx.job_scores[job.job_id] = t
+            allocation.grant_gpus(job.job_id, min(1.0, t / f) * job.num_gpus)
+            allocation.grant_remote_io(job.job_id, job_io)
+        self._distribute_slack(jobs, total, allocation, ctx, math.fsum(io))
 
     def _distribute_slack(
         self,

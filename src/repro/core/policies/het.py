@@ -36,8 +36,9 @@ exactly 1.0, so allocations are bit-identical to ``GavelPolicy``
 This module is pure Python. The assignment scorer
 (:class:`_AssignmentScorer`, wrapped by
 :func:`common_ratio_for_assignment`) is called directly by the
-brute-force property test, and it shares the joint solver's cache plan
-(:meth:`~repro.core.policies.gavel._Datasets.cache_plan`). The
+brute-force property test, and it scores a candidate with the joint
+solver's closed-form solve
+(:meth:`~repro.core.policies.gavel.Programme.common_ratio`). The
 generation pools reach the joint solver as per-round member index
 lists (``_pool_members``).
 """
@@ -52,10 +53,9 @@ from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import (
     _EPS,
-    _ITERS,
     EqualShare,
     GavelPolicy,
-    _Datasets,
+    Programme,
     equal_share,
 )
 from repro.core.resources import Allocation, ResourceVector
@@ -73,15 +73,8 @@ class _AssignmentScorer:
     order. Everything a score depends on is snapshotted at construction
     — per-generation ``f*``, the normalisers, GPU counts and the
     effective cache view — so a score computed later sees the round's
-    inputs, not the live cluster's.
-
-    Feasibility of a ratio ``t`` has three parts: every target
-    ``t * normaliser`` within the job's ``f*``, every generation pool's
-    GPU demand within its capacity, and the remote IO left after the
-    greedy cache plan within the IO budget. The normalisers do not
-    depend on the assignment, so neither does the cache/IO part: it is
-    memoised per ratio for the round. Only the first two parts run per
-    candidate.
+    inputs, not the live cluster's. A score is the shared closed-form
+    solve under the candidate's ``f*`` and generation pools.
     """
 
     def __init__(
@@ -92,25 +85,24 @@ class _AssignmentScorer:
         estimator: HetSiloDPerfEstimator,
         normalisers: Dict[str, float],
         effective_cache_mb=None,
-        iters: int = _ITERS,
     ) -> None:
         self.jobs = tuple(jobs)
         self.pools = tuple(pools.items())
-        self.cache_mb = total.cache_mb
-        self.remote_io_mbps = total.remote_io_mbps
-        self.iters = iters
         self.f_star_by_gen = [
             estimator.f_star_by_generation(job) for job in self.jobs
         ]
-        self.norms = [normalisers[job.job_id] for job in self.jobs]
-        self.floors = [max(norm, 1e-12) for norm in self.norms]
-        self.gpus = [job.num_gpus for job in self.jobs]
-        self.datasets = _Datasets(self.jobs)
-        if effective_cache_mb is None:
-            self.eff = [job.dataset.size_mb for job in self.jobs]
-        else:
-            self.eff = [effective_cache_mb(job) for job in self.jobs]
-        self._io_memo: Dict[float, bool] = {}
+        norms = [max(normalisers[job.job_id], 1e-12) for job in self.jobs]
+        self.programme = Programme(
+            self.jobs, norms, effective_cache_mb, total.cache_mb,
+            total.remote_io_mbps,
+        )
+        # No job is frozen, so every saving is proportional to the ratio
+        # and the cache plan never changes: one IO limit, solved above
+        # every candidate's ``hi``, serves them all.
+        fastest = [max(by_gen.values()) for by_gen in self.f_star_by_gen]
+        self.io_limit = self.programme.io_limit(
+            self.programme.cap_limit(fastest) if self.jobs else 0.0
+        )
 
     def _f_star(self, candidate: Sequence[str]) -> List[float]:
         """Each job's ``f*`` on its generation in ``candidate``."""
@@ -119,39 +111,13 @@ class _AssignmentScorer:
             for by_gen, gen in zip(self.f_star_by_gen, candidate)
         ]
 
-    def _hi(self, f_star: List[float]) -> float:
-        """The ratio at which the first job reaches its ``f*``."""
-        return min(f / floor for f, floor in zip(f_star, self.floors))
-
     def bound(self, candidate: Sequence[str]) -> float:
-        """Upper bound on :meth:`ratio`: ``max(hi, 0)``.
-
-        The bisection returns ``hi`` itself or a point of ``[0, hi)``.
-        """
-        return max(self._hi(self._f_star(candidate)), 0.0)
-
-    def _io_feasible(self, ratio: float, targets: List[float]) -> bool:
-        """Cache/IO part of feasibility, memoised per ratio."""
-        ok = self._io_memo.get(ratio)
-        if ok is None:
-            datasets = self.datasets
-            cache = datasets.cache_plan(targets, self.cache_mb)
-            total_io = 0.0
-            for k, d, target, eff in zip(
-                datasets.index, datasets.d, targets, self.eff
-            ):
-                hits = min(cache[k], eff)
-                miss = 1.0 - min(1.0, hits / d)
-                total_io += target * miss
-            ok = total_io <= self.remote_io_mbps * (1.0 + _EPS)
-            self._io_memo[ratio] = ok
-        return ok
+        """Upper bound on :meth:`ratio`: ``max(hi, 0)``, where ``hi`` is
+        the ratio at which the first job reaches its ``f*`` cap."""
+        return max(self.programme.cap_limit(self._f_star(candidate)), 0.0)
 
     def ratio(self, candidate: Sequence[str]) -> float:
         """Largest common ratio reachable under ``candidate``."""
-        if not self.jobs:
-            return 0.0
-        f_star = self._f_star(candidate)
         members = [
             (
                 capacity,
@@ -159,32 +125,9 @@ class _AssignmentScorer:
             )
             for pool, capacity in self.pools
         ]
-
-        def feasible(ratio: float) -> bool:
-            targets = [ratio * norm for norm in self.norms]
-            for target, cap in zip(targets, f_star):
-                if target > cap * (1.0 + _EPS):
-                    return False
-            for capacity, indices in members:
-                demand = 0.0
-                for j in indices:
-                    if f_star[j] > 0:
-                        demand += targets[j] / f_star[j] * self.gpus[j]
-                if demand > capacity * (1.0 + _EPS):
-                    return False
-            return self._io_feasible(ratio, targets)
-
-        hi = self._hi(f_star)
-        if feasible(hi):
-            return hi
-        lo = 0.0
-        for _ in range(self.iters):
-            mid = (lo + hi) / 2.0
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return self.programme.common_ratio(
+            self._f_star(candidate), members, io_limit=self.io_limit
+        )
 
 
 def common_ratio_for_assignment(
@@ -195,7 +138,6 @@ def common_ratio_for_assignment(
     estimator: HetSiloDPerfEstimator,
     normalisers: Dict[str, float],
     effective_cache_mb=None,
-    iters: int = _ITERS,
 ) -> float:
     """Largest common ratio ``t`` reachable under a generation map.
 
@@ -208,8 +150,7 @@ def common_ratio_for_assignment(
     :class:`_AssignmentScorer`.
     """
     scorer = _AssignmentScorer(
-        jobs, pools, total, estimator, normalisers, effective_cache_mb,
-        iters,
+        jobs, pools, total, estimator, normalisers, effective_cache_mb
     )
     return scorer.ratio(
         tuple(
@@ -254,8 +195,8 @@ class _HetGavelBase(GavelPolicy):
         for job_id, generation in assignment.items():
             estimator.assignments[job_id] = generation
             ctx.gen_assignments[job_id] = generation
-        # Both joint solvers keep ``jobs`` order, so each pool's member
-        # indices are listed once here rather than on every bisection
+        # The joint solver keeps ``jobs`` order, so each pool's member
+        # indices are listed once here rather than on every filling
         # step.
         self._pool_members = [
             (
@@ -358,8 +299,8 @@ class HetMaxMinPolicy(_HetGavelBase):
         """Common ratio of the most recent heterogeneous assignment.
 
         Exhaustive rounds record it during the search. Greedy rounds
-        defer the bisection to the first read, over the inputs the
-        round's scorer snapshotted at schedule time.
+        defer the score to the first read, over the inputs the round's
+        scorer snapshotted at schedule time.
         """
         if self._unscored is not None:
             scorer, candidate = self._unscored

@@ -1,19 +1,19 @@
 """Bit-exact anchors of Gavel's joint (GPU, cache, IO) solver.
 
-The joint solver's rounds are optimised by hand: a pure-Python solver
-that reproduces numpy's summation and ranking, float operation for
-float operation. A change that perturbs one summation order, one tie
-in the cache ranking or one bisection step would move the simulated
-finish times, so these cells pin every job's JCT as ``float.hex``:
+Each step of the joint solver's filling loop takes the largest common
+ratio in closed form, confirmed float by float against its feasibility
+predicate, whose totals are ``math.fsum`` sums. A change that perturbs
+one total, one tie in the cache ranking or the confirmation would move
+the simulated finish times, so these cells pin every job's JCT as
+``float.hex``:
 
 * ``gavel`` x SiloD on a homogeneous fleet, with shared datasets and a
   one-GPU job whose ``f*`` cap binds, so progressive filling freezes it
-  and bisects again for the rest (a test asserts that it does);
+  and solves again for the rest (a test asserts that it does);
 * ``finish-time-fairness``, the Gavel objective with a different
   normaliser;
 * ``het-max-min`` on a K80/P100/V100 fleet under ``generate_churn``;
-* ``gavel`` with rounds of more than 40 concurrent jobs, pinned while
-  rounds that large ran a numpy solver.
+* ``gavel`` with rounds of more than 40 concurrent jobs.
 """
 
 import pytest
@@ -128,101 +128,101 @@ def run_cell(name, spy=None):
     }
 
 
-#: Recorded while every round ran a numpy solver.
+#: Recorded with the closed-form common ratio.
 EXPECTED = {
     "finish-time-fairness": {
-        "end_time_s": "0x1.57906cfa0e15bp+13",
+        "end_time_s": "0x1.57906cfa0def4p+13",
         "jct_s": {
-            "a": "0x1.a6f4e71ad9301p+11",
-            "b": "0x1.89dda14964d30p+11",
-            "c": "0x1.400503bf8c356p+11",
-            "e": "0x1.30dc5a7680c61p+12",
-            "f": "0x1.a6b972b97c8b4p+10",
-            "g": "0x1.509a5915cb37ep+11",
-            "h": "0x1.0000000000001p+12",
-            "s": "0x1.44d06cfa0e15bp+13",
+            "a": "0x1.a6f4e71ad884fp+11",
+            "b": "0x1.89dda1496427fp+11",
+            "c": "0x1.400503bf8b8a5p+11",
+            "e": "0x1.30dc5a768079ep+12",
+            "f": "0x1.a6b972b97b926p+10",
+            "g": "0x1.509a5915cadd4p+11",
+            "h": "0x1.0000000000000p+12",
+            "s": "0x1.44d06cfa0def4p+13",
         },
         "sched_rounds": 25,
     },
     "gavel-shared": {
-        "end_time_s": "0x1.4bfe21954b17ep+13",
+        "end_time_s": "0x1.4bfe21954afbcp+13",
         "jct_s": {
-            "a": "0x1.b4355d410443fp+11",
-            "b": "0x1.60d9660cb8fb5p+11",
-            "c": "0x1.7758c68a81e9bp+11",
-            "e": "0x1.1e611d260c587p+12",
-            "f": "0x1.bd5050ebc5130p+10",
-            "g": "0x1.4000000000002p+11",
+            "a": "0x1.b4355d4103741p+11",
+            "b": "0x1.60d9660cb855cp+11",
+            "c": "0x1.7758c68a80f95p+11",
+            "e": "0x1.1e611d260c322p+12",
+            "f": "0x1.bd5050ebc435ep+10",
+            "g": "0x1.4000000000000p+11",
             "h": "0x1.0000000000000p+12",
-            "s": "0x1.393e21954b17ep+13",
+            "s": "0x1.393e21954afbcp+13",
         },
         "sched_rounds": 25,
     },
     "gavel-wide": {
-        "end_time_s": "0x1.9683c99e98d87p+14",
+        "end_time_s": "0x1.9683c99e974eep+14",
         "jct_s": {
-            "w00": "0x1.e9a01bf11c1cbp+11",
-            "w01": "0x1.4c98f03506e98p+13",
-            "w02": "0x1.0cadef22c6b4dp+14",
-            "w03": "0x1.4e849453970d8p+14",
-            "w04": "0x1.c1263b107d2d8p+13",
-            "w05": "0x1.4fca51a007cf4p+13",
-            "w06": "0x1.0880bafdc428fp+14",
-            "w07": "0x1.4db00e3a8f4a8p+14",
-            "w08": "0x1.4f5a4d9045893p+12",
-            "w09": "0x1.0d198ca3021ccp+13",
-            "w10": "0x1.c9bf21b120938p+12",
-            "w11": "0x1.545c389c1a4a5p+14",
-            "w12": "0x1.6c854305811d5p+13",
-            "w13": "0x1.2c37dac3cd5eep+14",
-            "w14": "0x1.6514da9725e03p+14",
-            "w15": "0x1.3c43b5f8ec261p+14",
-            "w16": "0x1.f6f53e4ef0108p+11",
-            "w17": "0x1.e753b53ff457ep+12",
-            "w18": "0x1.a5813868eea66p+13",
-            "w19": "0x1.2767430fbc1c3p+14",
-            "w20": "0x1.08ccb82cdf0bcp+13",
-            "w21": "0x1.68f0c1710c636p+13",
-            "w22": "0x1.712921f249bd0p+14",
-            "w23": "0x1.91d3c99e98d87p+14",
-            "w24": "0x1.75f779bfbd76ap+12",
-            "w25": "0x1.b16540ba517eep+12",
-            "w26": "0x1.99a5cf91cdd48p+13",
-            "w27": "0x1.214e65a56edd4p+14",
-            "w28": "0x1.9b989ece09c1cp+13",
-            "w29": "0x1.f31438834f39bp+13",
-            "w30": "0x1.965fd77ee923ap+13",
-            "w31": "0x1.235360e310b7ep+14",
-            "w32": "0x1.2129ab3e48af4p+12",
-            "w33": "0x1.e51a5d3881ed8p+13",
-            "w34": "0x1.462dbf97f8b15p+14",
-            "w35": "0x1.14f5ff92800dep+14",
-            "w36": "0x1.3845c255b6b92p+13",
-            "w37": "0x1.e71480421680cp+13",
-            "w38": "0x1.45eb07ebef977p+14",
-            "w39": "0x1.6a6011d303258p+14",
-            "w40": "0x1.94a3d600b0277p+11",
-            "w41": "0x1.69279cc6f8693p+12",
-            "w42": "0x1.4a5fd8bb53f6fp+13",
-            "w43": "0x1.ff2ff521d4a40p+13",
-            "w44": "0x1.e536f58290b23p+13",
-            "w45": "0x1.dc127c8fc1b03p+13",
-            "w46": "0x1.43c1a4cbcfddfp+14",
-            "w47": "0x1.695dec1611d61p+14",
+            "w00": "0x1.e9a01bf11a6f1p+11",
+            "w01": "0x1.4c98f0350569cp+13",
+            "w02": "0x1.0cadef22c592bp+14",
+            "w03": "0x1.4e849453958d7p+14",
+            "w04": "0x1.c1263b107b5dep+13",
+            "w05": "0x1.4fca51a0064b0p+13",
+            "w06": "0x1.0880bafdc3112p+14",
+            "w07": "0x1.4db00e3a8dcd7p+14",
+            "w08": "0x1.4f5a4d9044226p+12",
+            "w09": "0x1.0d198ca300bc3p+13",
+            "w10": "0x1.c9bf21b11e33fp+12",
+            "w11": "0x1.545c389c18c5ap+14",
+            "w12": "0x1.6c8543057f80dp+13",
+            "w13": "0x1.2c37dac3cc10fp+14",
+            "w14": "0x1.6514da97245b3p+14",
+            "w15": "0x1.3c43b5f8eab8bp+14",
+            "w16": "0x1.f6f53e4eee120p+11",
+            "w17": "0x1.e753b53ff1d87p+12",
+            "w18": "0x1.a5813868ecd64p+13",
+            "w19": "0x1.2767430fbad1dp+14",
+            "w20": "0x1.08ccb82cddb2ap+13",
+            "w21": "0x1.68f0c1710ac42p+13",
+            "w22": "0x1.712921f248383p+14",
+            "w23": "0x1.91d3c99e974eep+14",
+            "w24": "0x1.75f779bfbbc37p+12",
+            "w25": "0x1.b16540ba4f674p+12",
+            "w26": "0x1.99a5cf91cc091p+13",
+            "w27": "0x1.214e65a56d96bp+14",
+            "w28": "0x1.9b989ece07f40p+13",
+            "w29": "0x1.f31438834d29fp+13",
+            "w30": "0x1.965fd77ee75b6p+13",
+            "w31": "0x1.235360e30f709p+14",
+            "w32": "0x1.2129ab3e476efp+12",
+            "w33": "0x1.e51a5d3880086p+13",
+            "w34": "0x1.462dbf97f7397p+14",
+            "w35": "0x1.14f5ff927ed80p+14",
+            "w36": "0x1.3845c255b546ap+13",
+            "w37": "0x1.e7148042149abp+13",
+            "w38": "0x1.45eb07ebee1f8p+14",
+            "w39": "0x1.6a6011d3019bcp+14",
+            "w40": "0x1.94a3d600af0d0p+11",
+            "w41": "0x1.69279cc6f6b23p+12",
+            "w42": "0x1.4a5fd8bb527b6p+13",
+            "w43": "0x1.ff2ff521d28ecp+13",
+            "w44": "0x1.e536f5828ecd9p+13",
+            "w45": "0x1.dc127c8fbfd32p+13",
+            "w46": "0x1.43c1a4cbce668p+14",
+            "w47": "0x1.695dec16104c8p+14",
         },
         "sched_rounds": 75,
     },
     "het-max-min-churn": {
-        "end_time_s": "0x1.9c4953c4af207p+12",
+        "end_time_s": "0x1.9c37f2c316eefp+12",
         "jct_s": {
-            "a": "0x1.4596ed499e876p+12",
-            "b": "0x1.10eb033016866p+12",
-            "c": "0x1.6cffc8be8aa32p+12",
-            "e": "0x1.514953c4af207p+12",
-            "f": "0x1.9c2f2f5c0f8ccp+11",
-            "g": "0x1.50933b349739ap+11",
-            "h": "0x1.20f8e491d5ea4p+11",
-            "s": "0x1.1481091f89f9bp+12",
+            "a": "0x1.4596ed499e4acp+12",
+            "b": "0x1.10eb03301654bp+12",
+            "c": "0x1.6d6f1ec165c94p+12",
+            "e": "0x1.5137f2c316eefp+12",
+            "f": "0x1.9c2f2f5c0f206p+11",
+            "g": "0x1.50933b34969c0p+11",
+            "h": "0x1.20f8e491d5a6cp+11",
+            "s": "0x1.1481091f89cb7p+12",
         },
         "sched_rounds": 22,
     },
@@ -252,7 +252,7 @@ def _round_recorder(rounds):
 
 def test_gavel_shared_cell_freezes_a_job():
     """Some round caps a job at exactly its ``f*`` while another job
-    stays below its own cap, so progressive filling bisected again with
+    stays below its own cap, so progressive filling solved again with
     a frozen job."""
     rounds = []
     run_cell("gavel-shared", spy=_round_recorder(rounds))
@@ -267,11 +267,8 @@ def test_gavel_shared_cell_freezes_a_job():
 
 
 def test_gavel_wide_cell_has_large_rounds():
-    """The wide cell reaches rounds of more than 40 jobs.
-
-    Its anchor was pinned while rounds above 40 jobs ran a numpy
-    solver, so it is the cell that shows the pure-Python solver still
-    reproduces those rounds to the bit."""
+    """The wide cell reaches rounds of more than 40 jobs, the largest
+    rounds the four cells pin."""
     rounds = []
     run_cell("gavel-wide", spy=_round_recorder(rounds))
     assert max(len(jobs) for jobs, _, _ in rounds) > 40

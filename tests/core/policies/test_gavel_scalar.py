@@ -1,20 +1,23 @@
-"""Gavel's joint solver against numpy references.
+"""Gavel's joint solver: its cache plan, its feasibility predicate and
+its closed-form common ratio.
 
-The solver runs on plain floats, but its sums copy numpy's pairwise
-summation and its cache plan copies numpy's ``bincount``/stable
-``argsort`` ranking: the bit-exact anchors were pinned while a numpy
-solver ran every round. numpy appears here only as the reference
-those copies are checked against, as ``float.hex``. Inputs cover shared
-datasets, binding and slack cache budgets, near-tied savings
-(equal-size datasets, decimal throughputs), jobs whose ``f*`` cap binds
-so progressive filling freezes them, an effective-cache view, and one
-to three generation pools.
+The cache plan copies numpy's ``bincount``/stable ``argsort`` ranking,
+checked against numpy as ``float.hex``. The predicate's GPU, pool and
+IO totals are ``math.fsum`` sums. The closed-form ratio is checked on
+every step of the filling loop against the 40-step bisection it
+replaced (``tests/core/ratio_oracles.py``) and, with the cache off,
+against Gavel's LP. Inputs cover shared datasets, binding and slack
+cache budgets, near-tied savings (equal-size datasets, decimal
+throughputs), jobs whose ``f*`` cap binds so progressive filling
+freezes them, an effective-cache view, and one to three generation
+pools.
 """
 
 import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,57 +28,14 @@ from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import (
     _EPS,
     GavelPolicy,
+    Programme,
     _Datasets,
     _JointRound,
-    _pairwise_sum,
 )
 from repro.core.resources import ResourceVector
+from tests.core.ratio_oracles import bisect_ratio, lp_ratio
 
 GB = 1024.0
-
-# --------------------------------------------------------------------------
-# _pairwise_sum == np.sum
-# --------------------------------------------------------------------------
-
-def _summand(rng):
-    """Mixed signs, magnitudes from 1e-300 to 1e300, and signed zeros."""
-    if rng.random() < 0.1:
-        return rng.choice([0.0, -0.0])
-    sign = rng.choice([-1.0, 1.0])
-    return sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299)
-
-
-@given(
-    st.integers(min_value=0, max_value=300),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=500, deadline=None)
-def test_pairwise_sum_matches_numpy_bitwise(n, seed):
-    """Below 8 elements, the single 8-accumulator block up to 128 and
-    the recursive split beyond: all equal ``np.sum`` to the bit."""
-    rng = random.Random(seed)
-    values = [_summand(rng) for _ in range(n)]
-    want = float(np.sum(np.array(values, dtype=float)))
-    assert _pairwise_sum(values).hex() == want.hex()
-
-
-@given(st.lists(st.floats(allow_nan=False), max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_pairwise_sum_matches_numpy_on_any_floats(values):
-    """Hypothesis's own float edge cases (subnormals, infinities, huge
-    values that overflow) shrink to a short failing vector."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = float(np.sum(np.array(values, dtype=float)))
-    assert _pairwise_sum(values).hex() == want.hex()
-
-
-def test_pairwise_sum_keeps_numpy_signed_zero():
-    """numpy reduces from ``+0.0``: a sum of negative zeros is ``+0.0``."""
-    for n in (0, 1, 7, 8, 9, 128, 129, 300):
-        values = [-0.0] * n
-        want = float(np.sum(np.array(values, dtype=float)))
-        assert _pairwise_sum(values).hex() == want.hex() == "0x0.0p+0"
-
 
 # --------------------------------------------------------------------------
 # The cache plan == numpy's bincount / stable argsort / cumsum plan
@@ -240,10 +200,10 @@ def test_solver_freezes_jobs_whose_cap_binds():
     ]
     jobs = _jobs(rows)
     total = ResourceVector(gpus=12, cache_mb=100.0 * GB, remote_io_mbps=400.0)
-    solution = _round(jobs, total).solve()
+    targets = _round(jobs, total).solve()
     estimator = SiloDPerfEstimator()
     f_star = [estimator.compute_bound(j, j.num_gpus) for j in jobs]
-    frozen = [t == f for t, f in zip(solution.targets, f_star)]
+    frozen = [t == f for t, f in zip(targets, f_star)]
     assert any(frozen) and not all(frozen)
 
 
@@ -262,9 +222,9 @@ def test_solver_keeps_a_job_just_below_its_cap_active():
     )
     ratio = free.f_star[0] / free.perf_eq[0] * (1.0 - 3e-6)
     pools = [(ratio * per_ratio / (1.0 + _EPS), [0, 1])]
-    solution = _round(jobs, total, pools).solve()
+    targets = _round(jobs, total, pools).solve()
     f_star_a = free.f_star[0]
-    assert f_star_a * (1.0 - 1e-5) < solution.targets[0] < f_star_a * (1.0 - 1e-6)
+    assert f_star_a * (1.0 - 1e-5) < targets[0] < f_star_a * (1.0 - 1e-6)
 
 
 def _nudged(x, steps):
@@ -277,28 +237,24 @@ def _nudged(x, steps):
 @settings(max_examples=150, deadline=None)
 def test_feasibility_agrees_at_each_boundary(case, seed):
     """Place the GPU, pool and IO limits within a few ulps of totals
-    summed with ``np.sum`` at random targets: ``_feasible`` flips
-    exactly where the numpy total crosses the limit, so the solver's
-    sums agree with numpy's to the bit at the point where rounding
-    decides."""
+    summed with ``math.fsum`` at random targets: the predicate flips
+    exactly where the correctly rounded total crosses the limit."""
     jobs, total, pools, effective = case
     rng = random.Random(seed)
-    ctx = ScheduleContext(
-        estimator=SiloDPerfEstimator(), effective_cache_mb=effective
-    )
-    shares = GavelPolicy()._normalisers(jobs, total, ctx)
-    f_star = np.array([j.ideal_throughput_mbps for j in jobs])
-    gpus = np.array([float(j.num_gpus) for j in jobs])
-    d = np.array([j.dataset.size_mb for j in jobs])
-    eff = d if effective is None else np.array([effective(j) for j in jobs])
-    targets = np.array([f * rng.random() for f in f_star])
-    demand = targets / f_star * gpus
-    cache = _numpy_cache_plan(jobs, targets, total.cache_mb)
-    hits = np.minimum(cache[_dataset_numbers(jobs)], eff)
-    io = targets * (1.0 - np.minimum(1.0, hits / d))
-    limits = {"gpus": float(np.sum(demand)), "io": float(np.sum(io))}
+    f_star = [j.ideal_throughput_mbps for j in jobs]
+    d = [j.dataset.size_mb for j in jobs]
+    eff = d if effective is None else [effective(j) for j in jobs]
+    targets = [f * rng.random() for f in f_star]
+    demand = [t / f * j.num_gpus for t, f, j in zip(targets, f_star, jobs)]
+    cache = _numpy_cache_plan(jobs, targets, total.cache_mb).tolist()
+    index = _dataset_numbers(jobs)
+    io = [
+        t * (1.0 - min(1.0, min(cache[k], e) / size))
+        for t, k, e, size in zip(targets, index, eff, d)
+    ]
+    limits = {"gpus": math.fsum(demand), "io": math.fsum(io)}
     for p, (_, members) in enumerate(pools):
-        limits[p] = float(np.sum(demand[members]))
+        limits[p] = math.fsum(demand[j] for j in members)
     for which, used in limits.items():
         for steps in range(-2, 3):
             limit = _nudged(used / (1.0 + _EPS), steps)
@@ -313,8 +269,92 @@ def test_feasibility_agrees_at_each_boundary(case, seed):
                 (limit if p == which else 1e12, members)
                 for p, (_, members) in enumerate(pools)
             ]
+            solver = _round(jobs, at, at_pools, effective)
             want = used <= limit * (1.0 + _EPS)
-            got = _JointRound(jobs, shares, ctx, at, at_pools)._feasible(
-                targets.tolist()
-            )
+            got = solver.feasible(targets, solver.f_star, solver.pools)
             assert got == want, (which, steps)
+
+
+# --------------------------------------------------------------------------
+# The closed-form common ratio
+# --------------------------------------------------------------------------
+
+def _filling_steps(solver):
+    """Every ``(fixed, ratio)`` the solver's filling loop visits, replayed
+    step by step; ``fixed`` holds frozen jobs' targets, else ``None``."""
+    f_star, perf_eq = solver.f_star, solver.perf_eq
+    fixed = [None] * len(f_star)
+    while None in fixed:
+        ratio = solver.common_ratio(f_star, solver.pools, fixed)
+        yield list(fixed), ratio
+        capped = [
+            i for i, t in enumerate(fixed)
+            if t is None and ratio * perf_eq[i] >= f_star[i] * (1.0 - 1e-6)
+        ]
+        if not capped:
+            return
+        for i in capped:
+            fixed[i] = f_star[i]
+
+
+@given(rounds())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_is_the_largest_feasible_ratio(case):
+    """On every filling step, frozen jobs included: the ratio is
+    feasible, ``r * (1 + 1e-9)`` is not (caps carry the budgets'
+    slack, so this holds when a cap binds too), and ``r`` is at least
+    the 40-step bisection's answer over ``[0, hi]``. With warm caches IO
+    is the minimum of nondecreasing linear plans, so feasibility is
+    monotone and ``r`` is also at most a bisection step above it; cold
+    caches can break monotonicity."""
+    solver = _round(*case)
+    f_star = solver.f_star
+    for fixed, ratio in _filling_steps(solver):
+
+        def accepts(r, fixed=fixed):
+            targets = solver.targets(r, fixed)
+            return solver.feasible(targets, f_star, solver.pools)
+
+        hi = solver.cap_limit(f_star, fixed)
+        lo = bisect_ratio(accepts, hi)
+        assert ratio >= lo
+        assert accepts(ratio) or ratio == lo == 0.0
+        assert not accepts(ratio * (1.0 + 1e-9))
+        if case[3] is None:
+            assert ratio <= lo + hi * 2.0**-40 + 4 * math.ulp(ratio)
+
+
+def test_io_limit_takes_the_plan_below_a_crossing():
+    """A frozen job's dataset holds the cache until the active job's
+    saving overtakes it at ``r = 50``. The egress budget binds at
+    ``r = 40``, below the crossing; the plan above it (the other dataset
+    cached) would leave the frozen job's 50 MB/s uncached and no ratio
+    feasible."""
+    jobs = _jobs([("d0", 1, 100.0, 1.0), ("d1", 1, 1000.0, 1.0)])
+    size_mb = jobs[0].dataset.size_mb
+    programme = Programme(jobs, [1.0, 1.0], None, size_mb, 40.0)
+    ratio = programme.common_ratio([100.0, 1000.0], [], [50.0, None])
+    assert ratio == pytest.approx(40.0 * (1.0 + _EPS), rel=1e-12)
+
+
+@given(rounds())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_is_within_gavels_lp_with_the_cache_off(case):
+    """With no cache every byte is read remotely, so the programme is
+    Gavel's LP: no filling step may exceed its optimum."""
+    jobs, total, pools, effective = case
+    total = ResourceVector(
+        gpus=total.gpus, cache_mb=0.0, remote_io_mbps=total.remote_io_mbps
+    )
+    solver = _round(jobs, total, pools, effective)
+    by_gen = [{"g": f} for f in solver.f_star]
+    lp_pools = [
+        (capacity, [(j, "g") for j in members])
+        for capacity, members in [(total.gpus, range(len(jobs)))] + list(pools)
+    ]
+    for fixed, ratio in _filling_steps(solver):
+        bound = lp_ratio(
+            solver.perf_eq, by_gen, solver.gpus, lp_pools,
+            total.remote_io_mbps, fixed,
+        )
+        assert ratio <= bound * (1.0 + 1e-9)

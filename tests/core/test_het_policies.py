@@ -7,7 +7,9 @@ must equal an independent brute-force maximisation over *every*
 assignment, scored by the same pure-Python
 ``common_ratio_for_assignment`` oracle — and never fall below what the
 greedy max-throughput sibling or the homogeneous delegate achieves on
-the binding minimum.
+the binding minimum. Enumerated and greedy rounds alike stay within
+Gavel's LP over time fractions ``X[job, generation]``, which relaxes any
+integral assignment.
 """
 
 import itertools
@@ -23,11 +25,13 @@ from repro.core.perf_model import default_speedup_table
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import equal_share
 from repro.core.policies.het import (
+    _ENUM_LIMIT,
     HetMaxMinPolicy,
     HetMaxThroughputPolicy,
     common_ratio_for_assignment,
 )
 from repro.core.resources import ResourceVector
+from tests.core.ratio_oracles import lp_ratio
 
 POOL_GENS = ("V100", "A100")
 
@@ -155,6 +159,55 @@ def test_max_min_ratio_dominates_max_throughput_minimum(
         jobs, dict(sum_ctx.gen_assignments), pools, total, oracle, normalisers
     )
     assert max_min.last_assignment_ratio >= rival - 1e-9
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1, 5), (6, 8)], ids=["enumerated", "greedy"]
+)
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    caps=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
+    cache_mb=st.floats(min_value=0.0, max_value=32768.0),
+    io_mbps=st.floats(min_value=50.0, max_value=2000.0),
+)
+def test_max_min_ratio_within_gavels_lp(sizes, data, caps, cache_mb, io_mbps):
+    """``last_assignment_ratio`` of either search path is at most the LP
+    bound with the cache and IO terms dropped: the LP lets a job split
+    its time across generations, and drops budgets the ratio must
+    meet."""
+    specs = data.draw(
+        st.lists(job_spec, min_size=sizes[0], max_size=sizes[1])
+    )
+    jobs = _make_jobs(specs)
+    pools = dict(zip(("K80", "P100", "V100"), caps))
+    enumerated = len(pools) ** len(jobs) <= _ENUM_LIMIT
+    assert enumerated == (sizes[1] <= 5)
+    total = ResourceVector(
+        gpus=float(sum(caps)), cache_mb=cache_mb, remote_io_mbps=io_mbps
+    )
+    policy = HetMaxMinPolicy()
+    policy.schedule(jobs, total, _context(_estimator(), pools))
+
+    oracle = _estimator()
+    norms = [
+        max(
+            equal_share(job, len(jobs), total, oracle, True).perf_mbps
+            * job.weight,
+            1e-12,
+        )
+        for job in jobs
+    ]
+    by_gen = [
+        {gen: oracle.f_star_by_generation(job)[gen] for gen in pools}
+        for job in jobs
+    ]
+    lp_pools = [
+        (capacity, [(j, gen) for j in range(len(jobs))])
+        for gen, capacity in pools.items()
+    ]
+    bound = lp_ratio(norms, by_gen, [job.num_gpus for job in jobs], lp_pools)
+    assert policy.last_assignment_ratio <= bound * (1.0 + 1e-9)
 
 
 def test_single_pool_delegates_to_homogeneous_gavel():

@@ -2,15 +2,17 @@
 
 ``HetMaxMinPolicy`` scores candidate generation assignments with a
 per-round :class:`~repro.core.policies.het._AssignmentScorer` that
-memoises the cache/IO half of feasibility per ratio, skips candidates
-whose upper bound cannot beat the best ratio so far, and, on the greedy
-path, scores the chosen assignment only when ``last_assignment_ratio``
-is first read. None of that may change a result: the chosen assignment
-and its ratio must equal (``==``) an unpruned search scored by a direct,
-unmemoised bisection.
+solves the IO limit once for the round, skips candidates whose upper
+bound cannot beat the best ratio so far, and, on the greedy path,
+scores the chosen assignment only when ``last_assignment_ratio`` is
+first read. None of that may change a result: the chosen assignment and
+its ratio must equal (``==``) an unpruned search scored by unmemoised
+calls of the shared closed-form solve, and no score may fall below the
+40-step bisection it replaced.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.perf_model import default_speedup_table
 from repro.core.policies.base import ScheduleContext
-from repro.core.policies.gavel import _EPS, _ITERS, _Datasets, equal_share
+from repro.core.policies.gavel import _EPS, Programme, _Datasets, equal_share
 from repro.core.policies.het import (
     _ENUM_LIMIT,
     HetMaxMinPolicy,
@@ -28,6 +30,7 @@ from repro.core.policies.het import (
     common_ratio_for_assignment,
 )
 from repro.core.resources import ResourceVector
+from tests.core.ratio_oracles import bisect_ratio
 
 POOLS = ("K80", "P100", "V100")
 
@@ -49,41 +52,50 @@ def _normalisers(jobs, total):
     }
 
 
+def _members(generations, pools):
+    return [
+        (capacity, [j for j, gen in enumerate(generations) if gen == pool])
+        for pool, capacity in pools.items()
+    ]
+
+
 def _direct_ratio(jobs, generations, pools, total, f_star_by_gen, norms, eff):
-    """Common ratio of one assignment by a plain bisection: every
-    feasibility check recomputes its cache plan, nothing is memoised."""
+    """Common ratio of one assignment by the 40-step bisection, over a
+    predicate written out here: every check recomputes its cache plan."""
     f_star = [by_gen[gen] for by_gen, gen in zip(f_star_by_gen, generations)]
 
     def feasible(ratio):
         targets = [ratio * norm for norm in norms]
         if any(t > f * (1.0 + _EPS) for t, f in zip(targets, f_star)):
             return False
-        for pool, capacity in pools.items():
-            demand = 0.0
-            for j, gen in enumerate(generations):
-                if gen == pool and f_star[j] > 0:
-                    demand += targets[j] / f_star[j] * jobs[j].num_gpus
+        for capacity, members in _members(generations, pools):
+            demand = math.fsum(
+                targets[j] / f_star[j] * jobs[j].num_gpus for j in members
+            )
             if demand > capacity * (1.0 + _EPS):
                 return False
         datasets = _Datasets(jobs)
         cache = datasets.cache_plan(targets, total.cache_mb)
-        total_io = 0.0
-        for job, k, target, visible in zip(jobs, datasets.index, targets, eff):
-            hits = min(cache[k], visible)
-            total_io += target * (1.0 - min(1.0, hits / job.dataset.size_mb))
+        total_io = math.fsum(
+            t * (1.0 - min(1.0, min(cache[k], visible) / job.dataset.size_mb))
+            for job, k, t, visible in zip(jobs, datasets.index, targets, eff)
+        )
         return total_io <= total.remote_io_mbps * (1.0 + _EPS)
 
-    hi = min(f / max(norm, 1e-12) for f, norm in zip(f_star, norms))
-    if feasible(hi):
-        return hi
-    lo = 0.0
-    for _ in range(_ITERS):
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    hi = min(f * (1.0 + _EPS) / norm for f, norm in zip(f_star, norms))
+    return bisect_ratio(feasible, hi)
+
+
+def _exact_ratio(jobs, generations, pools, total, f_star_by_gen, norms, eff):
+    """Common ratio of one assignment by an unmemoised call of the
+    shared solve: a fresh programme, its IO limit solved in the call."""
+    visible = {job.job_id: e for job, e in zip(jobs, eff)}
+    programme = Programme(
+        jobs, norms, lambda job: visible[job.job_id], total.cache_mb,
+        total.remote_io_mbps,
+    )
+    f_star = [by_gen[gen] for by_gen, gen in zip(f_star_by_gen, generations)]
+    return programme.common_ratio(f_star, _members(generations, pools))
 
 
 def _make_jobs(specs, picks, jitter=None):
@@ -160,7 +172,10 @@ def test_pruned_search_matches_unpruned_reference(
     )
     best, best_ratio = None, -1.0
     for candidate in itertools.product(sorted(pools), repeat=len(jobs)):
-        ratio = _direct_ratio(
+        ratio = _exact_ratio(
+            jobs, candidate, pools, total, f_star_by_gen, norms, eff
+        )
+        assert ratio >= _direct_ratio(
             jobs, candidate, pools, total, f_star_by_gen, norms, eff
         )
         assignment = dict(zip((job.job_id for job in jobs), candidate))

@@ -94,13 +94,13 @@ def test_het_tiny(residency_store):
         finished[policy] = len(result.finished_records())
     assert agg == {
         "fifo": "0x1.1902db2d5dd6fp+7",
-        "het-max-min": "0x1.25063bb5639f4p+7",
-        "het-max-throughput": "0x1.2645c193c61dfp+7",
+        "het-max-min": "0x1.25063bb564c13p+7",
+        "het-max-throughput": "0x1.2645c193c9a1dp+7",
     }
     assert jct == {
         "fifo": "0x1.87e3f68825cf7p+7",
-        "het-max-min": "0x1.630fb98dd0d3cp+7",
-        "het-max-throughput": "0x1.e625aae231664p+7",
+        "het-max-min": "0x1.630fb98dcec15p+7",
+        "het-max-throughput": "0x1.e625aae229bdep+7",
     }
     assert finished == dict.fromkeys(HET_POLICIES, 16)
     rates = [float.fromhex(agg[policy]) for policy in HET_POLICIES]

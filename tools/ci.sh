@@ -16,9 +16,12 @@
 #      tests/sim/test_minibatch_anchors.py (the minibatch emulator: one
 #      cell per cache system, a mid-epoch preemption and an IO stall,
 #      traced and untraced), tests/core/policies/test_gavel_anchors.py
-#      (Gavel's joint solver: gavel x silod with a frozen job,
-#      finish-time-fairness, het-max-min under churn, and rounds of more
-#      than 40 jobs) and tests/sim/test_fluid_anchors.py (the fluid
+#      (Gavel's closed-form common-ratio solve: gavel x silod with a
+#      frozen job, finish-time-fairness, het-max-min under churn, and
+#      rounds of more than 40 jobs; test_gavel_scalar.py proves each
+#      filling step against a 40-step bisection and, via scipy's
+#      linprog from the dev extra, Gavel's LP) and
+#      tests/sim/test_fluid_anchors.py (the fluid
 #      simulator: fifo x silod on private datasets, shared datasets on
 #      the exponential multi-filler path, server loss + data-manager
 #      crash + bandwidth flap, and an online submit/cancel run; each
