@@ -17,6 +17,7 @@ This module provides that wrapper as :class:`SiloDPerfEstimator`. It
 
 from __future__ import annotations
 
+import types
 from typing import Callable, List, Sequence
 
 from repro.cluster.job import Job
@@ -142,6 +143,9 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
     single-generation fleet) produces bit-identical numbers to the
     plain :class:`SiloDPerfEstimator`.
 
+    The speedup table is fixed at construction: :attr:`speedups` is a
+    read-only view, because :meth:`f_star_by_generation` iterates an
+    order sorted once here.
     """
 
     def __init__(
@@ -155,13 +159,22 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
                 f"default generation {default_generation!r} missing "
                 f"from the speedup table"
             )
-        self.speedups = dict(speedups)
+        self._speedups = dict(speedups)
+        #: ``(generation, factor)`` slowest first, ties by name.
+        self._by_speed = sorted(
+            self._speedups.items(), key=lambda kv: (kv[1], kv[0])
+        )
         self.default_generation = default_generation
         #: job_id -> generation name; written by heterogeneity-aware
         #: policies each round, cleared by the scheduler between rounds.
         self.assignments: dict = {}
         self._base_estimator = base_estimator
         super().__init__(compute_estimator=self._het_compute)
+
+    @property
+    def speedups(self) -> types.MappingProxyType:
+        """Generation name -> speedup factor (read-only)."""
+        return types.MappingProxyType(self._speedups)
 
     def _het_compute(self, job: Job, gpus: float) -> float:
         return self._base_estimator(job, gpus) * self.speedup_of(
@@ -173,7 +186,7 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
         generation = self.assignments.get(
             job_id, self.default_generation
         )
-        return self.speedups[generation]
+        return self._speedups[generation]
 
     def generation_of(self, job_id: str) -> str:
         """The job's assigned generation (default when unassigned)."""
@@ -186,10 +199,5 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
         deterministic regardless of table insertion order.
         """
         base = self._base_estimator(job, job.num_gpus)
-        return {
-            gen: base * factor
-            for gen, factor in sorted(
-                self.speedups.items(), key=lambda kv: (kv[1], kv[0])
-            )
-        }
+        return {gen: base * factor for gen, factor in self._by_speed}
 

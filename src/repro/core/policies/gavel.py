@@ -314,28 +314,41 @@ class EqualShare:
     perf_mbps: float
 
 
+def equal_division(
+    job: Job, num_jobs: int, total: ResourceVector
+) -> Tuple[float, float, float]:
+    """The job's ``(GPUs, cache MB, remote IO MB/s)`` slice of the
+    cluster divided evenly among ``num_jobs`` jobs: the GPU share capped
+    at its request, the cache share at its dataset size."""
+    if num_jobs < 1:
+        raise ValueError("need at least one job")
+    return (
+        min(job.num_gpus, total.gpus / num_jobs),
+        min(job.dataset.size_mb, total.cache_mb / num_jobs),
+        total.remote_io_mbps / num_jobs,
+    )
+
+
 def equal_share(
     job: Job,
     num_jobs: int,
     total: ResourceVector,
     estimator: SiloDPerfEstimator,
     storage_aware: bool,
+    weight: float = 1.0,
 ) -> EqualShare:
-    """``R_equal``: the cluster divided evenly among ``num_jobs`` jobs.
+    """``R_equal``: the cluster divided evenly among ``num_jobs`` jobs
+    (:func:`equal_division`), its performance scaled by ``weight``.
 
-    GPU share is capped at the job's request; cache share at its dataset
-    size. Vanilla Gavel's equal-share performance ignores storage.
+    Vanilla Gavel's equal-share performance ignores storage. Scaling by
+    the default weight 1.0 is the identity.
     """
-    if num_jobs < 1:
-        raise ValueError("need at least one job")
-    gpus = min(job.num_gpus, total.gpus / num_jobs)
-    cache_mb = min(job.dataset.size_mb, total.cache_mb / num_jobs)
-    io_mbps = total.remote_io_mbps / num_jobs
+    gpus, cache_mb, io_mbps = equal_division(job, num_jobs, total)
     if storage_aware and job.regular:
         perf = estimator.estimate(job, gpus, cache_mb, io_mbps)
     else:
         perf = estimator.compute_bound(job, gpus)
-    return EqualShare(gpus, cache_mb, io_mbps, perf)
+    return EqualShare(gpus, cache_mb, io_mbps, perf * weight)
 
 
 class _JointRound(Programme):
@@ -422,20 +435,15 @@ class GavelPolicy(SchedulingPolicy):
         normalisers to express other Gavel objectives (e.g. finish-time
         fairness normalises by the job's exclusive-run performance).
         """
-        shares = {}
-        for job in jobs:
-            share = equal_share(
-                job, len(jobs), total, ctx.estimator, ctx.storage_aware
+        # Scaling by weight 1.0 is the identity, so the weighted share
+        # is built unconditionally (no float-equality test).
+        return {
+            job.job_id: equal_share(
+                job, len(jobs), total, ctx.estimator, ctx.storage_aware,
+                job.weight,
             )
-            # Scaling by weight 1.0 is the identity, so the weighted
-            # share is built unconditionally (no float-equality test).
-            shares[job.job_id] = EqualShare(
-                gpus=share.gpus,
-                cache_mb=share.cache_mb,
-                remote_io_mbps=share.remote_io_mbps,
-                perf_mbps=share.perf_mbps * job.weight,
-            )
-        return shares
+            for job in jobs
+        }
 
     # ------------------------------------------------------------------
     # Vanilla Gavel: GPUs only.

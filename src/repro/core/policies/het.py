@@ -22,10 +22,11 @@ cache shares against generation placement:
   ratio maximises the sum within the filling family.
 
 Both policies publish per-generation compute bounds into
-``ctx.gen_scores`` (job_id -> {generation: f*}) and their placement
-into ``ctx.gen_assignments``; lint rule POL004 enforces the former for
-every ``heterogeneity_aware`` policy, and the provenance layer carries
-both into ``decision_job`` events.
+``ctx.gen_scores`` (job_id -> {generation: f*}), the one ``f*`` table
+the round's greedy ranking and assignment scorer read, and their
+placement into ``ctx.gen_assignments``; lint rule POL004 enforces the
+former for every ``heterogeneity_aware`` policy, and the provenance
+layer carries both into ``decision_job`` events.
 
 On a homogeneous fleet (``ctx.gpu_pools`` absent or single-generation)
 :class:`HetMaxMinPolicy` delegates to the parent unchanged — with the
@@ -45,8 +46,9 @@ lists (``_pool_members``).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
@@ -56,7 +58,7 @@ from repro.core.policies.gavel import (
     EqualShare,
     GavelPolicy,
     Programme,
-    equal_share,
+    equal_division,
 )
 from repro.core.resources import Allocation, ResourceVector
 
@@ -71,10 +73,12 @@ class _AssignmentScorer:
 
     A candidate is a tuple of generation names, one per job in job
     order. Everything a score depends on is snapshotted at construction
-    — per-generation ``f*``, the normalisers, GPU counts and the
-    effective cache view — so a score computed later sees the round's
-    inputs, not the live cluster's. A score is the shared closed-form
-    solve under the candidate's ``f*`` and generation pools.
+    — per-generation ``f*`` (``f_star_by_gen``, one
+    :meth:`~repro.core.estimator.HetSiloDPerfEstimator.f_star_by_generation`
+    table per job), the normalisers, GPU counts and the effective cache
+    view — so a score computed later sees the round's inputs, not the
+    live cluster's. A score is the shared closed-form solve under the
+    candidate's ``f*`` and generation pools.
     """
 
     def __init__(
@@ -82,15 +86,13 @@ class _AssignmentScorer:
         jobs: Sequence[Job],
         pools: Dict[str, int],
         total: ResourceVector,
-        estimator: HetSiloDPerfEstimator,
+        f_star_by_gen: Sequence[Dict[str, float]],
         normalisers: Dict[str, float],
         effective_cache_mb=None,
     ) -> None:
         self.jobs = tuple(jobs)
         self.pools = tuple(pools.items())
-        self.f_star_by_gen = [
-            estimator.f_star_by_generation(job) for job in self.jobs
-        ]
+        self.f_star_by_gen = list(f_star_by_gen)
         norms = [max(normalisers[job.job_id], 1e-12) for job in self.jobs]
         self.programme = Programme(
             self.jobs, norms, effective_cache_mb, total.cache_mb,
@@ -150,7 +152,12 @@ def common_ratio_for_assignment(
     :class:`_AssignmentScorer`.
     """
     scorer = _AssignmentScorer(
-        jobs, pools, total, estimator, normalisers, effective_cache_mb
+        jobs,
+        pools,
+        total,
+        [estimator.f_star_by_generation(job) for job in jobs],
+        normalisers,
+        effective_cache_mb,
     )
     return scorer.ratio(
         tuple(
@@ -228,28 +235,28 @@ class _HetGavelBase(GavelPolicy):
         pools: Dict[str, int], estimator: HetSiloDPerfEstimator
     ) -> List[str]:
         """Pool names by descending speedup (ties: name) — greedy order."""
+        speedups = estimator.speedups
         return sorted(
-            pools,
-            key=lambda gen: (-estimator.speedups.get(gen, 1.0), gen),
+            pools, key=lambda gen: (-speedups.get(gen, 1.0), gen)
         )
 
     def _greedy_assign(
         self,
         jobs: List[Job],
         pools: Dict[str, int],
-        estimator: HetSiloDPerfEstimator,
+        ctx: ScheduleContext,
     ) -> Dict[str, str]:
-        """Deterministic placer: densest jobs onto the fastest pools."""
+        """Deterministic placer: densest jobs onto the fastest pools,
+        ranked by the round's ``ctx.gen_scores``."""
+        estimator = ctx.estimator
         order = self._pools_fastest_first(pools, estimator)
         remaining = dict(pools)
         assignment: Dict[str, str] = {}
+        default = estimator.default_generation
         ranked = sorted(
             jobs,
             key=lambda j: (
-                -estimator.f_star_by_generation(j)[
-                    estimator.default_generation
-                ]
-                / max(j.num_gpus, 1),
+                -ctx.gen_scores[j.job_id][default] / max(j.num_gpus, 1),
                 j.job_id,
             ),
         )
@@ -291,21 +298,24 @@ class HetMaxMinPolicy(_HetGavelBase):
     name = "het-max-min"
 
     _last_ratio: float = 0.0
-    #: ``(scorer, candidate)`` of a greedy round, scored on first read.
-    _unscored: Optional[Tuple[_AssignmentScorer, Tuple[str, ...]]] = None
+    #: ``(build the round's scorer, candidate)`` of a greedy round,
+    #: scored on first read.
+    _unscored: Optional[
+        Tuple[Callable[[], _AssignmentScorer], Tuple[str, ...]]
+    ] = None
 
     @property
     def last_assignment_ratio(self) -> float:
         """Common ratio of the most recent heterogeneous assignment.
 
         Exhaustive rounds record it during the search. Greedy rounds
-        defer the score to the first read, over the inputs the round's
-        scorer snapshotted at schedule time.
+        keep the scorer's inputs, read at schedule time, and build the
+        scorer and score the chosen assignment on the first read.
         """
         if self._unscored is not None:
-            scorer, candidate = self._unscored
+            build, candidate = self._unscored
             self._unscored = None
-            self._last_ratio = scorer.ratio(candidate)
+            self._last_ratio = build().ratio(candidate)
         return self._last_ratio
 
     def _assign(
@@ -329,21 +339,28 @@ class HetMaxMinPolicy(_HetGavelBase):
         n = len(jobs)
         if n == 0:
             return {}
-        scorer = _AssignmentScorer(
+        effective = ctx.effective_cache_mb
+        if effective is not None:
+            # Read once, now: a greedy round's scorer is built later.
+            eff = {job.job_id: effective(job) for job in jobs}
+            effective = lambda job: eff[job.job_id]
+        build = functools.partial(
+            _AssignmentScorer,
             jobs,
             pools,
             total,
-            estimator,
+            [ctx.gen_scores[job.job_id] for job in jobs],
             normalisers,
-            ctx.effective_cache_mb,
+            effective,
         )
         if len(gens) ** n > _ENUM_LIMIT:
-            assignment = self._greedy_assign(jobs, pools, estimator)
+            assignment = self._greedy_assign(jobs, pools, ctx)
             self._unscored = (
-                scorer,
+                build,
                 tuple(assignment[job.job_id] for job in jobs),
             )
             return assignment
+        scorer = build()
         best: Optional[Tuple[str, ...]] = None
         best_ratio = -1.0
         for candidate in itertools.product(gens, repeat=n):
@@ -383,15 +400,10 @@ class HetMaxThroughputPolicy(_HetGavelBase):
         """Normalise by the job's compute bound, not the equal share."""
         shares = {}
         for job in jobs:
-            share = equal_share(
-                job, len(jobs), total, ctx.estimator, ctx.storage_aware
-            )
+            gpus, cache_mb, io_mbps = equal_division(job, len(jobs), total)
             f_star = ctx.estimator.compute_bound(job, job.num_gpus)
             shares[job.job_id] = EqualShare(
-                gpus=share.gpus,
-                cache_mb=share.cache_mb,
-                remote_io_mbps=share.remote_io_mbps,
-                perf_mbps=max(f_star, 1e-12) * job.weight,
+                gpus, cache_mb, io_mbps, max(f_star, 1e-12) * job.weight
             )
         return shares
 
@@ -405,4 +417,4 @@ class HetMaxThroughputPolicy(_HetGavelBase):
         estimator = ctx.estimator
         for job in jobs:
             estimator.assignments.pop(job.job_id, None)
-        return self._greedy_assign(jobs, pools, estimator)
+        return self._greedy_assign(jobs, pools, ctx)

@@ -15,7 +15,7 @@ performance estimator and adds the two framework-level behaviours:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import units
 from repro.cluster.job import Job
@@ -242,7 +242,7 @@ class SiloDScheduler:
         ]
         if not unassigned:
             return
-        speedups: Dict[str, float] = (
+        speedups: Mapping[str, float] = (
             self.estimator.speedups
             if isinstance(self.estimator, HetSiloDPerfEstimator)
             else {}

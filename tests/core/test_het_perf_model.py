@@ -195,3 +195,33 @@ def test_f_star_by_generation_orders_slowest_first():
     assert values == sorted(values)
     assert by_gen["V100"] == 100.0
     assert set(by_gen) == set(GENERATIONS)
+
+
+def test_f_star_by_generation_breaks_speedup_ties_by_name():
+    """Slowest first, equal speedups in name order, each value exactly
+    ``base * factor``: the order is sorted once, at construction."""
+    speedups = {"V100": 1.0, "Z": 0.5, "B": 2.0, "A": 2.0, "K": 0.5}
+    het = HetSiloDPerfEstimator(speedups=speedups)
+    job = Job(
+        job_id="j",
+        model="resnet50",
+        dataset=Dataset(name="d", size_mb=1024.0, num_items=1000),
+        num_gpus=3,
+        ideal_throughput_mbps=123.4,
+        total_work_mb=1024.0,
+    )
+    by_gen = het.f_star_by_generation(job)
+    assert list(by_gen) == ["K", "Z", "V100", "A", "B"]
+    for gen, factor in speedups.items():
+        assert by_gen[gen] == 123.4 * factor
+
+
+def test_speedup_table_is_read_only():
+    """The cached generation order cannot go stale: item assignment on
+    ``speedups`` raises, and the table keeps its values."""
+    het = HetSiloDPerfEstimator(
+        speedups=perf_model.default_speedup_table()
+    )
+    with pytest.raises(TypeError):
+        het.speedups["V100"] = 2.0
+    assert het.speedups["V100"] == 1.0

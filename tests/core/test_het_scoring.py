@@ -4,16 +4,20 @@
 per-round :class:`~repro.core.policies.het._AssignmentScorer` that
 solves the IO limit once for the round, skips candidates whose upper
 bound cannot beat the best ratio so far, and, on the greedy path,
-scores the chosen assignment only when ``last_assignment_ratio`` is
-first read. None of that may change a result: the chosen assignment and
-its ratio must equal (``==``) an unpruned search scored by unmemoised
-calls of the shared closed-form solve, and no score may fall below the
-40-step bisection it replaced.
+builds the scorer and scores the chosen assignment only when
+``last_assignment_ratio`` is first read. None of that may change a
+result: the chosen assignment and its ratio must equal (``==``) an
+unpruned search scored by unmemoised calls of the shared closed-form
+solve, and no score may fall below the 40-step bisection it replaced.
+Each round computes a job's per-generation ``f*`` table once and
+publishes exactly a fresh estimator's table.
 """
 
+import collections
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +27,11 @@ from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.perf_model import default_speedup_table
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import _EPS, Programme, _Datasets, equal_share
+from repro.core.policies import het
 from repro.core.policies.het import (
     _ENUM_LIMIT,
     HetMaxMinPolicy,
+    HetMaxThroughputPolicy,
     _AssignmentScorer,
     common_ratio_for_assignment,
 )
@@ -167,7 +173,7 @@ def test_pruned_search_matches_unpruned_reference(
     oracle = _estimator()
     f_star_by_gen = [oracle.f_star_by_generation(job) for job in jobs]
     scorer = _AssignmentScorer(
-        jobs, pools, total, oracle, norms_by_id,
+        jobs, pools, total, f_star_by_gen, norms_by_id,
         lambda job: by_id[job.job_id],
     )
     best, best_ratio = None, -1.0
@@ -236,3 +242,115 @@ def test_greedy_round_defers_ratio_over_snapshotted_inputs(
     )
     assert policy.last_assignment_ratio == expected
     assert policy.last_assignment_ratio == expected  # cached on first read
+
+
+#: Six jobs on three pools: ``3 ** 6`` candidates, the greedy path.
+GREEDY_SPECS = [
+    (1, 120.0, 2048.0),
+    (2, 300.0, 4096.0),
+    (3, 80.0, 1024.0),
+    (1, 220.0, 6144.0),
+    (2, 60.0, 3072.0),
+    (3, 350.0, 512.0),
+]
+FLEET = {"K80": 2, "P100": 3, "V100": 2}
+
+
+def _round(n_jobs, policy_cls=HetMaxMinPolicy, estimator=None):
+    jobs = _make_jobs(GREEDY_SPECS, range(n_jobs))
+    total = ResourceVector(
+        gpus=float(sum(FLEET.values())), cache_mb=6000.0,
+        remote_io_mbps=400.0,
+    )
+    eff = {job.job_id: job.dataset.size_mb / 3 for job in jobs}
+    ctx = ScheduleContext(
+        estimator=estimator or _estimator(),
+        storage_aware=True,
+        gpu_pools=dict(FLEET),
+        effective_cache_mb=lambda job: eff[job.job_id],
+    )
+    policy = policy_cls()
+    policy.schedule(jobs, total, ctx)
+    return policy, ctx, jobs, total, eff
+
+
+def _count_scorers_and_io_limits(monkeypatch):
+    """Record every scorer built and the programme of every IO walk."""
+    built, walked = [], []
+
+    class CountingScorer(_AssignmentScorer):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    io_limit = Programme.io_limit
+
+    def counting_io_limit(self, *args, **kwargs):
+        walked.append(self)
+        return io_limit(self, *args, **kwargs)
+
+    monkeypatch.setattr(het, "_AssignmentScorer", CountingScorer)
+    monkeypatch.setattr(Programme, "io_limit", counting_io_limit)
+    return built, walked
+
+
+def test_greedy_round_builds_its_scorer_on_first_read(monkeypatch):
+    built, walked = _count_scorers_and_io_limits(monkeypatch)
+    policy, ctx, jobs, total, eff = _round(6)
+    assert len(FLEET) ** len(jobs) > _ENUM_LIMIT
+    # The joint solver is a Programme too; the scorer's is a plain one.
+    assert built == []
+    assert [p for p in walked if type(p) is Programme] == []
+
+    ratio = policy.last_assignment_ratio
+    assert len(built) == 1
+    assert [p for p in walked if type(p) is Programme] == [
+        built[0].programme
+    ]
+    oracle = _estimator()
+    eager = _AssignmentScorer(
+        jobs, FLEET, total,
+        [oracle.f_star_by_generation(job) for job in jobs],
+        _normalisers(jobs, total), lambda job: eff[job.job_id],
+    )
+    candidate = tuple(ctx.gen_assignments[job.job_id] for job in jobs)
+    assert ratio == eager.ratio(candidate)
+    assert policy.last_assignment_ratio == ratio
+    assert len(built) == 1
+
+
+def test_enumerated_round_builds_one_scorer(monkeypatch):
+    built, _ = _count_scorers_and_io_limits(monkeypatch)
+    policy, _, jobs, _, _ = _round(3)
+    assert len(FLEET) ** len(jobs) <= _ENUM_LIMIT
+    assert len(built) == 1
+    policy.last_assignment_ratio
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "policy_cls, n_jobs",
+    [
+        (HetMaxMinPolicy, 3),
+        (HetMaxMinPolicy, 6),
+        (HetMaxThroughputPolicy, 6),
+    ],
+)
+def test_round_computes_each_f_star_table_once(policy_cls, n_jobs):
+    """A round publishes a fresh estimator's ``f*`` table per job, and
+    computes it at most once per job."""
+    estimator = _estimator()
+    calls = collections.Counter()
+    f_star_by_generation = estimator.f_star_by_generation
+
+    def counting(job):
+        calls[job.job_id] += 1
+        return f_star_by_generation(job)
+
+    estimator.f_star_by_generation = counting
+    _, ctx, jobs, _, _ = _round(n_jobs, policy_cls, estimator)
+    assert set(calls) == {job.job_id for job in jobs}
+    assert max(calls.values()) == 1
+    oracle = _estimator()
+    for job in jobs:
+        assert ctx.gen_scores[job.job_id] == oracle.f_star_by_generation(job)
