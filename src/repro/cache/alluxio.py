@@ -20,7 +20,6 @@ from repro.cache.base import (
     CacheSystem,
     StorageContext,
     StorageDecision,
-    desired_rate,
     trace_io_grants,
 )
 from repro.cache.lru import lru_epoch_hit_ratio, shared_lru_shares
@@ -39,7 +38,9 @@ class AlluxioCache(CacheSystem):
         jobs = list(ctx.running_jobs)
         if not jobs:
             return StorageDecision({}, {}, {})
-        ideal = {job.job_id: desired_rate(job, ctx) for job in jobs}
+        ideal = {
+            job.job_id: rate for job, rate in zip(jobs, ctx.f_stars)
+        }
         rates = dict(ideal)
         hit_ratios: Dict[str, float] = {j.job_id: 0.0 for j in jobs}
         grants: Dict[str, float] = {}
@@ -57,7 +58,9 @@ class AlluxioCache(CacheSystem):
                         shares[job.job_id], job.dataset.size_mb
                     )
                     resident_bound = min(
-                        1.0, ctx.effective_mb(job) / job.dataset.size_mb
+                        1.0,
+                        ctx.effective_mb.get(job.job_id, 0.0)
+                        / job.dataset.size_mb,
                     )
                     hit_ratios[job.job_id] = min(steady, resident_bound)
             demands = {

@@ -16,14 +16,17 @@ The simulators own the cache *dynamics* — resident bytes fill at the miss
 rate, newly cached items become effective at the next epoch boundary (§6
 "delayed effectiveness"), shrinking a target evicts randomly — and query
 the cache system for the three decisions above through
-:meth:`CacheSystem.decide`.
+:meth:`CacheSystem.decide`. Each round they hand it one
+:class:`StorageContext`: the running jobs with their compute bounds
+``f*`` (one column, aligned with the jobs) and a map of their effective
+cached bytes, both gathered once by the simulator.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
@@ -33,39 +36,13 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 @dataclasses.dataclass
-class StorageBatchHints:
-    """Pre-gathered per-job columns for hot ``decide`` implementations.
-
-    The fluid simulator calls ``decide`` on every epoch boundary, but the
-    inputs below only change when the scheduler re-allocates — so the
-    simulator gathers them once per allocation epoch and passes them
-    along. A cache system may ignore the hints entirely; one that uses
-    them must produce bit-identical results either way, because the
-    contract is that every hint equals what the un-hinted code would
-    compute:
-
-    * ``job_ids[i] == running_jobs[i].job_id``;
-    * ``rates[i] == estimator.compute_bound(running_jobs[i],
-      gpu_grants.get(job_ids[i], 0.0))`` (the batched evaluation);
-    * ``effective`` is the *live* effective-bytes map behind
-      ``ctx.effective_mb`` (``effective.get(job_id, 0.0)`` ≡
-      ``ctx.effective_mb(job)``);
-    * ``targets``, when present, equals
-      ``{name: mb for name, mb in scheduler_allocation.cache.items()
-      if mb > 0}`` — the positive-grant filter every decide would
-      otherwise rebuild. Consumers must treat it read-only (it is shared
-      across the allocation epoch's decisions).
-    """
-
-    job_ids: List[str]
-    rates: List[float]
-    effective: Dict[str, float]
-    targets: Optional[Dict[str, float]] = None
-
-
-@dataclasses.dataclass
 class StorageContext:
-    """Inputs to a cache system's per-round decision."""
+    """Inputs to a cache system's per-round decision.
+
+    The per-job inputs of §6 come as plain columns, gathered once per
+    round by the simulator: ``f_stars`` aligned with ``running_jobs``
+    and the ``effective_mb`` map. Consumers treat both as read-only.
+    """
 
     #: Jobs currently holding GPUs.
     running_jobs: Sequence[Job]
@@ -74,11 +51,16 @@ class StorageContext:
     total_gpus: float
     total_cache_mb: float
     total_io_mbps: float
-    #: Effective cached bytes currently visible to a job (from sim state).
-    effective_mb: Callable[[Job], float]
+    #: Effective cached bytes per job id (from sim state); a job absent
+    #: from the map has none.
+    effective_mb: Mapping[str, float]
     #: Whether the job has completed at least one full epoch.
     first_epoch_done: Callable[[Job], bool]
     estimator: SiloDPerfEstimator
+    #: Each running job's compute bound under its GPU grant:
+    #: ``f_stars[i] == estimator.compute_bound(running_jobs[i],
+    #: gpu_grants.get(running_jobs[i].job_id, 0.0))``.
+    f_stars: Sequence[float]
     clock_s: float = 0.0
     #: The scheduler's joint allocation; only the SiloD data manager and
     #: ablations read it.
@@ -90,9 +72,6 @@ class StorageContext:
     #: ``io_throttle`` event per running job through it (see
     #: :func:`trace_io_grants`). Defaults to the free no-op tracer.
     tracer: Tracer = NULL_TRACER
-    #: Optional pre-gathered per-job columns (see
-    #: :class:`StorageBatchHints`); cache systems may ignore them.
-    batch: Optional[StorageBatchHints] = None
 
 
 @dataclasses.dataclass
@@ -156,13 +135,6 @@ class CacheSystem(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def desired_rate(job: Job, ctx: StorageContext) -> float:
-    """The job's compute-bound consumption rate under its GPU grant."""
-    return ctx.estimator.compute_bound(
-        job, ctx.gpu_grants.get(job.job_id, 0.0)
-    )
-
-
 def fair_share_io(
     ctx: StorageContext, hit_ratios: Dict[str, float]
 ) -> Dict[str, float]:
@@ -176,8 +148,7 @@ def fair_share_io(
     experiment configuration instead.)
     """
     demands = {}
-    for job in ctx.running_jobs:
-        rate = desired_rate(job, ctx)
+    for job, rate in zip(ctx.running_jobs, ctx.f_stars):
         demands[job.job_id] = rate * (1.0 - hit_ratios.get(job.job_id, 0.0))
     return io_share.max_min_waterfill(demands, ctx.total_io_mbps)
 
@@ -199,8 +170,7 @@ def trace_io_grants(
     tracer = ctx.tracer
     if not tracer.enabled:
         return
-    for job in ctx.running_jobs:
-        desired = desired_rate(job, ctx)
+    for job, desired in zip(ctx.running_jobs, ctx.f_stars):
         hit = min(1.0, max(0.0, hit_ratios.get(job.job_id, 0.0)))
         tracer.io_throttle(
             ctx.clock_s,

@@ -65,7 +65,8 @@ class CoorDLCache(CacheSystem):
                 job.dataset.size_mb, per_gpu * job.num_gpus
             )
             hit_ratios[job.job_id] = min(
-                1.0, ctx.effective_mb(job) / job.dataset.size_mb
+                1.0,
+                ctx.effective_mb.get(job.job_id, 0.0) / job.dataset.size_mb,
             )
         io_grants = fair_share_io(ctx, hit_ratios)
         trace_io_grants(ctx, hit_ratios, io_grants)

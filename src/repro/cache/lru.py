@@ -35,7 +35,7 @@ form (see ``tests/cache/test_lru_model.py``).
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict
 
 
 def lru_epoch_hit_ratio(stack_share_mb: float, dataset_mb: float) -> float:
@@ -72,20 +72,6 @@ def uniform_epoch_hit_ratio(cache_mb: float, dataset_mb: float) -> float:
     return min(1.0, max(0.0, cache_mb) / dataset_mb)
 
 
-def curriculum_working_set_mb(
-    visible_fraction: float, dataset_mb: float
-) -> float:
-    """Bytes of data visible to curriculum training at a pacing step.
-
-    Curriculum learning samples batches uniformly from the first
-    ``visible_fraction`` of the (difficulty-sorted) dataset (§7.4), so the
-    working set is that prefix.
-    """
-    if not 0.0 <= visible_fraction <= 1.0:
-        raise ValueError("visible fraction must lie in [0, 1]")
-    return visible_fraction * dataset_mb
-
-
 def curriculum_hit_ratio(
     cache_mb: float, working_set_mb: float, lru: bool
 ) -> float:
@@ -102,14 +88,3 @@ def curriculum_hit_ratio(
     # ``lru`` kept for interface symmetry: both policies behave alike here.
     del lru
     return ratio
-
-
-def mean_lru_hit_ratio(
-    stack_shares_mb: Sequence[float], dataset_mb: float
-) -> float:
-    """Average thrashing-model hit ratio across shares (report helper)."""
-    if not stack_shares_mb:
-        return 0.0
-    return sum(
-        lru_epoch_hit_ratio(s, dataset_mb) for s in stack_shares_mb
-    ) / len(stack_shares_mb)

@@ -31,7 +31,6 @@ from repro.cache.base import (
     CacheSystem,
     StorageContext,
     StorageDecision,
-    desired_rate,
     fair_share_io,
     trace_io_grants,
 )
@@ -84,13 +83,13 @@ class QuiverCache(CacheSystem):
     def _profile(self, ctx: StorageContext) -> None:
         """Refresh noisy benefit-per-byte estimates for live datasets."""
         true_benefit: Dict[str, float] = {}
-        for job in ctx.running_jobs:
+        for job, rate in zip(ctx.running_jobs, ctx.f_stars):
             name = job.dataset.name
             # Benefit ~ latency reduction ~ remote IO saved when cached,
             # per byte of cache: the job's ideal rate over dataset size,
             # accumulated over sharing jobs.
             true_benefit[name] = true_benefit.get(name, 0.0) + (
-                desired_rate(job, ctx) / job.dataset.size_mb
+                rate / job.dataset.size_mb
             )
         noisy = {}
         for name, benefit in true_benefit.items():
@@ -143,7 +142,8 @@ class QuiverCache(CacheSystem):
         }
         hit_ratios = {
             job.job_id: min(
-                1.0, ctx.effective_mb(job) / job.dataset.size_mb
+                1.0,
+                ctx.effective_mb.get(job.job_id, 0.0) / job.dataset.size_mb,
             )
             for job in jobs
         }

@@ -24,11 +24,10 @@ epoch boundary where none of those bytes moved.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.cache.base import (
     CacheSystem,
-    StorageBatchHints,
     StorageContext,
     StorageDecision,
     trace_io_grants,
@@ -40,10 +39,10 @@ from repro.core.resources import Allocation
 class _Reusable(NamedTuple):
     """A decision plus every input it may be handed back for."""
 
-    hints: StorageBatchHints
+    f_stars: Sequence[float]
     allocation: Optional[Allocation]
     total_io_mbps: float
-    #: The effective bytes ``decide`` read, in ``hints.job_ids`` order.
+    #: The effective bytes ``decide`` read, in ``running_jobs`` order.
     effective: List[float]
     decision: StorageDecision
 
@@ -76,31 +75,28 @@ class SiloDDataManager(CacheSystem):
     def reallocate(self, ctx: StorageContext) -> StorageDecision:
         """Return the previous decision object when nothing it read moved.
 
-        Within one allocation epoch (the same :class:`StorageBatchHints`
-        object, scheduler allocation and egress cap) a decision depends
-        only on the running jobs' effective bytes, so when every one
-        equals the value the previous ``decide`` read, that decision is
-        handed back as the *same object* — the simulator's cue that
-        nothing changed and nothing needs re-applying. Traced rounds
-        always recompute: each emits its own ``io_throttle`` events.
-        Otherwise this is :meth:`CacheSystem.reallocate`.
+        Within one allocation epoch (the same ``f_stars`` column object,
+        scheduler allocation and egress cap) a decision depends only on
+        the running jobs' effective bytes, so when every one equals the
+        value the previous ``decide`` read, that decision is handed back
+        as the *same object* — the simulator's cue that nothing changed
+        and nothing needs re-applying. A simulator that gathers a fresh
+        column every round therefore never sees a reused decision.
+        Traced rounds always recompute: each emits its own
+        ``io_throttle`` events. Otherwise this is
+        :meth:`CacheSystem.reallocate`.
         """
-        hints = ctx.batch
-        if (
-            hints is None
-            or ctx.tracer.enabled
-            or len(hints.job_ids) != len(ctx.running_jobs)
-        ):
+        if ctx.tracer.enabled:
             self._memo = None
             return super().reallocate(ctx)
-        # Exactly what ``decide`` reads through the hints, read before it
-        # runs: evictions applying its targets may scale them later.
-        effective = hints.effective
-        read = [effective.get(jid, 0.0) for jid in hints.job_ids]
+        # Exactly what ``decide`` reads, read before it runs: evictions
+        # applying its targets may scale the live map later.
+        effective = ctx.effective_mb
+        read = [effective.get(job.job_id, 0.0) for job in ctx.running_jobs]
         memo = self._memo
         if (
             memo is not None
-            and hints is memo.hints
+            and ctx.f_stars is memo.f_stars
             and ctx.scheduler_allocation is memo.allocation
             # Exact on purpose: reuse must be bit-identical to decide.
             # lint: disable=FLT001
@@ -110,12 +106,16 @@ class SiloDDataManager(CacheSystem):
             return memo.decision
         decision = super().reallocate(ctx)
         self._memo = _Reusable(
-            hints, ctx.scheduler_allocation, ctx.total_io_mbps, read, decision
+            ctx.f_stars,
+            ctx.scheduler_allocation,
+            ctx.total_io_mbps,
+            read,
+            decision,
         )
         return decision
 
     def decide(self, ctx: StorageContext) -> StorageDecision:
-        jobs = list(ctx.running_jobs)
+        jobs = ctx.running_jobs
         if not jobs:
             return StorageDecision({}, {}, {})
         allocation = ctx.scheduler_allocation
@@ -125,56 +125,24 @@ class SiloDDataManager(CacheSystem):
                 "run it with a storage-aware SiloDScheduler"
             )
 
-        # desired_rate(job, ctx) for every job at once — one batched
-        # compute-bound evaluation instead of a per-job estimator call.
-        # The simulator's per-epoch hints carry the same values already
-        # gathered (their contract guarantees bit-identical floats).
-        n = len(jobs)
-        hints = ctx.batch
-        if hints is not None and len(hints.job_ids) == n:
-            job_ids = hints.job_ids
-            rates = hints.rates
-        else:
-            hints = None
-            job_ids = [job.job_id for job in jobs]
-            rates = ctx.estimator.compute_bound_batch(
-                jobs, [ctx.gpu_grants.get(jid, 0.0) for jid in job_ids]
-            )
-
         # Table 3: allocateCacheSize — cache targets straight from the
-        # scheduler, at dataset granularity (precomputed per allocation
-        # epoch when the hints carry them).
-        if hints is not None and hints.targets is not None:
-            targets: Dict[str, float] = hints.targets
-        else:
-            targets = {
-                name: cache_mb
-                for name, cache_mb in allocation.cache.items()
-                if cache_mb > 0
-            }
-        if hints is not None:
-            effective = hints.effective
-            hit_ratios = {
-                jid: min(
-                    1.0, effective.get(jid, 0.0) / job.dataset.size_mb
-                )
-                for jid, job in zip(job_ids, jobs)
-            }
-            demands = {
-                jid: rate * (1.0 - hit_ratios[jid])
-                for jid, rate in zip(job_ids, rates)
-            }
-        else:
-            hit_ratios = {
-                job.job_id: min(
-                    1.0, ctx.effective_mb(job) / job.dataset.size_mb
-                )
-                for job in jobs
-            }
-            demands = {
-                job.job_id: rate * (1.0 - hit_ratios[job.job_id])
-                for job, rate in zip(jobs, rates)
-            }
+        # scheduler, at dataset granularity.
+        targets = {
+            name: cache_mb
+            for name, cache_mb in allocation.cache.items()
+            if cache_mb > 0
+        }
+        effective = ctx.effective_mb
+        hit_ratios = {
+            job.job_id: min(
+                1.0, effective.get(job.job_id, 0.0) / job.dataset.size_mb
+            )
+            for job in jobs
+        }
+        demands = {
+            job.job_id: rate * (1.0 - hit_ratios[job.job_id])
+            for job, rate in zip(jobs, ctx.f_stars)
+        }
         if not self._io_allocation:
             # Ablation (§7.2): the scheduler's IO grants are discarded
             # and the egress is shared work-conservingly over the raw
@@ -197,8 +165,8 @@ class SiloDDataManager(CacheSystem):
         # keeps the accounting honest (a job cannot pull bytes it cannot
         # consume).
         io_grants = {
-            jid: min(allocation.remote_io_of(jid), demands[jid])
-            for jid in job_ids
+            jid: min(allocation.remote_io_of(jid), demand)
+            for jid, demand in demands.items()
         }
         trace_io_grants(ctx, hit_ratios, io_grants)
         return StorageDecision(

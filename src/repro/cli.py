@@ -51,7 +51,13 @@ from repro.obs import (
     save_events,
     save_timeline_csv,
 )
-from repro.sim.runner import CACHES, POLICIES, run_experiment, run_matrix
+from repro.sim.runner import (
+    CACHES,
+    POLICIES,
+    SIMULATORS,
+    run_experiment,
+    run_matrix,
+)
 from repro.workloads.trace import (
     TraceConfig,
     arrival_rate_for_load,
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cache system (default silod; one of {', '.join(CACHES)})",
     )
     p_run.add_argument("--simulator", default="fluid",
-                       choices=["fluid", "minibatch"],
+                       choices=list(SIMULATORS),
                        help="simulator backend (default fluid)")
     p_run.add_argument(
         "--reschedule-s",

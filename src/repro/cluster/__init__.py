@@ -10,7 +10,7 @@ from repro.cluster.hardware import (
     microbenchmark_cluster,
 )
 from repro.cluster.job import Job, JobPhase, JobProgress
-from repro.cluster.storage import RemoteStorage, peer_read_throughput
+from repro.cluster.storage import peer_read_throughput
 
 __all__ = [
     "Dataset",
@@ -21,7 +21,6 @@ __all__ = [
     "Job",
     "JobPhase",
     "JobProgress",
-    "RemoteStorage",
     "peer_read_throughput",
     "microbenchmark_cluster",
     "cluster_96gpu",

@@ -1,77 +1,19 @@
-"""Remote storage service and the intra-cluster storage fabric.
+"""The intra-cluster storage fabric (Figure 3).
 
-Two pieces of the paper's substrate live here:
-
-* :class:`RemoteStorage` — the cloud blob store with an egress bandwidth
-  limit (Figure 1 / Table 5). The data manager throttles each job's remote
-  fetches so the sum stays within this limit.
-* :func:`peer_read_throughput` — the Figure 3 experiment's model: when a
-  dataset is spread evenly over ``n`` servers' local caches, a job on one
-  server reads ``1/n`` of its data locally and ``(n-1)/n`` from peers over
-  the storage fabric. With a datacenter-grade fabric this scales almost
-  linearly, which justifies treating the distributed cache as one pool.
+:func:`peer_read_throughput` is the Figure 3 experiment's model: when a
+dataset is spread evenly over ``n`` servers' local caches, a job on one
+server reads ``1/n`` of its data locally and ``(n-1)/n`` from peers over
+the storage fabric. With a datacenter-grade fabric this scales almost
+linearly, which justifies treating the distributed cache as one pool.
+:func:`local_read_throughput` is the no-peer baseline and
+:func:`peer_read_scaling_series` tabulates both for the figure.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List
+from typing import List
 
 from repro import units
-
-
-@dataclasses.dataclass
-class RemoteStorage:
-    """A cloud storage account with a hard egress bandwidth limit.
-
-    The class tracks per-job grants so the enforcement layer (the SiloD data
-    manager, or the fair-share fallback used by the baselines) can never
-    oversubscribe the egress limit.
-    """
-
-    egress_limit_mbps: float
-
-    def __post_init__(self) -> None:
-        if self.egress_limit_mbps <= 0:
-            raise ValueError("egress limit must be positive")
-        self._grants: Dict[str, float] = {}
-
-    @property
-    def granted_mbps(self) -> float:
-        """Total bandwidth currently granted to jobs."""
-        return sum(self._grants.values())
-
-    @property
-    def available_mbps(self) -> float:
-        """Remaining ungranted egress bandwidth."""
-        return max(0.0, self.egress_limit_mbps - self.granted_mbps)
-
-    def grant(self, job_id: str, mbps: float) -> None:
-        """Grant (or replace) a job's remote-IO bandwidth share.
-
-        Raises ``ValueError`` if the grant would oversubscribe the limit.
-        """
-        if mbps < 0:
-            raise ValueError("bandwidth grant must be non-negative")
-        other = self.granted_mbps - self._grants.get(job_id, 0.0)
-        if other + mbps > self.egress_limit_mbps * (1 + 1e-9):
-            raise ValueError(
-                f"grant of {mbps:.1f} MB/s to {job_id} exceeds egress limit "
-                f"({other:.1f} already granted of {self.egress_limit_mbps:.1f})"
-            )
-        self._grants[job_id] = mbps
-
-    def revoke(self, job_id: str) -> None:
-        """Drop a job's grant (idempotent)."""
-        self._grants.pop(job_id, None)
-
-    def grant_of(self, job_id: str) -> float:
-        """The job's current grant in MB/s (0 if none)."""
-        return self._grants.get(job_id, 0.0)
-
-    def clear(self) -> None:
-        """Revoke every grant."""
-        self._grants.clear()
 
 
 def peer_read_throughput(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.core import perf_model
@@ -40,11 +40,14 @@ class ScheduleContext:
     )
     storage_aware: bool = True
     now_s: float = 0.0
-    #: A job's currently *effective* cached bytes (§6: policies inspect the
-    #: effective cache size to compute instantaneous remote-IO demands).
-    #: ``None`` means assume allocations are fully warm (steady state) —
-    #: the right default for one-shot analytic uses of a policy.
-    effective_cache_mb: Optional[Callable[[Job], float]] = None
+    #: Each job's currently *effective* cached bytes, by job id (§6:
+    #: policies inspect the effective cache size to compute
+    #: instantaneous remote-IO demands); a job absent from the map has
+    #: none. ``None`` means assume allocations are fully warm (steady
+    #: state) — the right default for one-shot analytic uses of a
+    #: policy. Policies read it during ``schedule`` and keep no
+    #: reference: the simulator's map is live.
+    effective_cache_mb: Optional[Mapping[str, float]] = None
     #: GPU-seconds of service a job has attained so far (Tiresias-style
     #: policies prioritise the least-attained job). ``None`` when the
     #: caller does not track progress; LAS then falls back to zero.
@@ -52,12 +55,6 @@ class ScheduleContext:
     #: Observability sink (``repro.obs``): policies may bump counters or
     #: emit events through it; defaults to the free no-op tracer.
     tracer: Tracer = NULL_TRACER
-    #: Optional dict view behind ``effective_cache_mb`` (job_id →
-    #: effective bytes, absent = 0.0). When a caller's effectiveness
-    #: state already lives in a dict, passing it here lets the per-job
-    #: hot loops use plain dict lookups instead of a Python callable —
-    #: the two views must agree, and ``effective_cache_map`` wins.
-    effective_cache_map: Optional[Dict[str, float]] = None
     #: Out-parameter: the score each policy ordered/sized jobs by this
     #: round (arrival rank for FIFO, the Eq 6/7 completion-time score
     #: for SJF, attained service for LAS, the max-min throughput target
@@ -87,14 +84,11 @@ class ScheduleContext:
 
     def effective_hits_mb(self, job: Job, allocated_cache_mb: float) -> float:
         """Bytes of cache a job can hit *right now* under an allocation."""
-        if self.effective_cache_map is not None:
-            return min(
-                allocated_cache_mb,
-                self.effective_cache_map.get(job.job_id, 0.0),
-            )
         if self.effective_cache_mb is None:
             return allocated_cache_mb
-        return min(allocated_cache_mb, self.effective_cache_mb(job))
+        return min(
+            allocated_cache_mb, self.effective_cache_mb.get(job.job_id, 0.0)
+        )
 
 
 class SchedulingPolicy(abc.ABC):

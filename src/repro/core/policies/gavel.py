@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core import perf_model
@@ -128,7 +128,7 @@ class Programme:
         self,
         jobs: Sequence[Job],
         norms: Sequence[float],
-        effective_cache_mb: Optional[Callable[[Job], float]],
+        effective_cache_mb: Optional[Mapping[str, float]],
         cache_mb: float,
         remote_io_mbps: float,
     ) -> None:
@@ -138,7 +138,10 @@ class Programme:
         self.datasets = _Datasets(self.jobs)
         self.eff = self.datasets.d
         if effective_cache_mb is not None:
-            self.eff = [float(effective_cache_mb(job)) for job in self.jobs]
+            self.eff = [
+                float(effective_cache_mb.get(job.job_id, 0.0))
+                for job in self.jobs
+            ]
         self.cache_mb = cache_mb
         self.io_cap = remote_io_mbps * (1.0 + _EPS)
 

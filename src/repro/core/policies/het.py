@@ -341,9 +341,11 @@ class HetMaxMinPolicy(_HetGavelBase):
             return {}
         effective = ctx.effective_cache_mb
         if effective is not None:
-            # Read once, now: a greedy round's scorer is built later.
-            eff = {job.job_id: effective(job) for job in jobs}
-            effective = lambda job: eff[job.job_id]
+            # Copy the values now: a greedy round's scorer is built
+            # later, after the simulator's live map may have moved.
+            effective = {
+                job.job_id: effective.get(job.job_id, 0.0) for job in jobs
+            }
         build = functools.partial(
             _AssignmentScorer,
             jobs,

@@ -114,20 +114,16 @@ class SiloDScheduler:
         jobs: Sequence[Job],
         total: ResourceVector,
         now_s: float = 0.0,
-        effective_cache_mb: Optional[Callable[[Job], float]] = None,
+        effective_cache_mb: Optional[Mapping[str, float]] = None,
         attained_service_s: Optional[Callable[[Job], float]] = None,
-        effective_cache_map: Optional[Dict[str, float]] = None,
     ) -> Allocation:
         """Produce a joint allocation for the current job set.
 
-        ``effective_cache_mb`` gives the policy a live view of each job's
-        effective cache so remote-IO grants track instantaneous demands
-        (§6); ``attained_service_s`` feeds service-based priorities
-        (Tiresias-style LAS). Omit both for one-shot steady-state
-        allocations. ``effective_cache_map`` is the optional dict view of
-        the same effectiveness state (see
-        :attr:`~repro.core.policies.base.ScheduleContext.effective_cache_map`);
-        simulators pass it so per-job policy sweeps use plain lookups.
+        ``effective_cache_mb`` maps each job id to its effective cached
+        bytes (absent = none), so remote-IO grants track instantaneous
+        demands (§6); ``attained_service_s`` feeds service-based
+        priorities (Tiresias-style LAS). Omit both for one-shot
+        steady-state allocations.
         """
         tracer = self.tracer
         # Wall-clock by design: ``latency_ms`` reports the *real* cost of
@@ -153,7 +149,6 @@ class SiloDScheduler:
                 self.storage_aware,
                 effective_cache_mb,
                 attained_service_s,
-                effective_cache_map,
             )
         else:
             regular = [j for j in jobs if j.regular]
@@ -164,7 +159,6 @@ class SiloDScheduler:
                 now_s,
                 effective_cache_mb,
                 attained_service_s,
-                effective_cache_map,
             )
         if tracer.enabled:
             tracer.sched_decision(
@@ -192,9 +186,8 @@ class SiloDScheduler:
         total: ResourceVector,
         now_s: float,
         storage_aware: bool,
-        effective_cache_mb: Optional[Callable[[Job], float]] = None,
+        effective_cache_mb: Optional[Mapping[str, float]] = None,
         attained_service_s: Optional[Callable[[Job], float]] = None,
-        effective_cache_map: Optional[Dict[str, float]] = None,
     ) -> Allocation:
         ctx = ScheduleContext(
             estimator=self.estimator,
@@ -203,7 +196,6 @@ class SiloDScheduler:
             effective_cache_mb=effective_cache_mb,
             attained_service_s=attained_service_s,
             tracer=self.tracer,
-            effective_cache_map=effective_cache_map,
             gpu_pools=self.gpu_pools,
         )
         allocation = self.policy.schedule(jobs, total, ctx)
@@ -276,9 +268,8 @@ class SiloDScheduler:
         irregular: List[Job],
         total: ResourceVector,
         now_s: float,
-        effective_cache_mb: Optional[Callable[[Job], float]] = None,
+        effective_cache_mb: Optional[Mapping[str, float]] = None,
         attained_service_s: Optional[Callable[[Job], float]] = None,
-        effective_cache_map: Optional[Dict[str, float]] = None,
     ) -> Allocation:
         """§6: split cache/IO between a regular and an irregular pool.
 
@@ -310,7 +301,6 @@ class SiloDScheduler:
             True,
             effective_cache_mb,
             attained_service_s,
-            effective_cache_map,
         )
         alloc_irr = self._schedule_pool(
             irregular, total_irr, now_s, False, None, attained_service_s

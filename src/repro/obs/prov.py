@@ -22,7 +22,7 @@ reconstruction (``min(f*, grant/miss)``) and Eq. 5 cache efficiency
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs import events as ev
 from repro.obs.events import Event
@@ -88,7 +88,7 @@ def emit_decision_provenance(
     hit_ratios: Dict[str, float],
     io_grants: Dict[str, float],
     f_stars: Dict[str, float],
-    effective_mb: Callable,
+    effective_mb: Mapping[str, float],
     scores: Dict[str, float],
     generations: Optional[Dict[str, str]] = None,
     gen_f_stars: Optional[Dict[str, Dict[str, float]]] = None,
@@ -142,7 +142,7 @@ def emit_decision_provenance(
             hit_ratio=hit,
             est_mbps=est,
             io_bound=est < f_star - 1e-9,
-            eff_cache_mb=effective_mb(job),
+            eff_cache_mb=effective_mb.get(job_id, 0.0),
             score=scores.get(job_id, 0.0),
             generation=generation,
             f_star_gen_mbps=dict(by_gen),

@@ -37,13 +37,6 @@ class StreamingTracer(Tracer):
         """Register a sink; it sees every event emitted from now on."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink: EventSink) -> None:
-        """Unregister a sink (no-op if it was never added)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
-
     def emit(
         self,
         ts_s: float,

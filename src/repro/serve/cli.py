@@ -22,7 +22,7 @@ from repro.serve.clock import VirtualClock
 from repro.serve.engine import OnlineEngine
 from repro.serve.server import ServeServer, serve_until_shutdown
 from repro.serve.services import ServiceStack
-from repro.sim.runner import CACHES, POLICIES
+from repro.sim.runner import CACHES, POLICIES, SIMULATORS
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -61,7 +61,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--simulator",
         default="fluid",
-        choices=["fluid", "minibatch"],
+        choices=list(SIMULATORS),
         help="simulator backend (default fluid)",
     )
     parser.add_argument(

@@ -33,9 +33,8 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.serve.services import ServiceStack
-from repro.sim.fluid import FluidSimulator
 from repro.sim.metrics import RunResult
-from repro.sim.minibatch import MinibatchEmulator
+from repro.sim.runner import SIMULATORS
 from repro.workloads.trace_io import job_from_dict
 
 #: Engine-side job states, driven off the event stream (not sim
@@ -49,10 +48,6 @@ JOB_STATES = (
     "finished",
     "cancelled",
 )
-
-
-#: ``simulator`` name -> the simulator class the engine drives.
-_SIMULATORS = {"fluid": FluidSimulator, "minibatch": MinibatchEmulator}
 
 
 def _percentile(sorted_samples: List[float], q: float) -> float:
@@ -78,7 +73,8 @@ class OnlineEngine:
         The virtual clock gating event processing; defaults to an
         unlimited clock (process everything as soon as it is known).
     simulator:
-        ``"fluid"`` or ``"minibatch"``.
+        A name in :data:`repro.sim.runner.SIMULATORS` (``"fluid"`` or
+        ``"minibatch"``).
     tracer:
         A :class:`~repro.obs.stream.StreamingTracer`; created when
         omitted. The engine registers its own sink for job-state and
@@ -102,7 +98,7 @@ class OnlineEngine:
         self.clock = clock if clock is not None else VirtualClock()
         self.simulator = simulator
         self.tracer = tracer if tracer is not None else StreamingTracer()
-        sim_class = _SIMULATORS.get(simulator)
+        sim_class = SIMULATORS.get(simulator)
         if sim_class is None:
             raise ValueError("simulator must be 'fluid' or 'minibatch'")
         self.sim = sim_class(
@@ -368,11 +364,6 @@ class OnlineEngine:
     def jobs_finished(self) -> int:
         """Submitted jobs that have run to completion."""
         return sum(1 for s in self._states.values() if s == "finished")
-
-    @property
-    def latency_samples_ms(self) -> List[float]:
-        """Admission→placement latencies recorded so far (wall ms)."""
-        return list(self._latency_ms)
 
     @staticmethod
     def _finite_or_none(value: float) -> Optional[float]:

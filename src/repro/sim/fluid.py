@@ -39,11 +39,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.base import (
-    CacheSystem,
-    StorageBatchHints,
-    StorageContext,
-)
+from repro.cache.base import CacheSystem, StorageContext
 from repro.cache.residency import DictResidencyStore
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
@@ -82,7 +78,6 @@ class _EpochView:
         "rows",
         "gpu_grants",
         "f_stars",
-        "hints",
     )
 
     running: List[Job]
@@ -91,7 +86,6 @@ class _EpochView:
     rows: List[Optional[int]]
     gpu_grants: Dict[str, float]
     f_stars: List[float]
-    hints: StorageBatchHints
 
 
 class FluidSimulator(SimulatorKernel):
@@ -327,16 +321,11 @@ class FluidSimulator(SimulatorKernel):
         self._effective[job.job_id] = effective
         return key, effective
 
-    def _effective_mb(self, job: Job) -> float:
-        return self._effective.get(job.job_id, 0.0)
+    def _effective_map(self) -> Dict[str, float]:
+        return self._effective
 
     def _schedule_args(self) -> dict:
-        return {
-            "attained_service_s": self._attained_service_s,
-            # The dict behind ``_effective_mb``, for the policies'
-            # per-job hot loops (identical values by construction).
-            "effective_cache_map": self._effective,
-        }
+        return {"attained_service_s": self._attained_service_s}
 
     def _after_faults(self) -> None:
         self._reclaim_overshoot()
@@ -635,13 +624,6 @@ class FluidSimulator(SimulatorKernel):
             return self.scheduler.default_generation
         return self._table.generation(row)
 
-    def _running_jobs(self) -> List[Job]:
-        return [
-            p.job
-            for p in self._active.values()
-            if self._allocation.gpus_of(p.job.job_id) > 0
-        ]
-
     def _invalidate_epoch_view(self) -> None:
         """Drop per-epoch gathers (membership/allocation changed)."""
         self._epoch = None
@@ -670,23 +652,8 @@ class FluidSimulator(SimulatorKernel):
         view.queued = queued
         view.rows = [table.row_of(job_id) for job_id in job_ids]
         view.gpu_grants = dict(gpu_map)
-        f_stars = self.scheduler.estimator.compute_bound_batch(
+        view.f_stars = self.scheduler.estimator.compute_bound_batch(
             running, [gpu_map.get(job_id, 0.0) for job_id in job_ids]
-        )
-        view.f_stars = f_stars
-        # The positive-grant filter every decide would rebuild; the
-        # epoch's decisions share this one dict (read-only per the
-        # hints contract).
-        targets = {
-            name: cache_mb
-            for name, cache_mb in allocation.cache.items()
-            if cache_mb > 0
-        }
-        view.hints = StorageBatchHints(
-            job_ids=job_ids,
-            rates=f_stars,
-            effective=self._effective,
-            targets=targets,
         )
         self._epoch = view
         return view
@@ -700,17 +667,17 @@ class FluidSimulator(SimulatorKernel):
             total_gpus=self.total.gpus,
             total_cache_mb=self.total.cache_mb,
             total_io_mbps=self.total.remote_io_mbps,
-            effective_mb=lambda job: self._effective.get(job.job_id, 0.0),
+            effective_mb=self._effective,
             first_epoch_done=lambda job: self._epochs_done.get(
                 job.job_id, 0
             )
             > 0,
             estimator=self.scheduler.estimator,
+            f_stars=view.f_stars,
             clock_s=self.clock_s,
             scheduler_allocation=self._allocation,
             queued_jobs=view.queued,
             tracer=self._tracer,
-            batch=view.hints,
         )
         decision = self.cache_system.reallocate(ctx)
         if decision is self._decision:
@@ -724,7 +691,7 @@ class FluidSimulator(SimulatorKernel):
         else:
             self._decision = decision
             self._apply_targets()
-            self._recompute_rates(view.running)
+            self._recompute_rates(view)
         if self._tracer.enabled:
             emit_decision_provenance(
                 self._tracer,
@@ -742,7 +709,7 @@ class FluidSimulator(SimulatorKernel):
                 self._decision.hit_ratios,
                 self._decision.io_grants,
                 dict(zip(view.job_ids, view.f_stars)),
-                lambda job: self._effective.get(job.job_id, 0.0),
+                self._effective,
                 self.scheduler.last_scores,
                 generations=self.scheduler.last_generations,
                 gen_f_stars=self.scheduler.last_gen_scores,
@@ -860,29 +827,15 @@ class FluidSimulator(SimulatorKernel):
                 self._effective.get(job_id, 0.0) * ratio
             )
 
-    def _recompute_rates(self, running: Sequence[Job]) -> None:
+    def _recompute_rates(self, view: _EpochView) -> None:
         table = self._table
         table.clear_rates()
-        view = self._epoch
-        if view is not None and view.running is running:
-            # The per-epoch gathers cover exactly this job list.
-            f_stars = view.f_stars
-            job_ids = view.job_ids
-            rows = view.rows
-        else:
-            running = list(running)
-            f_stars = self.scheduler.estimator.compute_bound_batch(
-                running,
-                [self._allocation.gpus_of(job.job_id) for job in running],
-            )
-            job_ids = [job.job_id for job in running]
-            rows = [table.row_of(job_id) for job_id in job_ids]
         hit_ratios = self._decision.hit_ratios
         io_grants = self._decision.io_grants
         groups: Dict[str, List[Tuple[str, float]]] = {}
         rates: List[float] = []
         miss_rates: List[float] = []
-        for job_id, f_star in zip(job_ids, f_stars):
+        for job_id, f_star in zip(view.job_ids, view.f_stars):
             hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
             miss = 1.0 - hit
             grant = io_grants.get(job_id, 0.0)
@@ -897,7 +850,7 @@ class FluidSimulator(SimulatorKernel):
                 groups.setdefault(self._job_key[job_id], []).append(
                     (job_id, miss_rate)
                 )
-        table.set_rates_bulk(rows, rates, miss_rates)
+        table.set_rates_bulk(view.rows, rates, miss_rates)
         # Only these jobs can fill the cache until the next recompute;
         # _advance_to walks this per-key grouping (keys in first-filler
         # order, contributions in running order) instead of the whole

@@ -20,8 +20,9 @@ class body and fill in a few hooks:
   ``work_done_mb`` and ``epoch_index`` (the epoch number events report);
 * :meth:`_release` — drop a departing job's per-job structures;
 * :meth:`_start_job` — first placement: seed the job's effective bytes;
-* :meth:`_effective_mb` / :meth:`_schedule_args` — the live inputs of
-  ``scheduler.schedule``;
+* :meth:`_effective_map` / :meth:`_schedule_args` — the inputs of
+  ``scheduler.schedule``: the job_id → effective-bytes map and the
+  extra keyword arguments;
 * :meth:`_invalidate_fraction`, :meth:`_preempt_job` and
   :meth:`_after_faults` — what a fault does to the cache model;
 * :meth:`_after_cancel` — what an active cancellation tears down.
@@ -387,7 +388,7 @@ class SimulatorKernel:
             jobs,
             self.total,
             now_s=self.clock_s,
-            effective_cache_mb=self._effective_mb,
+            effective_cache_mb=self._effective_map(),
             **self._schedule_args(),
         )
         if tracer.enabled:

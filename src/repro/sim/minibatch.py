@@ -336,11 +336,13 @@ class MinibatchEmulator(SimulatorKernel):
         cache = self._uniform_caches.get(key)
         return cache.size if cache else 0
 
-    def _effective_mb(self, job: Job) -> float:
-        runtime = self._active.get(job.job_id)
-        if runtime is None:
-            return 0.0
-        return runtime.effective_items * self._item_size_mb
+    def _effective_map(self) -> Dict[str, float]:
+        """A fresh job_id → effective-bytes map of the active jobs."""
+        item_size = self._item_size_mb
+        return {
+            job_id: rt.effective_items * item_size
+            for job_id, rt in self._active.items()
+        }
 
     def _reschedule(self) -> None:
         self._schedule_round()
@@ -356,19 +358,31 @@ class MinibatchEmulator(SimulatorKernel):
             for rt in self._active.values()
             if rt.job.job_id not in running_ids
         ]
+        # The round's per-job columns, gathered once and after the
+        # starts above seeded their effective bytes (an idle round has
+        # none to gather).
+        gpu_grants = dict(self._allocation.gpus)
+        f_stars = (
+            self.scheduler.estimator.compute_bound_batch(
+                running, [gpu_grants.get(job.job_id, 0.0) for job in running]
+            )
+            if running
+            else []
+        )
         ctx = StorageContext(
             running_jobs=running,
-            gpu_grants=dict(self._allocation.gpus),
+            gpu_grants=gpu_grants,
             total_gpus=self.total.gpus,
             total_cache_mb=self.total.cache_mb,
             total_io_mbps=self.total.remote_io_mbps,
-            effective_mb=self._effective_mb,
+            effective_mb=self._effective_map(),
             first_epoch_done=lambda job: (
                 self._active[job.job_id].epochs_done > 0
                 if job.job_id in self._active
                 else True
             ),
             estimator=self.scheduler.estimator,
+            f_stars=f_stars,
             clock_s=self.clock_s,
             scheduler_allocation=self._allocation,
             queued_jobs=queued,
@@ -376,13 +390,12 @@ class MinibatchEmulator(SimulatorKernel):
         )
         self._decision = self.cache_system.reallocate(ctx)
         if not isinstance(self.cache_system, SiloDDataManager):
-            self._work_conserving_io_grants(running)
+            self._work_conserving_io_grants(running, f_stars)
         if not self._is_lru:
             self._apply_uniform_targets(running)
             self._admit_prefetched_items()
         self.decision_rounds += 1
         if tracer.enabled:
-            estimator = self.scheduler.estimator
             emit_decision_provenance(
                 tracer,
                 self.clock_s,
@@ -393,25 +406,23 @@ class MinibatchEmulator(SimulatorKernel):
                 self.total.gpus,
                 self.total.cache_mb,
                 self.total.remote_io_mbps,
-                dict(self._allocation.gpus),
+                gpu_grants,
                 self.cache_system.cache_key,
                 self._decision.cache_targets,
                 self._decision.hit_ratios,
                 self._decision.io_grants,
-                {
-                    job.job_id: estimator.compute_bound(
-                        job, self._allocation.gpus_of(job.job_id)
-                    )
-                    for job in running
-                },
-                self._effective_mb,
+                {job.job_id: f for job, f in zip(running, f_stars)},
+                # Read after the targets applied, as the event reports.
+                self._effective_map(),
                 self.scheduler.last_scores,
                 generations=self.scheduler.last_generations,
                 gen_f_stars=self.scheduler.last_gen_scores,
                 default_generation=self.scheduler.default_generation,
             )
 
-    def _work_conserving_io_grants(self, running: Sequence[Job]) -> None:
+    def _work_conserving_io_grants(
+        self, running: Sequence[Job], f_stars: Sequence[float]
+    ) -> None:
         """Re-divide egress over *measured* demands for baseline systems.
 
         Without scheduler throttling, the account's egress cap is shared
@@ -425,11 +436,8 @@ class MinibatchEmulator(SimulatorKernel):
         """
         demands = {}
         profile = {}
-        for job in running:
+        for job, f_star in zip(running, f_stars):
             rt = self._active.get(job.job_id)
-            f_star = self.scheduler.estimator.compute_bound(
-                job, self._allocation.gpus_of(job.job_id)
-            )
             if rt is not None and rt.accesses_recent >= 20:
                 hit = rt.hits_recent / rt.accesses_recent
             else:

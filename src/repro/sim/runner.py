@@ -42,6 +42,9 @@ from repro.sim.minibatch import MinibatchEmulator
 
 POLICIES = ("fifo", "sjf", "gavel")
 CACHES = ("silod", "alluxio", "coordl", "quiver")
+#: ``simulator`` name -> the simulator class that runs it; the one
+#: registry behind ``run_experiment``, the serve engine and both CLIs.
+SIMULATORS = {"fluid": FluidSimulator, "minibatch": MinibatchEmulator}
 
 
 def make_policy(name: str) -> SchedulingPolicy:
@@ -116,17 +119,12 @@ def run_experiment(
     to the simulator constructor.
     """
     scheduler, cache_system = make_system(policy, cache, cache_kwargs)
-    if simulator == "fluid":
-        sim = FluidSimulator(
-            cluster, scheduler, cache_system, jobs, **sim_kwargs
-        )
-    elif simulator == "minibatch":
-        sim = MinibatchEmulator(
-            cluster, scheduler, cache_system, jobs, **sim_kwargs
-        )
-    else:
+    sim_class = SIMULATORS.get(simulator)
+    if sim_class is None:
         raise ValueError("simulator must be 'fluid' or 'minibatch'")
-    return sim.run()
+    return sim_class(
+        cluster, scheduler, cache_system, jobs, **sim_kwargs
+    ).run()
 
 
 def run_matrix(

@@ -28,7 +28,7 @@ import numpy as np
 from repro import units
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
-from repro.workloads.models import FIGURE6_JOBS, MODEL_ZOO, make_job
+from repro.workloads.models import FIGURE6_JOBS, make_job
 
 
 @dataclasses.dataclass
@@ -212,8 +212,3 @@ def figure4_trace() -> List[Job]:
         )
         for i in range(2)
     ]
-
-
-def profile_of(model: str) -> float:
-    """Per-V100 ``f*`` of a zoo model (convenience re-export)."""
-    return MODEL_ZOO[model].io_demand_v100_mbps

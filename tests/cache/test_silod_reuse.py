@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.cache.base import StorageBatchHints, StorageContext
+from repro.cache.base import StorageContext
 from repro.cache.silod_cache import SiloDDataManager
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
@@ -38,7 +38,6 @@ def bitwise(x):
         return tuple(
             (f.name, bitwise(getattr(x, f.name)))
             for f in dataclasses.fields(x)
-            if f.name != "batch"
         )
     if isinstance(x, dict):
         return tuple(sorted((k, bitwise(v)) for k, v in x.items()))
@@ -78,17 +77,10 @@ def _allocation(jobs):
     return allocation
 
 
-def _hints(jobs, allocation, effective, estimator):
-    """The fluid simulator's per-epoch hints for ``jobs``."""
-    job_ids = [job.job_id for job in jobs]
-    rates = estimator.compute_bound_batch(
-        jobs, [allocation.gpus_of(jid) for jid in job_ids]
-    )
-    return StorageBatchHints(
-        job_ids=job_ids,
-        rates=rates,
-        effective=effective,
-        targets={k: v for k, v in allocation.cache.items() if v > 0},
+def _f_stars(jobs, allocation, estimator):
+    """The fluid simulator's per-epoch ``f*`` column for ``jobs``."""
+    return estimator.compute_bound_batch(
+        jobs, [allocation.gpus_of(job.job_id) for job in jobs]
     )
 
 
@@ -102,11 +94,9 @@ class _Epoch:
         self.effective = {
             job.job_id: 4.0 * GB * i for i, job in enumerate(self.jobs)
         }
-        self.hints = _hints(
-            self.jobs, self.allocation, self.effective, self.estimator
-        )
+        self.f_stars = _f_stars(self.jobs, self.allocation, self.estimator)
 
-    def ctx(self, tracer=None, total_io_mbps=200.0, hints="same"):
+    def ctx(self, tracer=None, total_io_mbps=200.0, f_stars=None):
         extra = {} if tracer is None else {"tracer": tracer}
         return StorageContext(
             running_jobs=self.jobs,
@@ -114,11 +104,11 @@ class _Epoch:
             total_gpus=16.0,
             total_cache_mb=120.0 * GB,
             total_io_mbps=total_io_mbps,
-            effective_mb=lambda job: self.effective.get(job.job_id, 0.0),
+            effective_mb=self.effective,
             first_epoch_done=lambda job: True,
             estimator=self.estimator,
+            f_stars=self.f_stars if f_stars is None else f_stars,
             scheduler_allocation=self.allocation,
-            batch=self.hints if hints == "same" else hints,
             **extra,
         )
 
@@ -189,14 +179,11 @@ def test_new_hints_mean_no_reuse(n):
     epoch = _Epoch(n)
     manager = SiloDDataManager()
     first = manager.reallocate(epoch.ctx())
-    new_hints = _hints(
-        epoch.jobs, epoch.allocation, epoch.effective, epoch.estimator
-    )
-    assert manager.reallocate(epoch.ctx(hints=new_hints)) is not first
-    # Without hints there is nothing to tie an epoch to.
-    manager.reallocate(epoch.ctx(hints=None))
-    unhinted = manager.reallocate(epoch.ctx(hints=None))
-    assert manager.reallocate(epoch.ctx(hints=None)) is not unhinted
+    # An equal column from a new gather is a new epoch: the memo keys on
+    # the column's identity.
+    new_f_stars = _f_stars(epoch.jobs, epoch.allocation, epoch.estimator)
+    assert new_f_stars == epoch.f_stars
+    assert manager.reallocate(epoch.ctx(f_stars=new_f_stars)) is not first
 
 
 @SIZES

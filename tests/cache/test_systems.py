@@ -39,15 +39,20 @@ def context(
     clock_s=0.0,
 ):
     effective = effective or {}
+    grants = {j.job_id: float(j.num_gpus) for j in jobs}
+    estimator = SiloDPerfEstimator()
     return StorageContext(
         running_jobs=jobs,
-        gpu_grants={j.job_id: float(j.num_gpus) for j in jobs},
+        gpu_grants=grants,
         total_gpus=total_gpus,
         total_cache_mb=total_cache_mb,
         total_io_mbps=total_io,
-        effective_mb=lambda j: effective.get(j.job_id, 0.0),
+        effective_mb=effective,
         first_epoch_done=lambda j: first_epoch_done,
-        estimator=SiloDPerfEstimator(),
+        estimator=estimator,
+        f_stars=estimator.compute_bound_batch(
+            jobs, [grants[j.job_id] for j in jobs]
+        ),
         clock_s=clock_s,
         scheduler_allocation=allocation,
     )

@@ -1,40 +1,8 @@
-"""Remote storage grants and the peer-read fabric model (Figure 3)."""
+"""The peer-read fabric model (Figure 3)."""
 
 import pytest
 
 from repro.cluster import storage
-
-
-def test_remote_storage_grants_respect_limit():
-    remote = storage.RemoteStorage(egress_limit_mbps=200.0)
-    remote.grant("a", 120.0)
-    remote.grant("b", 80.0)
-    assert remote.available_mbps == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        remote.grant("c", 1.0)
-    # Replacing a grant frees its old share.
-    remote.grant("a", 20.0)
-    remote.grant("c", 100.0)
-    assert remote.granted_mbps == pytest.approx(200.0)
-
-
-def test_remote_storage_revoke_and_clear():
-    remote = storage.RemoteStorage(egress_limit_mbps=100.0)
-    remote.grant("a", 60.0)
-    remote.revoke("a")
-    remote.revoke("a")  # idempotent
-    assert remote.grant_of("a") == 0.0
-    remote.grant("b", 100.0)
-    remote.clear()
-    assert remote.available_mbps == pytest.approx(100.0)
-
-
-def test_remote_storage_validation():
-    with pytest.raises(ValueError):
-        storage.RemoteStorage(egress_limit_mbps=0.0)
-    remote = storage.RemoteStorage(egress_limit_mbps=10.0)
-    with pytest.raises(ValueError):
-        remote.grant("a", -1.0)
 
 
 def test_peer_read_scales_nearly_linearly():

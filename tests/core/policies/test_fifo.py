@@ -76,7 +76,7 @@ def test_silod_mode_attaches_greedy_storage():
 def test_silod_mode_uses_effective_cache_for_io():
     jobs = [job("fast", 0, f_star=200.0), job("slow", 1, f_star=10.0)]
     # Cold caches: demands are the full f*, waterfilled.
-    ctx = ScheduleContext(effective_cache_mb=lambda j: 0.0)
+    ctx = ScheduleContext(effective_cache_mb={})
     alloc = FifoPolicy().schedule(jobs, TOTAL, ctx)
     assert alloc.remote_io_of("slow") == pytest.approx(10.0)
     assert alloc.remote_io_of("fast") == pytest.approx(90.0)

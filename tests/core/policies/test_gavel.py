@@ -123,7 +123,7 @@ class TestJointGavel:
         ctx = ScheduleContext(
             estimator=ESTIMATOR,
             storage_aware=True,
-            effective_cache_mb=lambda j: 0.0,
+            effective_cache_mb={},
         )
         alloc = GavelPolicy().schedule(jobs, total, ctx)
         # With nothing effective yet, hits are impossible: IO grants must

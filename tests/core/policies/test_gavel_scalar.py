@@ -181,9 +181,9 @@ def rounds(draw):
     effective = None
     if draw(st.booleans()):
         fraction = draw(st.sampled_from([0.0, 0.25, 0.9, 1.0]))
-
-        def effective(job):
-            return job.dataset.size_mb * fraction
+        effective = {
+            job.job_id: job.dataset.size_mb * fraction for job in jobs
+        }
 
     return jobs, total, pools, effective
 
@@ -243,7 +243,7 @@ def test_feasibility_agrees_at_each_boundary(case, seed):
     rng = random.Random(seed)
     f_star = [j.ideal_throughput_mbps for j in jobs]
     d = [j.dataset.size_mb for j in jobs]
-    eff = d if effective is None else [effective(j) for j in jobs]
+    eff = d if effective is None else [effective[j.job_id] for j in jobs]
     targets = [f * rng.random() for f in f_star]
     demand = [t / f * j.num_gpus for t, f, j in zip(targets, f_star, jobs)]
     cache = _numpy_cache_plan(jobs, targets, total.cache_mb).tolist()

@@ -98,7 +98,7 @@ def test_io_priority_order_protects_short_jobs():
         job("short", f_star=150.0, work_epochs=0.5),
         job("long", f_star=150.0, work_epochs=20.0),
     ]
-    ctx = ScheduleContext(effective_cache_mb=lambda j: 0.0)
+    ctx = ScheduleContext(effective_cache_mb={})
     alloc = policy.schedule(jobs, TOTAL, ctx)
     assert alloc.remote_io_of("short") == pytest.approx(150.0)
     assert alloc.remote_io_of("long") == pytest.approx(50.0)

@@ -97,7 +97,7 @@ def _exact_ratio(jobs, generations, pools, total, f_star_by_gen, norms, eff):
     shared solve: a fresh programme, its IO limit solved in the call."""
     visible = {job.job_id: e for job, e in zip(jobs, eff)}
     programme = Programme(
-        jobs, norms, lambda job: visible[job.job_id], total.cache_mb,
+        jobs, norms, visible, total.cache_mb,
         total.remote_io_mbps,
     )
     f_star = [by_gen[gen] for by_gen, gen in zip(f_star_by_gen, generations)]
@@ -163,7 +163,7 @@ def test_pruned_search_matches_unpruned_reference(
         estimator=_estimator(),
         storage_aware=True,
         gpu_pools=pools,
-        effective_cache_mb=lambda job: by_id[job.job_id],
+        effective_cache_mb=by_id,
     )
     policy = HetMaxMinPolicy()
     policy.schedule(jobs, total, ctx)
@@ -174,7 +174,7 @@ def test_pruned_search_matches_unpruned_reference(
     f_star_by_gen = [oracle.f_star_by_generation(job) for job in jobs]
     scorer = _AssignmentScorer(
         jobs, pools, total, f_star_by_gen, norms_by_id,
-        lambda job: by_id[job.job_id],
+        by_id,
     )
     best, best_ratio = None, -1.0
     for candidate in itertools.product(sorted(pools), repeat=len(jobs)):
@@ -186,8 +186,7 @@ def test_pruned_search_matches_unpruned_reference(
         )
         assignment = dict(zip((job.job_id for job in jobs), candidate))
         assert ratio == common_ratio_for_assignment(
-            jobs, assignment, pools, total, oracle, norms_by_id,
-            lambda job: by_id[job.job_id],
+            jobs, assignment, pools, total, oracle, norms_by_id, by_id,
         )
         # The lemma pruning rests on: no score exceeds its bound.
         assert ratio <= scorer.bound(candidate)
@@ -223,7 +222,7 @@ def test_greedy_round_defers_ratio_over_snapshotted_inputs(
         estimator=estimator,
         storage_aware=True,
         gpu_pools=pools,
-        effective_cache_mb=lambda job: live[job.job_id],
+        effective_cache_mb=live,
     )
     policy = HetMaxMinPolicy()
     policy.schedule(jobs, total, ctx)
@@ -238,7 +237,7 @@ def test_greedy_round_defers_ratio_over_snapshotted_inputs(
 
     expected = common_ratio_for_assignment(
         jobs, published, pools, total, _estimator(),
-        _normalisers(jobs, total), lambda job: at_schedule[job.job_id],
+        _normalisers(jobs, total), at_schedule,
     )
     assert policy.last_assignment_ratio == expected
     assert policy.last_assignment_ratio == expected  # cached on first read
@@ -267,7 +266,7 @@ def _round(n_jobs, policy_cls=HetMaxMinPolicy, estimator=None):
         estimator=estimator or _estimator(),
         storage_aware=True,
         gpu_pools=dict(FLEET),
-        effective_cache_mb=lambda job: eff[job.job_id],
+        effective_cache_mb=eff,
     )
     policy = policy_cls()
     policy.schedule(jobs, total, ctx)
@@ -311,7 +310,7 @@ def test_greedy_round_builds_its_scorer_on_first_read(monkeypatch):
     eager = _AssignmentScorer(
         jobs, FLEET, total,
         [oracle.f_star_by_generation(job) for job in jobs],
-        _normalisers(jobs, total), lambda job: eff[job.job_id],
+        _normalisers(jobs, total), eff,
     )
     candidate = tuple(ctx.gen_assignments[job.job_id] for job in jobs)
     assert ratio == eager.ratio(candidate)

@@ -1,13 +1,19 @@
 """Experiment runner factory and coupling rule."""
 
+import argparse
+
 import pytest
 
 from repro import units
 from repro.cache.silod_cache import SiloDDataManager
+from repro.cli import build_parser
 from repro.cluster.hardware import Cluster
+from repro.serve.engine import OnlineEngine
+from repro.serve.services import ServiceStack
 from repro.sim.runner import (
     CACHES,
     POLICIES,
+    SIMULATORS,
     make_cache,
     make_policy,
     make_system,
@@ -81,6 +87,33 @@ def test_run_experiment_both_simulators():
         run_experiment(
             tiny_cluster(), "fifo", "silod", tiny_trace(), simulator="magic"
         )
+
+
+def test_simulator_registry_backs_every_entry_point():
+    assert list(SIMULATORS) == ["fluid", "minibatch"]
+    message = "simulator must be 'fluid' or 'minibatch'"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(
+            tiny_cluster(), "fifo", "silod", tiny_trace(), simulator="magic"
+        )
+    with pytest.raises(ValueError, match=message):
+        OnlineEngine(
+            tiny_cluster(),
+            ServiceStack.build("fifo", "silod"),
+            simulator="magic",
+        )
+    commands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for command in ("run", "serve"):
+        option = next(
+            action
+            for action in commands.choices[command]._actions
+            if "--simulator" in action.option_strings
+        )
+        assert option.choices == list(SIMULATORS)
 
 
 def test_run_matrix_covers_grid():

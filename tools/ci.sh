@@ -36,11 +36,15 @@
 #      `repro explain` reconstructs a nonzero decision-provenance chain
 #      and `repro report --slo` reports the injected deadline
 #      violations (see docs/OBSERVABILITY.md).
-#   6. benchmark tests         — the benchmark's own suite
+#   6. examples                — runs examples/quickstart.py,
+#      online_service.py, extensions_tour.py, curriculum_learning.py and
+#      microbenchmark_8gpu.py (about 10 s together); each must exit 0.
+#      cluster_simulation.py is left out: it takes about 45 s.
+#   7. benchmark tests         — the benchmark's own suite
 #      (perfbench/tests: drain deadline, job-by-job outcome compare,
 #      layer wrappers restored). It lives outside the tier-1
 #      `testpaths`, so only this stage runs it.
-#   7. paper claims            — every module under benchmarks/ with
+#   8. paper claims            — every module under benchmarks/ with
 #      timing off: each regenerates one table or figure of the paper
 #      (or an extension) and asserts the shape EXPERIMENTS.md reports.
 #      Every checked-in benchmarks/results/*.txt render must then come
@@ -68,6 +72,12 @@ python tools/serve_smoke.py
 
 echo "== obs smoke (tools/obs_smoke.py) =="
 python tools/obs_smoke.py
+
+echo "== examples (examples/) =="
+for example in quickstart online_service extensions_tour \
+        curriculum_learning microbenchmark_8gpu; do
+    python "examples/$example.py" > /dev/null
+done
 
 echo "== benchmark tests (perfbench/tests) =="
 python -m pytest perfbench/tests -q
