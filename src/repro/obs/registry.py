@@ -29,25 +29,71 @@ equal state serialise to identical JSON. Bench artifacts and serve
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.obs.windows import DEFAULT_CAPACITY, SlidingWindow
-
-#: Internal scope key for cluster-wide metrics.
-_CLUSTER = None
 
 #: Version of the ``snapshot()`` layout. Bump on any structural change
 #: (new top-level key, renamed bucket) so consumers can detect drift.
 METRICS_SCHEMA_VERSION = 2
 
 
+class _Scope:
+    """One scope's metrics: three name-keyed dicts kept in sorted order.
+
+    A new name marks the scope unsorted; the next snapshot re-sorts it
+    once. Value updates never change the order, so most reads copy
+    dicts that are already sorted.
+    """
+
+    __slots__ = ("counters", "gauges", "windows", "unsorted")
+
+    def __init__(self) -> None:
+        self.counters: Dict[str, float] = {}
+        self.gauges: Dict[str, float] = {}
+        self.windows: Dict[str, SlidingWindow] = {}
+        self.unsorted = False
+
+    def snapshot(self) -> dict:
+        if self.unsorted:
+            self.counters = dict(sorted(self.counters.items()))
+            self.gauges = dict(sorted(self.gauges.items()))
+            self.windows = dict(sorted(self.windows.items()))
+            self.unsorted = False
+        out: dict = {"counters": dict(self.counters),
+                     "gauges": dict(self.gauges)}
+        if self.windows:
+            out["windows"] = {
+                name: window.snapshot()
+                for name, window in self.windows.items()
+            }
+        return out
+
+
 class MetricsRegistry:
     """In-memory counters (monotonic), gauges (last-value), windows."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[Optional[str], str], float] = {}
-        self._gauges: Dict[Tuple[Optional[str], str], float] = {}
-        self._windows: Dict[Tuple[Optional[str], str], SlidingWindow] = {}
+        self._cluster = _Scope()
+        #: Per-job scopes; re-sorted by id when a new id has arrived.
+        self._jobs: Dict[str, _Scope] = {}
+        self._jobs_unsorted = False
+
+    def _scope(self, job_id: Optional[str]) -> _Scope:
+        """The scope a write addresses, created on first use."""
+        if job_id is None:
+            return self._cluster
+        scope = self._jobs.get(job_id)
+        if scope is None:
+            scope = self._jobs[job_id] = _Scope()
+            self._jobs_unsorted = True
+        return scope
+
+    def _sorted_jobs(self) -> Dict[str, _Scope]:
+        if self._jobs_unsorted:
+            self._jobs = dict(sorted(self._jobs.items()))
+            self._jobs_unsorted = False
+        return self._jobs
 
     # ------------------------------------------------------------------
     # Writing.
@@ -57,16 +103,24 @@ class MetricsRegistry:
         self, name: str, value: float = 1.0, job_id: Optional[str] = None
     ) -> float:
         """Add ``value`` to a counter; returns the new total."""
-        key = (job_id, name)
-        total = self._counters.get(key, 0.0) + value
-        self._counters[key] = total
+        scope = self._scope(job_id)
+        counters = scope.counters
+        if name in counters:
+            total = counters[name] + value
+        else:
+            total = 0.0 + value
+            scope.unsorted = True
+        counters[name] = total
         return total
 
     def set_gauge(
         self, name: str, value: float, job_id: Optional[str] = None
     ) -> None:
         """Record the latest value of a gauge."""
-        self._gauges[(job_id, name)] = value
+        scope = self._scope(job_id)
+        if name not in scope.gauges:
+            scope.unsorted = True
+        scope.gauges[name] = value
 
     def observe(
         self,
@@ -82,83 +136,67 @@ class MetricsRegistry:
         percentiles are deterministic functions of the observed
         ``(ts_s, value)`` sequence (see :mod:`repro.obs.windows`).
         """
-        key = (job_id, name)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = SlidingWindow(capacity=capacity)
+        window = self.window(name, job_id)
+        if window is not None:
+            window.observe(ts_s, value)
+            return
+        window = SlidingWindow(capacity=capacity)
+        # A rejected first sample (NaN) leaves the registry untouched.
         window.observe(ts_s, value)
+        scope = self._scope(job_id)
+        scope.windows[name] = window
+        scope.unsorted = True
 
     # ------------------------------------------------------------------
     # Reading.
     # ------------------------------------------------------------------
 
+    def _existing(self, job_id: Optional[str]) -> Optional[_Scope]:
+        return self._cluster if job_id is None else self._jobs.get(job_id)
+
     def counter(self, name: str, job_id: Optional[str] = None) -> float:
         """Current value of a counter (0.0 if never incremented)."""
-        return self._counters.get((job_id, name), 0.0)
+        scope = self._existing(job_id)
+        return scope.counters.get(name, 0.0) if scope is not None else 0.0
 
     def gauge(
         self, name: str, job_id: Optional[str] = None
     ) -> Optional[float]:
         """Latest value of a gauge, or ``None`` if never set."""
-        return self._gauges.get((job_id, name))
+        scope = self._existing(job_id)
+        return scope.gauges.get(name) if scope is not None else None
 
     def window(
         self, name: str, job_id: Optional[str] = None
     ) -> Optional[SlidingWindow]:
         """The live window of ``name``, or ``None`` if never observed."""
-        return self._windows.get((job_id, name))
+        scope = self._existing(job_id)
+        return scope.windows.get(name) if scope is not None else None
 
     def job_ids(self) -> list:
         """Every job id that owns at least one metric, sorted."""
-        ids = {
-            scope
-            for scope, _name in (
-                *self._counters,
-                *self._gauges,
-                *self._windows,
-            )
-            if scope is not None
-        }
-        return sorted(ids)
+        return list(self._sorted_jobs())
 
     def snapshot(self) -> dict:
         """A nested, JSON-safe dump: cluster scope plus one per job.
 
         Key order is stable (see module docstring): metric names are
         sorted within each bucket and jobs are sorted by id, so equal
-        registries serialise identically.
+        registries serialise identically. A read copies each scope's
+        dicts; it sorts only the scopes (and the job list) that gained
+        a name since the last snapshot.
         """
-        out: dict = {
+        return {
             "schema_version": METRICS_SCHEMA_VERSION,
-            "cluster": {"counters": {}, "gauges": {}},
-            "jobs": {},
+            "cluster": self._cluster.snapshot(),
+            "jobs": {
+                job_id: scope.snapshot()
+                for job_id, scope in self._sorted_jobs().items()
+            },
         }
-
-        def _bucket(scope: Optional[str]) -> dict:
-            if scope is _CLUSTER:
-                return out["cluster"]
-            return out["jobs"].setdefault(
-                scope, {"counters": {}, "gauges": {}}
-            )
-
-        for (scope, name), value in sorted(self._counters.items(),
-                                           key=lambda kv: (kv[0][0] or "",
-                                                           kv[0][1])):
-            _bucket(scope)["counters"][name] = value
-        for (scope, name), value in sorted(self._gauges.items(),
-                                           key=lambda kv: (kv[0][0] or "",
-                                                           kv[0][1])):
-            _bucket(scope)["gauges"][name] = value
-        for (scope, name), window in sorted(self._windows.items(),
-                                            key=lambda kv: (kv[0][0] or "",
-                                                            kv[0][1])):
-            _bucket(scope).setdefault("windows", {})[name] = (
-                window.snapshot()
-            )
-        return out
 
     def clear(self) -> None:
         """Drop every metric (used between simulation runs)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._windows.clear()
+        self._cluster = _Scope()
+        self._jobs = {}
+        self._jobs_unsorted = False

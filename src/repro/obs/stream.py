@@ -60,9 +60,6 @@ class StreamingTracer(Tracer):
             self.dropped += 1
         else:
             self.events.append(event)
-            self.metrics.inc("events_total")
-            self.metrics.inc(f"events.{etype}")
-            if job_id is not None:
-                self.metrics.inc(f"events.{etype}", job_id=job_id)
+            self._count_event(etype, job_id)
         for sink in self._sinks:
             sink(event)

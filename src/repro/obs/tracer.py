@@ -70,10 +70,16 @@ class Tracer:
                 seq=self._seq,
             )
         )
-        self.metrics.inc("events_total")
-        self.metrics.inc(f"events.{etype}")
+        self._count_event(etype, job_id)
+
+    def _count_event(self, etype: str, job_id: Optional[str]) -> None:
+        """Bump the per-type event counters of one recorded event."""
+        metrics = self.metrics
+        metrics.inc("events_total")
+        name = f"events.{etype}"
+        metrics.inc(name)
         if job_id is not None:
-            self.metrics.inc(f"events.{etype}", job_id=job_id)
+            metrics.inc(name, job_id=job_id)
 
     def clear(self) -> None:
         """Drop recorded events and metrics (reused between runs)."""

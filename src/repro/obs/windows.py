@@ -27,6 +27,7 @@ the doc sync in ``tools/check_obs_docs.py``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -63,7 +64,14 @@ def nearest_rank(sorted_samples: List[float], q: float) -> float:
 
 
 class SlidingWindow:
-    """A bounded, time-stamped sample window with percentile queries."""
+    """A bounded, time-stamped sample window with percentile queries.
+
+    The retained values are also kept in one sorted list, so a
+    percentile is an index read. ``bisect.insort`` places a new value
+    after its equals and eviction is oldest-first, so the value an
+    eviction deletes is always the leftmost of its equals: the list is
+    exactly ``sorted(values())``, ties and signed zeros included.
+    """
 
     def __init__(
         self,
@@ -77,23 +85,38 @@ class SlidingWindow:
         self.capacity = int(capacity)
         self.horizon_s = horizon_s
         #: (ts_s, value) pairs in observation order; bounded by capacity.
-        self._samples: Deque[Tuple[float, float]] = deque(
-            maxlen=self.capacity
-        )
+        self._samples: Deque[Tuple[float, float]] = deque()
+        #: The retained values, ascending.
+        self._sorted: List[float] = []
         #: Total samples ever observed (survives eviction).
         self.observed_total = 0
 
     def __len__(self) -> int:
         return len(self._samples)
 
+    def _evict_oldest(self) -> None:
+        _, value = self._samples.popleft()
+        del self._sorted[bisect_left(self._sorted, value)]
+
     def observe(self, ts_s: float, value: float) -> None:
-        """Record one sample at simulation time ``ts_s``."""
+        """Record one sample at simulation time ``ts_s``.
+
+        Raises ``ValueError`` on a NaN value, which has no place in a
+        sorted order.
+        """
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError("window samples must not be NaN")
         self.observed_total += 1
+        samples = self._samples
         if self.horizon_s is not None:
             cutoff = ts_s - self.horizon_s
-            while self._samples and self._samples[0][0] < cutoff:
-                self._samples.popleft()
-        self._samples.append((float(ts_s), float(value)))
+            while samples and samples[0][0] < cutoff:
+                self._evict_oldest()
+        if len(samples) == self.capacity:
+            self._evict_oldest()
+        samples.append((float(ts_s), value))
+        insort(self._sorted, value)
 
     def values(self) -> List[float]:
         """The retained sample values, in observation order."""
@@ -101,7 +124,7 @@ class SlidingWindow:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over the retained samples."""
-        return nearest_rank(sorted(self.values()), q)
+        return nearest_rank(self._sorted, q)
 
     def last(self) -> Optional[float]:
         """The most recent sample value, or ``None`` when empty."""
@@ -110,11 +133,12 @@ class SlidingWindow:
     def clear(self) -> None:
         """Drop every sample and reset the observation counter."""
         self._samples.clear()
+        self._sorted.clear()
         self.observed_total = 0
 
     def snapshot(self) -> dict:
         """Count + percentiles, in a stable key order."""
-        ordered = sorted(self.values())
+        ordered = self._sorted
         snap = {
             "count": len(ordered),
             "observed_total": self.observed_total,

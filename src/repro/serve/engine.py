@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from typing import Dict, List, Optional
 
 from repro import units
 from repro.cluster.hardware import Cluster
 from repro.obs.stream import StreamingTracer
+from repro.obs.windows import nearest_rank
 from repro.serve.clock import VirtualClock
 from repro.serve.protocol import (
     REJECT_DUPLICATE,
@@ -48,14 +50,6 @@ JOB_STATES = (
     "finished",
     "cancelled",
 )
-
-
-def _percentile(sorted_samples: List[float], q: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample list."""
-    if not sorted_samples:
-        return 0.0
-    rank = max(0, min(len(sorted_samples) - 1, math.ceil(q * len(sorted_samples)) - 1))
-    return sorted_samples[rank]
 
 
 class OnlineEngine:
@@ -114,7 +108,8 @@ class OnlineEngine:
         #: loaded in one go would (``trace_io.load_trace`` semantics).
         self._datasets: Dict[str, object] = {}
         self._states: Dict[str, str] = {}
-        #: Wall-clock admission→first-placement latencies, milliseconds.
+        #: Wall-clock admission→first-placement latencies, milliseconds,
+        #: kept ascending.
         self._latency_ms: List[float] = []
         self.jobs_submitted = 0
         self.result: Optional[RunResult] = None
@@ -313,7 +308,7 @@ class OnlineEngine:
 
     def metrics(self) -> dict:
         """Counters/gauges plus serve-level latency percentiles."""
-        samples = sorted(self._latency_ms)
+        samples = self._latency_ms
         return {
             "ok": True,
             "metrics": self.tracer.metrics.snapshot(),
@@ -321,8 +316,8 @@ class OnlineEngine:
                 "decisions_total": self.sim.sched_rounds,
                 "admit_to_place_ms": {
                     "count": len(samples),
-                    "p50": _percentile(samples, 0.50),
-                    "p99": _percentile(samples, 0.99),
+                    "p50": nearest_rank(samples, 0.50),
+                    "p99": nearest_rank(samples, 0.99),
                 },
                 "decision_latency_p99_ms": self.decision_latency_p99_ms(),
                 "queue_depth": self.stack.admission.depth,
@@ -385,7 +380,7 @@ class OnlineEngine:
             if submitted_wall is not None:
                 # lint: disable=DET003
                 elapsed_s = time.perf_counter() - submitted_wall
-                self._latency_ms.append(units.seconds_to_ms(elapsed_s))
+                insort(self._latency_ms, units.seconds_to_ms(elapsed_s))
         elif etype == "job_preempt":
             self._states[job_id] = "preempted"
         elif etype == "job_restart":

@@ -1,0 +1,135 @@
+"""Sort-everything reference registry and window for equivalence tests.
+
+This is the registry and window code as it stood before scopes and
+window samples were kept sorted incrementally: every snapshot sorts
+every ``(scope, name)`` key and every percentile sorts the retained
+samples. One change: the snapshot's ``jobs`` map is sorted by id at the
+end, as the registry's docstring has always promised (the old code let
+a job without counters land out of order).
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List, Optional, Tuple
+
+from repro.obs.registry import METRICS_SCHEMA_VERSION
+from repro.obs.windows import (
+    DEFAULT_CAPACITY,
+    SNAPSHOT_QUANTILES,
+    nearest_rank,
+)
+
+
+class OracleWindow:
+    """Deque-only sliding window; sorts on every read."""
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 horizon_s: Optional[float] = None) -> None:
+        self.capacity = int(capacity)
+        self.horizon_s = horizon_s
+        self._samples: deque = deque(maxlen=self.capacity)
+        self.observed_total = 0
+
+    def observe(self, ts_s: float, value: float) -> None:
+        self.observed_total += 1
+        if self.horizon_s is not None:
+            cutoff = ts_s - self.horizon_s
+            while self._samples and self._samples[0][0] < cutoff:
+                self._samples.popleft()
+        self._samples.append((float(ts_s), float(value)))
+
+    def values(self) -> List[float]:
+        return [value for _, value in self._samples]
+
+    def percentile(self, q: float) -> float:
+        return nearest_rank(sorted(self.values()), q)
+
+    def snapshot(self) -> dict:
+        ordered = sorted(self.values())
+        snap = {"count": len(ordered), "observed_total": self.observed_total}
+        for label, q in SNAPSHOT_QUANTILES:
+            snap[label] = nearest_rank(ordered, q)
+        return snap
+
+
+Key = Tuple[Optional[str], str]
+
+
+class OracleRegistry:
+    """Flat ``(scope, name)``-keyed registry; sorts on every snapshot."""
+
+    def __init__(self) -> None:
+        self._counters: Dict[Key, float] = {}
+        self._gauges: Dict[Key, float] = {}
+        self._windows: Dict[Key, OracleWindow] = {}
+
+    def inc(self, name: str, value: float = 1.0,
+            job_id: Optional[str] = None) -> float:
+        key = (job_id, name)
+        total = self._counters.get(key, 0.0) + value
+        self._counters[key] = total
+        return total
+
+    def set_gauge(self, name: str, value: float,
+                  job_id: Optional[str] = None) -> None:
+        self._gauges[(job_id, name)] = value
+
+    def observe(self, name: str, ts_s: float, value: float,
+                job_id: Optional[str] = None,
+                capacity: int = DEFAULT_CAPACITY) -> None:
+        key = (job_id, name)
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = OracleWindow(capacity=capacity)
+        window.observe(ts_s, value)
+
+    def window(self, name: str,
+               job_id: Optional[str] = None) -> Optional[OracleWindow]:
+        return self._windows.get((job_id, name))
+
+    def job_ids(self) -> list:
+        return sorted({
+            scope
+            for scope, _name in (*self._counters, *self._gauges,
+                                 *self._windows)
+            if scope is not None
+        })
+
+    def snapshot(self) -> dict:
+        out: dict = {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "cluster": {"counters": {}, "gauges": {}},
+            "jobs": {},
+        }
+
+        def _bucket(scope: Optional[str]) -> dict:
+            if scope is None:
+                return out["cluster"]
+            return out["jobs"].setdefault(
+                scope, {"counters": {}, "gauges": {}}
+            )
+
+        def _order(kv):
+            return (kv[0][0] or "", kv[0][1])
+
+        for (scope, name), value in sorted(self._counters.items(),
+                                           key=_order):
+            _bucket(scope)["counters"][name] = value
+        for (scope, name), value in sorted(self._gauges.items(),
+                                           key=_order):
+            _bucket(scope)["gauges"][name] = value
+        for (scope, name), window in sorted(self._windows.items(),
+                                            key=_order):
+            _bucket(scope).setdefault("windows", {})[name] = (
+                window.snapshot()
+            )
+        # The jobs-order fix: buckets are created pass by pass, so sort
+        # the finished map by id.
+        out["jobs"] = dict(sorted(out["jobs"].items()))
+        return out
+
+    def clear(self) -> None:
+        self._counters.clear()
+        self._gauges.clear()
+        self._windows.clear()

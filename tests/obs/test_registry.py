@@ -78,3 +78,25 @@ def test_counter_and_gauge_accessors():
     assert registry.counter("rounds", job_id="j1") == 3
     assert registry.gauge("depth") == 7.0
     assert registry.job_ids() == ["j1"]
+
+
+def test_jobs_sorted_by_id_when_a_scope_has_no_counter():
+    registry = MetricsRegistry()
+    registry.set_gauge("depth", 1.0, job_id="a")
+    registry.inc("rounds", job_id="b")
+    registry.observe("jct_s", 1.0, 5.0, job_id="0")
+    assert list(registry.snapshot()["jobs"]) == ["0", "a", "b"]
+    registry.inc("rounds", job_id="00")
+    assert list(registry.snapshot()["jobs"]) == ["0", "00", "a", "b"]
+    assert registry.job_ids() == ["0", "00", "a", "b"]
+
+
+def test_snapshot_is_a_copy():
+    registry = MetricsRegistry()
+    registry.inc("rounds", 2)
+    registry.set_gauge("depth", 1.0, job_id="j1")
+    snap = registry.snapshot()
+    snap["cluster"]["counters"]["rounds"] = 99.0
+    snap["jobs"]["j1"]["gauges"].clear()
+    assert registry.counter("rounds") == 2
+    assert registry.snapshot()["jobs"]["j1"]["gauges"] == {"depth": 1.0}

@@ -67,6 +67,32 @@ def test_invalid_construction_rejected():
         SlidingWindow(horizon_s=0.0)
 
 
+def test_nan_sample_rejected():
+    window = SlidingWindow(capacity=3)
+    window.observe(0.0, 1.0)
+    with pytest.raises(ValueError):
+        window.observe(1.0, float("nan"))
+    assert window.values() == [1.0]
+    assert window.observed_total == 1
+    registry = MetricsRegistry()
+    with pytest.raises(ValueError):
+        registry.observe("queue_depth", 0.0, float("nan"), job_id="j1")
+    assert registry.window("queue_depth", job_id="j1") is None
+    assert registry.snapshot()["jobs"] == {}
+
+
+def test_sorted_values_survive_eviction_with_signed_zeros():
+    window = SlidingWindow(capacity=2)
+    for ts_s, value in enumerate((0.0, -0.0, 0.0)):
+        window.observe(float(ts_s), value)
+    # Retained: -0.0 (t=1) then 0.0 (t=2); evicting the t=0 0.0 must not
+    # take the -0.0, so it still sorts first as sorted() would put it.
+    assert repr(window.percentile(0.5)) == "-0.0"
+    window.observe(3.0, 1.0)
+    assert repr(window.percentile(0.5)) == "0.0"
+    assert window.snapshot()["p99"] == 1.0
+
+
 def test_registry_windows_created_on_first_observe():
     registry = MetricsRegistry()
     assert registry.window("jct_s") is None

@@ -1,5 +1,7 @@
 """Online engine behaviour (`repro.serve.engine.OnlineEngine`)."""
 
+import time
+
 import pytest
 
 from repro.obs import events as ev
@@ -150,6 +152,9 @@ def test_metrics_report_latency_percentiles_and_queue_depth():
     engine.start()
     for i in range(4):
         engine.submit(job_payload(f"job-{i}"))
+        # All four start in one round, so spacing the submits makes the
+        # latencies arrive in descending order.
+        time.sleep(0.002)
     engine.drain()
     serve = engine.metrics()["serve"]
     assert serve["decisions_total"] >= 1
@@ -159,6 +164,11 @@ def test_metrics_report_latency_percentiles_and_queue_depth():
         serve["admit_to_place_ms"]["p99"]
         >= serve["admit_to_place_ms"]["p50"]
     )
+    # Kept ascending as samples arrive: the percentiles are index reads.
+    latencies = engine._latency_ms
+    assert latencies == sorted(latencies)
+    assert serve["admit_to_place_ms"]["p50"] == latencies[1]
+    assert serve["admit_to_place_ms"]["p99"] == latencies[3]
     assert serve["queue_depth"] == 0
 
 

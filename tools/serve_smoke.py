@@ -3,6 +3,8 @@
 
 Boots the service as a real subprocess (ephemeral port), drives three
 jobs through it over the socket with :class:`repro.serve.ServeClient`,
+checks that ``metrics`` reads reflect the submissions (the cluster
+``events.job_submit`` counter rises and the new job's scope appears),
 verifies they all finish under a drain shutdown, and checks the process
 exits cleanly — the whole cycle bounded by a hard timeout so a hung
 service fails CI instead of wedging it.
@@ -36,6 +38,29 @@ def _job(job_id: str, submit_s: float) -> dict:
         "submit_time_s": submit_s,
         "regular": True,
     }
+
+
+def _submits(snapshot: dict) -> float:
+    return snapshot["cluster"]["counters"].get("events.job_submit", 0.0)
+
+
+def _await_fresh_metrics(client, before: dict, job_id: str,
+                         deadline: float) -> None:
+    """Poll ``metrics`` until a submit shows: a stale snapshot fails.
+
+    The engine emits ``job_submit`` when its pump admits the job, so the
+    first read after the ``submit`` reply may still predate it.
+    """
+    assert job_id not in before["jobs"], before
+    while True:
+        after = client.metrics()["metrics"]
+        if _submits(after) > _submits(before) and job_id in after["jobs"]:
+            return
+        if time.monotonic() > deadline:  # lint: disable=DET003
+            raise AssertionError(
+                f"metrics never showed the submit of {job_id}: {after}"
+            )
+        time.sleep(0.05)
 
 
 def main() -> int:
@@ -75,9 +100,11 @@ def main() -> int:
 
         with ServeClient("127.0.0.1", port, timeout_s=TIMEOUT_S) as client:
             assert client.ping()["pong"] is True
+            before = client.metrics()["metrics"]
             for i in range(3):
                 response = client.submit(_job(f"smoke-{i}", float(i)))
                 assert response["ok"], response
+            _await_fresh_metrics(client, before, "smoke-0", deadline)
             status = client.status()
             assert status["jobs_submitted"] == 3, status
             client.shutdown(drain=True)
