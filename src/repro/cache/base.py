@@ -39,9 +39,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 class StorageContext:
     """Inputs to a cache system's per-round decision.
 
-    The per-job inputs of §6 come as plain columns, gathered once per
-    round by the simulator: ``f_stars`` aligned with ``running_jobs``
-    and the ``effective_mb`` map. Consumers treat both as read-only.
+    Both simulators build it in one place,
+    :meth:`~repro.sim.kernel.SimulatorKernel._storage_context`. The
+    per-job inputs of §6 come as plain columns, gathered once per
+    allocation: ``f_stars`` aligned with ``running_jobs`` and the
+    ``effective_mb`` map. Consumers treat both as read-only.
     """
 
     #: Jobs currently holding GPUs.

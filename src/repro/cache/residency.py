@@ -57,13 +57,13 @@ class ResidencyStore:
     ``KeyError`` for unknown keys except :meth:`snapshot`, which returns
     ``None`` — the hot loop's one-lookup read.
 
-    The *plan* APIs (:meth:`prepare_targets` / :meth:`make_fill_plan`)
-    let a caller hoist the per-key work of a repeated operation out of
-    its hot loop. The dict store's plans resolve keys on every run and
-    never go stale. The array store's plans capture the key→row mapping
-    once, so they are tied to the key set they were built against: they
-    report staleness (via ``keyset_version``) instead of silently
-    touching the wrong rows, and the caller rebuilds.
+    The *fill plan* (:meth:`make_fill_plan` / :meth:`run_fill_plan`)
+    hoists the per-key work of the repeated linear fill out of the
+    simulator's hot loop. The dict store's plan resolves keys on every
+    run and never goes stale. The array store's plan captures the
+    key→row mapping once, so it is tied to the key set it was built
+    against: it reports staleness (via ``keyset_version``) instead of
+    silently touching the wrong rows, and the caller rebuilds.
     """
 
     def ensure(self, key: str, size_mb: float) -> None:
@@ -143,25 +143,6 @@ class ResidencyStore:
         key left over-resident (``resident > target + 1e-9``), in
         ``targets`` order — the caller evicts those (with whatever
         bookkeeping eviction implies).
-        """
-        raise NotImplementedError
-
-    def prepare_targets(self, targets, sizes):
-        """Build a reusable plan equivalent to ``apply_targets(...)``.
-
-        Creates any missing keys up front (exactly as ``apply_targets``
-        would), then captures the per-key state needed to re-apply the
-        same decision later without re-resolving keys. Returns an opaque
-        plan for :meth:`apply_targets_prepared`.
-        """
-        raise NotImplementedError
-
-    def apply_targets_prepared(self, plan):
-        """Re-run a prepared target application.
-
-        Returns the same over-resident ``(key, new_target)`` list as
-        :meth:`apply_targets`, or ``None`` when the key set changed since
-        the plan was prepared (the caller must re-prepare).
         """
         raise NotImplementedError
 
@@ -292,15 +273,6 @@ class DictResidencyStore(ResidencyStore):
             if state.resident_mb > new_target + 1e-9:
                 over.append((key, new_target))
         return over
-
-    def prepare_targets(self, targets, sizes):
-        # The scalar apply re-resolves keys anyway; the plan is just the
-        # arguments (it can never go stale).
-        return (targets, sizes)
-
-    def apply_targets_prepared(self, plan):
-        targets, sizes = plan
-        return self.apply_targets(targets, sizes)
 
     def make_fill_plan(self, items):
         return list(items)
@@ -486,42 +458,6 @@ class ArrayResidencyStore(ResidencyStore):
             dtype=float,
             count=n,
         )
-        size = np.maximum(self._size[rows], floors)
-        self._size[rows] = size
-        new_targets = np.minimum(wanted, size)
-        self._target[rows] = new_targets
-        over = np.nonzero(self._resident[rows] > new_targets + 1e-9)[0]
-        return [(keys[i], float(new_targets[i])) for i in over.tolist()]
-
-    def prepare_targets(self, targets, sizes):
-        keys = list(targets)
-        for key in keys:
-            if key not in self._index:
-                self.ensure(key, sizes.get(key, targets[key]))
-        n = len(keys)
-        if n == 0:
-            return (self.keyset_version, [], None, None, None)
-        rows = np.fromiter(
-            (self._index[key] for key in keys), dtype=np.intp, count=n
-        )
-        wanted = np.fromiter(targets.values(), dtype=float, count=n)
-        floors = np.fromiter(
-            (sizes.get(key, -math.inf) for key in keys),
-            dtype=float,
-            count=n,
-        )
-        # Version captured after the ensures, so the plan covers exactly
-        # the key set it resolved rows against.
-        return (self.keyset_version, keys, rows, wanted, floors)
-
-    def apply_targets_prepared(self, plan):
-        version, keys, rows, wanted, floors = plan
-        if version != self.keyset_version:
-            return None
-        if not keys:
-            return []
-        # Same arithmetic as apply_targets, minus the key resolution:
-        # size = max(size, floor); target = min(wanted, size).
         size = np.maximum(self._size[rows], floors)
         self._size[rows] = size
         new_targets = np.minimum(wanted, size)

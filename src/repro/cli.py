@@ -52,8 +52,10 @@ from repro.obs import (
     save_timeline_csv,
 )
 from repro.sim.runner import (
+    CACHE_FACTORIES,
     CACHES,
     POLICIES,
+    POLICY_FACTORIES,
     SIMULATORS,
     run_experiment,
     run_matrix,
@@ -380,12 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--policy",
         default="fifo",
-        help=f"scheduling policy (default fifo; one of {', '.join(POLICIES)})",
+        help="scheduling policy (default fifo; one of "
+        f"{', '.join(POLICY_FACTORIES)})",
     )
     p_run.add_argument(
         "--cache",
         default="silod",
-        help=f"cache system (default silod; one of {', '.join(CACHES)})",
+        help="cache system (default silod; one of "
+        f"{', '.join(CACHE_FACTORIES)})",
     )
     p_run.add_argument("--simulator", default="fluid",
                        choices=list(SIMULATORS),

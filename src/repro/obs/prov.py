@@ -11,8 +11,11 @@ OBS004 keeps it out of ``repro/serve/``), a batch run and an online
 run over the same trace produce bit-identical provenance, which the
 serve equivalence tests pin down with ``localize_divergence``.
 
-:func:`emit_decision_provenance` is the one emission entry point, and
-:func:`decision_chain` / :func:`render_explain` are the query side that
+:func:`emit_decision_provenance` is the one emission entry point. It
+reads the round's :class:`~repro.cache.base.StorageContext` — the same
+object the cache system decided from — so provenance reports exactly
+the inputs the decision saw. :func:`decision_chain` /
+:func:`render_explain` are the query side that
 ``python -m repro explain <events> <job-id>`` renders: the per-round
 causal chain of a job's allocation, with Eq. 4 achieved-rate
 reconstruction (``min(f*, grant/miss)``) and Eq. 5 cache efficiency
@@ -22,11 +25,22 @@ reconstruction (``min(f*, grant/miss)``) and Eq. 5 cache efficiency
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.obs import events as ev
 from repro.obs.events import Event
-from repro.obs.tracer import Tracer
+
+if TYPE_CHECKING:
+    from repro.cache.base import StorageContext, StorageDecision
+    from repro.core.silod import SiloDScheduler
 
 #: Hit ratios within this of 1.0 mean "no remote demand" — the same
 #: epsilon the fluid simulator's rate recompute uses.
@@ -73,77 +87,72 @@ def achieved_rate(
 
 
 def emit_decision_provenance(
-    tracer: Tracer,
-    ts_s: float,
+    ctx: StorageContext,
+    decision: StorageDecision,
+    scheduler: SiloDScheduler,
     round_index: int,
     trigger: str,
-    running_jobs: Sequence,
-    num_queued: int,
-    gpus_total: float,
-    cache_total_mb: float,
-    io_total_mbps: float,
-    gpu_grants: Dict[str, float],
     cache_key: Callable,
-    cache_targets: Dict[str, float],
-    hit_ratios: Dict[str, float],
-    io_grants: Dict[str, float],
-    f_stars: Dict[str, float],
     effective_mb: Mapping[str, float],
-    scores: Dict[str, float],
-    generations: Optional[Dict[str, str]] = None,
-    gen_f_stars: Optional[Dict[str, Dict[str, float]]] = None,
-    default_generation: str = "V100",
 ) -> None:
     """Emit one round's ``decision_epoch`` + per-job ``decision_job``.
+
+    ``ctx`` is the round's storage context: the tracer, clock, totals,
+    queued count, GPU grants and the ``f*`` column come from it, the
+    cache share, hit ratio and IO grant from the cache system's
+    ``decision``, and the policy's scores and GPU generations from
+    ``scheduler``. ``effective_mb`` is read when the event is emitted
+    (the emulator passes a map taken after its targets applied).
 
     Jobs are emitted in ``job_id`` order so the provenance subsequence
     is deterministic regardless of the caller's iteration order. Free
     when tracing is off (callers still guard on ``tracer.enabled``).
-
-    ``generations`` maps job_id to the assigned GPU generation and
-    ``gen_f_stars`` to the per-generation compute bounds the policy
-    weighed; jobs absent from either fall back to
+    A job absent from the scheduler's generation maps falls back to its
     ``default_generation`` and a one-entry ``{generation: f*}`` map,
     so homogeneous runs carry the same (trivially constant) fields —
     batch and serve emissions stay bit-identical either way.
     """
+    tracer = ctx.tracer
     if not tracer.enabled:
         return
+    ts_s = ctx.clock_s
+    running_jobs = ctx.running_jobs
     tracer.decision_epoch(
         ts_s,
         round=round_index,
         trigger=trigger,
         num_running=len(running_jobs),
-        num_queued=num_queued,
-        gpus_total=gpus_total,
-        cache_total_mb=cache_total_mb,
-        io_total_mbps=io_total_mbps,
+        num_queued=len(ctx.queued_jobs),
+        gpus_total=ctx.total_gpus,
+        cache_total_mb=ctx.total_cache_mb,
+        io_total_mbps=ctx.total_io_mbps,
     )
-    for job in sorted(running_jobs, key=lambda j: j.job_id):
+    for job, f_star in sorted(
+        zip(running_jobs, ctx.f_stars), key=lambda pair: pair[0].job_id
+    ):
         job_id = job.job_id
-        f_star = f_stars.get(job_id, 0.0)
-        hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
-        grant = io_grants.get(job_id, 0.0)
+        hit = min(1.0, max(0.0, decision.hit_ratios.get(job_id, 0.0)))
+        grant = decision.io_grants.get(job_id, 0.0)
         est = achieved_rate(f_star, hit, grant)
-        generation = (generations or {}).get(
-            job_id, default_generation
+        generation = scheduler.last_generations.get(
+            job_id, scheduler.default_generation
         )
-        by_gen = (gen_f_stars or {}).get(job_id)
+        by_gen = scheduler.last_gen_scores.get(job_id)
         if by_gen is None:
             by_gen = {generation: f_star}
         tracer.decision_job(
             ts_s,
             job_id,
             round=round_index,
-            gpus=gpu_grants.get(job_id, 0.0),
-            cache_mb=cache_targets.get(cache_key(job), 0.0),
+            gpus=ctx.gpu_grants.get(job_id, 0.0),
+            cache_mb=decision.cache_targets.get(cache_key(job), 0.0),
             io_mbps=grant,
             f_star_mbps=f_star,
             hit_ratio=hit,
             est_mbps=est,
             io_bound=est < f_star - 1e-9,
             eff_cache_mb=effective_mb.get(job_id, 0.0),
-            score=scores.get(job_id, 0.0),
+            score=scheduler.last_scores.get(job_id, 0.0),
             generation=generation,
             f_star_gen_mbps=dict(by_gen),
         )

@@ -22,7 +22,7 @@ from repro.serve.clock import VirtualClock
 from repro.serve.engine import OnlineEngine
 from repro.serve.server import ServeServer, serve_until_shutdown
 from repro.serve.services import ServiceStack
-from repro.sim.runner import CACHES, POLICIES, SIMULATORS
+from repro.sim.runner import CACHE_FACTORIES, POLICY_FACTORIES, SIMULATORS
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -51,12 +51,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
         default="fifo",
-        help=f"scheduling policy (default fifo; one of {', '.join(POLICIES)})",
+        help="scheduling policy (default fifo; one of "
+        f"{', '.join(POLICY_FACTORIES)})",
     )
     parser.add_argument(
         "--cache",
         default="silod",
-        help=f"cache system (default silod; one of {', '.join(CACHES)})",
+        help="cache system (default silod; one of "
+        f"{', '.join(CACHE_FACTORIES)})",
     )
     parser.add_argument(
         "--simulator",

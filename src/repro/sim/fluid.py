@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.base import CacheSystem, StorageContext
+from repro.cache.base import CacheSystem
 from repro.cache.residency import DictResidencyStore
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
@@ -54,38 +54,6 @@ from repro.sim.kernel import SimulatorKernel
 _WORK_EPS_MB = 1e-3
 #: Rate below this many MB/s counts as "stalled".
 _RATE_EPS = 1e-9
-
-
-class _EpochView:
-    """Per-allocation-epoch gathers over the running set.
-
-    The storage decision runs on every epoch boundary, but its per-job
-    inputs — who is running, their table rows, GPU grants, compute
-    bounds, dataset sizes, remote-IO allocations — only change when the
-    scheduler re-allocates (membership changes always trigger a
-    reschedule before the next decision). Gathering them once per
-    allocation epoch turns the per-decision cost from O(jobs) Python
-    loops into a few dict lookups.
-
-    The view is rebuilt lazily after every invalidation; consumers must
-    treat every field (including ``gpu_grants``) as read-only.
-    """
-
-    __slots__ = (
-        "running",
-        "job_ids",
-        "queued",
-        "rows",
-        "gpu_grants",
-        "f_stars",
-    )
-
-    running: List[Job]
-    job_ids: List[str]
-    queued: List[Job]
-    rows: List[Optional[int]]
-    gpu_grants: Dict[str, float]
-    f_stars: List[float]
 
 
 class FluidSimulator(SimulatorKernel):
@@ -179,11 +147,6 @@ class FluidSimulator(SimulatorKernel):
         self._filler_multis: List[
             Tuple[str, List[Tuple[str, float]]]
         ] = []
-        #: Per-allocation-epoch job gathers (lazy; see ``_epoch_view``).
-        self._epoch: Optional[_EpochView] = None
-        #: ``(cache_targets, store plan)`` of the last applied decision;
-        #: reused while the decision and the key set are unchanged.
-        self._targets_plan: Optional[Tuple[Dict[str, float], object]] = None
         #: Active sharers per cache key (admission order), so eviction's
         #: effectiveness scaling touches only the key's own jobs.
         self._key_jobs: Dict[str, List[str]] = {}
@@ -279,7 +242,6 @@ class FluidSimulator(SimulatorKernel):
         key = self.cache_system.cache_key(job)
         self._job_key[job.job_id] = key
         self._key_jobs.setdefault(key, []).append(job.job_id)
-        self._invalidate_epoch_view()
         return JobProgress(job=job)
 
     def _release(self, progress: JobProgress) -> None:
@@ -291,12 +253,8 @@ class FluidSimulator(SimulatorKernel):
             progress.work_done_mb = self._table.work_done_mb(row)
             self._table.retire(row)
         self._effective.pop(job_id, None)
-        sharers = self._key_jobs.get(self._job_key.get(job_id))
-        if sharers is not None and job_id in sharers:
-            # The emptied list stays: it records "no active sharer"
-            # and spares _scale_effective the O(active) fallback scan
-            # every time this stale key is later shrunk/reclaimed.
-            sharers.remove(job_id)
+        # An emptied sharer list stays: the key may still hold data.
+        self._key_jobs[self._job_key[job_id]].remove(job_id)
         if self.cache_system.per_job_keys:
             # Private caches die with their jobs.
             self._cache.pop(job_id)
@@ -304,7 +262,6 @@ class FluidSimulator(SimulatorKernel):
     def _after_cancel(self, progress: JobProgress) -> None:
         """Membership changed: the scheduler re-runs right away."""
         progress.phase = JobPhase.CANCELLED
-        self._invalidate_epoch_view()
         self._reschedule()
         self._next_reschedule = self.clock_s + self._reschedule_interval_s
 
@@ -313,7 +270,7 @@ class FluidSimulator(SimulatorKernel):
         # resident for its dataset (sharing, §7.3).
         progress.phase = JobPhase.RUNNING
         job = progress.job
-        key = self._key_of(job)
+        key = self._job_key[job.job_id]
         snap = self._cache.snapshot(key)
         effective = min(
             job.dataset.size_mb, snap[1] if snap is not None else 0.0
@@ -327,6 +284,9 @@ class FluidSimulator(SimulatorKernel):
     def _schedule_args(self) -> dict:
         return {"attained_service_s": self._attained_service_s}
 
+    def _first_epoch_done(self, job: Job) -> bool:
+        return self._epochs_done.get(job.job_id, 0) > 0
+
     def _after_faults(self) -> None:
         self._reclaim_overshoot()
 
@@ -339,13 +299,6 @@ class FluidSimulator(SimulatorKernel):
 
     def _next_epoch_boundary_time(self) -> float:
         return self._table.next_epoch_boundary_time(self.clock_s)
-
-    def _key_of(self, job: Job) -> str:
-        """The job's cache key (precomputed at admission when possible)."""
-        key = self._job_key.get(job.job_id)
-        if key is None:
-            key = self.cache_system.cache_key(job)
-        return key
 
     # ------------------------------------------------------------------
     # Time advancement.
@@ -469,8 +422,6 @@ class FluidSimulator(SimulatorKernel):
             progress.finish_time_s = self.clock_s
             self._retire(progress, self.clock_s)
             changed = True
-        if changed:
-            self._invalidate_epoch_view()
         return changed
 
     def _inject_faults(self) -> bool:
@@ -589,7 +540,6 @@ class FluidSimulator(SimulatorKernel):
                     self._table.set_generation(
                         row, generations.get(job_id, default_gen)
                     )
-        self._invalidate_epoch_view()
         self._storage_decide()
 
     def _attained_service_s(self, job: Job) -> float:
@@ -624,111 +574,35 @@ class FluidSimulator(SimulatorKernel):
             return self.scheduler.default_generation
         return self._table.generation(row)
 
-    def _invalidate_epoch_view(self) -> None:
-        """Drop per-epoch gathers (membership/allocation changed)."""
-        self._epoch = None
-        self._targets_plan = None
-
-    def _epoch_view(self) -> _EpochView:
-        """The current allocation epoch's job gathers (built lazily)."""
-        view = self._epoch
-        if view is not None:
-            return view
-        view = _EpochView()
-        allocation = self._allocation
-        gpu_map = allocation.gpus
-        running: List[Job] = []
-        queued: List[Job] = []
-        for progress in self._active.values():
-            job = progress.job
-            if gpu_map.get(job.job_id, 0.0) > 0:
-                running.append(job)
-            else:
-                queued.append(job)
-        job_ids = [job.job_id for job in running]
-        table = self._table
-        view.running = running
-        view.job_ids = job_ids
-        view.queued = queued
-        view.rows = [table.row_of(job_id) for job_id in job_ids]
-        view.gpu_grants = dict(gpu_map)
-        view.f_stars = self.scheduler.estimator.compute_bound_batch(
-            running, [gpu_map.get(job_id, 0.0) for job_id in job_ids]
-        )
-        self._epoch = view
-        return view
-
     def _storage_decide(self, trigger: str = "reschedule") -> None:
         self.decision_rounds += 1
-        view = self._epoch_view()
-        ctx = StorageContext(
-            running_jobs=view.running,
-            gpu_grants=view.gpu_grants,
-            total_gpus=self.total.gpus,
-            total_cache_mb=self.total.cache_mb,
-            total_io_mbps=self.total.remote_io_mbps,
-            effective_mb=self._effective,
-            first_epoch_done=lambda job: self._epochs_done.get(
-                job.job_id, 0
-            )
-            > 0,
-            estimator=self.scheduler.estimator,
-            f_stars=view.f_stars,
-            clock_s=self.clock_s,
-            scheduler_allocation=self._allocation,
-            queued_jobs=view.queued,
-            tracer=self._tracer,
-        )
+        ctx = self._storage_context()
         decision = self.cache_system.reallocate(ctx)
         if decision is self._decision:
             # The cache system handed back the decision already in force
-            # (same allocation epoch, same effective bytes): its targets
-            # are applied — fills cap at min(target, size), so a replay
+            # (same allocation, same effective bytes): its targets are
+            # applied — fills cap at min(target, size), so a replay
             # finds no over-target key — and the rates are a pure
-            # function of the decision and the epoch view. Only the
+            # function of the decision and the round view. Only the
             # pool-capacity check runs again.
             self._reclaim_overshoot()
         else:
             self._decision = decision
             self._apply_targets()
-            self._recompute_rates(view)
+            self._recompute_rates()
         if self._tracer.enabled:
             emit_decision_provenance(
-                self._tracer,
-                self.clock_s,
+                ctx,
+                self._decision,
+                self.scheduler,
                 self.decision_rounds,
                 trigger,
-                view.running,
-                len(view.queued),
-                self.total.gpus,
-                self.total.cache_mb,
-                self.total.remote_io_mbps,
-                view.gpu_grants,
-                self._key_of,
-                self._decision.cache_targets,
-                self._decision.hit_ratios,
-                self._decision.io_grants,
-                dict(zip(view.job_ids, view.f_stars)),
+                self.cache_system.cache_key,
                 self._effective,
-                self.scheduler.last_scores,
-                generations=self.scheduler.last_generations,
-                gen_f_stars=self.scheduler.last_gen_scores,
-                default_generation=self.scheduler.default_generation,
             )
 
     def _apply_targets(self) -> None:
         targets = self._decision.cache_targets
-        store = self._cache
-        cached = self._targets_plan
-        if cached is not None and cached[0] == targets:
-            # Same decision: replay the store-prepared plan, which a
-            # dict store never lets go stale (clear_targets_except is a
-            # no-op — no key gained a target since the full application
-            # below).
-            for key, new_target in store.apply_targets_prepared(cached[1]):
-                self._shrink(key, new_target)
-            self._reclaim_overshoot()
-            return
         # Dataset size per targeted key, from its most recently admitted
         # active sharer — the job whose write would win the historical
         # full scan over the active set.
@@ -744,9 +618,7 @@ class FluidSimulator(SimulatorKernel):
         # can reclaim them. Their data stays resident opportunistically
         # until that happens (uniform caching never evicts eagerly).
         self._cache.clear_targets_except(targets)
-        plan = store.prepare_targets(targets, sizes)
-        self._targets_plan = (dict(targets), plan)
-        for key, new_target in store.apply_targets_prepared(plan):
+        for key, new_target in self._cache.apply_targets(targets, sizes):
             self._shrink(key, new_target)
         # Keys without a current target keep their data only while the
         # total pool is not oversubscribed (uniform caching never evicts
@@ -813,21 +685,13 @@ class FluidSimulator(SimulatorKernel):
 
     def _scale_effective(self, key: str, ratio: float) -> None:
         """Shrink every sharer's effective bytes after a random eviction."""
-        job_ids = self._key_jobs.get(key)
-        if job_ids is None:
-            # No admitted sharer tracks this key (e.g. state injected by
-            # white-box tests): fall back to scanning the active set.
-            job_ids = [
-                p.job.job_id
-                for p in self._active.values()
-                if self._key_of(p.job) == key
-            ]
-        for job_id in job_ids:
+        for job_id in self._key_jobs.get(key, ()):
             self._effective[job_id] = (
                 self._effective.get(job_id, 0.0) * ratio
             )
 
-    def _recompute_rates(self, view: _EpochView) -> None:
+    def _recompute_rates(self) -> None:
+        view = self._round_view()
         table = self._table
         table.clear_rates()
         hit_ratios = self._decision.hit_ratios
@@ -850,7 +714,11 @@ class FluidSimulator(SimulatorKernel):
                 groups.setdefault(self._job_key[job_id], []).append(
                     (job_id, miss_rate)
                 )
-        table.set_rates_bulk(view.rows, rates, miss_rates)
+        table.set_rates_bulk(
+            [table.row_of(job_id) for job_id in view.job_ids],
+            rates,
+            miss_rates,
+        )
         # Only these jobs can fill the cache until the next recompute;
         # _advance_to walks this per-key grouping (keys in first-filler
         # order, contributions in running order) instead of the whole
@@ -872,41 +740,36 @@ class FluidSimulator(SimulatorKernel):
     # ------------------------------------------------------------------
 
     def _sample(self) -> None:
-        view = self._epoch_view()
+        view = self._round_view()
         running = view.running
         table = self._table
         ideal = sum(view.f_stars)
         throughput: Dict[str, float] = {}
         miss_rate: Dict[str, float] = {}
-        for job, row in zip(running, view.rows):
-            if row is not None:
-                throughput[job.job_id] = table.rate(row)
-                miss_rate[job.job_id] = table.miss_rate(row)
-        achieved = sum(throughput.get(j.job_id, 0.0) for j in running)
-        io_used = sum(miss_rate.get(j.job_id, 0.0) for j in running)
+        for job_id in view.job_ids:
+            row = table.row_of(job_id)
+            throughput[job_id] = table.rate(row)
+            miss_rate[job_id] = table.miss_rate(row)
+        achieved = sum(throughput.values())
+        io_used = sum(miss_rate.values())
         # Figure 8's view: bytes allocated to *running* jobs (stale data
         # of departed jobs lingers but is not "allocated") vs the bytes
         # their jobs can actually hit.
-        live_keys = {self._key_of(job) for job in running}
+        job_key = self._job_key
+        live_keys = {job_key[job_id] for job_id in view.job_ids}
         resident = sum(
             self._cache.resident_mb(key)
             for key in self._cache.keys()
             if key in live_keys
         )
         by_key: Dict[str, float] = {}
-        for job in running:
-            key = self._key_of(job)
+        for job_id in view.job_ids:
+            key = job_key[job_id]
             by_key[key] = max(
-                by_key.get(key, 0.0), self._effective.get(job.job_id, 0.0)
+                by_key.get(key, 0.0), self._effective.get(job_id, 0.0)
             )
-        mature = [
-            job
-            for job in running
-            if self._epochs_done.get(job.job_id, 0) > 0
-        ]
         self._record_sample(
             running,
-            mature,
             throughput,
             achieved=achieved,
             ideal=ideal,

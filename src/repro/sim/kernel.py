@@ -23,16 +23,24 @@ class body and fill in a few hooks:
 * :meth:`_effective_map` / :meth:`_schedule_args` — the inputs of
   ``scheduler.schedule``: the job_id → effective-bytes map and the
   extra keyword arguments;
+* :meth:`_first_epoch_done` — whether a job has finished an epoch (the
+  cache systems' warm-up test and the fairness sample's filter);
 * :meth:`_invalidate_fraction`, :meth:`_preempt_job` and
   :meth:`_after_faults` — what a fault does to the cache model;
 * :meth:`_after_cancel` — what an active cancellation tears down.
+
+The storage round is shared too: :meth:`_round_view` gathers who is
+running, the GPU grants and the ``f*`` column once per allocation, and
+:meth:`_storage_context` wraps that view into the one
+:class:`~repro.cache.base.StorageContext` both simulators hand their
+cache system.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.base import CacheSystem, StorageDecision
+from repro.cache.base import CacheSystem, StorageContext, StorageDecision
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.core.policies.gavel import fairness_ratio
@@ -46,6 +54,29 @@ from repro.sim.metrics import JobRecord, RunResult, TimelineSample
 
 #: Hard cap on ``step`` calls in one :meth:`SimulatorKernel.run`.
 _MAX_STEPS = 20_000_000
+
+
+class _RoundView:
+    """One allocation's gathers over the active set.
+
+    Its fields only change when the scheduler re-allocates or the
+    active set changes, so the kernel builds the view lazily and drops
+    it at admission, at removal and at the end of every scheduling
+    round; every storage decision and sample in between reads the same
+    lists. Consumers treat every field (including ``gpu_grants``) as
+    read-only.
+    """
+
+    __slots__ = ("running", "job_ids", "queued", "gpu_grants", "f_stars")
+
+    #: Active jobs holding GPUs, in admission order.
+    running: List[Job]
+    job_ids: List[str]
+    #: The other active jobs, in admission order.
+    queued: List[Job]
+    gpu_grants: Dict[str, float]
+    #: Each running job's compute bound under its grant.
+    f_stars: List[float]
 
 
 class SimulatorKernel:
@@ -126,6 +157,8 @@ class SimulatorKernel:
         self._finished: List[object] = []
         self._allocation = Allocation()
         self._decision = StorageDecision({}, {}, {})
+        #: The current allocation's gathers (lazy; see :meth:`_round_view`).
+        self._view: Optional[_RoundView] = None
         self._timeline: List[TimelineSample] = []
         #: Tick state armed by :meth:`begin` (instance attributes so the
         #: loop can be driven one step at a time by ``repro.serve``).
@@ -265,6 +298,7 @@ class SimulatorKernel:
             job = self._trace[self._arrival_idx]
             self._arrival_idx += 1
             self._active[job.job_id] = self._new_state(job)
+            self._view = None
             if self._tracer.enabled:
                 self._tracer.job_submit(
                     job.submit_time_s,
@@ -312,6 +346,7 @@ class SimulatorKernel:
 
     def _remove(self, state) -> None:
         del self._active[state.job.job_id]
+        self._view = None
         self._release(state)
         self._finished.append(state)
 
@@ -374,7 +409,8 @@ class SimulatorKernel:
         The prologue of every reschedule: blocked jobs sit the round
         out, first placements seed effective bytes (:meth:`_start_job`)
         and emit ``job_start``/``promote_effective``, and every changed
-        GPU grant emits ``alloc_change`` (sorted by job id).
+        GPU grant emits ``alloc_change`` (sorted by job id). The new
+        allocation ends the round view.
         """
         self.sched_rounds += 1
         jobs = [
@@ -439,6 +475,56 @@ class SimulatorKernel:
                         gpus_before=before,
                         gpus_after=after,
                     )
+        self._view = None
+
+    # ------------------------------------------------------------------
+    # The storage round.
+    # ------------------------------------------------------------------
+
+    def _round_view(self) -> _RoundView:
+        """The current allocation's :class:`_RoundView` (built lazily)."""
+        view = self._view
+        if view is not None:
+            return view
+        gpu_map = self._allocation.gpus
+        running: List[Job] = []
+        queued: List[Job] = []
+        for state in self._active.values():
+            job = state.job
+            if gpu_map.get(job.job_id, 0.0) > 0:
+                running.append(job)
+            else:
+                queued.append(job)
+        job_ids = [job.job_id for job in running]
+        view = _RoundView()
+        view.running = running
+        view.job_ids = job_ids
+        view.queued = queued
+        view.gpu_grants = dict(gpu_map)
+        view.f_stars = self.scheduler.estimator.compute_bound_batch(
+            running, [gpu_map.get(job_id, 0.0) for job_id in job_ids]
+        )
+        self._view = view
+        return view
+
+    def _storage_context(self) -> StorageContext:
+        """This round's input to ``cache_system.reallocate``."""
+        view = self._round_view()
+        return StorageContext(
+            running_jobs=view.running,
+            gpu_grants=view.gpu_grants,
+            total_gpus=self.total.gpus,
+            total_cache_mb=self.total.cache_mb,
+            total_io_mbps=self.total.remote_io_mbps,
+            effective_mb=self._effective_map(),
+            first_epoch_done=self._first_epoch_done,
+            estimator=self.scheduler.estimator,
+            f_stars=view.f_stars,
+            clock_s=self.clock_s,
+            scheduler_allocation=self._allocation,
+            queued_jobs=view.queued,
+            tracer=self._tracer,
+        )
 
     # ------------------------------------------------------------------
     # Sampling and results.
@@ -447,7 +533,6 @@ class SimulatorKernel:
     def _record_sample(
         self,
         running: Sequence[Job],
-        mature: Sequence[Job],
         throughput: Dict[str, float],
         *,
         achieved: float,
@@ -456,8 +541,9 @@ class SimulatorKernel:
         resident: float,
         effective: float,
     ) -> None:
-        """Append a timeline sample (``mature``: the running jobs past
-        their first epoch, which the fairness ratio is taken over)."""
+        """Append a timeline sample; the fairness ratio is taken over
+        the running jobs past their first epoch."""
+        mature = [job for job in running if self._first_epoch_done(job)]
         self._timeline.append(
             TimelineSample(
                 time_s=self.clock_s,

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.alluxio import AlluxioCache
-from repro.cache.base import CacheSystem, StorageContext
+from repro.cache.base import CacheSystem
 from repro.cache.items import LruItemCache, UniformItemCache
 from repro.cache.silod_cache import SiloDDataManager
 from repro.core.policies import io_share
@@ -344,80 +344,29 @@ class MinibatchEmulator(SimulatorKernel):
             for job_id, rt in self._active.items()
         }
 
+    def _first_epoch_done(self, job: Job) -> bool:
+        return self._active[job.job_id].epochs_done > 0
+
     def _reschedule(self) -> None:
         self._schedule_round()
-        tracer = self._tracer
-        running = [
-            rt.job
-            for rt in self._active.values()
-            if self._allocation.gpus_of(rt.job.job_id) > 0
-        ]
-        running_ids = {job.job_id for job in running}
-        queued = [
-            rt.job
-            for rt in self._active.values()
-            if rt.job.job_id not in running_ids
-        ]
-        # The round's per-job columns, gathered once and after the
-        # starts above seeded their effective bytes (an idle round has
-        # none to gather).
-        gpu_grants = dict(self._allocation.gpus)
-        f_stars = (
-            self.scheduler.estimator.compute_bound_batch(
-                running, [gpu_grants.get(job.job_id, 0.0) for job in running]
-            )
-            if running
-            else []
-        )
-        ctx = StorageContext(
-            running_jobs=running,
-            gpu_grants=gpu_grants,
-            total_gpus=self.total.gpus,
-            total_cache_mb=self.total.cache_mb,
-            total_io_mbps=self.total.remote_io_mbps,
-            effective_mb=self._effective_map(),
-            first_epoch_done=lambda job: (
-                self._active[job.job_id].epochs_done > 0
-                if job.job_id in self._active
-                else True
-            ),
-            estimator=self.scheduler.estimator,
-            f_stars=f_stars,
-            clock_s=self.clock_s,
-            scheduler_allocation=self._allocation,
-            queued_jobs=queued,
-            tracer=self._tracer,
-        )
+        ctx = self._storage_context()
         self._decision = self.cache_system.reallocate(ctx)
         if not isinstance(self.cache_system, SiloDDataManager):
-            self._work_conserving_io_grants(running, f_stars)
+            self._work_conserving_io_grants(ctx.running_jobs, ctx.f_stars)
         if not self._is_lru:
-            self._apply_uniform_targets(running)
+            self._apply_uniform_targets()
             self._admit_prefetched_items()
         self.decision_rounds += 1
-        if tracer.enabled:
+        if self._tracer.enabled:
             emit_decision_provenance(
-                tracer,
-                self.clock_s,
+                ctx,
+                self._decision,
+                self.scheduler,
                 self.decision_rounds,
                 "reschedule",
-                running,
-                len(queued),
-                self.total.gpus,
-                self.total.cache_mb,
-                self.total.remote_io_mbps,
-                gpu_grants,
                 self.cache_system.cache_key,
-                self._decision.cache_targets,
-                self._decision.hit_ratios,
-                self._decision.io_grants,
-                {job.job_id: f for job, f in zip(running, f_stars)},
                 # Read after the targets applied, as the event reports.
                 self._effective_map(),
-                self.scheduler.last_scores,
-                generations=self.scheduler.last_generations,
-                gen_f_stars=self.scheduler.last_gen_scores,
-                default_generation=self.scheduler.default_generation,
             )
 
     def _work_conserving_io_grants(
@@ -471,7 +420,7 @@ class MinibatchEmulator(SimulatorKernel):
             rt.hits_recent = 0
             rt.accesses_recent = 0
 
-    def _apply_uniform_targets(self, running: Sequence[Job]) -> None:
+    def _apply_uniform_targets(self) -> None:
         targets = self._decision.cache_targets
         for key, target_mb in targets.items():
             capacity = int(target_mb / self._item_size_mb)
@@ -564,13 +513,14 @@ class MinibatchEmulator(SimulatorKernel):
         lru_before = self._lru_pool.size
         if tracer.enabled:
             self._admits_interval = {}
-        for rt in self._active.values():
-            job = rt.job
-            gpus = self._allocation.gpus_of(job.job_id)
-            if gpus <= 0 or rt.done:
+        view = self._round_view()
+        for job in view.queued:
+            self._active[job.job_id].ran_last_interval = False
+        for job, f_star in zip(view.running, view.f_stars):
+            rt = self._active[job.job_id]
+            if rt.done:
                 rt.ran_last_interval = False
                 continue
-            f_star = self.scheduler.estimator.compute_bound(job, gpus)
             if f_star <= 0:
                 continue
             step_time = self._item_size_mb / f_star
@@ -751,21 +701,18 @@ class MinibatchEmulator(SimulatorKernel):
     def _sample(self) -> None:
         interval = max(self.clock_s - self._last_sample_s, self._interval_s)
         self._last_sample_s = self.clock_s
-        running_jobs = []
+        view = self._round_view()
         throughputs: Dict[str, float] = {}
         io_used = 0.0
         achieved = 0.0
         ideal = 0.0
-        for rt in self._active.values():
-            gpus = self._allocation.gpus_of(rt.job.job_id)
-            if gpus <= 0:
-                continue
-            running_jobs.append(rt.job)
+        for job_id, f_star in zip(view.job_ids, view.f_stars):
+            rt = self._active[job_id]
             rate = rt.bytes_consumed_interval / interval
-            throughputs[rt.job.job_id] = rate
+            throughputs[job_id] = rate
             achieved += rate
             io_used += rt.bytes_fetched_interval / interval
-            ideal += self.scheduler.estimator.compute_bound(rt.job, gpus)
+            ideal += f_star
             rt.bytes_consumed_interval = 0.0
             rt.bytes_fetched_interval = 0.0
         if self._is_lru:
@@ -779,14 +726,8 @@ class MinibatchEmulator(SimulatorKernel):
             rt.effective_items * self._item_size_mb
             for rt in self._active.values()
         )
-        mature = [
-            job
-            for job in running_jobs
-            if self._active[job.job_id].epochs_done > 0
-        ]
         self._record_sample(
-            running_jobs,
-            mature,
+            view.running,
             throughputs,
             achieved=achieved,
             ideal=ideal,

@@ -11,7 +11,8 @@ independently.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.cache.alluxio import AlluxioCache
 from repro.cache.base import CacheSystem
@@ -40,6 +41,30 @@ from repro.sim.fluid import FluidSimulator
 from repro.sim.metrics import RunResult
 from repro.sim.minibatch import MinibatchEmulator
 
+#: Policy name -> constructor: every name :func:`make_policy` accepts.
+POLICY_FACTORIES: Dict[str, Callable[[], SchedulingPolicy]] = {
+    "fifo": FifoPolicy,
+    "sjf": SjfPolicy,
+    "gavel": GavelPolicy,
+    "las": LasPolicy,
+    "max-throughput": MaxTotalThroughputPolicy,
+    "finish-time-fairness": FinishTimeFairnessPolicy,
+    "het-max-min": HetMaxMinPolicy,
+    "het-max-throughput": HetMaxThroughputPolicy,
+}
+#: Cache name -> constructor: every name :func:`make_cache` accepts.
+CACHE_FACTORIES: Dict[str, Callable[..., CacheSystem]] = {
+    "silod": SiloDDataManager,
+    "silod-no-io-alloc": functools.partial(
+        SiloDDataManager, io_allocation=False
+    ),
+    "silod-prefetch": PrefetchingDataManager,
+    "alluxio": AlluxioCache,
+    "coordl": CoorDLCache,
+    "quiver": QuiverCache,
+    "nocache": NoCache,
+}
+#: The paper's evaluation matrix: the default policy and cache sweeps.
 POLICIES = ("fifo", "sjf", "gavel")
 CACHES = ("silod", "alluxio", "coordl", "quiver")
 #: ``simulator`` name -> the simulator class that runs it; the one
@@ -49,42 +74,24 @@ SIMULATORS = {"fluid": FluidSimulator, "minibatch": MinibatchEmulator}
 
 def make_policy(name: str) -> SchedulingPolicy:
     """Instantiate a scheduling policy by name."""
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "sjf":
-        return SjfPolicy()
-    if name == "gavel":
-        return GavelPolicy()
-    if name == "las":
-        return LasPolicy()
-    if name == "max-throughput":
-        return MaxTotalThroughputPolicy()
-    if name == "finish-time-fairness":
-        return FinishTimeFairnessPolicy()
-    if name == "het-max-min":
-        return HetMaxMinPolicy()
-    if name == "het-max-throughput":
-        return HetMaxThroughputPolicy()
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
+    factory = POLICY_FACTORIES.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown policy {name!r}; expected one of "
+            f"{tuple(POLICY_FACTORIES)}"
+        )
+    return factory()
 
 
 def make_cache(name: str, **kwargs) -> CacheSystem:
     """Instantiate a cache system by name."""
-    if name == "silod":
-        return SiloDDataManager(**kwargs)
-    if name == "silod-no-io-alloc":
-        return SiloDDataManager(io_allocation=False, **kwargs)
-    if name == "silod-prefetch":
-        return PrefetchingDataManager(**kwargs)
-    if name == "alluxio":
-        return AlluxioCache(**kwargs)
-    if name == "coordl":
-        return CoorDLCache(**kwargs)
-    if name == "quiver":
-        return QuiverCache(**kwargs)
-    if name == "nocache":
-        return NoCache(**kwargs)
-    raise ValueError(f"unknown cache {name!r}; expected one of {CACHES}")
+    factory = CACHE_FACTORIES.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown cache {name!r}; expected one of "
+            f"{tuple(CACHE_FACTORIES)}"
+        )
+    return factory(**kwargs)
 
 
 def make_system(

@@ -59,6 +59,30 @@ def test_compare_flags_drift_in_both_directions():
     assert tool.compare({"epoch_boundary": ["epoch"]}, code) == []
 
 
+def test_design_hook_table_names_only_real_hooks():
+    from repro.sim.fluid import FluidSimulator
+    from repro.sim.minibatch import MinibatchEmulator
+
+    tool = _load_tool()
+    classes = [FluidSimulator, MinibatchEmulator]
+    design = (REPO_ROOT / "docs" / "DESIGN.md").read_text()
+    assert "_new_state" in tool.parse_hook_table(design)
+    assert tool.check_design_hooks(design, classes) == []
+    stale = (
+        "| hook | fluid | minibatch |\n"
+        "|---|---|---|\n"
+        "| `_release(state)` | a | b |\n"
+        "| `_pick_numpy()` | a | b |\n"
+        "\nprose after the table names `_ghost`\n"
+    )
+    assert tool.parse_hook_table(stale) == ["_release", "_pick_numpy"]
+    problems = tool.check_design_hooks(stale, classes)
+    assert len(problems) == 2
+    assert all("'_pick_numpy'" in problem for problem in problems)
+    # A doc without the table fails too.
+    assert tool.check_design_hooks("no table here", classes)
+
+
 def test_cli_entry_point_passes():
     proc = subprocess.run(
         [sys.executable, str(TOOL)], capture_output=True, text=True

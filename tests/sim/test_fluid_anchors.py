@@ -347,7 +347,7 @@ def test_apply_targets_shrinks_a_sharer_between_decisions():
     apply_targets = sim._apply_targets
 
     def spying():
-        view = sim._epoch
+        view = sim._view
         before = [sim._effective.get(j, 0.0) for j in view.job_ids]
         apply_targets()
         after = [sim._effective.get(j, 0.0) for j in view.job_ids]

@@ -45,7 +45,7 @@ class TestShrink:
     def test_random_eviction_scales_effectiveness(self):
         j = job("a")
         sim = make_sim([j])
-        sim._active[j.job_id] = JobProgress(job=j)
+        sim._active[j.job_id] = sim._new_state(j)
         put_key(
             sim, "d-a", size_mb=10.0 * GB, resident_mb=8.0 * GB,
             target_mb=8.0 * GB,
@@ -59,7 +59,7 @@ class TestShrink:
     def test_shrink_to_zero(self):
         j = job("a")
         sim = make_sim([j])
-        sim._active[j.job_id] = JobProgress(job=j)
+        sim._active[j.job_id] = sim._new_state(j)
         put_key(sim, "d-a", size_mb=GB, resident_mb=GB, target_mb=GB)
         sim._effective["a"] = GB
         sim._shrink("d-a", 0.0)

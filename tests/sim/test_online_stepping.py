@@ -155,6 +155,19 @@ def test_cancel_running_job_frees_it_and_run_completes(sim_name):
     assert finished == {"job-1", "job-2"}
 
 
+@pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])
+def test_finish_right_after_a_cancel_samples_only_active_jobs(sim_name):
+    """A cancel ends the round's view even when no reschedule follows
+    (the emulator reallocates only at its next interval boundary)."""
+    sim = build(sim_name, three_jobs())
+    sim.begin()
+    sim.step()
+    assert sim.cancel_job("job-0", reason="test") is True
+    result = sim.finish()
+    last = result.timeline[-1]
+    assert last.running_jobs + last.queued_jobs == len(sim._active)
+
+
 def test_cancel_pending_job_before_arrival():
     """Cancelling a job still in the trace tail removes it unstarted."""
     for sim_name in ("fluid", "minibatch"):

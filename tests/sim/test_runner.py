@@ -11,8 +11,10 @@ from repro.cluster.hardware import Cluster
 from repro.serve.engine import OnlineEngine
 from repro.serve.services import ServiceStack
 from repro.sim.runner import (
+    CACHE_FACTORIES,
     CACHES,
     POLICIES,
+    POLICY_FACTORIES,
     SIMULATORS,
     make_cache,
     make_policy,
@@ -48,14 +50,23 @@ def tiny_cluster():
 
 
 def test_factories_cover_all_names():
-    for name in POLICIES:
+    # The paper-matrix defaults are table names, and every table name
+    # builds an object carrying that name.
+    assert set(POLICIES) <= set(POLICY_FACTORIES)
+    assert set(CACHES) <= set(CACHE_FACTORIES)
+    for name in POLICY_FACTORIES:
         assert make_policy(name).name == name
-    for name in CACHES:
+    for name in CACHE_FACTORIES:
         assert make_cache(name).name == name
-    with pytest.raises(ValueError):
+    # An unknown name's error lists every accepted name.
+    with pytest.raises(ValueError) as policy_error:
         make_policy("lifo")
-    with pytest.raises(ValueError):
+    for name in POLICY_FACTORIES:
+        assert repr(name) in str(policy_error.value)
+    with pytest.raises(ValueError) as cache_error:
         make_cache("memcached")
+    for name in CACHE_FACTORIES:
+        assert repr(name) in str(cache_error.value)
 
 
 def test_coupling_rule():

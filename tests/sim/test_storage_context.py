@@ -5,7 +5,8 @@ with two per-job columns: ``f_stars``, aligned with ``running_jobs``, and
 the ``effective_mb`` map. A recording data manager checks, for every
 context it receives and at the moment it receives it, that the column is
 the estimator's compute bound under each job's GPU grant, bit for bit,
-and that the map is the simulator's own effectiveness state.
+that the map is the simulator's own effectiveness state, and that the
+running/queued split and the grants are the simulator's allocation.
 """
 
 import pytest
@@ -39,7 +40,22 @@ class _Recording(SiloDDataManager):
             )
             assert f_star.hex() == expected.hex()
         assert dict(ctx.effective_mb) == _effective_state(self.sim)
+        _check_membership(ctx, self.sim)
         return super().reallocate(ctx)
+
+
+def _check_membership(ctx, sim):
+    """Running = active jobs with a positive grant, queued = the rest,
+    both in admission order; the grants are the allocation's."""
+    grants = sim._allocation.gpus
+    active = [state.job for state in sim._active.values()]
+    assert ctx.running_jobs == [
+        job for job in active if grants.get(job.job_id, 0.0) > 0
+    ]
+    assert ctx.queued_jobs == [
+        job for job in active if grants.get(job.job_id, 0.0) <= 0
+    ]
+    assert ctx.gpu_grants == dict(grants)
 
 
 def _effective_state(sim):

@@ -24,6 +24,11 @@ And the linter: the ``| rule | pass | summary |`` catalogue table in
 ``repro.lint.findings.RULES``, each under the pass that owns it in the
 registry (``PAR001`` under the ``engine``).
 
+And the simulator kernel: every backticked ``_name`` in the first
+column of ``docs/DESIGN.md``'s ``| hook | fluid | minibatch |`` table
+must be an attribute of both ``FluidSimulator`` and
+``MinibatchEmulator``.
+
 Run directly (``python tools/check_obs_docs.py``) or via the tier-1
 test ``tests/obs/test_docs_consistency.py``.
 """
@@ -39,6 +44,7 @@ DOC_PATH = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 FAULTS_DOC_PATH = REPO_ROOT / "docs" / "FAULTS.md"
 SERVE_DOC_PATH = REPO_ROOT / "docs" / "SERVE.md"
 LINT_DOC_PATH = REPO_ROOT / "docs" / "LINT.md"
+DESIGN_DOC_PATH = REPO_ROOT / "docs" / "DESIGN.md"
 
 _HEADING = re.compile(r"^### `(?P<name>[a-z_]+)`\s*$")
 _TABLE_ROW = re.compile(r"^\| `(?P<field>[a-z0-9_]+)` \|")
@@ -218,6 +224,43 @@ def check_lint_doc(text: str, rule_owners: dict) -> list:
     return problems
 
 
+#: The header row of docs/DESIGN.md's simulator hook table.
+_HOOK_HEADER = "| hook | fluid | minibatch |"
+#: A private attribute named in a hook-table cell: `_name` or `_name(...)`.
+_HOOK_NAME = re.compile(r"`(?P<name>_\w+)")
+
+
+def parse_hook_table(text: str) -> list:
+    """The ``_name`` attributes the hook table's first column names."""
+    names = []
+    in_table = False
+    for line in text.splitlines():
+        if line.strip() == _HOOK_HEADER:
+            in_table = True
+        elif in_table:
+            if not line.startswith("|"):
+                break
+            first_cell = line.split("|")[1]
+            names.extend(
+                m.group("name") for m in _HOOK_NAME.finditer(first_cell)
+            )
+    return names
+
+
+def check_design_hooks(text: str, classes: list) -> list:
+    """Drift messages for the DESIGN.md hook table vs the simulators."""
+    names = parse_hook_table(text)
+    if not names:
+        return [f"docs/DESIGN.md has no '{_HOOK_HEADER}' hook table"]
+    return [
+        f"docs/DESIGN.md's hook table names {name!r}, which "
+        f"{cls.__name__} does not have"
+        for name in names
+        for cls in classes
+        if not hasattr(cls, name)
+    ]
+
+
 def main() -> int:
     """Run the check; print drift and return the exit code."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -268,6 +311,14 @@ def main() -> int:
         problems.extend(
             check_lint_doc(LINT_DOC_PATH.read_text(), rule_owners)
         )
+    from repro.sim.fluid import FluidSimulator
+    from repro.sim.minibatch import MinibatchEmulator
+
+    design_text = DESIGN_DOC_PATH.read_text()
+    hooks = parse_hook_table(design_text)
+    problems.extend(
+        check_design_hooks(design_text, [FluidSimulator, MinibatchEmulator])
+    )
     if problems:
         for problem in problems:
             print(f"DRIFT: {problem}", file=sys.stderr)
@@ -278,7 +329,8 @@ def main() -> int:
         f"{len(WINDOW_NAMES)} windows; "
         f"docs/FAULTS.md in sync: {len(FAULT_KINDS)} fault kinds; "
         f"docs/SERVE.md in sync: {len(OPS)} ops; "
-        f"docs/LINT.md in sync: {len(rule_owners)} rules catalogued"
+        f"docs/LINT.md in sync: {len(rule_owners)} rules catalogued; "
+        f"docs/DESIGN.md in sync: {len(hooks)} simulator hooks"
     )
     return 0
 

@@ -5,8 +5,8 @@
 #      src/repro, tools/ and benchmarks/; any finding not suppressed
 #      inline (`# lint: disable=RULE`), PAR001 included, fails.
 #   2. docs/schema sync        — tools/check_obs_docs.py keeps
-#      docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md and
-#      docs/LINT.md truthful.
+#      docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md,
+#      docs/LINT.md and docs/DESIGN.md's simulator hook table truthful.
 #   3. the tier-1 pytest suite. Every run takes the one pure-Python
 #      numeric path of the simulators. Four bit-exact anchor suites
 #      run here: tests/sim/test_smoke_anchors.py (two small end-to-end
