@@ -20,10 +20,11 @@ from repro.cache.base import (
     CacheSystem,
     StorageContext,
     StorageDecision,
+    fair_share_io,
     trace_io_grants,
 )
 from repro.cache.lru import lru_epoch_hit_ratio, shared_lru_shares
-from repro.core.policies import io_share
+from repro.core.perf_model import achieved_rate
 
 #: Fixed-point iterations for the rate <-> hit-ratio <-> IO loop.
 _FIXED_POINT_ROUNDS = 10
@@ -63,22 +64,15 @@ class AlluxioCache(CacheSystem):
                         / job.dataset.size_mb,
                     )
                     hit_ratios[job.job_id] = min(steady, resident_bound)
-            demands = {
-                job.job_id: ideal[job.job_id]
-                * (1.0 - hit_ratios[job.job_id])
+            grants = fair_share_io(ctx, hit_ratios)
+            new_rates = {
+                job.job_id: achieved_rate(
+                    ideal[job.job_id],
+                    hit_ratios[job.job_id],
+                    grants[job.job_id],
+                )
                 for job in jobs
             }
-            grants = io_share.max_min_waterfill(demands, ctx.total_io_mbps)
-            new_rates = {}
-            for job in jobs:
-                miss = 1.0 - hit_ratios[job.job_id]
-                if miss <= 1e-12:
-                    achieved = ideal[job.job_id]
-                else:
-                    achieved = min(
-                        ideal[job.job_id], grants[job.job_id] / miss
-                    )
-                new_rates[job.job_id] = achieved
             if all(
                 abs(new_rates[j.job_id] - rates[j.job_id]) <= 1e-6
                 for j in jobs

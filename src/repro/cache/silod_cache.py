@@ -30,9 +30,9 @@ from repro.cache.base import (
     CacheSystem,
     StorageContext,
     StorageDecision,
+    fair_share_io,
     trace_io_grants,
 )
-from repro.core.policies import io_share
 from repro.core.resources import Allocation
 
 
@@ -139,35 +139,27 @@ class SiloDDataManager(CacheSystem):
             )
             for job in jobs
         }
-        demands = {
-            job.job_id: rate * (1.0 - hit_ratios[job.job_id])
-            for job, rate in zip(jobs, ctx.f_stars)
-        }
-        if not self._io_allocation:
+        if self._io_allocation:
+            # Table 3: allocateRemoteIO — strict throttling to the
+            # scheduler's grant. Policies size grants from the
+            # *instantaneous* demands (effective cache, §6) at every
+            # scheduling round, so enforcement does not second-guess
+            # them; capping at the current demand only keeps the
+            # accounting honest (a job cannot pull bytes it cannot
+            # consume).
+            io_grants = {
+                job.job_id: min(
+                    allocation.remote_io_of(job.job_id),
+                    rate * (1.0 - hit_ratios[job.job_id]),
+                )
+                for job, rate in zip(jobs, ctx.f_stars)
+            }
+        else:
             # Ablation (§7.2): the scheduler's IO grants are discarded
             # and the egress is shared work-conservingly over the raw
             # demands — the division the cloud's per-flow congestion
             # control would reach on its own. Cache co-design remains.
-            io_grants = io_share.max_min_waterfill(
-                demands, ctx.total_io_mbps
-            )
-            trace_io_grants(ctx, hit_ratios, io_grants)
-            return StorageDecision(
-                cache_targets=targets,
-                hit_ratios=hit_ratios,
-                io_grants=io_grants,
-            )
-
-        # Table 3: allocateRemoteIO — strict throttling to the scheduler's
-        # grant. Policies size grants from the *instantaneous* demands
-        # (effective cache, §6) at every scheduling round, so enforcement
-        # does not second-guess them; capping at the current demand only
-        # keeps the accounting honest (a job cannot pull bytes it cannot
-        # consume).
-        io_grants = {
-            jid: min(allocation.remote_io_of(jid), demand)
-            for jid, demand in demands.items()
-        }
+            io_grants = fair_share_io(ctx, hit_ratios)
         trace_io_grants(ctx, hit_ratios, io_grants)
         return StorageDecision(
             cache_targets=targets,

@@ -85,6 +85,23 @@ def silod_perf(
     )
 
 
+def achieved_rate(
+    f_star_mbps: float, hit_ratio: float, io_grant_mbps: float
+) -> float:
+    """Eq 4 on a hit ratio: ``min(f*, grant / (1 - hit))`` in MB/s.
+
+    The one achieved-rate formula: the fluid simulator's rates, the
+    provenance log's ``est_mbps``, the report's timeline and Alluxio's
+    fixed point all read it. A full hit has no remote demand and runs
+    at ``f*`` whatever the grant. Equal to :func:`silod_perf` at
+    ``hit_ratio = hit_ratio(c, d)``.
+    """
+    miss = 1.0 - hit_ratio
+    if miss <= _EPS:
+        return f_star_mbps
+    return min(f_star_mbps, io_grant_mbps / miss)
+
+
 def cache_efficiency(ideal_throughput_mbps: float, dataset_mb: float) -> float:
     """Eq 5: remote IO (MB/s) saved per MB of cache at the ideal point.
 

@@ -35,17 +35,13 @@ from typing import (
     Sequence,
 )
 
+from repro.core.perf_model import achieved_rate
 from repro.obs import events as ev
 from repro.obs.events import Event
 
 if TYPE_CHECKING:
     from repro.cache.base import StorageContext, StorageDecision
     from repro.core.silod import SiloDScheduler
-
-#: Hit ratios within this of 1.0 mean "no remote demand" — the same
-#: epsilon the fluid simulator's rate recompute uses.
-_FULL_HIT_EPS = 1e-12
-
 
 @dataclasses.dataclass
 class DecisionRecord:
@@ -70,20 +66,6 @@ class DecisionRecord:
     f_star_gen_mbps: Dict[str, float] = dataclasses.field(
         default_factory=dict
     )
-
-
-def achieved_rate(
-    f_star_mbps: float, hit_ratio: float, io_grant_mbps: float
-) -> float:
-    """Eq. 4 achieved throughput: ``min(f*, grant / miss)``.
-
-    Mirrors the fluid simulator's ``_recompute_rates`` exactly, so the
-    provenance log carries the same number the run actually used.
-    """
-    miss = 1.0 - hit_ratio
-    if miss <= _FULL_HIT_EPS:
-        return f_star_mbps
-    return min(f_star_mbps, io_grant_mbps / miss)
 
 
 def emit_decision_provenance(

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import units
 from repro.analysis.tables import render_table
+from repro.core.perf_model import achieved_rate
 from repro.obs import events as ev
 from repro.obs.events import Event
 
@@ -94,12 +95,7 @@ def _round_aggregates(
             hit = float(event.fields.get("hit_ratio", 0.0))
             demand = float(event.fields.get("demand_mbps", 0.0))
             grant = float(event.fields.get("grant_mbps", 0.0))
-            miss = 1.0 - hit
-            if miss <= 1e-12:
-                rate = desired
-            else:
-                rate = min(desired, grant / miss)
-            achieved += rate
+            achieved += achieved_rate(desired, hit, grant)
             ideal += desired
             io_used += min(demand, grant)
         out.append((ts, len(rounds[ts]), achieved, ideal, io_used))

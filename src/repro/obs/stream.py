@@ -10,8 +10,9 @@ without a second bookkeeping path.
 
 Sinks see every event exactly once, in emission order, *including*
 events dropped from the in-memory list by a ``max_events`` cap: the cap
-bounds the tracer's memory, not the stream. A sink must never mutate
-the event it receives (the same object lands in the recorded list).
+bounds the tracer's memory, not the stream or the event counters. A
+sink must never mutate the event it receives (the same object lands in
+the recorded list).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class StreamingTracer(Tracer):
             fields=fields,
             seq=self._seq,
         )
+        self._count_event(etype, job_id)
         if (
             self._max_events is not None
             and len(self.events) >= self._max_events
@@ -60,6 +62,5 @@ class StreamingTracer(Tracer):
             self.dropped += 1
         else:
             self.events.append(event)
-            self._count_event(etype, job_id)
         for sink in self._sinks:
             sink(event)

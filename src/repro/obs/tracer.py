@@ -53,8 +53,13 @@ class Tracer:
         job_id: Optional[str] = None,
         **fields,
     ) -> None:
-        """Record one event (typed helpers below are preferred)."""
+        """Record one event (typed helpers below are preferred).
+
+        Every event is counted; past the ``max_events`` cap it is
+        dropped from the in-memory list only.
+        """
         self._seq += 1
+        self._count_event(etype, job_id)
         if (
             self._max_events is not None
             and len(self.events) >= self._max_events
@@ -70,10 +75,9 @@ class Tracer:
                 seq=self._seq,
             )
         )
-        self._count_event(etype, job_id)
 
     def _count_event(self, etype: str, job_id: Optional[str]) -> None:
-        """Bump the per-type event counters of one recorded event."""
+        """Bump the per-type event counters of one emitted event."""
         metrics = self.metrics
         metrics.inc("events_total")
         name = f"events.{etype}"

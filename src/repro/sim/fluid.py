@@ -39,13 +39,16 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.base import CacheSystem
+from repro.cache.base import CacheSystem, StorageContext, StorageDecision
 from repro.cache.residency import DictResidencyStore
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
+from repro.core.perf_model import achieved_rate
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
-from repro.obs.prov import emit_decision_provenance
+# Not called here (the kernel emits provenance): kept as a module name
+# because perfbench's layer test checks its by-name rebinding here.
+from repro.obs.prov import emit_decision_provenance  # noqa: F401
 from repro.obs.tracer import Tracer
 from repro.sim.jobtable import JobTable
 from repro.sim.kernel import SimulatorKernel
@@ -224,7 +227,7 @@ class FluidSimulator(SimulatorKernel):
             self._reschedule()
             self._next_reschedule = self.clock_s + self._reschedule_interval_s
         elif epoch_flip:
-            self._storage_decide(trigger="epoch")
+            self._storage_round("epoch")
         self._slo.check(self.clock_s)
 
         if self.clock_s >= self._next_sample:
@@ -524,8 +527,8 @@ class FluidSimulator(SimulatorKernel):
     # Scheduling and storage decisions.
     # ------------------------------------------------------------------
 
-    def _reschedule(self) -> None:
-        self._schedule_round()
+    def _schedule_round(self) -> None:
+        super()._schedule_round()
         # Mirror the round's generation placement into the job table's
         # gen column; ``generation_of`` reads it back. A one-pool fleet
         # places every job on the reference generation, so nothing is
@@ -540,7 +543,6 @@ class FluidSimulator(SimulatorKernel):
                     self._table.set_generation(
                         row, generations.get(job_id, default_gen)
                     )
-        self._storage_decide()
 
     def _attained_service_s(self, job: Job) -> float:
         """GPU-seconds of service the job has attained (for LAS).
@@ -574,10 +576,9 @@ class FluidSimulator(SimulatorKernel):
             return self.scheduler.default_generation
         return self._table.generation(row)
 
-    def _storage_decide(self, trigger: str = "reschedule") -> None:
-        self.decision_rounds += 1
-        ctx = self._storage_context()
-        decision = self.cache_system.reallocate(ctx)
+    def _apply_decision(
+        self, ctx: StorageContext, decision: StorageDecision
+    ) -> None:
         if decision is self._decision:
             # The cache system handed back the decision already in force
             # (same allocation, same effective bytes): its targets are
@@ -590,16 +591,6 @@ class FluidSimulator(SimulatorKernel):
             self._decision = decision
             self._apply_targets()
             self._recompute_rates()
-        if self._tracer.enabled:
-            emit_decision_provenance(
-                ctx,
-                self._decision,
-                self.scheduler,
-                self.decision_rounds,
-                trigger,
-                self.cache_system.cache_key,
-                self._effective,
-            )
 
     def _apply_targets(self) -> None:
         targets = self._decision.cache_targets
@@ -701,13 +692,8 @@ class FluidSimulator(SimulatorKernel):
         miss_rates: List[float] = []
         for job_id, f_star in zip(view.job_ids, view.f_stars):
             hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
-            miss = 1.0 - hit
-            grant = io_grants.get(job_id, 0.0)
-            if miss <= 1e-12:
-                rate = f_star
-            else:
-                rate = min(f_star, grant / miss)
-            miss_rate = rate * miss
+            rate = achieved_rate(f_star, hit, io_grants.get(job_id, 0.0))
+            miss_rate = rate * (1.0 - hit)
             rates.append(rate)
             miss_rates.append(miss_rate)
             if miss_rate > 0:

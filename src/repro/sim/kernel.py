@@ -27,13 +27,17 @@ class body and fill in a few hooks:
   cache systems' warm-up test and the fairness sample's filter);
 * :meth:`_invalidate_fraction`, :meth:`_preempt_job` and
   :meth:`_after_faults` — what a fault does to the cache model;
-* :meth:`_after_cancel` — what an active cancellation tears down.
+* :meth:`_after_cancel` — what an active cancellation tears down;
+* :meth:`_apply_decision` — install the cache system's answer as
+  ``self._decision`` and move the cache model (and rates) to it.
 
 The storage round is shared too: :meth:`_round_view` gathers who is
-running, the GPU grants and the ``f*`` column once per allocation, and
+running, the GPU grants and the ``f*`` column once per allocation,
 :meth:`_storage_context` wraps that view into the one
 :class:`~repro.cache.base.StorageContext` both simulators hand their
-cache system.
+cache system, and :meth:`_storage_round` runs the round: count it,
+``reallocate``, :meth:`_apply_decision`, then provenance.
+:meth:`_reschedule` is a scheduling round followed by a storage round.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.core.resources import Allocation, ResourceVector
 from repro.core.silod import SiloDScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import ScheduleLike, as_schedule
+from repro.obs.prov import emit_decision_provenance
 from repro.obs.slo import SLOTracker
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.metrics import JobRecord, RunResult, TimelineSample
@@ -506,6 +511,34 @@ class SimulatorKernel:
         )
         self._view = view
         return view
+
+    def _reschedule(self) -> None:
+        """One full round: the policy, then the storage decision."""
+        self._schedule_round()
+        self._storage_round("reschedule")
+
+    def _storage_round(self, trigger: str) -> None:
+        """Re-divide storage under the allocation in force.
+
+        Counts the round, hands the round's context to
+        ``cache_system.reallocate``, installs the answer through
+        :meth:`_apply_decision` and emits the round's provenance. The
+        effective-bytes map is read after the apply, so provenance
+        reports the bytes the new targets left.
+        """
+        self.decision_rounds += 1
+        ctx = self._storage_context()
+        self._apply_decision(ctx, self.cache_system.reallocate(ctx))
+        if self._tracer.enabled:
+            emit_decision_provenance(
+                ctx,
+                self._decision,
+                self.scheduler,
+                self.decision_rounds,
+                trigger,
+                self.cache_system.cache_key,
+                self._effective_map(),
+            )
 
     def _storage_context(self) -> StorageContext:
         """This round's input to ``cache_system.reallocate``."""

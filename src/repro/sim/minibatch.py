@@ -29,15 +29,19 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.alluxio import AlluxioCache
-from repro.cache.base import CacheSystem
+from repro.cache.base import (
+    CacheSystem,
+    StorageContext,
+    StorageDecision,
+    fair_share_io,
+    trace_io_grants,
+)
 from repro.cache.items import LruItemCache, UniformItemCache
 from repro.cache.silod_cache import SiloDDataManager
-from repro.core.policies import io_share
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
-from repro.obs.prov import emit_decision_provenance
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import SimulatorKernel
 
@@ -347,31 +351,17 @@ class MinibatchEmulator(SimulatorKernel):
     def _first_epoch_done(self, job: Job) -> bool:
         return self._active[job.job_id].epochs_done > 0
 
-    def _reschedule(self) -> None:
-        self._schedule_round()
-        ctx = self._storage_context()
-        self._decision = self.cache_system.reallocate(ctx)
+    def _apply_decision(
+        self, ctx: StorageContext, decision: StorageDecision
+    ) -> None:
+        self._decision = decision
         if not isinstance(self.cache_system, SiloDDataManager):
-            self._work_conserving_io_grants(ctx.running_jobs, ctx.f_stars)
+            self._work_conserving_io_grants(ctx)
         if not self._is_lru:
             self._apply_uniform_targets()
             self._admit_prefetched_items()
-        self.decision_rounds += 1
-        if self._tracer.enabled:
-            emit_decision_provenance(
-                ctx,
-                self._decision,
-                self.scheduler,
-                self.decision_rounds,
-                "reschedule",
-                self.cache_system.cache_key,
-                # Read after the targets applied, as the event reports.
-                self._effective_map(),
-            )
 
-    def _work_conserving_io_grants(
-        self, running: Sequence[Job], f_stars: Sequence[float]
-    ) -> None:
+    def _work_conserving_io_grants(self, ctx: StorageContext) -> None:
         """Re-divide egress over *measured* demands for baseline systems.
 
         Without scheduler throttling, the account's egress cap is shared
@@ -383,39 +373,27 @@ class MinibatchEmulator(SimulatorKernel):
         spread evenly so a job whose model over-promised hits (e.g. a
         stale shared LRU) can still fetch.
         """
-        demands = {}
-        profile = {}
-        for job, f_star in zip(running, f_stars):
+        running = ctx.running_jobs
+        hits = {}
+        for job in running:
             rt = self._active.get(job.job_id)
             if rt is not None and rt.accesses_recent >= 20:
-                hit = rt.hits_recent / rt.accesses_recent
+                hits[job.job_id] = rt.hits_recent / rt.accesses_recent
             else:
-                hit = self._decision.hit_ratios.get(job.job_id, 0.0)
-            demands[job.job_id] = f_star * (1.0 - hit)
-            profile[job.job_id] = (f_star, hit)
-        grants = io_share.max_min_waterfill(
-            demands, self.total.remote_io_mbps
-        )
-        leftover = self.total.remote_io_mbps - sum(grants.values())
+                hits[job.job_id] = self._decision.hit_ratios.get(
+                    job.job_id, 0.0
+                )
+        grants = fair_share_io(ctx, hits)
+        leftover = ctx.total_io_mbps - sum(grants.values())
         if leftover > 1e-9 and running:
             bonus = leftover / len(running)
             for job in running:
                 grants[job.job_id] = grants.get(job.job_id, 0.0) + bonus
         self._decision.io_grants = grants
-        if self._tracer.enabled:
-            # Re-emit io_throttle with the *measured* hit ratios: these
-            # events supersede the cache system's model-based ones for
-            # this round (the report keeps the last per (time, job)).
-            for job in running:
-                f_star, hit = profile[job.job_id]
-                self._tracer.io_throttle(
-                    self.clock_s,
-                    job.job_id,
-                    desired_mbps=f_star,
-                    hit_ratio=hit,
-                    demand_mbps=demands[job.job_id],
-                    grant_mbps=grants.get(job.job_id, 0.0),
-                )
+        # Re-emit io_throttle with the *measured* hit ratios: these
+        # events supersede the cache system's model-based ones for this
+        # round (the report keeps the last per (time, job)).
+        trace_io_grants(ctx, hits, grants)
         for rt in self._active.values():
             rt.hits_recent = 0
             rt.accesses_recent = 0

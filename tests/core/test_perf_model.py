@@ -92,6 +92,14 @@ def test_input_validation():
         perf_model.cache_efficiency(-1.0, 100.0)
 
 
+def test_achieved_rate_mirrors_eq4():
+    assert perf_model.achieved_rate(100.0, 0.5, 20.0) == pytest.approx(40.0)
+    assert perf_model.achieved_rate(100.0, 0.5, 80.0) == pytest.approx(100.0)
+    # Full hit: no remote demand, compute-bound at f* even with no grant.
+    assert perf_model.achieved_rate(100.0, 1.0, 0.0) == pytest.approx(100.0)
+    assert perf_model.achieved_rate(100.0, 0.0, 30.0) == pytest.approx(30.0)
+
+
 # ----------------------------------------------------------------------
 # Property-based invariants of the model.
 # ----------------------------------------------------------------------
@@ -100,6 +108,10 @@ def test_input_validation():
 @given(f=rates, c=rates, d=sizes, b=rates)
 def test_throughput_never_exceeds_compute_bound(f, c, d, b):
     assert perf_model.silod_perf(f, b, c, d) <= f + 1e-9
+    # The hit-ratio form is the same formula, bit for bit.
+    assert perf_model.achieved_rate(
+        f, perf_model.hit_ratio(c, d), b
+    ) == perf_model.silod_perf(f, b, c, d)
 
 
 @given(c=rates, d=sizes, b=rates)

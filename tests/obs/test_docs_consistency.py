@@ -83,6 +83,22 @@ def test_design_hook_table_names_only_real_hooks():
     assert tool.check_design_hooks("no table here", classes)
 
 
+def test_class_refs_must_name_real_attributes():
+    tool = _load_tool()
+    table = tool.repro_symbols()
+    assert tool.check_class_refs(DOC.read_text(), table) == []
+    ok = (
+        "`FluidSimulator._admit_arrivals` (inherited), "
+        "`Tracer.metrics` (set in __init__), `Event.to_dict()`"
+    )
+    assert tool.check_class_refs(ok, table) == []
+    stale = "Emitted by `FluidSimulator._storage_decide` and `Ghost.run`."
+    problems = tool.check_class_refs(stale, table)
+    assert len(problems) == 2
+    assert "`FluidSimulator._storage_decide`" in problems[0]
+    assert "`Ghost.run`" in problems[1]
+
+
 def test_cli_entry_point_passes():
     proc = subprocess.run(
         [sys.executable, str(TOOL)], capture_output=True, text=True

@@ -8,6 +8,7 @@ from repro.obs import (
     NULL_TRACER,
     Event,
     NullTracer,
+    StreamingTracer,
     Tracer,
     validate_event,
 )
@@ -157,6 +158,23 @@ def test_max_events_cap_drops_and_counts():
         tracer.epoch_boundary(float(i), "j", epoch=i + 1)
     assert len(tracer.events) == 3
     assert tracer.dropped == 2
+
+
+@pytest.mark.parametrize("tracer_cls", [Tracer, StreamingTracer])
+def test_max_events_cap_still_counts_every_event(tracer_cls):
+    tracer = tracer_cls(max_events=1)
+    for i in range(5):
+        tracer.job_finish(float(i), f"j{i}", jct_s=10.0, epochs_done=1)
+    assert len(tracer.events) == 1
+    assert tracer.dropped == 4
+    snapshot = tracer.metrics.snapshot()
+    counters = snapshot["cluster"]["counters"]
+    assert counters["events_total"] == 5
+    assert counters["events.job_finish"] == 5
+    assert sorted(snapshot["jobs"]) == [f"j{i}" for i in range(5)]
+    for i in range(5):
+        job_counters = snapshot["jobs"][f"j{i}"]["counters"]
+        assert job_counters["events.job_finish"] == 1
 
 
 def test_clear_resets_events_and_metrics():

@@ -29,12 +29,18 @@ column of ``docs/DESIGN.md``'s ``| hook | fluid | minibatch |`` table
 must be an attribute of both ``FluidSimulator`` and
 ``MinibatchEmulator``.
 
+And the code references: every backticked ``Class.attr`` in
+``docs/OBSERVABILITY.md`` must name an attribute of a ``repro`` class of
+that name — a method, a class-level name or a ``self.attr`` write, its
+own or inherited from a ``repro`` base class.
+
 Run directly (``python tools/check_obs_docs.py``) or via the tier-1
 test ``tests/obs/test_docs_consistency.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -261,6 +267,83 @@ def check_design_hooks(text: str, classes: list) -> list:
     ]
 
 
+#: A backticked code reference `Class.attr` or `Class.attr(...)`.
+_CLASS_ATTR = re.compile(r"`(?P<cls>[A-Z]\w*)\.(?P<attr>\w+)(?:\([^`]*\))?`")
+
+
+def _class_attrs(node: ast.ClassDef) -> set:
+    """Names one class body defines: its methods, its class-level names
+    and every ``self.<name>`` its methods assign."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+            for sub in ast.walk(item):
+                if isinstance(sub, ast.Assign):
+                    targets = sub.targets
+                elif isinstance(sub, ast.AnnAssign):
+                    targets = [sub.target]
+                else:
+                    continue
+                names.update(
+                    t.attr
+                    for t in targets
+                    if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"
+                )
+        elif isinstance(item, ast.Assign):
+            names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        elif isinstance(item, ast.AnnAssign) and isinstance(
+            item.target, ast.Name
+        ):
+            names.add(item.target.id)
+    return names
+
+
+def repro_symbols():
+    """The lint engine's symbol table over ``src/repro``."""
+    from repro.lint.engine import SourceFile, discover_files
+    from repro.lint.symbols import SymbolTable
+
+    return SymbolTable.build(
+        [
+            SourceFile(path, REPO_ROOT)
+            for path in discover_files([REPO_ROOT / "src" / "repro"])
+        ]
+    )
+
+
+def _has_attr(table, cls: str, attr: str) -> bool:
+    """Whether a ``repro`` class named ``cls`` or one of its ``repro``
+    bases defines ``attr``."""
+    stack = [sym for sym in table.classes.values() if sym.node.name == cls]
+    seen = set()
+    while stack:
+        symbol = stack.pop()
+        if symbol.qname in seen:
+            continue
+        seen.add(symbol.qname)
+        if attr in _class_attrs(symbol.node):
+            return True
+        stack.extend(table.base_classes(symbol))
+    return False
+
+
+def check_class_refs(text: str, table) -> list:
+    """Drift messages for backticked ``Class.attr`` names in ``text``,
+    resolved against ``table`` (see :func:`repro_symbols`)."""
+    problems = []
+    refs = {m.group("cls", "attr") for m in _CLASS_ATTR.finditer(text)}
+    for cls, attr in sorted(refs):
+        if not _has_attr(table, cls, attr):
+            problems.append(
+                f"docs/OBSERVABILITY.md names `{cls}.{attr}`, which no "
+                f"repro class {cls} has"
+            )
+    return problems
+
+
 def main() -> int:
     """Run the check; print drift and return the exit code."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -274,6 +357,7 @@ def main() -> int:
     code_fields = {k: list(v) for k, v in EVENT_FIELDS.items()}
     problems = compare(doc_schema, code_fields)
     problems.extend(check_windows_doc(obs_text, list(WINDOW_NAMES)))
+    problems.extend(check_class_refs(obs_text, repro_symbols()))
     if not FAULTS_DOC_PATH.exists():
         problems.append("docs/FAULTS.md is missing")
     else:
