@@ -32,6 +32,7 @@ from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
 from repro.core.policies import io_share
 from repro.core.resources import Allocation
+from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
@@ -174,11 +175,15 @@ def trace_io_grants(
         return
     for job, desired in zip(ctx.running_jobs, ctx.f_stars):
         hit = min(1.0, max(0.0, hit_ratios.get(job.job_id, 0.0)))
-        tracer.io_throttle(
+        demand = desired * (1.0 - hit)
+        grant = io_grants.get(job.job_id, 0.0)
+        tracer.emit(
             ctx.clock_s,
+            ev.IO_THROTTLE,
             job.job_id,
             desired_mbps=desired,
             hit_ratio=hit,
-            demand_mbps=desired * (1.0 - hit),
-            grant_mbps=io_grants.get(job.job_id, 0.0),
+            demand_mbps=demand,
+            grant_mbps=grant,
+            capped=grant < demand - 1e-9,
         )

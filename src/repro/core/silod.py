@@ -26,6 +26,7 @@ from repro.core.estimator import (
 )
 from repro.core.policies.base import ScheduleContext, SchedulingPolicy
 from repro.core.resources import Allocation, ResourceVector
+from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
@@ -161,8 +162,9 @@ class SiloDScheduler:
                 attained_service_s,
             )
         if tracer.enabled:
-            tracer.sched_decision(
+            tracer.emit(
                 now_s,
+                ev.SCHED_DECISION,
                 policy=self.policy.name,
                 storage_aware=self.storage_aware,
                 num_jobs=len(jobs),

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional
 from repro.cluster.hardware import Cluster
 from repro.core.resources import ResourceVector
 from repro.faults.spec import FaultEvent, FaultSchedule
+from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
@@ -150,8 +151,9 @@ class FaultInjector:
         """
         tracer = self._tracer
         if tracer.enabled:
-            tracer.fault_inject(
+            tracer.emit(
                 now_s,
+                ev.FAULT_INJECT,
                 kind=event.kind,
                 target=event.target or "",
                 magnitude=event.magnitude,
@@ -170,8 +172,9 @@ class FaultInjector:
                     1.0, lost_cache / capacity_before
                 )
             if tracer.enabled:
-                tracer.node_down(
+                tracer.emit(
                     now_s,
+                    ev.NODE_DOWN,
                     kind="server",
                     gpus_lost=n * self._gpus_per_server,
                     cache_lost_mb=lost_cache,
@@ -182,8 +185,9 @@ class FaultInjector:
                 return effect
             self.servers_down -= n
             if tracer.enabled:
-                tracer.node_up(
+                tracer.emit(
                     now_s,
+                    ev.NODE_UP,
                     kind="server",
                     gpus_restored=n * self._gpus_per_server,
                     cache_restored_mb=n * self._cache_per_server_mb,
@@ -196,8 +200,12 @@ class FaultInjector:
             self.cache_lost_mb += lost
             effect.evict_fraction = min(1.0, lost / capacity_before)
             if tracer.enabled:
-                tracer.node_down(
-                    now_s, kind="cache", gpus_lost=0.0, cache_lost_mb=lost
+                tracer.emit(
+                    now_s,
+                    ev.NODE_DOWN,
+                    kind="cache",
+                    gpus_lost=0.0,
+                    cache_lost_mb=lost,
                 )
         elif event.kind == "cache_recover":
             restored = min(event.magnitude, self.cache_lost_mb)
@@ -205,8 +213,9 @@ class FaultInjector:
                 return effect
             self.cache_lost_mb -= restored
             if tracer.enabled:
-                tracer.node_up(
+                tracer.emit(
                     now_s,
+                    ev.NODE_UP,
                     kind="cache",
                     gpus_restored=0.0,
                     cache_restored_mb=restored,

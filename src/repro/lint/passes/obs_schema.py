@@ -9,8 +9,8 @@ invariant.
 * ``OBS001`` — an ``emit(...)`` call whose event type (string literal
   or ``ev.CONSTANT``) is not declared in
   :data:`repro.obs.events.EVENT_FIELDS`;
-* ``OBS002`` — an emit (or typed-helper call on a tracer) whose keyword
-  fields do not match the declared field set;
+* ``OBS002`` — an emit whose keyword fields do not match the declared
+  field set (missing or extra);
 * ``OBS003`` — ``EVENT_TYPES`` and ``EVENT_FIELDS`` disagreeing with
   each other inside ``events.py`` itself.
 
@@ -31,31 +31,11 @@ from repro.lint.astutil import dotted_name
 from repro.lint.engine import LintPass, SourceFile
 from repro.lint.findings import Finding
 
-#: Receiver spellings that mark a call as targeting a tracer. Typed
-#: helper calls (``tracer.cache_admit(...)``) are only field-checked on
-#: these receivers so an unrelated object with a same-named method is
-#: not flagged.
-_TRACER_RECEIVERS = {"tracer", "tr", "tracing"}
-
-
 def _schema():
     """The live schema (imported lazily so the pass is cheap to build)."""
     from repro.obs import events
 
     return events
-
-
-def _receiver_is_tracer(func: ast.Attribute) -> bool:
-    """Heuristic: is the attribute's receiver a tracer object?"""
-    name = dotted_name(func.value)
-    if name is None:
-        return False
-    last = name.split(".")[-1]
-    return (
-        last in _TRACER_RECEIVERS
-        or last.endswith("_tracer")
-        or last == "self"
-    )
 
 
 def _resolve_etype(node: ast.Call, events) -> Optional[str]:
@@ -100,11 +80,10 @@ class ObsSchemaPass(LintPass):
             "docs/OBSERVABILITY.md before emitting it."
         ),
         "OBS002": (
-            "An emit (or typed tracer helper call) whose keyword\n"
-            "fields do not match the declared field set for the event\n"
-            "type — missing or extra fields. The schema in\n"
-            "repro.obs.events is the contract; change it and the docs\n"
-            "together, not the call site alone."
+            "An emit(...) whose keyword fields do not match the\n"
+            "declared field set for the event type — missing or extra\n"
+            "fields. The schema in repro.obs.events is the contract;\n"
+            "change it and the docs together, not the call site alone."
         ),
         "OBS003": (
             "EVENT_TYPES and EVENT_FIELDS inside repro/obs/events.py\n"
@@ -123,16 +102,8 @@ class ObsSchemaPass(LintPass):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "emit":
+            if isinstance(func, ast.Attribute) and func.attr == "emit":
                 findings.extend(self._check_emit(src, node, events))
-            elif func.attr in events.EVENT_FIELDS and _receiver_is_tracer(
-                func
-            ):
-                findings.extend(
-                    self._check_helper_call(src, node, func.attr, events)
-                )
         return findings
 
     def _check_schema_consistency(
@@ -189,31 +160,5 @@ class ObsSchemaPass(LintPass):
                 "OBS002",
                 f"emit of {etype!r} does not match the schema: "
                 f"missing fields {missing}, extra fields {extra}",
-            )
-        ]
-
-    def _check_helper_call(
-        self, src: SourceFile, node: ast.Call, etype: str, events
-    ) -> List[Finding]:
-        if any(kw.arg is None for kw in node.keywords):
-            return []
-        expected = set(events.EVENT_FIELDS[etype])
-        got = {
-            kw.arg
-            for kw in node.keywords
-            if kw.arg not in ("job_id", "ts_s")
-        }
-        # Helpers may compute derived fields (io_throttle's ``capped``)
-        # and accept the rest positionally, so only unknown keywords are
-        # errors here.
-        extra = sorted(got - expected)
-        if not extra:
-            return []
-        return [
-            src.finding(
-                node,
-                "OBS002",
-                f"tracer.{etype}(...) passes fields {extra} that are "
-                f"not in the {etype!r} schema",
             )
         ]

@@ -5,8 +5,8 @@ events (:data:`repro.obs.events.SERVICE_TYPES`) in ``repro/serve/``, so
 a batch run cannot masquerade as an online one, and simulator-scoped
 events (:data:`repro.obs.events.SIMULATOR_SCOPED_TYPES`: decision
 provenance and SLO tracking) in ``repro/sim/``, the one code path batch
-and serve share. The obs modules that implement the emission API are
-in scope too.
+and serve share. ``obs/prov.py`` and ``obs/slo.py``, which emit
+provenance and SLO events on the simulators' behalf, are in scope too.
 
 The pass walks every function once. A scoped emission in an
 out-of-scope file fires at the emit line. A scoped emission in an
@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.lint.callgraph import iter_contexts
 from repro.lint.engine import Finding, ProjectIndex, ProjectPass
-from repro.lint.passes.obs_schema import _receiver_is_tracer, _resolve_etype
+from repro.lint.passes.obs_schema import _resolve_etype
 from repro.lint.symbols import module_name_for
 
 
@@ -39,7 +39,7 @@ class _Scope(NamedTuple):
 
 _SERVICE = _Scope(
     "service-lifecycle",
-    lambda rel: "repro/serve/" in rel or rel.endswith("obs/tracer.py"),
+    lambda rel: "repro/serve/" in rel,
     "repro/serve/",
     "only the online service may narrate service start/stop, admission "
     "rejections, and clock changes (see docs/SERVE.md)",
@@ -49,7 +49,6 @@ _SIMULATOR = _Scope(
     "simulator-scoped",
     lambda rel: (
         "repro/sim/" in rel
-        or rel.endswith("obs/tracer.py")
         or rel.endswith("obs/prov.py")
         or rel.endswith("obs/slo.py")
     ),
@@ -68,16 +67,12 @@ def _scopes(events) -> Dict[str, _Scope]:
 
 
 def _emitted_etype(node: ast.AST, events) -> Optional[str]:
-    """The event type a call emits (raw ``emit`` or typed helper)."""
+    """The event type an ``emit(...)`` call emits, if it is one."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr == "emit":
+    if isinstance(func, ast.Attribute) and func.attr == "emit":
         return _resolve_etype(node, events)
-    if func.attr in events.EVENT_FIELDS and _receiver_is_tracer(func):
-        return func.attr
     return None
 
 
@@ -97,11 +92,11 @@ class ObsScopePass(ProjectPass):
             "(SIMULATOR_SCOPED_TYPES: decision provenance, SLO\n"
             "tracking) belong to repro/sim/, the one code path batch\n"
             "and serve share, or the two event streams fork (see\n"
-            "docs/OBSERVABILITY.md). The obs modules that implement\n"
-            "the emission are in scope. Only the direct call edge into\n"
-            "the emitting helper is checked: reaching the emission\n"
-            "transitively (the serve engine driving a simulator) is\n"
-            "the designed architecture."
+            "docs/OBSERVABILITY.md). obs/prov.py and obs/slo.py, which\n"
+            "emit on the simulators' behalf, are in scope. Only the\n"
+            "direct call edge into the emitting helper is checked:\n"
+            "reaching the emission transitively (the serve engine\n"
+            "driving a simulator) is the designed architecture."
         ),
     }
 

@@ -6,7 +6,10 @@ contract between the emitting sites (simulators, scheduler, cache
 systems) and every consumer (exporters, the ``report`` CLI, future
 fidelity tooling) — it is documented field-by-field in
 ``docs/OBSERVABILITY.md`` and the two are kept in lockstep by
-``tools/check_obs_docs.py`` (run as a tier-1 test).
+``tools/check_obs_docs.py`` (run as a tier-1 test). Emitting sites call
+:meth:`repro.obs.tracer.Tracer.emit` with every field of the type as an
+explicit keyword, in :data:`EVENT_FIELDS` order; lint rule ``OBS002``
+checks the field set statically.
 
 Event types
 -----------
@@ -145,8 +148,8 @@ FAULT_TYPES = (
     JOB_RESTART,
 )
 
-#: Decision-provenance and SLO subset. Only the simulators (and the
-#: typed helpers in ``obs/tracer.py`` that define the emission API) may
+#: Decision-provenance and SLO subset. Only the simulators (and
+#: ``obs/prov.py`` and ``obs/slo.py``, which emit on their behalf) may
 #: emit these — enforced by lint rule OBS004. The online service reuses
 #: the simulator code path, which is what keeps batch and serve
 #: provenance bit-identical.

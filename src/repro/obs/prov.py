@@ -99,8 +99,9 @@ def emit_decision_provenance(
         return
     ts_s = ctx.clock_s
     running_jobs = ctx.running_jobs
-    tracer.decision_epoch(
+    tracer.emit(
         ts_s,
+        ev.DECISION_EPOCH,
         round=round_index,
         trigger=trigger,
         num_running=len(running_jobs),
@@ -122,8 +123,9 @@ def emit_decision_provenance(
         by_gen = scheduler.last_gen_scores.get(job_id)
         if by_gen is None:
             by_gen = {generation: f_star}
-        tracer.decision_job(
+        tracer.emit(
             ts_s,
+            ev.DECISION_JOB,
             job_id,
             round=round_index,
             gpus=ctx.gpu_grants.get(job_id, 0.0),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+from repro.obs import events as ev
 from repro.obs.tracer import Tracer
 
 #: Fraction of the budget after which the single warning fires.
@@ -84,8 +85,9 @@ class SLOTracker:
             elapsed = now_s - tracked.submit_s
             if not tracked.violated and elapsed >= tracked.deadline_s:
                 tracked.violated = True
-                self._tracer.slo_violation(
+                self._tracer.emit(
                     now_s,
+                    ev.SLO_VIOLATION,
                     job_id,
                     deadline_s=tracked.deadline_s,
                     jct_s=elapsed,
@@ -98,8 +100,9 @@ class SLOTracker:
                 and elapsed >= WARN_FRACTION * tracked.deadline_s
             ):
                 tracked.warned = True
-                self._tracer.slo_warn(
+                self._tracer.emit(
                     now_s,
+                    ev.SLO_WARN,
                     job_id,
                     deadline_s=tracked.deadline_s,
                     elapsed_s=elapsed,
@@ -114,8 +117,9 @@ class SLOTracker:
             return
         jct = finish_s - tracked.submit_s
         if not tracked.violated and jct > tracked.deadline_s:
-            self._tracer.slo_violation(
+            self._tracer.emit(
                 finish_s,
+                ev.SLO_VIOLATION,
                 job_id,
                 deadline_s=tracked.deadline_s,
                 jct_s=jct,

@@ -54,7 +54,7 @@ class StreamingTracer(Tracer):
             fields=fields,
             seq=self._seq,
         )
-        self._count_event(etype, job_id)
+        self._count_event(ts_s, etype, job_id, fields)
         if (
             self._max_events is not None
             and len(self.events) >= self._max_events

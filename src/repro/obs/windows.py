@@ -19,9 +19,10 @@ wall-clock milliseconds — the window machinery is still deterministic,
 the values are not (same carve-out as ``sched_decision.latency_ms``;
 see ``docs/OBSERVABILITY.md``).
 
-The registry (``repro.obs.registry``) owns the well-known windows fed
-by the typed tracer helpers; :data:`WINDOW_NAMES` is the code half of
-the doc sync in ``tools/check_obs_docs.py``.
+The registry (``repro.obs.registry``) owns the well-known windows the
+tracer feeds from the event stream (``repro.obs.tracer.DERIVED_METRICS``);
+:data:`WINDOW_NAMES` is the code half of the doc sync in
+``tools/check_obs_docs.py``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from typing import Deque, List, Optional, Tuple
 #: Default sample capacity of one window.
 DEFAULT_CAPACITY = 512
 
-#: The well-known windows the typed tracer helpers feed, with the unit
-#: each carries. Order is documentation order (``docs/OBSERVABILITY.md``
-#: lists exactly these names).
+#: The well-known windows the tracer feeds, with the unit each carries.
+#: Order is documentation order (``docs/OBSERVABILITY.md`` lists exactly
+#: these names).
 WINDOW_NAMES = (
     "decision_latency_ms",
     "queue_depth",

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 from repro import units
 from repro.cluster.hardware import Cluster
+from repro.obs import events as ev
 from repro.obs.stream import StreamingTracer
 from repro.obs.windows import nearest_rank
 from repro.serve.clock import VirtualClock
@@ -124,8 +125,9 @@ class OnlineEngine:
         """Arm the simulator and announce the service."""
         self.sim.begin()
         if self.tracer.enabled:
-            self.tracer.service_start(
+            self.tracer.emit(
                 self.sim.clock_s,
+                ev.SERVICE_START,
                 policy=self.stack.policy,
                 cache=self.stack.cache,
                 simulator=self.simulator,
@@ -157,8 +159,9 @@ class OnlineEngine:
         self.result = self.sim.finish()
         self._stopped = True
         if self.tracer.enabled:
-            self.tracer.service_stop(
+            self.tracer.emit(
                 self.sim.clock_s,
+                ev.SERVICE_STOP,
                 reason=reason,
                 jobs_submitted=self.jobs_submitted,
                 jobs_finished=self.jobs_finished,
@@ -232,8 +235,9 @@ class OnlineEngine:
 
     def _reject(self, job_id: str, reason: str) -> None:
         if self.tracer.enabled:
-            self.tracer.job_reject(
+            self.tracer.emit(
                 self.sim.clock_s,
+                ev.JOB_REJECT,
                 job_id,
                 reason=reason,
                 queue_depth=self.stack.admission.depth,
@@ -265,8 +269,9 @@ class OnlineEngine:
         else:  # pragma: no cover - validated at the protocol layer
             raise ProtocolError(REJECT_INVALID, f"bad clock action {action!r}")
         if self.tracer.enabled:
-            self.tracer.clock_set(
+            self.tracer.emit(
                 self.sim.clock_s,
+                ev.CLOCK_SET,
                 action=action,
                 speedup=self.clock.speedup or 0.0,
                 virtual_s=self.sim.clock_s,

@@ -46,6 +46,7 @@ from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
 from repro.core.perf_model import achieved_rate
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
+from repro.obs import events as ev
 # Not called here (the kernel emits provenance): kept as a module name
 # because perfbench's layer test checks its by-name rebinding here.
 from repro.obs.prov import emit_decision_provenance  # noqa: F401
@@ -356,9 +357,10 @@ class FluidSimulator(SimulatorKernel):
                 new_resident = min(cap, filled)
                 store.set_resident_mb(key, new_resident)
                 if new_resident - before > 1e-6:
-                    tracer.cache_admit(
+                    tracer.emit(
                         t,
-                        key,
+                        ev.CACHE_ADMIT,
+                        key=key,
                         delta_mb=new_resident - before,
                         resident_mb=new_resident,
                         via="miss",
@@ -400,9 +402,10 @@ class FluidSimulator(SimulatorKernel):
                 new_resident = min(cap, resident_mb + rate * dt)
                 store.set_resident_mb(key, new_resident)
                 if tracer.enabled and new_resident - before > 1e-6:
-                    tracer.cache_admit(
+                    tracer.emit(
                         t,
-                        key,
+                        ev.CACHE_ADMIT,
+                        key=key,
                         delta_mb=new_resident - before,
                         resident_mb=new_resident,
                         via="prefetch",
@@ -467,9 +470,10 @@ class FluidSimulator(SimulatorKernel):
             after = before * ratio
             self._cache.set_resident_mb(key, after)
             if tracer.enabled and before - after > 1e-6:
-                tracer.cache_invalidate(
+                tracer.emit(
                     self.clock_s,
-                    key,
+                    ev.CACHE_INVALIDATE,
+                    key=key,
                     delta_mb=before - after,
                     resident_mb=after,
                     cause=cause,
@@ -489,8 +493,9 @@ class FluidSimulator(SimulatorKernel):
         if row is not None:
             self._table.set_work_done_mb(row, progress.work_done_mb)
         if self._tracer.enabled:
-            self._tracer.job_preempt(
+            self._tracer.emit(
                 self.clock_s,
+                ev.JOB_PREEMPT,
                 job_id,
                 reason=reason,
                 rollback_mb=rollback,
@@ -510,11 +515,12 @@ class FluidSimulator(SimulatorKernel):
             resident = snap[1] if snap is not None else 0.0
             self._effective[job_id] = min(job.dataset.size_mb, resident)
             if self._tracer.enabled:
-                self._tracer.epoch_boundary(
-                    self.clock_s, job_id, epoch=epochs_now
+                self._tracer.emit(
+                    self.clock_s, ev.EPOCH_BOUNDARY, job_id, epoch=epochs_now
                 )
-                self._tracer.promote_effective(
+                self._tracer.emit(
                     self.clock_s,
+                    ev.PROMOTE_EFFECTIVE,
                     job_id,
                     key=key,
                     effective_mb=self._effective[job_id],
@@ -665,9 +671,10 @@ class FluidSimulator(SimulatorKernel):
         after = max(0.0, new_mb)
         self._cache.set_resident_mb(key, after)
         if self._tracer.enabled and before - after > 1e-6:
-            self._tracer.cache_evict(
+            self._tracer.emit(
                 self.clock_s,
-                key,
+                ev.CACHE_EVICT,
+                key=key,
                 delta_mb=before - after,
                 resident_mb=after,
                 reason=reason,

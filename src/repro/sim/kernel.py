@@ -52,6 +52,7 @@ from repro.core.resources import Allocation, ResourceVector
 from repro.core.silod import SiloDScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import ScheduleLike, as_schedule
+from repro.obs import events as ev
 from repro.obs.prov import emit_decision_provenance
 from repro.obs.slo import SLOTracker
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -269,9 +270,9 @@ class SimulatorKernel:
                 del self._trace[idx]
                 self._slo.discard(job_id)
                 if self._tracer.enabled:
-                    self._tracer.job_cancel(
-                        self.clock_s, job_id, reason=reason,
-                        work_done_mb=0.0,
+                    self._tracer.emit(
+                        self.clock_s, ev.JOB_CANCEL, job_id,
+                        reason=reason, work_done_mb=0.0,
                     )
                 return True
         state = self._active.get(job_id)
@@ -281,9 +282,9 @@ class SimulatorKernel:
         self._blocked.discard(job_id)
         self._slo.discard(job_id)
         if self._tracer.enabled:
-            self._tracer.job_cancel(
-                self.clock_s, job_id, reason=reason,
-                work_done_mb=state.work_done_mb,
+            self._tracer.emit(
+                self.clock_s, ev.JOB_CANCEL, job_id,
+                reason=reason, work_done_mb=state.work_done_mb,
             )
         self._after_cancel(state)
         return True
@@ -305,8 +306,9 @@ class SimulatorKernel:
             self._active[job.job_id] = self._new_state(job)
             self._view = None
             if self._tracer.enabled:
-                self._tracer.job_submit(
+                self._tracer.emit(
                     job.submit_time_s,
+                    ev.JOB_SUBMIT,
                     job.job_id,
                     model=job.model,
                     dataset=job.dataset.name,
@@ -341,8 +343,9 @@ class SimulatorKernel:
         self._remove(state)
         job = state.job
         if self._tracer.enabled:
-            self._tracer.job_finish(
+            self._tracer.emit(
                 finish_s,
+                ev.JOB_FINISH,
                 job.job_id,
                 jct_s=finish_s - job.submit_time_s,
                 epochs_done=state.epoch_index,
@@ -394,8 +397,9 @@ class SimulatorKernel:
             elif event.kind == "job_restart":
                 self._blocked.discard(effect.job_id)
                 if self._tracer.enabled and effect.job_id in self._active:
-                    self._tracer.job_restart(
+                    self._tracer.emit(
                         self.clock_s,
+                        ev.JOB_RESTART,
                         effect.job_id,
                         reason=event.kind,
                         epoch=self._active[effect.job_id].epoch_index,
@@ -453,14 +457,16 @@ class SimulatorKernel:
                 state.start_time_s = self.clock_s
                 key, effective_mb = self._start_job(state)
                 if tracer.enabled:
-                    tracer.job_start(
+                    tracer.emit(
                         self.clock_s,
+                        ev.JOB_START,
                         job.job_id,
                         gpus=self._allocation.gpus_of(job.job_id),
                         queue_delay_s=self.clock_s - job.submit_time_s,
                     )
-                    tracer.promote_effective(
+                    tracer.emit(
                         self.clock_s,
+                        ev.PROMOTE_EFFECTIVE,
                         job.job_id,
                         key=key,
                         effective_mb=effective_mb,
@@ -474,8 +480,9 @@ class SimulatorKernel:
                 before = old_gpus.get(job_id, 0.0)
                 after = self._allocation.gpus_of(job_id)
                 if abs(before - after) > 1e-9:
-                    tracer.alloc_change(
+                    tracer.emit(
                         self.clock_s,
+                        ev.ALLOC_CHANGE,
                         job_id,
                         gpus_before=before,
                         gpus_after=after,

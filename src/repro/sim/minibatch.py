@@ -42,6 +42,7 @@ from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
+from repro.obs import events as ev
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import SimulatorKernel
 
@@ -300,9 +301,10 @@ class MinibatchEmulator(SimulatorKernel):
             cache.resize(keep)
             cache.resize(cap)
             if tracer.enabled:
-                tracer.cache_invalidate(
+                tracer.emit(
                     self.clock_s,
-                    key,
+                    ev.CACHE_INVALIDATE,
+                    key=key,
                     delta_mb=(before - keep) * self._item_size_mb,
                     resident_mb=keep * self._item_size_mb,
                     cause=cause,
@@ -322,8 +324,9 @@ class MinibatchEmulator(SimulatorKernel):
         rt.ran_last_interval = False
         rt.comp_finish_history.clear()
         if self._tracer.enabled:
-            self._tracer.job_preempt(
+            self._tracer.emit(
                 self.clock_s,
+                ev.JOB_PREEMPT,
                 job_id,
                 reason=reason,
                 rollback_mb=rollback_items * self._item_size_mb,
@@ -423,9 +426,10 @@ class MinibatchEmulator(SimulatorKernel):
                                 rt.effective_items * ratio
                             )
                     if self._tracer.enabled:
-                        self._tracer.cache_evict(
+                        self._tracer.emit(
                             self.clock_s,
-                            key,
+                            ev.CACHE_EVICT,
+                            key=key,
                             delta_mb=(before - cache.size)
                             * self._item_size_mb,
                             resident_mb=cache.size * self._item_size_mb,
@@ -442,9 +446,10 @@ class MinibatchEmulator(SimulatorKernel):
                     self._uniform_caches[key].resize(0)
                     total_items -= freed
                     if freed and self._tracer.enabled:
-                        self._tracer.cache_evict(
+                        self._tracer.emit(
                             self.clock_s,
-                            key,
+                            ev.CACHE_EVICT,
+                            key=key,
                             delta_mb=freed * self._item_size_mb,
                             resident_mb=0.0,
                             reason="reclaim",
@@ -474,9 +479,10 @@ class MinibatchEmulator(SimulatorKernel):
                     break
                 cache.access((key, rng.randrange(population)))
             if self._tracer.enabled and cache.size > before:
-                self._tracer.cache_admit(
+                self._tracer.emit(
                     self.clock_s,
-                    key,
+                    ev.CACHE_ADMIT,
+                    key=key,
                     delta_mb=(cache.size - before) * self._item_size_mb,
                     resident_mb=cache.size * self._item_size_mb,
                     via="prefetch",
@@ -538,9 +544,10 @@ class MinibatchEmulator(SimulatorKernel):
             else:
                 cache = self._uniform_caches.get(key)
                 resident = (cache.size if cache else 0) * self._item_size_mb
-            self._tracer.cache_admit(
+            self._tracer.emit(
                 t_end,
-                key,
+                ev.CACHE_ADMIT,
+                key=key,
                 delta_mb=items * self._item_size_mb,
                 resident_mb=resident,
                 via="miss",
@@ -549,9 +556,10 @@ class MinibatchEmulator(SimulatorKernel):
         if self._is_lru:
             evicted = inserted + lru_before - self._lru_pool.size
             if evicted > 0:
-                self._tracer.cache_evict(
+                self._tracer.emit(
                     t_end,
-                    _LRU_POOL_KEY,
+                    ev.CACHE_EVICT,
+                    key=_LRU_POOL_KEY,
                     delta_mb=evicted * self._item_size_mb,
                     resident_mb=self._lru_pool.size * self._item_size_mb,
                     reason="lru",
@@ -650,11 +658,15 @@ class MinibatchEmulator(SimulatorKernel):
                 if tracing and items_done < total_items:
                     # The final epoch's boundary coincides with completion
                     # and is not emitted — matching the fluid simulator.
-                    tracer.epoch_boundary(
-                        comp_free, rt.job.job_id, epoch=rt.epochs_done
-                    )
-                    tracer.promote_effective(
+                    tracer.emit(
                         comp_free,
+                        ev.EPOCH_BOUNDARY,
+                        rt.job.job_id,
+                        epoch=rt.epochs_done,
+                    )
+                    tracer.emit(
+                        comp_free,
+                        ev.PROMOTE_EFFECTIVE,
                         rt.job.job_id,
                         key=key,
                         effective_mb=rt.effective_items * item_size,

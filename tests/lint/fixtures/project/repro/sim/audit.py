@@ -6,8 +6,9 @@ bug is calling this helper from outside the scope.
 
 
 def record_round(tracer, ts_s):
-    tracer.decision_epoch(
+    tracer.emit(
         ts_s,
+        "decision_epoch",
         round=1,
         trigger="arrival",
         num_running=0,

@@ -125,7 +125,7 @@ def test_obs_pass_reports_field_drift_detail():
     assert "job_teleport" in messages
     assert "missing fields ['epochs_done']" in messages
     assert "extra fields ['mood']" in messages
-    assert "['flavour']" in messages  # helper-call drift
+    assert "['flavour']" in messages  # drift on an ev.CONSTANT emit
 
 
 def _obs004(kind):
@@ -136,7 +136,7 @@ def _obs004(kind):
 
 
 def test_obs004_counts_both_service_emission_forms():
-    """OBS004 fires for the typed helper and the raw-emit spelling."""
+    """OBS004 fires for each service-lifecycle emit outside serve/."""
     obs004 = _obs004("service-lifecycle")
     assert len(obs004) == 2
     assert {"'service_start'" in f.message for f in obs004} == {True, False}
@@ -153,7 +153,7 @@ def test_obs004_counts_both_simulator_emission_forms():
 
 
 def test_obs004_exempts_serve_package_and_tracer_helpers():
-    """The service and the helper definitions are the legal emit sites."""
+    """The service is a legal emit site; the tracer module emits none."""
     import repro.obs.tracer as tracer_module
     import repro.serve.engine as engine_module
 

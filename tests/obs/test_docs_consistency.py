@@ -59,6 +59,24 @@ def test_compare_flags_drift_in_both_directions():
     assert tool.compare({"epoch_boundary": ["epoch"]}, code) == []
 
 
+def test_every_derived_metric_is_documented():
+    tool = _load_tool()
+    names = tool.derived_metric_names()
+    assert {"serve.rejected", "slo.warnings", "slo.violations"} <= set(names)
+    text = DOC.read_text()
+    assert tool.check_metrics_doc(text, names) == []
+    # Dropping one name from the section fails; naming it only outside
+    # the section does not count.
+    section = tool.metrics_section(text)
+    dropped = section.replace("`slo.warnings`", "`slo.warning_count`")
+    stale = text.replace(section, dropped) + "\n`slo.warnings`\n"
+    problems = tool.check_metrics_doc(stale, names)
+    assert len(problems) == 1
+    assert "'slo.warnings'" in problems[0]
+    # A doc without the section fails for every name.
+    assert len(tool.check_metrics_doc("", names)) == len(names)
+
+
 def test_design_hook_table_names_only_real_hooks():
     from repro.sim.fluid import FluidSimulator
     from repro.sim.minibatch import MinibatchEmulator

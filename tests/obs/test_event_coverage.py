@@ -29,8 +29,8 @@ def _tests_corpus() -> str:
 def test_every_event_type_appears_in_some_test():
     corpus = _tests_corpus()
     # An event type counts as exercised when its name appears as a
-    # whole token — a quoted literal ("job_submit") or a typed tracer
-    # helper call (tracer.job_submit(...)).
+    # whole token — a quoted literal ("job_submit"), as the event type
+    # of an emit or in an assertion on the recorded events.
     unexercised = [
         etype
         for etype in ev.EVENT_TYPES

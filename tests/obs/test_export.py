@@ -13,6 +13,7 @@ from repro.obs import (
     save_events,
     save_events_csv,
 )
+from repro.obs import events as ev
 
 pytestmark = pytest.mark.obs
 
@@ -20,19 +21,22 @@ pytestmark = pytest.mark.obs
 @pytest.fixture
 def tracer():
     t = Tracer()
-    t.job_submit(
-        0.0, "j1", model="resnet50", dataset="d", num_gpus=1,
-        dataset_mb=10.0, total_work_mb=20.0,
+    t.emit(
+        0.0, ev.JOB_SUBMIT, "j1", model="resnet50", dataset="d",
+        num_gpus=1, dataset_mb=10.0, total_work_mb=20.0, deadline_s=None,
     )
-    t.sched_decision(
-        0.0, policy="fifo", storage_aware=True, num_jobs=1, num_running=1,
-        gpus_granted=1, cache_granted_mb=5.0, io_granted_mbps=2.0,
-        latency_ms=0.1,
+    t.emit(
+        0.0, ev.SCHED_DECISION, policy="fifo", storage_aware=True,
+        num_jobs=1, num_running=1, gpus_granted=1, cache_granted_mb=5.0,
+        io_granted_mbps=2.0, latency_ms=0.1,
     )
-    t.job_start(0.0, "j1", gpus=1, queue_delay_s=0.0)
-    t.cache_admit(1.0, "d", delta_mb=5.0, resident_mb=5.0, via="miss")
-    t.epoch_boundary(10.0, "j1", epoch=1)
-    t.job_finish(20.0, "j1", jct_s=20.0, epochs_done=2)
+    t.emit(0.0, ev.JOB_START, "j1", gpus=1, queue_delay_s=0.0)
+    t.emit(
+        1.0, ev.CACHE_ADMIT, key="d", delta_mb=5.0, resident_mb=5.0,
+        via="miss",
+    )
+    t.emit(10.0, ev.EPOCH_BOUNDARY, "j1", epoch=1)
+    t.emit(20.0, ev.JOB_FINISH, "j1", jct_s=20.0, epochs_done=2)
     return t
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import Tracer, render_report, save_timeline_csv, timeline_rows
+from repro.obs import events as ev
 from repro.obs.report import (
     cache_table,
     decision_audit,
@@ -16,30 +17,34 @@ pytestmark = pytest.mark.obs
 @pytest.fixture
 def tracer():
     t = Tracer()
-    t.job_submit(
-        0.0, "j1", model="resnet50", dataset="d", num_gpus=1,
-        dataset_mb=100.0, total_work_mb=200.0,
+    t.emit(
+        0.0, ev.JOB_SUBMIT, "j1", model="resnet50", dataset="d",
+        num_gpus=1, dataset_mb=100.0, total_work_mb=200.0, deadline_s=None,
     )
-    t.sched_decision(
-        0.0, policy="fifo", storage_aware=True, num_jobs=1, num_running=1,
-        gpus_granted=1, cache_granted_mb=50.0, io_granted_mbps=20.0,
-        latency_ms=0.2,
+    t.emit(
+        0.0, ev.SCHED_DECISION, policy="fifo", storage_aware=True,
+        num_jobs=1, num_running=1, gpus_granted=1, cache_granted_mb=50.0,
+        io_granted_mbps=20.0, latency_ms=0.2,
     )
-    t.job_start(0.0, "j1", gpus=1, queue_delay_s=0.0)
-    t.io_throttle(
-        0.0, "j1", desired_mbps=40.0, hit_ratio=0.0,
-        demand_mbps=40.0, grant_mbps=20.0,
+    t.emit(0.0, ev.JOB_START, "j1", gpus=1, queue_delay_s=0.0)
+    t.emit(
+        0.0, ev.IO_THROTTLE, "j1", desired_mbps=40.0, hit_ratio=0.0,
+        demand_mbps=40.0, grant_mbps=20.0, capped=True,
     )
-    t.cache_admit(60.0, "d", delta_mb=50.0, resident_mb=50.0, via="miss")
-    t.epoch_boundary(100.0, "j1", epoch=1)
-    t.promote_effective(
-        100.0, "j1", key="d", effective_mb=50.0, reason="epoch_boundary"
+    t.emit(
+        60.0, ev.CACHE_ADMIT, key="d", delta_mb=50.0, resident_mb=50.0,
+        via="miss",
     )
-    t.io_throttle(
-        100.0, "j1", desired_mbps=40.0, hit_ratio=0.5,
-        demand_mbps=20.0, grant_mbps=20.0,
+    t.emit(100.0, ev.EPOCH_BOUNDARY, "j1", epoch=1)
+    t.emit(
+        100.0, ev.PROMOTE_EFFECTIVE, "j1", key="d", effective_mb=50.0,
+        reason="epoch_boundary",
     )
-    t.job_finish(200.0, "j1", jct_s=200.0, epochs_done=2)
+    t.emit(
+        100.0, ev.IO_THROTTLE, "j1", desired_mbps=40.0, hit_ratio=0.5,
+        demand_mbps=20.0, grant_mbps=20.0, capped=False,
+    )
+    t.emit(200.0, ev.JOB_FINISH, "j1", jct_s=200.0, epochs_done=2)
     return t
 
 
@@ -66,9 +71,9 @@ def test_timeline_reconstructs_achieved_throughput(tracer):
 def test_io_throttle_dedup_keeps_last_per_round(tracer):
     # A re-emission at the same (ts, job) — e.g. the minibatch emulator's
     # measured-hit pass — must supersede the model-based event.
-    tracer.io_throttle(
-        0.0, "j1", desired_mbps=40.0, hit_ratio=0.25,
-        demand_mbps=30.0, grant_mbps=20.0,
+    tracer.emit(
+        0.0, ev.IO_THROTTLE, "j1", desired_mbps=40.0, hit_ratio=0.25,
+        demand_mbps=30.0, grant_mbps=20.0, capped=True,
     )
     rows = timeline_rows(tracer.events, bins=2)
     # achieved becomes min(40, 20/(1-0.25)) = 26.67 with the override.

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.cache.base import StorageContext, trace_io_grants
+from repro.cluster.dataset import Dataset
+from repro.cluster.job import Job
+from repro.core.estimator import SiloDPerfEstimator
+from repro.obs import events as ev
 from repro.obs import (
     EVENT_FIELDS,
     EVENT_TYPES,
@@ -17,69 +22,93 @@ pytestmark = pytest.mark.obs
 
 
 def _emit_one_of_each(tracer):
-    tracer.job_submit(
-        0.0, "j1", model="resnet50", dataset="d", num_gpus=2,
-        dataset_mb=100.0, total_work_mb=300.0,
+    tracer.emit(
+        0.0, "job_submit", "j1", model="resnet50", dataset="d",
+        num_gpus=2, dataset_mb=100.0, total_work_mb=300.0, deadline_s=None,
     )
-    tracer.job_start(1.0, "j1", gpus=2, queue_delay_s=1.0)
-    tracer.sched_decision(
-        1.0, policy="fifo", storage_aware=True, num_jobs=1, num_running=1,
-        gpus_granted=2, cache_granted_mb=50.0, io_granted_mbps=10.0,
-        latency_ms=0.5,
+    tracer.emit(1.0, "job_start", "j1", gpus=2, queue_delay_s=1.0)
+    tracer.emit(
+        1.0, "sched_decision", policy="fifo", storage_aware=True,
+        num_jobs=1, num_running=1, gpus_granted=2, cache_granted_mb=50.0,
+        io_granted_mbps=10.0, latency_ms=0.5,
     )
-    tracer.alloc_change(2.0, "j1", gpus_before=2, gpus_after=1)
-    tracer.cache_admit(2.0, "d", delta_mb=40.0, resident_mb=40.0, via="miss")
-    tracer.cache_evict(
-        3.0, "d", delta_mb=10.0, resident_mb=30.0, reason="target_shrink"
+    tracer.emit(2.0, "alloc_change", "j1", gpus_before=2, gpus_after=1)
+    tracer.emit(
+        2.0, "cache_admit", key="d", delta_mb=40.0, resident_mb=40.0,
+        via="miss",
     )
-    tracer.promote_effective(
-        4.0, "j1", key="d", effective_mb=30.0, reason="epoch_boundary"
+    tracer.emit(
+        3.0, "cache_evict", key="d", delta_mb=10.0, resident_mb=30.0,
+        reason="target_shrink",
     )
-    tracer.epoch_boundary(4.0, "j1", epoch=1)
-    tracer.io_throttle(
-        4.0, "j1", desired_mbps=20.0, hit_ratio=0.3,
-        demand_mbps=14.0, grant_mbps=10.0,
+    tracer.emit(
+        4.0, "promote_effective", "j1", key="d", effective_mb=30.0,
+        reason="epoch_boundary",
     )
-    tracer.fault_inject(4.5, kind="server_crash", target="", magnitude=1.0)
-    tracer.node_down(4.5, kind="server", gpus_lost=8.0, cache_lost_mb=64.0)
-    tracer.cache_invalidate(
-        4.5, "d", delta_mb=5.0, resident_mb=25.0, cause="server_crash"
+    tracer.emit(4.0, "epoch_boundary", "j1", epoch=1)
+    tracer.emit(
+        4.0, "io_throttle", "j1", desired_mbps=20.0, hit_ratio=0.3,
+        demand_mbps=14.0, grant_mbps=10.0, capped=True,
     )
-    tracer.job_preempt(
-        4.5, "j1", reason="server_crash", rollback_mb=10.0, epoch=1
+    tracer.emit(
+        4.5, "fault_inject", kind="server_crash", target="", magnitude=1.0
     )
-    tracer.node_up(4.8, kind="server", gpus_restored=8.0, cache_restored_mb=64.0)
-    tracer.job_restart(4.8, "j1", reason="job_restart", epoch=1)
-    tracer.decision_epoch(
-        4.9, round=1, trigger="reschedule", num_running=1, num_queued=0,
-        gpus_total=8.0, cache_total_mb=64.0, io_total_mbps=100.0,
+    tracer.emit(
+        4.5, "node_down", kind="server", gpus_lost=8.0, cache_lost_mb=64.0
     )
-    tracer.decision_job(
-        4.9, "j1", round=1, gpus=2.0, cache_mb=50.0, io_mbps=10.0,
-        f_star_mbps=20.0, hit_ratio=0.3, est_mbps=14.3, io_bound=True,
-        eff_cache_mb=30.0, score=0.0, generation="V100",
+    tracer.emit(
+        4.5, "cache_invalidate", key="d", delta_mb=5.0, resident_mb=25.0,
+        cause="server_crash",
+    )
+    tracer.emit(
+        4.5, "job_preempt", "j1", reason="server_crash", rollback_mb=10.0,
+        epoch=1,
+    )
+    tracer.emit(
+        4.8, "node_up", kind="server", gpus_restored=8.0,
+        cache_restored_mb=64.0,
+    )
+    tracer.emit(4.8, "job_restart", "j1", reason="job_restart", epoch=1)
+    tracer.emit(
+        4.9, "decision_epoch", round=1, trigger="reschedule",
+        num_running=1, num_queued=0, gpus_total=8.0, cache_total_mb=64.0,
+        io_total_mbps=100.0,
+    )
+    tracer.emit(
+        4.9, "decision_job", "j1", round=1, gpus=2.0, cache_mb=50.0,
+        io_mbps=10.0, f_star_mbps=20.0, hit_ratio=0.3, est_mbps=14.3,
+        io_bound=True, eff_cache_mb=30.0, score=0.0, generation="V100",
         f_star_gen_mbps={"V100": 20.0},
     )
-    tracer.slo_warn(
-        4.9, "j1", deadline_s=6.0, elapsed_s=4.9, remaining_s=1.1,
-        ratio=0.8167,
+    tracer.emit(
+        4.9, "slo_warn", "j1", deadline_s=6.0, elapsed_s=4.9,
+        remaining_s=1.1, ratio=0.8167,
     )
-    tracer.slo_violation(
-        5.0, "j1", deadline_s=4.0, jct_s=5.0, overrun_s=1.0,
-        state="finished",
+    tracer.emit(
+        5.0, "slo_violation", "j1", deadline_s=4.0, jct_s=5.0,
+        overrun_s=1.0, state="finished",
     )
-    tracer.job_finish(5.0, "j1", jct_s=5.0, epochs_done=1)
-    tracer.service_start(
-        0.0, policy="fifo", cache="silod", simulator="fluid",
-        gpus=16.0, queue_limit=64,
+    tracer.emit(5.0, "job_finish", "j1", jct_s=5.0, epochs_done=1)
+    tracer.emit(
+        0.0, "service_start", policy="fifo", cache="silod",
+        simulator="fluid", gpus=16.0, queue_limit=64,
     )
-    tracer.clock_set(0.0, action="resume", speedup=0.0, virtual_s=0.0)
-    tracer.job_reject(5.5, "j2", reason="queue_full", queue_depth=64)
-    tracer.job_cancel(5.5, "j1", reason="user", work_done_mb=120.0)
-    tracer.service_stop(6.0, reason="drained", jobs_submitted=2, jobs_finished=1)
+    tracer.emit(
+        0.0, "clock_set", action="resume", speedup=0.0, virtual_s=0.0
+    )
+    tracer.emit(
+        5.5, "job_reject", "j2", reason="queue_full", queue_depth=64
+    )
+    tracer.emit(
+        5.5, "job_cancel", "j1", reason="user", work_done_mb=120.0
+    )
+    tracer.emit(
+        6.0, "service_stop", reason="drained", jobs_submitted=2,
+        jobs_finished=1,
+    )
 
 
-def test_typed_helpers_cover_every_event_type():
+def test_fixture_emits_every_event_type():
     tracer = Tracer()
     _emit_one_of_each(tracer)
     assert sorted({e.etype for e in tracer.events}) == sorted(EVENT_TYPES)
@@ -97,9 +126,9 @@ def test_events_are_schema_valid_and_sequenced():
 
 def test_emission_order_is_preserved_under_timestamp_ties():
     tracer = Tracer()
-    tracer.epoch_boundary(1.0, "a", epoch=1)
-    tracer.epoch_boundary(1.0, "b", epoch=1)
-    tracer.epoch_boundary(1.0, "c", epoch=1)
+    tracer.emit(1.0, ev.EPOCH_BOUNDARY, "a", epoch=1)
+    tracer.emit(1.0, ev.EPOCH_BOUNDARY, "b", epoch=1)
+    tracer.emit(1.0, ev.EPOCH_BOUNDARY, "c", epoch=1)
     assert [e.job_id for e in tracer.events] == ["a", "b", "c"]
 
 
@@ -124,19 +153,54 @@ def test_metrics_counters_track_events():
     assert snap["cluster"]["counters"]["cache.evicted_mb"] == 10.0
     # io_throttle above was capped (grant < demand).
     assert snap["jobs"]["j1"]["counters"]["io.throttled_rounds"] == 1
+    counters = snap["cluster"]["counters"]
+    assert counters["cache.invalidated_mb"] == 5.0
+    assert counters["faults.injected"] == 1
+    assert snap["jobs"]["j1"]["counters"]["faults.preemptions"] == 1
+    assert counters["serve.rejected"] == 1
+    assert counters["slo.warnings"] == 1
+    assert counters["slo.violations"] == 1
+    windows = snap["cluster"]["windows"]
+    assert windows["jct_s"]["p50"] == 5.0
+    assert windows["decision_latency_ms"]["p50"] == 0.5
+    assert windows["queue_depth"]["p50"] == 0.0
+    assert windows["cache_hit_ratio"]["p50"] == 0.3
 
 
 def test_io_throttle_derives_capped_flag():
+    """``trace_io_grants`` flags a grant below the induced demand."""
     tracer = Tracer()
-    tracer.io_throttle(
-        0.0, "j", desired_mbps=10.0, hit_ratio=0.0,
-        demand_mbps=10.0, grant_mbps=10.0,
+    jobs = [
+        Job(
+            job_id=job_id,
+            model="m",
+            dataset=Dataset("d", 100.0),
+            num_gpus=1,
+            ideal_throughput_mbps=10.0,
+            total_work_mb=200.0,
+        )
+        for job_id in ("full", "short")
+    ]
+    ctx = StorageContext(
+        running_jobs=jobs,
+        gpu_grants={"full": 1.0, "short": 1.0},
+        total_gpus=2.0,
+        total_cache_mb=0.0,
+        total_io_mbps=14.0,
+        effective_mb={},
+        first_epoch_done=lambda job: True,
+        estimator=SiloDPerfEstimator(),
+        f_stars=[10.0, 10.0],
+        tracer=tracer,
     )
-    tracer.io_throttle(
-        0.0, "j", desired_mbps=10.0, hit_ratio=0.0,
-        demand_mbps=10.0, grant_mbps=4.0,
+    trace_io_grants(
+        ctx, hit_ratios={"full": 0.0, "short": 0.0},
+        io_grants={"full": 10.0, "short": 4.0},
     )
     assert [e.fields["capped"] for e in tracer.events] == [False, True]
+    counters = tracer.metrics.snapshot()["jobs"]
+    assert "io.throttled_rounds" not in counters["full"]["counters"]
+    assert counters["short"]["counters"]["io.throttled_rounds"] == 1
 
 
 def test_null_tracer_records_nothing():
@@ -155,7 +219,7 @@ def test_null_tracer_records_nothing():
 def test_max_events_cap_drops_and_counts():
     tracer = Tracer(max_events=3)
     for i in range(5):
-        tracer.epoch_boundary(float(i), "j", epoch=i + 1)
+        tracer.emit(float(i), ev.EPOCH_BOUNDARY, "j", epoch=i + 1)
     assert len(tracer.events) == 3
     assert tracer.dropped == 2
 
@@ -164,7 +228,9 @@ def test_max_events_cap_drops_and_counts():
 def test_max_events_cap_still_counts_every_event(tracer_cls):
     tracer = tracer_cls(max_events=1)
     for i in range(5):
-        tracer.job_finish(float(i), f"j{i}", jct_s=10.0, epochs_done=1)
+        tracer.emit(
+            float(i), ev.JOB_FINISH, f"j{i}", jct_s=10.0, epochs_done=1
+        )
     assert len(tracer.events) == 1
     assert tracer.dropped == 4
     snapshot = tracer.metrics.snapshot()

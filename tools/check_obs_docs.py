@@ -7,7 +7,9 @@ emits and validates) and ``docs/OBSERVABILITY.md`` (what operators read).
 This script parses the doc's ``### `event_type` `` headings and the
 first column of each field table and fails — exit code 1, with a
 per-drift message — whenever either side documents an event type or a
-field the other does not have.
+field the other does not have. Every metric the tracer derives from
+the event stream (``repro.obs.tracer.DERIVED_METRICS``) must be named
+in the doc's "Metrics registry" section.
 
 The fault subsystem gets the same treatment: every fault kind in
 ``repro.faults.FAULT_KINDS`` must have a ``### `kind` `` section in
@@ -149,6 +151,40 @@ def check_windows_doc(text: str, window_names: list) -> list:
                 f"but never mentioned in docs/OBSERVABILITY.md"
             )
     return problems
+
+
+def metrics_section(text: str) -> str:
+    """The "## Metrics registry" section, up to the next ``## ``."""
+    lines = text.splitlines()
+    try:
+        start = lines.index("## Metrics registry")
+    except ValueError:
+        return ""
+    section = []
+    for line in lines[start + 1:]:
+        if line.startswith("## "):
+            break
+        section.append(line)
+    return "\n".join(section)
+
+
+def check_metrics_doc(text: str, metric_names: list) -> list:
+    """Drift messages for derived metrics the registry section omits."""
+    section = metrics_section(text)
+    return [
+        f"metric {name!r} is in repro.obs.tracer.DERIVED_METRICS but "
+        f"never named in docs/OBSERVABILITY.md's 'Metrics registry' "
+        f"section"
+        for name in metric_names
+        if f"`{name}`" not in section
+    ]
+
+
+def derived_metric_names() -> list:
+    """Every metric name in the tracer's derived-metric table."""
+    from repro.obs.tracer import DERIVED_METRICS
+
+    return [row.metric for rows in DERIVED_METRICS.values() for row in rows]
 
 
 def check_serve_doc(
@@ -357,6 +393,8 @@ def main() -> int:
     code_fields = {k: list(v) for k, v in EVENT_FIELDS.items()}
     problems = compare(doc_schema, code_fields)
     problems.extend(check_windows_doc(obs_text, list(WINDOW_NAMES)))
+    metric_names = derived_metric_names()
+    problems.extend(check_metrics_doc(obs_text, metric_names))
     problems.extend(check_class_refs(obs_text, repro_symbols()))
     if not FAULTS_DOC_PATH.exists():
         problems.append("docs/FAULTS.md is missing")
@@ -410,7 +448,8 @@ def main() -> int:
     print(
         f"docs/OBSERVABILITY.md in sync: {len(code_fields)} event types, "
         f"{sum(len(v) for v in code_fields.values())} fields, "
-        f"{len(WINDOW_NAMES)} windows; "
+        f"{len(WINDOW_NAMES)} windows, "
+        f"{len(metric_names)} derived metrics; "
         f"docs/FAULTS.md in sync: {len(FAULT_KINDS)} fault kinds; "
         f"docs/SERVE.md in sync: {len(OPS)} ops; "
         f"docs/LINT.md in sync: {len(rule_owners)} rules catalogued; "
