@@ -80,8 +80,10 @@ class SiloDDataManager(CacheSystem):
         the running jobs' effective bytes, so when every one equals the
         value the previous ``decide`` read, that decision is handed back
         as the *same object* — the simulator's cue that nothing changed
-        and nothing needs re-applying. A simulator that gathers a fresh
-        column every round therefore never sees a reused decision.
+        and nothing needs re-applying. The kernel gathers a fresh column
+        only when a scheduling round installs a new allocation, so a
+        decision is reused at quiet epoch boundaries and after a reused
+        scheduling round (see ``SimulatorKernel._schedule_round``).
         Traced rounds always recompute: each emits its own
         ``io_throttle`` events. Otherwise this is
         :meth:`CacheSystem.reallocate`.

@@ -97,6 +97,16 @@ class SchedulingPolicy(abc.ABC):
     #: Human-readable policy name used in reports.
     name: str = "policy"
 
+    #: Whether a round depends only on the job list, the totals, the
+    #: effective-bytes map and the scheduler's fixed state (estimator,
+    #: ``gpu_pools``, ``storage_aware``) — never on ``ctx.now_s`` or
+    #: ``ctx.attained_service_s``. ``SiloDScheduler.schedule`` may
+    #: then hand back the allocation in force, without calling
+    #: :meth:`schedule`, on an untraced round whose inputs equal the
+    #: previous round's. A property of the policy's code (lint rule
+    #: POL005), not a user option.
+    pure_round: bool = False
+
     @abc.abstractmethod
     def schedule(
         self,

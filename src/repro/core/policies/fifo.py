@@ -32,6 +32,7 @@ class FifoPolicy(SchedulingPolicy):
     """
 
     name = "fifo"
+    pure_round = True
 
     def __init__(self, backfill: bool = True) -> None:
         self._backfill = backfill

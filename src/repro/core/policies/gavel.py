@@ -402,6 +402,7 @@ class GavelPolicy(SchedulingPolicy):
     """Max-min fairness over (GPU share, cache, remote IO)."""
 
     name = "gavel"
+    pure_round = True
 
     #: The round's per-generation GPU pools as ``(capacity, member job
     #: indices)``, checked by the joint solver; empty on a homogeneous

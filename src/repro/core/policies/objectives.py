@@ -35,6 +35,7 @@ class MaxTotalThroughputPolicy(SchedulingPolicy):
     """Maximise aggregate training throughput (cluster utilisation)."""
 
     name = "max-throughput"
+    pure_round = True
 
     def schedule(
         self,

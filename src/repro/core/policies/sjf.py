@@ -103,6 +103,7 @@ class SjfPolicy(SchedulingPolicy):
     """
 
     name = "sjf"
+    pure_round = True
 
     def order(
         self,

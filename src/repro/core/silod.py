@@ -65,7 +65,9 @@ class SiloDScheduler:
         #: Per-job policy scores from the most recent :meth:`schedule`
         #: call (merged across partitions). Read by the simulators to
         #: stamp ``decision_job`` provenance events; empty before the
-        #: first round.
+        #: first round. A reused round (see :meth:`schedule`) keeps
+        #: this and the other ``last_*`` fields of the round that
+        #: computed the allocation — what a fresh solve would publish.
         self.last_scores: Dict[str, float] = {}
         #: Reference GPU generation: the one jobs are profiled on
         #: (speedup factor exactly 1.0). Updated by
@@ -82,6 +84,10 @@ class SiloDScheduler:
         #: job_id -> {generation: f* MB/s} from the last round —
         #: the per-generation compute bounds the policy weighed.
         self.last_gen_scores: Dict[str, Dict[str, float]] = {}
+        #: The inputs and answer of the last untraced round of a
+        #: ``pure_round`` policy (see :meth:`schedule`).
+        self._round_key: Optional[tuple] = None
+        self._round_allocation: Optional[Allocation] = None
 
     def enable_heterogeneity(self, cluster) -> None:
         """Adopt the cluster's generation mix (called by the simulators).
@@ -125,8 +131,34 @@ class SiloDScheduler:
         demands (§6); ``attained_service_s`` feeds service-based
         priorities (Tiresias-style LAS). Omit both for one-shot
         steady-state allocations.
+
+        An untraced round of a ``pure_round`` policy whose inputs equal
+        the previous call's — the same jobs in the same order, their
+        effective bytes, the totals, and the policy, estimator, GPU
+        pools and storage awareness — hands back the allocation already returned,
+        without calling the policy: a fresh solve would return an equal
+        one. The ``last_*`` fields and the het estimator's
+        ``assignments`` stay those of that solve. Traced rounds always
+        recompute, so each emits its own ``sched_decision``.
         """
         tracer = self.tracer
+        key = None
+        if self.policy.pure_round and not tracer.enabled:
+            key = (
+                list(jobs),
+                None
+                if effective_cache_mb is None
+                else [effective_cache_mb.get(job.job_id) for job in jobs],
+                total,
+                self.policy,
+                self.estimator,
+                self.gpu_pools,
+                self.storage_aware,
+            )
+            # Exact on purpose: a reused round must be bit-identical to
+            # a solve.
+            if key == self._round_key:  # lint: disable=FLT001
+                return self._round_allocation
         # Wall-clock by design: ``latency_ms`` reports the *real* cost of
         # a decision round, not simulated time; it never feeds back into
         # scheduling, so determinism of the run is unaffected.
@@ -178,6 +210,8 @@ class SiloDScheduler:
                     time.perf_counter() - t0  # lint: disable=DET003
                 ),
             )
+        self._round_key = key
+        self._round_allocation = allocation
         return allocation
 
     # ------------------------------------------------------------------

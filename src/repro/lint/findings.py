@@ -50,6 +50,8 @@ RULES: Dict[str, str] = {
     "attributes",
     "POL004": "heterogeneity-aware policy never publishes per-generation "
     "scores (ScheduleContext.gen_scores)",
+    "POL005": "pure_round policy reads now_s or attained_service_s "
+    "(a reused round never sees them)",
     "PERF001": "per-item Python loop over cache state in a module that "
     "imports repro.sim or repro.cache (use the store's bulk APIs)",
     "XUNI001": "mixed-unit arithmetic/comparison or suffix-mismatched "

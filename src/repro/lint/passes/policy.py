@@ -19,7 +19,16 @@ that defines a ``SchedulingPolicy`` subclass:
   whose local class chain never references ``gen_scores``: a
   heterogeneity-aware policy must publish its per-generation compute
   bounds through ``ScheduleContext.gen_scores`` so decision provenance
-  (``decision_job.f_star_gen_mbps``) can explain the placement.
+  (``decision_job.f_star_gen_mbps``) can explain the placement;
+* ``POL005`` — a policy class whose nearest ``pure_round``
+  declaration is ``True`` and whose class chain, or a project function
+  its methods reach, reads ``now_s`` or ``attained_service_s``: the
+  scheduler reuses a pure policy's round whenever the job list, totals
+  and effective bytes repeat, so the round must not depend on the
+  clock or on attained service. This rule runs in the whole-program
+  phase, so the declaration and the reads may sit in other modules
+  than the class (bases are resolved through the symbol table, helpers
+  through the call graph).
 """
 
 from __future__ import annotations
@@ -28,8 +37,14 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.lint.astutil import dotted_name
-from repro.lint.engine import LintPass, SourceFile
+from repro.lint.engine import (
+    LintPass,
+    ProjectIndex,
+    ProjectPass,
+    SourceFile,
+)
 from repro.lint.findings import Finding
+from repro.lint.symbols import ClassSymbol, SymbolTable
 
 #: The interface base class policies must extend.
 _BASE_NAME = "SchedulingPolicy"
@@ -54,11 +69,15 @@ def _in_policies_package(src: SourceFile) -> bool:
     return False
 
 
-class PolicyConformancePass(LintPass):
-    """Check SchedulingPolicy subclasses and policy-module hygiene."""
+class PolicyConformancePass(LintPass, ProjectPass):
+    """Check SchedulingPolicy subclasses and policy-module hygiene.
+
+    ``POL001``–``POL004`` are per-file checks; ``POL005`` runs over the
+    whole-program index (:meth:`run_project`).
+    """
 
     name = "policy"
-    rules = ("POL001", "POL002", "POL003", "POL004")
+    rules = ("POL001", "POL002", "POL003", "POL004", "POL005")
 
     docs = {
         "POL001": (
@@ -85,6 +104,15 @@ class PolicyConformancePass(LintPass):
             "publish per-generation compute bounds through\n"
             "ScheduleContext.gen_scores so decision provenance\n"
             "(decision_job.f_star_gen_mbps) can explain placements."
+        ),
+        "POL005": (
+            "A policy declaring pure_round = True reads now_s or\n"
+            "attained_service_s, in its class chain or in a project\n"
+            "function its methods reach. The scheduler keeps a pure\n"
+            "policy's allocation in force whenever the job list,\n"
+            "totals and effective bytes repeat, so its round must not\n"
+            "depend on the clock or on attained service. Bases and\n"
+            "declarations are resolved across modules."
         ),
     }
 
@@ -175,6 +203,40 @@ class PolicyConformancePass(LintPass):
                 "per-generation scores via ScheduleContext.gen_scores",
             )
         ]
+
+    def run_project(self, index: ProjectIndex) -> List[Finding]:
+        """``POL005`` over every policy class in the index."""
+        table = index.table
+        findings: List[Finding] = []
+        for qname in sorted(table.classes):
+            symbol = table.classes[qname]
+            ancestry = _ancestry(table, symbol)
+            if not _is_policy(ancestry):
+                continue
+            # The nearest declaration wins, as attribute lookup does.
+            declared = _UNSET
+            for ancestor in ancestry:
+                declared = _class_constant(ancestor.node, "pure_round")
+                if declared is not _UNSET:
+                    break
+            if declared is not True:
+                continue
+            reads = _impure_reads_reached(index, ancestry)
+            if not reads:
+                continue
+            read = sorted(reads)
+            where = sorted({w for name in read for w in reads[name]})
+            findings.append(
+                symbol.src.finding(
+                    symbol.node,
+                    "POL005",
+                    f"policy class {symbol.node.name} declares "
+                    f"pure_round = True but reads {' and '.join(read)} "
+                    f"(in {', '.join(where)}), which a reused round "
+                    "never sees",
+                )
+            )
+        return findings
 
     def _check_private_access(self, src: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
@@ -276,26 +338,109 @@ def _local_ancestry(
     return out
 
 
+#: :func:`_class_constant`'s answer for a class that assigns no value.
+_UNSET = object()
+
+#: The round inputs a ``pure_round`` policy must not read.
+_IMPURE_INPUTS = ("now_s", "attained_service_s")
+
+
+def _class_constant(cls: ast.ClassDef, attr: str):
+    """The constant the class body last assigns to ``attr``.
+
+    ``_UNSET`` when the body assigns nothing; ``None`` when the value
+    is not a literal constant.
+    """
+    found = _UNSET
+    for item in cls.body:
+        if isinstance(item, ast.Assign):
+            targets = item.targets
+        elif isinstance(item, ast.AnnAssign) and item.value is not None:
+            targets = [item.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
+            value = item.value
+            found = value.value if isinstance(value, ast.Constant) else None
+    return found
+
+
 def _declares_het_aware(cls: ast.ClassDef) -> bool:
     """Does the class body set ``heterogeneity_aware = True``?"""
-    for item in cls.body:
-        value = None
-        if isinstance(item, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == "heterogeneity_aware"
-                for t in item.targets
-            ):
-                value = item.value
-        elif isinstance(item, ast.AnnAssign):
-            target = item.target
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "heterogeneity_aware"
-            ):
-                value = item.value
-        if isinstance(value, ast.Constant) and value.value is True:
-            return True
-    return False
+    return _class_constant(cls, "heterogeneity_aware") is True
+
+
+def _ancestry(table: SymbolTable, symbol: ClassSymbol) -> List[ClassSymbol]:
+    """``symbol`` and its project ancestors, nearest first, cycle-safe.
+
+    Breadth-first over bases resolved through each module's imports,
+    like :meth:`SymbolTable.resolve_method`.
+    """
+    out: List[ClassSymbol] = []
+    seen: Set[str] = set()
+    queue = [symbol]
+    while queue:
+        current = queue.pop(0)
+        if current.qname in seen:
+            continue
+        seen.add(current.qname)
+        out.append(current)
+        queue.extend(table.base_classes(current))
+    return out
+
+
+def _is_policy(ancestry: List[ClassSymbol]) -> bool:
+    """Does the chain extend ``SchedulingPolicy`` (indexed or not)?"""
+    return any(
+        name.split(".")[-1] == _BASE_NAME
+        for symbol in ancestry
+        for name in symbol.base_names
+    )
+
+
+def _impure_reads_reached(
+    index: ProjectIndex, ancestry: List[ClassSymbol]
+) -> Dict[str, Set[str]]:
+    """Impure input -> where it is read: the chain's class bodies and
+    every project function their methods reach through the call
+    graph."""
+    reads: Dict[str, Set[str]] = {}
+    chain = {symbol.qname for symbol in ancestry}
+    for symbol in ancestry:
+        for name in _impure_reads(symbol.node):
+            reads.setdefault(name, set()).add(symbol.qname)
+    seen: Set[str] = set()
+    stack = [
+        method.qname
+        for symbol in ancestry
+        for method in symbol.methods.values()
+    ]
+    while stack:
+        caller = stack.pop()
+        if caller in seen:
+            continue
+        seen.add(caller)
+        for edge in index.graph.callees(caller):
+            callee = index.table.function(edge.callee)
+            if callee is None or callee.qname in seen:
+                continue
+            # The chain's own methods were walked with their class.
+            if callee.class_qname not in chain:
+                for name in _impure_reads(callee.node):
+                    reads.setdefault(name, set()).add(callee.qname)
+            stack.append(callee.qname)
+    return reads
+
+
+def _impure_reads(tree: ast.AST) -> Set[str]:
+    """The :data:`_IMPURE_INPUTS` read anywhere under ``tree``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _IMPURE_INPUTS:
+            read.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in _IMPURE_INPUTS:
+            read.add(node.id)
+    return read
 
 
 def _references_gen_scores(cls: ast.ClassDef) -> bool:

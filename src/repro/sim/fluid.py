@@ -533,8 +533,10 @@ class FluidSimulator(SimulatorKernel):
     # Scheduling and storage decisions.
     # ------------------------------------------------------------------
 
-    def _schedule_round(self) -> None:
-        super()._schedule_round()
+    def _schedule_round(self) -> bool:
+        if not super()._schedule_round():
+            # The allocation in force was kept: so is its placement.
+            return False
         # Mirror the round's generation placement into the job table's
         # gen column; ``generation_of`` reads it back. A one-pool fleet
         # places every job on the reference generation, so nothing is
@@ -549,6 +551,7 @@ class FluidSimulator(SimulatorKernel):
                     self._table.set_generation(
                         row, generations.get(job_id, default_gen)
                     )
+        return True
 
     def _attained_service_s(self, job: Job) -> float:
         """GPU-seconds of service the job has attained (for LAS).

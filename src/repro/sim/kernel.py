@@ -9,8 +9,9 @@ pending trace, admission, retirement, cancellation, the fault-schedule
 loop, the scheduling round's start/allocation bookkeeping, the stepped
 ``begin``/``step``/``finish`` protocol and the final result — is the
 same job lifecycle, so it lives here once. A fidelity gap between the
-two (our analog of the paper's Table 6) can then only come from the
-advance models.
+two (our analog of the paper's Table 6) comes from two sources: the
+advance models, and admission timing — the emulator admits a job only
+at its next decision tick, the fluid simulator at its submit time.
 
 Subclasses keep ``step`` (and their event-time search) in their own
 class body and fill in a few hooks:
@@ -67,10 +68,10 @@ class _RoundView:
 
     Its fields only change when the scheduler re-allocates or the
     active set changes, so the kernel builds the view lazily and drops
-    it at admission, at removal and at the end of every scheduling
-    round; every storage decision and sample in between reads the same
-    lists. Consumers treat every field (including ``gpu_grants``) as
-    read-only.
+    it at admission, at removal and when a scheduling round installs a
+    new allocation (a reused round keeps it); every storage decision
+    and sample in between reads the same lists. Consumers treat every
+    field (including ``gpu_grants``) as read-only.
     """
 
     __slots__ = ("running", "job_ids", "queued", "gpu_grants", "f_stars")
@@ -412,7 +413,7 @@ class SimulatorKernel:
     # The scheduling round.
     # ------------------------------------------------------------------
 
-    def _schedule_round(self) -> None:
+    def _schedule_round(self) -> bool:
         """Run the policy and start newly granted jobs.
 
         The prologue of every reschedule: blocked jobs sit the round
@@ -420,6 +421,14 @@ class SimulatorKernel:
         and emit ``job_start``/``promote_effective``, and every changed
         GPU grant emits ``alloc_change`` (sorted by job id). The new
         allocation ends the round view.
+
+        When the scheduler hands back the allocation already in force
+        (an untraced round of a ``pure_round`` policy whose inputs
+        repeat, see :meth:`SiloDScheduler.schedule`) and no job was
+        admitted or removed since it was installed, every granted job
+        has already started and the round view still holds: both are
+        kept and it returns ``False``. Otherwise it installs the
+        allocation and returns ``True``.
         """
         self.sched_rounds += 1
         jobs = [
@@ -429,13 +438,16 @@ class SimulatorKernel:
         ]
         tracer = self._tracer
         old_gpus = dict(self._allocation.gpus) if tracer.enabled else {}
-        self._allocation = self.scheduler.schedule(
+        allocation = self.scheduler.schedule(
             jobs,
             self.total,
             now_s=self.clock_s,
             effective_cache_mb=self._effective_map(),
             **self._schedule_args(),
         )
+        if allocation is self._allocation and self._view is not None:
+            return False
+        self._allocation = allocation
         if tracer.enabled:
             start_candidates = self._active.values()
         else:
@@ -488,6 +500,7 @@ class SimulatorKernel:
                         gpus_after=after,
                     )
         self._view = None
+        return True
 
     # ------------------------------------------------------------------
     # The storage round.

@@ -25,3 +25,23 @@ class SilentHetPolicy(SchedulingPolicy):  # POL004: no gen_scores
     def schedule(self, jobs, total, ctx):
         """Allocate without ever exposing per-generation scores."""
         return ctx.estimator.empty_allocation()
+
+
+class ServiceOrderPolicy(SchedulingPolicy):
+    """Least attained service first (impure, and says nothing)."""
+
+    name = "service-order"
+
+    def schedule(self, jobs, total, ctx):
+        """Admit by attained service."""
+        allocation = ctx.estimator.empty_allocation()
+        for job in sorted(jobs, key=ctx.attained_service_s):
+            allocation.grant_gpus(job.job_id, job.num_gpus)
+        return allocation
+
+
+class PureServiceOrderPolicy(ServiceOrderPolicy):  # POL005: reads service
+    """Opts in to round reuse although its order moves with service."""
+
+    name = "pure-service-order"
+    pure_round = True

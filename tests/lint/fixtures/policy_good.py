@@ -41,3 +41,22 @@ class InheritedHetPolicy(HonestHetPolicy):
     """Inherits both the declaration and the publishing ancestor."""
 
     name = "inherited-het"
+
+
+class PureArrivalPolicy(WellBehavedPolicy):
+    """Opts in to round reuse; reads neither the clock nor service."""
+
+    name = "pure-arrival"
+    pure_round = True
+
+
+class ClockedPolicy(PureArrivalPolicy):
+    """Reads the clock, so it opts back out of its parent's reuse."""
+
+    name = "clocked"
+    pure_round = False
+
+    def schedule(self, jobs, total, ctx):
+        """Skip jobs submitted in the future."""
+        ready = [job for job in jobs if job.submit_time_s <= ctx.now_s]
+        return super().schedule(ready, total, ctx)

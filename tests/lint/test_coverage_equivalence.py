@@ -45,6 +45,7 @@ BEFORE = [
     ("policy_bad.py", 12, "POL003"),
     ("policy_bad.py", 16, "POL003"),
     ("policy_bad.py", 19, "POL004"),
+    ("policy_bad.py", 43, "POL005"),
     ("project/repro/clockmod.py", 7, "DET003"),
     ("project/repro/emitter.py", 7, "OBS002"),
     ("project/repro/serve/narrate.py", 9, "OBS002"),

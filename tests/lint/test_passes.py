@@ -52,7 +52,7 @@ CASES = [
     (
         PolicyConformancePass,
         "policy_bad.py",
-        {"POL001", "POL002", "POL003", "POL004"},
+        {"POL001", "POL002", "POL003", "POL004", "POL005"},
         "policy_good.py",
     ),
     (

@@ -194,3 +194,53 @@ class TestSoundnessGap:
         payload = json.loads(capsys.readouterr().out)
         assert payload["unresolved_calls"] >= 2
         assert [f["rule"] for f in payload["findings"]] == ["OBS004"] * 2
+
+
+#: POL005 across modules: ``base`` opts in, ``child`` inherits the
+#: opt-in and reaches the clock through a helper in ``helpers``, and
+#: ``optout`` declares ``pure_round = False`` again.
+PURE_TREE = {
+    "pkg/__init__.py": "",
+    "pkg/base.py": (
+        "from repro.core.policies.base import SchedulingPolicy\n"
+        "\n"
+        "class Pure(SchedulingPolicy):\n"
+        '    name = "pure"\n'
+        "    pure_round = True\n"
+        "\n"
+        "    def schedule(self, jobs, total, ctx):\n"
+        "        return self.order(jobs, ctx)\n"
+        "\n"
+        "    def order(self, jobs, ctx):\n"
+        "        return jobs\n"
+    ),
+    "pkg/helpers.py": (
+        "def by_slack(jobs, ctx):\n"
+        "    return sorted(jobs, key=lambda j: j.deadline_s - ctx.now_s)\n"
+    ),
+    "pkg/child.py": (
+        "from pkg.base import Pure\n"
+        "from pkg.helpers import by_slack\n"
+        "\n"
+        "class Clocked(Pure):\n"
+        "    def order(self, jobs, ctx):\n"
+        "        return by_slack(jobs, ctx)\n"
+    ),
+    "pkg/optout.py": (
+        "from pkg.child import Clocked\n"
+        "\n"
+        "class Honest(Clocked):\n"
+        "    pure_round = False\n"
+    ),
+}
+
+
+def test_pol005_resolves_bases_and_helpers_across_modules(tmp_path):
+    root = write_tree(tmp_path, PURE_TREE)
+    findings = lint_paths(
+        [root / "pkg"], build_passes(["POL005"]), display_root=root
+    )
+    assert [(f.path, f.line, f.rule) for f in findings] == [
+        ("pkg/child.py", 4, "POL005")
+    ]
+    assert "now_s (in pkg.helpers.by_slack)" in findings[0].message

@@ -3,7 +3,11 @@
 #
 #   1. `repro lint`           — the invariant linter (repro.lint) over
 #      src/repro, tools/ and benchmarks/; any finding not suppressed
-#      inline (`# lint: disable=RULE`), PAR001 included, fails.
+#      inline (`# lint: disable=RULE`), PAR001 included, fails. POL005
+#      is among them: a policy declaring `pure_round = True` (its round
+#      may be reused when its inputs repeat) must not read `now_s` or
+#      `attained_service_s`, in its class chain across modules or in a
+#      helper its methods call.
 #   2. docs/schema sync        — tools/check_obs_docs.py keeps
 #      docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVE.md,
 #      docs/LINT.md and docs/DESIGN.md's simulator hook table truthful.
@@ -27,6 +31,13 @@
 #      crash + bandwidth flap, and an online submit/cancel run; each
 #      cell also runs traced and pins a digest of its event stream, so
 #      a moved emission in the shared lifecycle kernel fails here).
+#      The reuse suites run here too: tests/sim/test_round_reuse.py
+#      runs every `pure_round` policy in both simulators against a
+#      twin that never reuses a scheduling round (four caches, churn,
+#      a cancel, a deadline, a K80/P100/V100 fleet) and requires
+#      bit-identical results, and tests/core/policies/test_pure_round.py
+#      checks over generated rounds that a pure round ignores the
+#      clock and attained service.
 #   4. serve smoke             — tools/serve_smoke.py boots
 #      `python -m repro serve` as a subprocess, drives three jobs
 #      through the socket, and requires a drained, clean exit within a
