@@ -47,6 +47,13 @@ class PrefetchingDataManager(SiloDDataManager):
         self._max_prefetch_fraction = max_prefetch_fraction
         self.name = "silod-prefetch"
 
+    def _decide_inputs(self, ctx: StorageContext) -> tuple:
+        # A copy of the queue: the kernel appends arrivals to it.
+        return super()._decide_inputs(ctx) + (
+            ctx.total_cache_mb,
+            list(ctx.queued_jobs),
+        )
+
     def decide(self, ctx: StorageContext) -> StorageDecision:
         decision = super().decide(ctx)
         queued = list(ctx.queued_jobs)

@@ -17,9 +17,9 @@ instantaneous remote IO demand".
 
 Enforcement is also *per job* (Table 3's ``allocateRemoteIO(job,
 speed)``): within one allocation epoch a decision is a pure function of
-the running jobs' effective bytes. :meth:`SiloDDataManager.reallocate`
-therefore hands the previous decision object back, unchanged, at an
-epoch boundary where none of those bytes moved.
+the running jobs' effective bytes (and, for the prefetching extension,
+of the queue). :meth:`SiloDDataManager.reallocate` therefore hands the
+previous decision object back, unchanged, when none of those moved.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class _Reusable(NamedTuple):
 
     f_stars: Sequence[float]
     allocation: Optional[Allocation]
-    total_io_mbps: float
+    #: The rest of what ``decide`` read (see ``_decide_inputs``).
+    inputs: tuple
     #: The effective bytes ``decide`` read, in ``running_jobs`` order.
     effective: List[float]
     decision: StorageDecision
@@ -75,18 +76,18 @@ class SiloDDataManager(CacheSystem):
     def reallocate(self, ctx: StorageContext) -> StorageDecision:
         """Return the previous decision object when nothing it read moved.
 
-        Within one allocation epoch (the same ``f_stars`` column object,
-        scheduler allocation and egress cap) a decision depends only on
-        the running jobs' effective bytes, so when every one equals the
-        value the previous ``decide`` read, that decision is handed back
-        as the *same object* — the simulator's cue that nothing changed
-        and nothing needs re-applying. The kernel gathers a fresh column
+        The memo is keyed on every input ``decide`` reads: the
+        ``f_stars`` column object, the scheduler allocation object, the
+        running jobs' effective bytes and :meth:`_decide_inputs`. When
+        all of them repeat, the previous decision is handed back as the
+        *same object* — the simulator's cue that nothing changed and
+        nothing needs re-applying. The kernel gathers a fresh column
         only when a scheduling round installs a new allocation, so a
-        decision is reused at quiet epoch boundaries and after a reused
-        scheduling round (see ``SimulatorKernel._schedule_round``).
-        Traced rounds always recompute: each emits its own
-        ``io_throttle`` events. Otherwise this is
-        :meth:`CacheSystem.reallocate`.
+        decision is reused at quiet epoch boundaries and after a
+        scheduling round that kept the allocation in force (see
+        ``SimulatorKernel._schedule_round``), arrivals included. Traced
+        rounds always recompute: each emits its own ``io_throttle``
+        events. Otherwise this is :meth:`CacheSystem.reallocate`.
         """
         if ctx.tracer.enabled:
             self._memo = None
@@ -95,26 +96,28 @@ class SiloDDataManager(CacheSystem):
         # applying its targets may scale the live map later.
         effective = ctx.effective_mb
         read = [effective.get(job.job_id, 0.0) for job in ctx.running_jobs]
+        inputs = self._decide_inputs(ctx)
         memo = self._memo
         if (
             memo is not None
             and ctx.f_stars is memo.f_stars
             and ctx.scheduler_allocation is memo.allocation
             # Exact on purpose: reuse must be bit-identical to decide.
-            # lint: disable=FLT001
-            and ctx.total_io_mbps == memo.total_io_mbps
+            and inputs == memo.inputs
             and read == memo.effective
         ):
             return memo.decision
         decision = super().reallocate(ctx)
         self._memo = _Reusable(
-            ctx.f_stars,
-            ctx.scheduler_allocation,
-            ctx.total_io_mbps,
-            read,
-            decision,
+            ctx.f_stars, ctx.scheduler_allocation, inputs, read, decision
         )
         return decision
+
+    def _decide_inputs(self, ctx: StorageContext) -> tuple:
+        """What :meth:`decide` reads besides the ``f*`` column, the
+        allocation and the effective bytes: the egress cap. A subclass
+        whose ``decide`` reads more extends it."""
+        return (ctx.total_io_mbps,)
 
     def decide(self, ctx: StorageContext) -> StorageDecision:
         jobs = ctx.running_jobs

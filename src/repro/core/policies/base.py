@@ -11,9 +11,11 @@ modes:
   Quiver) decides storage on its own — the decoupled design the paper
   argues against.
 
-``allocate_storage_greedily`` is the shared storage step used by FIFO and
-SJF in SiloD mode: place cache with Algorithm 2, then divide remote IO
-across the induced demands.
+``allocate_storage_greedily`` is the shared storage step used by FIFO,
+SJF and LAS in SiloD mode: place cache with Algorithm 2, then divide
+remote IO across the induced demands. FIFO keeps a
+:class:`StorageStepMemo`, so its step reuses its last grants when its
+inputs repeat.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.core import perf_model
-from repro.core.estimator import SiloDPerfEstimator
+from repro.core.estimator import HetSiloDPerfEstimator, SiloDPerfEstimator
 from repro.core.policies import io_share
 from repro.core.policies.greedy import greedy_cache_allocation
 from repro.core.resources import Allocation, ResourceVector
@@ -176,35 +178,107 @@ def instantaneous_io_demands(
     return demands
 
 
+class StorageStepMemo:
+    """The last greedy storage step of one policy: inputs and grants.
+
+    :func:`allocate_storage_greedily` reads and refills it. The grants
+    are a pure function of the key, so a memo is sound for any caller.
+    """
+
+    __slots__ = ("key", "cache", "io", "io_demand_mbps")
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.cache: Dict[str, float] = {}
+        self.io: Dict[str, float] = {}
+        self.io_demand_mbps = 0.0
+
+
+def _storage_step_key(
+    running_jobs: Sequence[Job],
+    total: ResourceVector,
+    allocation: Allocation,
+    ctx: ScheduleContext,
+    io_priority_order: Optional[Sequence[str]],
+) -> tuple:
+    """Everything the greedy storage step reads."""
+    jobs = list(running_jobs)
+    gpu_map = allocation.gpus
+    estimator = ctx.estimator
+    effective = ctx.effective_cache_mb
+    return (
+        jobs,
+        [gpu_map.get(job.job_id, 0.0) for job in jobs],
+        estimator,
+        [estimator.assignments.get(job.job_id) for job in jobs]
+        if isinstance(estimator, HetSiloDPerfEstimator)
+        else None,
+        None
+        if effective is None
+        else [effective.get(job.job_id, 0.0) for job in jobs],
+        total.cache_mb,
+        total.remote_io_mbps,
+        list(allocation.cache.items()),
+        None if io_priority_order is None else list(io_priority_order),
+    )
+
+
 def allocate_storage_greedily(
     running_jobs: Sequence[Job],
     total: ResourceVector,
     allocation: Allocation,
     ctx: ScheduleContext,
     io_priority_order: Optional[Sequence[str]] = None,
+    memo: Optional[StorageStepMemo] = None,
 ) -> None:
-    """SiloD's storage step for order-based policies (FIFO, SJF).
+    """SiloD's storage step for order-based policies (FIFO, SJF, LAS).
 
     Cache goes to the most cache-efficient datasets (Algorithm 2); remote
     IO is then divided over the induced *instantaneous* demands — max-min
     waterfilling by default, or full-demand-first in ``io_priority_order``
     when the policy has a job ordering to respect.
+
+    With a ``memo``, a step whose inputs equal the memo's — the jobs in
+    order, their GPU grants and generations (what the estimator reads),
+    their effective bytes, the cache and IO totals, the allocation's
+    cache grants and the IO priority order — grants what the last step
+    granted, in the same order, instead of recomputing it. It still
+    counts as a storage round in the tracer's metrics.
     """
-    for name, cache_mb in greedy_cache_allocation(
-        running_jobs, total.cache_mb
-    ).items():
-        allocation.grant_cache(name, cache_mb)
-    demands = instantaneous_io_demands(running_jobs, allocation, ctx)
+    key = None
+    if memo is not None:
+        key = _storage_step_key(
+            running_jobs, total, allocation, ctx, io_priority_order
+        )
+    # Exact on purpose: a reused step must be bit-identical to a solve.
+    if key is not None and key == memo.key:
+        for name, cache_mb in memo.cache.items():
+            allocation.grant_cache(name, cache_mb)
+        grants = memo.io
+        io_demand_mbps = memo.io_demand_mbps
+    else:
+        cache = greedy_cache_allocation(running_jobs, total.cache_mb)
+        for name, cache_mb in cache.items():
+            allocation.grant_cache(name, cache_mb)
+        demands = instantaneous_io_demands(running_jobs, allocation, ctx)
+        io_demand_mbps = sum(demands.values())
+        if io_priority_order is not None:
+            grants = io_share.priority_fill(
+                io_priority_order, demands, total.remote_io_mbps
+            )
+        else:
+            grants = io_share.max_min_waterfill(
+                demands, total.remote_io_mbps
+            )
+        if memo is not None:
+            memo.key = key
+            memo.cache = cache
+            memo.io = grants
+            memo.io_demand_mbps = io_demand_mbps
     if ctx.tracer.enabled:
         ctx.tracer.metrics.inc("policy.storage_rounds")
         ctx.tracer.metrics.set_gauge(
-            "policy.last_io_demand_mbps", sum(demands.values())
+            "policy.last_io_demand_mbps", io_demand_mbps
         )
-    if io_priority_order is not None:
-        grants = io_share.priority_fill(
-            io_priority_order, demands, total.remote_io_mbps
-        )
-    else:
-        grants = io_share.max_min_waterfill(demands, total.remote_io_mbps)
     for job_id, mbps in grants.items():
         allocation.grant_remote_io(job_id, mbps)

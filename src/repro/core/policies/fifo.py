@@ -16,6 +16,7 @@ from repro.core.policies.base import (
     ScheduleContext,
     SchedulingPolicy,
     admit_in_order,
+    StorageStepMemo,
     allocate_storage_greedily,
 )
 from repro.core.resources import Allocation, ResourceVector
@@ -36,6 +37,7 @@ class FifoPolicy(SchedulingPolicy):
 
     def __init__(self, backfill: bool = True) -> None:
         self._backfill = backfill
+        self._storage_memo = StorageStepMemo()
 
     def order(self, jobs: Sequence[Job]) -> List[Job]:
         """Arrival order; ties broken by job id for determinism."""
@@ -55,5 +57,7 @@ class FifoPolicy(SchedulingPolicy):
             ordered, total.gpus, allocation, backfill=self._backfill
         )
         if ctx.storage_aware and admitted:
-            allocate_storage_greedily(admitted, total, allocation, ctx)
+            allocate_storage_greedily(
+                admitted, total, allocation, ctx, memo=self._storage_memo
+            )
         return allocation

@@ -84,10 +84,15 @@ class SiloDScheduler:
         #: job_id -> {generation: f* MB/s} from the last round —
         #: the per-generation compute bounds the policy weighed.
         self.last_gen_scores: Dict[str, Dict[str, float]] = {}
-        #: The inputs and answer of the last untraced round of a
-        #: ``pure_round`` policy (see :meth:`schedule`).
+        #: The inputs of the last untraced round of a ``pure_round``
+        #: policy, and the allocation in force: the object the last
+        #: call returned (see :meth:`schedule`).
         self._round_key: Optional[tuple] = None
         self._round_allocation: Optional[Allocation] = None
+        #: The placement the allocation in force came with:
+        #: ``last_generations`` on a mixed fleet and the het
+        #: estimator's ``assignments``, as their solve left them.
+        self._round_placement: Optional[tuple] = None
 
     def enable_heterogeneity(self, cluster) -> None:
         """Adopt the cluster's generation mix (called by the simulators).
@@ -135,11 +140,18 @@ class SiloDScheduler:
         An untraced round of a ``pure_round`` policy whose inputs equal
         the previous call's — the same jobs in the same order, their
         effective bytes, the totals, and the policy, estimator, GPU
-        pools and storage awareness — hands back the allocation already returned,
-        without calling the policy: a fresh solve would return an equal
-        one. The ``last_*`` fields and the het estimator's
+        pools and storage awareness — hands back the allocation already
+        returned, without calling the policy: a fresh solve would return
+        an equal one. The ``last_*`` fields and the het estimator's
         ``assignments`` stay those of that solve. Traced rounds always
         recompute, so each emits its own ``sched_decision``.
+
+        A solve whose allocation equals the one in force also hands
+        back the in-force object, so callers can test identity: the
+        same ``gpus``, ``cache`` and ``remote_io`` items in the same key
+        order and, on a mixed fleet, the same ``last_generations`` and
+        estimator ``assignments``. The ``last_*`` fields are the
+        solve's own.
         """
         tracer = self.tracer
         key = None
@@ -210,8 +222,22 @@ class SiloDScheduler:
                     time.perf_counter() - t0  # lint: disable=DET003
                 ),
             )
+        placement = (
+            self.last_generations if self.gpu_pools is not None else None,
+            dict(self.estimator.assignments)
+            if isinstance(self.estimator, HetSiloDPerfEstimator)
+            else None,
+        )
+        in_force = self._round_allocation
+        if (
+            in_force is not None
+            and placement == self._round_placement
+            and same_allocation(allocation, in_force)
+        ):
+            allocation = in_force
         self._round_key = key
         self._round_allocation = allocation
+        self._round_placement = placement
         return allocation
 
     # ------------------------------------------------------------------
@@ -360,6 +386,21 @@ class SiloDScheduler:
                 )
                 alloc_irr.grant_remote_io(job.job_id, io_each)
         return merge_allocations(alloc_reg, alloc_irr)
+
+
+def same_allocation(first: Allocation, second: Allocation) -> bool:
+    """Whether two allocations grant the same items in the same order.
+
+    Key order counts: consumers iterate the grant dicts, so only an
+    allocation equal in order can stand in for the other.
+    """
+    # Exact on purpose: a handed-back allocation must be bit-identical
+    # to the solve it replaces.
+    return (
+        list(first.gpus.items()) == list(second.gpus.items())
+        and list(first.cache.items()) == list(second.cache.items())
+        and list(first.remote_io.items()) == list(second.remote_io.items())
+    )
 
 
 def merge_allocations(first: Allocation, second: Allocation) -> Allocation:

@@ -21,32 +21,32 @@ Findings can be silenced inline (``# lint: disable=RULE``) with a
 reason; the repo itself lints clean.
 """
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.engine import (
-    LintPass,
-    ProjectIndex,
-    ProjectPass,
-    SourceFile,
-    default_target,
-    discover_files,
-    lint_paths,
-)
-from repro.lint.findings import RULES, Finding
-from repro.lint.passes import ALL_PASSES, build_passes
-from repro.lint.symbols import SymbolTable
+import importlib
 
-__all__ = [
-    "ALL_PASSES",
-    "CallGraph",
-    "Finding",
-    "LintPass",
-    "ProjectIndex",
-    "ProjectPass",
-    "RULES",
-    "SourceFile",
-    "SymbolTable",
-    "build_passes",
-    "default_target",
-    "discover_files",
-    "lint_paths",
-]
+#: Public name -> the module that defines it. Resolved on first access
+#: (PEP 562), so importing ``repro.lint.cli`` to build the ``repro``
+#: argument parser does not load the engine and every pass.
+_EXPORTS = {
+    "ALL_PASSES": "repro.lint.passes",
+    "CallGraph": "repro.lint.callgraph",
+    "Finding": "repro.lint.findings",
+    "LintPass": "repro.lint.engine",
+    "ProjectIndex": "repro.lint.engine",
+    "ProjectPass": "repro.lint.engine",
+    "RULES": "repro.lint.findings",
+    "SourceFile": "repro.lint.engine",
+    "SymbolTable": "repro.lint.symbols",
+    "build_passes": "repro.lint.passes",
+    "default_target": "repro.lint.engine",
+    "discover_files": "repro.lint.engine",
+    "lint_paths": "repro.lint.engine",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

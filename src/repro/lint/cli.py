@@ -4,7 +4,9 @@ Wires the engine and pass registry into ``python -m repro lint``. Exit
 code 0 means clean (after inline suppressions), 1 means findings, 2 a
 usage error; ``python -m repro lint src/repro tools benchmarks`` is the
 CI gate. ``--explain RULE`` prints the long-form rationale a finding's
-one-liner cannot carry.
+one-liner cannot carry. The engine and the passes are imported only
+when the subcommand runs, so building the ``repro`` parser — as every
+``repro serve`` process does — does not load the linter.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
-from repro.lint.engine import default_target, lint_paths
 from repro.lint.findings import RULES, Finding
-from repro.lint.passes import build_passes
 
 #: Explain-docs for findings the engine itself emits (no pass owns them).
 _ENGINE_DOCS = {
@@ -68,6 +68,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 def _explain_docs() -> Dict[str, str]:
     """Rule id -> long-form doc, gathered from every shipped pass."""
+    from repro.lint.passes import build_passes
+
     docs = dict(_ENGINE_DOCS)
     for instance in build_passes(None):
         docs.update(instance.docs)
@@ -98,6 +100,9 @@ def _render_text(findings: List[Finding]) -> str:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the linter; returns the process exit code."""
+    from repro.lint.engine import default_target, lint_paths
+    from repro.lint.passes import build_passes
+
     if args.list_rules:
         width = max(len(rule) for rule in RULES)
         for rule, description in sorted(RULES.items()):

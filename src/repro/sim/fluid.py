@@ -156,6 +156,9 @@ class FluidSimulator(SimulatorKernel):
         self._key_jobs: Dict[str, List[str]] = {}
         self._effective: Dict[str, float] = {}
         self._epochs_done: Dict[str, int] = {}
+        #: Jobs admitted since the last generation mirror (see
+        #: :meth:`_schedule_round`).
+        self._unmirrored: List[str] = []
         self._next_reschedule = 0.0
 
     # ------------------------------------------------------------------
@@ -246,6 +249,7 @@ class FluidSimulator(SimulatorKernel):
         key = self.cache_system.cache_key(job)
         self._job_key[job.job_id] = key
         self._key_jobs.setdefault(key, []).append(job.job_id)
+        self._unmirrored.append(job.job_id)
         return JobProgress(job=job)
 
     def _release(self, progress: JobProgress) -> None:
@@ -534,24 +538,23 @@ class FluidSimulator(SimulatorKernel):
     # ------------------------------------------------------------------
 
     def _schedule_round(self) -> bool:
-        if not super()._schedule_round():
-            # The allocation in force was kept: so is its placement.
-            return False
+        installed = super()._schedule_round()
         # Mirror the round's generation placement into the job table's
         # gen column; ``generation_of`` reads it back. A one-pool fleet
         # places every job on the reference generation, so nothing is
-        # written there.
+        # written there. A kept allocation comes with the placement
+        # already mirrored, so only jobs admitted since then are written.
         if self.scheduler.gpu_pools is not None:
             generations = self.scheduler.last_generations
             default_gen = self.scheduler.default_generation
-            for progress in self._active.values():
-                job_id = progress.job.job_id
+            for job_id in self._active if installed else self._unmirrored:
                 row = self._table.row_of(job_id)
                 if row is not None:
                     self._table.set_generation(
                         row, generations.get(job_id, default_gen)
                     )
-        return True
+        self._unmirrored.clear()
+        return installed
 
     def _attained_service_s(self, job: Job) -> float:
         """GPU-seconds of service the job has attained (for LAS).

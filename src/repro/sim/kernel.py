@@ -33,8 +33,9 @@ class body and fill in a few hooks:
   ``self._decision`` and move the cache model (and rates) to it.
 
 The storage round is shared too: :meth:`_round_view` gathers who is
-running, the GPU grants and the ``f*`` column once per allocation,
-:meth:`_storage_context` wraps that view into the one
+running, the GPU grants and the ``f*`` column once per allocation (an
+arrival joins the view's queue; a removal or a new allocation drops
+it), :meth:`_storage_context` wraps that view into the one
 :class:`~repro.cache.base.StorageContext` both simulators hand their
 cache system, and :meth:`_storage_round` runs the round: count it,
 ``reallocate``, :meth:`_apply_decision`, then provenance.
@@ -68,8 +69,10 @@ class _RoundView:
 
     Its fields only change when the scheduler re-allocates or the
     active set changes, so the kernel builds the view lazily and drops
-    it at admission, at removal and when a scheduling round installs a
-    new allocation (a reused round keeps it); every storage decision
+    it at removal and when a scheduling round installs a new allocation
+    (a round that keeps the allocation in force keeps it too). An
+    admission appends the newcomer to ``queued``: the allocation in
+    force cannot grant a job it has never seen. Every storage decision
     and sample in between reads the same lists. Consumers treat every
     field (including ``gpu_grants``) as read-only.
     """
@@ -305,7 +308,10 @@ class SimulatorKernel:
             job = self._trace[self._arrival_idx]
             self._arrival_idx += 1
             self._active[job.job_id] = self._new_state(job)
-            self._view = None
+            if self._view is not None:
+                # The allocation in force cannot grant a job it has
+                # never seen: the newcomer queues, and the view holds.
+                self._view.queued.append(job)
             if self._tracer.enabled:
                 self._tracer.emit(
                     job.submit_time_s,
@@ -423,12 +429,12 @@ class SimulatorKernel:
         allocation ends the round view.
 
         When the scheduler hands back the allocation already in force
-        (an untraced round of a ``pure_round`` policy whose inputs
-        repeat, see :meth:`SiloDScheduler.schedule`) and no job was
-        admitted or removed since it was installed, every granted job
-        has already started and the round view still holds: both are
-        kept and it returns ``False``. Otherwise it installs the
-        allocation and returns ``True``.
+        (a repeated round of a ``pure_round`` policy, or a solve equal
+        to it; see :meth:`SiloDScheduler.schedule`) and no job was
+        removed since it was installed, every granted job has already
+        started and the round view still holds: both are kept and it
+        returns ``False``. Otherwise it installs the allocation and
+        returns ``True``.
         """
         self.sched_rounds += 1
         jobs = [

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.cache.base import StorageContext
+from repro.cache.prefetch import PrefetchingDataManager
 from repro.cache.silod_cache import SiloDDataManager
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
@@ -96,19 +97,27 @@ class _Epoch:
         }
         self.f_stars = _f_stars(self.jobs, self.allocation, self.estimator)
 
-    def ctx(self, tracer=None, total_io_mbps=200.0, f_stars=None):
+    def ctx(
+        self,
+        tracer=None,
+        total_io_mbps=200.0,
+        f_stars=None,
+        queued=(),
+        total_cache_mb=120.0 * GB,
+    ):
         extra = {} if tracer is None else {"tracer": tracer}
         return StorageContext(
             running_jobs=self.jobs,
             gpu_grants=dict(self.allocation.gpus),
             total_gpus=16.0,
-            total_cache_mb=120.0 * GB,
+            total_cache_mb=total_cache_mb,
             total_io_mbps=total_io_mbps,
             effective_mb=self.effective,
             first_epoch_done=lambda job: True,
             estimator=self.estimator,
             f_stars=self.f_stars if f_stars is None else f_stars,
             scheduler_allocation=self.allocation,
+            queued_jobs=queued,
             **extra,
         )
 
@@ -284,6 +293,61 @@ FAULTS = {
         ],
     },
 }
+
+
+def _queued(i):
+    return Job(
+        job_id=f"q{i}",
+        model="m",
+        dataset=Dataset(f"q{i}", 30.0 * GB),
+        num_gpus=1,
+        ideal_throughput_mbps=90.0 - 10.0 * i,
+        total_work_mb=1e6,
+    )
+
+
+@SIZES
+def test_a_changed_queue_means_no_prefetch_reuse(n):
+    """The prefetching manager's ``decide`` reads the queue: the same
+    column, allocation and effective bytes with a different queue (the
+    kernel appends an arrival to the live list) are decided afresh."""
+    epoch = _Epoch(n)
+    manager = PrefetchingDataManager()
+    queue = [_queued(0)]
+    room = 200.0 * GB
+    first = manager.reallocate(epoch.ctx(queued=queue, total_cache_mb=room))
+    assert first.prefetch_rates
+    assert (
+        manager.reallocate(epoch.ctx(queued=queue, total_cache_mb=room))
+        is first
+    )
+    queue.append(_queued(1))
+    grown = manager.reallocate(epoch.ctx(queued=queue, total_cache_mb=room))
+    assert grown is not first
+    assert bitwise(grown) == bitwise(
+        PrefetchingDataManager().decide(
+            epoch.ctx(queued=queue, total_cache_mb=room)
+        )
+    )
+    assert bitwise(grown) != bitwise(first)
+    # So is a changed cache pool.
+    assert (
+        manager.reallocate(epoch.ctx(queued=queue, total_cache_mb=room / 2))
+        is not grown
+    )
+
+
+@SIZES
+def test_the_base_manager_reuses_across_a_changed_queue(n):
+    """SiloD's own ``decide`` reads neither the queue nor the pool, so
+    an arrival that queues keeps its decision."""
+    epoch = _Epoch(n)
+    manager = SiloDDataManager()
+    first = manager.reallocate(epoch.ctx(queued=[_queued(0)]))
+    again = manager.reallocate(
+        epoch.ctx(queued=[_queued(0), _queued(1)], total_cache_mb=200.0 * GB)
+    )
+    assert again is first
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,8 @@ from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
-from repro.core.resources import ResourceVector
+from repro.core.policies.base import SchedulingPolicy
+from repro.core.resources import Allocation, ResourceVector
 from repro.core.silod import SiloDScheduler
 from repro.obs.tracer import Tracer
 from repro.sim.runner import POLICY_FACTORIES, make_policy
@@ -201,7 +202,9 @@ def test_a_repeated_round_hands_back_the_allocation_in_force():
     assert all(alloc is not first for alloc in changed)
     # So is the same round under another policy.
     scheduler.policy = make_policy("sjf")
-    assert scheduler.schedule(jobs[1::-1], total) is not changed[-1]
+    sjf_calls = _counting(scheduler)
+    scheduler.schedule(jobs[1::-1], total)
+    assert len(sjf_calls) == 1
 
 
 def test_traced_and_impure_rounds_are_always_solved():
@@ -224,3 +227,93 @@ def test_traced_and_impure_rounds_are_always_solved():
         "sched_decision",
         "sched_decision",
     ]
+
+
+class _Scripted(SchedulingPolicy):
+    """Answers each round from a script: grants in the given key order,
+    plus the generations it publishes and assigns in the estimator."""
+
+    name = "scripted"
+
+    def __init__(self, answers):
+        self._answers = list(answers)
+
+    def schedule(self, jobs, total, ctx):
+        gpus, cache, io, generations, assignments = self._answers.pop(0)
+        allocation = Allocation()
+        for job_id, grant in gpus:
+            allocation.grant_gpus(job_id, grant)
+        for name, grant in cache:
+            allocation.grant_cache(name, grant)
+        for job_id, grant in io:
+            allocation.grant_remote_io(job_id, grant)
+        ctx.gen_assignments.update(generations)
+        if assignments:
+            ctx.estimator.assignments.update(assignments)
+        return allocation
+
+
+GPUS = [("job-0", 2), ("job-1", 2)]
+CACHE = [("d-0", 512.0), ("d-1", 256.0)]
+IO = [("job-0", 10.0), ("job-1", 20.0)]
+
+
+def _replay(answers, mixed):
+    """Every round's allocation under a scripted policy."""
+    jobs, _, _ = _round([(2, 100.0, 2048.0, 0, 0.5, 0.0, 0.0)] * 2)
+    total = ResourceVector(gpus=4.0, cache_mb=1024.0, remote_io_mbps=200.0)
+    scheduler = SiloDScheduler(_Scripted(answers))
+    if mixed:
+        scheduler.enable_heterogeneity(
+            Cluster.build_mixed(
+                [("K80", 1), ("V100", 1)],
+                gpus_per_server=4,
+                cache_per_server_mb=4096.0,
+                remote_io_mbps=400.0,
+            )
+        )
+    return [scheduler.schedule(jobs, total) for _ in answers]
+
+
+def test_an_equal_allocation_in_another_key_order_is_solved_afresh():
+    rounds = _replay(
+        [
+            (GPUS, CACHE, IO, {}, {}),
+            (GPUS, CACHE, IO, {}, {}),
+            (GPUS[::-1], CACHE, IO, {}, {}),
+            (GPUS[::-1], CACHE[::-1], IO, {}, {}),
+            (GPUS[::-1], CACHE[::-1], IO[::-1], {}, {}),
+            (GPUS[::-1], CACHE[::-1], IO[::-1], {}, {}),
+            (GPUS[::-1], CACHE[::-1], [("job-1", 20.0), ("job-0", 11.0)],
+             {}, {}),
+        ],
+        mixed=False,
+    )
+    # Equal items in equal order: the allocation in force comes back.
+    assert rounds[1] is rounds[0]
+    assert rounds[5] is rounds[4]
+    # Each reordered grant dict, or a moved value, is a new allocation.
+    for before, after in zip(rounds[1:5], rounds[2:5]):
+        assert after is not before
+    assert rounds[6] is not rounds[5]
+
+
+def test_an_equal_allocation_with_another_placement_is_solved_afresh():
+    split = {"job-0": "V100", "job-1": "K80"}
+    swapped = {"job-0": "K80", "job-1": "V100"}
+    rounds = _replay(
+        [
+            (GPUS, CACHE, IO, split, split),
+            (GPUS, CACHE, IO, split, split),
+            # Other published generations, same estimator assignments.
+            (GPUS, CACHE, IO, swapped, split),
+            # Same published generations, other estimator assignments.
+            (GPUS, CACHE, IO, swapped, swapped),
+            (GPUS, CACHE, IO, swapped, swapped),
+        ],
+        mixed=True,
+    )
+    assert rounds[1] is rounds[0]
+    assert rounds[2] is not rounds[1]
+    assert rounds[3] is not rounds[2]
+    assert rounds[4] is rounds[3]

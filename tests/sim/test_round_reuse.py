@@ -3,9 +3,15 @@
 A policy that declares ``pure_round`` depends only on the job list, the
 totals and the effective bytes, so an untraced round whose inputs repeat
 keeps the allocation already in force instead of calling the policy, and
-the kernel keeps its round view. The differential test runs whole
+the kernel keeps its round view. The first differential test runs whole
 simulations against the same policy under a subclass that opts out, and
 requires bit-identical results.
+
+A round whose solve returns an allocation equal to the one in force gets
+the in-force object back, the round view survives an admission, and the
+greedy storage step reuses its last grants. The second differential test
+runs a busy trace, where arrivals queue behind a full cluster, against a
+twin that does none of the three and never reuses a round.
 """
 
 import copy
@@ -18,7 +24,9 @@ from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
+from repro.core.resources import Allocation
 from repro.faults import FaultEvent, FaultSchedule
+from repro.sim.kernel import _RoundView
 from repro.sim.runner import POLICY_FACTORIES, SIMULATORS, make_system
 from tests.cache.test_silod_reuse import bitwise
 
@@ -94,9 +102,77 @@ def _opted_out(policy):
     return clone
 
 
-def _simulate(policy, cache, fleet, simulator, opt_out):
+def _busy_trace():
+    """More GPU demand than the 12-GPU fleets hold: arrivals queue."""
+    rng = random.Random(34)
+    jobs = []
+    for i in range(14):
+        # Seven datasets of 8-26 GB, about the 120 GB cache together:
+        # running jobs leave room for prefetching queued ones.
+        size_gb = 8.0 + 3.0 * (i % 7)
+        ideal = rng.uniform(40.0, 160.0)
+        jobs.append(
+            Job(
+                job_id=f"j{i:02d}",
+                model="resnet50",
+                dataset=Dataset(f"d{i % 7}", size_gb * GB),
+                num_gpus=rng.choice((1, 2, 4, 4)),
+                ideal_throughput_mbps=ideal,
+                total_work_mb=ideal * rng.uniform(3000.0, 8000.0),
+                submit_time_s=150.0 * i,
+            )
+        )
+    return jobs
+
+
+def _copied(allocation):
+    """An equal allocation that is a new object."""
+    fresh = Allocation()
+    fresh.gpus = dict(allocation.gpus)
+    fresh.cache = dict(allocation.cache)
+    fresh.remote_io = dict(allocation.remote_io)
+    return fresh
+
+
+def _fresh_twin(scheduler, simulator_cls):
+    """Never reuse: every round solved, every allocation a new object,
+    every storage step recomputed, every admission a new round view."""
+    scheduler.policy = _opted_out(scheduler.policy)
+    if hasattr(scheduler.policy, "_storage_memo"):
+        scheduler.policy._storage_memo = None
+    schedule = scheduler.schedule
+    scheduler.schedule = lambda *a, **kw: _copied(schedule(*a, **kw))
+
+    class Dropping(simulator_cls):
+        def _admit_arrivals(self):
+            admitted = super()._admit_arrivals()
+            if admitted:
+                self._view = None
+            return admitted
+
+    return Dropping
+
+
+def _check_view(sim):
+    """A kept round view equals a fresh gather. The kept one goes back
+    after: the data manager's memo keys on its ``f_stars`` object."""
+    kept_view = sim._view
+    if kept_view is None:
+        return
+    sim._view = None
+    fresh_view = sim._round_view()
+    sim._view = kept_view
+    assert [getattr(kept_view, name) for name in _RoundView.__slots__] == [
+        getattr(fresh_view, name) for name in _RoundView.__slots__
+    ]
+
+
+def _simulate(policy, cache, fleet, simulator, opt_out, busy=False):
     scheduler, cache_system = make_system(policy, cache)
-    if opt_out:
+    simulator_cls = SIMULATORS[simulator]
+    if busy and opt_out:
+        simulator_cls = _fresh_twin(scheduler, simulator_cls)
+    elif opt_out:
         scheduler.policy = _opted_out(scheduler.policy)
     calls = []
     solve = scheduler.policy.schedule
@@ -110,21 +186,42 @@ def _simulate(policy, cache, fleet, simulator, opt_out):
         kwargs = {"reschedule_interval_s": 300.0}
     else:
         kwargs = {"item_size_mb": 256.0, "decision_interval_s": 120.0}
-    sim = SIMULATORS[simulator](
+    sim = simulator_cls(
         FLEETS[fleet](),
         scheduler,
         cache_system,
-        _trace(),
+        _busy_trace() if busy else _trace(),
         sample_interval_s=300.0,
         faults=CHURN,
         **kwargs,
     )
+    # Per round: (kept the allocation in force, right after an arrival).
+    kept = []
+    admitted = [False]
+    admit_arrivals = sim._admit_arrivals
+    schedule_round = sim._schedule_round
+
+    def counted_admit():
+        admitted[0] = admit_arrivals()
+        return admitted[0]
+
+    def counted_round():
+        installed = schedule_round()
+        kept.append((not installed, admitted[0] and not installed))
+        admitted[0] = False
+        return installed
+
+    sim._admit_arrivals = counted_admit
+    sim._schedule_round = counted_round
     generations = []
     sim.begin()
     while sim.step(limit_s=CANCEL_AT_S):
-        pass
+        if busy:
+            _check_view(sim)
     assert sim.cancel_job("j04")
     while sim.step():
+        if busy:
+            _check_view(sim)
         if simulator == "fluid":
             generations.append(
                 tuple(
@@ -154,6 +251,8 @@ def _simulate(policy, cache, fleet, simulator, opt_out):
         ),
         generations,
     )
+    if busy:
+        return outcome, [sum(column) for column in zip(*kept)]
     return outcome, len(calls), sim.sched_rounds
 
 
@@ -169,6 +268,26 @@ def test_reused_rounds_are_bit_identical(policy, cache, fleet, simulator):
     assert (rounds, fresh_calls) == (fresh_rounds, fresh_rounds)
     # Reuse fired: some rounds kept the allocation without a solve.
     assert calls < rounds
+
+
+@pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+@pytest.mark.parametrize("fleet", sorted(FLEETS))
+@pytest.mark.parametrize("cache", ["silod", "silod-prefetch"])
+@pytest.mark.parametrize("policy", ["fifo", "las", "sjf"])
+def test_kept_rounds_under_a_queue_are_bit_identical(
+    policy, cache, fleet, simulator
+):
+    args = (policy, cache, fleet, simulator)
+    reused, kept = _simulate(*args, opt_out=False, busy=True)
+    fresh, fresh_kept = _simulate(*args, opt_out=True, busy=True)
+    assert reused == fresh
+    assert fresh_kept == [0, 0]
+    assert kept[0] > 0
+    if policy == "fifo":
+        # Some arrivals queued behind the allocation in force and its
+        # view. SJF and LAS grant every job an IO entry, so an arrival
+        # always changes their allocation.
+        assert kept[1] > 0
 
 
 def test_pure_policies_are_the_documented_set():
