@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro import units
 from repro.cache.base import (
     CacheSystem,
@@ -69,12 +67,18 @@ class QuiverCache(CacheSystem):
         self._profile_interval_s = profile_interval_s
         self._hysteresis = hysteresis
         self._seed = seed
+        # numpy loads here, not at module import: a service that never
+        # builds Quiver never pays for it.
+        import numpy as np
+
         self._rng = np.random.default_rng(seed)
         self._last_profile_s: float = float("-inf")
         self._noisy_benefit: Dict[str, float] = {}
         self._selected: set = set()
 
     def reset(self) -> None:
+        import numpy as np
+
         self._rng = np.random.default_rng(self._seed)
         self._last_profile_s = float("-inf")
         self._noisy_benefit = {}
@@ -82,6 +86,8 @@ class QuiverCache(CacheSystem):
 
     def _profile(self, ctx: StorageContext) -> None:
         """Refresh noisy benefit-per-byte estimates for live datasets."""
+        import numpy as np
+
         true_benefit: Dict[str, float] = {}
         for job, rate in zip(ctx.running_jobs, ctx.f_stars):
             name = job.dataset.name

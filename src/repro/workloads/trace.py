@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import units
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
@@ -66,6 +64,10 @@ class TraceConfig:
 
 def generate_trace(config: TraceConfig) -> List[Job]:
     """Generate a reproducible synthetic trace."""
+    # numpy loads on the first trace, not at import: ``repro serve``
+    # reads jobs off the wire and never draws one.
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     mix = list(config.job_mix) if config.job_mix else list(FIGURE6_JOBS)
     gpu_counts = np.array([g for g, _p in config.gpu_mix])
@@ -129,6 +131,8 @@ def generate_trace(config: TraceConfig) -> List[Job]:
 
 def expected_gpu_seconds_per_job(config: TraceConfig) -> float:
     """E[num_gpus] * E[ideal duration] under the configured distributions."""
+    import numpy as np
+
     gpu_mean = sum(g * p for g, p in config.gpu_mix) / sum(
         p for _g, p in config.gpu_mix
     )

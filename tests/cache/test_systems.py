@@ -182,6 +182,44 @@ class TestQuiver:
             }
             assert chosen == initial
 
+    #: ``float.hex`` of ``_noisy_benefit`` after each of the two profile
+    #: rounds of :meth:`test_noise_stream_is_pinned_and_reset_replays_it`.
+    NOISE_STREAM = [
+        {
+            "d-rn0": "0x1.6262c903c8406p-14",
+            "d-rn1": "0x1.cdef4026dc968p-13",
+            "d-bert": "0x1.1aff0464344e8p-23",
+        },
+        {
+            "d-rn0": "0x1.2cfa4f6838986p-14",
+            "d-rn1": "0x1.18ee44b75bcb2p-13",
+            "d-bert": "0x1.4e9ab9c7e471cp-24",
+        },
+    ]
+
+    def test_noise_stream_is_pinned_and_reset_replays_it(self):
+        """The seeded profiling noise draws the same floats, bit for
+        bit, and ``reset()`` restarts the stream from the seed."""
+        jobs = [
+            job("rn0"),
+            job("rn1", f_star=90.0, d_mb=600 * GB),
+            job("bert", f_star=2.0, d_mb=20.9 * TB),
+        ]
+        cache = QuiverCache(profile_noise=0.3, profile_interval_s=1.0, seed=11)
+
+        def profile_rounds():
+            rounds = []
+            for clock_s in (0.0, 10.0):
+                cache.decide(context(jobs, clock_s=clock_s))
+                rounds.append(
+                    {k: v.hex() for k, v in cache._noisy_benefit.items()}
+                )
+            return rounds
+
+        assert profile_rounds() == self.NOISE_STREAM
+        cache.reset()
+        assert profile_rounds() == self.NOISE_STREAM
+
     def test_reset_clears_profiling(self):
         cache = QuiverCache()
         cache.decide(context([job("a")]))

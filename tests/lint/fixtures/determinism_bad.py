@@ -22,3 +22,10 @@ def entropy_soup(events):
     shuffle(ordered)
     handle = id(ordered)  # DET005: per-process address
     return rng, gen, jitter, started, stamped, total, ordered, handle
+
+
+def lazy_numpy_noise():
+    """numpy imported at call time is still numpy to the pass."""
+    import numpy as np
+
+    return np.random.default_rng()  # DET001: unseeded

@@ -18,3 +18,10 @@ def reproducible_soup(events, now_s: float, seed: int):
     ordered = sorted(events, key=repr)
     rng.shuffle(ordered)
     return rng, gen, jitter, started, total, ordered
+
+
+def lazy_numpy_noise(seed: int):
+    """The call-time import, seeded."""
+    import numpy as np
+
+    return np.random.default_rng(seed)

@@ -101,7 +101,7 @@ def test_determinism_counts_every_site():
     for finding in findings:
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     assert by_rule == {
-        "DET001": 2,  # random.Random(), np.random.default_rng()
+        "DET001": 3,  # random.Random(); np.random.default_rng() twice
         "DET002": 2,  # from random import shuffle; random.random()
         "DET003": 2,  # time.time(), datetime.now()
         "DET004": 1,  # set-literal iteration

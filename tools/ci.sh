@@ -41,7 +41,9 @@
 #   4. serve smoke             — tools/serve_smoke.py boots
 #      `python -m repro serve` as a subprocess, drives three jobs
 #      through the socket, and requires a drained, clean exit within a
-#      hard timeout (see docs/SERVE.md).
+#      hard timeout (see docs/SERVE.md). Before the drain it reads the
+#      live server's /proc/<pid>/maps and fails if a mapped file lies
+#      under numpy/ (a skip note where /proc is unreadable).
 #   5. obs smoke               — tools/obs_smoke.py drives a tiny traced
 #      scenario through `repro run --events`, then asserts
 #      `repro explain` reconstructs a nonzero decision-provenance chain

@@ -7,7 +7,11 @@ checks that ``metrics`` reads reflect the submissions (the cluster
 ``events.job_submit`` counter rises and the new job's scope appears),
 verifies they all finish under a drain shutdown, and checks the process
 exits cleanly — the whole cycle bounded by a hard timeout so a hung
-service fails CI instead of wedging it.
+service fails CI instead of wedging it. Before the shutdown it also
+reads the live server's ``/proc/<pid>/maps``: a mapped file under a
+``numpy/`` directory means something the service ran imported numpy,
+which ``repro serve`` never needs (where ``/proc`` is unreadable the
+check prints a skip note).
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
@@ -20,6 +24,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import List, Optional
 
 REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60.0
@@ -61,6 +66,19 @@ def _await_fresh_metrics(client, before: dict, job_id: str,
                 f"metrics never showed the submit of {job_id}: {after}"
             )
         time.sleep(0.05)
+
+
+def _numpy_mappings(pid: int) -> Optional[List[str]]:
+    """Mapped file paths under a ``numpy/`` directory in process
+    ``pid``, or ``None`` when its memory map cannot be read."""
+    try:
+        with open(f"/proc/{pid}/maps") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return None
+    # A maps line is "range perms offset dev inode [path]".
+    return sorted({line.split(None, 5)[-1].strip() for line in lines
+                   if f"{os.sep}numpy{os.sep}" in line})
 
 
 def main() -> int:
@@ -107,6 +125,14 @@ def main() -> int:
             _await_fresh_metrics(client, before, "smoke-0", deadline)
             status = client.status()
             assert status["jobs_submitted"] == 3, status
+            mapped = _numpy_mappings(proc.pid)
+            if mapped is None:
+                print(f"serve smoke: /proc/{proc.pid}/maps unreadable, "
+                      "numpy check skipped")
+            elif mapped:
+                print(f"FAIL: the server mapped numpy: {mapped[:3]}",
+                      file=sys.stderr)
+                return 1
             client.shutdown(drain=True)
 
         returncode = proc.wait(  # lint: disable=DET003
