@@ -13,6 +13,7 @@ Run: ``python examples/extensions_tour.py``
 from repro import units
 from repro.analysis.tables import render_table
 from repro.cluster.hardware import Cluster
+from repro.faults import FaultEvent
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system, run_experiment
 from repro.workloads.datasets import synthetic_images
@@ -99,16 +100,21 @@ def demo_faults() -> None:
                  synthetic_images(f"f-{i}", size_mb=units.tb(0.04)), num_epochs=4)
         for i in range(2)
     ]
+    # A lost server takes its disk's share of every cached dataset with
+    # it; its slot of the pool is back in service at once (cold).
+    share_mb = cluster.total_cache_mb / len(cluster.servers)
     rows = []
     for label, faults in (
-        ("no faults", {}),
+        ("no faults", []),
         ("data-manager crash @2000s",
-         {"data_manager_crash_times_s": [2000.0]}),
-        ("server lost @2000s", {"server_loss_times_s": [2000.0]}),
+         [FaultEvent(2000.0, "data_manager_restart")]),
+        ("server lost @2000s",
+         [FaultEvent(2000.0, "cache_loss", magnitude=share_mb),
+          FaultEvent(2000.0, "cache_recover", magnitude=share_mb)]),
     ):
         scheduler, cache_system = make_system("fifo", "silod")
         result = FluidSimulator(
-            cluster, scheduler, cache_system, list(jobs), **faults
+            cluster, scheduler, cache_system, list(jobs), faults=faults
         ).run()
         rows.append(
             {"scenario": label,

@@ -13,6 +13,7 @@ sequences), and an identity used for sharing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Iterator, Optional
 
 
@@ -36,8 +37,10 @@ class Dataset:
     num_items: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.size_mb <= 0:
-            raise ValueError(f"dataset {self.name!r} must have positive size")
+        if not math.isfinite(self.size_mb) or self.size_mb <= 0:
+            raise ValueError(
+                f"dataset {self.name!r} must have positive finite size"
+            )
         if self.num_items <= 0:
             raise ValueError(f"dataset {self.name!r} must have positive item count")
 

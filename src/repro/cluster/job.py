@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import Optional
 
 from repro.cluster.dataset import Dataset
@@ -83,6 +84,13 @@ class Job:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "ideal_throughput_mbps", "total_work_mb", "submit_time_s", "weight"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"job {self.job_id}: {name} must be finite")
+        if self.deadline_s is not None and not math.isfinite(self.deadline_s):
+            raise ValueError(f"job {self.job_id}: deadline_s must be finite")
         if self.num_gpus < 1:
             raise ValueError(f"job {self.job_id}: num_gpus must be >= 1")
         if self.ideal_throughput_mbps <= 0:

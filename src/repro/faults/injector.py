@@ -15,7 +15,10 @@ each due :class:`~repro.faults.spec.FaultEvent` into a
 * ``preempt_gpus`` tells it how many GPUs' worth of running jobs were on
   the crashed servers; :meth:`select_victims` picks the concrete jobs
   deterministically (sorted job id, greedy fill), so both simulators
-  preempt the same jobs for the same schedule.
+  preempt the same jobs for the same schedule;
+* ``reset_cache_system`` tells it the data manager restarted: the cache
+  system's in-memory state is gone (allocations and the on-disk cache
+  content survive, §6).
 
 The injector also emits the schedule-driven half of the fault event
 schema (``fault_inject`` plus ``node_down``/``node_up``); the simulators
@@ -50,6 +53,8 @@ class FaultEffect:
     preempt_gpus: float = 0.0
     #: Target of ``job_preempt``/``job_restart``.
     job_id: Optional[str] = None
+    #: ``data_manager_restart``: drop the cache system's in-memory state.
+    reset_cache_system: bool = False
 
 
 class FaultInjector:
@@ -224,6 +229,8 @@ class FaultInjector:
             self.bandwidth_factor = event.magnitude
         elif event.kind in ("job_preempt", "job_restart"):
             effect.job_id = event.target
+        elif event.kind == "data_manager_restart":
+            effect.reset_cache_system = True
         return effect
 
     @staticmethod

@@ -2,11 +2,11 @@
 
 A fault schedule is a time-ordered list of :class:`FaultEvent` records
 describing the churn a simulated cluster experiences: GPU-server crashes
-and recoveries, cache-node losses, remote-bandwidth degradations, and
-explicit job preempt/restart pairs. The schedule is *declarative* — both
-simulators consume the same schedule through
-:class:`repro.faults.injector.FaultInjector`, which is what makes
-fluid-vs-minibatch runs comparable under identical churn.
+and recoveries, cache-node losses, remote-bandwidth degradations,
+explicit job preempt/restart pairs, and data-manager restarts. The
+schedule is *declarative* — both simulators consume the same schedule
+through :class:`repro.faults.injector.FaultInjector`, which is what
+makes fluid-vs-minibatch runs comparable under identical churn.
 
 Schedules come from two places:
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -37,6 +38,7 @@ FAULT_KINDS = (
     "bandwidth",
     "job_preempt",
     "job_restart",
+    "data_manager_restart",
 )
 
 #: Kinds whose ``target`` is a job id and is therefore mandatory.
@@ -63,7 +65,8 @@ class FaultEvent:
         ``server_crash``/``server_recover``; MB of cache-pool capacity
         for ``cache_loss``/``cache_recover``; the new multiplicative
         factor on the base egress limit for ``bandwidth`` (1.0 restores
-        full bandwidth); ignored for the job kinds.
+        full bandwidth); ignored for the job kinds and
+        ``data_manager_restart``.
     """
 
     time_s: float
@@ -77,8 +80,10 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; "
                 f"expected one of {FAULT_KINDS}"
             )
-        if self.time_s < 0:
-            raise ValueError(f"{self.kind}: time_s must be >= 0")
+        if not math.isfinite(self.time_s) or self.time_s < 0:
+            raise ValueError(f"{self.kind}: time_s must be finite and >= 0")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"{self.kind}: magnitude must be finite")
         if self.kind in _JOB_KINDS and not self.target:
             raise ValueError(f"{self.kind}: target job id is required")
         if self.kind in ("server_crash", "server_recover"):

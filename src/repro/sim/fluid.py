@@ -80,25 +80,16 @@ class FluidSimulator(SimulatorKernel):
         Cadence of timeline samples.
     max_time_s:
         Hard stop; unfinished jobs are reported with no finish time.
-    data_manager_crash_times_s:
-        Fault injection (§6): at each time the data manager crashes and
-        recovers — allocations are reconstructed from the (durable)
-        scheduler state and cache content survives on local disk, but any
-        in-memory cache-system state (e.g. Quiver's online profiles) is
-        lost and a full re-schedule runs.
-    server_loss_times_s:
-        Fault injection: at each time one server is lost outright; with
-        even striping, ``1/num_servers`` of every dataset's resident and
-        effective bytes disappear (a *restart* would lose nothing — the
-        content is on disk — so this is the harsher case).
     faults:
         A :class:`repro.faults.FaultSchedule` (or sequence of
         :class:`~repro.faults.FaultEvent`) driving the full churn model:
         server crash/recover with job preemption and cache-shard
-        invalidation, cache-node loss, bandwidth flaps, and explicit job
-        preempt/restart. Events are applied analytically at their exact
-        times and every application triggers a reschedule round. An
-        empty/absent schedule is a strict no-op. See ``docs/FAULTS.md``.
+        invalidation, cache-node loss, bandwidth flaps, explicit job
+        preempt/restart and data-manager restarts (§6; a lost server's
+        disk is a ``cache_loss``/``cache_recover`` pair of its share).
+        Events are applied analytically at their exact times and every
+        application triggers a reschedule round. An empty/absent
+        schedule is a strict no-op. See ``docs/FAULTS.md``.
     tracer:
         Structured-event sink (``repro.obs``). When given, the simulator
         emits the full event schema (job lifecycle, epoch boundaries,
@@ -116,8 +107,6 @@ class FluidSimulator(SimulatorKernel):
         reschedule_interval_s: float = 600.0,
         sample_interval_s: float = 600.0,
         max_time_s: Optional[float] = None,
-        data_manager_crash_times_s: Sequence[float] = (),
-        server_loss_times_s: Sequence[float] = (),
         faults: ScheduleLike = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -126,8 +115,6 @@ class FluidSimulator(SimulatorKernel):
             sample_interval_s, max_time_s, faults, tracer,
         )
         self._reschedule_interval_s = reschedule_interval_s
-        self._crash_times = sorted(data_manager_crash_times_s)
-        self._loss_times = sorted(server_loss_times_s)
         #: Per-key residency/target state.
         self._cache = DictResidencyStore()
         #: Per-job progress and rates for the hot sweeps.
@@ -187,10 +174,6 @@ class FluidSimulator(SimulatorKernel):
             candidates.append(self._next_sample)
             candidates.append(self._next_completion_time())
             candidates.append(self._next_epoch_boundary_time())
-        if self._crash_times:
-            candidates.append(max(self.clock_s, self._crash_times[0]))
-        if self._loss_times:
-            candidates.append(max(self.clock_s, self._loss_times[0]))
         if self._injector is not None:
             t_fault = self._injector.next_time()
             if t_fault is not None:
@@ -223,7 +206,6 @@ class FluidSimulator(SimulatorKernel):
         changed = False
         changed |= self._admit_arrivals()
         changed |= self._retire_completions()
-        changed |= self._inject_faults()
         changed |= self._apply_fault_schedule()
         epoch_flip = self._promote_epoch_boundaries()
 
@@ -431,30 +413,6 @@ class FluidSimulator(SimulatorKernel):
             progress.phase = JobPhase.FINISHED
             progress.finish_time_s = self.clock_s
             self._retire(progress, self.clock_s)
-            changed = True
-        return changed
-
-    def _inject_faults(self) -> bool:
-        """Apply any due fault-injection events (§6 fault tolerance)."""
-        changed = False
-        while self._crash_times and self._crash_times[0] <= self.clock_s + 1e-9:
-            self._crash_times.pop(0)
-            # In-memory cache-system state is gone; allocations and the
-            # on-disk cache content survive. Recovery = a fresh schedule.
-            self.cache_system.reset()
-            changed = True
-        while self._loss_times and self._loss_times[0] <= self.clock_s + 1e-9:
-            self._loss_times.pop(0)
-            n = max(1, len(self.cluster.servers))
-            survival = (n - 1) / n
-            # Churn is rare and touches every key once; the scan is fine.
-            # lint: disable=PERF001
-            for key in self._cache.keys():
-                self._shrink(
-                    key,
-                    self._cache.resident_mb(key) * survival,
-                    reason="server_loss",
-                )
             changed = True
         return changed
 

@@ -384,6 +384,8 @@ class SimulatorKernel:
             return False
         for event in due:
             effect = self._injector.apply(event, self.clock_s)
+            if effect.reset_cache_system:
+                self.cache_system.reset()
             if effect.evict_fraction > 0:
                 self._invalidate_fraction(
                     effect.evict_fraction, cause=event.kind

@@ -29,6 +29,7 @@ from repro.faults import FaultEvent
 from repro.obs import Tracer
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
+from tests.faults.conftest import data_manager_restarts, server_losses
 
 GB = 1024.0
 
@@ -243,14 +244,15 @@ def _trace(seed, num_jobs, shared):
 
 def _simulate(manager_cls, cache, policy, jobs, cache_gb, faults, online):
     scheduler, _ = make_system(policy, "silod")
+    fleet = Cluster.build(4, 4, units.gb(cache_gb), 150.0)
     sim = FluidSimulator(
-        Cluster.build(4, 4, units.gb(cache_gb), 150.0),
+        fleet,
         scheduler,
         manager_cls(io_allocation=(cache == "silod")),
         jobs,
         reschedule_interval_s=600.0,
         sample_interval_s=300.0,
-        **faults,
+        faults=faults(fleet),
     )
     if not online:
         result = sim.run()
@@ -281,17 +283,16 @@ def _simulate(manager_cls, cache, policy, jobs, cache_gb, faults, online):
     return bitwise(result.records), bitwise(result.timeline), counters
 
 
+#: name -> the fault schedule on a given fleet.
 FAULTS = {
-    "none": {},
-    "churn": {
-        "server_loss_times_s": (1100.0,),
-        "data_manager_crash_times_s": (1700.0,),
-        "faults": [
-            FaultEvent(800.0, "bandwidth", magnitude=0.25),
-            FaultEvent(2600.0, "bandwidth", magnitude=1.0),
-            FaultEvent(2000.0, "cache_loss", magnitude=0.5),
-        ],
-    },
+    "none": lambda fleet: [],
+    "churn": lambda fleet: [
+        *server_losses(fleet, 1100.0),
+        *data_manager_restarts(1700.0),
+        FaultEvent(800.0, "bandwidth", magnitude=0.25),
+        FaultEvent(2600.0, "bandwidth", magnitude=1.0),
+        FaultEvent(2000.0, "cache_loss", magnitude=0.5),
+    ],
 }
 
 

@@ -1,5 +1,7 @@
 """Dataset and registry behaviour."""
 
+import math
+
 import pytest
 
 from repro.cluster.dataset import Dataset, DatasetRegistry
@@ -10,6 +12,9 @@ def test_dataset_validation():
         Dataset("bad", -1.0)
     with pytest.raises(ValueError):
         Dataset("bad", 100.0, num_items=0)
+    for size_mb in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Dataset("bad", size_mb)
 
 
 def test_item_size():

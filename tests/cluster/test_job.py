@@ -1,5 +1,7 @@
 """Job specification and progress accounting."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +30,18 @@ def test_job_validation():
         make_job(ideal_throughput_mbps=0.0)
     with pytest.raises(ValueError):
         make_job(total_work_mb=0.0)
+    # NaN and Infinity slip past every ``<= 0`` check; a job holding
+    # either never drains.
+    for field in (
+        "ideal_throughput_mbps",
+        "total_work_mb",
+        "weight",
+        "deadline_s",
+        "submit_time_s",
+    ):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=field):
+                make_job(**{field: value})
 
 
 def test_job_derived_quantities():

@@ -6,8 +6,9 @@ from repro import units
 from repro.core.resources import ResourceVector
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.obs.tracer import Tracer
+from repro.sim.runner import SIMULATORS, make_system
 
-from tests.faults.conftest import small_cluster
+from tests.faults.conftest import small_cluster, two_job_trace
 
 pytestmark = pytest.mark.faults
 
@@ -145,6 +146,58 @@ def test_job_kinds_carry_target():
         FaultEvent(1.0, "job_restart", target="job-x"), 1.0
     )
     assert effect.job_id == "job-x"
+
+
+def test_data_manager_restart_only_resets_the_cache_system():
+    injector, cluster = make_injector([])
+    base = base_vector(cluster)
+    effect = injector.apply(FaultEvent(0.0, "data_manager_restart"), 0.0)
+    assert effect.reset_cache_system
+    assert effect.evict_fraction == 0.0
+    assert effect.preempt_gpus == 0.0
+    assert injector.effective_total(base) == base
+    other = injector.apply(FaultEvent(1.0, "bandwidth", magnitude=0.5), 1.0)
+    assert not other.reset_cache_system
+
+
+def test_server_disk_loss_pair_invalidates_one_share():
+    injector, cluster = make_injector([], servers=4)
+    base = base_vector(cluster)
+    share = cluster.total_cache_mb / 4
+    loss = injector.apply(FaultEvent(0.0, "cache_loss", magnitude=share), 0.0)
+    injector.apply(FaultEvent(0.0, "cache_recover", magnitude=share), 0.0)
+    assert loss.evict_fraction == 0.25
+    assert injector.effective_total(base) == base
+    # Under another outstanding loss the same pair takes that share of
+    # the surviving pool: a third of it, with one server already down.
+    injector.apply(FaultEvent(1.0, "server_crash"), 1.0)
+    loss = injector.apply(FaultEvent(2.0, "cache_loss", magnitude=share), 2.0)
+    assert loss.evict_fraction == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("simulator", ["fluid", "minibatch"])
+def test_data_manager_restart_resets_the_cache_system(simulator):
+    scheduler, cache_system = make_system("fifo", "silod")
+    resets = []
+    reset = cache_system.reset
+
+    def spy():
+        resets.append(sim.clock_s)
+        reset()
+
+    cache_system.reset = spy
+    sim = SIMULATORS[simulator](
+        small_cluster(),
+        scheduler,
+        cache_system,
+        two_job_trace(),
+        faults=[FaultEvent(150.0, "data_manager_restart")],
+    )
+    result = sim.run()
+    assert len(result.finished_records()) == 2
+    # Once as the run begins, once when the restart lands (the emulator
+    # applies it at the first interval boundary at or after 150 s).
+    assert len(resets) == 2 and resets[0] == 0.0 and resets[1] >= 150.0
 
 
 def test_select_victims_sorted_greedy():

@@ -1,5 +1,8 @@
 """FaultEvent/FaultSchedule validation, ordering, IO, and churn model."""
 
+import json
+import math
+
 import pytest
 
 from repro.faults import (
@@ -31,11 +34,25 @@ def test_every_kind_constructs():
         {"time_s": 0.0, "kind": "cache_loss", "magnitude": 0.0},
         {"time_s": 0.0, "kind": "cache_recover", "magnitude": -5.0},
         {"time_s": 0.0, "kind": "bandwidth", "magnitude": 0.0},
+        # ``nan < 0`` is false, so NaN once reached the simulators: a
+        # clock frozen at 0, a run that never ends, an ``int(nan)``.
+        {"time_s": math.nan, "kind": "server_crash"},
+        {"time_s": 0.0, "kind": "bandwidth", "magnitude": math.nan},
+        {"time_s": 0.0, "kind": "server_crash", "magnitude": math.nan},
+        {"time_s": math.inf, "kind": "bandwidth", "magnitude": 0.5},
+        {"time_s": 0.0, "kind": "cache_loss", "magnitude": math.inf},
     ],
 )
 def test_invalid_events_rejected(kwargs):
     with pytest.raises(ValueError):
         FaultEvent(**kwargs)
+
+
+def test_from_dicts_rejects_json_nan():
+    # ``json.load`` (and so ``repro run --faults``) accepts bare NaN.
+    dicts = json.loads('[{"time_s": NaN, "kind": "server_crash"}]')
+    with pytest.raises(ValueError, match="finite"):
+        FaultSchedule.from_dicts(dicts)
 
 
 def test_schedule_sorts_by_time_stably():
@@ -62,6 +79,7 @@ def test_dict_roundtrip():
             FaultEvent(time_s=1.0, kind="server_crash", magnitude=2),
             FaultEvent(time_s=2.0, kind="job_preempt", target="j1"),
             FaultEvent(time_s=3.0, kind="bandwidth", magnitude=0.25),
+            FaultEvent(time_s=4.0, kind="data_manager_restart"),
         ]
     )
     assert FaultSchedule.from_dicts(schedule.to_dicts()) == schedule

@@ -117,6 +117,30 @@ def test_class_refs_must_name_real_attributes():
     assert "`Ghost.run`" in problems[1]
 
 
+def test_hand_written_fault_kind_lists_name_every_kind():
+    from repro.faults import FAULT_KINDS
+
+    tool = _load_tool()
+    kinds = list(FAULT_KINDS)
+    obs_cell = tool.fault_inject_kind_cell(DOC.read_text())
+    cli_text = (REPO_ROOT / "docs" / "CLI.md").read_text()
+    cli_kinds = tool.cli_faults_kinds(cli_text)
+    for listing in (obs_cell, cli_kinds):
+        assert tool.check_kind_list("doc", listing, kinds) == []
+    # A list missing one kind drifts, and so does one naming a ghost.
+    stale = obs_cell.replace(", `data_manager_restart`", "")
+    problems = tool.check_kind_list("doc", stale, kinds)
+    assert problems == ["doc omits fault kind 'data_manager_restart'"]
+    ghost = cli_kinds.replace("`bandwidth`", "`bandwidth`, `power_surge`")
+    problems = tool.check_kind_list("doc", ghost, kinds)
+    assert len(problems) == 1 and "'power_surge'" in problems[0]
+    # Only the fault_inject table's `kind` row counts.
+    elsewhere = "### `node_down`\n\n| `kind` | — | one of `bandwidth` |\n"
+    assert tool.fault_inject_kind_cell(elsewhere) is None
+    assert tool.check_kind_list("doc", None, kinds)
+    assert tool.cli_faults_kinds("no faults paragraph") is None
+
+
 def test_cli_entry_point_passes():
     proc = subprocess.run(
         [sys.executable, str(TOOL)], capture_output=True, text=True

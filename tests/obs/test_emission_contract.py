@@ -166,7 +166,7 @@ def test_fluid_faults_cell_metrics_digest():
     tracer = Tracer()
     sim = fluid_anchors.build_cell("faults", tracer=tracer)
     fluid_anchors.run_sim(sim, "faults")
-    assert metrics_digest(tracer) == "984e3e9fb94d2116"
+    assert metrics_digest(tracer) == "12b80324e049ac6b"
 
 
 def test_minibatch_preempt_cell_metrics_digest():

@@ -85,6 +85,25 @@ def test_invalid_job_payload_is_rejected_not_crashed():
         with pytest.raises(ProtocolError) as err:
             engine.submit(bad)
         assert err.value.reason == REJECT_INVALID
+    # ``json.loads`` accepts NaN and Infinity; a job holding either
+    # would never drain.
+    for field in (
+        "ideal_throughput_mbps",
+        "total_work_mb",
+        "submit_time_s",
+        "deadline_s",
+    ):
+        for value in (float("nan"), float("inf")):
+            bad = {**job_payload(f"{field}-{value}"), field: value}
+            with pytest.raises(ProtocolError) as err:
+                engine.submit(bad)
+            assert err.value.reason == REJECT_INVALID
+    for value in (float("nan"), float("inf")):
+        bad = job_payload(f"size-{value}", dataset=f"ds-{value}")
+        bad["dataset"]["size_mb"] = value
+        with pytest.raises(ProtocolError) as err:
+            engine.submit(bad)
+        assert err.value.reason == REJECT_INVALID
     assert engine.jobs_submitted == 0
     engine.drain()
 

@@ -36,6 +36,7 @@ from repro.faults import FaultEvent
 from repro.obs import Tracer
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
+from tests.faults.conftest import data_manager_restarts, server_losses
 from tests.sim.test_minibatch_anchors import event_digest
 
 GB = 1024.0
@@ -97,10 +98,10 @@ CELLS = {
     "faults": (
         private_jobs,
         {
-            "server_loss_times_s": (900.0,),
-            "data_manager_crash_times_s": (1500.0,),
             "faults": [
                 FaultEvent(600.0, "bandwidth", magnitude=0.3),
+                *server_losses(_cluster(), 900.0),
+                *data_manager_restarts(1500.0),
                 FaultEvent(2400.0, "bandwidth", magnitude=1.0),
             ],
         },
@@ -290,9 +291,12 @@ def test_anchor(name, residency_store):
 
 
 #: Event-stream digests of the traced runs (``event_digest``), recorded
-#: before the simulators' shared lifecycle moved into ``repro.sim.kernel``.
+#: before the simulators' shared lifecycle moved into ``repro.sim.kernel``
+#: (``faults`` since its server loss and data-manager crash became
+#: fault-schedule events, which emit ``fault_inject``, ``node_down``/
+#: ``node_up`` and ``cache_invalidate``).
 EXPECTED_EVENTS = {
-    "faults": "9da6178e1e9d722f",
+    "faults": "74d8825ebfdb99c4",
     "fifo-private": "afd0e68f3df496f1",
     "online": "6213921cebb8f1a4",
     "shared": "d55506d32fe64af4",

@@ -15,7 +15,10 @@ The fault subsystem gets the same treatment: every fault kind in
 ``repro.faults.FAULT_KINDS`` must have a ``### `kind` `` section in
 ``docs/FAULTS.md``, and every fault event type
 (``repro.obs.events.FAULT_TYPES``) must be mentioned there, so the spec
-reference cannot silently fall behind the engine.
+reference cannot silently fall behind the engine. The two hand-written
+kind lists elsewhere — the ``kind`` row of ``fault_inject``'s table in
+``docs/OBSERVABILITY.md`` and the kinds sentence under ``--faults`` in
+``docs/CLI.md`` — must name exactly those kinds.
 
 And the online service: ``docs/SERVE.md`` must have a ``### `op` ``
 section per protocol operation (``repro.serve.protocol.OPS``) and
@@ -51,11 +54,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 FAULTS_DOC_PATH = REPO_ROOT / "docs" / "FAULTS.md"
 SERVE_DOC_PATH = REPO_ROOT / "docs" / "SERVE.md"
+CLI_DOC_PATH = REPO_ROOT / "docs" / "CLI.md"
 LINT_DOC_PATH = REPO_ROOT / "docs" / "LINT.md"
 DESIGN_DOC_PATH = REPO_ROOT / "docs" / "DESIGN.md"
 
 _HEADING = re.compile(r"^### `(?P<name>[a-z_]+)`\s*$")
 _TABLE_ROW = re.compile(r"^\| `(?P<field>[a-z0-9_]+)` \|")
+_BACKTICKED = re.compile(r"`(?P<name>[a-z_]+)`")
 
 #: A row of the LINT.md rule-catalogue table: | `RULE` | `pass` | ... |
 _LINT_ROW = re.compile(
@@ -138,6 +143,48 @@ def check_faults_doc(
                 f"fault event type {etype!r} is never mentioned in "
                 f"docs/FAULTS.md"
             )
+    return problems
+
+
+def fault_inject_kind_cell(text: str):
+    """The meaning cell of the ``kind`` row in OBSERVABILITY.md's
+    ``fault_inject`` table (``None`` when there is none)."""
+    current = None
+    for line in text.splitlines():
+        heading = _HEADING.match(line)
+        if heading:
+            current = heading.group("name")
+        elif current == "fault_inject" and line.startswith("| `kind` |"):
+            return line.split("|", 3)[3]
+    return None
+
+
+def cli_faults_kinds(text: str):
+    """The kinds sentence of CLI.md's ``--faults PATH`` paragraph, from
+    ``kinds:`` up to the closing parenthesis (``None`` when absent)."""
+    start = text.find("`--faults PATH` takes")
+    kinds_at = text.find("kinds:", start) if start >= 0 else -1
+    if kinds_at < 0:
+        return None
+    return text[kinds_at:text.find(")", kinds_at)]
+
+
+def check_kind_list(where: str, listing, fault_kinds: list) -> list:
+    """Drift messages for a hand-written list of fault kinds."""
+    if listing is None:
+        return [f"{where} lists no fault kinds"]
+    listed = _BACKTICKED.findall(listing)
+    problems = [
+        f"{where} omits fault kind {kind!r}"
+        for kind in fault_kinds
+        if kind not in listed
+    ]
+    problems.extend(
+        f"{where} lists {kind!r}, which is not in "
+        f"repro.faults.FAULT_KINDS"
+        for kind in listed
+        if kind not in fault_kinds
+    )
     return problems
 
 
@@ -396,6 +443,20 @@ def main() -> int:
     metric_names = derived_metric_names()
     problems.extend(check_metrics_doc(obs_text, metric_names))
     problems.extend(check_class_refs(obs_text, repro_symbols()))
+    problems.extend(
+        check_kind_list(
+            "docs/OBSERVABILITY.md's fault_inject `kind` row",
+            fault_inject_kind_cell(obs_text),
+            list(FAULT_KINDS),
+        )
+    )
+    problems.extend(
+        check_kind_list(
+            "docs/CLI.md's --faults paragraph",
+            cli_faults_kinds(CLI_DOC_PATH.read_text()),
+            list(FAULT_KINDS),
+        )
+    )
     if not FAULTS_DOC_PATH.exists():
         problems.append("docs/FAULTS.md is missing")
     else:
