@@ -9,7 +9,7 @@ from repro.cluster.hardware import (
     cluster_400gpu,
     microbenchmark_cluster,
 )
-from repro.cluster.job import Job, JobPhase, JobProgress
+from repro.cluster.job import Job
 from repro.cluster.storage import peer_read_throughput
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "GpuSpec",
     "Server",
     "Job",
-    "JobPhase",
-    "JobProgress",
     "peer_read_throughput",
     "microbenchmark_cluster",
     "cluster_96gpu",

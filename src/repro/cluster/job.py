@@ -1,36 +1,22 @@
-"""Training jobs: specification and runtime progress.
+"""Training jobs: the specification the schedulers see.
 
 A job is specified the way the paper's schedulers see it: a model trained on
 a dataset with a fixed GPU count, an ideal (compute-bound) data-consumption
 throughput ``f*`` in MB/s (the original scheduler's ``perf``), and a total
 amount of training work expressed as ``numSteps * stepDataSize`` (Eq 6).
 
-Runtime progress (:class:`JobProgress`) is tracked in *bytes of training
-data consumed*, because with the pipelined-execution model of §4 every
-performance quantity is a data rate. Epoch boundaries — where newly cached
-items become effective (§6, "delayed effectiveness") — fall every
-``dataset.size_mb`` bytes of progress.
+A job's runtime progress belongs to the simulator running it: the fluid
+simulator's job table (:mod:`repro.sim.jobtable`) or the emulator's
+per-item pipeline state (:mod:`repro.sim.minibatch`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from typing import Optional
 
 from repro.cluster.dataset import Dataset
-
-
-class JobPhase(enum.Enum):
-    """Lifecycle of a job inside a simulation."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    FINISHED = "finished"
-    #: Withdrawn by an online cancellation (``repro.serve``); the job
-    #: retires immediately with no finish time.
-    CANCELLED = "cancelled"
 
 
 @dataclasses.dataclass
@@ -117,65 +103,3 @@ class Job:
     def cache_efficiency(self) -> float:
         """Eq 5: remote IO (MB/s) saved per MB of cache, ``f* / d``."""
         return self.ideal_throughput_mbps / self.dataset.size_mb
-
-
-#: Positions within this many MB of an epoch boundary snap across it: a
-#: fluid simulation accumulates float error well below this, and an event
-#: this close to "now" can be unrepresentable in absolute simulation time.
-_EPOCH_SNAP_MB = 1e-3
-
-
-@dataclasses.dataclass
-class JobProgress:
-    """Mutable runtime state of a job inside a simulator."""
-
-    job: Job
-    phase: JobPhase = JobPhase.PENDING
-    work_done_mb: float = 0.0
-    start_time_s: Optional[float] = None
-    finish_time_s: Optional[float] = None
-
-    @property
-    def remaining_work_mb(self) -> float:
-        """Bytes of training data still to consume."""
-        return max(0.0, self.job.total_work_mb - self.work_done_mb)
-
-    @property
-    def epoch_index(self) -> int:
-        """Zero-based index of the epoch currently in progress."""
-        return int(
-            (self.work_done_mb + _EPOCH_SNAP_MB) // self.job.dataset.size_mb
-        )
-
-    @property
-    def epoch_position_mb(self) -> float:
-        """Bytes consumed within the current epoch."""
-        return max(
-            0.0,
-            self.work_done_mb - self.epoch_index * self.job.dataset.size_mb,
-        )
-
-    @property
-    def work_to_epoch_boundary_mb(self) -> float:
-        """Bytes until the next epoch boundary (capped at remaining work)."""
-        to_boundary = self.job.dataset.size_mb - self.epoch_position_mb
-        return min(to_boundary, self.remaining_work_mb)
-
-    @property
-    def done(self) -> bool:
-        """Whether the job has consumed all its work."""
-        return self.remaining_work_mb <= 1e-9
-
-    def advance(self, data_mb: float) -> None:
-        """Consume ``data_mb`` bytes of training data."""
-        if data_mb < 0:
-            raise ValueError("cannot advance by a negative amount")
-        self.work_done_mb = min(
-            self.job.total_work_mb, self.work_done_mb + data_mb
-        )
-
-    def jct_s(self) -> float:
-        """Job completion time (finish − submit), in seconds."""
-        if self.finish_time_s is None:
-            raise RuntimeError(f"job {self.job.job_id} has not finished")
-        return self.finish_time_s - self.job.submit_time_s

@@ -36,6 +36,7 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.serve.services import ServiceStack
+from repro.sim.kernel import check_fits
 from repro.sim.metrics import RunResult
 from repro.sim.runner import SIMULATORS
 from repro.workloads.trace_io import job_from_dict
@@ -201,6 +202,7 @@ class OnlineEngine:
         data["submit_time_s"] = max(float(submit_s), self.sim.clock_s)
         try:
             job = job_from_dict(data, self._datasets)
+            check_fits(job, self.sim.cluster)
         except ProtocolError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

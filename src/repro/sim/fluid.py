@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.base import CacheSystem, StorageContext, StorageDecision
 from repro.cache.residency import DictResidencyStore
 from repro.cluster.hardware import Cluster
-from repro.cluster.job import _EPOCH_SNAP_MB, Job, JobPhase, JobProgress
+from repro.cluster.job import Job
 from repro.core.perf_model import achieved_rate
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
@@ -51,13 +51,17 @@ from repro.obs import events as ev
 # because perfbench's layer test checks its by-name rebinding here.
 from repro.obs.prov import emit_decision_provenance  # noqa: F401
 from repro.obs.tracer import Tracer
-from repro.sim.jobtable import JobTable
+from repro.sim.jobtable import JobRow, JobTable
 from repro.sim.kernel import SimulatorKernel
 
 #: Work below this many MB counts as "done" (guards float drift).
 _WORK_EPS_MB = 1e-3
 #: Rate below this many MB/s counts as "stalled".
 _RATE_EPS = 1e-9
+#: Positions within this many MB of an epoch boundary snap across it: a
+#: fluid simulation accumulates float error well below this, and an event
+#: this close to "now" can be unrepresentable in absolute simulation time.
+_EPOCH_SNAP_MB = 1e-3
 
 
 class FluidSimulator(SimulatorKernel):
@@ -117,7 +121,8 @@ class FluidSimulator(SimulatorKernel):
         self._reschedule_interval_s = reschedule_interval_s
         #: Per-key residency/target state.
         self._cache = DictResidencyStore()
-        #: Per-job progress and rates for the hot sweeps.
+        #: Per-job progress and rates for the hot sweeps (the only copy:
+        #: each job's :class:`JobRow` state reads it).
         self._table = JobTable(
             rate_eps=_RATE_EPS,
             work_eps_mb=_WORK_EPS_MB,
@@ -142,7 +147,6 @@ class FluidSimulator(SimulatorKernel):
         #: effectiveness scaling touches only the key's own jobs.
         self._key_jobs: Dict[str, List[str]] = {}
         self._effective: Dict[str, float] = {}
-        self._epochs_done: Dict[str, int] = {}
         #: Jobs admitted since the last generation mirror (see
         #: :meth:`_schedule_round`).
         self._unmirrored: List[str] = []
@@ -225,23 +229,19 @@ class FluidSimulator(SimulatorKernel):
     # Lifecycle hooks (see ``repro.sim.kernel``).
     # ------------------------------------------------------------------
 
-    def _new_state(self, job: Job) -> JobProgress:
-        self._epochs_done[job.job_id] = 0
-        self._table.admit(job.job_id, job.total_work_mb, job.dataset.size_mb)
+    def _new_state(self, job: Job) -> JobRow:
+        row = self._table.admit(
+            job.job_id, job.total_work_mb, job.dataset.size_mb
+        )
         key = self.cache_system.cache_key(job)
         self._job_key[job.job_id] = key
         self._key_jobs.setdefault(key, []).append(job.job_id)
         self._unmirrored.append(job.job_id)
-        return JobProgress(job=job)
+        return JobRow(job, row, self._table)
 
-    def _release(self, progress: JobProgress) -> None:
-        job_id = progress.job.job_id
-        row = self._table.row_of(job_id)
-        if row is not None:
-            # Sync the (otherwise table-resident) work counter so the
-            # progress object retires with its true final state.
-            progress.work_done_mb = self._table.work_done_mb(row)
-            self._table.retire(row)
+    def _release(self, state: JobRow) -> None:
+        job_id = state.job.job_id
+        self._table.retire(state.row)
         self._effective.pop(job_id, None)
         # An emptied sharer list stays: the key may still hold data.
         self._key_jobs[self._job_key[job_id]].remove(job_id)
@@ -249,17 +249,15 @@ class FluidSimulator(SimulatorKernel):
             # Private caches die with their jobs.
             self._cache.pop(job_id)
 
-    def _after_cancel(self, progress: JobProgress) -> None:
+    def _after_cancel(self, state: JobRow) -> None:
         """Membership changed: the scheduler re-runs right away."""
-        progress.phase = JobPhase.CANCELLED
         self._reschedule()
         self._next_reschedule = self.clock_s + self._reschedule_interval_s
 
-    def _start_job(self, progress: JobProgress) -> Tuple[str, float]:
+    def _start_job(self, state: JobRow) -> Tuple[str, float]:
         # A freshly started job immediately benefits from data already
         # resident for its dataset (sharing, §7.3).
-        progress.phase = JobPhase.RUNNING
-        job = progress.job
+        job = state.job
         key = self._job_key[job.job_id]
         snap = self._cache.snapshot(key)
         effective = min(
@@ -273,9 +271,6 @@ class FluidSimulator(SimulatorKernel):
 
     def _schedule_args(self) -> dict:
         return {"attained_service_s": self._attained_service_s}
-
-    def _first_epoch_done(self, job: Job) -> bool:
-        return self._epochs_done.get(job.job_id, 0) > 0
 
     def _after_faults(self) -> None:
         self._reclaim_overshoot()
@@ -409,10 +404,9 @@ class FluidSimulator(SimulatorKernel):
     def _retire_completions(self) -> bool:
         changed = False
         for row in self._table.completed_rows():
-            progress = self._active[self._table.job_id(row)]
-            progress.phase = JobPhase.FINISHED
-            progress.finish_time_s = self.clock_s
-            self._retire(progress, self.clock_s)
+            state = self._active[self._table.job_id(row)]
+            state.finish_time_s = self.clock_s
+            self._retire(state, self.clock_s)
             changed = True
         return changed
 
@@ -444,16 +438,10 @@ class FluidSimulator(SimulatorKernel):
 
     def _preempt_job(self, job_id: str, reason: str) -> None:
         """Epoch-granularity restart: roll back to the last boundary."""
-        progress = self._active.get(job_id)
-        if progress is None:
+        state = self._active.get(job_id)
+        if state is None:
             return
-        row = self._table.row_of(job_id)
-        if row is not None:
-            progress.work_done_mb = self._table.work_done_mb(row)
-        rollback = progress.epoch_position_mb
-        progress.work_done_mb = max(0.0, progress.work_done_mb - rollback)
-        if row is not None:
-            self._table.set_work_done_mb(row, progress.work_done_mb)
+        rollback = self._table.rollback_epoch(state.row)
         if self._tracer.enabled:
             self._tracer.emit(
                 self.clock_s,
@@ -461,7 +449,7 @@ class FluidSimulator(SimulatorKernel):
                 job_id,
                 reason=reason,
                 rollback_mb=rollback,
-                epoch=progress.epoch_index,
+                epoch=state.epoch_index,
             )
 
     def _promote_epoch_boundaries(self) -> bool:
@@ -470,7 +458,6 @@ class FluidSimulator(SimulatorKernel):
         for row, epochs_now in self._table.epoch_flips():
             job_id = self._table.job_id(row)
             job = self._active[job_id].job
-            self._epochs_done[job_id] = epochs_now
             self._table.set_epochs_done(row, epochs_now)
             key = self._job_key[job_id]
             snap = self._cache.snapshot(key)
@@ -520,16 +507,10 @@ class FluidSimulator(SimulatorKernel):
         Derived from progress: ``work_done / f*`` is the compute time the
         job has effectively received at its requested GPU count.
         """
-        progress = self._active.get(job.job_id)
-        if progress is None or job.ideal_throughput_mbps <= 0:
+        state = self._active.get(job.job_id)
+        if state is None:
             return 0.0
-        row = self._table.row_of(job.job_id)
-        work_done_mb = (
-            self._table.work_done_mb(row)
-            if row is not None
-            else progress.work_done_mb
-        )
-        return work_done_mb / job.ideal_throughput_mbps * job.num_gpus
+        return state.work_done_mb / job.ideal_throughput_mbps * job.num_gpus
 
     def generation_of(self, job_id: str) -> Optional[str]:
         """The GPU generation ``job_id`` is currently placed on.

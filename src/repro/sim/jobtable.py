@@ -1,4 +1,10 @@
-"""Per-job progress state for the fluid simulator's hot loop.
+"""The fluid simulator's one record of per-job progress.
+
+Progress is tracked in *bytes of training data consumed*, because with
+the pipelined-execution model of §4 every performance quantity is a
+data rate. Epoch boundaries — where newly cached items become effective
+(§6, "delayed effectiveness") — fall every ``dataset.size_mb`` bytes of
+progress.
 
 Between events the fluid simulator repeatedly answers four questions
 over the whole active set — when is the next completion, when is the
@@ -6,8 +12,10 @@ next epoch boundary, advance everyone by ``dt``, who just finished or
 crossed an epoch. :class:`JobTable` stores the loop-carried scalars
 (work done, total work, epoch size, throughput, miss rate, completed
 epochs) in per-column Python lists indexed by row, so each sweep is one
-tight loop over plain floats instead of attribute reads on
-:class:`~repro.cluster.job.JobProgress` objects.
+tight loop over plain floats. The table is the only copy: a
+:class:`JobRow` (the simulator's per-job state) holds a job and its row
+index and reads its progress from the table, and a preemption rolls the
+row back in place (:meth:`JobTable.rollback_epoch`).
 
 The three per-event sweeps (advance, next completion, next epoch
 boundary) only touch *moving* rows — live with a rate above
@@ -27,9 +35,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cluster.job import Job
+
 
 class JobTable:
-    """Columnar mirror of per-job progress for one simulation run.
+    """Columnar record of per-job progress for one simulation run.
 
     Parameters
     ----------
@@ -40,10 +50,11 @@ class JobTable:
         Work remaining at or below this counts as completed (the
         simulator's ``_WORK_EPS_MB``).
     snap_mb:
-        The epoch-boundary snap tolerance
-        (:data:`repro.cluster.job._EPOCH_SNAP_MB`'s value).
+        Positions within this many MB below an epoch boundary count as
+        past it (the simulator's ``_EPOCH_SNAP_MB``).
     done_eps_mb:
-        The ``JobProgress.done`` threshold (promotion skips done jobs).
+        Work remaining at or below this makes a job :meth:`done`
+        (promotion skips done jobs).
     """
 
     def __init__(
@@ -118,9 +129,21 @@ class JobTable:
         """Work completed so far at ``row``, in MB."""
         return self._work[row]
 
-    def set_work_done_mb(self, row: int, value: float) -> None:
-        """Overwrite ``row``'s completed work (preemption rollback)."""
-        self._work[row] = value
+    def epoch_index(self, row: int) -> int:
+        """Zero-based index of the epoch in progress at ``row``."""
+        return int((self._work[row] + self._snap) // self._epoch[row])
+
+    def done(self, row: int) -> bool:
+        """Whether ``row`` has consumed all its work."""
+        return max(0.0, self._total[row] - self._work[row]) <= self._done_eps
+
+    def rollback_epoch(self, row: int) -> float:
+        """Roll ``row`` back to its last epoch boundary (a preemption);
+        returns the MB of work lost."""
+        work = self._work[row]
+        position = max(0.0, work - self.epoch_index(row) * self._epoch[row])
+        self._work[row] = max(0.0, work - position)
+        return position
 
     def rate(self, row: int) -> float:
         """Current end-to-end throughput at ``row``, in MB/s."""
@@ -129,6 +152,10 @@ class JobTable:
     def miss_rate(self, row: int) -> float:
         """Current remote-fetch (miss) rate at ``row``, in MB/s."""
         return self._miss[row]
+
+    def epochs_done(self, row: int) -> int:
+        """Epoch boundaries ``row`` has promoted."""
+        return self._epochs_done[row]
 
     def set_epochs_done(self, row: int, value: int) -> None:
         """Record that ``row`` has promoted ``value`` epoch boundaries."""
@@ -223,7 +250,7 @@ class JobTable:
             remaining = total - work
             if not remaining > 0.0:
                 remaining = 0.0
-            # JobProgress.work_to_epoch_boundary_mb, term by term.
+            # Bytes to the next boundary, capped at the remaining work.
             epoch_index = (work + snap) // epoch
             position = work - epoch_index * epoch
             if not position > 0.0:
@@ -266,3 +293,38 @@ class JobTable:
                 if epoch_index > epochs_done[row]:
                     flips.append((row, int(epoch_index)))
         return flips
+
+
+class JobRow:
+    """A fluid job's runtime state: the job, its table row, and its
+    start and finish times. Progress reads through to the table."""
+
+    __slots__ = ("job", "row", "start_time_s", "finish_time_s", "_table")
+
+    def __init__(self, job: Job, row: int, table: JobTable) -> None:
+        self.job = job
+        self.row = row
+        self.start_time_s: Optional[float] = None
+        self.finish_time_s: Optional[float] = None
+        self._table = table
+
+    @property
+    def work_done_mb(self) -> float:
+        """Training data consumed so far."""
+        return self._table.work_done_mb(self.row)
+
+    @property
+    def epochs_done(self) -> int:
+        """Epoch boundaries promoted so far."""
+        return self._table.epochs_done(self.row)
+
+    @property
+    def epoch_index(self) -> int:
+        """Zero-based index of the epoch in progress (the epoch number
+        lifecycle events report)."""
+        return self._table.epoch_index(self.row)
+
+    @property
+    def done(self) -> bool:
+        """Whether the job has consumed all its work."""
+        return self._table.done(self.row)

@@ -18,14 +18,13 @@ class body and fill in a few hooks:
 
 * :meth:`_new_state` — the per-job runtime state built at admission; it
   exposes ``job``, ``start_time_s``, ``finish_time_s``, ``done``,
-  ``work_done_mb`` and ``epoch_index`` (the epoch number events report);
+  ``work_done_mb``, ``epochs_done`` (boundaries promoted so far) and
+  ``epoch_index`` (the epoch number events report);
 * :meth:`_release` — drop a departing job's per-job structures;
 * :meth:`_start_job` — first placement: seed the job's effective bytes;
 * :meth:`_effective_map` / :meth:`_schedule_args` — the inputs of
   ``scheduler.schedule``: the job_id → effective-bytes map and the
   extra keyword arguments;
-* :meth:`_first_epoch_done` — whether a job has finished an epoch (the
-  cache systems' warm-up test and the fairness sample's filter);
 * :meth:`_invalidate_fraction`, :meth:`_preempt_job` and
   :meth:`_after_faults` — what a fault does to the cache model;
 * :meth:`_after_cancel` — what an active cancellation tears down;
@@ -39,6 +38,8 @@ it), :meth:`_storage_context` wraps that view into the one
 :class:`~repro.cache.base.StorageContext` both simulators hand their
 cache system, and :meth:`_storage_round` runs the round: count it,
 ``reallocate``, :meth:`_apply_decision`, then provenance.
+:meth:`_first_epoch_done` (the cache systems' warm-up test and the
+fairness sample's filter) reads the state's ``epochs_done``.
 :meth:`_reschedule` is a scheduling round followed by a storage round.
 """
 
@@ -62,6 +63,16 @@ from repro.sim.metrics import JobRecord, RunResult, TimelineSample
 
 #: Hard cap on ``step`` calls in one :meth:`SimulatorKernel.run`.
 _MAX_STEPS = 20_000_000
+
+
+def check_fits(job: Job, cluster: Cluster) -> None:
+    """Refuse a job that requests more GPUs than the whole fleet has: no
+    allocation could ever start it, so a run holding it never drains."""
+    if job.num_gpus > cluster.total_gpus:
+        raise ValueError(
+            f"job {job.job_id!r} requests {job.num_gpus} GPUs; the "
+            f"cluster has {cluster.total_gpus}"
+        )
 
 
 class _RoundView:
@@ -115,6 +126,8 @@ class SimulatorKernel:
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("job ids must be unique")
+        for job in jobs:
+            check_fits(job, cluster)
         #: Every id ever seen (trace + online submissions) — duplicate
         #: submissions are rejected for the life of the simulator, even
         #: after the original job finished.
@@ -247,6 +260,7 @@ class SimulatorKernel:
         """
         if job.job_id in self._known_ids:
             raise ValueError(f"duplicate job id {job.job_id!r}")
+        check_fits(job, self.cluster)
         self._known_ids.add(job.job_id)
         key = (job.submit_time_s, job.job_id)
         lo, hi = self._arrival_idx, len(self._trace)
@@ -586,6 +600,10 @@ class SimulatorKernel:
             queued_jobs=view.queued,
             tracer=self._tracer,
         )
+
+    def _first_epoch_done(self, job: Job) -> bool:
+        """Whether ``job`` has crossed an epoch boundary."""
+        return self._active[job.job_id].epochs_done > 0
 
     # ------------------------------------------------------------------
     # Sampling and results.

@@ -351,9 +351,6 @@ class MinibatchEmulator(SimulatorKernel):
             for job_id, rt in self._active.items()
         }
 
-    def _first_epoch_done(self, job: Job) -> bool:
-        return self._active[job.job_id].epochs_done > 0
-
     def _apply_decision(
         self, ctx: StorageContext, decision: StorageDecision
     ) -> None:

@@ -1,4 +1,5 @@
-"""Job specification and progress accounting."""
+"""Job specification, and progress accounting through the fluid job
+table's row view."""
 
 import math
 
@@ -7,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.dataset import Dataset
-from repro.cluster.job import Job, JobPhase, JobProgress
+from repro.cluster.job import Job
+from repro.sim.jobtable import JobRow, JobTable
 
 
 def make_job(**overrides):
@@ -52,52 +54,49 @@ def test_job_derived_quantities():
     assert job.cache_efficiency() == pytest.approx(0.1)
 
 
+def admit(job):
+    """A job table holding ``job`` at 1 MB/s, and the job's row view."""
+    table = JobTable(rate_eps=1e-9, work_eps_mb=1e-3, snap_mb=1e-3)
+    state = JobRow(
+        job, table.admit(job.job_id, job.total_work_mb, job.dataset.size_mb),
+        table,
+    )
+    table.set_rates_bulk([state.row], [1.0], [0.0])
+    return table, state
+
+
 def test_progress_epochs_and_boundaries():
-    progress = JobProgress(job=make_job())
-    assert progress.epoch_index == 0
-    assert progress.work_to_epoch_boundary_mb == pytest.approx(1000.0)
-    progress.advance(1500.0)
-    assert progress.epoch_index == 1
-    assert progress.epoch_position_mb == pytest.approx(500.0)
-    assert progress.work_to_epoch_boundary_mb == pytest.approx(500.0)
-    # Final partial epoch: boundary capped at remaining work.
-    progress.advance(600.0)  # work_done = 2100, epoch 2, 400 remaining
-    assert progress.epoch_index == 2
-    assert progress.work_to_epoch_boundary_mb == pytest.approx(400.0)
+    table, state = admit(make_job())
+    assert state.epoch_index == 0
+    assert table.next_epoch_boundary_time(0.0) == pytest.approx(1000.0)
+    table.advance(1500.0)
+    assert state.epoch_index == 1
+    assert table.next_epoch_boundary_time(0.0) == pytest.approx(500.0)
+    # Final partial epoch: its boundary is the completion itself.
+    table.advance(600.0)  # work_done = 2100, epoch 2, 400 remaining
+    assert state.epoch_index == 2
+    assert table.next_completion_time(0.0) == pytest.approx(400.0)
+    assert math.isinf(table.next_epoch_boundary_time(0.0))
+    # A preemption loses the position within the epoch.
+    assert table.rollback_epoch(state.row) == pytest.approx(100.0)
+    assert state.work_done_mb == pytest.approx(2000.0)
+    assert state.epoch_index == 2
 
 
 def test_progress_completion():
-    progress = JobProgress(job=make_job())
-    progress.advance(1e9)  # clamped to total work
-    assert progress.work_done_mb == pytest.approx(2500.0)
-    assert progress.done
-    assert progress.remaining_work_mb == 0.0
+    table, state = admit(make_job())
+    table.advance(1e9)  # clamped to total work
+    assert state.work_done_mb == pytest.approx(2500.0)
+    assert state.done
+    assert table.completed_rows() == [state.row]
 
 
 def test_progress_epoch_snap_near_boundary():
     # Float drift just below a boundary must not strand the epoch index.
-    progress = JobProgress(job=make_job())
-    progress.work_done_mb = 1000.0 - 1e-9
-    assert progress.epoch_index == 1
-    assert progress.epoch_position_mb == pytest.approx(0.0, abs=1e-6)
-
-
-def test_progress_rejects_negative_advance():
-    progress = JobProgress(job=make_job())
-    with pytest.raises(ValueError):
-        progress.advance(-1.0)
-
-
-def test_jct_requires_finish():
-    progress = JobProgress(job=make_job(submit_time_s=10.0))
-    with pytest.raises(RuntimeError):
-        progress.jct_s()
-    progress.finish_time_s = 110.0
-    assert progress.jct_s() == pytest.approx(100.0)
-
-
-def test_phase_default():
-    assert JobProgress(job=make_job()).phase is JobPhase.PENDING
+    table, state = admit(make_job())
+    table.advance(1000.0 - 1e-9)
+    assert state.epoch_index == 1
+    assert table.rollback_epoch(state.row) == pytest.approx(0.0, abs=1e-6)
 
 
 @given(
@@ -109,16 +108,16 @@ def test_phase_default():
 )
 def test_progress_invariants_under_any_advances(steps):
     """Property: progress accounting never goes out of range."""
-    progress = JobProgress(job=make_job())
+    table, state = admit(make_job())
+    job = state.job
     for step in steps:
-        progress.advance(step)
-        assert 0.0 <= progress.work_done_mb <= progress.job.total_work_mb
-        assert progress.remaining_work_mb >= 0.0
-        assert 0 <= progress.epoch_index <= progress.job.num_epochs + 1
-        assert (
-            progress.work_to_epoch_boundary_mb
-            <= progress.job.dataset.size_mb + 1e-6
-        )
+        table.advance(step)
+        assert 0.0 <= state.work_done_mb <= job.total_work_mb
+        assert 0 <= state.epoch_index <= job.num_epochs + 1
+    epoch = state.epoch_index
+    assert 0.0 <= table.rollback_epoch(state.row) <= job.dataset.size_mb
+    assert state.epoch_index == epoch
+    assert state.work_done_mb == pytest.approx(epoch * job.dataset.size_mb)
 
 
 def test_deadline_validation():

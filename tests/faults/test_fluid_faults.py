@@ -1,4 +1,5 @@
-"""Fault schedules driving the fluid simulator, end to end."""
+"""Fault schedules driving the fluid simulator, end to end (and the
+emulator too where the two must agree)."""
 
 import pytest
 
@@ -8,7 +9,9 @@ from repro.cluster.job import Job
 from repro.faults import FaultEvent, FaultSchedule
 from repro.obs import Tracer
 from repro.sim.fluid import FluidSimulator
-from repro.sim.runner import make_system
+from repro.sim.runner import make_system, run_experiment
+
+from tests.faults.conftest import small_cluster, two_job_trace
 
 pytestmark = pytest.mark.faults
 
@@ -159,3 +162,38 @@ def test_cache_loss_alone_preempts_nothing():
     assert len(result.finished_records()) == 2
     assert not any(e.etype == "job_preempt" for e in tracer.events)
     assert any(e.etype == "cache_invalidate" for e in tracer.events)
+
+
+@pytest.mark.parametrize("simulator", ["fluid", "minibatch"])
+@pytest.mark.parametrize(
+    "faults",
+    [
+        # A running job that was never held, restarted after its
+        # second epoch boundary.
+        [FaultEvent(240.0, "job_restart", target="job-a")],
+        # A server-crash victim (rolled back to its first boundary),
+        # restarted after it crossed its second boundary again.
+        [
+            FaultEvent(150.0, "server_crash", magnitude=1),
+            FaultEvent(300.0, "job_restart", target="job-a"),
+        ],
+    ],
+    ids=["running", "crash_victim"],
+)
+def test_restart_reports_the_latest_epoch(simulator, faults):
+    tracer = Tracer()
+    run_experiment(
+        small_cluster(), "fifo", "silod", two_job_trace(),
+        simulator=simulator, faults=faults, tracer=tracer,
+    )
+    events = [e for e in tracer.events if e.job_id == "job-a"]
+    restart_at = next(
+        i for i, e in enumerate(events) if e.etype == "job_restart"
+    )
+    boundaries = [
+        e.fields["epoch"]
+        for e in events[:restart_at]
+        if e.etype == "epoch_boundary"
+    ]
+    assert boundaries[-1] == 2
+    assert events[restart_at].fields["epoch"] == boundaries[-1]

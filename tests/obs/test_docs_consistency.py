@@ -101,6 +101,27 @@ def test_design_hook_table_names_only_real_hooks():
     assert tool.check_design_hooks("no table here", classes)
 
 
+def test_design_hook_table_rejects_a_kernel_only_name():
+    from repro.sim.fluid import FluidSimulator
+    from repro.sim.minibatch import MinibatchEmulator
+
+    tool = _load_tool()
+    classes = [FluidSimulator, MinibatchEmulator]
+    # Both simulators inherit these from the kernel; neither defines one.
+    table = (
+        "| hook | fluid | minibatch |\n"
+        "|---|---|---|\n"
+        "| `_release(state)` | a | b |\n"
+        "| `_first_epoch_done(job)` | a | b |\n"
+        "| `_storage_round(trigger)` | a | b |\n"
+    )
+    problems = tool.check_design_hooks(table, classes)
+    assert len(problems) == 2
+    assert "'_first_epoch_done'" in problems[0]
+    assert "'_storage_round'" in problems[1]
+    assert all("kernel" in problem for problem in problems)
+
+
 def test_class_refs_must_name_real_attributes():
     tool = _load_tool()
     table = tool.repro_symbols()

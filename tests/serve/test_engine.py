@@ -108,6 +108,20 @@ def test_invalid_job_payload_is_rejected_not_crashed():
     engine.drain()
 
 
+@pytest.mark.parametrize("simulator", ["fluid", "minibatch"])
+def test_a_job_larger_than_the_fleet_is_invalid(simulator):
+    engine = make_engine(simulator=simulator)
+    engine.start()
+    with pytest.raises(ProtocolError) as err:
+        engine.submit(job_payload("huge", num_gpus=1000))
+    assert err.value.reason == REJECT_INVALID
+    assert engine.jobs_submitted == 0
+    # The id stays free, and the whole fleet (8 GPUs) fits.
+    engine.submit(job_payload("huge", num_gpus=8))
+    result = engine.drain()
+    assert [r.job_id for r in result.finished_records()] == ["huge"]
+
+
 def test_cancel_frees_the_job_and_unknown_ids_reject():
     engine = make_engine()
     engine.start()

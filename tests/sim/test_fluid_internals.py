@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
-from repro.cluster.job import Job, JobProgress
+from repro.cluster.job import Job
 from repro.sim.fluid import FluidSimulator
 from repro.sim.runner import make_system
 
@@ -106,9 +106,10 @@ class TestAttainedService:
     def test_attained_service_tracks_progress(self):
         j = job("a", d_gb=10.0)
         sim = make_sim([j])
-        progress = JobProgress(job=j)
-        progress.work_done_mb = 5.0 * GB
-        sim._active[j.job_id] = progress
+        state = sim._active[j.job_id] = sim._new_state(j)
+        # Consume 5 GB at f* (50 MB/s).
+        sim._table.set_rates_bulk([state.row], [50.0], [0.0])
+        sim._table.advance(5.0 * GB / 50.0)
         # 5 GB at 50 MB/s on 1 GPU -> 102.4 s of GPU service.
         assert sim._attained_service_s(j) == pytest.approx(
             5.0 * GB / 50.0

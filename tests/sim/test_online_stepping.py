@@ -7,6 +7,8 @@ stepping by hand must reproduce it bit-for-bit — including the
 ``loop_events`` counter perfbench reads.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import units
@@ -138,6 +140,27 @@ def test_submit_job_rejects_duplicates_even_after_finish(sim_name):
     with pytest.raises(ValueError):
         sim.submit_job(jobs[0])
     sim.finish()
+
+
+@pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])
+def test_a_job_larger_than_the_fleet_is_refused(sim_name):
+    """No allocation could start it, so a run holding it would never
+    drain: the constructor and ``submit_job`` refuse it."""
+    huge = make_job(
+        "huge", "resnet50", Dataset(name="d-huge", size_mb=units.gb(10)),
+        num_gpus=1000, num_epochs=1,
+    )
+    with pytest.raises(ValueError, match="1000 GPUs"):
+        build(sim_name, three_jobs() + [huge])
+    sim = build(sim_name, three_jobs())
+    sim.begin()
+    with pytest.raises(ValueError, match="1000 GPUs"):
+        sim.submit_job(huge)
+    # The whole fleet (8 GPUs) is not too large.
+    sim.submit_job(dataclasses.replace(huge, job_id="fleet", num_gpus=8))
+    while sim.step():
+        pass
+    assert len(sim.finish().finished_records()) == 4
 
 
 @pytest.mark.parametrize("sim_name", ["fluid", "minibatch"])

@@ -32,7 +32,8 @@ registry (``PAR001`` under the ``engine``).
 And the simulator kernel: every backticked ``_name`` in the first
 column of ``docs/DESIGN.md``'s ``| hook | fluid | minibatch |`` table
 must be an attribute of both ``FluidSimulator`` and
-``MinibatchEmulator``.
+``MinibatchEmulator``, and defined in at least one of their own class
+bodies (a name only the kernel defines is shared, not a hook).
 
 And the code references: every backticked ``Class.attr`` in
 ``docs/OBSERVABILITY.md`` must name an attribute of a ``repro`` class of
@@ -46,6 +47,7 @@ test ``tests/obs/test_docs_consistency.py``.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -341,13 +343,23 @@ def check_design_hooks(text: str, classes: list) -> list:
     names = parse_hook_table(text)
     if not names:
         return [f"docs/DESIGN.md has no '{_HOOK_HEADER}' hook table"]
-    return [
-        f"docs/DESIGN.md's hook table names {name!r}, which "
-        f"{cls.__name__} does not have"
-        for name in names
-        for cls in classes
-        if not hasattr(cls, name)
-    ]
+    own = set()
+    for cls in classes:
+        own |= _class_attrs(ast.parse(inspect.getsource(cls)).body[0])
+    problems = []
+    for name in names:
+        missing = [cls.__name__ for cls in classes if not hasattr(cls, name)]
+        problems.extend(
+            f"docs/DESIGN.md's hook table names {name!r}, which "
+            f"{cls_name} does not have"
+            for cls_name in missing
+        )
+        if not missing and name not in own:
+            problems.append(
+                f"docs/DESIGN.md's hook table names {name!r}, which no "
+                f"simulator's own class body defines (the kernel shares it)"
+            )
+    return problems
 
 
 #: A backticked code reference `Class.attr` or `Class.attr(...)`.
