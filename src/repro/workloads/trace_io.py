@@ -49,22 +49,34 @@ def job_to_dict(job: Job) -> dict:
 
 
 def job_from_dict(data: dict, datasets: Dict[str, Dataset]) -> Job:
-    """Rebuild a job, reusing dataset instances by name."""
+    """Rebuild a job, reusing dataset instances by name.
+
+    A name stands for one dataset: a job that names a dataset already in
+    ``datasets`` with another ``size_mb`` or ``num_items`` raises
+    ``ValueError`` instead of silently taking the first definition.
+    """
     if data.get("v", 1) != _VERSION:
         raise ValueError(f"unsupported trace format version {data.get('v')}")
     ds = data["dataset"]
-    dataset = datasets.get(ds["name"])
-    if dataset is None:
-        dataset = Dataset(
-            name=ds["name"],
-            size_mb=float(ds["size_mb"]),
-            num_items=int(ds["num_items"]),
+    dataset = Dataset(
+        name=ds["name"],
+        size_mb=float(ds["size_mb"]),
+        num_items=int(ds["num_items"]),
+    )
+    known = datasets.get(dataset.name)
+    if known is None:
+        known = dataset
+    elif known != dataset:
+        raise ValueError(
+            f"dataset {dataset.name!r} is already defined with "
+            f"size_mb={known.size_mb!r} and num_items={known.num_items}; "
+            f"job {data.get('job_id')!r} gives size_mb={dataset.size_mb!r} "
+            f"and num_items={dataset.num_items}"
         )
-        datasets[ds["name"]] = dataset
-    return Job(
+    job = Job(
         job_id=data["job_id"],
         model=data["model"],
-        dataset=dataset,
+        dataset=known,
         num_gpus=int(data["num_gpus"]),
         ideal_throughput_mbps=float(data["ideal_throughput_mbps"]),
         total_work_mb=float(data["total_work_mb"]),
@@ -76,6 +88,8 @@ def job_from_dict(data: dict, datasets: Dict[str, Dataset]) -> Job:
             else None
         ),
     )
+    datasets.setdefault(known.name, known)
+    return job
 
 
 def save_trace(jobs: Sequence[Job], path: Union[str, Path]) -> None:

@@ -69,11 +69,11 @@ def test_progress_epochs_and_boundaries():
     table, state = admit(make_job())
     assert state.epoch_index == 0
     assert table.next_epoch_boundary_time(0.0) == pytest.approx(1000.0)
-    table.advance(1500.0)
+    table.advance(1500.0, 1500.0)
     assert state.epoch_index == 1
     assert table.next_epoch_boundary_time(0.0) == pytest.approx(500.0)
     # Final partial epoch: its boundary is the completion itself.
-    table.advance(600.0)  # work_done = 2100, epoch 2, 400 remaining
+    table.advance(600.0, 2100.0)  # work_done = 2100, epoch 2, 400 remaining
     assert state.epoch_index == 2
     assert table.next_completion_time(0.0) == pytest.approx(400.0)
     assert math.isinf(table.next_epoch_boundary_time(0.0))
@@ -85,7 +85,7 @@ def test_progress_epochs_and_boundaries():
 
 def test_progress_completion():
     table, state = admit(make_job())
-    table.advance(1e9)  # clamped to total work
+    table.advance(1e9, 1e9)  # clamped to total work
     assert state.work_done_mb == pytest.approx(2500.0)
     assert state.done
     assert table.completed_rows() == [state.row]
@@ -94,7 +94,7 @@ def test_progress_completion():
 def test_progress_epoch_snap_near_boundary():
     # Float drift just below a boundary must not strand the epoch index.
     table, state = admit(make_job())
-    table.advance(1000.0 - 1e-9)
+    table.advance(1000.0 - 1e-9, 1000.0 - 1e-9)
     assert state.epoch_index == 1
     assert table.rollback_epoch(state.row) == pytest.approx(0.0, abs=1e-6)
 
@@ -110,8 +110,10 @@ def test_progress_invariants_under_any_advances(steps):
     """Property: progress accounting never goes out of range."""
     table, state = admit(make_job())
     job = state.job
+    clock_s = 0.0
     for step in steps:
-        table.advance(step)
+        clock_s += step
+        table.advance(step, clock_s)
         assert 0.0 <= state.work_done_mb <= job.total_work_mb
         assert 0 <= state.epoch_index <= job.num_epochs + 1
     epoch = state.epoch_index

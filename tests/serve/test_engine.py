@@ -122,6 +122,27 @@ def test_a_job_larger_than_the_fleet_is_invalid(simulator):
     assert [r.job_id for r in result.finished_records()] == ["huge"]
 
 
+def test_a_dataset_redefined_under_its_name_is_invalid():
+    engine = make_engine()
+    engine.start()
+    engine.submit(job_payload("first", dataset="ds-a", size_mb=512.0))
+    resized = job_payload("resized", dataset="ds-a", size_mb=1024.0)
+    recounted = job_payload("recounted", dataset="ds-a", size_mb=512.0)
+    recounted["dataset"]["num_items"] = 2000
+    for bad in (resized, recounted):
+        with pytest.raises(ProtocolError) as err:
+            engine.submit(bad)
+        assert err.value.reason == REJECT_INVALID
+        assert "already defined" in str(err.value)
+    assert engine.jobs_submitted == 1
+    # The same definition again is the same dataset.
+    engine.submit(job_payload("second", dataset="ds-a", size_mb=512.0))
+    result = engine.drain()
+    assert sorted(r.job_id for r in result.finished_records()) == [
+        "first", "second",
+    ]
+
+
 def test_cancel_frees_the_job_and_unknown_ids_reject():
     engine = make_engine()
     engine.start()

@@ -95,3 +95,32 @@ def test_deadline_round_trips_only_when_declared(tmp_path):
         {**job_to_dict(jobs[0]), "deadline_s": None}, {}
     )
     assert explicit_null.deadline_s is None
+
+
+@pytest.mark.parametrize("field, scale", [("size_mb", 2.0), ("num_items", 3)])
+def test_a_dataset_name_binds_one_definition(tmp_path, field, scale):
+    first = job_to_dict(generate_trace(TraceConfig(num_jobs=1, seed=3))[0])
+    second = json.loads(json.dumps(first))
+    second["job_id"] = "again"
+    second["dataset"][field] = first["dataset"][field] * scale
+    datasets = {}
+    job_from_dict(first, datasets)
+    with pytest.raises(ValueError, match="already defined"):
+        job_from_dict(second, datasets)
+    path = tmp_path / "conflict.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(ValueError, match="already defined"):
+        load_trace(path)
+
+
+def test_a_refused_job_defines_no_dataset():
+    data = job_to_dict(generate_trace(TraceConfig(num_jobs=1, seed=3))[0])
+    datasets = {}
+    with pytest.raises(ValueError):
+        job_from_dict({**data, "num_gpus": 0}, datasets)
+    assert datasets == {}
+    resized = json.loads(json.dumps(data))
+    resized["dataset"]["size_mb"] *= 2.0
+    assert job_from_dict(resized, datasets).dataset.size_mb == (
+        resized["dataset"]["size_mb"]
+    )
