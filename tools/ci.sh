@@ -18,8 +18,9 @@
 #      het-max-throughput on a V100+A100 fleet with the
 #      max-throughput >= max-min >= fifo ordering),
 #      tests/sim/test_minibatch_anchors.py (the minibatch emulator: one
-#      cell per cache system, a mid-epoch preemption and an IO stall,
-#      traced and untraced), tests/core/policies/test_gavel_anchors.py
+#      cell per cache system, a mid-epoch preemption, an IO stall and
+#      a cache loss whose random evictions pick later hits, traced and
+#      untraced), tests/core/policies/test_gavel_anchors.py
 #      (Gavel's closed-form common-ratio solve: gavel x silod with a
 #      frozen job, finish-time-fairness, het-max-min under churn, and
 #      rounds of more than 40 jobs; test_gavel_scalar.py proves each
