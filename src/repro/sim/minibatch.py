@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from array import array
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -101,9 +102,11 @@ class _JobRuntime:
         self.epoch_pos = 0
         self.epochs_done = 0
         self.effective_items = 0
+        # The generator feeds nothing but this job's shuffles, so the
+        # epoch order can wait for the first placement and be dropped at
+        # release (see ``MinibatchEmulator._start_job``/``_release``).
         self.rng = random.Random(seed)
-        self.order: List[int] = list(range(self.epoch_items))
-        _shuffle(self.rng, self.order)
+        self.order: Optional[array] = None
         self.io_free_t = 0.0
         self.comp_free_t = 0.0
         # Measured hit statistics feeding the work-conserving bandwidth
@@ -257,10 +260,15 @@ class MinibatchEmulator(SimulatorKernel):
         )
 
     def _release(self, rt: _JobRuntime) -> None:
+        rt.order = None
         if self.cache_system.per_job_keys:
             self._uniform_caches.pop(rt.job.job_id, None)
 
     def _start_job(self, rt: _JobRuntime) -> Tuple[str, float]:
+        # The first epoch's order, stored at four bytes a position.
+        order = list(range(rt.epoch_items))
+        _shuffle(rt.rng, order)
+        rt.order = array("I", order)
         key = self.cache_system.cache_key(rt.job)
         rt.effective_items = self._cache_items_of(key)
         return key, rt.effective_items * self._item_size_mb
@@ -474,7 +482,7 @@ class MinibatchEmulator(SimulatorKernel):
             for _ in range(budget_items):
                 if cache.size >= cache.capacity:
                     break
-                cache.access((key, rng.randrange(population)))
+                cache.access(rng.randrange(population))
             if self._tracer.enabled and cache.size > before:
                 self._tracer.emit(
                     self.clock_s,
@@ -575,7 +583,9 @@ class MinibatchEmulator(SimulatorKernel):
         The hot loop of the emulator: its state lives in locals and is
         written back to ``rt`` once at the end. Cache lookups still go
         through ``item in cache`` and the pool's ``access`` so that
-        wrappers on those methods see every item.
+        wrappers on those methods see every item. A per-key uniform
+        cache holds bare item indices; the shared LRU pool holds
+        ``(key, index)``, because every key shares its arena.
         """
         key = self.cache_system.cache_key(rt.job)
         tracer = self._tracer
@@ -608,9 +618,9 @@ class MinibatchEmulator(SimulatorKernel):
         steps = 0
         while comp_free < t_end and items_done < total_items:
             steps += 1
-            item = (key, order[epoch_pos])
+            item = order[epoch_pos]
             if pool is not None:
-                hit = pool_access(item)
+                hit = pool_access((key, item))
                 if tracing and not hit and pool.capacity > 0:
                     admits[key] = admits.get(key, 0) + 1
             elif cache is None:
@@ -648,7 +658,13 @@ class MinibatchEmulator(SimulatorKernel):
             if epoch_pos >= epoch_items:
                 epoch_pos = 0
                 rt.epochs_done += 1
-                _shuffle(rt.rng, order)
+                if items_done < total_items:
+                    # Shuffle through a list: Fisher-Yates on the array
+                    # itself is slower per position. The job's last item
+                    # needs no next order.
+                    shuffled = order.tolist()
+                    _shuffle(rt.rng, shuffled)
+                    order = rt.order = array("I", shuffled)
                 # Delayed effectiveness: everything resident *now* becomes
                 # usable from the next epoch on.
                 rt.effective_items = self._cache_items_of(key)

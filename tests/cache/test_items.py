@@ -118,3 +118,31 @@ def test_infinite_capacity_caches_behave_identically(accesses):
     lru = LruItemCache(1000)
     for item in accesses:
         assert uniform.access(item) == lru.access(item)
+
+
+@given(
+    indices=st.sets(
+        st.integers(min_value=0, max_value=200_000), min_size=1, max_size=300
+    ),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    key=st.text(min_size=1, max_size=8),
+)
+@settings(max_examples=200)
+def test_uniform_evictions_ignore_the_key_wrapper(indices, data, seed, key):
+    """A cache of bare indices evicts what a cache of ``(key, i)`` does.
+
+    ``resize`` sorts candidates by ``repr``; with one key per cache,
+    ``repr((key, i))`` orders exactly as ``repr(i)``, so the same seed
+    draws the same victims. The minibatch emulator's per-key caches
+    rely on this to hold bare indices.
+    """
+    capacity = data.draw(st.integers(min_value=0, max_value=len(indices)))
+    bare = UniformItemCache(len(indices), rng=random.Random(seed))
+    keyed = UniformItemCache(len(indices), rng=random.Random(seed))
+    for i in indices:
+        bare.access(i)
+        keyed.access((key, i))
+    bare.resize(capacity)
+    keyed.resize(capacity)
+    assert {i for _, i in keyed.snapshot()} == bare.snapshot()
