@@ -23,7 +23,6 @@ from repro.serve import (
     ServeClient,
     ServeServer,
     ServerThread,
-    ServiceStack,
     VirtualClock,
 )
 
@@ -56,7 +55,9 @@ def main() -> None:
     )
     engine = OnlineEngine(
         cluster,
-        ServiceStack.build("fifo", "silod", queue_limit=16),
+        "fifo",
+        "silod",
+        queue_limit=16,
         clock=VirtualClock(start_paused=True),
         tracer=StreamingTracer(),
     )

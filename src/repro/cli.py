@@ -382,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--policy",
         default="fifo",
-        help="scheduling policy (default fifo; one of "
-        f"{', '.join(POLICY_FACTORIES)})",
+        choices=list(POLICY_FACTORIES),
+        help="scheduling policy (default fifo)",
     )
     p_run.add_argument(
         "--cache",
         default="silod",
-        help="cache system (default silod; one of "
-        f"{', '.join(CACHE_FACTORIES)})",
+        choices=list(CACHE_FACTORIES),
+        help="cache system (default silod)",
     )
     p_run.add_argument("--simulator", default="fluid",
                        choices=list(SIMULATORS),
@@ -448,12 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies",
         nargs="+",
         default=list(POLICIES),
+        choices=list(POLICY_FACTORIES),
         help=f"policies to sweep (default: {' '.join(POLICIES)})",
     )
     p_matrix.add_argument(
         "--caches",
         nargs="+",
         default=list(CACHES),
+        choices=list(CACHE_FACTORIES),
         help=f"cache systems to sweep (default: {' '.join(CACHES)})",
     )
     p_matrix.add_argument(

@@ -8,10 +8,11 @@ line-delimited-JSON socket (plus an optional minimal HTTP endpoint),
 schedules continuously against simulated virtual time, and streams the
 run's ``repro.obs`` events to live subscribers.
 
-The run path is a :class:`~repro.serve.services.ServiceStack`: a
-bounded :class:`~repro.serve.services.AdmissionQueue` (backpressure) in
-front of the scheduler and cache system, both built through the
-existing policy/cache registries. The simulators themselves
+The :class:`~repro.serve.engine.OnlineEngine` owns the run: a bounded
+:class:`~repro.serve.engine.AdmissionQueue` (backpressure) in front of
+a simulator built by the batch factory
+(:func:`repro.sim.runner.make_simulator`) from the existing
+policy/cache registries. The simulators themselves
 are the execution engine: they expose a stepped protocol
 (``begin``/``step``/``finish``) that the online engine drives one event
 at a time, so online and batch runs share a single code path and emit
@@ -24,10 +25,9 @@ backpressure semantics.
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.clock import VirtualClock
-from repro.serve.engine import OnlineEngine
+from repro.serve.engine import AdmissionQueue, OnlineEngine
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import ServeServer, ServerThread
-from repro.serve.services import AdmissionQueue, ServiceStack
 
 __all__ = [
     "AdmissionQueue",
@@ -38,6 +38,5 @@ __all__ = [
     "ServeError",
     "ServeServer",
     "ServerThread",
-    "ServiceStack",
     "VirtualClock",
 ]

@@ -2,7 +2,7 @@
 
 Kept in the serve package (same pattern as ``repro.lint.cli``): the
 main CLI calls :func:`configure_parser` on its
-``serve`` subparser, and :func:`cmd_serve` builds the stack and runs the
+``serve`` subparser, and :func:`cmd_serve` builds the engine and runs the
 asyncio server until a shutdown request (socket ``shutdown`` op or
 SIGINT/SIGTERM) drains it. Helpers shared with the batch commands
 (cluster args, fault schedules) are imported from ``repro.cli`` lazily
@@ -21,8 +21,14 @@ from repro.obs.stream import StreamingTracer
 from repro.serve.clock import VirtualClock
 from repro.serve.engine import OnlineEngine
 from repro.serve.server import ServeServer, serve_until_shutdown
-from repro.serve.services import ServiceStack
 from repro.sim.runner import CACHE_FACTORIES, POLICY_FACTORIES, SIMULATORS
+
+
+def _queue_limit(text: str) -> int:
+    """``--queue-limit``'s type: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -51,14 +57,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
         default="fifo",
-        help="scheduling policy (default fifo; one of "
-        f"{', '.join(POLICY_FACTORIES)})",
+        choices=list(POLICY_FACTORIES),
+        help="scheduling policy (default fifo)",
     )
     parser.add_argument(
         "--cache",
         default="silod",
-        help="cache system (default silod; one of "
-        f"{', '.join(CACHE_FACTORIES)})",
+        choices=list(CACHE_FACTORIES),
+        help="cache system (default silod)",
     )
     parser.add_argument(
         "--simulator",
@@ -68,7 +74,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--queue-limit",
-        type=int,
+        type=_queue_limit,
         default=64,
         metavar="N",
         help="admission-queue depth before submissions bounce with "
@@ -136,14 +142,11 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def build_server(args: argparse.Namespace) -> ServeServer:
-    """Construct the full stack (cluster, engine, server) from args."""
+    """Construct the cluster, engine and server from args."""
     # Lazy: repro.cli imports this module at parser-build time.
     from repro.cli import _build_cluster, _build_fault_schedule
 
     cluster = _build_cluster(args)
-    stack = ServiceStack.build(
-        args.policy, args.cache, queue_limit=args.queue_limit
-    )
     clock = VirtualClock(
         speedup=args.speedup or None, start_paused=args.paused
     )
@@ -156,7 +159,9 @@ def build_server(args: argparse.Namespace) -> ServeServer:
         sim_kwargs["reschedule_interval_s"] = args.reschedule_s
     engine = OnlineEngine(
         cluster,
-        stack,
+        args.policy,
+        args.cache,
+        args.queue_limit,
         clock=clock,
         simulator=args.simulator,
         tracer=StreamingTracer(max_events=args.max_events),

@@ -1,14 +1,18 @@
 """The online engine: one stepped simulator driven by a virtual clock.
 
 :class:`OnlineEngine` owns the run: it builds a simulator over an
-*empty* trace, then feeds it submissions and cancellations while pumping
-events whose times fall under the :class:`~repro.serve.clock.VirtualClock`
-watermark. Because the simulators expose their batch loop as
-``begin()``/``step()``/``finish()`` and online submissions insert into
-the pending trace in ``(submit_time_s, job_id)`` order, the engine
-executes *exactly* the batch code path — same admission order, same
-float operations, same event log — which is what the equivalence tests
-pin down with ``localize_divergence``.
+*empty* trace with the batch factory
+(:func:`repro.sim.runner.make_simulator`), then feeds it submissions
+and cancellations while pumping events whose times fall under the
+:class:`~repro.serve.clock.VirtualClock` watermark. Because the
+simulators expose their batch loop as ``begin()``/``step()``/``finish()``
+and online submissions insert into the pending trace in
+``(submit_time_s, job_id)`` order, the engine executes *exactly* the
+batch code path — same admission order, same float operations, same
+event log — which is what the equivalence tests pin down with
+``localize_divergence``. A bounded :class:`AdmissionQueue` in front of
+the simulator answers overload with a reason (``queue_full``,
+``duplicate_id``, ``shutting_down``), after Blox's decomposed services.
 
 The engine is transport-agnostic and synchronous: the asyncio server
 (:mod:`repro.serve.server`) serialises all calls onto its event loop,
@@ -33,12 +37,13 @@ from repro.serve.clock import VirtualClock
 from repro.serve.protocol import (
     REJECT_DUPLICATE,
     REJECT_INVALID,
+    REJECT_QUEUE_FULL,
+    REJECT_SHUTTING_DOWN,
     ProtocolError,
 )
-from repro.serve.services import ServiceStack
 from repro.sim.kernel import check_fits
 from repro.sim.metrics import RunResult
-from repro.sim.runner import SIMULATORS
+from repro.sim.runner import make_simulator
 from repro.workloads.trace_io import job_from_dict
 
 #: Engine-side job states, driven off the event stream (not sim
@@ -54,6 +59,66 @@ JOB_STATES = (
 )
 
 
+class AdmissionQueue:
+    """Bounded admission control with machine-readable rejections.
+
+    Tracks jobs from accepted submission until first placement
+    (``job_start``). ``try_admit`` either accepts (returns ``None``) or
+    answers with one of the protocol reject reasons; the caller emits the
+    corresponding ``job_reject`` event so backpressure is observable.
+    """
+
+    def __init__(self, limit: int = 64) -> None:
+        if limit < 1:
+            raise ValueError("admission queue limit must be >= 1")
+        self.limit = int(limit)
+        #: job_id -> wall-clock submit instant (perf-counter seconds),
+        #: used by the engine for admission-to-placement latency.
+        self._waiting: Dict[str, float] = {}
+        self._seen: set = set()
+        self._draining = False
+        self.accepted_total = 0
+        self.rejected_total = 0
+
+    @property
+    def depth(self) -> int:
+        """Jobs admitted but not yet placed."""
+        return len(self._waiting)
+
+    @property
+    def draining(self) -> bool:
+        """Whether admission has been closed for shutdown."""
+        return self._draining
+
+    def start_drain(self) -> None:
+        """Stop accepting new work; queued jobs keep flowing."""
+        self._draining = True
+
+    def try_admit(self, job_id: str, wall_s: float) -> Optional[str]:
+        """Admit ``job_id`` or return the protocol reject reason."""
+        if self._draining:
+            self.rejected_total += 1
+            return REJECT_SHUTTING_DOWN
+        if job_id in self._seen:
+            self.rejected_total += 1
+            return REJECT_DUPLICATE
+        if len(self._waiting) >= self.limit:
+            self.rejected_total += 1
+            return REJECT_QUEUE_FULL
+        self._seen.add(job_id)
+        self._waiting[job_id] = wall_s
+        self.accepted_total += 1
+        return None
+
+    def mark_placed(self, job_id: str) -> Optional[float]:
+        """Record first placement; returns the submit wall instant."""
+        return self._waiting.pop(job_id, None)
+
+    def discard(self, job_id: str) -> None:
+        """Drop a waiting job (cancellation before placement)."""
+        self._waiting.pop(job_id, None)
+
+
 class OnlineEngine:
     """Drive one simulator online: submissions in, obs events out.
 
@@ -61,10 +126,11 @@ class OnlineEngine:
     ----------
     cluster:
         The hardware the service schedules.
-    stack:
-        The :class:`~repro.serve.services.ServiceStack` (admission
-        queue, scheduler, cache system) — its scheduler and cache
-        system are the objects the simulator runs.
+    policy, cache:
+        Registry names of the scheduling policy and the cache system,
+        coupled as :func:`repro.sim.runner.make_system` couples them.
+    queue_limit:
+        Depth of the :class:`AdmissionQueue`.
     clock:
         The virtual clock gating event processing; defaults to an
         unlimited clock (process everything as soon as it is known).
@@ -83,26 +149,22 @@ class OnlineEngine:
     def __init__(
         self,
         cluster: Cluster,
-        stack: ServiceStack,
+        policy: str = "fifo",
+        cache: str = "silod",
+        queue_limit: int = 64,
         clock: Optional[VirtualClock] = None,
         simulator: str = "fluid",
         tracer: Optional[StreamingTracer] = None,
         **sim_kwargs,
     ) -> None:
-        self.cluster = cluster
-        self.stack = stack
+        self.policy = policy
+        self.cache = cache
+        self.admission = AdmissionQueue(limit=queue_limit)
         self.clock = clock if clock is not None else VirtualClock()
         self.simulator = simulator
         self.tracer = tracer if tracer is not None else StreamingTracer()
-        sim_class = SIMULATORS.get(simulator)
-        if sim_class is None:
-            raise ValueError("simulator must be 'fluid' or 'minibatch'")
-        self.sim = sim_class(
-            cluster,
-            stack.scheduler,
-            stack.cache_system,
-            [],
-            tracer=self.tracer,
+        self.sim = make_simulator(
+            cluster, policy, cache, [], simulator, tracer=self.tracer,
             **sim_kwargs,
         )
         #: Dataset instances by name — shared across submissions so jobs
@@ -129,11 +191,11 @@ class OnlineEngine:
             self.tracer.emit(
                 self.sim.clock_s,
                 ev.SERVICE_START,
-                policy=self.stack.policy,
-                cache=self.stack.cache,
+                policy=self.policy,
+                cache=self.cache,
                 simulator=self.simulator,
-                gpus=float(self.cluster.total_gpus),
-                queue_limit=self.stack.admission.limit,
+                gpus=float(self.sim.cluster.total_gpus),
+                queue_limit=self.admission.limit,
             )
 
     def drain(self) -> RunResult:
@@ -152,7 +214,7 @@ class OnlineEngine:
         if self._stopped:
             assert self.result is not None
             return self.result
-        self.stack.admission.start_drain()
+        self.admission.start_drain()
         if run_dry:
             self.clock.resume(speedup=0)
             while self.sim.step():
@@ -212,7 +274,7 @@ class OnlineEngine:
         # Latency metering only — never feeds back into scheduling.
         # lint: disable=DET003
         wall_s = time.perf_counter()
-        reason = self.stack.admission.try_admit(job.job_id, wall_s)
+        reason = self.admission.try_admit(job.job_id, wall_s)
         if reason is not None:
             self._reject(job.job_id, reason)
             raise ProtocolError(
@@ -223,7 +285,7 @@ class OnlineEngine:
         except ValueError as exc:
             # Known to the simulator (e.g. finished long ago) but not to
             # this admission queue — still a duplicate to the client.
-            self.stack.admission.discard(job.job_id)
+            self.admission.discard(job.job_id)
             self._reject(job.job_id, REJECT_DUPLICATE)
             raise ProtocolError(REJECT_DUPLICATE, str(exc)) from exc
         self._states[job.job_id] = "accepted"
@@ -232,7 +294,7 @@ class OnlineEngine:
             "ok": True,
             "job_id": job.job_id,
             "submit_time_s": job.submit_time_s,
-            "queue_depth": self.stack.admission.depth,
+            "queue_depth": self.admission.depth,
         }
 
     def _reject(self, job_id: str, reason: str) -> None:
@@ -242,7 +304,7 @@ class OnlineEngine:
                 ev.JOB_REJECT,
                 job_id,
                 reason=reason,
-                queue_depth=self.stack.admission.depth,
+                queue_depth=self.admission.depth,
             )
 
     def cancel(self, job_id: str, reason: str = "user") -> dict:
@@ -252,7 +314,7 @@ class OnlineEngine:
             raise ProtocolError(
                 REJECT_INVALID, f"no pending or running job {job_id!r}"
             )
-        self.stack.admission.discard(job_id)
+        self.admission.discard(job_id)
         return {"ok": True, "job_id": job_id, "state": "cancelled"}
 
     def clock_op(
@@ -302,7 +364,7 @@ class OnlineEngine:
             "jobs_finished": self.jobs_finished,
             "job_counts": counts,
             "jobs": dict(self._states),
-            "services": self.stack.describe(),
+            "services": self._services(),
             "sched_rounds": self.sim.sched_rounds,
             "loop_events": self.sim.loop_events,
             "events_recorded": len(self.tracer),
@@ -327,8 +389,8 @@ class OnlineEngine:
                     "p99": nearest_rank(samples, 0.99),
                 },
                 "decision_latency_p99_ms": self.decision_latency_p99_ms(),
-                "queue_depth": self.stack.admission.depth,
-                "rejected_total": self.stack.admission.rejected_total,
+                "queue_depth": self.admission.depth,
+                "rejected_total": self.admission.rejected_total,
             },
         }
 
@@ -363,6 +425,40 @@ class OnlineEngine:
     # ------------------------------------------------------------------
 
     @property
+    def stack(self) -> "OnlineEngine":
+        """The engine itself: ``perfbench/serve_launcher.py`` reads
+        ``engine.stack.admission``. ROADMAP item 15 deletes this alias."""
+        return self
+
+    def _services(self) -> dict:
+        """Component-by-component identity for ``status`` responses."""
+        admission, scheduler = self.admission, self.sim.scheduler
+        policy = scheduler.policy
+        return {
+            "admission": {
+                "limit": admission.limit,
+                "depth": admission.depth,
+                "accepted_total": admission.accepted_total,
+                "rejected_total": admission.rejected_total,
+                "draining": admission.draining,
+            },
+            "estimator": {"kind": type(scheduler.estimator).__name__},
+            "placement": {
+                "policy": policy.name,
+                "storage_aware": scheduler.storage_aware,
+                "heterogeneity_aware": bool(
+                    getattr(policy, "heterogeneity_aware", False)
+                ),
+                "default_generation": scheduler.default_generation,
+                "gpu_pools": dict(scheduler.gpu_pools or {}) or None,
+            },
+            "cache_alloc": {
+                "cache": self.cache,
+                "kind": type(self.sim.cache_system).__name__,
+            },
+        }
+
+    @property
     def jobs_finished(self) -> int:
         """Submitted jobs that have run to completion."""
         return sum(1 for s in self._states.values() if s == "finished")
@@ -383,7 +479,7 @@ class OnlineEngine:
             self._states[job_id] = "queued"
         elif etype == "job_start":
             self._states[job_id] = "running"
-            submitted_wall = self.stack.admission.mark_placed(job_id)
+            submitted_wall = self.admission.mark_placed(job_id)
             if submitted_wall is not None:
                 # lint: disable=DET003
                 elapsed_s = time.perf_counter() - submitted_wall
@@ -394,7 +490,7 @@ class OnlineEngine:
             self._states[job_id] = "running"
         elif etype == "job_finish":
             self._states[job_id] = "finished"
-            self.stack.admission.mark_placed(job_id)
+            self.admission.mark_placed(job_id)
         elif etype == "job_cancel":
             self._states[job_id] = "cancelled"
-            self.stack.admission.discard(job_id)
+            self.admission.discard(job_id)

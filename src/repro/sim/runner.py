@@ -38,6 +38,7 @@ from repro.core.policies.objectives import (
 from repro.core.policies.sjf import SjfPolicy
 from repro.core.silod import SiloDScheduler
 from repro.sim.fluid import FluidSimulator
+from repro.sim.kernel import SimulatorKernel
 from repro.sim.metrics import RunResult
 from repro.sim.minibatch import MinibatchEmulator
 
@@ -68,7 +69,7 @@ CACHE_FACTORIES: Dict[str, Callable[..., CacheSystem]] = {
 POLICIES = ("fifo", "sjf", "gavel")
 CACHES = ("silod", "alluxio", "coordl", "quiver")
 #: ``simulator`` name -> the simulator class that runs it; the one
-#: registry behind ``run_experiment``, the serve engine and both CLIs.
+#: registry behind :func:`make_simulator` and both CLIs.
 SIMULATORS = {"fluid": FluidSimulator, "minibatch": MinibatchEmulator}
 
 
@@ -110,6 +111,25 @@ def make_system(
     return scheduler, cache_system
 
 
+def make_simulator(
+    cluster: Cluster,
+    policy: str,
+    cache: str,
+    jobs: Sequence[Job],
+    simulator: str = "fluid",
+    cache_kwargs: Optional[dict] = None,
+    **sim_kwargs,
+) -> SimulatorKernel:
+    """Build the :data:`SIMULATORS` class ``simulator`` names over one
+    (policy, cache) cell; ``sim_kwargs`` (``tracer=``, ``faults=``, ...)
+    go to its constructor."""
+    scheduler, cache_system = make_system(policy, cache, cache_kwargs)
+    sim_class = SIMULATORS.get(simulator)
+    if sim_class is None:
+        raise ValueError("simulator must be 'fluid' or 'minibatch'")
+    return sim_class(cluster, scheduler, cache_system, jobs, **sim_kwargs)
+
+
 def run_experiment(
     cluster: Cluster,
     policy: str,
@@ -119,18 +139,9 @@ def run_experiment(
     cache_kwargs: Optional[dict] = None,
     **sim_kwargs,
 ) -> RunResult:
-    """Run one (policy, cache) cell over a trace and return the result.
-
-    Extra keyword arguments (including ``tracer=`` for a
-    :class:`repro.obs.Tracer` capturing structured events) are forwarded
-    to the simulator constructor.
-    """
-    scheduler, cache_system = make_system(policy, cache, cache_kwargs)
-    sim_class = SIMULATORS.get(simulator)
-    if sim_class is None:
-        raise ValueError("simulator must be 'fluid' or 'minibatch'")
-    return sim_class(
-        cluster, scheduler, cache_system, jobs, **sim_kwargs
+    """Run one (policy, cache) cell over a trace and return the result."""
+    return make_simulator(
+        cluster, policy, cache, jobs, simulator, cache_kwargs, **sim_kwargs
     ).run()
 
 

@@ -20,7 +20,6 @@ from repro.serve import (
     OnlineEngine,
     ServeServer,
     ServerThread,
-    ServiceStack,
     VirtualClock,
 )
 
@@ -64,10 +63,11 @@ def make_engine(
     cluster: Cluster | None = None,
     **sim_kwargs,
 ) -> OnlineEngine:
-    stack = ServiceStack.build(policy, cache, queue_limit=queue_limit)
     return OnlineEngine(
         cluster if cluster is not None else small_cluster(),
-        stack,
+        policy,
+        cache,
+        queue_limit,
         clock=VirtualClock(start_paused=paused),
         simulator=simulator,
         tracer=StreamingTracer(),

@@ -105,9 +105,9 @@ def test_het_provenance_generations_match_batch():
 
 
 def test_het_placement_service_describes_pools():
-    """status/describe() narrates the heterogeneous placement state."""
+    """status()'s services block narrates the heterogeneous placement state."""
     engine = _online_engine("het-max-min", "fluid")
-    placement = engine.stack.describe()["placement"]
+    placement = engine.status()["services"]["placement"]
     assert placement["heterogeneity_aware"] is True
     assert placement["gpu_pools"] == {"V100": 4, "A100": 4}
     assert placement["default_generation"] in {"V100", "A100"}
@@ -115,20 +115,20 @@ def test_het_placement_service_describes_pools():
     homogeneous = make_engine(policy="fifo")
     homogeneous.start()
     homogeneous.drain()
-    plain = homogeneous.stack.describe()["placement"]
+    plain = homogeneous.status()["services"]["placement"]
     assert plain["heterogeneity_aware"] is False
 
 
 def test_status_names_the_live_estimator_on_a_mixed_fleet():
     """A mixed fleet installs the het estimator; status reports it."""
     engine = _online_engine("het-max-min", "fluid")
-    assert engine.stack.describe()["estimator"] == {
+    assert engine.status()["services"]["estimator"] == {
         "kind": "HetSiloDPerfEstimator"
     }
 
     homogeneous = make_engine(policy="fifo")
     homogeneous.start()
     homogeneous.drain()
-    assert homogeneous.stack.describe()["estimator"] == {
+    assert homogeneous.status()["services"]["estimator"] == {
         "kind": "SiloDPerfEstimator"
     }

@@ -9,7 +9,6 @@ from repro.cache.silod_cache import SiloDDataManager
 from repro.cli import build_parser
 from repro.cluster.hardware import Cluster
 from repro.serve.engine import OnlineEngine
-from repro.serve.services import ServiceStack
 from repro.sim.runner import (
     CACHE_FACTORIES,
     CACHES,
@@ -18,6 +17,7 @@ from repro.sim.runner import (
     SIMULATORS,
     make_cache,
     make_policy,
+    make_simulator,
     make_system,
     run_experiment,
     run_matrix,
@@ -108,11 +108,7 @@ def test_simulator_registry_backs_every_entry_point():
             tiny_cluster(), "fifo", "silod", tiny_trace(), simulator="magic"
         )
     with pytest.raises(ValueError, match=message):
-        OnlineEngine(
-            tiny_cluster(),
-            ServiceStack.build("fifo", "silod"),
-            simulator="magic",
-        )
+        OnlineEngine(tiny_cluster(), simulator="magic")
     commands = next(
         action
         for action in build_parser()._actions
@@ -125,6 +121,15 @@ def test_simulator_registry_backs_every_entry_point():
             if "--simulator" in action.option_strings
         )
         assert option.choices == list(SIMULATORS)
+
+
+def test_make_simulator_builds_the_coupled_cell():
+    sim = make_simulator(
+        tiny_cluster(), "gavel", "alluxio", [], simulator="minibatch"
+    )
+    assert type(sim) is SIMULATORS["minibatch"]
+    assert sim.scheduler.storage_aware is False
+    assert sim.cache_system.name == "alluxio"
 
 
 def test_run_matrix_covers_grid():

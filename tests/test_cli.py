@@ -58,6 +58,25 @@ def test_unknown_command_fails():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["serve", "--policy", "bogus"], "--policy"),
+        (["serve", "--cache", "bogus"], "--cache"),
+        (["serve", "--queue-limit", "0"], "--queue-limit"),
+        (["run", "t.jsonl", "--policy", "bogus"], "--policy"),
+        (["matrix", "t.jsonl", "--policies", "bogus"], "--policies"),
+    ],
+)
+def test_bad_names_and_limits_are_usage_errors(argv, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}" in err
+    assert "Traceback" not in err
+
+
 def test_run_emits_event_log_and_report_reads_it(tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     events_path = tmp_path / "ev.jsonl"

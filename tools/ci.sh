@@ -39,12 +39,14 @@
 #      bit-identical results, and tests/core/policies/test_pure_round.py
 #      checks over generated rounds that a pure round ignores the
 #      clock and attained service.
-#   4. serve smoke             — tools/serve_smoke.py boots
-#      `python -m repro serve` as a subprocess, drives three jobs
-#      through the socket, and requires a drained, clean exit within a
-#      hard timeout (see docs/SERVE.md). Before the drain it reads the
-#      live server's /proc/<pid>/maps and fails if a mapped file lies
-#      under numpy/ (a skip note where /proc is unreadable).
+#   4. serve smoke             — tools/serve_smoke.py first launches
+#      `python -m repro serve --queue-limit 0` and `--policy bogus`,
+#      each of which must exit 2 with no Traceback on stderr. It then
+#      boots `python -m repro serve` as a subprocess, drives three jobs
+#      through the socket, and requires a drained, clean exit, all
+#      within one hard timeout (see docs/SERVE.md). Before the drain it
+#      reads the live server's /proc/<pid>/maps and fails if a mapped
+#      file lies under numpy/ (a skip note where /proc is unreadable).
 #   5. obs smoke               — tools/obs_smoke.py drives a tiny traced
 #      scenario through `repro run --events`, then asserts
 #      `repro explain` reconstructs a nonzero decision-provenance chain

@@ -11,7 +11,9 @@ service fails CI instead of wedging it. Before the shutdown it also
 reads the live server's ``/proc/<pid>/maps``: a mapped file under a
 ``numpy/`` directory means something the service ran imported numpy,
 which ``repro serve`` never needs (where ``/proc`` is unreadable the
-check prints a skip note).
+check prints a skip note). It also launches ``repro serve`` with a bad
+``--queue-limit`` and a bad ``--policy``: each must exit 2 with a usage
+error, not a traceback.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
@@ -81,11 +83,36 @@ def _numpy_mappings(pid: int) -> Optional[List[str]]:
                    if f"{os.sep}numpy{os.sep}" in line})
 
 
+def _usage_errors(env: dict, deadline: float) -> bool:
+    """Bad ``serve`` flags must die in argparse: exit 2, no traceback."""
+    for flags in (["--queue-limit", "0"], ["--policy", "bogus"]):
+        # lint: disable=DET003
+        left_s = max(1.0, deadline - time.monotonic())
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *flags],
+            cwd=REPO, env=env, capture_output=True, text=True,
+            timeout=left_s,
+        )
+        if done.returncode != 2 or "Traceback" in done.stderr:
+            print(done.stderr)
+            print(f"FAIL: serve {' '.join(flags)} exited "
+                  f"{done.returncode}, want a usage error (2)",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO / 'src'}{os.pathsep}" + env.get(
         "PYTHONPATH", ""
     )
+    # Real wall-clock on purpose: this smoke test times out live
+    # subprocesses, not simulated events.
+    # lint: disable=DET003
+    deadline = time.monotonic() + TIMEOUT_S
+    if not _usage_errors(env, deadline):
+        return 1
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve",
          "--port", "0", "--gpus", "8", "--queue-limit", "8"],
@@ -95,10 +122,6 @@ def main() -> int:
         stderr=subprocess.STDOUT,
         text=True,
     )
-    # Real wall-clock on purpose: this smoke test times out a live
-    # subprocess, not simulated events.
-    # lint: disable=DET003
-    deadline = time.monotonic() + TIMEOUT_S
     try:
         # The service announces its ephemeral port on stdout.
         port = None
@@ -147,7 +170,8 @@ def main() -> int:
             print(tail)
             print("FAIL: drain summary missing or wrong", file=sys.stderr)
             return 1
-        print("serve smoke: 3 jobs submitted, drained, clean exit")
+        print("serve smoke: bad flags refused; 3 jobs submitted, drained, "
+              "clean exit")
         return 0
     finally:
         if proc.poll() is None:
