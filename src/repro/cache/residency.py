@@ -262,8 +262,13 @@ class DictResidencyStore(ResidencyStore):
             if state is None:
                 state = KeyState(size_mb=sizes.get(key, target))
                 self._states[key] = state
-            state.size_mb = max(state.size_mb, sizes.get(key, state.size_mb))
-            new_target = min(target, state.size_mb)
+            # ``max(size, grown)`` and ``min(target, size)`` as the
+            # builtins' own comparisons (same ties and NaNs).
+            size = state.size_mb
+            grown = sizes.get(key, size)
+            if grown > size:
+                state.size_mb = size = grown
+            new_target = size if size < target else target
             state.target_mb = new_target
             if state.resident_mb > new_target + 1e-9:
                 over.append((key, new_target))

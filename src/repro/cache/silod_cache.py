@@ -138,12 +138,12 @@ class SiloDDataManager(CacheSystem):
             if cache_mb > 0
         }
         effective = ctx.effective_mb
-        hit_ratios = {
-            job.job_id: min(
-                1.0, effective.get(job.job_id, 0.0) / job.dataset.size_mb
-            )
-            for job in jobs
-        }
+        # Two-operand ``min(a, b)`` is written ``b if b < a else a``: the
+        # builtin's own comparison (same ties and NaNs), without a call.
+        hit_ratios = {}
+        for job in jobs:
+            hit = effective.get(job.job_id, 0.0) / job.dataset.size_mb
+            hit_ratios[job.job_id] = hit if hit < 1.0 else 1.0
         if self._io_allocation:
             # Table 3: allocateRemoteIO — strict throttling to the
             # scheduler's grant. Policies size grants from the
@@ -152,13 +152,11 @@ class SiloDDataManager(CacheSystem):
             # them; capping at the current demand only keeps the
             # accounting honest (a job cannot pull bytes it cannot
             # consume).
-            io_grants = {
-                job.job_id: min(
-                    allocation.remote_io_of(job.job_id),
-                    rate * (1.0 - hit_ratios[job.job_id]),
-                )
-                for job, rate in zip(jobs, ctx.f_stars)
-            }
+            io_grants = {}
+            for job, rate in zip(jobs, ctx.f_stars):
+                grant = allocation.remote_io_of(job.job_id)
+                demand = rate * (1.0 - hit_ratios[job.job_id])
+                io_grants[job.job_id] = demand if demand < grant else grant
         else:
             # Ablation (§7.2): the scheduler's IO grants are discarded
             # and the egress is shared work-conservingly over the raw

@@ -35,7 +35,9 @@ def linear_compute_estimator(job: Job, gpus: float) -> float:
     (time-sharing in Gavel) scales throughput proportionally, granting more
     than requested gives no benefit (the job cannot use them).
     """
-    fraction = min(1.0, gpus / job.num_gpus)
+    # ``min(1.0, share)`` as the builtin's own comparison, without a call.
+    share = gpus / job.num_gpus
+    fraction = share if share < 1.0 else 1.0
     return job.ideal_throughput_mbps * fraction
 
 

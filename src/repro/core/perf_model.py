@@ -36,7 +36,10 @@ def hit_ratio(cache_mb: float, dataset_mb: float) -> float:
         raise ValueError("dataset size must be positive")
     if cache_mb < 0:
         raise ValueError("cache size must be non-negative")
-    return min(1.0, cache_mb / dataset_mb)
+    # ``min(a, b)`` is written ``b if b < a else a`` in this module: the
+    # builtin's own comparison (same ties and NaNs), without a call.
+    ratio = cache_mb / dataset_mb
+    return ratio if ratio < 1.0 else 1.0
 
 
 def miss_ratio(cache_mb: float, dataset_mb: float) -> float:
@@ -79,9 +82,10 @@ def silod_perf(
     """Eq 4: end-to-end throughput ``min(f*, b / (1 - c/d))`` in MB/s."""
     if ideal_throughput_mbps < 0:
         raise ValueError("ideal throughput must be non-negative")
-    return min(
-        ideal_throughput_mbps,
-        io_throughput(remote_io_mbps, cache_mb, dataset_mb),
+    io_bound = io_throughput(remote_io_mbps, cache_mb, dataset_mb)
+    return (
+        io_bound if io_bound < ideal_throughput_mbps
+        else ideal_throughput_mbps
     )
 
 
@@ -99,7 +103,8 @@ def achieved_rate(
     miss = 1.0 - hit_ratio
     if miss <= _EPS:
         return f_star_mbps
-    return min(f_star_mbps, io_grant_mbps / miss)
+    io_bound = io_grant_mbps / miss
+    return io_bound if io_bound < f_star_mbps else f_star_mbps
 
 
 def cache_efficiency(ideal_throughput_mbps: float, dataset_mb: float) -> float:

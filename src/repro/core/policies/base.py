@@ -88,8 +88,10 @@ class ScheduleContext:
         """Bytes of cache a job can hit *right now* under an allocation."""
         if self.effective_cache_mb is None:
             return allocated_cache_mb
-        return min(
-            allocated_cache_mb, self.effective_cache_mb.get(job.job_id, 0.0)
+        # ``min(a, b)`` as the builtin's own comparison, without a call.
+        hits_mb = self.effective_cache_mb.get(job.job_id, 0.0)
+        return (
+            hits_mb if hits_mb < allocated_cache_mb else allocated_cache_mb
         )
 
 

@@ -109,9 +109,14 @@ class _Datasets:
         neg = [-x for x in self.savings(targets)]
         grants = [0.0] * len(neg)
         before = 0.0
+        # ``min(a, b)`` / ``max(a, b)`` are written ``b if b < a else a`` /
+        # ``b if b > a else a`` here: the builtins' own test, with no call.
         for k in sorted(range(len(neg)), key=neg.__getitem__):
-            grants[k] = min(max(budget_mb - before, 0.0), self.size[k])
-            before += self.size[k]
+            left = budget_mb - before
+            left = 0.0 if 0.0 > left else left
+            size = self.size[k]
+            grants[k] = size if size < left else left
+            before += size
         return grants
 
 
@@ -158,10 +163,12 @@ class Programme:
         """Each job's remote IO under a cache plan:
         ``t * (1 - min(1, min(grant, effective) / d))``."""
         ds = self.datasets
-        return [
-            t * (1.0 - min(1.0, min(cache[k], eff) / d))
-            for t, k, eff, d in zip(targets, ds.index, self.eff, ds.d)
-        ]
+        io = []
+        for t, k, eff, d in zip(targets, ds.index, self.eff, ds.d):
+            grant = cache[k]
+            hit = (eff if eff < grant else grant) / d
+            io.append(t * (1.0 - (hit if hit < 1.0 else 1.0)))
+        return io
 
     def feasible(
         self,
@@ -192,7 +199,8 @@ class Programme:
                         f"job {job.job_id}: the compute estimator gave "
                         f"f* = {f!r}; the joint solver needs f* > 0"
                     )
-                hi = min(hi, f * (1.0 + _EPS) / norm)
+                cap = f * (1.0 + _EPS) / norm
+                hi = cap if cap < hi else hi
         return hi
 
     def io_limit(self, top: float, fixed: Fixed = ()) -> float:
@@ -279,13 +287,14 @@ class Programme:
                     fixed[j] / f_star[j] * self.gpus[j]
                     for j in members if fixed[j] is not None
                 ])
-                top = min(top, (capacity * (1.0 + _EPS) - held) / per_unit)
+                limit = (capacity * (1.0 + _EPS) - held) / per_unit
+                top = limit if limit < top else top
 
         def accepts(r: float) -> bool:
             return self.feasible(self.targets(r, fixed), f_star, pools)
 
         # When the linear limit fits, no IO walk is needed.
-        ratio = top if io_limit is None else min(top, io_limit)
+        ratio = io_limit if io_limit is not None and io_limit < top else top
         if ratio > 0.0 and not accepts(ratio):
             if io_limit is None:
                 ratio = self.io_limit(top, fixed)
@@ -325,9 +334,12 @@ def equal_division(
     at its request, the cache share at its dataset size."""
     if num_jobs < 1:
         raise ValueError("need at least one job")
+    gpus, size_mb = job.num_gpus, job.dataset.size_mb
+    share_gpus = total.gpus / num_jobs
+    share_mb = total.cache_mb / num_jobs
     return (
-        min(job.num_gpus, total.gpus / num_jobs),
-        min(job.dataset.size_mb, total.cache_mb / num_jobs),
+        share_gpus if share_gpus < gpus else gpus,
+        share_mb if share_mb < size_mb else size_mb,
         total.remote_io_mbps / num_jobs,
     )
 
@@ -371,7 +383,8 @@ class _JointRound(Programme):
             float(estimator.compute_bound(j, j.num_gpus)) for j in jobs
         ]
         self.perf_eq = [
-            float(max(shares[j.job_id].perf_mbps, 1e-12)) for j in jobs
+            float(1e-12 if 1e-12 > perf else perf)
+            for perf in (shares[j.job_id].perf_mbps for j in jobs)
         ]
         super().__init__(
             jobs, self.perf_eq, ctx.effective_cache_mb, total.cache_mb,
@@ -473,7 +486,8 @@ class GavelPolicy(SchedulingPolicy):
                 (j.num_gpus - grants[j.job_id]) / shares[j.job_id].gpus
                 for j in active
             )
-            step = min(headroom, free_gpus / denom)
+            even = free_gpus / denom
+            step = even if even < headroom else headroom
             for job in active:
                 grants[job.job_id] += step * shares[job.job_id].gpus
             free_gpus -= step * denom
@@ -508,7 +522,9 @@ class GavelPolicy(SchedulingPolicy):
         io = solver.remote_io(targets, cache)
         for job, t, f, job_io in zip(jobs, targets, solver.f_star, io):
             ctx.job_scores[job.job_id] = t
-            allocation.grant_gpus(job.job_id, min(1.0, t / f) * job.num_gpus)
+            share = t / f
+            share = share if share < 1.0 else 1.0
+            allocation.grant_gpus(job.job_id, share * job.num_gpus)
             allocation.grant_remote_io(job.job_id, job_io)
         self._distribute_slack(jobs, total, allocation, ctx, math.fsum(io))
 
@@ -552,7 +568,9 @@ class GavelPolicy(SchedulingPolicy):
                 f_star_full, hits_mb, job.dataset.size_mb
             )
             io_now = allocation.remote_io_of(job.job_id)
-            extra_io = min(free_io, max(0.0, demand - io_now))
+            short = demand - io_now
+            short = short if short > 0.0 else 0.0
+            extra_io = short if short < free_io else free_io
             if extra_io > 1e-9:
                 io_now += extra_io
                 allocation.grant_remote_io(job.job_id, io_now)
@@ -561,13 +579,12 @@ class GavelPolicy(SchedulingPolicy):
             achievable = perf_model.silod_perf(
                 f_star_full, io_now, hits_mb, job.dataset.size_mb
             )
-            fraction = (
-                min(1.0, achievable / f_star_full) if f_star_full > 0 else 0.0
-            )
+            fraction = achievable / f_star_full if f_star_full > 0 else 0.0
+            fraction = fraction if fraction < 1.0 else 1.0
             gpus_now = allocation.gpus_of(job.job_id)
-            extra_gpus = min(
-                free_gpus, max(0.0, fraction * job.num_gpus - gpus_now)
-            )
+            want = fraction * job.num_gpus - gpus_now
+            want = want if want > 0.0 else 0.0
+            extra_gpus = want if want < free_gpus else free_gpus
             if extra_gpus > 1e-9:
                 allocation.grant_gpus(job.job_id, gpus_now + extra_gpus)
                 free_gpus -= extra_gpus

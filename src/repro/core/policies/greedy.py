@@ -61,7 +61,8 @@ def greedy_cache_allocation(
     for name, _efficiency, size_mb in dataset_efficiencies(jobs):
         if remaining <= 0:
             break
-        grant = min(size_mb, remaining)
+        # ``min(size_mb, remaining)`` as the builtin's own comparison.
+        grant = remaining if remaining < size_mb else size_mb
         if grant > 0:
             allocation[name] = grant
             remaining -= grant

@@ -93,7 +93,12 @@ class _AssignmentScorer:
         self.jobs = tuple(jobs)
         self.pools = tuple(pools.items())
         self.f_star_by_gen = list(f_star_by_gen)
-        norms = [max(normalisers[job.job_id], 1e-12) for job in self.jobs]
+        # Two-operand ``max(a, b)`` is written ``b if b > a else a`` in
+        # this module: the builtin's own comparison, without a call.
+        norms = [
+            1e-12 if 1e-12 > norm else norm
+            for norm in (normalisers[job.job_id] for job in self.jobs)
+        ]
         self.programme = Programme(
             self.jobs, norms, effective_cache_mb, total.cache_mb,
             total.remote_io_mbps,
@@ -116,7 +121,8 @@ class _AssignmentScorer:
     def bound(self, candidate: Sequence[str]) -> float:
         """Upper bound on :meth:`ratio`: ``max(hi, 0)``, where ``hi`` is
         the ratio at which the first job reaches its ``f*`` cap."""
-        return max(self.programme.cap_limit(self._f_star(candidate)), 0.0)
+        hi = self.programme.cap_limit(self._f_star(candidate))
+        return 0.0 if 0.0 > hi else hi
 
     def ratio(self, candidate: Sequence[str]) -> float:
         """Largest common ratio reachable under ``candidate``."""
@@ -256,7 +262,8 @@ class _HetGavelBase(GavelPolicy):
         ranked = sorted(
             jobs,
             key=lambda j: (
-                -ctx.gen_scores[j.job_id][default] / max(j.num_gpus, 1),
+                -ctx.gen_scores[j.job_id][default]
+                / (1 if 1 > j.num_gpus else j.num_gpus),
                 j.job_id,
             ),
         )
@@ -271,9 +278,8 @@ class _HetGavelBase(GavelPolicy):
                 placed = max(
                     order, key=lambda gen: (remaining[gen], gen)
                 )
-            remaining[placed] = max(
-                0, remaining[placed] - job.num_gpus
-            )
+            left = remaining[placed] - job.num_gpus
+            remaining[placed] = left if left > 0 else 0
             assignment[job.job_id] = placed
         return assignment
 
@@ -331,10 +337,10 @@ class HetMaxMinPolicy(_HetGavelBase):
         for job in jobs:
             estimator.assignments.pop(job.job_id, None)
         shares = self._normalisers(jobs, total, ctx)
-        normalisers = {
-            job_id: max(share.perf_mbps, 1e-12)
-            for job_id, share in shares.items()
-        }
+        normalisers = {}
+        for job_id, share in shares.items():
+            perf = share.perf_mbps
+            normalisers[job_id] = 1e-12 if 1e-12 > perf else perf
         gens = sorted(pools)
         n = len(jobs)
         if n == 0:
@@ -405,7 +411,8 @@ class HetMaxThroughputPolicy(_HetGavelBase):
             gpus, cache_mb, io_mbps = equal_division(job, len(jobs), total)
             f_star = ctx.estimator.compute_bound(job, job.num_gpus)
             shares[job.job_id] = EqualShare(
-                gpus, cache_mb, io_mbps, max(f_star, 1e-12) * job.weight
+                gpus, cache_mb, io_mbps,
+                (1e-12 if 1e-12 > f_star else f_star) * job.weight,
             )
         return shares
 

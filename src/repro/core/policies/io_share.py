@@ -66,7 +66,9 @@ def priority_fill(
     grants = {job_id: 0.0 for job_id in ordered_job_ids}
     remaining = capacity
     for job_id in ordered_job_ids:
-        grant = min(demands.get(job_id, 0.0), remaining)
+        # ``min(demand, remaining)`` as the builtin's own comparison.
+        demand = demands.get(job_id, 0.0)
+        grant = remaining if remaining < demand else demand
         grants[job_id] = grant
         remaining -= grant
         if remaining <= 0:

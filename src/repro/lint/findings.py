@@ -54,6 +54,8 @@ RULES: Dict[str, str] = {
     "(a reused round never sees them)",
     "PERF001": "per-item Python loop over cache state in a module that "
     "imports repro.sim or repro.cache (use the store's bulk APIs)",
+    "PERF002": "two-argument builtin min()/max() in a module the "
+    "scheduling round runs per job (write the comparison)",
     "XUNI001": "mixed-unit arithmetic/comparison or suffix-mismatched "
     "assignment (units inferred across project calls)",
     "XUNI002": "argument's inferred unit does not match the callee "

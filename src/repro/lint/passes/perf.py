@@ -1,4 +1,4 @@
-"""Perf pass: per-item Python sweeps over cache state on the hot paths.
+"""Perf pass: per-item cache sweeps and per-job builtin calls on hot paths.
 
 The simulators' cache bookkeeping goes through bulk store APIs
 (``ResidencyStore.apply_targets`` / ``total_resident_mb`` /
@@ -18,6 +18,10 @@ O(keys)-per-event scan next to a store that already has a bulk answer.
 
 Deliberate scans (rare reclaim paths, per-sample reporting) carry a
 ``# lint: disable=PERF001`` line with a one-line justification.
+
+``PERF002`` fires on a two-argument builtin ``min``/``max`` call in a
+module the round runs per job (:data:`_ROUND_MODULES`), which writes
+``b if b < a else a`` / ``b if b > a else a``: the same result, no call.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import List
 
 from repro.lint.engine import LintPass, SourceFile
 from repro.lint.findings import Finding
+from repro.lint.symbols import module_name_for
 
 #: Importing from these packages marks a module as handling cache state.
 _CACHE_PACKAGES = ("repro.sim", "repro.cache")
@@ -47,6 +52,23 @@ _SCALAR_ACCESSORS = {
     "set_target_mb",
     "set_size_mb",
 }
+
+#: Modules the round runs per job, where ``PERF002`` applies.
+_ROUND_MODULES = frozenset("repro." + name for name in (
+    "core.perf_model core.estimator core.policies.gavel core.policies.het "
+    "core.policies.base core.policies.greedy core.policies.io_share "
+    "cache.silod_cache cache.residency sim.fluid sim.jobtable sim.kernel"
+).split())
+
+
+def _is_pairwise_min_max(node: ast.AST) -> bool:
+    """``min(a, b)`` / ``max(a, b)``: no keywords, no starred arguments."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("min", "max") and len(node.args) == 2
+        and not node.keywords
+        and not any(isinstance(a, ast.Starred) for a in node.args)
+    )
 
 
 def _in_cache_package(module: str) -> bool:
@@ -101,10 +123,11 @@ def _body_hits_scalar_accessor(loop: ast.For) -> bool:
 
 
 class PerfPass(LintPass):
-    """Flag scalar per-key cache sweeps in modules handling cache state."""
+    """Flag scalar per-key cache sweeps in modules handling cache state,
+    and two-argument ``min``/``max`` calls in per-job round modules."""
 
     name = "perf"
-    rules = ("PERF001",)
+    rules = ("PERF001", "PERF002")
 
     docs = {
         "PERF001": (
@@ -117,13 +140,31 @@ class PerfPass(LintPass):
             "reclaim_candidates). Deliberate rare-path scans suppress\n"
             "the line with a one-line justification."
         ),
+        "PERF002": (
+            "A two-argument builtin min()/max() in a module the round\n"
+            "runs per job. Write min(a, b) as `b if b < a else a` and\n"
+            "max(a, b) as `b if b > a else a`: the builtins' own\n"
+            "comparisons (same ties, NaNs, signed zeros), without a call."
+        ),
     }
 
     def run(self, src: SourceFile) -> List[Finding]:
-        """Scan every ``for`` loop once the module imports cache state."""
-        if not _imports_cache_packages(src.tree):
-            return []
+        """Scan every ``for`` loop once the module imports cache state,
+        and every call in a per-job round module."""
         findings: List[Finding] = []
+        if module_name_for(src.path) in _ROUND_MODULES:
+            findings.extend(
+                src.finding(
+                    node,
+                    "PERF002",
+                    f"two-argument {node.func.id}() in a per-job round "
+                    "module; write it as the builtin's comparison",
+                )
+                for node in ast.walk(src.tree)
+                if _is_pairwise_min_max(node)
+            )
+        if not _imports_cache_packages(src.tree):
+            return findings
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.For):
                 continue

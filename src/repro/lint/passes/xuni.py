@@ -30,7 +30,7 @@ mixing units — is exempt.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.astutil import dotted_name
 from repro.lint.callgraph import iter_contexts
@@ -60,7 +60,6 @@ _HELPER_UNITS = {
     "weeks": ("wk", "s"),
     "seconds_to_minutes": ("s", "min"),
     "seconds_to_ms": ("s", "ms"),
-    "ms_to_seconds": ("ms", "s"),
 }
 
 _UNITS_MODULE = "repro.units"
@@ -278,6 +277,10 @@ def _unit_of(
         return _suffix_unit(node.attr)
     if isinstance(node, ast.UnaryOp):
         return _unit_of(index, module, node.operand, env, returns)
+    if isinstance(node, ast.IfExp) and _is_min_max_idiom(node):
+        # ``b if b < a else a`` is ``min(a, b)``: its unit is min's.
+        branches = (node.body, node.orelse)
+        return _shared_unit(index, module, branches, env, returns)
     if isinstance(node, ast.IfExp):
         a = _unit_of(index, module, node.body, env, returns)
         b = _unit_of(index, module, node.orelse, env, returns)
@@ -289,6 +292,32 @@ def _unit_of(
     if isinstance(node, ast.Call):
         return _call_unit(index, module, node, env, returns)
     return None
+
+
+def _shared_unit(
+    index: ProjectIndex,
+    module: str,
+    nodes: Sequence[ast.AST],
+    env: Dict[str, str],
+    returns: Dict[str, str],
+) -> Optional[str]:
+    """The one known unit among ``nodes``, as ``min``/``max`` pass it."""
+    units = {_unit_of(index, module, n, env, returns) for n in nodes}
+    units.discard(None)
+    return units.pop() if len(units) == 1 else None
+
+
+def _is_min_max_idiom(node: ast.IfExp) -> bool:
+    """``b if b < a else a`` / ``b if b > a else a``: the test compares
+    exactly the two branches."""
+    test = node.test
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Lt, ast.Gt))
+        and ast.dump(test.left) == ast.dump(node.body)
+        and ast.dump(test.comparators[0]) == ast.dump(node.orelse)
+    )
 
 
 def _combine(
@@ -321,12 +350,7 @@ def _call_unit(
     if name is None:
         return None
     if name in _UNIT_PRESERVING and "." not in name:
-        units = {
-            _unit_of(index, module, arg, env, returns)
-            for arg in node.args
-        }
-        units.discard(None)
-        return units.pop() if len(units) == 1 else None
+        return _shared_unit(index, module, node.args, env, returns)
     resolved = index.table.resolve(module, name)
     if resolved is None:
         return None

@@ -189,7 +189,10 @@ class FluidSimulator(SimulatorKernel):
         if self._injector is not None:
             t_fault = self._injector.next_time()
             if t_fault is not None:
-                candidates.append(max(self.clock_s, t_fault))
+                # ``min(a, b)`` / ``max(a, b)`` are written ``b if b < a
+                # else a`` / ``b if b > a else a`` here: same ops, no call.
+                clock_s = self.clock_s
+                candidates.append(t_fault if t_fault > clock_s else clock_s)
         if self._max_time_s is not None:
             candidates.append(self._max_time_s)
         return min(t for t in candidates if t is not None)
@@ -273,9 +276,9 @@ class FluidSimulator(SimulatorKernel):
         job = state.job
         key = self._job_key[job.job_id]
         snap = self._cache.snapshot(key)
-        effective = min(
-            job.dataset.size_mb, snap[1] if snap is not None else 0.0
-        )
+        size_mb = job.dataset.size_mb
+        resident = snap[1] if snap is not None else 0.0
+        effective = resident if resident < size_mb else size_mb
         self._effective[job.job_id] = effective
         return key, effective
 
@@ -305,7 +308,8 @@ class FluidSimulator(SimulatorKernel):
     def _advance_to(self, t: float) -> None:
         dt = t - self.clock_s
         if dt <= 0:
-            self.clock_s = max(self.clock_s, t)
+            if t > self.clock_s:
+                self.clock_s = t
             return
         # Job progress, and the next completion and epoch boundary at
         # ``t`` (one walk over the job table's moving rows). ``t`` becomes
@@ -337,20 +341,21 @@ class FluidSimulator(SimulatorKernel):
                     (miss, self._effective.get(job_id, 0.0))
                     for job_id, miss in contribs
                 ]
-                cap = min(target_mb, size_mb)
+                cap = size_mb if size_mb < target_mb else target_mb
                 if len(contributions) == 1:
                     miss, _eff = contributions[0]
                     filled = resident_mb + miss * dt
                 else:
                     k = sum(
-                        miss / max(1e-9, size_mb - eff)
+                        miss / (gap if gap > 1e-9 else 1e-9)
                         for miss, eff in contributions
+                        for gap in [size_mb - eff]
                     )
                     filled = size_mb - (size_mb - resident_mb) * math.exp(
                         -k * dt
                     )
                 before = resident_mb
-                new_resident = min(cap, filled)
+                new_resident = filled if filled < cap else cap
                 store.set_resident_mb(key, new_resident)
                 if new_resident - before > 1e-6:
                     tracer.emit(
@@ -376,16 +381,15 @@ class FluidSimulator(SimulatorKernel):
                 if resident_mb >= target_mb - 1e-9:
                     continue
                 k = sum(
-                    miss
-                    / max(1e-9, size_mb - self._effective.get(job_id, 0.0))
+                    miss / (gap if gap > 1e-9 else 1e-9)
                     for job_id, miss in contribs
+                    for gap in [size_mb - self._effective.get(job_id, 0.0)]
                 )
                 filled = size_mb - (size_mb - resident_mb) * math.exp(
                     -k * dt
                 )
-                store.set_resident_mb(
-                    key, min(min(target_mb, size_mb), filled)
-                )
+                cap = size_mb if size_mb < target_mb else target_mb
+                store.set_resident_mb(key, filled if filled < cap else cap)
         # Hoard-style prefetching: spare egress warms queued datasets.
         if self._decision.prefetch_rates:
             for key, rate in self._decision.prefetch_rates.items():
@@ -393,9 +397,10 @@ class FluidSimulator(SimulatorKernel):
                 if snap is None or rate <= 0:
                     continue
                 size_mb, resident_mb, target_mb = snap
-                cap = min(target_mb, size_mb)
+                cap = size_mb if size_mb < target_mb else target_mb
                 before = resident_mb
-                new_resident = min(cap, resident_mb + rate * dt)
+                filled = resident_mb + rate * dt
+                new_resident = filled if filled < cap else cap
                 store.set_resident_mb(key, new_resident)
                 if tracer.enabled and new_resident - before > 1e-6:
                     tracer.emit(
@@ -432,7 +437,8 @@ class FluidSimulator(SimulatorKernel):
         job's effective bytes shrink in ratio (the lost items were a
         uniform sample of what it could hit).
         """
-        ratio = max(0.0, 1.0 - fraction)
+        kept = 1.0 - fraction
+        ratio = kept if kept > 0.0 else 0.0
         tracer = self._tracer
         for key in sorted(self._cache.keys()):
             before = self._cache.resident_mb(key)
@@ -477,7 +483,8 @@ class FluidSimulator(SimulatorKernel):
             key = self._job_key[job_id]
             snap = self._cache.snapshot(key)
             resident = snap[1] if snap is not None else 0.0
-            self._effective[job_id] = min(job.dataset.size_mb, resident)
+            cap = job.dataset.size_mb
+            self._effective[job_id] = resident if resident < cap else cap
             if self._tracer.enabled:
                 self._tracer.emit(
                     self.clock_s, ev.EPOCH_BOUNDARY, job_id, epoch=epochs_now
@@ -599,7 +606,8 @@ class FluidSimulator(SimulatorKernel):
         # running `overshoot -= cut` subtraction chain is order- and
         # rounding-sensitive.
         for key, resident_mb, target_mb in store.reclaim_candidates():
-            cut = min(resident_mb - target_mb, overshoot)
+            excess = resident_mb - target_mb
+            cut = overshoot if overshoot < excess else excess
             self._shrink(key, resident_mb - cut, reason="reclaim")
             overshoot -= cut
             if overshoot <= 1e-6:
@@ -627,8 +635,8 @@ class FluidSimulator(SimulatorKernel):
         before = self._cache.resident_mb(key)
         if before <= 0:
             return
-        ratio = max(0.0, new_mb) / before
-        after = max(0.0, new_mb)
+        after = new_mb if new_mb > 0.0 else 0.0
+        ratio = after / before
         self._cache.set_resident_mb(key, after)
         if self._tracer.enabled and before - after > 1e-6:
             self._tracer.emit(
@@ -658,7 +666,9 @@ class FluidSimulator(SimulatorKernel):
         rates: List[float] = []
         miss_rates: List[float] = []
         for job_id, f_star in zip(view.job_ids, view.f_stars):
-            hit = min(1.0, max(0.0, hit_ratios.get(job_id, 0.0)))
+            hit = hit_ratios.get(job_id, 0.0)
+            hit = hit if hit > 0.0 else 0.0
+            hit = hit if hit < 1.0 else 1.0
             rate = achieved_rate(f_star, hit, io_grants.get(job_id, 0.0))
             miss_rate = rate * (1.0 - hit)
             rates.append(rate)
@@ -718,9 +728,9 @@ class FluidSimulator(SimulatorKernel):
         by_key: Dict[str, float] = {}
         for job_id in view.job_ids:
             key = job_key[job_id]
-            by_key[key] = max(
-                by_key.get(key, 0.0), self._effective.get(job_id, 0.0)
-            )
+            held = by_key.get(key, 0.0)
+            eff = self._effective.get(job_id, 0.0)
+            by_key[key] = eff if eff > held else held
         self._record_sample(
             running,
             throughput,

@@ -159,14 +159,17 @@ class JobTable:
 
     def done(self, row: int) -> bool:
         """Whether ``row`` has consumed all its work."""
-        return max(0.0, self._total[row] - self._work[row]) <= self._done_eps
+        left = self._total[row] - self._work[row]
+        return (left if left > 0.0 else 0.0) <= self._done_eps
 
     def rollback_epoch(self, row: int) -> float:
         """Roll ``row`` back to its last epoch boundary (a preemption);
         returns the MB of work lost."""
         work = self._work[row]
-        position = max(0.0, work - self.epoch_index(row) * self._epoch[row])
-        self._work[row] = max(0.0, work - position)
+        position = work - self.epoch_index(row) * self._epoch[row]
+        position = position if position > 0.0 else 0.0
+        left = work - position
+        self._work[row] = left if left > 0.0 else 0.0
         self._next_times = None
         self._due.add(row)
         return position

@@ -231,7 +231,10 @@ class SimulatorKernel:
     def _next_arrival_time(self) -> Optional[float]:
         if self._arrival_idx >= len(self._trace):
             return None
-        return max(self.clock_s, self._trace[self._arrival_idx].submit_time_s)
+        # ``max(clock_s, submit_s)`` as the builtin's own comparison.
+        clock_s = self.clock_s
+        submit_s = self._trace[self._arrival_idx].submit_time_s
+        return submit_s if submit_s > clock_s else clock_s
 
     def _publish_counters(self) -> None:
         """Push the run's loop/round totals into the obs registry.

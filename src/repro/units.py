@@ -94,8 +94,3 @@ def seconds_to_minutes(value_s: float) -> float:
 def seconds_to_ms(value_s: float) -> float:
     """Convert seconds to milliseconds (observability latencies)."""
     return value_s * MS_PER_SECOND
-
-
-def ms_to_seconds(value_ms: float) -> float:
-    """Convert milliseconds back to seconds."""
-    return value_ms / MS_PER_SECOND

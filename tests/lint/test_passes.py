@@ -202,6 +202,31 @@ def test_perf_pass_only_covers_vectorized_modules(tmp_path):
     assert lint_paths([opted_out], [PerfPass()]) == []
 
 
+ROUND_MODULE = FIXTURES / "project" / "repro" / "sim" / "jobtable.py"
+
+
+def test_perf002_flags_two_argument_min_max_in_round_modules():
+    """Every two-argument ``min``/``max`` fires, nothing else does: not
+    the n-ary form, ``key=``/``default=``, starred arguments, the
+    comparison form, or a suppressed line."""
+    findings = lint_paths(
+        [ROUND_MODULE], [PerfPass()], display_root=FIXTURES / "project"
+    )
+    assert [(f.path, f.line, f.rule) for f in findings] == [
+        ("repro/sim/jobtable.py", 5, "PERF002"),
+        ("repro/sim/jobtable.py", 9, "PERF002"),
+        ("repro/sim/jobtable.py", 13, "PERF002"),
+        ("repro/sim/jobtable.py", 13, "PERF002"),
+    ]
+
+
+def test_perf002_only_covers_round_modules(tmp_path):
+    """The same calls are legal in a module outside the round scope."""
+    outside = tmp_path / "jobtable.py"
+    outside.write_text(ROUND_MODULE.read_text())
+    assert lint_paths([outside], [PerfPass()]) == []
+
+
 def test_build_passes_selects_by_name_and_rule():
     assert [p.name for p in build_passes(["determinism"])] == [
         "determinism"

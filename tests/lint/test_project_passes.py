@@ -101,16 +101,37 @@ class TestCrossDeterminism:
 class TestCrossUnits:
     def test_fixture_findings_are_exactly_the_planted_bugs(self):
         findings = lint_project([CrossUnitsPass()])
-        assert [f.path for f in findings] == ["repro/unituse.py"] * 3
+        assert [f.path for f in findings] == ["repro/unituse.py"] * 4
         by_rule = sorted(f.rule for f in findings)
-        assert by_rule == ["XUNI001", "XUNI002", "XUNI002"]
+        assert by_rule == ["XUNI001", "XUNI001", "XUNI002", "XUNI002"]
 
     def test_return_unit_flows_into_suffix_mismatch(self):
         findings = lint_project([CrossUnitsPass()])
         xuni001 = [f for f in findings if f.rule == "XUNI001"]
-        assert len(xuni001) == 1
-        assert "s value assigned" in xuni001[0].message
-        assert "ms" in xuni001[0].message
+        assert len(xuni001) == 2
+        for finding in xuni001:
+            assert "s value assigned" in finding.message
+            assert "ms" in finding.message
+
+    def test_min_max_comparison_keeps_the_unit(self, tmp_path):
+        """``b if b < a else a`` carries min's unit (the fixture's
+        ``capped_transfer_time``); a conditional whose test compares
+        anything else still needs both branches to agree."""
+        findings = lint_project([CrossUnitsPass()])
+        assert ("repro/unituse.py", 25, "XUNI001") in {
+            (f.path, f.line, f.rule) for f in findings
+        }
+        tree = write_tree(tmp_path, {"other.py": (
+            "def pick(flag, wait_s, cap):\n"
+            "    return wait_s if flag < cap else cap\n"
+            "\n"
+            "def use(flag):\n"
+            "    delay_ms = pick(flag, 1.0, 2.0)\n"
+            "    return delay_ms\n"
+        )})
+        assert lint_paths(
+            [tree], [CrossUnitsPass()], display_root=tree
+        ) == []
 
     def test_param_and_helper_bindings_are_checked(self):
         findings = lint_project([CrossUnitsPass()])
