@@ -178,6 +178,11 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
         """Generation name -> speedup factor (read-only)."""
         return types.MappingProxyType(self._speedups)
 
+    @property
+    def base_estimator(self) -> ComputeEstimator:
+        """The generation-free compute estimator the speedups scale."""
+        return self._base_estimator
+
     def _het_compute(self, job: Job, gpus: float) -> float:
         return self._base_estimator(job, gpus) * self.speedup_of(
             job.job_id

@@ -368,7 +368,8 @@ def equal_share(
 
 class _JointRound(Programme):
     """One round of the joint solver: the programme under each job's
-    ``f*``, Gavel's total GPU budget one more pool over every job."""
+    ``f*`` (``compute_bound`` at the full request unless given),
+    Gavel's total GPU budget one more pool over every job."""
 
     def __init__(
         self,
@@ -377,9 +378,10 @@ class _JointRound(Programme):
         ctx: ScheduleContext,
         total: ResourceVector,
         pools: Sequence[Tuple[int, List[int]]],
+        f_star: Optional[List[float]] = None,
     ) -> None:
         estimator = ctx.estimator
-        self.f_star = [
+        self.f_star = f_star if f_star is not None else [
             float(estimator.compute_bound(j, j.num_gpus)) for j in jobs
         ]
         self.perf_eq = [
@@ -421,6 +423,8 @@ class GavelPolicy(SchedulingPolicy):
     #: indices)``, checked by the joint solver; empty on a homogeneous
     #: fleet. Heterogeneity-aware subclasses set it around a round.
     _pool_members: Sequence[Tuple[int, List[int]]] = ()
+    #: The round's ``f*`` per job, when a subclass already holds it.
+    _f_star: Optional[List[float]] = None
 
     def schedule(
         self,
@@ -513,7 +517,9 @@ class GavelPolicy(SchedulingPolicy):
         shares: Dict[str, EqualShare],
         allocation: Allocation,
     ) -> None:
-        solver = _JointRound(jobs, shares, ctx, total, self._pool_members)
+        solver = _JointRound(
+            jobs, shares, ctx, total, self._pool_members, self._f_star
+        )
         targets = solver.solve()
         cache = solver.datasets.cache_plan(targets, solver.cache_mb)
         for name, grant in zip(solver.datasets.names, cache):
@@ -526,7 +532,9 @@ class GavelPolicy(SchedulingPolicy):
             share = share if share < 1.0 else 1.0
             allocation.grant_gpus(job.job_id, share * job.num_gpus)
             allocation.grant_remote_io(job.job_id, job_io)
-        self._distribute_slack(jobs, total, allocation, ctx, math.fsum(io))
+        self._distribute_slack(
+            jobs, total, allocation, ctx, math.fsum(io), solver.f_star
+        )
 
     def _distribute_slack(
         self,
@@ -535,6 +543,7 @@ class GavelPolicy(SchedulingPolicy):
         allocation: Allocation,
         ctx: ScheduleContext,
         used_io: float,
+        f_star: Sequence[float],
     ) -> None:
         """Hand leftover GPUs/IO to jobs in ascending-throughput order.
 
@@ -550,17 +559,16 @@ class GavelPolicy(SchedulingPolicy):
         if free_gpus <= 1e-9 and free_io <= 1e-9:
             return
         by_throughput = sorted(
-            jobs,
-            key=lambda j: estimator.estimate(
-                j,
-                allocation.gpus_of(j.job_id),
-                allocation.cache_of(j.dataset.name),
-                allocation.remote_io_of(j.job_id),
+            zip(jobs, f_star),
+            key=lambda pair: estimator.estimate(
+                pair[0],
+                allocation.gpus_of(pair[0].job_id),
+                allocation.cache_of(pair[0].dataset.name),
+                allocation.remote_io_of(pair[0].job_id),
             ),
         )
-        for job in by_throughput:
+        for job, f_star_full in by_throughput:
             # Extra IO first: it raises what the job can load.
-            f_star_full = estimator.compute_bound(job, job.num_gpus)
             hits_mb = ctx.effective_hits_mb(
                 job, allocation.cache_of(job.dataset.name)
             )

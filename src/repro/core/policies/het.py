@@ -47,10 +47,11 @@ lists (``_pool_members``).
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.job import Job
+from repro.core import perf_model
 from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import (
@@ -78,7 +79,8 @@ class _AssignmentScorer:
     table per job), the normalisers, GPU counts and the effective cache
     view — so a score computed later sees the round's inputs, not the
     live cluster's. A score is the shared closed-form solve under the
-    candidate's ``f*`` and generation pools.
+    candidate's ``f*`` and generation pools. :attr:`caps` holds each
+    job's :meth:`Programme.cap_limit` term per pool generation.
     """
 
     def __init__(
@@ -103,6 +105,12 @@ class _AssignmentScorer:
             self.jobs, norms, effective_cache_mb, total.cache_mb,
             total.remote_io_mbps,
         )
+        for gen, _ in self.pools:  # cap_limit's error on an f* <= 0
+            self.programme.cap_limit([f[gen] for f in self.f_star_by_gen])
+        self.caps = [
+            {gen: by_gen[gen] * (1.0 + _EPS) / norm for gen, _ in self.pools}
+            for by_gen, norm in zip(self.f_star_by_gen, norms)
+        ]
         # No job is frozen, so every saving is proportional to the ratio
         # and the cache plan never changes: one IO limit, solved above
         # every candidate's ``hi``, serves them all.
@@ -121,7 +129,8 @@ class _AssignmentScorer:
     def bound(self, candidate: Sequence[str]) -> float:
         """Upper bound on :meth:`ratio`: ``max(hi, 0)``, where ``hi`` is
         the ratio at which the first job reaches its ``f*`` cap."""
-        hi = self.programme.cap_limit(self._f_star(candidate))
+        hi = min((c[gen] for c, gen in zip(self.caps, candidate)),
+                 default=math.inf)
         return 0.0 if 0.0 > hi else hi
 
     def ratio(self, candidate: Sequence[str]) -> float:
@@ -180,6 +189,10 @@ class _HetGavelBase(GavelPolicy):
     #: generation scores) and for the scheduler's provenance plumbing.
     heterogeneity_aware = True
 
+    #: A mixed-fleet het-max-min round's job_id -> ``(equal division,
+    #: base compute bound at its GPU share, IO bound or None)``.
+    _rows: Optional[Dict[str, tuple]] = None
+
     def schedule(
         self,
         jobs: Sequence[Job],
@@ -204,28 +217,26 @@ class _HetGavelBase(GavelPolicy):
                         estimator.default_generation
                     )
             return super().schedule(jobs, total, ctx)
-        assignment = self._assign(list(jobs), dict(pools), total, ctx)
-        for job_id, generation in assignment.items():
-            estimator.assignments[job_id] = generation
-            ctx.gen_assignments[job_id] = generation
-        # The joint solver keeps ``jobs`` order, so each pool's member
-        # indices are listed once here rather than on every filling
-        # step.
-        self._pool_members = [
-            (
-                capacity,
-                [
-                    i
-                    for i, job in enumerate(jobs)
-                    if assignment.get(job.job_id) == gen
-                ],
-            )
-            for gen, capacity in pools.items()
-        ]
         try:
+            assignment = self._assign(list(jobs), dict(pools), total, ctx)
+            for job_id, generation in assignment.items():
+                estimator.assignments[job_id] = generation
+                ctx.gen_assignments[job_id] = generation
+            # Pool members and ``f*`` (``compute_bound``'s product under
+            # the assignment) once, in the joint solver's ``jobs`` order.
+            members: Dict[str, List[int]] = {gen: [] for gen in pools}
+            self._f_star = []
+            for i, job in enumerate(jobs):
+                gen = assignment[job.job_id]
+                members[gen].append(i)
+                self._f_star.append(float(ctx.gen_scores[job.job_id][gen]))
+            self._pool_members = [
+                (capacity, members[gen]) for gen, capacity in pools.items()
+            ]
             return super().schedule(jobs, total, ctx)
         finally:
             self._pool_members = ()
+            self._f_star = self._rows = None
 
     def _assign(
         self,
@@ -295,10 +306,12 @@ class HetMaxMinPolicy(_HetGavelBase):
     fastest pools. :attr:`last_assignment_ratio` records the chosen
     assignment's score for diagnostics and the property test.
 
-    The search skips a candidate whose upper bound
-    (:meth:`_AssignmentScorer.bound`) cannot beat the best ratio by the
-    strict-improvement margin: its score could not either, so the
-    chosen assignment and its ratio are those of the full search.
+    The search walks ``itertools.product`` order depth first and skips
+    a prefix whose folded caps (:attr:`_AssignmentScorer.caps`) cannot
+    beat the best ratio by the strict-improvement margin: no completion's
+    bound or score could, and the margin only rises, so the chosen
+    assignment and its ratio are those of the full search. Both
+    normaliser maps come from one equal-share row per job (:attr:`_rows`).
     """
 
     name = "het-max-min"
@@ -324,6 +337,31 @@ class HetMaxMinPolicy(_HetGavelBase):
             self._last_ratio = build().ratio(candidate)
         return self._last_ratio
 
+    def _row_perf(self, job: Job, factor: float) -> float:
+        """``equal_share``'s perf at speedup ``factor``, from the row."""
+        _, base, io_bound = self._rows[job.job_id]
+        f = base * factor
+        if io_bound is not None:
+            if f < 0:
+                raise ValueError("ideal throughput must be non-negative")
+            f = io_bound if io_bound < f else f
+        return f * job.weight
+
+    def _normalisers(
+        self, jobs: Sequence[Job], total: ResourceVector, ctx: ScheduleContext
+    ) -> Dict[str, EqualShare]:
+        """On a mixed fleet, each row at the job's assigned generation."""
+        if self._rows is None:
+            return super()._normalisers(jobs, total, ctx)
+        speedups, gens = ctx.estimator.speedups, ctx.gen_assignments
+        return {
+            job.job_id: EqualShare(
+                *self._rows[job.job_id][0],
+                self._row_perf(job, speedups[gens[job.job_id]]),
+            )
+            for job in jobs
+        }
+
     def _assign(
         self,
         jobs: List[Job],
@@ -331,20 +369,27 @@ class HetMaxMinPolicy(_HetGavelBase):
         total: ResourceVector,
         ctx: ScheduleContext,
     ) -> Dict[str, str]:
-        estimator = ctx.estimator
-        # Normalisers must be assignment-independent: clear any stale
-        # generation map before evaluating equal shares.
-        for job in jobs:
-            estimator.assignments.pop(job.job_id, None)
-        shares = self._normalisers(jobs, total, ctx)
-        normalisers = {}
-        for job_id, share in shares.items():
-            perf = share.perf_mbps
-            normalisers[job_id] = 1e-12 if 1e-12 > perf else perf
-        gens = sorted(pools)
         n = len(jobs)
         if n == 0:
             return {}
+        estimator = ctx.estimator
+        base = estimator.base_estimator
+        # Normalisers are assignment-independent: every job at the
+        # default generation.
+        factor = estimator.speedups[estimator.default_generation]
+        rows = self._rows = {}
+        normalisers = {}
+        for job in jobs:
+            share = gpus, cache_mb, io_mbps = equal_division(job, n, total)
+            f, io_bound = base(job, gpus), None
+            if ctx.storage_aware and job.regular:
+                io_bound = perf_model.io_throughput(
+                    io_mbps, cache_mb, job.dataset.size_mb
+                )
+            rows[job.job_id] = (share, f, io_bound)
+            perf = self._row_perf(job, factor)
+            normalisers[job.job_id] = 1e-12 if 1e-12 > perf else perf
+        gens = sorted(pools)
         effective = ctx.effective_cache_mb
         if effective is not None:
             # Copy the values now: a greedy round's scorer is built
@@ -371,14 +416,29 @@ class HetMaxMinPolicy(_HetGavelBase):
         scorer = build()
         best: Optional[Tuple[str, ...]] = None
         best_ratio = -1.0
-        for candidate in itertools.product(gens, repeat=n):
-            threshold = best_ratio * (1.0 + _EPS) + 1e-15
-            if scorer.bound(candidate) <= threshold:
-                continue
-            ratio = scorer.ratio(candidate)
-            if ratio > threshold:
-                best_ratio = ratio
-                best = candidate
+        threshold = best_ratio * (1.0 + _EPS) + 1e-15
+        prefix: List[str] = []
+
+        def walk(hi: float) -> None:
+            """Score ``prefix``'s completions; ``hi`` (>= 0) folds its caps."""
+            nonlocal best, best_ratio, threshold
+            j = len(prefix)
+            if j == n:
+                candidate = tuple(prefix)
+                ratio = scorer.ratio(candidate)
+                if ratio > threshold:
+                    best, best_ratio = candidate, ratio
+                    threshold = ratio * (1.0 + _EPS) + 1e-15
+                return
+            for gen in gens:
+                cap = scorer.caps[j][gen]
+                low = cap if cap < hi else hi
+                if low > threshold:
+                    prefix.append(gen)
+                    walk(low)
+                    prefix.pop()
+
+        walk(math.inf)
         self._last_ratio = best_ratio
         self._unscored = None
         assert best is not None
@@ -423,7 +483,4 @@ class HetMaxThroughputPolicy(_HetGavelBase):
         total: ResourceVector,
         ctx: ScheduleContext,
     ) -> Dict[str, str]:
-        estimator = ctx.estimator
-        for job in jobs:
-            estimator.assignments.pop(job.job_id, None)
         return self._greedy_assign(jobs, pools, ctx)

@@ -21,7 +21,7 @@ Scoring therefore evaluates two candidate allocations per job.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
@@ -105,20 +105,6 @@ class SjfPolicy(SchedulingPolicy):
     name = "sjf"
     pure_round = True
 
-    def order(
-        self,
-        jobs: Sequence[Job],
-        total: ResourceVector,
-        ctx: ScheduleContext,
-    ) -> List[Job]:
-        """Jobs in ascending Eq 6/7 score."""
-        scored = [
-            (sjf_score(job, total, ctx.estimator, ctx.storage_aware), job)
-            for job in jobs
-        ]
-        scored.sort(key=lambda pair: (pair[0], pair[1].job_id))
-        return [job for _score, job in scored]
-
     def schedule(
         self,
         jobs: Sequence[Job],
@@ -126,11 +112,15 @@ class SjfPolicy(SchedulingPolicy):
         ctx: ScheduleContext,
     ) -> Allocation:
         allocation = Allocation()
+        scores = ctx.job_scores
         for job in jobs:
-            ctx.job_scores[job.job_id] = sjf_score(
+            scores[job.job_id] = sjf_score(
                 job, total, ctx.estimator, ctx.storage_aware
             )
-        ordered = self.order(jobs, total, ctx)
+        # Ascending Eq 6/7 score, each job scored once.
+        ordered = sorted(
+            jobs, key=lambda job: (scores[job.job_id], job.job_id)
+        )
         admitted = admit_in_order(ordered, total.gpus, allocation)
         if ctx.storage_aware and admitted:
             allocate_storage_greedily(

@@ -2,15 +2,20 @@
 
 ``HetMaxMinPolicy`` scores candidate generation assignments with a
 per-round :class:`~repro.core.policies.het._AssignmentScorer` that
-solves the IO limit once for the round, skips candidates whose upper
-bound cannot beat the best ratio so far, and, on the greedy path,
-builds the scorer and scores the chosen assignment only when
-``last_assignment_ratio`` is first read. None of that may change a
-result: the chosen assignment and its ratio must equal (``==``) an
-unpruned search scored by unmemoised calls of the shared closed-form
-solve, and no score may fall below the 40-step bisection it replaced.
-Each round computes a job's per-generation ``f*`` table once and
-publishes exactly a fresh estimator's table.
+solves the IO limit once for the round and tabulates each job's ``f*``
+cap per generation. The search walks the candidates depth first and
+skips every completion of a prefix whose folded cap cannot beat the
+best ratio so far; on the greedy path it builds the scorer and scores
+the chosen assignment only when ``last_assignment_ratio`` is first
+read. None of that may change a result: the chosen assignment and its
+ratio must equal (``==``) an unpruned search scored by unmemoised calls
+of the shared closed-form solve, and no score may fall below the
+40-step bisection it replaced. Each round computes a job's
+per-generation ``f*`` table once and publishes exactly a fresh
+estimator's table. A mixed-fleet round's work is pinned as call counts:
+no ``equal_share`` (one equal-share row per job serves both normaliser
+maps), no ``_AssignmentScorer.bound`` from the search, and as many
+candidates scored as the candidate-by-candidate search scored.
 """
 
 import collections
@@ -23,11 +28,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
-from repro.core.estimator import HetSiloDPerfEstimator
+from repro.core.estimator import HetSiloDPerfEstimator, SiloDPerfEstimator
 from repro.core.perf_model import default_speedup_table
 from repro.core.policies.base import ScheduleContext
 from repro.core.policies.gavel import _EPS, Programme, _Datasets, equal_share
-from repro.core.policies import het
+from repro.core.policies import gavel, het
 from repro.core.policies.het import (
     _ENUM_LIMIT,
     HetMaxMinPolicy,
@@ -353,3 +358,39 @@ def test_round_computes_each_f_star_table_once(policy_cls, n_jobs):
     oracle = _estimator()
     for job in jobs:
         assert ctx.gen_scores[job.job_id] == oracle.f_star_by_generation(job)
+
+
+@pytest.mark.parametrize(
+    "n_jobs, compute_bounds, scored",
+    [
+        (3, 3, 14),  # enumerated: 27 candidates, 14 scored
+        (6, 6, 1),  # greedy: the chosen assignment, scored on read
+    ],
+)
+def test_mixed_fleet_round_work(monkeypatch, n_jobs, compute_bounds, scored):
+    """Call counts of one mixed-fleet round, timing-free. The
+    ``compute_bound`` calls left are the slack pass's throughput sort,
+    and the enumerated round scores the 14 candidates a
+    candidate-by-candidate bound check scores."""
+    calls = collections.Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(gavel, "equal_share")
+    count(SiloDPerfEstimator, "compute_bound")
+    count(_AssignmentScorer, "bound")
+    count(_AssignmentScorer, "ratio")
+    policy, ctx, jobs, _, _ = _round(n_jobs)
+    assert (len(FLEET) ** n_jobs > _ENUM_LIMIT) == (n_jobs == 6)
+    policy.last_assignment_ratio
+    assert calls["equal_share"] == 0
+    assert calls["bound"] == 0
+    assert calls["compute_bound"] == compute_bounds
+    assert calls["ratio"] == scored

@@ -38,7 +38,11 @@
 #      a cancel, a deadline, a K80/P100/V100 fleet) and requires
 #      bit-identical results, and tests/core/policies/test_pure_round.py
 #      checks over generated rounds that a pure round ignores the
-#      clock and attained service.
+#      clock and attained service. One work pin runs here too:
+#      tests/core/test_het_scoring.py::test_mixed_fleet_round_work
+#      holds a mixed-fleet het-max-min round's call counts as literals
+#      (no equal_share, no pruning bound from the search, its
+#      compute_bound calls and candidates scored).
 #   4. serve smoke             — tools/serve_smoke.py first launches
 #      `python -m repro serve --queue-limit 0` and `--policy bogus`,
 #      each of which must exit 2 with no Traceback on stderr. It then
