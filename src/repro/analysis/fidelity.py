@@ -26,7 +26,7 @@ from repro.obs import events as ev
 from repro.obs.events import Event
 from repro.obs.tracer import Tracer
 from repro.sim.fluid import FluidSimulator
-from repro.sim.metrics import RunResult, relative_error
+from repro.sim.metrics import relative_error
 from repro.sim.minibatch import MinibatchEmulator
 from repro.sim.runner import make_system
 
@@ -234,56 +234,3 @@ def compare_simulators(
         fluid_makespan_min=fluid.makespan_minutes(),
         divergence=divergence,
     )
-
-
-def estimator_accuracy_vs_emulator(
-    job: Job,
-    cache_mb: float,
-    remote_io_mbps: float,
-    item_size_mb: float = 64.0,
-) -> Dict[str, float]:
-    """Measure SiloDPerf's prediction error against the item emulator.
-
-    Runs a single job with a fixed cache allocation and remote-IO throttle
-    through the minibatch emulator (real item-level hits/misses and
-    pipelining) and compares the measured *steady-state* epoch throughput
-    with the closed-form prediction of Eq 4. The paper reports the
-    estimator accurate within 3%.
-
-    Returns ``{"predicted_mbps", "measured_mbps", "error"}``.
-    """
-    from repro.core import perf_model
-
-    predicted = perf_model.silod_perf(
-        job.ideal_throughput_mbps,
-        remote_io_mbps,
-        cache_mb,
-        job.dataset.size_mb,
-    )
-    cluster = Cluster.build(
-        num_servers=1,
-        gpus_per_server=job.num_gpus,
-        cache_per_server_mb=cache_mb,
-        remote_io_mbps=remote_io_mbps,
-    )
-    scheduler, cache_system = make_system("fifo", "silod")
-    emulator = MinibatchEmulator(
-        cluster, scheduler, cache_system, [job], item_size_mb=item_size_mb
-    )
-    result = emulator.run()
-    record = result.records[0]
-    if record.finish_time_s is None:
-        raise RuntimeError("emulated job did not finish")
-    # Steady state excludes the cold first epoch: measure the epochs after
-    # the cache became effective.
-    first_epoch_s = job.dataset.size_mb / min(
-        remote_io_mbps, job.ideal_throughput_mbps
-    )
-    steady_work_mb = job.total_work_mb - job.dataset.size_mb
-    steady_time_s = record.finish_time_s - record.start_time_s - first_epoch_s
-    measured = steady_work_mb / steady_time_s if steady_time_s > 0 else 0.0
-    return {
-        "predicted_mbps": predicted,
-        "measured_mbps": measured,
-        "error": relative_error(measured, predicted),
-    }

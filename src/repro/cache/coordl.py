@@ -23,7 +23,6 @@ from repro.cache.base import (
     fair_share_io,
     trace_io_grants,
 )
-from repro.cluster.hardware import LOCAL_CACHE_MB_PER_V100
 
 
 class CoorDLCache(CacheSystem):
@@ -73,7 +72,3 @@ class CoorDLCache(CacheSystem):
         return StorageDecision(
             cache_targets=targets, hit_ratios=hit_ratios, io_grants=io_grants
         )
-
-
-#: Re-exported so experiment configs can say "Azure V100 provisioning".
-AZURE_V100_CACHE_MB = LOCAL_CACHE_MB_PER_V100

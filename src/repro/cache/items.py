@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Hashable, Iterable, Set
+from typing import Hashable, Set
 
 
 class UniformItemCache:
@@ -131,21 +131,3 @@ class LruItemCache:
     def snapshot(self) -> Set[Hashable]:
         """A copy of the cached item set."""
         return set(self._items)
-
-
-def measure_hit_ratio(
-    cache, accesses: Iterable[Hashable], warmup: int = 0
-) -> float:
-    """Feed an access stream through a cache and return the hit ratio.
-
-    ``warmup`` accesses at the head of the stream are executed but not
-    counted, so steady-state behaviour can be measured.
-    """
-    hits = 0
-    total = 0
-    for i, item in enumerate(accesses):
-        hit = cache.access(item)
-        if i >= warmup:
-            hits += int(hit)
-            total += 1
-    return hits / total if total else 0.0

@@ -63,28 +63,3 @@ def shared_lru_shares(
         job_id: pool_mb * rate / total_rate
         for job_id, rate in access_rates_mbps.items()
     }
-
-
-def uniform_epoch_hit_ratio(cache_mb: float, dataset_mb: float) -> float:
-    """Uniform caching's hit ratio ``c/d``, for side-by-side comparisons."""
-    if dataset_mb <= 0:
-        raise ValueError("dataset size must be positive")
-    return min(1.0, max(0.0, cache_mb) / dataset_mb)
-
-
-def curriculum_hit_ratio(
-    cache_mb: float, working_set_mb: float, lru: bool
-) -> float:
-    """Hit ratio of a cache over a uniformly re-sampled working set.
-
-    Under curriculum learning items are drawn *with replacement* from the
-    visible prefix, so a newly cached item can hit again immediately: LRU
-    no longer thrashes and both policies converge to ``min(1, c/w)``
-    (Figure 16b: LRU performs as well as uniform caching).
-    """
-    if working_set_mb <= 0:
-        return 1.0
-    ratio = min(1.0, max(0.0, cache_mb) / working_set_mb)
-    # ``lru`` kept for interface symmetry: both policies behave alike here.
-    del lru
-    return ratio

@@ -68,13 +68,42 @@ from repro.workloads.trace import (
 from repro.workloads.trace_io import load_trace, save_trace, trace_summary
 
 
+def _number(kind, accepts, want: str):
+    """An argparse ``type``: ``kind(text)`` if ``accepts`` it.
+
+    Anything else is a usage error (exit 2, no traceback) saying the
+    value is not ``want``.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _number(float, lambda v: v > 0.0, "a number > 0")
+_fraction = _number(
+    float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"
+)
+
+
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--gpus", type=int, default=100, help="total GPUs (default 100)"
+        "--gpus",
+        type=_positive_int,
+        default=100,
+        help="total GPUs, a multiple of --gpus-per-server (default 100)",
     )
     parser.add_argument(
         "--gpus-per-server",
-        type=int,
+        type=_positive_int,
         default=4,
         help="GPUs per server (default 4)",
     )
@@ -112,9 +141,16 @@ def _build_cluster(args: argparse.Namespace) -> Cluster:
             cache_per_server_mb=cache_per_server_mb,
             remote_io_mbps=units.gbps(args.egress_gbps),
         )
-    servers = max(1, args.gpus // args.gpus_per_server)
+    if args.gpus % args.gpus_per_server:
+        # argparse's usage-error form: one line on stderr, exit 2.
+        print(
+            f"repro {args.command}: error: --gpus {args.gpus} is not a "
+            f"multiple of --gpus-per-server {args.gpus_per_server}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     return Cluster.build(
-        num_servers=servers,
+        num_servers=args.gpus // args.gpus_per_server,
         gpus_per_server=args.gpus_per_server,
         cache_per_server_mb=cache_per_server_mb,
         remote_io_mbps=units.gbps(args.egress_gbps),
@@ -344,33 +380,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="generate a synthetic trace")
     p_trace.add_argument("output", help="output JSONL path")
     p_trace.add_argument(
-        "--jobs", type=int, default=300, help="number of jobs (default 300)"
+        "--jobs",
+        type=_positive_int,
+        default=300,
+        help="number of jobs (default 300)",
     )
     p_trace.add_argument(
         "--seed", type=int, default=42, help="RNG seed (default 42)"
     )
     p_trace.add_argument(
         "--gpus",
-        type=int,
+        type=_positive_int,
         default=100,
         help="cluster size the load targets (default 100)",
     )
     p_trace.add_argument(
         "--load",
-        type=float,
+        type=_positive,
         default=1.5,
         help="target cluster load factor, > 0 (default 1.5; 1.0 keeps "
         "the cluster exactly busy, above 1.0 builds a queue)",
     )
     p_trace.add_argument(
         "--duration-median-min",
-        type=float,
+        type=_positive,
         default=360.0,
         help="median job duration in minutes (default 360)",
     )
     p_trace.add_argument(
         "--sharing",
-        type=float,
+        type=_fraction,
         default=0.0,
         help="fraction of jobs sharing pooled datasets, 0.0-1.0 "
         "(default 0.0 = every job brings its own dataset)",

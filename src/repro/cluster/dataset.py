@@ -90,7 +90,3 @@ class DatasetRegistry:
 
     def __len__(self) -> int:
         return len(self._datasets)
-
-    def total_size_mb(self) -> float:
-        """Sum of all registered dataset sizes."""
-        return sum(d.size_mb for d in self._datasets.values())

@@ -248,11 +248,6 @@ class Cluster:
         """Generation names present, oldest first."""
         return list(self.gpus_by_generation)
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """Whether the fleet mixes GPU generations."""
-        return len(self.gpus_by_generation) > 1
-
 
 def parse_gpu_mix(spec: str) -> List[Tuple[str, int]]:
     """Parse a ``--gpu-mix`` spec like ``"V100:2,A100:1"``.

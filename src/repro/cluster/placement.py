@@ -74,14 +74,6 @@ class GpuPlacer:
         """GPUs not assigned to any job."""
         return sum(self._free.values())
 
-    def free_gpus_of(self, generation: str) -> int:
-        """Unassigned GPUs on servers of one generation."""
-        return sum(
-            free
-            for server_id, free in self._free.items()
-            if self._generation[server_id] == generation
-        )
-
     def placement_of(self, job_id: str) -> Optional[JobPlacement]:
         """The placement of a job, if placed."""
         return self._placements.get(job_id)

@@ -118,19 +118,6 @@ class SiloDPerfEstimator:
             job.dataset.size_mb,
         )
 
-    def estimated_duration_s(
-        self,
-        job: Job,
-        gpus: float,
-        cache_mb: float,
-        remote_io_mbps: float,
-    ) -> float:
-        """``numSteps * stepDataSize / SiloDPerf`` — Eq 6's duration term."""
-        throughput = self.estimate(job, gpus, cache_mb, remote_io_mbps)
-        if throughput <= 0:
-            return float("inf")
-        return job.total_work_mb / throughput
-
 
 class HetSiloDPerfEstimator(SiloDPerfEstimator):
     """Generation-aware SiloDPerf: ``min(f*(j, gen(j)), IOPerf)``.

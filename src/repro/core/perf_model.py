@@ -23,7 +23,7 @@ free-standing (no classes) so policies can call them on plain numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 #: Tolerance used when a cache allocation covers the whole dataset and the
 #: miss ratio denominator vanishes.
@@ -135,22 +135,6 @@ def dataset_cache_efficiency(
     )
 
 
-def min_cache_for_throughput(
-    target_throughput_mbps: float, remote_io_mbps: float, dataset_mb: float
-) -> float:
-    """Cache needed to sustain ``target`` given a remote-IO allocation.
-
-    Solves Eq 4 for ``c``: ``c = d * (1 - b/f)``. Returns 0 when the IO
-    allocation alone suffices, and ``d`` when the target is unreachable at
-    any cache size below full caching. Raises for a non-positive target.
-    """
-    if target_throughput_mbps <= 0:
-        raise ValueError("target throughput must be positive")
-    if remote_io_mbps >= target_throughput_mbps:
-        return 0.0
-    return dataset_mb * (1.0 - remote_io_mbps / target_throughput_mbps)
-
-
 def is_io_bound(
     ideal_throughput_mbps: float,
     remote_io_mbps: float,
@@ -216,48 +200,3 @@ def default_speedup_table(reference: str = "V100") -> Dict[str, float]:
             )
     anchor = raw[reference]
     return {name: value / anchor for name, value in raw.items()}
-
-
-def het_f_star(
-    ideal_throughput_mbps: float,
-    generation: str,
-    speedups: Optional[Dict[str, float]] = None,
-    reference: str = "V100",
-) -> float:
-    """``f*(job, gen)``: the compute bound scaled to a generation.
-
-    ``speedups`` defaults to :func:`default_speedup_table`. An unknown
-    generation raises — a silent 1.0 would mask trace/cluster mismatches.
-    """
-    if ideal_throughput_mbps < 0:
-        raise ValueError("ideal throughput must be non-negative")
-    if speedups is None:
-        speedups = default_speedup_table(reference)
-    if generation not in speedups:
-        raise ValueError(f"unknown GPU generation {generation!r}")
-    return ideal_throughput_mbps * speedups[generation]
-
-
-def het_silod_perf(
-    ideal_throughput_mbps: float,
-    remote_io_mbps: float,
-    cache_mb: float,
-    dataset_mb: float,
-    generation: str,
-    speedups: Optional[Dict[str, float]] = None,
-    reference: str = "V100",
-) -> float:
-    """Heterogeneous Eq 4: ``min(f*(job, gen), b / (1 - c/d))``.
-
-    On the reference generation the speedup factor is exactly 1.0, so
-    this is bit-identical to :func:`silod_perf` — the collapse property
-    ``tests/core/test_het_perf_model.py`` pins.
-    """
-    return silod_perf(
-        het_f_star(
-            ideal_throughput_mbps, generation, speedups, reference
-        ),
-        remote_io_mbps,
-        cache_mb,
-        dataset_mb,
-    )

@@ -74,11 +74,3 @@ def priority_fill(
         if remaining <= 0:
             break
     return grants
-
-
-def equal_split(job_ids: Sequence[str], capacity: float) -> Dict[str, float]:
-    """Divide capacity equally regardless of demand (the R_equal of Eq 8)."""
-    if not job_ids:
-        return {}
-    share = capacity / len(job_ids)
-    return {job_id: share for job_id in job_ids}

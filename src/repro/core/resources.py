@@ -13,7 +13,7 @@ is what policies return and the data manager enforces.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 #: Canonical resource-type names (the ``t`` index of Eq 6).
 GPU = "gpu"
@@ -53,14 +53,6 @@ class ResourceVector:
             gpus=self.gpus + other.gpus,
             cache_mb=self.cache_mb + other.cache_mb,
             remote_io_mbps=self.remote_io_mbps + other.remote_io_mbps,
-        )
-
-    def fits_within(self, total: "ResourceVector", tol: float = 1e-6) -> bool:
-        """Whether this vector is component-wise <= ``total`` (within tol)."""
-        return (
-            self.gpus <= total.gpus + tol
-            and self.cache_mb <= total.cache_mb + tol
-            and self.remote_io_mbps <= total.remote_io_mbps + tol
         )
 
     def weighted_sum(self, weights: Mapping[str, float]) -> float:
@@ -134,10 +126,6 @@ class Allocation:
             cache_mb=sum(self.cache.values()),
             remote_io_mbps=sum(self.remote_io.values()),
         )
-
-    def running_job_ids(self) -> Iterable[str]:
-        """Jobs with a positive GPU grant."""
-        return [job_id for job_id, g in self.gpus.items() if g > 0]
 
     def __repr__(self) -> str:
         return (

@@ -325,7 +325,3 @@ class CallGraph:
     def callees(self, caller: str) -> List[CallEdge]:
         """Outgoing resolved edges of ``caller``."""
         return self.out.get(caller, [])
-
-    def unresolved_in(self, caller: str) -> List[UnresolvedCall]:
-        """Unresolved call sites attributed to ``caller``."""
-        return [u for u in self.unresolved if u.caller == caller]

@@ -24,17 +24,10 @@ from repro.serve.server import ServeServer, serve_until_shutdown
 from repro.sim.runner import CACHE_FACTORIES, POLICY_FACTORIES, SIMULATORS
 
 
-def _queue_limit(text: str) -> int:
-    """``--queue-limit``'s type: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return int(text)
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach serve options; ``parser`` is the ``serve`` subparser."""
     # Lazy: repro.cli imports this module while it is itself loading.
-    from repro.cli import _add_cluster_args
+    from repro.cli import _add_cluster_args, _positive_int
 
     _add_cluster_args(parser)
     parser.add_argument(
@@ -74,7 +67,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--queue-limit",
-        type=_queue_limit,
+        type=_positive_int,
         default=64,
         metavar="N",
         help="admission-queue depth before submissions bounce with "

@@ -102,15 +102,6 @@ class RunResult:
         """Makespan in minutes."""
         return units.seconds_to_minutes(self.makespan_s())
 
-    def jct_cdf(self) -> List[Tuple[float, float]]:
-        """Sorted ``(jct_minutes, cumulative_fraction)`` pairs."""
-        finished = sorted(r.jct_s for r in self.finished_records())
-        n = len(finished)
-        return [
-            (units.seconds_to_minutes(jct), (i + 1) / n)
-            for i, jct in enumerate(finished)
-        ]
-
     def average_fairness_ratio(self) -> float:
         """Time-average of Figure 13's fairness ratio (finite samples)."""
         values = [
@@ -132,12 +123,6 @@ class RunResult:
         if not fractions:
             return math.nan
         return sum(fractions) / len(fractions)
-
-    def peak_remote_io_mbps(self) -> float:
-        """Peak remote IO usage across samples (Figure 2)."""
-        if not self.timeline:
-            return math.nan
-        return max(s.remote_io_used_mbps for s in self.timeline)
 
     def throughput_series(self) -> List[Tuple[float, float, float, float]]:
         """(minutes, achieved, ideal, remote IO) rows — Figures 9 and 11."""
@@ -165,26 +150,6 @@ def relative_error(reference: float, measured: float) -> float:
     if reference == 0:
         return math.nan
     return abs(measured - reference) / abs(reference)
-
-
-def summarize_matrix(
-    results: Dict[Tuple[str, str], "RunResult"]
-) -> List[dict]:
-    """Flatten a {(scheduler, cache): result} matrix into report rows."""
-    rows = []
-    for (scheduler, cache), result in sorted(results.items()):
-        rows.append(
-            {
-                "scheduler": scheduler,
-                "cache": cache,
-                "avg_jct_min": result.average_jct_minutes(),
-                "makespan_min": result.makespan_minutes(),
-                "avg_fairness": result.average_fairness_ratio(),
-                "finished": len(result.finished_records()),
-                "total": len(result.records),
-            }
-        )
-    return rows
 
 
 def percentile_jct_minutes(

@@ -3,7 +3,6 @@
 from repro.workloads.curriculum import ExponentialPacing, simulate_curriculum_jct
 from repro.workloads.datasets import TABLE4_DATASETS, default_registry, synthetic_images
 from repro.workloads.models import FIGURE6_JOBS, MODEL_ZOO, make_job
-from repro.workloads.profiler import profile_job
 from repro.workloads.trace import TraceConfig, generate_trace, microbenchmark_trace
 from repro.workloads.trace_io import load_trace, save_trace, trace_summary
 
@@ -17,7 +16,6 @@ __all__ = [
     "TraceConfig",
     "generate_trace",
     "microbenchmark_trace",
-    "profile_job",
     "save_trace",
     "load_trace",
     "trace_summary",

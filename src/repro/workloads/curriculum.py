@@ -19,7 +19,6 @@ curriculum job over either cache policy and returns the JCT.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import List
 
@@ -57,13 +56,6 @@ class ExponentialPacing:
     def visible_fraction(self, iteration: int) -> float:
         """g(i) / N."""
         return self.visible_items(iteration) / self.num_items
-
-    def iterations_to_full(self) -> int:
-        """First iteration at which the whole dataset is visible."""
-        growth_steps = math.ceil(
-            math.log(1.0 / self.starting_percent) / math.log(self.alpha)
-        )
-        return growth_steps * self.step
 
     def series(self, total_iterations: int, points: int = 100) -> List[dict]:
         """Figure 16a as a data series."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.items import LruItemCache, UniformItemCache, measure_hit_ratio
+from repro.cache.items import LruItemCache, UniformItemCache
 
 
 class TestUniformItemCache:
@@ -82,13 +82,6 @@ class TestLruItemCache:
             cache.access(item)
         cache.resize(1)
         assert cache.snapshot() == {"c"}
-
-
-def test_measure_hit_ratio_with_warmup():
-    cache = UniformItemCache(10, rng=random.Random(0))
-    stream = list(range(10)) * 3
-    ratio = measure_hit_ratio(cache, stream, warmup=10)
-    assert ratio == pytest.approx(1.0)
 
 
 @given(

@@ -13,12 +13,8 @@ import random
 import pytest
 
 from repro.cache.items import LruItemCache, UniformItemCache
-from repro.cache.lru import (
-    curriculum_hit_ratio,
-    lru_epoch_hit_ratio,
-    shared_lru_shares,
-    uniform_epoch_hit_ratio,
-)
+from repro.cache.lru import lru_epoch_hit_ratio, shared_lru_shares
+from repro.core.perf_model import hit_ratio
 
 
 def epoch_stream(num_items, num_epochs, rng):
@@ -66,7 +62,7 @@ def test_lru_always_below_uniform():
     """Thrashing: LRU never beats uniform caching at equal size (§2.2)."""
     for gamma in [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]:
         lru = lru_epoch_hit_ratio(gamma * 1000, 1000)
-        uniform = uniform_epoch_hit_ratio(gamma * 1000, 1000)
+        uniform = hit_ratio(gamma * 1000, 1000)
         assert lru < uniform
 
 
@@ -127,12 +123,3 @@ def test_shared_pool_favors_fast_jobs_in_simulation():
     ratio_fast = hits["fast"] / max(1, total["fast"])
     ratio_slow = hits["slow"] / max(1, total["slow"])
     assert ratio_fast > ratio_slow
-
-
-def test_curriculum_hit_ratio_equal_for_both_policies():
-    # Figure 16b's point: with replacement sampling, LRU = uniform.
-    for policy_is_lru in (True, False):
-        assert curriculum_hit_ratio(500.0, 1000.0, policy_is_lru) == (
-            pytest.approx(0.5)
-        )
-    assert curriculum_hit_ratio(500.0, 0.0, True) == 1.0

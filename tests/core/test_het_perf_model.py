@@ -8,8 +8,6 @@ and ``x * 1.0 == x`` in IEEE-754 — and these tests pin the guarantee
 with hypothesis.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,13 +22,6 @@ from repro.core.estimator import (
 )
 
 GENERATIONS = sorted(GPU_GENERATIONS)
-
-finite_rates = st.floats(
-    min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
-)
-positive_sizes = st.floats(
-    min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False
-)
 
 
 # ----------------------------------------------------------------------
@@ -72,41 +63,9 @@ def test_h100_factor_uses_dense_not_sparsity_tflops():
     assert table["H100"] < 12.0  # the sparsity figure would give ~76x
 
 
-def test_het_f_star_rejects_unknown_generation():
-    with pytest.raises(ValueError):
-        perf_model.het_f_star(100.0, "TPUv4")
-
-
 # ----------------------------------------------------------------------
 # Collapse: single-generation fleet == homogeneous, bit for bit.
 # ----------------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    ideal=finite_rates,
-    remote_io=finite_rates,
-    cache=finite_rates,
-    dataset=positive_sizes,
-    reference=st.sampled_from(GENERATIONS),
-)
-def test_het_eq4_collapses_bit_identically(
-    ideal, remote_io, cache, dataset, reference
-):
-    """het_silod_perf on the reference generation IS silod_perf."""
-    homogeneous = perf_model.silod_perf(ideal, remote_io, cache, dataset)
-    het = perf_model.het_silod_perf(
-        ideal,
-        remote_io,
-        cache,
-        dataset,
-        generation=reference,
-        reference=reference,
-    )
-    assert math.isnan(het) if math.isnan(homogeneous) else het == homogeneous
-    assert perf_model.het_f_star(
-        ideal, reference, reference=reference
-    ) == ideal
 
 
 @settings(max_examples=50, deadline=None)

@@ -64,16 +64,6 @@ def test_dataset_cache_efficiency_sums_over_sharing_jobs():
     assert shared == pytest.approx(single * 1.5)
 
 
-def test_min_cache_for_throughput_inverts_eq4():
-    d = 1000.0
-    c = perf_model.min_cache_for_throughput(100.0, 40.0, d)
-    assert perf_model.silod_perf(100.0, 40.0, c, d) == pytest.approx(100.0)
-    # Enough IO alone: no cache needed.
-    assert perf_model.min_cache_for_throughput(100.0, 120.0, d) == 0.0
-    with pytest.raises(ValueError):
-        perf_model.min_cache_for_throughput(0.0, 10.0, d)
-
-
 def test_is_io_bound():
     assert perf_model.is_io_bound(114.0, 25.0, 0.0, 1000.0)
     assert not perf_model.is_io_bound(114.0, 200.0, 0.0, 1000.0)
@@ -116,8 +106,13 @@ def test_throughput_never_exceeds_compute_bound(f, c, d, b):
 
 @given(c=rates, d=sizes, b=rates)
 def test_eq2_eq3_are_inverses(c, d, b):
-    """IOPerf(demand(f)) == f whenever the dataset is not fully cached."""
-    if c >= d:
+    """IOPerf(demand(f)) == f whenever the dataset is not fully cached.
+
+    The model counts a miss ratio within ``_EPS`` of zero as fully
+    cached (IOPerf is ``inf`` there), e.g. ``c = 1.0`` against
+    ``d = 1.0000000000000002``.
+    """
+    if perf_model.miss_ratio(c, d) <= perf_model._EPS:
         return
     f = 123.4
     demand = perf_model.remote_io_demand(f, c, d)

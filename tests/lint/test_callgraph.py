@@ -111,7 +111,8 @@ class TestUnresolvedCategory:
         graph = project_graph()
         texts = {
             call.callee_text
-            for call in graph.unresolved_in("repro.dynamic.apply")
+            for call in graph.unresolved
+            if call.caller == "repro.dynamic.apply"
         }
         assert "callback" in texts
         assert any(text.startswith("registry") for text in texts)
@@ -128,8 +129,9 @@ class TestUnresolvedCategory:
         graph = project_graph()
         call = next(
             c
-            for c in graph.unresolved_in("repro.dynamic.apply")
-            if c.callee_text == "callback"
+            for c in graph.unresolved
+            if c.caller == "repro.dynamic.apply"
+            and c.callee_text == "callback"
         )
         assert call.rel_path == "repro/dynamic.py"
         assert call.line >= 1

@@ -196,7 +196,8 @@ class TestSoundnessGap:
         index = ProjectIndex(files)
         texts = {
             call.callee_text
-            for call in index.graph.unresolved_in("repro.dynamic.apply")
+            for call in index.graph.unresolved
+            if call.caller == "repro.dynamic.apply"
         }
         assert "callback" in texts
 

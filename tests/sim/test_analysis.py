@@ -1,11 +1,8 @@
-"""Analysis helpers: tables, fidelity, estimator accuracy."""
+"""Analysis helpers: tables and fidelity."""
 
 import pytest
 
-from repro.analysis.fidelity import (
-    compare_simulators,
-    estimator_accuracy_vs_emulator,
-)
+from repro.analysis.fidelity import compare_simulators
 from repro.analysis.tables import (
     format_value,
     improvement_summary,
@@ -63,26 +60,6 @@ def make_job():
         ideal_throughput_mbps=100.0,
         total_work_mb=4 * 40.0 * GB,
     )
-
-
-def test_estimator_accuracy_within_3_percent():
-    """The paper's claim: SiloDPerf predicts job throughput within ~3%."""
-    report = estimator_accuracy_vs_emulator(
-        make_job(), cache_mb=20.0 * GB, remote_io_mbps=40.0,
-        item_size_mb=256.0,
-    )
-    assert report["error"] < 0.03
-    # The configuration is IO-bound: prediction is below f*.
-    assert report["predicted_mbps"] < 100.0
-
-
-def test_estimator_accuracy_compute_bound_case():
-    report = estimator_accuracy_vs_emulator(
-        make_job(), cache_mb=50.0 * GB, remote_io_mbps=200.0,
-        item_size_mb=256.0,
-    )
-    assert report["predicted_mbps"] == pytest.approx(100.0)
-    assert report["error"] < 0.03
 
 
 def test_compare_simulators_produces_small_errors():

@@ -11,7 +11,6 @@ from repro.sim.metrics import (
     improvement_factor,
     percentile_jct_minutes,
     relative_error,
-    summarize_matrix,
 )
 
 
@@ -67,15 +66,6 @@ def test_unfinished_jobs_poison_makespan_not_jct():
     assert math.isinf(unfinished.jct_s)
 
 
-def test_jct_cdf_is_monotone():
-    r = result([record(str(i), 0, 60 * (i + 1)) for i in range(5)])
-    cdf = r.jct_cdf()
-    xs = [x for x, _ in cdf]
-    ys = [y for _, y in cdf]
-    assert xs == sorted(xs)
-    assert ys[-1] == pytest.approx(1.0)
-
-
 def test_fairness_and_effective_cache_averages():
     r = result(
         [record("a", 0, 60)],
@@ -90,9 +80,8 @@ def test_fairness_and_effective_cache_averages():
     assert r.average_effective_cache_fraction() == pytest.approx(0.9)
 
 
-def test_peak_remote_io_and_series():
+def test_throughput_series_in_minutes():
     r = result([record("a", 0, 60)], timeline=[sample(0), sample(600)])
-    assert r.peak_remote_io_mbps() == pytest.approx(50.0)
     series = r.throughput_series()
     assert series[1][0] == pytest.approx(10.0)  # 600 s = 10 min
 
@@ -102,13 +91,6 @@ def test_improvement_and_relative_error():
     assert math.isnan(improvement_factor(200.0, 0.0))
     assert relative_error(100.0, 103.0) == pytest.approx(0.03)
     assert math.isnan(relative_error(0.0, 1.0))
-
-
-def test_summarize_matrix():
-    r = result([record("a", 0, 600)])
-    rows = summarize_matrix({("fifo", "silod"): r})
-    assert rows[0]["scheduler"] == "fifo"
-    assert rows[0]["avg_jct_min"] == pytest.approx(10.0)
 
 
 def test_percentiles():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.serve.cli import build_server
 from repro.workloads.trace_io import load_trace
 
 
@@ -75,6 +76,71 @@ def test_bad_names_and_limits_are_usage_errors(argv, option, capsys):
     err = capsys.readouterr().err
     assert f"error: argument {option}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "t.jsonl", "--gpus", "0"], "--gpus"),
+        (["run", "t.jsonl", "--gpus", "-8"], "--gpus"),
+        (["matrix", "t.jsonl", "--gpus-per-server", "0"],
+         "--gpus-per-server"),
+        (["serve", "--gpus", "-4"], "--gpus"),
+        (["trace", "t.jsonl", "--jobs", "-3"], "--jobs"),
+        (["trace", "t.jsonl", "--jobs", "0"], "--jobs"),
+        (["trace", "t.jsonl", "--gpus", "0"], "--gpus"),
+        (["trace", "t.jsonl", "--load", "0"], "--load"),
+        (["trace", "t.jsonl", "--load", "nan"], "--load"),
+        (["trace", "t.jsonl", "--duration-median-min", "-1"],
+         "--duration-median-min"),
+        (["trace", "t.jsonl", "--sharing", "1.5"], "--sharing"),
+        (["trace", "t.jsonl", "--sharing", "-0.1"], "--sharing"),
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(argv, option, capsys):
+    # Parse only: a regression must fail here, not start a server.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}" in err
+    assert "Traceback" not in err
+
+
+def serve_built(argv):
+    """Build, but never start, the server ``repro serve`` would run."""
+    return build_server(build_parser().parse_args(["serve", *argv]))
+
+
+@pytest.mark.parametrize(
+    "entry, command",
+    [
+        (main, ["run", "t.jsonl"]),
+        (main, ["matrix", "t.jsonl"]),
+        (serve_built, []),
+    ],
+    ids=["run", "matrix", "serve"],
+)
+def test_gpus_must_fill_whole_servers(entry, command, capsys):
+    """``--gpus 6`` on 4-GPU servers is refused, not run on 4 GPUs."""
+    with pytest.raises(SystemExit) as exit_info:
+        entry([*command, "--gpus", "6", "--gpus-per-server", "4"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --gpus 6 is not a multiple of --gpus-per-server 4" in err
+    assert "Traceback" not in err
+
+
+def test_gpu_mix_ignores_gpus(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    main(["trace", str(trace_path), "--jobs", "2", "--seed", "3",
+          "--gpus", "8", "--duration-median-min", "20", "--sharing", "1"])
+    code = main([
+        "run", str(trace_path), "--gpus", "6", "--gpu-mix", "V100:2",
+        "--egress-gbps", "1.6", "--cache-per-gpu-gb", "64",
+    ])
+    assert code == 0
+    assert "2/2" in capsys.readouterr().out
 
 
 def test_run_emits_event_log_and_report_reads_it(tmp_path, capsys):

@@ -8,10 +8,24 @@ drain must leave ``numpy`` out of ``sys.modules``. The linter's engine
 stays out too: ``repro.lint.cli`` loads it only when ``repro lint``
 runs. Each check runs in a fresh interpreter, since the test session
 has long since imported both.
+
+Two guards pin the product boundary by reading the source, not by
+importing it:
+
+* every module under ``src/repro`` is reached from ``python -m repro``
+  (``repro.__main__``, which delegates to ``repro.cli``) through its
+  static imports, function-level ones included, except the experiment
+  instruments named in :data:`INSTRUMENTS`;
+* every function, method and class defined under ``src/repro`` is
+  named outside its own ``def``/``class`` line by the product or by
+  the benchmarks, examples, tools or perfbench, not only by its own
+  tests; :data:`CALLERLESS_ALLOWED` names the exceptions and why.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,7 +33,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: Modules a serving process must never load.
 SERVER_FREE_OF = ("numpy", "repro.lint.engine")
@@ -115,3 +130,113 @@ def test_array_store_keeps_its_residency_name():
     assert issubclass(ArrayResidencyStore, residency.ResidencyStore)
     with pytest.raises(AttributeError):
         residency.NoSuchStore  # noqa: B018
+
+
+#: Modules the product does not import: instruments that benchmarks,
+#: examples and tests drive directly. A new module must be reachable
+#: from ``repro.__main__`` or be named here.
+INSTRUMENTS = (
+    "repro.analysis.artifacts",
+    "repro.analysis.fidelity",
+    "repro.cluster.placement",
+)
+
+#: Trees whose mention of a name counts as a caller.
+CALLER_TREES = ("src/repro", "benchmarks", "examples", "tools", "perfbench")
+
+#: Definitions kept without a non-test caller, each with its reason.
+CALLERLESS_ALLOWED = {
+    "FaultSchedule.save": (
+        "the documented writer of the JSON file `repro run --faults` "
+        "reads (docs/FAULTS.md)"
+    ),
+}
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def source_modules():
+    """Dotted module name -> path, for every module under src/repro."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = list(path.relative_to(SRC).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        modules[".".join(parts)] = path
+    return modules
+
+
+def imported_names(path):
+    """Every dotted name an import statement anywhere in the module reads.
+
+    ``from a import b`` yields both ``a`` and ``a.b``, since ``b`` may be
+    a submodule; names that are not modules are dropped by the caller.
+    The package imports absolutely, so relative imports need no case.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def import_closure(modules, root):
+    """Modules reached from ``root``, with each module's parent packages."""
+    reached = set()
+    pending = [root]
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        parts = name.split(".")
+        pending.extend(".".join(parts[:i]) for i in range(1, len(parts)))
+        pending.extend(imported_names(modules[name]))
+    return reached
+
+
+def test_only_the_instruments_lie_outside_the_product():
+    modules = source_modules()
+    outside = set(modules) - import_closure(modules, "repro.__main__")
+    assert sorted(outside) == sorted(INSTRUMENTS)
+
+
+def definitions(path):
+    """``(qualified name, name, line)`` of every def and class in a file."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                yield prefix + child.name, child.name, child.lineno
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+
+    yield from walk(ast.parse(path.read_text()), "")
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    """A name counts as called when it appears as an identifier token
+    (code, comment or string) anywhere in :data:`CALLER_TREES` other
+    than its own ``def``/``class`` line. Dunders are called by the
+    language, and ``visit_*`` methods by ``ast.NodeVisitor``'s dispatch
+    on the node type."""
+    sites = {}
+    for tree in CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            lines = path.read_text().splitlines()
+            for number, line in enumerate(lines, start=1):
+                for token in IDENTIFIER.findall(line):
+                    sites.setdefault(token, set()).add((path, number))
+    callerless = []
+    for path in source_modules().values():
+        for qualname, name, line in definitions(path):
+            dunder = name.startswith("__") and name.endswith("__")
+            if dunder or name.startswith("visit_"):
+                continue
+            if not sites.get(name, set()) - {(path, line)}:
+                callerless.append(qualname)
+    assert sorted(callerless) == sorted(CALLERLESS_ALLOWED)

@@ -31,15 +31,6 @@ def test_pacing_grows_exponentially_and_saturates():
         pacing.visible_items(-1)
 
 
-def test_iterations_to_full():
-    pacing = ExponentialPacing(
-        num_items=1000, starting_percent=0.1, alpha=2.0, step=100
-    )
-    full_at = pacing.iterations_to_full()
-    assert pacing.visible_items(full_at) == 1000
-    assert pacing.visible_items(full_at - 101) < 1000
-
-
 def test_series_fractions_monotone():
     pacing = ExponentialPacing(num_items=1000, step=1000)
     rows = pacing.series(total_iterations=20_000, points=20)

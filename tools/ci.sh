@@ -42,7 +42,14 @@
 #      tests/core/test_het_scoring.py::test_mixed_fleet_round_work
 #      holds a mixed-fleet het-max-min round's call counts as literals
 #      (no equal_share, no pruning bound from the search, its
-#      compute_bound calls and candidates scored).
+#      compute_bound calls and candidates scored). Two guards pin the
+#      product boundary in tests/test_import_graph.py:
+#      test_only_the_instruments_lie_outside_the_product (every
+#      src/repro module is in the static import closure of
+#      `python -m repro`, except the three instruments it names) and
+#      test_every_src_definition_has_a_non_test_caller (every def and
+#      class under src/repro is named by src/repro, benchmarks/,
+#      examples/, tools/ or perfbench/, not only by its own tests).
 #   4. serve smoke             — tools/serve_smoke.py first launches
 #      `python -m repro serve --queue-limit 0` and `--policy bogus`,
 #      each of which must exit 2 with no Traceback on stderr. It then
