@@ -174,7 +174,9 @@ def trace_io_grants(
     if not tracer.enabled:
         return
     for job, desired in zip(ctx.running_jobs, ctx.f_stars):
-        hit = min(1.0, max(0.0, hit_ratios.get(job.job_id, 0.0)))
+        hit = hit_ratios.get(job.job_id, 0.0)
+        hit = hit if hit > 0.0 else 0.0
+        hit = hit if hit < 1.0 else 1.0
         demand = desired * (1.0 - hit)
         grant = io_grants.get(job.job_id, 0.0)
         tracer.emit(

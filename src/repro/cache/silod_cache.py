@@ -85,13 +85,14 @@ class SiloDDataManager(CacheSystem):
         only when a scheduling round installs a new allocation, so a
         decision is reused at quiet epoch boundaries and after a
         scheduling round that kept the allocation in force (see
-        ``SimulatorKernel._schedule_round``), arrivals included. Traced
-        rounds always recompute: each emits its own ``io_throttle``
-        events. Otherwise this is :meth:`CacheSystem.reallocate`.
+        ``SimulatorKernel._schedule_round``), arrivals included.
+
+        Traced rounds reuse too: a reused round replays the memo's
+        ``io_throttle`` events through :func:`trace_io_grants`, which
+        are the ones ``decide`` would emit (the same hit ratios and
+        grants over the same jobs and column, at this round's clock).
+        Otherwise this is :meth:`CacheSystem.reallocate`.
         """
-        if ctx.tracer.enabled:
-            self._memo = None
-            return super().reallocate(ctx)
         # Exactly what ``decide`` reads, read before it runs: evictions
         # applying its targets may scale the live map later.
         effective = ctx.effective_mb
@@ -106,7 +107,12 @@ class SiloDDataManager(CacheSystem):
             and inputs == memo.inputs
             and read == memo.effective
         ):
-            return memo.decision
+            decision = memo.decision
+            if ctx.tracer.enabled:
+                trace_io_grants(
+                    ctx, decision.hit_ratios, decision.io_grants
+                )
+            return decision
         decision = super().reallocate(ctx)
         self._memo = _Reusable(
             ctx.f_stars, ctx.scheduler_allocation, inputs, read, decision

@@ -57,7 +57,8 @@ _SCALAR_ACCESSORS = {
 _ROUND_MODULES = frozenset("repro." + name for name in (
     "core.perf_model core.estimator core.policies.gavel core.policies.het "
     "core.policies.base core.policies.greedy core.policies.io_share "
-    "cache.silod_cache cache.residency sim.fluid sim.jobtable sim.kernel"
+    "cache.base cache.silod_cache cache.residency obs.prov sim.fluid "
+    "sim.jobtable sim.kernel"
 ).split())
 
 

@@ -69,7 +69,6 @@ Event types
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Optional
 
 JOB_SUBMIT = "job_submit"
@@ -235,7 +234,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
 }
 
 
-@dataclasses.dataclass
 class Event:
     """One structured trace record.
 
@@ -243,13 +241,43 @@ class Event:
     emission counter, which breaks timestamp ties and gives every run a
     total event order. ``job_id`` is ``None`` for cluster-scoped events
     (e.g. a shared cache key's eviction).
+
+    A slotted class built once per emitted event: two events are equal
+    when all five attributes are, and the repr lists them in
+    constructor order. Events are mutable, so unhashable.
     """
 
-    ts_s: float
-    etype: str
-    job_id: Optional[str] = None
-    fields: Dict[str, object] = dataclasses.field(default_factory=dict)
-    seq: int = 0
+    __slots__ = ("ts_s", "etype", "job_id", "fields", "seq")
+    __hash__ = None
+
+    def __init__(
+        self,
+        ts_s: float,
+        etype: str,
+        job_id: Optional[str] = None,
+        fields: Optional[Dict[str, object]] = None,
+        seq: int = 0,
+    ) -> None:
+        self.ts_s = ts_s
+        self.etype = etype
+        self.job_id = job_id
+        self.fields: Dict[str, object] = {} if fields is None else fields
+        self.seq = seq
+
+    def _attrs(self) -> tuple:
+        return (self.ts_s, self.etype, self.job_id, self.fields, self.seq)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._attrs() == other._attrs()
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(ts_s={self.ts_s!r}, etype={self.etype!r}, "
+            f"job_id={self.job_id!r}, fields={self.fields!r}, "
+            f"seq={self.seq!r})"
+        )
 
     def to_dict(self) -> dict:
         """A JSON-safe flat representation (used by the JSONL exporter)."""

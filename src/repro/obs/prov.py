@@ -114,7 +114,9 @@ def emit_decision_provenance(
         zip(running_jobs, ctx.f_stars), key=lambda pair: pair[0].job_id
     ):
         job_id = job.job_id
-        hit = min(1.0, max(0.0, decision.hit_ratios.get(job_id, 0.0)))
+        hit = decision.hit_ratios.get(job_id, 0.0)
+        hit = hit if hit > 0.0 else 0.0
+        hit = hit if hit < 1.0 else 1.0
         grant = decision.io_grants.get(job_id, 0.0)
         est = achieved_rate(f_star, hit, grant)
         generation = scheduler.last_generations.get(

@@ -47,13 +47,7 @@ class StreamingTracer(Tracer):
     ) -> None:
         """Record the event, then stream it to every sink."""
         self._seq += 1
-        event = Event(
-            ts_s=ts_s,
-            etype=etype,
-            job_id=job_id,
-            fields=fields,
-            seq=self._seq,
-        )
+        event = Event(ts_s, etype, job_id, fields, self._seq)
         self._count_event(ts_s, etype, job_id, fields)
         if (
             self._max_events is not None

@@ -100,6 +100,28 @@ DERIVED_METRICS: Dict[str, Tuple[Derived, ...]] = {
 }
 
 
+#: An event type's registry plan: its ``events.<type>`` counter name and
+#: its :data:`DERIVED_METRICS` rows as ``(metric, is_counter, value,
+#: per_job)``.
+_Plan = Tuple[str, Tuple[Tuple[str, bool, Callable, bool], ...]]
+
+
+def _plan(etype: str) -> _Plan:
+    """``etype``'s plan, from :data:`DERIVED_METRICS`."""
+    return (
+        f"events.{etype}",
+        tuple(
+            (row.metric, row.kind == COUNTER, row.value, row.per_job)
+            for row in DERIVED_METRICS.get(etype, ())
+        ),
+    )
+
+
+#: Every schema type's plan, built once; an undeclared type's is built
+#: per event.
+_PLANS: Dict[str, _Plan] = {etype: _plan(etype) for etype in ev.EVENT_TYPES}
+
+
 class Tracer:
     """Recording tracer: appends events, keeps the registry in step."""
 
@@ -133,36 +155,60 @@ class Tracer:
         ):
             self.dropped += 1
             return
-        self.events.append(
-            Event(
-                ts_s=ts_s,
-                etype=etype,
-                job_id=job_id,
-                fields=fields,
-                seq=self._seq,
-            )
-        )
+        self.events.append(Event(ts_s, etype, job_id, fields, self._seq))
 
     def _count_event(
         self, ts_s: float, etype: str, job_id: Optional[str], fields: dict
     ) -> None:
         """Apply one emitted event to the registry: the per-type event
-        counters, then its :data:`DERIVED_METRICS` rows."""
+        counters, then its :data:`DERIVED_METRICS` rows.
+
+        A write to a name its scope already holds is done on the scope's
+        dict, with :meth:`MetricsRegistry.inc`'s and
+        :meth:`~repro.obs.windows.SlidingWindow.observe`'s own
+        operations; a first write goes through ``inc`` or ``observe``,
+        which create the name and mark its scope unsorted.
+        """
+        plan = _PLANS.get(etype)
+        if plan is None:
+            plan = _plan(etype)
+        name, derived = plan
         metrics = self.metrics
-        metrics.inc("events_total")
-        name = f"events.{etype}"
-        metrics.inc(name)
+        cluster = job_scope = metrics._cluster
+        try:
+            cluster.counters["events_total"] += 1.0
+        except KeyError:
+            metrics.inc("events_total")
+        try:
+            cluster.counters[name] += 1.0
+        except KeyError:
+            metrics.inc(name)
         if job_id is not None:
-            metrics.inc(name, job_id=job_id)
-        for metric, kind, value, per_job in DERIVED_METRICS.get(etype, ()):
+            job_scope = metrics._scope(job_id)
+            try:
+                job_scope.counters[name] += 1.0
+            except KeyError:
+                metrics.inc(name, job_id=job_id)
+        for metric, is_counter, value, per_job in derived:
             amount = value(fields)
             if amount is None:
                 continue
-            scope = job_id if per_job else None
-            if kind == COUNTER:
-                metrics.inc(metric, amount, job_id=scope)
+            scope = job_scope if per_job else cluster
+            if is_counter:
+                try:
+                    scope.counters[metric] += amount
+                except KeyError:
+                    metrics.inc(
+                        metric, amount, job_id=job_id if per_job else None
+                    )
+                continue
+            window = scope.windows.get(metric)
+            if window is None:
+                metrics.observe(
+                    metric, ts_s, amount, job_id=job_id if per_job else None
+                )
             else:
-                metrics.observe(metric, ts_s, amount, job_id=scope)
+                window.observe(ts_s, amount)
 
     def clear(self) -> None:
         """Drop recorded events and metrics (reused between runs)."""

@@ -95,10 +95,6 @@ class SlidingWindow:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def _evict_oldest(self) -> None:
-        _, value = self._samples.popleft()
-        del self._sorted[bisect_left(self._sorted, value)]
-
     def observe(self, ts_s: float, value: float) -> None:
         """Record one sample at simulation time ``ts_s``.
 
@@ -106,18 +102,19 @@ class SlidingWindow:
         sorted order.
         """
         value = float(value)
-        if math.isnan(value):
+        if value != value:
             raise ValueError("window samples must not be NaN")
         self.observed_total += 1
         samples = self._samples
+        ordered = self._sorted
         if self.horizon_s is not None:
             cutoff = ts_s - self.horizon_s
             while samples and samples[0][0] < cutoff:
-                self._evict_oldest()
+                del ordered[bisect_left(ordered, samples.popleft()[1])]
         if len(samples) == self.capacity:
-            self._evict_oldest()
+            del ordered[bisect_left(ordered, samples.popleft()[1])]
         samples.append((float(ts_s), value))
-        insort(self._sorted, value)
+        insort(ordered, value)
 
     def values(self) -> List[float]:
         """The retained sample values, in observation order."""

@@ -4,8 +4,9 @@ Within one allocation epoch a SiloD decision depends only on the running
 jobs' effective bytes, so ``reallocate`` hands the previous decision
 object back when none of them moved, and the fluid simulator then skips
 re-applying it. The unit tests pin when reuse may and may not happen;
-the differential test runs whole simulations against a data manager
-that always recomputes and requires bit-identical records and timeline.
+the differential tests run whole simulations, untraced and traced,
+against a data manager that always recomputes and require bit-identical
+records and timeline (and, traced, event logs).
 """
 
 import dataclasses
@@ -164,15 +165,51 @@ def test_snapshot_is_what_decide_read(n):
     assert bitwise(again) == bitwise(SiloDDataManager().decide(epoch.ctx()))
 
 
+def _events(tracer):
+    """A tracer's events as bit-exact tuples, ``seq`` included."""
+    return [bitwise(event.to_dict()) for event in tracer.events]
+
+
+#: name -> a data manager and how many queued jobs its contexts carry.
+MANAGERS = {
+    "silod": (SiloDDataManager, 0),
+    "silod-no-io-alloc": (lambda: SiloDDataManager(io_allocation=False), 0),
+    "prefetch": (PrefetchingDataManager, 1),
+}
+
+
 @SIZES
-def test_tracing_means_no_reuse(n):
+@pytest.mark.parametrize("manager_name", sorted(MANAGERS))
+def test_traced_reuse_replays_io_throttle(n, manager_name):
+    """A repeated traced round hands back the same decision object and
+    emits, field for field and in order, the ``io_throttle`` events a
+    fresh ``decide`` emits on the same context."""
+    make, queued = MANAGERS[manager_name]
     epoch = _Epoch(n)
-    manager = SiloDDataManager()
-    traced = manager.reallocate(epoch.ctx(tracer=Tracer()))
-    # A traced decision is never stored, and a traced round never reuses.
-    assert manager.reallocate(epoch.ctx()) is not traced
-    untraced = manager.reallocate(epoch.ctx())
-    assert manager.reallocate(epoch.ctx(tracer=Tracer())) is not untraced
+    queue = [_queued(i) for i in range(queued)]
+
+    def ctx(tracer=None):
+        return epoch.ctx(
+            tracer=tracer, queued=queue, total_cache_mb=200.0 * GB
+        )
+
+    manager = make()
+    first_tracer, again_tracer, fresh_tracer = Tracer(), Tracer(), Tracer()
+    first = manager.reallocate(ctx(first_tracer))
+    again = manager.reallocate(ctx(again_tracer))
+    assert again is first
+    fresh = make().decide(ctx(fresh_tracer))
+    assert bitwise(fresh) == bitwise(first)
+    assert len(again_tracer.events) == n
+    assert {event.etype for event in again_tracer.events} == {"io_throttle"}
+    assert _events(again_tracer) == _events(fresh_tracer)
+    assert _events(again_tracer) == _events(first_tracer)
+    # An untraced round reuses the traced decision, and a traced round
+    # after it replays the events again.
+    assert manager.reallocate(ctx()) is first
+    replay_tracer = Tracer()
+    assert manager.reallocate(ctx(replay_tracer)) is first
+    assert _events(replay_tracer) == _events(fresh_tracer)
 
 
 @SIZES
@@ -242,7 +279,9 @@ def _trace(seed, num_jobs, shared):
     return jobs
 
 
-def _simulate(manager_cls, cache, policy, jobs, cache_gb, faults, online):
+def _simulate(
+    manager_cls, cache, policy, jobs, cache_gb, faults, online, tracer=None
+):
     scheduler, _ = make_system(policy, "silod")
     fleet = Cluster.build(4, 4, units.gb(cache_gb), 150.0)
     sim = FluidSimulator(
@@ -253,6 +292,7 @@ def _simulate(manager_cls, cache, policy, jobs, cache_gb, faults, online):
         reschedule_interval_s=600.0,
         sample_interval_s=300.0,
         faults=faults(fleet),
+        tracer=tracer,
     )
     if not online:
         result = sim.run()
@@ -351,28 +391,37 @@ def test_the_base_manager_reuses_across_a_changed_queue(n):
     assert again is first
 
 
-@settings(max_examples=30, deadline=None)
-# Two draws where a target shrink is followed by a quiet epoch boundary:
-# a snapshot taken after the eviction instead of as decide read the
-# bytes would reuse a stale decision here.
-@example(
-    seed=2642, num_jobs=16, shared=False, cache_gb=8.0, faults="churn",
-    online=True, policy="fifo", cache="silod",
-)
-@example(
-    seed=54080, num_jobs=17, shared=False, cache_gb=60.0, faults="none",
-    online=False, policy="gavel", cache="silod",
-)
-@given(
-    seed=st.integers(0, 2**16),
-    num_jobs=st.integers(6, 18),
-    shared=st.booleans(),
-    cache_gb=st.sampled_from([8.0, 60.0, 400.0]),
-    faults=st.sampled_from(sorted(FAULTS)),
-    online=st.booleans(),
-    policy=st.sampled_from(["fifo", "sjf", "gavel"]),
-    cache=st.sampled_from(["silod", "silod-no-io-alloc"]),
-)
+def _differential(max_examples):
+    """Hypothesis draws of whole simulations, with two pinned draws
+    where a target shrink is followed by a quiet epoch boundary: a
+    snapshot taken after the eviction instead of as decide read the
+    bytes would reuse a stale decision there."""
+
+    def wrap(test):
+        test = given(
+            seed=st.integers(0, 2**16),
+            num_jobs=st.integers(6, 18),
+            shared=st.booleans(),
+            cache_gb=st.sampled_from([8.0, 60.0, 400.0]),
+            faults=st.sampled_from(sorted(FAULTS)),
+            online=st.booleans(),
+            policy=st.sampled_from(["fifo", "sjf", "gavel"]),
+            cache=st.sampled_from(["silod", "silod-no-io-alloc"]),
+        )(test)
+        test = example(
+            seed=54080, num_jobs=17, shared=False, cache_gb=60.0,
+            faults="none", online=False, policy="gavel", cache="silod",
+        )(test)
+        test = example(
+            seed=2642, num_jobs=16, shared=False, cache_gb=8.0,
+            faults="churn", online=True, policy="fifo", cache="silod",
+        )(test)
+        return settings(max_examples=max_examples, deadline=None)(test)
+
+    return wrap
+
+
+@_differential(max_examples=30)
 def test_reuse_is_bit_identical_to_always_deciding(
     seed, num_jobs, shared, cache_gb, faults, online, policy, cache
 ):
@@ -381,3 +430,29 @@ def test_reuse_is_bit_identical_to_always_deciding(
     assert _simulate(SiloDDataManager, *args) == _simulate(
         _AlwaysDecide, *args
     )
+
+
+def _scrubbed_events(tracer):
+    """The event log, bit-exact, without the wall-clock ``latency_ms``."""
+    rows = []
+    for event in tracer.events:
+        row = event.to_dict()
+        row.pop("latency_ms", None)
+        rows.append(bitwise(row))
+    return rows
+
+
+@_differential(max_examples=30)
+def test_traced_reuse_is_bit_identical_to_always_deciding(
+    seed, num_jobs, shared, cache_gb, faults, online, policy, cache
+):
+    """The traced twin: reuse plus replay yields the always-deciding
+    run's records, timeline, counters and whole event log."""
+    jobs = _trace(seed, num_jobs, shared)
+    args = (cache, policy, jobs, cache_gb, FAULTS[faults], online)
+    runs = []
+    for manager_cls in (SiloDDataManager, _AlwaysDecide):
+        tracer = Tracer()
+        outcome = _simulate(manager_cls, *args, tracer=tracer)
+        runs.append((outcome, _scrubbed_events(tracer)))
+    assert runs[0] == runs[1]

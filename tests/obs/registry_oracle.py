@@ -1,11 +1,13 @@
-"""Sort-everything reference registry and window for equivalence tests.
+"""Reference registry, window and tracer for equivalence tests.
 
-This is the registry and window code as it stood before scopes and
-window samples were kept sorted incrementally: every snapshot sorts
-every ``(scope, name)`` key and every percentile sorts the retained
-samples. One change: the snapshot's ``jobs`` map is sorted by id at the
-end, as the registry's docstring has always promised (the old code let
-a job without counters land out of order).
+:class:`OracleRegistry` and :class:`OracleWindow` are the registry and
+window code as it stood before scopes and window samples were kept
+sorted incrementally: every snapshot sorts every ``(scope, name)`` key
+and every percentile sorts the retained samples. One change: the
+snapshot's ``jobs`` map is sorted by id at the end, as the registry's
+docstring has always promised (the old code let a job without counters
+land out of order). :class:`OracleTracer` is the tracer's per-event
+counting as it stood before it wrote the registry's scope dicts itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.registry import METRICS_SCHEMA_VERSION
+from repro.obs.registry import METRICS_SCHEMA_VERSION, MetricsRegistry
+from repro.obs.tracer import COUNTER, DERIVED_METRICS
 from repro.obs.windows import (
     DEFAULT_CAPACITY,
     SNAPSHOT_QUANTILES,
@@ -133,3 +136,46 @@ class OracleRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._windows.clear()
+
+
+class OracleTracer:
+    """The tracer's emission as it stood before it wrote scope dicts.
+
+    Each event makes two :meth:`MetricsRegistry.inc` calls (the
+    cluster ``events_total`` and ``events.<type>`` counters), a third
+    for the job's ``events.<type>`` when the event names a job, then one
+    ``inc`` or ``observe`` per :data:`DERIVED_METRICS` row, on a real
+    registry. Kept events are ``(ts_s, etype, job_id, fields, seq)``
+    tuples.
+    """
+
+    def __init__(self, max_events: Optional[int] = None) -> None:
+        self.events: List[tuple] = []
+        self.metrics = MetricsRegistry()
+        self._seq = 0
+        self._max_events = max_events
+        self.dropped = 0
+
+    def emit(self, ts_s: float, etype: str,
+             job_id: Optional[str] = None, **fields) -> None:
+        self._seq += 1
+        metrics = self.metrics
+        metrics.inc("events_total")
+        name = f"events.{etype}"
+        metrics.inc(name)
+        if job_id is not None:
+            metrics.inc(name, job_id=job_id)
+        for metric, kind, value, per_job in DERIVED_METRICS.get(etype, ()):
+            amount = value(fields)
+            if amount is None:
+                continue
+            scope = job_id if per_job else None
+            if kind == COUNTER:
+                metrics.inc(metric, amount, job_id=scope)
+            else:
+                metrics.observe(metric, ts_s, amount, job_id=scope)
+        if (self._max_events is not None
+                and len(self.events) >= self._max_events):
+            self.dropped += 1
+            return
+        self.events.append((ts_s, etype, job_id, fields, self._seq))

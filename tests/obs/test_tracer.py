@@ -143,6 +143,32 @@ def test_validate_event_rejects_unknown_type_and_bad_fields():
         )
 
 
+def test_event_compares_all_five_fields_and_keeps_its_repr():
+    event = Event(1.5, "epoch_boundary", "j", {"epoch": 2}, 7)
+    assert event == Event(
+        ts_s=1.5, etype="epoch_boundary", job_id="j", fields={"epoch": 2},
+        seq=7,
+    )
+    for other in (
+        Event(2.0, "epoch_boundary", "j", {"epoch": 2}, 7),
+        Event(1.5, "job_start", "j", {"epoch": 2}, 7),
+        Event(1.5, "epoch_boundary", None, {"epoch": 2}, 7),
+        Event(1.5, "epoch_boundary", "j", {"epoch": 3}, 7),
+        Event(1.5, "epoch_boundary", "j", {"epoch": 2}, 8),
+    ):
+        assert event != other
+    assert event != (1.5, "epoch_boundary", "j", {"epoch": 2}, 7)
+    assert repr(event) == (
+        "Event(ts_s=1.5, etype='epoch_boundary', job_id='j', "
+        "fields={'epoch': 2}, seq=7)"
+    )
+    bare = Event(0.0, "job_submit")
+    assert (bare.job_id, bare.fields, bare.seq) == (None, {}, 0)
+    with pytest.raises(TypeError):
+        hash(event)
+    assert Event.from_dict(event.to_dict()) == event
+
+
 def test_metrics_counters_track_events():
     tracer = Tracer()
     _emit_one_of_each(tracer)

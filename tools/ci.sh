@@ -55,7 +55,10 @@
 #      each of which must exit 2 with no Traceback on stderr. It then
 #      boots `python -m repro serve` as a subprocess, drives three jobs
 #      through the socket, and requires a drained, clean exit, all
-#      within one hard timeout (see docs/SERVE.md). Before the drain it
+#      within one hard timeout (see docs/SERVE.md). Once the three jobs
+#      have finished it requires the cluster `events_total` counter to
+#      equal `status`'s `events_recorded` and the `events.<type>`
+#      counters to sum to `events_total`. Before the drain it
 #      reads the live server's /proc/<pid>/maps and fails if a mapped
 #      file lies under numpy/ (a skip note where /proc is unreadable).
 #   5. obs smoke               — tools/obs_smoke.py drives a tiny traced

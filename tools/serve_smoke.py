@@ -5,7 +5,10 @@ Boots the service as a real subprocess (ephemeral port), drives three
 jobs through it over the socket with :class:`repro.serve.ServeClient`,
 checks that ``metrics`` reads reflect the submissions (the cluster
 ``events.job_submit`` counter rises and the new job's scope appears),
-verifies they all finish under a drain shutdown, and checks the process
+waits for all three to finish and checks that the registry's event
+counters agree with the event log (``events_total`` equals the
+``events_recorded`` status field, and the ``events.<type>`` counters
+sum to it), drains the service, and checks the process
 exits cleanly — the whole cycle bounded by a hard timeout so a hung
 service fails CI instead of wedging it. Before the shutdown it also
 reads the live server's ``/proc/<pid>/maps``: a mapped file under a
@@ -68,6 +71,24 @@ def _await_fresh_metrics(client, before: dict, job_id: str,
                 f"metrics never showed the submit of {job_id}: {after}"
             )
         time.sleep(0.05)
+
+
+def _check_event_counts(client, deadline: float) -> None:
+    """Once all three jobs have finished, the registry's event counters
+    must agree with the event log: the cluster ``events_total`` equals
+    the ``events_recorded`` status field, and the cluster
+    ``events.<type>`` counters sum to ``events_total``."""
+    while client.status()["jobs_finished"] < 3:
+        if time.monotonic() > deadline:  # lint: disable=DET003
+            raise AssertionError("the three jobs never finished")
+        time.sleep(0.05)
+    counters = client.metrics()["metrics"]["cluster"]["counters"]
+    status = client.status()
+    total = counters["events_total"]
+    assert total == status["events_recorded"], (counters, status)
+    by_type = sum(value for name, value in counters.items()
+                  if name.startswith("events."))
+    assert by_type == total, counters
 
 
 def _numpy_mappings(pid: int) -> Optional[List[str]]:
@@ -148,6 +169,7 @@ def main() -> int:
             _await_fresh_metrics(client, before, "smoke-0", deadline)
             status = client.status()
             assert status["jobs_submitted"] == 3, status
+            _check_event_counts(client, deadline)
             mapped = _numpy_mappings(proc.pid)
             if mapped is None:
                 print(f"serve smoke: /proc/{proc.pid}/maps unreadable, "
@@ -170,8 +192,8 @@ def main() -> int:
             print(tail)
             print("FAIL: drain summary missing or wrong", file=sys.stderr)
             return 1
-        print("serve smoke: bad flags refused; 3 jobs submitted, drained, "
-              "clean exit")
+        print("serve smoke: bad flags refused; 3 jobs submitted and "
+              "finished, event counters agree, drained, clean exit")
         return 0
     finally:
         if proc.poll() is None:
