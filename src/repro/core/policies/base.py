@@ -11,11 +11,12 @@ modes:
   Quiver) decides storage on its own — the decoupled design the paper
   argues against.
 
-``allocate_storage_greedily`` is the shared storage step used by FIFO,
-SJF and LAS in SiloD mode: place cache with Algorithm 2, then divide
-remote IO across the induced demands. FIFO keeps a
-:class:`StorageStepMemo`, so its step reuses its last grants when its
-inputs repeat.
+FIFO, SJF and LAS are :class:`OrderBasedPolicy` subclasses: each only
+ranks the jobs, and one shared round admits whole jobs in that order
+and, in SiloD mode, attaches ``allocate_storage_greedily`` — cache
+placed with Algorithm 2, then remote IO divided across the induced
+demands (§5.3). FIFO keeps a :class:`StorageStepMemo`, so its step
+reuses its last grants when its inputs repeat.
 """
 
 from __future__ import annotations
@@ -128,17 +129,12 @@ def admit_in_order(
     ordered_jobs: Sequence[Job],
     total_gpus: float,
     allocation: Allocation,
-    backfill: bool = True,
 ) -> List[Job]:
     """Admit whole jobs in priority order while GPUs remain.
 
-    With ``backfill`` (default), a job that does not fit is skipped and the
-    scan continues — the behaviour of SJF and of practical FIFO queues.
-    Without it, admission stops at the first job that does not fit
-    (head-of-line blocking).
-
-    Returns the admitted jobs and records their GPU grants in
-    ``allocation``.
+    A job that does not fit is skipped and the scan continues
+    (backfill), as practical FIFO queues and SJF do. Returns the
+    admitted jobs and records their GPU grants in ``allocation``.
     """
     admitted: List[Job] = []
     free = total_gpus
@@ -147,8 +143,6 @@ def admit_in_order(
             allocation.grant_gpus(job.job_id, job.num_gpus)
             admitted.append(job)
             free -= job.num_gpus
-        elif not backfill:
-            break
     return admitted
 
 
@@ -284,3 +278,76 @@ def allocate_storage_greedily(
         )
     for job_id, mbps in grants.items():
         allocation.grant_remote_io(job_id, mbps)
+
+
+class OrderBasedPolicy(SchedulingPolicy):
+    """A policy that only ranks jobs; the round is shared (§5.3).
+
+    SiloD gives order-based schedulers (FIFO, SJF, LAS) its greedy
+    storage step: :meth:`schedule` admits whole jobs in :meth:`order`'s
+    ranking, then in SiloD mode places cache with Algorithm 2 and
+    divides remote IO over the admitted jobs.
+    """
+
+    #: Divide remote IO by max-min waterfilling; otherwise fill each
+    #: job's full demand in the policy's order.
+    waterfill_io: bool = False
+
+    #: The memo the storage step reuses its last grants from, if any.
+    _storage_memo: Optional[StorageStepMemo] = None
+
+    @abc.abstractmethod
+    def order(
+        self,
+        jobs: Sequence[Job],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+    ) -> List[Job]:
+        """The jobs by priority; fills ``ctx.job_scores``."""
+
+    def schedule(
+        self,
+        jobs: Sequence[Job],
+        total: ResourceVector,
+        ctx: ScheduleContext,
+    ) -> Allocation:
+        allocation = Allocation()
+        ordered = self.order(jobs, total, ctx)
+        admitted = admit_in_order(ordered, total.gpus, allocation)
+        if ctx.storage_aware and admitted:
+            allocate_storage_greedily(
+                admitted,
+                total,
+                allocation,
+                ctx,
+                io_priority_order=None
+                if self.waterfill_io
+                else [job.job_id for job in ordered],
+                memo=self._storage_memo,
+            )
+        return allocation
+
+
+def place_on_generations(
+    ranked: Sequence[Job],
+    pools: Mapping[str, int],
+    speedups: Mapping[str, float],
+) -> Dict[str, str]:
+    """Job id -> GPU generation, placing ``ranked`` jobs in turn.
+
+    Each job goes to the fastest pool (ties: name) with room for its
+    whole request; when none has room it time-shares the emptiest pool.
+    """
+    order = sorted(pools, key=lambda gen: (-speedups.get(gen, 1.0), gen))
+    remaining = dict(pools)
+    assignment: Dict[str, str] = {}
+    for job in ranked:
+        for gen in order:
+            if remaining[gen] >= job.num_gpus:
+                break
+        else:
+            gen = max(order, key=lambda g: (remaining[g], g))
+        left = remaining[gen] - job.num_gpus
+        remaining[gen] = left if left > 0 else 0
+        assignment[job.job_id] = gen
+    return assignment

@@ -13,51 +13,35 @@ from typing import List, Sequence
 
 from repro.cluster.job import Job
 from repro.core.policies.base import (
+    OrderBasedPolicy,
     ScheduleContext,
-    SchedulingPolicy,
-    admit_in_order,
     StorageStepMemo,
-    allocate_storage_greedily,
 )
-from repro.core.resources import Allocation, ResourceVector
+from repro.core.resources import ResourceVector
 
 
-class FifoPolicy(SchedulingPolicy):
-    """First-in-first-out admission by submit time.
+class FifoPolicy(OrderBasedPolicy):
+    """First-in-first-out admission by submit time, with backfill.
 
-    Parameters
-    ----------
-    backfill:
-        Whether jobs behind a too-large head job may run (default True,
-        matching how production FIFO queues avoid idling a cluster).
+    Remote IO is waterfilled: arrival order says nothing about which
+    job's demand matters more.
     """
 
     name = "fifo"
     pure_round = True
+    waterfill_io = True
 
-    def __init__(self, backfill: bool = True) -> None:
-        self._backfill = backfill
+    def __init__(self) -> None:
         self._storage_memo = StorageStepMemo()
 
-    def order(self, jobs: Sequence[Job]) -> List[Job]:
-        """Arrival order; ties broken by job id for determinism."""
-        return sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
-
-    def schedule(
+    def order(
         self,
         jobs: Sequence[Job],
         total: ResourceVector,
         ctx: ScheduleContext,
-    ) -> Allocation:
-        allocation = Allocation()
-        ordered = self.order(jobs)
+    ) -> List[Job]:
+        """Arrival order (ties by job id); the score is the rank."""
+        ordered = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         for rank, job in enumerate(ordered):
             ctx.job_scores[job.job_id] = float(rank)
-        admitted = admit_in_order(
-            ordered, total.gpus, allocation, backfill=self._backfill
-        )
-        if ctx.storage_aware and admitted:
-            allocate_storage_greedily(
-                admitted, total, allocation, ctx, memo=self._storage_memo
-            )
-        return allocation
+        return ordered

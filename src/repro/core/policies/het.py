@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.job import Job
 from repro.core import perf_model
 from repro.core.estimator import HetSiloDPerfEstimator
-from repro.core.policies.base import ScheduleContext
+from repro.core.policies.base import ScheduleContext, place_on_generations
 from repro.core.policies.gavel import (
     _EPS,
     EqualShare,
@@ -248,17 +248,7 @@ class _HetGavelBase(GavelPolicy):
         raise NotImplementedError
 
     @staticmethod
-    def _pools_fastest_first(
-        pools: Dict[str, int], estimator: HetSiloDPerfEstimator
-    ) -> List[str]:
-        """Pool names by descending speedup (ties: name) — greedy order."""
-        speedups = estimator.speedups
-        return sorted(
-            pools, key=lambda gen: (-speedups.get(gen, 1.0), gen)
-        )
-
     def _greedy_assign(
-        self,
         jobs: List[Job],
         pools: Dict[str, int],
         ctx: ScheduleContext,
@@ -266,9 +256,6 @@ class _HetGavelBase(GavelPolicy):
         """Deterministic placer: densest jobs onto the fastest pools,
         ranked by the round's ``ctx.gen_scores``."""
         estimator = ctx.estimator
-        order = self._pools_fastest_first(pools, estimator)
-        remaining = dict(pools)
-        assignment: Dict[str, str] = {}
         default = estimator.default_generation
         ranked = sorted(
             jobs,
@@ -278,21 +265,7 @@ class _HetGavelBase(GavelPolicy):
                 j.job_id,
             ),
         )
-        for job in ranked:
-            placed = None
-            for gen in order:
-                if remaining[gen] >= job.num_gpus:
-                    placed = gen
-                    break
-            if placed is None:
-                # Nothing fits wholly: time-share the emptiest pool.
-                placed = max(
-                    order, key=lambda gen: (remaining[gen], gen)
-                )
-            left = remaining[placed] - job.num_gpus
-            remaining[placed] = left if left > 0 else 0
-            assignment[job.job_id] = placed
-        return assignment
+        return place_on_generations(ranked, pools, estimator.speedups)
 
 
 class HetMaxMinPolicy(_HetGavelBase):

@@ -7,10 +7,6 @@ without knowing durations in advance (attained service predicts remaining
 service under heavy-tailed distributions). Like FIFO, LAS carries no
 performance estimator, so SiloD attaches the greedy storage step (§5.3)
 to whatever order LAS picks.
-
-A discretised two-queue variant (Tiresias' "discretised 2DAS") is also
-provided: jobs below a service threshold form a high-priority queue,
-which curbs the starvation plain LAS can inflict on long jobs.
 """
 
 from __future__ import annotations
@@ -18,73 +14,31 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.cluster.job import Job
-from repro.core.policies.base import (
-    ScheduleContext,
-    SchedulingPolicy,
-    admit_in_order,
-    allocate_storage_greedily,
-)
-from repro.core.resources import Allocation, ResourceVector
+from repro.core.policies.base import OrderBasedPolicy, ScheduleContext
+from repro.core.resources import ResourceVector
 
 
-class LasPolicy(SchedulingPolicy):
+class LasPolicy(OrderBasedPolicy):
     """Least attained service first; ties broken by arrival.
 
-    Parameters
-    ----------
-    queue_threshold_s:
-        When set, jobs with attained service below the threshold form a
-        strict high-priority queue (discretised LAS); within each queue
-        ordering is by attained service, then arrival.
+    Remote IO is granted full-demand-first in that order.
     """
 
     name = "las"
 
-    def __init__(self, queue_threshold_s: float = None) -> None:
-        if queue_threshold_s is not None and queue_threshold_s <= 0:
-            raise ValueError("queue threshold must be positive")
-        self._threshold_s = queue_threshold_s
-
     def order(
-        self, jobs: Sequence[Job], ctx: ScheduleContext
-    ) -> List[Job]:
-        """Jobs by (priority queue, attained service, arrival)."""
-
-        def attained(job: Job) -> float:
-            if ctx.attained_service_s is None:
-                return 0.0
-            return ctx.attained_service_s(job)
-
-        def key(job: Job):
-            service = attained(job)
-            queue = 0
-            if self._threshold_s is not None:
-                queue = 0 if service < self._threshold_s else 1
-            return (queue, service, job.submit_time_s, job.job_id)
-
-        return sorted(jobs, key=key)
-
-    def schedule(
         self,
         jobs: Sequence[Job],
         total: ResourceVector,
         ctx: ScheduleContext,
-    ) -> Allocation:
-        allocation = Allocation()
-        ordered = self.order(jobs, ctx)
-        for job in ordered:
-            ctx.job_scores[job.job_id] = (
-                ctx.attained_service_s(job)
-                if ctx.attained_service_s is not None
-                else 0.0
-            )
-        admitted = admit_in_order(ordered, total.gpus, allocation)
-        if ctx.storage_aware and admitted:
-            allocate_storage_greedily(
-                admitted,
-                total,
-                allocation,
-                ctx,
-                io_priority_order=[j.job_id for j in ordered],
-            )
-        return allocation
+    ) -> List[Job]:
+        """Jobs by (attained service, arrival, job id); the score is the
+        attained service, zero when the caller does not track it."""
+        scores = ctx.job_scores
+        attained = ctx.attained_service_s
+        for job in jobs:
+            scores[job.job_id] = 0.0 if attained is None else attained(job)
+        return sorted(
+            jobs,
+            key=lambda j: (scores[j.job_id], j.submit_time_s, j.job_id),
+        )

@@ -21,21 +21,12 @@ Scoring therefore evaluates two candidate allocations per job.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cluster.job import Job
 from repro.core.estimator import SiloDPerfEstimator
-from repro.core.policies.base import (
-    ScheduleContext,
-    SchedulingPolicy,
-    admit_in_order,
-    allocate_storage_greedily,
-)
-from repro.core.resources import (
-    Allocation,
-    ResourceVector,
-    tetris_weights,
-)
+from repro.core.policies.base import OrderBasedPolicy, ScheduleContext
+from repro.core.resources import ResourceVector, tetris_weights
 
 
 def sjf_score(
@@ -91,7 +82,7 @@ def candidate_allocations(
     return (no_cache, full_cache)
 
 
-class SjfPolicy(SchedulingPolicy):
+class SjfPolicy(OrderBasedPolicy):
     """Preemptive multi-resource SJF.
 
     On every scheduling round all active jobs are (re)scored and admitted
@@ -105,29 +96,18 @@ class SjfPolicy(SchedulingPolicy):
     name = "sjf"
     pure_round = True
 
-    def schedule(
+    def order(
         self,
         jobs: Sequence[Job],
         total: ResourceVector,
         ctx: ScheduleContext,
-    ) -> Allocation:
-        allocation = Allocation()
+    ) -> List[Job]:
+        """Ascending Eq 6/7 score (ties by job id), each job scored once."""
         scores = ctx.job_scores
         for job in jobs:
             scores[job.job_id] = sjf_score(
                 job, total, ctx.estimator, ctx.storage_aware
             )
-        # Ascending Eq 6/7 score, each job scored once.
-        ordered = sorted(
+        return sorted(
             jobs, key=lambda job: (scores[job.job_id], job.job_id)
         )
-        admitted = admit_in_order(ordered, total.gpus, allocation)
-        if ctx.storage_aware and admitted:
-            allocate_storage_greedily(
-                admitted,
-                total,
-                allocation,
-                ctx,
-                io_priority_order=[j.job_id for j in ordered],
-            )
-        return allocation

@@ -24,7 +24,11 @@ from repro.core.estimator import (
     HetSiloDPerfEstimator,
     SiloDPerfEstimator,
 )
-from repro.core.policies.base import ScheduleContext, SchedulingPolicy
+from repro.core.policies.base import (
+    ScheduleContext,
+    SchedulingPolicy,
+    place_on_generations,
+)
 from repro.core.resources import Allocation, ResourceVector
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -301,28 +305,13 @@ class SiloDScheduler:
             if isinstance(self.estimator, HetSiloDPerfEstimator)
             else {}
         )
-        order = sorted(
-            self.gpu_pools,
-            key=lambda gen: (-speedups.get(gen, 1.0), gen),
-        )
-        remaining = dict(self.gpu_pools)
-        for job in sorted(
+        ranked = sorted(
             unassigned,
             key=lambda j: (-allocation.gpus_of(j.job_id), j.job_id),
-        ):
-            placed = None
-            for gen in order:
-                if remaining[gen] >= job.num_gpus:
-                    placed = gen
-                    break
-            if placed is None:
-                placed = max(
-                    order, key=lambda gen: (remaining[gen], gen)
-                )
-            remaining[placed] = max(
-                0, remaining[placed] - job.num_gpus
-            )
-            self.last_generations[job.job_id] = placed
+        )
+        self.last_generations.update(
+            place_on_generations(ranked, self.gpu_pools, speedups)
+        )
 
     def _schedule_partitioned(
         self,

@@ -101,7 +101,7 @@ def _render_text(findings: List[Finding]) -> str:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the linter; returns the process exit code."""
     from repro.lint.engine import default_target, lint_paths
-    from repro.lint.passes import build_passes
+    from repro.lint.passes import build_passes, selected_rules
 
     if args.list_rules:
         width = max(len(rule) for rule in RULES)
@@ -122,6 +122,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
     stats: Dict[str, int] = {}
     findings = lint_paths(paths, passes, stats=stats)
+    if args.select:
+        # A pass may emit rules the selectors did not name; an
+        # unparseable file is reported whatever was selected.
+        rules = selected_rules(args.select)
+        findings = [
+            f for f in findings if f.rule in rules or f.rule == "PAR001"
+        ]
     if args.format == "json":
         print(
             json.dumps(

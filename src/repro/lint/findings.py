@@ -38,8 +38,6 @@ RULES: Dict[str, str] = {
     "(event-time and unit-carrying values)",
     "OBS001": "emitted event type is not declared in repro.obs.events",
     "OBS002": "emitted event fields do not match the declared schema",
-    "OBS003": "repro.obs.events schema is internally inconsistent "
-    "(EVENT_TYPES vs EVENT_FIELDS drift)",
     "OBS004": "scope-restricted event emitted, or wrapped by a direct "
     "call, outside its home (SERVICE_TYPES: repro/serve/; "
     "SIMULATOR_SCOPED_TYPES: repro/sim/)",

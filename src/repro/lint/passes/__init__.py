@@ -12,7 +12,7 @@ to :data:`ALL_PASSES`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.lint.passes.determinism import DeterminismPass
 from repro.lint.passes.floateq import FloatEqualityPass
@@ -37,28 +37,37 @@ ALL_PASSES: Sequence[type] = (
 )
 
 
+def selected_rules(select: Sequence[str]) -> Set[str]:
+    """The rule ids ``select`` names.
+
+    A selector is a pass name (``determinism``, ``obs-scope``, ...),
+    naming all of that pass's rules, or a rule-id prefix (``DET``,
+    ``UNI001``, ``XUNI``). Unknown selectors raise ``ValueError`` so
+    typos fail loudly.
+    """
+    rules: Set[str] = set()
+    unmatched = []
+    for token in select:
+        matched = {
+            rule
+            for cls in ALL_PASSES
+            for rule in cls.rules
+            if token == cls.name or rule.startswith(token)
+        }
+        if not matched:
+            unmatched.append(token)
+        rules |= matched
+    if unmatched:
+        raise ValueError(f"unknown pass/rule selector(s): {unmatched}")
+    return rules
+
+
 def build_passes(
     select: Optional[Sequence[str]] = None,
 ) -> List[object]:
-    """Instantiate the selected passes (all of them by default).
-
-    ``select`` filters by pass name (``determinism``, ``obs-scope``,
-    ...) or by rule-id prefix (``DET``, ``UNI001``, ``XUNI``). Unknown
-    selectors raise ``ValueError`` so typos fail loudly.
-    """
+    """Instantiate the passes that emit a selected rule (all by default;
+    see :func:`selected_rules`)."""
     if not select:
         return [cls() for cls in ALL_PASSES]
-    chosen: List[object] = []
-    unmatched = list(select)
-    for cls in ALL_PASSES:
-        instance = cls()
-        for token in select:
-            if token == instance.name or any(
-                rule.startswith(token) for rule in instance.rules
-            ):
-                chosen.append(instance)
-                unmatched = [t for t in unmatched if t != token]
-                break
-    if unmatched:
-        raise ValueError(f"unknown pass/rule selector(s): {unmatched}")
-    return chosen
+    rules = selected_rules(select)
+    return [cls() for cls in ALL_PASSES if rules.intersection(cls.rules)]

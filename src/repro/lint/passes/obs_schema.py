@@ -10,9 +10,7 @@ invariant.
   or ``ev.CONSTANT``) is not declared in
   :data:`repro.obs.events.EVENT_FIELDS`;
 * ``OBS002`` — an emit whose keyword fields do not match the declared
-  field set (missing or extra);
-* ``OBS003`` — ``EVENT_TYPES`` and ``EVENT_FIELDS`` disagreeing with
-  each other inside ``events.py`` itself.
+  field set (missing or extra).
 
 Where a scope-restricted event may be emitted (``OBS004``) is the
 whole-program ``obs-scope`` pass's business.
@@ -70,7 +68,7 @@ class ObsSchemaPass(LintPass):
     """Check emit sites against the declared event schema."""
 
     name = "obs-schema"
-    rules = ("OBS001", "OBS002", "OBS003")
+    rules = ("OBS001", "OBS002")
 
     docs = {
         "OBS001": (
@@ -85,19 +83,12 @@ class ObsSchemaPass(LintPass):
             "fields. The schema in repro.obs.events is the contract;\n"
             "change it and the docs together, not the call site alone."
         ),
-        "OBS003": (
-            "EVENT_TYPES and EVENT_FIELDS inside repro/obs/events.py\n"
-            "disagree about which event types exist. The two\n"
-            "declarations must list exactly the same types."
-        ),
     }
 
     def run(self, src: SourceFile) -> List[Finding]:
-        """Scan emit calls; self-check the schema module itself."""
+        """Scan emit calls."""
         events = _schema()
         findings: List[Finding] = []
-        if src.path.name == "events.py" and src.path.parent.name == "obs":
-            findings.extend(self._check_schema_consistency(src, events))
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -105,26 +96,6 @@ class ObsSchemaPass(LintPass):
             if isinstance(func, ast.Attribute) and func.attr == "emit":
                 findings.extend(self._check_emit(src, node, events))
         return findings
-
-    def _check_schema_consistency(
-        self, src: SourceFile, events
-    ) -> List[Finding]:
-        declared = set(events.EVENT_TYPES)
-        fielded = set(events.EVENT_FIELDS)
-        drift = sorted(declared.symmetric_difference(fielded))
-        if not drift:
-            return []
-        return [
-            Finding(
-                path=src.rel_path,
-                line=1,
-                rule="OBS003",
-                message=(
-                    "EVENT_TYPES and EVENT_FIELDS disagree on: "
-                    f"{', '.join(drift)}"
-                ),
-            )
-        ]
 
     def _check_emit(
         self, src: SourceFile, node: ast.Call, events

@@ -6,58 +6,45 @@ implements ``schedule`` and declares a ``name``, and it talks to the
 rest of the system only through the public interface — never by
 importing a simulator or poking another object's privates.
 
-The pass applies to modules under ``core/policies`` and to any module
-that defines a ``SchedulingPolicy`` subclass:
+The pass runs in the whole-program phase: a policy class is any class
+whose chain, with bases resolved across modules through the symbol
+table, extends ``SchedulingPolicy``. A base outside the indexed
+project (other than ``SchedulingPolicy`` itself) is assumed to conform.
 
-* ``POL001`` — a policy class that neither defines nor locally inherits
-  ``schedule`` / a ``name`` attribute;
+* ``POL001`` — a concrete policy class (one declaring no abstract
+  method) whose chain defines no ``schedule`` or no ``name``;
 * ``POL002`` — an import of ``repro.sim`` (simulator internals) from
-  policy code;
-* ``POL003`` — an attribute access ``obj._private`` where ``obj`` is
-  not ``self``/``cls`` (reaching across an encapsulation boundary);
-* ``POL004`` — a policy class declaring ``heterogeneity_aware = True``
-  whose local class chain never references ``gen_scores``: a
-  heterogeneity-aware policy must publish its per-generation compute
-  bounds through ``ScheduleContext.gen_scores`` so decision provenance
-  (``decision_job.f_star_gen_mbps``) can explain the placement;
+  policy code: modules under ``core/policies`` and any module that
+  defines a policy class;
+* ``POL003`` — in the same modules, an attribute access
+  ``obj._private`` where ``obj`` is not ``self``/``cls`` (reaching
+  across an encapsulation boundary);
+* ``POL004`` — a policy class whose nearest ``heterogeneity_aware``
+  declaration is ``True`` and whose chain never references
+  ``gen_scores``: a heterogeneity-aware policy must publish its
+  per-generation compute bounds through ``ScheduleContext.gen_scores``
+  so decision provenance (``decision_job.f_star_gen_mbps``) can
+  explain the placement;
 * ``POL005`` — a policy class whose nearest ``pure_round``
-  declaration is ``True`` and whose class chain, or a project function
-  its methods reach, reads ``now_s`` or ``attained_service_s``: the
-  scheduler reuses a pure policy's round whenever the job list, totals
-  and effective bytes repeat, so the round must not depend on the
-  clock or on attained service. This rule runs in the whole-program
-  phase, so the declaration and the reads may sit in other modules
-  than the class (bases are resolved through the symbol table, helpers
-  through the call graph).
+  declaration is ``True`` and whose chain, or a project function its
+  methods reach through the call graph, reads ``now_s`` or
+  ``attained_service_s``: the scheduler reuses a pure policy's round
+  whenever the job list, totals and effective bytes repeat, so the
+  round must not depend on the clock or on attained service.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.lint.astutil import dotted_name
-from repro.lint.engine import (
-    LintPass,
-    ProjectIndex,
-    ProjectPass,
-    SourceFile,
-)
+from repro.lint.engine import ProjectIndex, ProjectPass, SourceFile
 from repro.lint.findings import Finding
 from repro.lint.symbols import ClassSymbol, SymbolTable
 
 #: The interface base class policies must extend.
 _BASE_NAME = "SchedulingPolicy"
-
-
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    """Final path components of a class's base names."""
-    names = []
-    for base in cls.bases:
-        name = dotted_name(base)
-        if name is not None:
-            names.append(name.split(".")[-1])
-    return names
 
 
 def _in_policies_package(src: SourceFile) -> bool:
@@ -69,22 +56,18 @@ def _in_policies_package(src: SourceFile) -> bool:
     return False
 
 
-class PolicyConformancePass(LintPass, ProjectPass):
-    """Check SchedulingPolicy subclasses and policy-module hygiene.
-
-    ``POL001``–``POL004`` are per-file checks; ``POL005`` runs over the
-    whole-program index (:meth:`run_project`).
-    """
+class PolicyConformancePass(ProjectPass):
+    """Check SchedulingPolicy subclasses and policy-module hygiene."""
 
     name = "policy"
     rules = ("POL001", "POL002", "POL003", "POL004", "POL005")
 
     docs = {
         "POL001": (
-            "A SchedulingPolicy subclass that neither defines nor\n"
-            "locally inherits schedule() and a `name` attribute.\n"
-            "Policies compose (Gavel-style) only when every one\n"
-            "implements the full interface."
+            "A concrete SchedulingPolicy subclass whose class chain\n"
+            "defines no schedule() or no `name` attribute. Policies\n"
+            "compose (Gavel-style) only when every one implements the\n"
+            "full interface. Bases are resolved across modules."
         ),
         "POL002": (
             "Policy code imports repro.sim (simulator internals).\n"
@@ -100,10 +83,11 @@ class PolicyConformancePass(LintPass, ProjectPass):
         ),
         "POL004": (
             "A policy declaring heterogeneity_aware = True never\n"
-            "references gen_scores. Heterogeneity-aware policies must\n"
-            "publish per-generation compute bounds through\n"
-            "ScheduleContext.gen_scores so decision provenance\n"
-            "(decision_job.f_star_gen_mbps) can explain placements."
+            "references gen_scores in its class chain. Heterogeneity-\n"
+            "aware policies must publish per-generation compute bounds\n"
+            "through ScheduleContext.gen_scores so decision provenance\n"
+            "(decision_job.f_star_gen_mbps) can explain placements.\n"
+            "Bases are resolved across modules."
         ),
         "POL005": (
             "A policy declaring pure_round = True reads now_s or\n"
@@ -116,26 +100,27 @@ class PolicyConformancePass(LintPass, ProjectPass):
         ),
     }
 
-    def run(self, src: SourceFile) -> List[Finding]:
-        """Scan the module if it is policy code; no-op otherwise."""
-        classes: Dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in src.tree.body
-            if isinstance(node, ast.ClassDef)
-        }
-        policy_classes = _policy_closure(classes)
-        if not policy_classes and not _in_policies_package(src):
-            return []
+    def run_project(self, index: ProjectIndex) -> List[Finding]:
+        """Check every policy class, then every policy module."""
+        table = index.table
         findings: List[Finding] = []
-        findings.extend(self._check_imports(src))
-        for name in sorted(policy_classes):
-            findings.extend(
-                self._check_interface(src, classes, classes[name])
-            )
-            findings.extend(
-                self._check_het_publishes(src, classes, classes[name])
-            )
-        findings.extend(self._check_private_access(src))
+        policy_files: Set[str] = set()
+        for qname in sorted(table.classes):
+            symbol = table.classes[qname]
+            ancestry = _ancestry(table, symbol)
+            if not _is_policy(ancestry):
+                continue
+            policy_files.add(symbol.src.rel_path)
+            if not _extends_foreign(table, ancestry):
+                findings.extend(self._check_interface(symbol, ancestry))
+                findings.extend(
+                    self._check_het_publishes(symbol, ancestry)
+                )
+            findings.extend(self._check_pure(index, symbol, ancestry))
+        for src in index.files:
+            if src.rel_path in policy_files or _in_policies_package(src):
+                findings.extend(self._check_imports(src))
+                findings.extend(self._check_private_access(src))
         return findings
 
     def _check_imports(self, src: SourceFile) -> List[Finding]:
@@ -162,81 +147,67 @@ class PolicyConformancePass(LintPass, ProjectPass):
         return findings
 
     def _check_interface(
-        self,
-        src: SourceFile,
-        classes: Dict[str, ast.ClassDef],
-        cls: ast.ClassDef,
+        self, symbol: ClassSymbol, ancestry: List[ClassSymbol]
     ) -> List[Finding]:
+        if _is_abstract(symbol):
+            return []
         missing = []
-        if not _chain_defines(classes, cls, _defines_schedule):
+        if not any("schedule" in c.methods for c in ancestry):
             missing.append("schedule()")
-        if not _chain_defines(classes, cls, _defines_name):
+        if _nearest_constant(ancestry, "name") is _UNSET:
             missing.append("a `name` attribute")
         if not missing:
             return []
         return [
-            src.finding(
-                cls,
+            symbol.src.finding(
+                symbol.node,
                 "POL001",
-                f"policy class {cls.name} is missing {' and '.join(missing)}"
-                "; every SchedulingPolicy must implement both",
+                f"policy class {symbol.node.name} is missing "
+                f"{' and '.join(missing)}; every SchedulingPolicy must "
+                "implement both",
             )
         ]
 
     def _check_het_publishes(
-        self,
-        src: SourceFile,
-        classes: Dict[str, ast.ClassDef],
-        cls: ast.ClassDef,
+        self, symbol: ClassSymbol, ancestry: List[ClassSymbol]
     ) -> List[Finding]:
-        ancestry = _local_ancestry(classes, cls)
-        if not any(_declares_het_aware(c) for c in ancestry):
+        if _nearest_constant(ancestry, "heterogeneity_aware") is not True:
             return []
-        if any(_references_gen_scores(c) for c in ancestry):
+        if any(_references_gen_scores(c.node) for c in ancestry):
             return []
         return [
-            src.finding(
-                cls,
+            symbol.src.finding(
+                symbol.node,
                 "POL004",
-                f"policy class {cls.name} declares "
+                f"policy class {symbol.node.name} declares "
                 "heterogeneity_aware = True but never publishes "
                 "per-generation scores via ScheduleContext.gen_scores",
             )
         ]
 
-    def run_project(self, index: ProjectIndex) -> List[Finding]:
-        """``POL005`` over every policy class in the index."""
-        table = index.table
-        findings: List[Finding] = []
-        for qname in sorted(table.classes):
-            symbol = table.classes[qname]
-            ancestry = _ancestry(table, symbol)
-            if not _is_policy(ancestry):
-                continue
-            # The nearest declaration wins, as attribute lookup does.
-            declared = _UNSET
-            for ancestor in ancestry:
-                declared = _class_constant(ancestor.node, "pure_round")
-                if declared is not _UNSET:
-                    break
-            if declared is not True:
-                continue
-            reads = _impure_reads_reached(index, ancestry)
-            if not reads:
-                continue
-            read = sorted(reads)
-            where = sorted({w for name in read for w in reads[name]})
-            findings.append(
-                symbol.src.finding(
-                    symbol.node,
-                    "POL005",
-                    f"policy class {symbol.node.name} declares "
-                    f"pure_round = True but reads {' and '.join(read)} "
-                    f"(in {', '.join(where)}), which a reused round "
-                    "never sees",
-                )
+    def _check_pure(
+        self,
+        index: ProjectIndex,
+        symbol: ClassSymbol,
+        ancestry: List[ClassSymbol],
+    ) -> List[Finding]:
+        if _nearest_constant(ancestry, "pure_round") is not True:
+            return []
+        reads = _impure_reads_reached(index, ancestry)
+        if not reads:
+            return []
+        read = sorted(reads)
+        where = sorted({w for name in read for w in reads[name]})
+        return [
+            symbol.src.finding(
+                symbol.node,
+                "POL005",
+                f"policy class {symbol.node.name} declares "
+                f"pure_round = True but reads {' and '.join(read)} "
+                f"(in {', '.join(where)}), which a reused round "
+                "never sees",
             )
-        return findings
+        ]
 
     def _check_private_access(self, src: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
@@ -272,72 +243,6 @@ class PolicyConformancePass(LintPass, ProjectPass):
         return findings
 
 
-def _policy_closure(classes: Dict[str, ast.ClassDef]) -> Set[str]:
-    """Names of classes whose local base chain reaches SchedulingPolicy."""
-    policies: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, cls in classes.items():
-            if name in policies:
-                continue
-            for base in _base_names(cls):
-                if base == _BASE_NAME or base in policies:
-                    policies.add(name)
-                    changed = True
-                    break
-    return policies
-
-
-def _chain_defines(
-    classes: Dict[str, ast.ClassDef],
-    cls: ast.ClassDef,
-    predicate,
-    seen: Optional[Set[str]] = None,
-) -> bool:
-    """Does ``cls`` or a module-local ancestor satisfy ``predicate``?
-
-    Non-local bases other than ``SchedulingPolicy`` are assumed to
-    provide the interface (cross-file resolution is out of scope and
-    permissiveness avoids false positives).
-    """
-    seen = seen or set()
-    if cls.name in seen:
-        return False
-    seen.add(cls.name)
-    if predicate(cls):
-        return True
-    for base in _base_names(cls):
-        if base == _BASE_NAME:
-            continue
-        parent = classes.get(base)
-        if parent is None:
-            return True  # imported base: assume conformant
-        if _chain_defines(classes, parent, predicate, seen):
-            return True
-    return False
-
-
-def _local_ancestry(
-    classes: Dict[str, ast.ClassDef], cls: ast.ClassDef
-) -> List[ast.ClassDef]:
-    """``cls`` plus every module-local ancestor, cycle-safe."""
-    out: List[ast.ClassDef] = []
-    stack = [cls]
-    seen: Set[str] = set()
-    while stack:
-        node = stack.pop()
-        if node.name in seen:
-            continue
-        seen.add(node.name)
-        out.append(node)
-        for base in _base_names(node):
-            parent = classes.get(base)
-            if parent is not None:
-                stack.append(parent)
-    return out
-
-
 #: :func:`_class_constant`'s answer for a class that assigns no value.
 _UNSET = object()
 
@@ -365,16 +270,23 @@ def _class_constant(cls: ast.ClassDef, attr: str):
     return found
 
 
-def _declares_het_aware(cls: ast.ClassDef) -> bool:
-    """Does the class body set ``heterogeneity_aware = True``?"""
-    return _class_constant(cls, "heterogeneity_aware") is True
+def _nearest_constant(ancestry: List[ClassSymbol], attr: str):
+    """The chain's nearest literal for ``attr``, as attribute lookup
+    finds it; ``_UNSET`` when no class in the chain assigns it."""
+    for symbol in ancestry:
+        value = _class_constant(symbol.node, attr)
+        if value is not _UNSET:
+            return value
+    return _UNSET
 
 
 def _ancestry(table: SymbolTable, symbol: ClassSymbol) -> List[ClassSymbol]:
     """``symbol`` and its project ancestors, nearest first, cycle-safe.
 
     Breadth-first over bases resolved through each module's imports,
-    like :meth:`SymbolTable.resolve_method`.
+    like :meth:`SymbolTable.resolve_method`. ``SchedulingPolicy`` is
+    the interface being checked, not an ancestor that implements it,
+    so its defaults never count.
     """
     out: List[ClassSymbol] = []
     seen: Set[str] = set()
@@ -385,7 +297,11 @@ def _ancestry(table: SymbolTable, symbol: ClassSymbol) -> List[ClassSymbol]:
             continue
         seen.add(current.qname)
         out.append(current)
-        queue.extend(table.base_classes(current))
+        queue.extend(
+            base
+            for base in table.base_classes(current)
+            if base.node.name != _BASE_NAME
+        )
     return out
 
 
@@ -395,6 +311,26 @@ def _is_policy(ancestry: List[ClassSymbol]) -> bool:
         name.split(".")[-1] == _BASE_NAME
         for symbol in ancestry
         for name in symbol.base_names
+    )
+
+
+def _extends_foreign(table: SymbolTable, ancestry: List[ClassSymbol]) -> bool:
+    """Does the chain extend a class outside the index, other than
+    ``SchedulingPolicy``? Such a base is assumed to conform."""
+    return any(
+        name.split(".")[-1] != _BASE_NAME
+        and table.cls(table.resolve(symbol.module, name)) is None
+        for symbol in ancestry
+        for name in symbol.base_names
+    )
+
+
+def _is_abstract(symbol: ClassSymbol) -> bool:
+    """Does the class body declare an ``abc.abstractmethod``?"""
+    return any(
+        (dotted_name(decorator) or "").split(".")[-1] == "abstractmethod"
+        for method in symbol.methods.values()
+        for decorator in method.node.decorator_list
     )
 
 
@@ -450,27 +386,4 @@ def _references_gen_scores(cls: ast.ClassDef) -> bool:
             return True
         if isinstance(node, ast.Name) and node.id == "gen_scores":
             return True
-    return False
-
-
-def _defines_schedule(cls: ast.ClassDef) -> bool:
-    """Does the class body define a ``schedule`` method?"""
-    return any(
-        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and item.name == "schedule"
-        for item in cls.body
-    )
-
-
-def _defines_name(cls: ast.ClassDef) -> bool:
-    """Does the class body assign a ``name`` class attribute?"""
-    for item in cls.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name) and target.id == "name":
-                    return True
-        elif isinstance(item, ast.AnnAssign):
-            target = item.target
-            if isinstance(target, ast.Name) and target.id == "name":
-                return True
     return False

@@ -97,35 +97,6 @@ DECISION_JOB = "decision_job"
 SLO_WARN = "slo_warn"
 SLO_VIOLATION = "slo_violation"
 
-#: Every event type, in documentation order.
-EVENT_TYPES = (
-    JOB_SUBMIT,
-    JOB_START,
-    JOB_FINISH,
-    SCHED_DECISION,
-    ALLOC_CHANGE,
-    CACHE_ADMIT,
-    CACHE_EVICT,
-    PROMOTE_EFFECTIVE,
-    EPOCH_BOUNDARY,
-    IO_THROTTLE,
-    FAULT_INJECT,
-    NODE_DOWN,
-    NODE_UP,
-    CACHE_INVALIDATE,
-    JOB_PREEMPT,
-    JOB_RESTART,
-    SERVICE_START,
-    SERVICE_STOP,
-    JOB_REJECT,
-    JOB_CANCEL,
-    CLOCK_SET,
-    DECISION_EPOCH,
-    DECISION_JOB,
-    SLO_WARN,
-    SLO_VIOLATION,
-)
-
 #: The job-lifecycle subset both simulators must emit identically.
 LIFECYCLE_TYPES = (JOB_SUBMIT, JOB_START, JOB_FINISH)
 
@@ -232,6 +203,9 @@ EVENT_FIELDS: Dict[str, tuple] = {
     SLO_WARN: ("deadline_s", "elapsed_s", "remaining_s", "ratio"),
     SLO_VIOLATION: ("deadline_s", "jct_s", "overrun_s", "state"),
 }
+
+#: Every event type, in documentation order.
+EVENT_TYPES = tuple(EVENT_FIELDS)
 
 
 class Event:

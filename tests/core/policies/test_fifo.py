@@ -27,7 +27,8 @@ TOTAL = ResourceVector(gpus=4, cache_mb=2000.0, remote_io_mbps=100.0)
 def test_order_is_by_submit_time():
     policy = FifoPolicy()
     jobs = [job("b", 10.0), job("a", 5.0), job("c", 7.0)]
-    assert [j.job_id for j in policy.order(jobs)] == ["a", "c", "b"]
+    ordered = policy.order(jobs, TOTAL, ScheduleContext())
+    assert [j.job_id for j in ordered] == ["a", "c", "b"]
 
 
 def test_admission_respects_capacity():
@@ -41,17 +42,13 @@ def test_admission_respects_capacity():
 
 def test_backfill_skips_large_head():
     jobs = [job("small1", 0, gpus=2), job("big", 1, gpus=4), job("small2", 2, gpus=2)]
-    with_backfill = FifoPolicy(backfill=True).schedule(
+    alloc = FifoPolicy().schedule(
         jobs, TOTAL, ScheduleContext(storage_aware=False)
     )
-    assert with_backfill.gpus_of("small2") == 2
-    without = FifoPolicy(backfill=False).schedule(
-        jobs, TOTAL, ScheduleContext(storage_aware=False)
-    )
-    # Head-of-line blocking: big does not fit, nothing behind it runs.
-    assert without.gpus_of("small1") == 2
-    assert without.gpus_of("big") == 0
-    assert without.gpus_of("small2") == 0
+    # big does not fit behind small1; small2 runs past it.
+    assert alloc.gpus_of("small1") == 2
+    assert alloc.gpus_of("big") == 0
+    assert alloc.gpus_of("small2") == 2
 
 
 def test_vanilla_mode_grants_no_storage():

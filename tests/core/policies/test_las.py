@@ -1,7 +1,5 @@
 """Least-attained-service policy (Tiresias)."""
 
-import pytest
-
 from repro.cluster.dataset import Dataset
 from repro.cluster.hardware import Cluster
 from repro.cluster.job import Job
@@ -38,34 +36,15 @@ def test_least_attained_runs_first():
     policy = LasPolicy()
     jobs = [job("veteran"), job("newcomer", submit=10.0)]
     ctx = ctx_with_service({"veteran": 5_000.0, "newcomer": 0.0})
-    ordered = policy.order(jobs, ctx)
+    ordered = policy.order(jobs, TOTAL, ctx)
     assert [j.job_id for j in ordered] == ["newcomer", "veteran"]
 
 
 def test_without_service_info_falls_back_to_arrival():
     policy = LasPolicy()
     jobs = [job("late", submit=10.0), job("early", submit=1.0)]
-    ordered = policy.order(jobs, ScheduleContext())
+    ordered = policy.order(jobs, TOTAL, ScheduleContext())
     assert [j.job_id for j in ordered] == ["early", "late"]
-
-
-def test_two_queue_discretisation():
-    policy = LasPolicy(queue_threshold_s=1_000.0)
-    jobs = [job("short-served"), job("long-served")]
-    ctx = ctx_with_service(
-        {"short-served": 500.0, "long-served": 50_000.0}
-    )
-    ordered = policy.order(jobs, ctx)
-    assert ordered[0].job_id == "short-served"
-    # Within the high-priority queue, less service still wins.
-    jobs = [job("a"), job("b")]
-    ctx = ctx_with_service({"a": 900.0, "b": 100.0})
-    assert [j.job_id for j in policy.order(jobs, ctx)] == ["b", "a"]
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        LasPolicy(queue_threshold_s=0.0)
 
 
 def test_schedule_attaches_storage():

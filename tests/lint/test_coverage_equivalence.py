@@ -95,3 +95,16 @@ def test_every_retired_finding_is_covered_by_a_live_rule(reported):
     for retired, live in RETIRED.items():
         assert reported[live] >= 1, (retired, live)
 
+
+
+def test_policy_rules_resolve_bases_across_modules(reported):
+    """``polchild`` extends a policy class from its sibling module: the
+    het-aware subclass that never publishes ``gen_scores`` fires POL004,
+    and the one inheriting ``schedule`` and ``name`` stays clean."""
+    pol = {
+        key
+        for key in reported
+        if key[0]
+        in ("project/repro/polbase.py", "project/repro/polchild.py")
+    }
+    assert pol == {("project/repro/polchild.py", 6, "POL004")}

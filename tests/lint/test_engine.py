@@ -1,12 +1,15 @@
 """Engine behaviour: suppressions, CLI output, parse errors."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.lint import lint_paths
 from repro.lint.passes.determinism import DeterminismPass
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 pytestmark = pytest.mark.lint
 
@@ -155,6 +158,39 @@ class TestCli:
         code = main(["lint", str(tmp_path), "--select", "bogus"])
         assert code == 2
         assert "unknown pass" in capsys.readouterr().out
+
+    def test_select_two_selectors_of_one_pass(self, capsys):
+        code = main(
+            [
+                "lint",
+                str(FIXTURES / "policy_bad.py"),
+                "--select",
+                "POL004",
+                "POL001",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "unknown" not in out
+        assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+            "POL001",
+            "POL004",
+        ]
+
+    def test_rule_selector_narrows_the_output(self, capsys):
+        bad = str(FIXTURES / "determinism_bad.py")
+        assert main(["lint", bad, "--select", "DET001"]) == 1
+        rules = {
+            line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[:-1]
+        }
+        assert rules == {"DET001"}
+        assert main(["lint", bad, "--select", "determinism", "DET001"]) == 1
+        rules = {
+            line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[:-1]
+        }
+        assert rules == {"DET001", "DET002", "DET003", "DET004", "DET005"}
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

@@ -234,3 +234,14 @@ def test_build_passes_selects_by_name_and_rule():
     assert [p.name for p in build_passes(["UNI001"])] == ["units"]
     with pytest.raises(ValueError):
         build_passes(["no-such-pass"])
+
+
+def test_build_passes_accepts_selectors_sharing_a_pass():
+    """Two selectors that match one pass select it once; neither is
+    reported unknown."""
+    for select in (["determinism", "DET001"], ["POL004", "POL001"]):
+        assert len(build_passes(select)) == 1, select
+    assert [p.name for p in build_passes(["DET", "XUNI001"])] == [
+        "determinism",
+        "xuni",
+    ]
