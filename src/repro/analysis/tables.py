@@ -83,27 +83,17 @@ def render_series(
     return "\n".join(lines)
 
 
-def improvement_summary(
-    metric_by_system: Dict[str, float], best_low: bool = True
-) -> List[Dict]:
-    """Rows of system, metric, and 'x over best/worst' factors.
-
-    ``best_low`` for lower-is-better metrics (JCT, makespan).
-    """
+def improvement_summary(metric_by_system: Dict[str, float]) -> List[Dict]:
+    """Rows of system, metric, and 'x over best' factors, best first,
+    for a lower-is-better metric (JCT, makespan)."""
     if not metric_by_system:
         return []
-    reference = (
-        min(metric_by_system.values())
-        if best_low
-        else max(metric_by_system.values())
-    )
+    reference = min(metric_by_system.values())
     rows = []
     for system, value in sorted(
-        metric_by_system.items(), key=lambda kv: kv[1], reverse=not best_low
+        metric_by_system.items(), key=lambda kv: kv[1]
     ):
-        factor = (
-            value / reference if best_low else reference / value
-        ) if reference > 0 else math.nan
+        factor = value / reference if reference > 0 else math.nan
         rows.append(
             {"system": system, "value": value, "vs_best": factor}
         )

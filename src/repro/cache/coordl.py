@@ -8,7 +8,9 @@ shows it wasting half the cluster's cache on a BERT job that barely
 benefits.
 
 Fluid model: job ``j``'s private target is
-``min(d_j, per_gpu_cache * num_gpus)``; hits follow uniform caching on the
+``min(d_j, per_gpu_cache * num_gpus)``, where ``per_gpu_cache`` is the
+cluster pool divided by the cluster's GPU count (the micro-benchmark's
+2 TB / 8 GPUs = 256 GB per GPU); hits follow uniform caching on the
 job's *effective* private bytes; remote IO is fair-shared.
 """
 
@@ -26,29 +28,10 @@ from repro.cache.base import (
 
 
 class CoorDLCache(CacheSystem):
-    """Per-job static uniform caching.
-
-    Parameters
-    ----------
-    cache_per_gpu_mb:
-        Local SSD available to each GPU's share of a VM. ``None`` derives
-        it at decision time from the cluster pool divided by total GPUs
-        (the micro-benchmark's 2 TB / 8 GPUs = 256 GB per GPU setup);
-        otherwise pass e.g. ``LOCAL_CACHE_MB_PER_V100``.
-    """
+    """Per-job static uniform caching."""
 
     name = "coordl"
     per_job_keys = True
-
-    def __init__(self, cache_per_gpu_mb: float = None) -> None:
-        self._cache_per_gpu_mb = cache_per_gpu_mb
-
-    def _per_gpu(self, ctx: StorageContext, total_gpus: float) -> float:
-        if self._cache_per_gpu_mb is not None:
-            return self._cache_per_gpu_mb
-        if total_gpus <= 0:
-            return 0.0
-        return ctx.total_cache_mb / total_gpus
 
     def decide(self, ctx: StorageContext) -> StorageDecision:
         jobs = list(ctx.running_jobs)
@@ -56,7 +39,8 @@ class CoorDLCache(CacheSystem):
             return StorageDecision({}, {}, {})
         # Static provisioning is per GPU *slot*, not per running job: the
         # denominator is the cluster's GPU count.
-        per_gpu = self._per_gpu(ctx, ctx.total_gpus)
+        total_gpus = ctx.total_gpus
+        per_gpu = ctx.total_cache_mb / total_gpus if total_gpus > 0 else 0.0
         targets: Dict[str, float] = {}
         hit_ratios: Dict[str, float] = {}
         for job in jobs:

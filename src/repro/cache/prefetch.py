@@ -10,7 +10,8 @@ first epoch when scheduled.
 
 Queued datasets are prioritised by their prospective cache efficiency
 (Eq 5 evaluated with the queued jobs' ``f*``), the same ranking
-Algorithm 2 uses for running jobs.
+Algorithm 2 uses for running jobs. Prefetching never takes more than
+:data:`MAX_PREFETCH_FRACTION` of the egress budget.
 """
 
 from __future__ import annotations
@@ -21,31 +22,17 @@ from repro.cache.base import StorageContext, StorageDecision
 from repro.cache.silod_cache import SiloDDataManager
 from repro.core import perf_model
 
+#: Upper bound on the fraction of the egress budget prefetching may
+#: consume, even when more is idle (a safety margin so a burst of
+#: instantaneous demand from running jobs is not starved between
+#: scheduling rounds).
+MAX_PREFETCH_FRACTION = 0.8
+
 
 class PrefetchingDataManager(SiloDDataManager):
-    """SiloD data manager + spare-capacity prefetch for queued jobs.
-
-    Parameters
-    ----------
-    max_prefetch_fraction:
-        Upper bound on the fraction of the egress budget prefetching may
-        consume, even when more is idle (a safety margin so a burst of
-        instantaneous demand from running jobs is not starved between
-        scheduling rounds).
-    """
+    """SiloD data manager + spare-capacity prefetch for queued jobs."""
 
     name = "silod-prefetch"
-
-    def __init__(
-        self,
-        io_allocation: bool = True,
-        max_prefetch_fraction: float = 0.8,
-    ) -> None:
-        super().__init__(io_allocation=io_allocation)
-        if not 0.0 <= max_prefetch_fraction <= 1.0:
-            raise ValueError("max_prefetch_fraction must lie in [0, 1]")
-        self._max_prefetch_fraction = max_prefetch_fraction
-        self.name = "silod-prefetch"
 
     def _decide_inputs(self, ctx: StorageContext) -> tuple:
         # A copy of the queue: the kernel appends arrivals to it.
@@ -62,7 +49,7 @@ class PrefetchingDataManager(SiloDDataManager):
 
         spare_io = min(
             max(0.0, ctx.total_io_mbps - sum(decision.io_grants.values())),
-            self._max_prefetch_fraction * ctx.total_io_mbps,
+            MAX_PREFETCH_FRACTION * ctx.total_io_mbps,
         )
         spare_cache = max(
             0.0, ctx.total_cache_mb - sum(decision.cache_targets.values())

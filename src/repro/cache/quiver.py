@@ -12,9 +12,11 @@ Two behaviours the paper observed are modelled explicitly:
 
 * **Online profiling noise** — benefit estimates come from latency
   measurements taken while remote IO fluctuates, so the ranking is
-  re-drawn with multiplicative log-normal noise every profiling interval.
-  A ranking flip evicts a fully cached dataset, which then "had to rebuild
-  the cache with one more epoch" (§7.1.2).
+  re-drawn with multiplicative log-normal noise every profiling interval
+  (:data:`PROFILE_INTERVAL_S`). An incumbent keeps its slot unless a
+  challenger beats it by :data:`HYSTERESIS`; a ranking flip evicts a
+  fully cached dataset, which then "had to rebuild the cache with one
+  more epoch" (§7.1.2).
 * **Scheduler-obliviousness** — Figure 4: with two identical-efficiency
   jobs and cache for ~one dataset, Quiver gives everything to one job
   regardless of the cluster's fairness objective.
@@ -33,6 +35,12 @@ from repro.cache.base import (
     trace_io_grants,
 )
 
+#: How often online profiling refreshes the benefit estimates.
+PROFILE_INTERVAL_S = units.SECONDS_PER_HOUR
+#: An incumbent dataset's benefit is scaled by this factor when ranked
+#: against challengers.
+HYSTERESIS = 1.5
+
 
 class QuiverCache(CacheSystem):
     """Whole-dataset, benefit-to-cost ranked caching.
@@ -42,8 +50,6 @@ class QuiverCache(CacheSystem):
     profile_noise:
         Standard deviation of the log-normal noise on profiled benefits
         (0 disables noise and the ranking becomes stable).
-    profile_interval_s:
-        How often online profiling refreshes the benefit estimates.
     seed:
         RNG seed for the profiling noise.
     """
@@ -53,19 +59,11 @@ class QuiverCache(CacheSystem):
     def __init__(
         self,
         profile_noise: float = 0.15,
-        profile_interval_s: float = units.SECONDS_PER_HOUR,
-        hysteresis: float = 1.5,
         seed: int = 17,
     ) -> None:
         if profile_noise < 0:
             raise ValueError("profile noise must be non-negative")
-        if profile_interval_s <= 0:
-            raise ValueError("profile interval must be positive")
-        if hysteresis < 1.0:
-            raise ValueError("hysteresis must be >= 1")
         self._profile_noise = profile_noise
-        self._profile_interval_s = profile_interval_s
-        self._hysteresis = hysteresis
         self._seed = seed
         # numpy loads here, not at module import: a service that never
         # builds Quiver never pays for it.
@@ -113,9 +111,7 @@ class QuiverCache(CacheSystem):
         if not jobs:
             return StorageDecision({}, {}, {})
         live = {job.dataset.name for job in jobs}
-        stale = (
-            ctx.clock_s - self._last_profile_s >= self._profile_interval_s
-        )
+        stale = ctx.clock_s - self._last_profile_s >= PROFILE_INTERVAL_S
         if stale or not live.issubset(self._noisy_benefit):
             self._profile(ctx)
 
@@ -125,7 +121,7 @@ class QuiverCache(CacheSystem):
         # would flip on every profile and nothing would ever stay cached.
         scored = {
             name: self._noisy_benefit.get(name, 0.0)
-            * (self._hysteresis if name in self._selected else 1.0)
+            * (HYSTERESIS if name in self._selected else 1.0)
             for name in live
         }
         ranked: List[Tuple[str, float]] = sorted(

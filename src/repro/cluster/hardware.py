@@ -95,9 +95,14 @@ RESNET50_TABLE2: List[ResNet50Profile] = [
 ]
 
 
-#: Azure's local SSD available per V100 GPU for job-private caching, used by
-#: the CoorDL baseline (§7: "368GB per V100 in Azure").
+#: Azure's local SSD available per V100 GPU (§7: "368GB per V100 in
+#: Azure"); the 96- and 400-GPU clusters provision this much cache per GPU.
 LOCAL_CACHE_MB_PER_V100 = units.gb(368.0)
+
+#: Local-disk read bandwidth (MB/s) serving cache hits in the item-level
+#: models (the minibatch emulator and the curriculum simulation); Figure
+#: 3's premise is that hits are effectively never the bottleneck.
+LOCAL_READ_MBPS = 2000.0
 
 
 @dataclasses.dataclass
@@ -306,22 +311,22 @@ def microbenchmark_cluster() -> Cluster:
     )
 
 
-def cluster_96gpu(cache_per_gpu_mb: float = LOCAL_CACHE_MB_PER_V100) -> Cluster:
+def cluster_96gpu() -> Cluster:
     """The 96-GPU cluster (§7.1.2): 12 8-GPU servers, 8 Gbps remote IO."""
     return Cluster.build(
         num_servers=12,
         gpus_per_server=8,
-        cache_per_server_mb=8 * cache_per_gpu_mb,
+        cache_per_server_mb=8 * LOCAL_CACHE_MB_PER_V100,
         remote_io_mbps=REMOTE_IO_LIMITS_TABLE5["96xK80"],
     )
 
 
-def cluster_400gpu(cache_per_gpu_mb: float = LOCAL_CACHE_MB_PER_V100) -> Cluster:
+def cluster_400gpu() -> Cluster:
     """The 400-GPU simulated cluster (§7.2): 50 8-GPU servers, 32 Gbps."""
     return Cluster.build(
         num_servers=50,
         gpus_per_server=8,
-        cache_per_server_mb=8 * cache_per_gpu_mb,
+        cache_per_server_mb=8 * LOCAL_CACHE_MB_PER_V100,
         remote_io_mbps=REMOTE_IO_LIMITS_TABLE5["400xV100"],
     )
 

@@ -105,19 +105,6 @@ class SiloDPerfEstimator:
             remote_io_mbps=resources.remote_io_mbps,
         )
 
-    def io_bound(
-        self, job: Job, gpus: float, cache_mb: float, remote_io_mbps: float
-    ) -> bool:
-        """Whether the job would be IO-bound under this allocation."""
-        if not job.regular:
-            return False
-        return perf_model.is_io_bound(
-            self.compute_bound(job, gpus),
-            remote_io_mbps,
-            cache_mb,
-            job.dataset.size_mb,
-        )
-
 
 class HetSiloDPerfEstimator(SiloDPerfEstimator):
     """Generation-aware SiloDPerf: ``min(f*(j, gen(j)), IOPerf)``.
@@ -181,10 +168,6 @@ class HetSiloDPerfEstimator(SiloDPerfEstimator):
             job_id, self.default_generation
         )
         return self._speedups[generation]
-
-    def generation_of(self, job_id: str) -> str:
-        """The job's assigned generation (default when unassigned)."""
-        return self.assignments.get(job_id, self.default_generation)
 
     def f_star_by_generation(self, job: Job) -> dict:
         """``{generation: f*(job, generation)}`` at the full request.

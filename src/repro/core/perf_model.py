@@ -135,19 +135,6 @@ def dataset_cache_efficiency(
     )
 
 
-def is_io_bound(
-    ideal_throughput_mbps: float,
-    remote_io_mbps: float,
-    cache_mb: float,
-    dataset_mb: float,
-) -> bool:
-    """Whether data loading, not compute, bottlenecks the pipeline."""
-    return (
-        io_throughput(remote_io_mbps, cache_mb, dataset_mb)
-        < ideal_throughput_mbps
-    )
-
-
 # ----------------------------------------------------------------------
 # Heterogeneity: per-(job, GPU-generation) compute bounds (Gavel-style
 # f*(job, gen), Narayanan et al. OSDI 2020, composed with Eq 4).

@@ -102,10 +102,11 @@ class FaultInjector:
         """Time of the next pending fault, or ``None`` when exhausted."""
         return self._pending[0].time_s if self._pending else None
 
-    def pop_due(self, now_s: float, eps: float = 1e-9) -> List[FaultEvent]:
-        """Remove and return every pending fault due at or before now."""
+    def pop_due(self, now_s: float) -> List[FaultEvent]:
+        """Remove and return every pending fault due at or before now
+        (within 1 ns of virtual time)."""
         due: List[FaultEvent] = []
-        while self._pending and self._pending[0].time_s <= now_s + eps:
+        while self._pending and self._pending[0].time_s <= now_s + 1e-9:
             due.append(self._pending.popleft())
         return due
 

@@ -125,24 +125,22 @@ class MetricsRegistry:
     def observe(
         self,
         name: str,
-        ts_s: float,
         value: float,
         job_id: Optional[str] = None,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         """Add one sample to a sliding window (created on first use).
 
-        ``ts_s`` is simulation time; the window's eviction and
-        percentiles are deterministic functions of the observed
-        ``(ts_s, value)`` sequence (see :mod:`repro.obs.windows`).
+        The window's percentiles are deterministic functions of the
+        observed value sequence (see :mod:`repro.obs.windows`).
         """
         window = self.window(name, job_id)
         if window is not None:
-            window.observe(ts_s, value)
+            window.observe(value)
             return
         window = SlidingWindow(capacity=capacity)
         # A rejected first sample (NaN) leaves the registry untouched.
-        window.observe(ts_s, value)
+        window.observe(value)
         scope = self._scope(job_id)
         scope.windows[name] = window
         scope.unsorted = True

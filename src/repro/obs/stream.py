@@ -48,7 +48,7 @@ class StreamingTracer(Tracer):
         """Record the event, then stream it to every sink."""
         self._seq += 1
         event = Event(ts_s, etype, job_id, fields, self._seq)
-        self._count_event(ts_s, etype, job_id, fields)
+        self._count_event(etype, job_id, fields)
         if (
             self._max_events is not None
             and len(self.events) >= self._max_events

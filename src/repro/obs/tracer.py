@@ -148,7 +148,7 @@ class Tracer:
         dropped from the in-memory list only.
         """
         self._seq += 1
-        self._count_event(ts_s, etype, job_id, fields)
+        self._count_event(etype, job_id, fields)
         if (
             self._max_events is not None
             and len(self.events) >= self._max_events
@@ -158,7 +158,7 @@ class Tracer:
         self.events.append(Event(ts_s, etype, job_id, fields, self._seq))
 
     def _count_event(
-        self, ts_s: float, etype: str, job_id: Optional[str], fields: dict
+        self, etype: str, job_id: Optional[str], fields: dict
     ) -> None:
         """Apply one emitted event to the registry: the per-type event
         counters, then its :data:`DERIVED_METRICS` rows.
@@ -205,10 +205,10 @@ class Tracer:
             window = scope.windows.get(metric)
             if window is None:
                 metrics.observe(
-                    metric, ts_s, amount, job_id=job_id if per_job else None
+                    metric, amount, job_id=job_id if per_job else None
                 )
             else:
-                window.observe(ts_s, amount)
+                window.observe(amount)
 
     def clear(self) -> None:
         """Drop recorded events and metrics (reused between runs)."""

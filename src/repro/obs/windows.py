@@ -1,23 +1,17 @@
 """Fixed-capacity sliding-window histograms for the metrics registry.
 
-A :class:`SlidingWindow` keeps the most recent ``capacity`` samples of
-one scalar signal, each stamped with the *simulation* time it was
-observed at, and answers nearest-rank percentile queries (p50/p95/p99)
-over the samples still inside the window. Two eviction rules compose:
+A :class:`SlidingWindow` keeps the most recent ``capacity`` values of
+one scalar signal (a ring buffer: observing past the cap drops the
+oldest value) and answers nearest-rank percentile queries
+(p50/p95/p99) over the values it holds. Values carry no timestamps.
 
-* **capacity** — at most ``capacity`` samples are retained; observing
-  past the cap drops the oldest sample (a ring buffer);
-* **horizon** — when ``horizon_s`` is set, samples older than
-  ``ts_s - horizon_s`` relative to the *latest* observation are
-  dropped first.
-
-Everything here is pure Python over ``ts_s``-ordered appends, so the
-percentiles are a deterministic function of the simulated run: the same
-event log produces the same snapshot across reruns. The one deliberately
-non-deterministic *signal* is decision latency, whose samples are
-wall-clock milliseconds — the window machinery is still deterministic,
-the values are not (same carve-out as ``sched_decision.latency_ms``;
-see ``docs/OBSERVABILITY.md``).
+Everything here is pure Python over appends in observation order, so
+the percentiles are a deterministic function of the simulated run: the
+same event log produces the same snapshot across reruns. The one
+deliberately non-deterministic *signal* is decision latency, whose
+samples are wall-clock milliseconds — the window machinery is still
+deterministic, the values are not (same carve-out as
+``sched_decision.latency_ms``; see ``docs/OBSERVABILITY.md``).
 
 The registry (``repro.obs.registry``) owns the well-known windows the
 tracer feeds from the event stream (``repro.obs.tracer.DERIVED_METRICS``);
@@ -30,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 #: Default sample capacity of one window.
 DEFAULT_CAPACITY = 512
@@ -65,7 +59,7 @@ def nearest_rank(sorted_samples: List[float], q: float) -> float:
 
 
 class SlidingWindow:
-    """A bounded, time-stamped sample window with percentile queries.
+    """A bounded sample window with percentile queries.
 
     The retained values are also kept in one sorted list, so a
     percentile is an index read. ``bisect.insort`` places a new value
@@ -74,19 +68,12 @@ class SlidingWindow:
     exactly ``sorted(values())``, ties and signed zeros included.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        horizon_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
-        if horizon_s is not None and horizon_s <= 0:
-            raise ValueError("window horizon must be positive when set")
         self.capacity = int(capacity)
-        self.horizon_s = horizon_s
-        #: (ts_s, value) pairs in observation order; bounded by capacity.
-        self._samples: Deque[Tuple[float, float]] = deque()
+        #: The retained values in observation order; bounded by capacity.
+        self._samples: Deque[float] = deque()
         #: The retained values, ascending.
         self._sorted: List[float] = []
         #: Total samples ever observed (survives eviction).
@@ -95,8 +82,8 @@ class SlidingWindow:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def observe(self, ts_s: float, value: float) -> None:
-        """Record one sample at simulation time ``ts_s``.
+    def observe(self, value: float) -> None:
+        """Record one sample.
 
         Raises ``ValueError`` on a NaN value, which has no place in a
         sorted order.
@@ -107,18 +94,14 @@ class SlidingWindow:
         self.observed_total += 1
         samples = self._samples
         ordered = self._sorted
-        if self.horizon_s is not None:
-            cutoff = ts_s - self.horizon_s
-            while samples and samples[0][0] < cutoff:
-                del ordered[bisect_left(ordered, samples.popleft()[1])]
         if len(samples) == self.capacity:
-            del ordered[bisect_left(ordered, samples.popleft()[1])]
-        samples.append((float(ts_s), value))
+            del ordered[bisect_left(ordered, samples.popleft())]
+        samples.append(value)
         insort(ordered, value)
 
     def values(self) -> List[float]:
         """The retained sample values, in observation order."""
-        return [value for _, value in self._samples]
+        return list(self._samples)
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over the retained samples."""
@@ -126,7 +109,7 @@ class SlidingWindow:
 
     def last(self) -> Optional[float]:
         """The most recent sample value, or ``None`` when empty."""
-        return self._samples[-1][1] if self._samples else None
+        return self._samples[-1] if self._samples else None
 
     def clear(self) -> None:
         """Drop every sample and reset the observation counter."""

@@ -37,18 +37,18 @@ class VirtualClock:
         self,
         speedup: Optional[float] = None,
         start_paused: bool = False,
-        start_virtual_s: float = 0.0,
     ) -> None:
         """``speedup``: virtual seconds per wall second; ``None``/``0``
-        means unlimited. ``start_paused`` freezes the watermark at
-        ``start_virtual_s`` minus infinity — i.e. *nothing* may process
-        until the clock is resumed or stepped, so a client can stage
-        submissions (even at virtual time 0) without racing the engine.
+        means unlimited. The watermark starts at virtual time 0, or,
+        with ``start_paused``, frozen at minus infinity — i.e. *nothing*
+        may process until the clock is resumed or stepped, so a client
+        can stage submissions (even at virtual time 0) without racing
+        the engine.
         """
         self._speedup = None if not speedup else float(speedup)
         self._paused = bool(start_paused)
         #: Virtual watermark reached when last paused/resumed.
-        self._held_s = -math.inf if start_paused else float(start_virtual_s)
+        self._held_s = -math.inf if start_paused else 0.0
         # Pacing reads the monotonic wall clock by design: it gates when
         # events process, never what the simulation computes.
         # lint: disable=DET003

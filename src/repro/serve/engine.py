@@ -407,10 +407,6 @@ class OnlineEngine:
             steps += 1
         return steps
 
-    def idle(self) -> bool:
-        """True when the simulator has nothing pending at any time."""
-        return self.sim.next_event_time() is None
-
     def seconds_until_next(self) -> Optional[float]:
         """Wall seconds until the next event becomes processable.
 

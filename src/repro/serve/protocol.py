@@ -37,6 +37,7 @@ name keep their sharing semantics online.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Tuple
 
 #: Protocol version in the hello line; bump on wire-format changes.
@@ -116,6 +117,18 @@ def parse_request(line: bytes) -> Dict[str, Any]:
     return data
 
 
+def _is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or float (not a bool) a float can
+    hold finitely. ``json.loads`` reads ``NaN`` and ``Infinity``, which
+    no reply may carry (RFC 8259 has no such numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def validate_request(data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     """Check the envelope; return ``(op, payload)`` or raise."""
     op = data.get("op")
@@ -155,20 +168,21 @@ def validate_request(data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
                 REJECT_INVALID,
                 f"clock action must be one of {', '.join(CLOCK_ACTIONS)}",
             )
-        if action == "step" and not isinstance(
-            payload.get("to_s"), (int, float)
+        to_s = payload.get("to_s")
+        if (action == "step" or to_s is not None) and not _is_finite_number(
+            to_s
         ):
             raise ProtocolError(
                 REJECT_INVALID,
-                "clock step requires a numeric field 'to_s'",
+                "clock to_s must be a finite number (step requires it)",
             )
         speedup = payload.get("speedup")
         if speedup is not None and (
-            not isinstance(speedup, (int, float)) or speedup < 0
+            not _is_finite_number(speedup) or speedup < 0
         ):
             raise ProtocolError(
                 REJECT_INVALID,
-                "clock speedup must be a non-negative number "
+                "clock speedup must be a finite non-negative number "
                 "(0 = as fast as possible)",
             )
     return op, payload

@@ -363,15 +363,13 @@ class ServeServer:
                 writer.close()
 
 
-async def serve_until_shutdown(
-    server: ServeServer, announce: bool = True
-) -> None:
-    """Start ``server`` and block until it shuts itself down."""
+async def serve_until_shutdown(server: ServeServer) -> None:
+    """Start ``server``, print where it listens, and block until it
+    shuts itself down."""
     host, port = await server.start()
-    if announce:
-        print(f"serve: listening on {host}:{port}")
-        if server.http_port is not None:
-            print(f"serve: http on {host}:{server.http_port}")
+    print(f"serve: listening on {host}:{port}")
+    if server.http_port is not None:
+        print(f"serve: http on {host}:{server.http_port}")
     await server.wait_closed()
 
 

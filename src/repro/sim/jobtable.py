@@ -49,6 +49,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.job import Job
 
+#: Work remaining at or below this makes a job :meth:`JobTable.done`
+#: (promotion skips done jobs).
+DONE_EPS_MB = 1e-9
+
 
 class JobTable:
     """Columnar record of per-job progress for one simulation run.
@@ -64,22 +68,14 @@ class JobTable:
     snap_mb:
         Positions within this many MB below an epoch boundary count as
         past it (the simulator's ``_EPOCH_SNAP_MB``).
-    done_eps_mb:
-        Work remaining at or below this makes a job :meth:`done`
-        (promotion skips done jobs).
     """
 
     def __init__(
-        self,
-        rate_eps: float,
-        work_eps_mb: float,
-        snap_mb: float,
-        done_eps_mb: float = 1e-9,
+        self, rate_eps: float, work_eps_mb: float, snap_mb: float
     ) -> None:
         self._rate_eps = rate_eps
         self._work_eps = work_eps_mb
         self._snap = snap_mb
-        self._done_eps = done_eps_mb
         self._job_ids: List[str] = []
         self._rows = {}  # job_id -> row
         #: The moving rows with their rate and total work (see
@@ -160,7 +156,7 @@ class JobTable:
     def done(self, row: int) -> bool:
         """Whether ``row`` has consumed all its work."""
         left = self._total[row] - self._work[row]
-        return (left if left > 0.0 else 0.0) <= self._done_eps
+        return (left if left > 0.0 else 0.0) <= DONE_EPS_MB
 
     def rollback_epoch(self, row: int) -> float:
         """Roll ``row`` back to its last epoch boundary (a preemption);
@@ -265,7 +261,7 @@ class JobTable:
         work_col, epoch_col, epochs_done = (
             self._work, self._epoch, self._epochs_done
         )
-        snap, work_eps, done_eps = self._snap, self._work_eps, self._done_eps
+        snap, work_eps = self._snap, self._work_eps
         # Rows still due from before stay flagged; the rest drop out.
         due = self._due
         if due:
@@ -295,7 +291,7 @@ class JobTable:
                 if t < next_epoch:
                     next_epoch = t
             if remaining <= work_eps or (
-                epoch_index > epochs_done[row] and remaining > done_eps
+                epoch_index > epochs_done[row] and remaining > DONE_EPS_MB
             ):
                 due.add(row)
         self._next_times = (next_done, next_epoch)
@@ -367,7 +363,7 @@ class JobTable:
     def _flip_index(self, row: int) -> Optional[float]:
         """The epoch index ``row`` has reached if it is unfinished and
         past an unpromoted boundary, else ``None``."""
-        if self._remaining(row) > self._done_eps:
+        if self._remaining(row) > DONE_EPS_MB:
             epoch_index = (self._work[row] + self._snap) // self._epoch[row]
             if epoch_index > self._epochs_done[row]:
                 return epoch_index

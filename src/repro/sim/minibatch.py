@@ -9,7 +9,9 @@ emulates, per job, the two-stage pipeline of Figure 5 —
       -> [compute: profiled step duration]
 
 over **item-granularity caches** (`repro.cache.items`) with real admission
-and eviction, per-epoch reshuffled access orders, and bounded prefetching.
+and eviction, per-epoch reshuffled access orders, and bounded prefetching
+(:data:`PREFETCH_DEPTH` items ahead of compute; hits read at
+:data:`LOCAL_READ_MBPS`).
 It is deliberately implemented independently of the fluid simulator's
 closed-form models so the two can cross-validate (our analog of Table 6's
 fidelity columns).
@@ -39,7 +41,7 @@ from repro.cache.base import (
 )
 from repro.cache.items import LruItemCache, UniformItemCache
 from repro.cache.silod_cache import SiloDDataManager
-from repro.cluster.hardware import Cluster
+from repro.cluster.hardware import LOCAL_READ_MBPS, Cluster
 from repro.cluster.job import Job
 from repro.core.silod import SiloDScheduler
 from repro.faults.spec import ScheduleLike
@@ -50,6 +52,9 @@ from repro.sim.kernel import SimulatorKernel
 #: Cache key used for the shared LRU pool in cache events (the pool is
 #: one arena shared by every dataset, unlike the per-key uniform caches).
 _LRU_POOL_KEY = "lru_pool"
+
+#: How many items a job's loader may run ahead of its compute.
+PREFETCH_DEPTH = 16
 
 
 def _shuffle(rng: random.Random, x: List[int]) -> None:
@@ -85,13 +90,7 @@ def _shuffle(rng: random.Random, x: List[int]) -> None:
 class _JobRuntime:
     """Per-job pipeline state at item granularity."""
 
-    def __init__(
-        self,
-        job: Job,
-        item_size_mb: float,
-        seed: int,
-        prefetch_depth: int = 16,
-    ) -> None:
+    def __init__(self, job: Job, item_size_mb: float, seed: int) -> None:
         self.job = job
         self.item_size_mb = item_size_mb
         self.epoch_items = max(1, int(round(job.dataset.size_mb / item_size_mb)))
@@ -113,8 +112,7 @@ class _JobRuntime:
         # division used by scheduler-oblivious cache systems.
         self.hits_recent = 0
         self.accesses_recent = 0
-        self.prefetch_depth = prefetch_depth
-        self.comp_finish_history: deque = deque(maxlen=prefetch_depth)
+        self.comp_finish_history: deque = deque(maxlen=PREFETCH_DEPTH)
         self.start_time_s: Optional[float] = None
         self.finish_time_s: Optional[float] = None
         # Per-interval accounting for throughput/IO timelines.
@@ -154,9 +152,6 @@ class MinibatchEmulator(SimulatorKernel):
         CPU time.
     decision_interval_s:
         Cadence at which policies and grants refresh.
-    local_read_mbps:
-        Local-disk read bandwidth serving cache hits (Figure 3's premise
-        is that hits are effectively never the bottleneck).
     faults:
         A :class:`repro.faults.FaultSchedule` (or sequence of
         :class:`~repro.faults.FaultEvent`), the same spec the fluid
@@ -182,7 +177,6 @@ class MinibatchEmulator(SimulatorKernel):
         item_size_mb: float = 64.0,
         decision_interval_s: float = 60.0,
         sample_interval_s: float = 600.0,
-        local_read_mbps: float = 2000.0,
         seed: int = 0,
         max_time_s: Optional[float] = None,
         faults: ScheduleLike = None,
@@ -197,7 +191,6 @@ class MinibatchEmulator(SimulatorKernel):
         self._admits_interval: Dict[str, int] = {}
         self._item_size_mb = item_size_mb
         self._interval_s = decision_interval_s
-        self._local_read_mbps = local_read_mbps
         self._seed = seed
         self._is_lru = isinstance(cache_system, AlluxioCache)
         self._uniform_caches: Dict[str, UniformItemCache] = {}
@@ -517,7 +510,7 @@ class MinibatchEmulator(SimulatorKernel):
             fetch_time = (
                 self._item_size_mb / io_rate if io_rate > 0 else math.inf
             )
-            local_time = self._item_size_mb / self._local_read_mbps
+            local_time = self._item_size_mb / LOCAL_READ_MBPS
             if not rt.ran_last_interval:
                 # Re-base after idle/preemption; while running, the
                 # pipeline clocks carry over so no lead time is lost.
@@ -611,7 +604,7 @@ class MinibatchEmulator(SimulatorKernel):
         io_free = rt.io_free_t
         comp_free = rt.comp_free_t
         history = rt.comp_finish_history
-        depth = rt.prefetch_depth
+        depth = PREFETCH_DEPTH
         consumed = rt.bytes_consumed_interval
         fetched = rt.bytes_fetched_interval
         hits = 0
@@ -641,7 +634,7 @@ class MinibatchEmulator(SimulatorKernel):
                 io_time = fetch_time
                 fetched += item_size
             # Bounded prefetch: the loader may run at most
-            # ``prefetch_depth`` items ahead of compute. The conditionals
+            # ``PREFETCH_DEPTH`` items ahead of compute. The conditionals
             # break ties the way ``max()`` does (first argument wins).
             gate = history[0] if len(history) == depth else 0.0
             if gate > io_free:

@@ -24,6 +24,7 @@ from typing import List
 
 from repro.cache.items import LruItemCache, UniformItemCache
 from repro.cluster.dataset import Dataset
+from repro.cluster.hardware import LOCAL_READ_MBPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,16 +89,14 @@ def simulate_curriculum_jct(
     policy: str,
     compute_step_s: float,
     remote_io_mbps: float,
-    items_per_batch: int = 1,
-    local_read_mbps: float = 2000.0,
     seed: int = 0,
 ) -> CurriculumResult:
     """Item-level JCT of one curriculum job under a cache policy.
 
-    ``policy`` is ``"uniform"`` or ``"lru"``. Each iteration samples
-    ``items_per_batch`` items uniformly from the pacing prefix; IO and
-    compute pipeline, so per-iteration time is
-    ``max(compute_step_s, io_time)``.
+    ``policy`` is ``"uniform"`` or ``"lru"``. Each iteration samples one
+    item uniformly from the pacing prefix; IO and compute pipeline, so
+    per-iteration time is ``max(compute_step_s, io_time)``, with a hit
+    read from local disk at :data:`~repro.cluster.hardware.LOCAL_READ_MBPS`.
     """
     if policy not in ("uniform", "lru"):
         raise ValueError("policy must be 'uniform' or 'lru'")
@@ -111,28 +110,22 @@ def simulate_curriculum_jct(
     else:
         cache = LruItemCache(capacity_items)
     fetch_s = item_size_mb / remote_io_mbps
-    local_s = item_size_mb / local_read_mbps
+    local_s = item_size_mb / LOCAL_READ_MBPS
 
     clock = 0.0
     hits = 0
-    accesses = 0
     # Pacing changes only every `pacing.step` iterations; process in runs.
     i = 0
     while i < total_iterations:
         run_end = min(total_iterations, (i // pacing.step + 1) * pacing.step)
         visible = pacing.visible_items(i)
         for _ in range(i, run_end):
-            io_s = 0.0
-            for _ in range(items_per_batch):
-                item = rng.randrange(visible)
-                hit = cache.access(item)
-                hits += int(hit)
-                accesses += 1
-                io_s += local_s if hit else fetch_s
-            clock += max(compute_step_s, io_s)
+            hit = cache.access(rng.randrange(visible))
+            hits += int(hit)
+            clock += max(compute_step_s, local_s if hit else fetch_s)
         i = run_end
     return CurriculumResult(
         jct_s=clock,
-        hit_ratio=hits / accesses if accesses else 0.0,
+        hit_ratio=hits / total_iterations,
         iterations=total_iterations,
     )

@@ -11,7 +11,8 @@ profiled V100 throughput. We follow the same recipe:
 * durations: log-normal (median ~25 min, sigma ~1.6) truncated to
   [2 min, 7 days];
 * GPU counts: {1: 70%, 2: 10%, 4: 12%, 8: 8%};
-* model/dataset: drawn from Figure 6's eleven combinations, each job
+* model/dataset: drawn from Figure 6's eleven combinations (always that
+  mix), each job
   getting a private copy of the dataset by default ("we maintain the
   diversity by assuming all jobs use different datasets"), with a
   configurable fraction of jobs sharing pooled datasets (§7.3);
@@ -21,10 +22,9 @@ profiled V100 throughput. We follow the same recipe:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import units
-from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
 from repro.workloads.models import FIGURE6_JOBS, make_job
 
@@ -53,13 +53,6 @@ class TraceConfig:
     shared_dataset_fraction: float = 0.0
     #: GPU-generation speed multiplier (Figure 14b).
     gpu_scale: float = 1.0
-    #: Diurnal modulation of the arrival rate: 0 disables it, 0.8 means
-    #: the rate swings between 0.2x and 1.8x the mean over a 24 h period
-    #: (production clusters see strong day/night submission patterns).
-    diurnal_amplitude: float = 0.0
-    diurnal_period_s: float = units.hours(24.0)
-    #: Restrict the model/dataset mix (defaults to Figure 6's 11 combos).
-    job_mix: Optional[Sequence[Tuple[str, Dataset]]] = None
 
 
 def generate_trace(config: TraceConfig) -> List[Job]:
@@ -69,7 +62,6 @@ def generate_trace(config: TraceConfig) -> List[Job]:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    mix = list(config.job_mix) if config.job_mix else list(FIGURE6_JOBS)
     gpu_counts = np.array([g for g, _p in config.gpu_mix])
     gpu_probs = np.array([p for _g, p in config.gpu_mix], dtype=float)
     gpu_probs = gpu_probs / gpu_probs.sum()
@@ -80,24 +72,15 @@ def generate_trace(config: TraceConfig) -> List[Job]:
         i: dataclasses.replace(
             dataset, name=f"{dataset.name}-shared-{i}"
         )
-        for i, (_model, dataset) in enumerate(mix)
+        for i, (_model, dataset) in enumerate(FIGURE6_JOBS)
     }
-
-    if not 0.0 <= config.diurnal_amplitude < 1.0:
-        raise ValueError("diurnal amplitude must lie in [0, 1)")
 
     jobs: List[Job] = []
     clock = 0.0
     for idx in range(config.num_jobs):
-        gap = float(rng.exponential(config.mean_interarrival_s))
-        if config.diurnal_amplitude > 0:
-            # Thin the Poisson process by the instantaneous diurnal rate.
-            phase = 2.0 * np.pi * clock / config.diurnal_period_s
-            rate = 1.0 + config.diurnal_amplitude * np.sin(phase)
-            gap = gap / max(rate, 1e-3)
-        clock += gap
-        mix_idx = int(rng.integers(len(mix)))
-        model, base_dataset = mix[mix_idx]
+        clock += float(rng.exponential(config.mean_interarrival_s))
+        mix_idx = int(rng.integers(len(FIGURE6_JOBS)))
+        model, base_dataset = FIGURE6_JOBS[mix_idx]
         shares = float(rng.random()) < config.shared_dataset_fraction
         if shares:
             dataset = shared_pool[mix_idx]

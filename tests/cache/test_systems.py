@@ -6,7 +6,7 @@ from repro.cache.alluxio import AlluxioCache
 from repro.cache.base import StorageContext
 from repro.cache.coordl import CoorDLCache
 from repro.cache.nocache import NoCache
-from repro.cache.quiver import QuiverCache
+from repro.cache.quiver import PROFILE_INTERVAL_S, QuiverCache
 from repro.cache.silod_cache import SiloDDataManager
 from repro.cluster.dataset import Dataset
 from repro.cluster.job import Job
@@ -74,10 +74,13 @@ class TestCoorDL:
         decision = CoorDLCache().decide(context(jobs))
         assert decision.cache_targets["small"] == pytest.approx(10 * GB)
 
-    def test_explicit_provisioning(self):
+    def test_share_is_pool_over_cluster_gpus(self):
         jobs = [job("a")]
-        decision = CoorDLCache(cache_per_gpu_mb=368 * GB).decide(context(jobs))
-        assert decision.cache_targets["a"] == pytest.approx(368 * GB)
+        decision = CoorDLCache().decide(
+            context(jobs, total_cache_mb=2 * TB, total_gpus=16)
+        )
+        # 2 TB / 16 GPUs = 128 GB for the one-GPU job.
+        assert decision.cache_targets["a"] == pytest.approx(128 * GB)
 
     def test_hits_follow_effective_bytes(self):
         jobs = [job("a", d_mb=1000.0)]
@@ -151,12 +154,14 @@ class TestQuiver:
 
     def test_noise_can_flip_selection_over_time(self):
         jobs = [job("rn0"), job("rn1")]
-        cache = QuiverCache(
-            profile_noise=0.6, profile_interval_s=1.0, hysteresis=1.0, seed=3
-        )
+        cache = QuiverCache(profile_noise=0.6, seed=3)
         selections = set()
+        # One profile per step: each step advances the clock by a full
+        # profiling interval.
         for step in range(40):
-            decision = cache.decide(context(jobs, clock_s=float(step * 10)))
+            decision = cache.decide(
+                context(jobs, clock_s=step * PROFILE_INTERVAL_S)
+            )
             chosen = tuple(
                 sorted(
                     k for k, v in decision.cache_targets.items() if v > 0
@@ -167,16 +172,13 @@ class TestQuiver:
 
     def test_hysteresis_stabilises_ties(self):
         jobs = [job("rn0"), job("rn1")]
-        cache = QuiverCache(
-            profile_noise=0.05,
-            profile_interval_s=1.0,
-            hysteresis=3.0,
-            seed=3,
-        )
+        cache = QuiverCache(profile_noise=0.05, seed=3)
         first = cache.decide(context(jobs, clock_s=0.0))
         initial = {k for k, v in first.cache_targets.items() if v > 0}
         for step in range(1, 30):
-            decision = cache.decide(context(jobs, clock_s=float(step * 10)))
+            decision = cache.decide(
+                context(jobs, clock_s=step * PROFILE_INTERVAL_S)
+            )
             chosen = {
                 k for k, v in decision.cache_targets.items() if v > 0
             }
@@ -205,11 +207,11 @@ class TestQuiver:
             job("rn1", f_star=90.0, d_mb=600 * GB),
             job("bert", f_star=2.0, d_mb=20.9 * TB),
         ]
-        cache = QuiverCache(profile_noise=0.3, profile_interval_s=1.0, seed=11)
+        cache = QuiverCache(profile_noise=0.3, seed=11)
 
         def profile_rounds():
             rounds = []
-            for clock_s in (0.0, 10.0):
+            for clock_s in (0.0, PROFILE_INTERVAL_S):
                 cache.decide(context(jobs, clock_s=clock_s))
                 rounds.append(
                     {k: v.hex() for k, v in cache._noisy_benefit.items()}
@@ -229,10 +231,6 @@ class TestQuiver:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuiverCache(profile_noise=-1)
-        with pytest.raises(ValueError):
-            QuiverCache(profile_interval_s=0)
-        with pytest.raises(ValueError):
-            QuiverCache(hysteresis=0.5)
 
 
 class TestSiloDDataManager:

@@ -55,14 +55,6 @@ def test_estimate_vector_matches_scalar_form():
     )
 
 
-def test_io_bound_detector():
-    estimator = SiloDPerfEstimator()
-    job = make_job()
-    assert estimator.io_bound(job, 4, 0.0, 100.0)
-    assert not estimator.io_bound(job, 4, 0.0, 500.0)
-    assert not estimator.io_bound(make_job(regular=False), 4, 0.0, 0.0)
-
-
 def test_custom_compute_estimator_is_used():
     estimator = SiloDPerfEstimator(compute_estimator=lambda job, gpus: 42.0)
     job = make_job()

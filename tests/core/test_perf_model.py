@@ -64,11 +64,6 @@ def test_dataset_cache_efficiency_sums_over_sharing_jobs():
     assert shared == pytest.approx(single * 1.5)
 
 
-def test_is_io_bound():
-    assert perf_model.is_io_bound(114.0, 25.0, 0.0, 1000.0)
-    assert not perf_model.is_io_bound(114.0, 200.0, 0.0, 1000.0)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         perf_model.hit_ratio(-1.0, 100.0)

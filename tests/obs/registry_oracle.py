@@ -27,23 +27,17 @@ from repro.obs.windows import (
 class OracleWindow:
     """Deque-only sliding window; sorts on every read."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 horizon_s: Optional[float] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = int(capacity)
-        self.horizon_s = horizon_s
         self._samples: deque = deque(maxlen=self.capacity)
         self.observed_total = 0
 
-    def observe(self, ts_s: float, value: float) -> None:
+    def observe(self, value: float) -> None:
         self.observed_total += 1
-        if self.horizon_s is not None:
-            cutoff = ts_s - self.horizon_s
-            while self._samples and self._samples[0][0] < cutoff:
-                self._samples.popleft()
-        self._samples.append((float(ts_s), float(value)))
+        self._samples.append(float(value))
 
     def values(self) -> List[float]:
-        return [value for _, value in self._samples]
+        return list(self._samples)
 
     def percentile(self, q: float) -> float:
         return nearest_rank(sorted(self.values()), q)
@@ -78,14 +72,14 @@ class OracleRegistry:
                   job_id: Optional[str] = None) -> None:
         self._gauges[(job_id, name)] = value
 
-    def observe(self, name: str, ts_s: float, value: float,
+    def observe(self, name: str, value: float,
                 job_id: Optional[str] = None,
                 capacity: int = DEFAULT_CAPACITY) -> None:
         key = (job_id, name)
         window = self._windows.get(key)
         if window is None:
             window = self._windows[key] = OracleWindow(capacity=capacity)
-        window.observe(ts_s, value)
+        window.observe(value)
 
     def window(self, name: str,
                job_id: Optional[str] = None) -> Optional[OracleWindow]:
@@ -173,7 +167,7 @@ class OracleTracer:
             if kind == COUNTER:
                 metrics.inc(metric, amount, job_id=scope)
             else:
-                metrics.observe(metric, ts_s, amount, job_id=scope)
+                metrics.observe(metric, amount, job_id=scope)
         if (self._max_events is not None
                 and len(self.events) >= self._max_events):
             self.dropped += 1

@@ -16,9 +16,9 @@ def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.inc("sched_rounds", 3)
     registry.set_gauge("gpus_busy", 6.0)
-    registry.observe("queue_depth", 1.0, 2.0)
-    registry.observe("queue_depth", 2.0, 4.0)
-    registry.observe("jct_s", 5.0, 120.0, job_id="job-1")
+    registry.observe("queue_depth", 2.0)
+    registry.observe("queue_depth", 4.0)
+    registry.observe("jct_s", 120.0, job_id="job-1")
     registry.set_gauge("cache_mb", 512.0, job_id="job-1")
     return registry
 

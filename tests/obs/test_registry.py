@@ -22,8 +22,8 @@ def test_snapshot_keys_are_sorted_regardless_of_insertion_order():
     registry.inc("alpha", 1)
     registry.set_gauge("omega", 2.0)
     registry.set_gauge("beta", 1.0)
-    registry.observe("queue_depth", 1.0, 3.0)
-    registry.observe("cache_hit_ratio", 1.0, 0.5)
+    registry.observe("queue_depth", 3.0)
+    registry.observe("cache_hit_ratio", 0.5)
     registry.inc("anything", 1, job_id="job-2")
     registry.inc("anything", 1, job_id="job-1")
     snap = registry.snapshot()
@@ -39,7 +39,7 @@ def test_windows_key_absent_until_first_observation():
     registry = MetricsRegistry()
     registry.inc("rounds", 1)
     assert "windows" not in registry.snapshot()["cluster"]
-    registry.observe("queue_depth", 1.0, 1.0)
+    registry.observe("queue_depth", 1.0)
     assert "windows" in registry.snapshot()["cluster"]
 
 
@@ -47,7 +47,7 @@ def test_snapshot_is_json_stable_across_equal_registries():
     def build():
         registry = MetricsRegistry()
         registry.inc("rounds", 2)
-        registry.observe("jct_s", 1.0, 10.0, job_id="j1")
+        registry.observe("jct_s", 10.0, job_id="j1")
         registry.set_gauge("gpus_busy", 4.0)
         return registry
 
@@ -57,7 +57,7 @@ def test_snapshot_is_json_stable_across_equal_registries():
 def test_clear_resets_everything():
     registry = MetricsRegistry()
     registry.inc("rounds", 2)
-    registry.observe("jct_s", 1.0, 10.0, job_id="j1")
+    registry.observe("jct_s", 10.0, job_id="j1")
     registry.clear()
     assert registry.snapshot() == {
         "schema_version": METRICS_SCHEMA_VERSION,
@@ -84,7 +84,7 @@ def test_jobs_sorted_by_id_when_a_scope_has_no_counter():
     registry = MetricsRegistry()
     registry.set_gauge("depth", 1.0, job_id="a")
     registry.inc("rounds", job_id="b")
-    registry.observe("jct_s", 1.0, 5.0, job_id="0")
+    registry.observe("jct_s", 5.0, job_id="0")
     assert list(registry.snapshot()["jobs"]) == ["0", "a", "b"]
     registry.inc("rounds", job_id="00")
     assert list(registry.snapshot()["jobs"]) == ["0", "00", "a", "b"]

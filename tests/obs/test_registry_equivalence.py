@@ -29,13 +29,10 @@ VALUES = st.one_of(
 #: differs from any natural insertion order.
 SCOPES = st.sampled_from([None, None, "", "0", "a", "b", "job-10", "job-2"])
 NAMES = st.sampled_from(["zeta", "alpha", "m", "events.job_submit", "a"])
-#: Non-negative steps of simulated time; a zero step repeats a stamp.
-STEPS = st.sampled_from([0.0, 0.5, 1.0, 3.0])
-
 OPS = st.one_of(
     st.tuples(st.just("inc"), NAMES, VALUES, SCOPES),
     st.tuples(st.just("set_gauge"), NAMES, VALUES, SCOPES),
-    st.tuples(st.just("observe"), NAMES, VALUES, SCOPES, STEPS,
+    st.tuples(st.just("observe"), NAMES, VALUES, SCOPES,
               st.sampled_from([1, 2, 3, 5])),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("clear")),
@@ -55,7 +52,6 @@ def _assert_same(registry: MetricsRegistry, oracle: OracleRegistry) -> None:
 @given(st.lists(OPS, max_size=60))
 def test_registry_snapshot_matches_sort_everything_oracle(ops):
     registry, oracle = MetricsRegistry(), OracleRegistry()
-    ts_s = 0.0
     touched = []
     for op in ops:
         kind = op[0]
@@ -68,12 +64,9 @@ def test_registry_snapshot_matches_sort_everything_oracle(ops):
             registry.set_gauge(name, value, job_id=scope)
             oracle.set_gauge(name, value, job_id=scope)
         elif kind == "observe":
-            _, name, value, scope, step, capacity = op
-            ts_s += step
-            registry.observe(name, ts_s, value, job_id=scope,
-                             capacity=capacity)
-            oracle.observe(name, ts_s, value, job_id=scope,
-                           capacity=capacity)
+            _, name, value, scope, capacity = op
+            registry.observe(name, value, job_id=scope, capacity=capacity)
+            oracle.observe(name, value, job_id=scope, capacity=capacity)
             touched.append((name, scope))
         elif kind == "snapshot":
             _assert_same(registry, oracle)
@@ -93,20 +86,15 @@ def test_registry_snapshot_matches_sort_everything_oracle(ops):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(STEPS, VALUES), max_size=80),
+    st.lists(VALUES, max_size=80),
     st.sampled_from([1, 2, 3, 4, 7]),
-    st.sampled_from([None, 0.5, 1.0, 2.0, 5.0]),
 )
-def test_window_percentiles_match_sort_everything_oracle(
-    samples, capacity, horizon_s
-):
-    window = SlidingWindow(capacity=capacity, horizon_s=horizon_s)
-    oracle = OracleWindow(capacity=capacity, horizon_s=horizon_s)
-    ts_s = 0.0
-    for step, value in samples:
-        ts_s += step
-        window.observe(ts_s, value)
-        oracle.observe(ts_s, value)
+def test_window_percentiles_match_sort_everything_oracle(samples, capacity):
+    window = SlidingWindow(capacity=capacity)
+    oracle = OracleWindow(capacity=capacity)
+    for value in samples:
+        window.observe(value)
+        oracle.observe(value)
         assert window.values() == oracle.values()
         assert list(map(repr, window._sorted)) == list(
             map(repr, sorted(oracle.values()))

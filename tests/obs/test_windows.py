@@ -28,25 +28,17 @@ def test_nearest_rank_convention():
 def test_capacity_bounds_retention_but_not_observed_total():
     window = SlidingWindow(capacity=4)
     for i in range(10):
-        window.observe(float(i), float(i))
+        window.observe(float(i))
     assert len(window) == 4
     assert window.observed_total == 10
     assert window.values() == [6.0, 7.0, 8.0, 9.0]
     assert window.last() == 9.0
 
 
-def test_horizon_trims_old_samples():
-    window = SlidingWindow(capacity=100, horizon_s=10.0)
-    window.observe(0.0, 1.0)
-    window.observe(5.0, 2.0)
-    window.observe(16.0, 3.0)  # cutoff 6.0 evicts the t=0 and t=5 samples
-    assert window.values() == [3.0]
-
-
 def test_snapshot_shape_and_stability():
     window = SlidingWindow()
     for i in (5, 1, 3, 2, 4):
-        window.observe(float(i), float(i))
+        window.observe(float(i))
     snap = window.snapshot()
     assert list(snap) == ["count", "observed_total", "p50", "p95", "p99"]
     assert snap == {
@@ -56,39 +48,37 @@ def test_snapshot_shape_and_stability():
     # Same observation sequence => byte-identical snapshot JSON.
     other = SlidingWindow()
     for i in (5, 1, 3, 2, 4):
-        other.observe(float(i), float(i))
+        other.observe(float(i))
     assert json.dumps(snap) == json.dumps(other.snapshot())
 
 
 def test_invalid_construction_rejected():
     with pytest.raises(ValueError):
         SlidingWindow(capacity=0)
-    with pytest.raises(ValueError):
-        SlidingWindow(horizon_s=0.0)
 
 
 def test_nan_sample_rejected():
     window = SlidingWindow(capacity=3)
-    window.observe(0.0, 1.0)
+    window.observe(1.0)
     with pytest.raises(ValueError):
-        window.observe(1.0, float("nan"))
+        window.observe(float("nan"))
     assert window.values() == [1.0]
     assert window.observed_total == 1
     registry = MetricsRegistry()
     with pytest.raises(ValueError):
-        registry.observe("queue_depth", 0.0, float("nan"), job_id="j1")
+        registry.observe("queue_depth", float("nan"), job_id="j1")
     assert registry.window("queue_depth", job_id="j1") is None
     assert registry.snapshot()["jobs"] == {}
 
 
 def test_sorted_values_survive_eviction_with_signed_zeros():
     window = SlidingWindow(capacity=2)
-    for ts_s, value in enumerate((0.0, -0.0, 0.0)):
-        window.observe(float(ts_s), value)
-    # Retained: -0.0 (t=1) then 0.0 (t=2); evicting the t=0 0.0 must not
-    # take the -0.0, so it still sorts first as sorted() would put it.
+    for value in (0.0, -0.0, 0.0):
+        window.observe(value)
+    # Retained: the -0.0 then the second 0.0; evicting the first 0.0 must
+    # not take the -0.0, so it still sorts first as sorted() would put it.
     assert repr(window.percentile(0.5)) == "-0.0"
-    window.observe(3.0, 1.0)
+    window.observe(1.0)
     assert repr(window.percentile(0.5)) == "0.0"
     assert window.snapshot()["p99"] == 1.0
 
@@ -96,8 +86,8 @@ def test_sorted_values_survive_eviction_with_signed_zeros():
 def test_registry_windows_created_on_first_observe():
     registry = MetricsRegistry()
     assert registry.window("jct_s") is None
-    registry.observe("jct_s", 10.0, 120.0)
-    registry.observe("jct_s", 20.0, 60.0, job_id="j1")
+    registry.observe("jct_s", 120.0)
+    registry.observe("jct_s", 60.0, job_id="j1")
     cluster_window = registry.window("jct_s")
     assert cluster_window is not None and len(cluster_window) == 1
     assert cluster_window.capacity == DEFAULT_CAPACITY

@@ -82,6 +82,24 @@ def test_payload_validation_rejects_invalid_requests(request_obj):
     assert err.value.reason == REJECT_INVALID
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), True],
+    ids=["NaN", "Infinity", "-Infinity", "true"],
+)
+@pytest.mark.parametrize(
+    "action,name", [("step", "to_s"), ("resume", "speedup")],
+    ids=["to_s", "speedup"],
+)
+def test_clock_rejects_non_finite_and_boolean_numbers(action, name, value):
+    # A NaN watermark or speedup would make every later clock and status
+    # reply invalid JSON; json.dumps writes the tokens json.loads reads.
+    raw = _line({"op": "clock", "action": action, name: value})
+    with pytest.raises(ProtocolError) as err:
+        validate_request(parse_request(raw))
+    assert err.value.reason == REJECT_INVALID
+    assert name in err.value.detail
+
+
 def test_protocol_error_renders_an_error_response():
     response = ProtocolError(REJECT_INVALID, "bad job").to_response()
     assert response == {

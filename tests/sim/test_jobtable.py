@@ -17,7 +17,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.jobtable import JobTable
+from repro.sim.jobtable import DONE_EPS_MB, JobTable
 
 RATE_EPS = 1e-9
 
@@ -122,7 +122,7 @@ class ReferenceTable(JobTable):
             work = self._work[row]
             remaining = max(0.0, self._total[row] - work)
             epoch_index = (work + self._snap) // self._epoch[row]
-            if remaining > self._done_eps and (
+            if remaining > DONE_EPS_MB and (
                 epoch_index > self._epochs_done[row]
             ):
                 flips.append((row, int(epoch_index)))
@@ -166,25 +166,14 @@ ROW_OPS = {"set_rate", "retire", "rollback", "set_epochs"}
               ("advance", 0, 70.0), ("flip", 0, 0.0), ("clear_rates", 0, 0.0),
               ("advance", 0, 1.0), ("set_epochs", 0, 0)])
 def test_table_matches_reference_bitwise(ops):
-    check_against_reference(ops, done_eps=1e-9)
+    check_against_reference(ops)
 
 
-@settings(max_examples=150, deadline=None)
-@given(ops=OPS)
-# A row too near its end to promote a boundary (remaining work above
-# work_eps but within done_eps) is past one once a rollback moves it
-# back.
-@example(ops=[("admit", 100.0, 30.0), ("set_rate", 0, 1.0),
-              ("advance", 0, 99.0), ("rollback", 0, 0.0)])
-def test_table_matches_reference_with_done_eps_above_work_eps(ops):
-    check_against_reference(ops, done_eps=5.0)
-
-
-def check_against_reference(ops, done_eps):
+def check_against_reference(ops):
     """Apply ``ops`` to a table and the reference; compare after each."""
     tables = [
-        JobTable(RATE_EPS, 1e-3, 1e-6, done_eps),
-        ReferenceTable(RATE_EPS, 1e-3, 1e-6, done_eps),
+        JobTable(RATE_EPS, 1e-3, 1e-6),
+        ReferenceTable(RATE_EPS, 1e-3, 1e-6),
     ]
     rows = 0
     clock_s = 0.0

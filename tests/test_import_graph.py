@@ -19,11 +19,15 @@ importing it:
 * every function, method and class defined under ``src/repro`` is
   named outside its own ``def``/``class`` line by the product or by
   the benchmarks, examples, tools or perfbench, not only by its own
-  tests; :data:`CALLERLESS_ALLOWED` names the exceptions and why.
+  tests; :data:`CALLERLESS_ALLOWED` names the exceptions and why;
+* every parameter with a default in a ``src/repro`` def is set by
+  some caller in those same trees, since an option no caller sets is
+  a constant; :data:`OPTIONS_ALLOWED` names the exceptions and why.
 """
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -240,3 +244,125 @@ def test_every_src_definition_has_a_non_test_caller():
             if not sites.get(name, set()) - {(path, line)}:
                 callerless.append(qualname)
     assert sorted(callerless) == sorted(CALLERLESS_ALLOWED)
+
+
+#: Parameters with a default that no non-test caller sets, each kept
+#: with its reason. Keys are ``"<qualified def>(<parameter>)"``.
+OPTIONS_ALLOWED = {
+    **{
+        f"{simulator}.__init__(max_time_s)": (
+            "the documented bound for a fault schedule with an unmatched "
+            "`job_preempt` (docs/FAULTS.md)"
+        )
+        for simulator in ("FluidSimulator", "MinibatchEmulator")
+    },
+    **{
+        f"generate_churn({rate})": (
+            "a churn rate; the Gavel anchor tests pin a cell that sets "
+            "two of the six"
+        )
+        for rate in (
+            "crash_interval_s",
+            "repair_time_s",
+            "bandwidth_flap_interval_s",
+            "bandwidth_flap_duration_s",
+            "bandwidth_floor",
+            "cache_loss_fraction",
+        )
+    },
+    **{
+        f"peer_read_scaling_series({hardware})": (
+            "a hardware figure of Figure 3's model"
+        )
+        for hardware in (
+            "io_demand_per_server_mbps",
+            "local_disk_mbps",
+            "fabric_mbps",
+        )
+    },
+    "compare_simulators(localize)": (
+        "an instrument switch: trace both runs and attach the first "
+        "diverging event to the fidelity report"
+    ),
+    "lint_paths(display_root)": (
+        "the root finding paths print relative to; the CLI keeps the "
+        "repository root, lint fixtures outside it need their own"
+    ),
+}
+
+
+def option_parameters(path):
+    """``(qualified name, callee name, positional index, parameter)`` of
+    every parameter with a default in a file's defs.
+
+    The callee name is what a call site writes: the class for an
+    ``__init__``, else the def's own name. The positional index counts
+    from the first argument a caller passes, so a method's ``self`` or
+    ``cls`` is not counted; it is ``None`` for a keyword-only one.
+    """
+
+    def walk(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from parameters(child, prefix, owner)
+                yield from walk(child, f"{prefix}{child.name}.", None)
+            else:
+                yield from walk(child, prefix, owner)
+
+    def parameters(func, prefix, owner):
+        qualname = prefix + func.name
+        callee = owner.name if func.name == "__init__" else func.name
+        args = func.args
+        positional = args.posonlyargs + args.args
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in func.decorator_list
+        )
+        skip = 1 if owner is not None and not static else 0
+        first_default = len(positional) - len(args.defaults)
+        for index in range(first_default, len(positional)):
+            yield qualname, callee, index - skip, positional[index].arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualname, callee, None, arg.arg
+
+    yield from walk(ast.parse(path.read_text()), "", None)
+
+
+def test_every_src_option_has_a_non_test_setter():
+    """An option counts as set when :data:`CALLER_TREES` holds a call
+    passing it by keyword (``name=``), a string constant equal to its
+    name (``sim_kwargs``-style tables), or a call to the same callee
+    name with enough positional arguments to reach it (a ``*args``
+    call reaches every position)."""
+    keywords, strings, reach = set(), set(), {}
+    for tree in CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    strings.add(node.value)
+                if not isinstance(node, ast.Call):
+                    continue
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                func = node.func
+                name = (
+                    func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None
+                )
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = math.inf if starred else len(node.args)
+                reach[name] = max(reach.get(name, 0), count)
+    unset = []
+    for path in source_modules().values():
+        for qualname, callee, index, name in option_parameters(path):
+            if name in keywords or name in strings:
+                continue
+            if index is not None and reach.get(callee, 0) > index:
+                continue
+            unset.append(f"{qualname}({name})")
+    assert sorted(unset) == sorted(OPTIONS_ALLOWED)

@@ -1,5 +1,6 @@
 """Synthetic trace generation."""
 
+import numpy as np
 import pytest
 
 from repro.workloads.trace import (
@@ -37,6 +38,15 @@ def test_trace_respects_bounds():
         )
     submits = [j.submit_time_s for j in jobs]
     assert submits == sorted(submits)
+
+
+def test_arrivals_are_poisson():
+    cfg = TraceConfig(num_jobs=2000, seed=3, mean_interarrival_s=120.0)
+    submits = [j.submit_time_s for j in generate_trace(cfg)]
+    gaps = np.diff([0.0] + submits)
+    # Exponential gaps: mean ~ 120, CV ~ 1.
+    assert np.mean(gaps) == pytest.approx(120.0, rel=0.1)
+    assert np.std(gaps) / np.mean(gaps) == pytest.approx(1.0, abs=0.15)
 
 
 def test_private_datasets_by_default():

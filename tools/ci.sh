@@ -42,14 +42,17 @@
 #      tests/core/test_het_scoring.py::test_mixed_fleet_round_work
 #      holds a mixed-fleet het-max-min round's call counts as literals
 #      (no equal_share, no pruning bound from the search, its
-#      compute_bound calls and candidates scored). Two guards pin the
-#      product boundary in tests/test_import_graph.py:
+#      compute_bound calls and candidates scored). Three guards pin
+#      the product boundary in tests/test_import_graph.py:
 #      test_only_the_instruments_lie_outside_the_product (every
 #      src/repro module is in the static import closure of
-#      `python -m repro`, except the three instruments it names) and
+#      `python -m repro`, except the three instruments it names),
 #      test_every_src_definition_has_a_non_test_caller (every def and
 #      class under src/repro is named by src/repro, benchmarks/,
-#      examples/, tools/ or perfbench/, not only by its own tests).
+#      examples/, tools/ or perfbench/, not only by its own tests) and
+#      test_every_src_option_has_a_non_test_setter (every parameter
+#      with a default is set by a call in those trees, except the
+#      allowlisted ones).
 #   4. serve smoke             — tools/serve_smoke.py first launches
 #      `python -m repro serve --queue-limit 0` and `--policy bogus`,
 #      each of which must exit 2 with no Traceback on stderr. It then
@@ -58,9 +61,13 @@
 #      within one hard timeout (see docs/SERVE.md). Once the three jobs
 #      have finished it requires the cluster `events_total` counter to
 #      equal `status`'s `events_recorded` and the `events.<type>`
-#      counters to sum to `events_total`. Before the drain it
-#      reads the live server's /proc/<pid>/maps and fails if a mapped
-#      file lies under numpy/ (a skip note where /proc is unreadable).
+#      counters to sum to `events_total`. Every reply it reads is
+#      parsed strictly: a NaN or Infinity token (not JSON) fails it.
+#      Before the drain it reads the live server's /proc/<pid>/maps and
+#      fails if a mapped file lies under numpy/ (a skip note where /proc
+#      is unreadable), then sends one raw `clock` line with
+#      `"speedup": NaN`, requires an `invalid_request` reply, and
+#      requires a `ping` that still answers.
 #   5. obs smoke               — tools/obs_smoke.py drives a tiny traced
 #      scenario through `repro run --events`, then asserts
 #      `repro explain` reconstructs a nonzero decision-provenance chain

@@ -14,15 +14,20 @@ service fails CI instead of wedging it. Before the shutdown it also
 reads the live server's ``/proc/<pid>/maps``: a mapped file under a
 ``numpy/`` directory means something the service ran imported numpy,
 which ``repro serve`` never needs (where ``/proc`` is unreadable the
-check prints a skip note). It also launches ``repro serve`` with a bad
-``--queue-limit`` and a bad ``--policy``: each must exit 2 with a usage
-error, not a traceback.
+check prints a skip note). Every reply the smoke reads is parsed
+strictly: a ``NaN`` or ``Infinity`` token, which JSON (RFC 8259) does
+not allow, fails it. Before the drain it sends one raw ``clock`` line
+with ``"speedup": NaN``, which must be refused with ``invalid_request``,
+and then requires a ``ping`` that still answers. It also launches
+``repro serve`` with a bad ``--queue-limit`` and a bad ``--policy``:
+each must exit 2 with a usage error, not a traceback.
 
 Usage: PYTHONPATH=src python tools/serve_smoke.py
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -89,6 +94,45 @@ def _check_event_counts(client, deadline: float) -> None:
     by_type = sum(value for name, value in counters.items()
                   if name.startswith("events."))
     assert by_type == total, counters
+
+
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"reply carries {token}, which is not JSON")
+
+
+def _strict_client_class():
+    """:class:`repro.serve.ServeClient` whose replies must be strict
+    JSON (no ``NaN``/``Infinity``)."""
+    from repro.serve.client import ServeClient
+    from repro.serve.protocol import MAX_LINE_BYTES
+
+    class StrictClient(ServeClient):
+        def _read_line(self) -> dict:
+            line = self._file.readline(MAX_LINE_BYTES + 4096)
+            if not line:
+                raise ConnectionError("server closed the connection")
+            return json.loads(
+                line.decode("utf-8"), parse_constant=_reject_constant
+            )
+
+    return StrictClient
+
+
+def _refuses_nan_speedup(client) -> None:
+    """A ``clock`` line with ``"speedup": NaN`` is refused and the
+    connection keeps serving. ``json.dumps`` writes a float NaN as the
+    bare ``NaN`` token, so this sends exactly that raw line."""
+    from repro.serve.client import ServeError
+    from repro.serve.protocol import REJECT_INVALID
+
+    try:
+        reply = client.request("clock", action="resume",
+                               speedup=float("nan"))
+    except ServeError as err:
+        assert err.reason == REJECT_INVALID, err
+    else:
+        raise AssertionError(f"a NaN speedup was accepted: {reply}")
+    assert client.ping()["pong"] is True
 
 
 def _numpy_mappings(pid: int) -> Optional[List[str]]:
@@ -158,9 +202,9 @@ def main() -> int:
             raise RuntimeError("service exited before announcing its port")
 
         sys.path.insert(0, str(REPO / "src"))
-        from repro.serve.client import ServeClient
+        client_class = _strict_client_class()
 
-        with ServeClient("127.0.0.1", port, timeout_s=TIMEOUT_S) as client:
+        with client_class("127.0.0.1", port, timeout_s=TIMEOUT_S) as client:
             assert client.ping()["pong"] is True
             before = client.metrics()["metrics"]
             for i in range(3):
@@ -178,6 +222,7 @@ def main() -> int:
                 print(f"FAIL: the server mapped numpy: {mapped[:3]}",
                       file=sys.stderr)
                 return 1
+            _refuses_nan_speedup(client)
             client.shutdown(drain=True)
 
         returncode = proc.wait(  # lint: disable=DET003
@@ -193,7 +238,8 @@ def main() -> int:
             print("FAIL: drain summary missing or wrong", file=sys.stderr)
             return 1
         print("serve smoke: bad flags refused; 3 jobs submitted and "
-              "finished, event counters agree, drained, clean exit")
+              "finished, event counters agree, NaN speedup refused, "
+              "drained, clean exit")
         return 0
     finally:
         if proc.poll() is None:
