@@ -66,11 +66,8 @@ class DivergencePoint:
         def _fmt(event: Optional[Event]) -> str:
             if event is None:
                 return "<no event>"
-            extra = (
-                f" epoch={event.fields['epoch']}"
-                if "epoch" in event.fields
-                else ""
-            )
+            fields = event.fields
+            extra = f" epoch={fields['epoch']}" if "epoch" in fields else ""
             return f"{event.etype}@{event.ts_s:.1f}s{extra}"
 
         return (

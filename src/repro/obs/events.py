@@ -69,6 +69,7 @@ Event types
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Optional
 
 JOB_SUBMIT = "job_submit"
@@ -208,7 +209,23 @@ EVENT_FIELDS: Dict[str, tuple] = {
 EVENT_TYPES = tuple(EVENT_FIELDS)
 
 
-class Event:
+#: One shared names tuple per field layout: an event points at its
+#: layout's tuple instead of keeping its own copy of the field names.
+#: Append-only, keyed by value, one entry per field order ever seen
+#: (about one per event type), so sharing it process-wide is harmless.
+_LAYOUTS: Dict[tuple, tuple] = {}
+#: ``_intern_layout(names, names)`` is ``names``' shared tuple.
+_intern_layout = _LAYOUTS.setdefault
+#: ``_new_event(Event, flat)`` builds an event from its flat tuple
+#: without the Python-level ``Event.__new__``; the tracers emit with it.
+_new_event = tuple.__new__
+
+
+def _unorderable(self, other):
+    raise TypeError("events are unorderable")
+
+
+class Event(tuple):
     """One structured trace record.
 
     ``ts_s`` is simulation time (seconds); ``seq`` is the tracer's
@@ -216,52 +233,75 @@ class Event:
     total event order. ``job_id`` is ``None`` for cluster-scoped events
     (e.g. a shared cache key's eviction).
 
-    A slotted class built once per emitted event: two events are equal
-    when all five attributes are, and the repr lists them in
-    constructor order. Events are mutable, so unhashable.
+    An immutable record stored as one flat tuple,
+    ``(ts_s, etype, job_id, seq, names, *values)``, where ``names`` is
+    the field layout's shared tuple from :data:`_LAYOUTS`. No per-event
+    dict is kept: :attr:`fields` builds a fresh one on each access, so
+    a loop should read it once per event. Two events are equal when all
+    five attributes are (field order ignored), an event never equals a
+    plain tuple, and the repr lists the attributes in constructor
+    order. Events are unhashable and unorderable.
     """
 
-    __slots__ = ("ts_s", "etype", "job_id", "fields", "seq")
+    __slots__ = ()
     __hash__ = None
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         ts_s: float,
         etype: str,
         job_id: Optional[str] = None,
         fields: Optional[Dict[str, object]] = None,
         seq: int = 0,
-    ) -> None:
-        self.ts_s = ts_s
-        self.etype = etype
-        self.job_id = job_id
-        self.fields: Dict[str, object] = {} if fields is None else fields
-        self.seq = seq
+    ) -> "Event":
+        if fields is None:
+            fields = {}
+        names = tuple(fields)
+        names = _intern_layout(names, names)
+        return _new_event(
+            cls, (ts_s, etype, job_id, seq, names, *fields.values())
+        )
 
-    def _attrs(self) -> tuple:
-        return (self.ts_s, self.etype, self.job_id, self.fields, self.seq)
+    ts_s = property(itemgetter(0))
+    etype = property(itemgetter(1))
+    job_id = property(itemgetter(2))
+    seq = property(itemgetter(3))
+
+    @property
+    def fields(self) -> Dict[str, object]:
+        """The per-type fields, as a new dict in emission order."""
+        return dict(zip(self[4], self[5:]))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._attrs() == other._attrs()
+        if other.__class__ is not Event:
+            return False if isinstance(other, tuple) else NotImplemented
+        return self[:4] == other[:4] and self.fields == other.fields
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unorderable
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1], self[2], self.fields, self[3])
 
     def __repr__(self) -> str:
         return (
-            f"Event(ts_s={self.ts_s!r}, etype={self.etype!r}, "
-            f"job_id={self.job_id!r}, fields={self.fields!r}, "
-            f"seq={self.seq!r})"
+            f"Event(ts_s={self[0]!r}, etype={self[1]!r}, "
+            f"job_id={self[2]!r}, fields={self.fields!r}, "
+            f"seq={self[3]!r})"
         )
 
     def to_dict(self) -> dict:
         """A JSON-safe flat representation (used by the JSONL exporter)."""
-        return {
-            "seq": self.seq,
-            "ts_s": self.ts_s,
-            "etype": self.etype,
-            "job_id": self.job_id,
-            **self.fields,
+        data = {
+            "seq": self[3],
+            "ts_s": self[0],
+            "etype": self[1],
+            "job_id": self[2],
         }
+        data.update(zip(self[4], self[5:]))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
@@ -288,8 +328,9 @@ def validate_event(event: Event) -> None:
             f"unknown event type {event.etype!r}; "
             f"expected one of {EVENT_TYPES}"
         )
-    missing = [name for name in expected if name not in event.fields]
-    extra = [name for name in event.fields if name not in expected]
+    fields = event.fields
+    missing = [name for name in expected if name not in fields]
+    extra = [name for name in fields if name not in expected]
     if missing or extra:
         raise ValueError(
             f"{event.etype}: missing fields {missing}, extra fields {extra}"

@@ -35,10 +35,11 @@ _US = 1e6
 def save_events(
     events: Sequence[Event], path: Union[str, Path]
 ) -> None:
-    """Write an event log as versioned JSON Lines."""
-    lines = [json.dumps(_HEADER)]
-    lines.extend(json.dumps(event.to_dict()) for event in events)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write an event log as versioned JSON Lines, one line at a time."""
+    with open(path, "w") as handle:
+        handle.write(json.dumps(_HEADER) + "\n")
+        for event in events:
+            handle.write(json.dumps(event.to_dict()) + "\n")
 
 
 def load_events(path: Union[str, Path]) -> List[Event]:
@@ -117,7 +118,8 @@ def chrome_trace(events: Iterable[Event]) -> dict:
     for event in events:
         ts_us = event.ts_s * _US
         tid = _lane(event.job_id)
-        args = {"job_id": event.job_id, **event.fields}
+        fields = event.fields
+        args = {"job_id": event.job_id, **fields}
         if event.etype == ev.JOB_START:
             trace.append(
                 {
@@ -166,11 +168,9 @@ def chrome_trace(events: Iterable[Event]) -> dict:
                     "tid": 0,
                     "ts": ts_us,
                     "args": {
-                        "running_jobs": event.fields.get("num_running", 0),
-                        "gpus_granted": event.fields.get("gpus_granted", 0),
-                        "io_granted_mbps": event.fields.get(
-                            "io_granted_mbps", 0
-                        ),
+                        "running_jobs": fields.get("num_running", 0),
+                        "gpus_granted": fields.get("gpus_granted", 0),
+                        "io_granted_mbps": fields.get("io_granted_mbps", 0),
                     },
                 }
             )

@@ -156,7 +156,8 @@ def decision_chain(
     triggers: Dict[int, str] = {}
     for event in events:
         if event.etype == ev.DECISION_EPOCH:
-            triggers[event.fields["round"]] = event.fields["trigger"]
+            fields = event.fields
+            triggers[fields["round"]] = fields["trigger"]
     chain: List[DecisionRecord] = []
     for event in events:
         if event.etype != ev.DECISION_JOB or event.job_id != job_id:
@@ -191,7 +192,7 @@ def job_identity(
     """The job's ``job_submit`` fields, or ``None`` when absent."""
     for event in events:
         if event.etype == ev.JOB_SUBMIT and event.job_id == job_id:
-            return dict(event.fields)
+            return event.fields
     return None
 
 

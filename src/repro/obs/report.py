@@ -51,11 +51,12 @@ def job_table(events: Sequence[Event]) -> List[dict]:
     jobs: Dict[str, dict] = {}
     for event in events:
         if event.etype == ev.JOB_SUBMIT:
+            fields = event.fields
             jobs[event.job_id] = {
                 "job": event.job_id,
-                "model": event.fields.get("model"),
-                "dataset": event.fields.get("dataset"),
-                "gpus": event.fields.get("num_gpus"),
+                "model": fields.get("model"),
+                "dataset": fields.get("dataset"),
+                "gpus": fields.get("num_gpus"),
                 "submit_min": units.seconds_to_minutes(event.ts_s),
                 "start_min": None,
                 "finish_min": None,
@@ -72,10 +73,11 @@ def job_table(events: Sequence[Event]) -> List[dict]:
         elif event.etype == ev.JOB_FINISH and event.job_id in jobs:
             row = jobs[event.job_id]
             row["finish_min"] = units.seconds_to_minutes(event.ts_s)
+            fields = event.fields
             row["jct_min"] = units.seconds_to_minutes(
-                float(event.fields.get("jct_s", 0.0))
+                float(fields.get("jct_s", 0.0))
             )
-            row["epochs"] = event.fields.get("epochs_done", 0)
+            row["epochs"] = fields.get("epochs_done", 0)
     return sorted(jobs.values(), key=lambda r: (r["submit_min"], r["job"]))
 
 
@@ -91,10 +93,11 @@ def _round_aggregates(
     for ts in sorted(rounds):
         achieved = ideal = io_used = 0.0
         for event in rounds[ts]:
-            desired = float(event.fields.get("desired_mbps", 0.0))
-            hit = float(event.fields.get("hit_ratio", 0.0))
-            demand = float(event.fields.get("demand_mbps", 0.0))
-            grant = float(event.fields.get("grant_mbps", 0.0))
+            fields = event.fields
+            desired = float(fields.get("desired_mbps", 0.0))
+            hit = float(fields.get("hit_ratio", 0.0))
+            demand = float(fields.get("demand_mbps", 0.0))
+            grant = float(fields.get("grant_mbps", 0.0))
             achieved += achieved_rate(desired, hit, grant)
             ideal += desired
             io_used += min(demand, grant)
@@ -139,22 +142,32 @@ def timeline_rows(
 
 def decision_audit(events: Sequence[Event]) -> List[dict]:
     """Per-policy scheduler audit rows from ``sched_decision`` events."""
-    by_policy: Dict[Tuple[str, bool], List[Event]] = {}
+    # (policy, storage_aware) -> per round (latency, gpus, io).
+    by_policy: Dict[Tuple[str, bool], List[Tuple[float, float, float]]] = {}
+    changes = preemptions = 0
     for event in events:
         if event.etype == ev.SCHED_DECISION:
+            fields = event.fields
             key = (
-                str(event.fields.get("policy")),
-                bool(event.fields.get("storage_aware")),
+                str(fields.get("policy")),
+                bool(fields.get("storage_aware")),
             )
-            by_policy.setdefault(key, []).append(event)
-    changes = sum(1 for e in events if e.etype == ev.ALLOC_CHANGE)
-    preemptions = sum(
-        1
-        for e in events
-        if e.etype == ev.ALLOC_CHANGE
-        and float(e.fields.get("gpus_after", 0.0)) <= 0.0
-        < float(e.fields.get("gpus_before", 0.0))
-    )
+            by_policy.setdefault(key, []).append(
+                (
+                    float(fields.get("latency_ms", 0.0)),
+                    float(fields.get("gpus_granted", 0.0)),
+                    float(fields.get("io_granted_mbps", 0.0)),
+                )
+            )
+        elif event.etype == ev.ALLOC_CHANGE:
+            changes += 1
+            fields = event.fields
+            if (
+                float(fields.get("gpus_after", 0.0))
+                <= 0.0
+                < float(fields.get("gpus_before", 0.0))
+            ):
+                preemptions += 1
     rows = []
     for (policy, storage_aware), group in sorted(by_policy.items()):
         n = len(group)
@@ -163,19 +176,9 @@ def decision_audit(events: Sequence[Event]) -> List[dict]:
                 "policy": policy,
                 "storage_aware": storage_aware,
                 "rounds": n,
-                "mean_latency_ms": sum(
-                    float(e.fields.get("latency_ms", 0.0)) for e in group
-                )
-                / n,
-                "mean_gpus_granted": sum(
-                    float(e.fields.get("gpus_granted", 0.0)) for e in group
-                )
-                / n,
-                "mean_io_mbps": sum(
-                    float(e.fields.get("io_granted_mbps", 0.0))
-                    for e in group
-                )
-                / n,
+                "mean_latency_ms": sum(g[0] for g in group) / n,
+                "mean_gpus_granted": sum(g[1] for g in group) / n,
+                "mean_io_mbps": sum(g[2] for g in group) / n,
                 "alloc_changes": changes,
                 "preemptions": preemptions,
             }
@@ -201,23 +204,21 @@ def cache_table(events: Sequence[Event]) -> List[dict]:
         )
 
     for event in events:
-        if event.etype == ev.CACHE_ADMIT:
-            row = _row(str(event.fields.get("key")))
-            row["admitted_mb"] += float(event.fields.get("delta_mb", 0.0))
-            row["last_resident_mb"] = float(
-                event.fields.get("resident_mb", 0.0)
+        etype = event.etype
+        if etype == ev.CACHE_ADMIT or etype == ev.CACHE_EVICT:
+            fields = event.fields
+            row = _row(str(fields.get("key")))
+            column = (
+                "admitted_mb" if etype == ev.CACHE_ADMIT else "evicted_mb"
             )
-        elif event.etype == ev.CACHE_EVICT:
-            row = _row(str(event.fields.get("key")))
-            row["evicted_mb"] += float(event.fields.get("delta_mb", 0.0))
-            row["last_resident_mb"] = float(
-                event.fields.get("resident_mb", 0.0)
-            )
-        elif event.etype == ev.PROMOTE_EFFECTIVE:
-            row = _row(str(event.fields.get("key")))
+            row[column] += float(fields.get("delta_mb", 0.0))
+            row["last_resident_mb"] = float(fields.get("resident_mb", 0.0))
+        elif etype == ev.PROMOTE_EFFECTIVE:
+            fields = event.fields
+            row = _row(str(fields.get("key")))
             row["promotions"] += 1
             row["last_effective_mb"] = float(
-                event.fields.get("effective_mb", 0.0)
+                fields.get("effective_mb", 0.0)
             )
     return sorted(keys.values(), key=lambda r: r["key"])
 
@@ -233,41 +234,39 @@ def fault_table(events: Sequence[Event]) -> List[dict]:
     for event in events:
         if event.etype not in ev.FAULT_TYPES:
             continue
+        f = event.fields
         if event.etype == ev.FAULT_INJECT:
-            detail = (
-                f"kind={event.fields.get('kind')}"
-                f" magnitude={event.fields.get('magnitude')}"
-            )
-            target = event.fields.get("target")
+            detail = f"kind={f.get('kind')} magnitude={f.get('magnitude')}"
+            target = f.get("target")
             if target:
                 detail += f" target={target}"
         elif event.etype == ev.NODE_DOWN:
             detail = (
-                f"{event.fields.get('kind')}:"
-                f" -{float(event.fields.get('gpus_lost', 0.0)):g} GPUs,"
-                f" -{float(event.fields.get('cache_lost_mb', 0.0)):g} MB cache"
+                f"{f.get('kind')}:"
+                f" -{float(f.get('gpus_lost', 0.0)):g} GPUs,"
+                f" -{float(f.get('cache_lost_mb', 0.0)):g} MB cache"
             )
         elif event.etype == ev.NODE_UP:
             detail = (
-                f"{event.fields.get('kind')}:"
-                f" +{float(event.fields.get('gpus_restored', 0.0)):g} GPUs,"
-                f" +{float(event.fields.get('cache_restored_mb', 0.0)):g}"
+                f"{f.get('kind')}:"
+                f" +{float(f.get('gpus_restored', 0.0)):g} GPUs,"
+                f" +{float(f.get('cache_restored_mb', 0.0)):g}"
                 " MB cache (cold)"
             )
         elif event.etype == ev.CACHE_INVALIDATE:
             detail = (
-                f"key={event.fields.get('key')}"
-                f" -{float(event.fields.get('delta_mb', 0.0)):g} MB"
-                f" ({event.fields.get('cause')})"
+                f"key={f.get('key')}"
+                f" -{float(f.get('delta_mb', 0.0)):g} MB"
+                f" ({f.get('cause')})"
             )
         elif event.etype == ev.JOB_PREEMPT:
             detail = (
-                f"reason={event.fields.get('reason')}"
-                f" rollback={float(event.fields.get('rollback_mb', 0.0)):g} MB"
-                f" epoch={event.fields.get('epoch')}"
+                f"reason={f.get('reason')}"
+                f" rollback={float(f.get('rollback_mb', 0.0)):g} MB"
+                f" epoch={f.get('epoch')}"
             )
         else:  # JOB_RESTART
-            detail = f"resumes at epoch {event.fields.get('epoch')}"
+            detail = f"resumes at epoch {f.get('epoch')}"
         rows.append(
             {
                 "t_min": units.seconds_to_minutes(event.ts_s),

@@ -11,15 +11,15 @@ without a second bookkeeping path.
 Sinks see every event exactly once, in emission order, *including*
 events dropped from the in-memory list by a ``max_events`` cap: the cap
 bounds the tracer's memory, not the stream or the event counters. A
-sink must never mutate the event it receives (the same object lands in
-the recorded list).
+sink receives the very object that lands in the recorded list; events
+are immutable, so no sink can change what the others see.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.obs.events import Event
+from repro.obs.events import Event, _intern_layout, _new_event
 from repro.obs.tracer import Tracer
 
 #: A sink receives each event at emission time; exceptions propagate to
@@ -38,6 +38,10 @@ class StreamingTracer(Tracer):
         """Register a sink; it sees every event emitted from now on."""
         self._sinks.append(sink)
 
+    def remove_sink(self, sink: EventSink) -> None:
+        """Unregister a sink added by :meth:`add_sink`."""
+        self._sinks.remove(sink)
+
     def emit(
         self,
         ts_s: float,
@@ -47,7 +51,12 @@ class StreamingTracer(Tracer):
     ) -> None:
         """Record the event, then stream it to every sink."""
         self._seq += 1
-        event = Event(ts_s, etype, job_id, fields, self._seq)
+        names = tuple(fields)
+        names = _intern_layout(names, names)
+        values = fields.values()
+        event = _new_event(
+            Event, (ts_s, etype, job_id, self._seq, names, *values)
+        )
         self._count_event(etype, job_id, fields)
         if (
             self._max_events is not None

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import events as ev
-from repro.obs.events import Event
+from repro.obs.events import Event, _intern_layout, _new_event
 from repro.obs.registry import MetricsRegistry
 
 #: :attr:`Derived.kind` of a monotonic counter.
@@ -155,7 +155,12 @@ class Tracer:
         ):
             self.dropped += 1
             return
-        self.events.append(Event(ts_s, etype, job_id, fields, self._seq))
+        names = tuple(fields)
+        names = _intern_layout(names, names)
+        values = fields.values()
+        self.events.append(
+            _new_event(Event, (ts_s, etype, job_id, self._seq, names, *values))
+        )
 
     def _count_event(
         self, etype: str, job_id: Optional[str], fields: dict

@@ -75,8 +75,9 @@ class ServeServer:
         self._drain = True
         self._pump_task: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
+        #: Live subscriber queues; :meth:`_broadcast` is a tracer sink
+        #: only while this is non-empty.
         self._subscribers: List[asyncio.Queue] = []
-        engine.tracer.add_sink(self._broadcast)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -285,8 +286,13 @@ class ServeServer:
         Queue registration and the replay snapshot happen in one
         synchronous block, so no event can fall between them; anything
         emitted while the replay is being written lands in the queue.
+        The first subscriber registers the broadcast sink and the last
+        one to leave removes it, so an unwatched service pays nothing
+        per event for streaming.
         """
         queue: asyncio.Queue = asyncio.Queue()
+        if not self._subscribers:
+            self.engine.tracer.add_sink(self._broadcast)
         self._subscribers.append(queue)
         snapshot = list(self.engine.tracer.events)
         try:
@@ -306,8 +312,9 @@ class ServeServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            with contextlib.suppress(ValueError):
-                self._subscribers.remove(queue)
+            self._subscribers.remove(queue)
+            if not self._subscribers:
+                self.engine.tracer.remove_sink(self._broadcast)
             with contextlib.suppress(Exception):
                 writer.close()
 

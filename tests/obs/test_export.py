@@ -14,6 +14,7 @@ from repro.obs import (
     save_events_csv,
 )
 from repro.obs import events as ev
+from tests.sim import test_fluid_anchors as fluid_anchors
 
 pytestmark = pytest.mark.obs
 
@@ -52,6 +53,19 @@ def test_jsonl_header_is_versioned(tracer, tmp_path):
     save_events(tracer.events, path)
     header = json.loads(path.read_text().splitlines()[0])
     assert header == {"v": 1, "kind": "repro-events"}
+
+
+def test_jsonl_bytes_are_the_header_then_one_line_per_event(tmp_path):
+    tracer = Tracer()
+    sim = fluid_anchors.build_cell("shared", tracer=tracer)
+    fluid_anchors.run_sim(sim, "shared")
+    path = tmp_path / "events.jsonl"
+    save_events(tracer.events, path)
+    header = json.dumps({"v": 1, "kind": "repro-events"}) + "\n"
+    lines = [json.dumps(event.to_dict()) for event in tracer.events]
+    assert path.read_bytes() == (
+        header + "\n".join(lines) + "\n"
+    ).encode("utf-8")
 
 
 def test_load_rejects_foreign_files(tmp_path):

@@ -1,5 +1,8 @@
 """Tracer behaviour: event ordering, validation, metrics, no-op path."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.cache.base import StorageContext, trace_io_grants
@@ -167,6 +170,29 @@ def test_event_compares_all_five_fields_and_keeps_its_repr():
     with pytest.raises(TypeError):
         hash(event)
     assert Event.from_dict(event.to_dict()) == event
+
+
+def test_event_is_an_immutable_flat_record():
+    event = Event(1.5, "cache_admit", "j", {"key": "d", "delta_mb": 2.0}, 7)
+    # Field order is ignored; the flat layout is not a plain tuple.
+    swapped = Event(1.5, "cache_admit", "j", {"delta_mb": 2.0, "key": "d"}, 7)
+    assert event == swapped
+    assert not event != swapped
+    assert event != tuple(event) and tuple(event) != event
+    with pytest.raises(TypeError):
+        sorted([event, event])
+    with pytest.raises(AttributeError):
+        event.seq = 8
+    event.fields["key"] = "other"
+    assert event.fields == {"key": "d", "delta_mb": 2.0}
+    # One names tuple per field layout, shared by every event using it.
+    tracer = StreamingTracer()
+    for ts in (0.0, 1.0):
+        tracer.emit(ts, "epoch_boundary", "j", epoch=1)
+    first, second = tracer.events
+    assert first[4] is second[4]
+    assert copy.deepcopy(event) == event
+    assert pickle.loads(pickle.dumps(event)) == event
 
 
 def test_metrics_counters_track_events():

@@ -98,6 +98,40 @@ def test_subscribe_streams_the_event_log(live_server):
         assert replayed["etype"] == "service_start"
 
 
+def test_a_subscriber_leaving_does_not_cut_another_short():
+    server = ServeServer(make_engine(), port=0)
+    tracer = server.engine.tracer
+    thread = ServerThread(server)
+    host, port = thread.start()
+    # No subscriber yet: the only sink is the engine's own.
+    assert tracer._sinks == [server.engine._on_event]
+    try:
+        with ServeClient(host=host, port=port) as client:
+            client.submit(job_payload("job-0"))
+            client.clock("step", to_s=30.0)
+            leaving, staying = client.tail(), client.tail()
+            header = {"v": 1, "kind": "repro-events"}
+            assert next(leaving) == header
+            assert next(staying) == header
+            assert next(leaving)["etype"] == "service_start"
+            leaving.close()
+            client.submit(job_payload("job-1"))
+            client.clock("step", to_s=600.0)
+            client.submit(job_payload("job-2"))
+            client.clock("step", to_s=1200.0)
+            recorded = client.status()["events_recorded"]
+            received = [next(staying) for _ in range(recorded)]
+    finally:
+        thread.stop(drain=False)
+        thread.join()
+    staying.close()
+    assert [e["seq"] for e in received] == list(range(1, recorded + 1))
+    assert received == [e.to_dict() for e in tracer.events[:recorded]]
+    assert {e["job_id"] for e in received} >= {"job-0", "job-1", "job-2"}
+    # Both subscribers are gone, and so is the broadcast sink.
+    assert tracer._sinks == [server.engine._on_event]
+
+
 def test_http_endpoints_answer_when_enabled():
     import urllib.request
 

@@ -67,7 +67,12 @@
 #      fails if a mapped file lies under numpy/ (a skip note where /proc
 #      is unreadable), then sends one raw `clock` line with
 #      `"speedup": NaN`, requires an `invalid_request` reply, and
-#      requires a `ping` that still answers.
+#      requires a `ping` that still answers. The service runs with
+#      `--events PATH`: before the drain the smoke pauses the clock,
+#      subscribes on a second connection and parses every replayed
+#      line strictly; the replay must hold exactly `status`'s
+#      `events_recorded` lines, and after exit the file's event lines
+#      must begin with them, byte for byte.
 #   5. obs smoke               — tools/obs_smoke.py drives a tiny traced
 #      scenario through `repro run --events`, then asserts
 #      `repro explain` reconstructs a nonzero decision-provenance chain

@@ -18,7 +18,12 @@ check prints a skip note). Every reply the smoke reads is parsed
 strictly: a ``NaN`` or ``Infinity`` token, which JSON (RFC 8259) does
 not allow, fails it. Before the drain it sends one raw ``clock`` line
 with ``"speedup": NaN``, which must be refused with ``invalid_request``,
-and then requires a ``ping`` that still answers. It also launches
+and then requires a ``ping`` that still answers. The service runs with
+``--events PATH``; before the drain the smoke pauses the clock and
+subscribes once on a second connection: the replay must hold exactly
+``status``'s ``events_recorded`` lines, each parsed strictly, and after
+exit the file's event lines must begin with those lines, byte for
+byte. It also launches
 ``repro serve`` with a bad ``--queue-limit`` and a bad ``--policy``:
 each must exit 2 with a usage error, not a traceback.
 
@@ -30,8 +35,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -100,6 +107,11 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"reply carries {token}, which is not JSON")
 
 
+def _strict_json(raw: bytes):
+    """One line of JSON, refusing the ``NaN``/``Infinity`` tokens."""
+    return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+
+
 def _strict_client_class():
     """:class:`repro.serve.ServeClient` whose replies must be strict
     JSON (no ``NaN``/``Infinity``)."""
@@ -111,9 +123,7 @@ def _strict_client_class():
             line = self._file.readline(MAX_LINE_BYTES + 4096)
             if not line:
                 raise ConnectionError("server closed the connection")
-            return json.loads(
-                line.decode("utf-8"), parse_constant=_reject_constant
-            )
+            return _strict_json(line)
 
     return StrictClient
 
@@ -133,6 +143,29 @@ def _refuses_nan_speedup(client) -> None:
     else:
         raise AssertionError(f"a NaN speedup was accepted: {reply}")
     assert client.ping()["pong"] is True
+
+
+def _replayed_lines(client, port: int) -> List[bytes]:
+    """Pause the clock so the log holds still, subscribe on a second
+    connection and return the replayed event lines. Every line must
+    parse strictly, the replay must hold exactly ``status``'s
+    ``events_recorded`` events, and their ``seq`` must run 1..N."""
+    client.clock("pause")
+    recorded = client.status()["events_recorded"]
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=TIMEOUT_S) as sock:
+        stream = sock.makefile("rb")
+        _strict_json(stream.readline())  # hello
+        sock.sendall(b'{"op": "subscribe"}\n')
+        ack = _strict_json(stream.readline())
+        assert ack["ok"] and ack["events"] == recorded, (ack, recorded)
+        header = _strict_json(stream.readline())
+        assert header == {"v": 1, "kind": "repro-events"}, header
+        lines = [stream.readline() for _ in range(recorded)]
+        stream.close()
+    seqs = [_strict_json(line)["seq"] for line in lines]
+    assert seqs == list(range(1, recorded + 1)), seqs
+    return lines
 
 
 def _numpy_mappings(pid: int) -> Optional[List[str]]:
@@ -178,9 +211,15 @@ def main() -> int:
     deadline = time.monotonic() + TIMEOUT_S
     if not _usage_errors(env, deadline):
         return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        return _smoke(env, deadline, Path(tmp) / "events.jsonl")
+
+
+def _smoke(env: dict, deadline: float, events_path: Path) -> int:
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve",
-         "--port", "0", "--gpus", "8", "--queue-limit", "8"],
+         "--port", "0", "--gpus", "8", "--queue-limit", "8",
+         "--events", str(events_path)],
         cwd=REPO,
         env=env,
         stdout=subprocess.PIPE,
@@ -223,6 +262,7 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             _refuses_nan_speedup(client)
+            replayed = _replayed_lines(client, port)
             client.shutdown(drain=True)
 
         returncode = proc.wait(  # lint: disable=DET003
@@ -237,8 +277,14 @@ def main() -> int:
             print(tail)
             print("FAIL: drain summary missing or wrong", file=sys.stderr)
             return 1
+        logged = events_path.read_bytes().splitlines(keepends=True)
+        if logged[1:1 + len(replayed)] != replayed:
+            print(f"FAIL: {events_path} does not begin with the "
+                  f"{len(replayed)} replayed lines", file=sys.stderr)
+            return 1
         print("serve smoke: bad flags refused; 3 jobs submitted and "
               "finished, event counters agree, NaN speedup refused, "
+              f"{len(replayed)} replayed events match the log file, "
               "drained, clean exit")
         return 0
     finally:
