@@ -306,9 +306,11 @@ def _tail_events(target: str):
 
     Blocks until the service drains (the subscriber stream ends), so the
     rendered report covers the whole run — exactly what ``report`` on a
-    saved log would show.
+    saved log would show. The stream's header is checked as
+    :func:`~repro.obs.export.load_events` checks a saved log's.
     """
     from repro.obs.events import Event
+    from repro.obs.export import check_header
     from repro.serve.client import ServeClient
 
     host, _, port = target.rpartition(":")
@@ -318,9 +320,11 @@ def _tail_events(target: str):
     events = []
     try:
         with ServeClient(host, int(port)) as client:
-            for obj in client.tail():
-                if obj.get("kind") == "repro-events":
-                    continue  # stream header
+            stream = client.tail()
+            header = next(stream, None)
+            if header is not None:
+                check_header(header, target)
+            for obj in stream:
                 events.append(Event.from_dict(obj))
     except (ConnectionError, OSError, json.JSONDecodeError) as exc:
         # A dropped socket mid-stream is an operational condition, not a

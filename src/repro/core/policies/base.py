@@ -31,12 +31,15 @@ from repro.core.estimator import HetSiloDPerfEstimator, SiloDPerfEstimator
 from repro.core.policies import io_share
 from repro.core.policies.greedy import greedy_cache_allocation
 from repro.core.resources import Allocation, ResourceVector
-from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 @dataclasses.dataclass
 class ScheduleContext:
-    """Everything a policy needs besides the job list and totals."""
+    """Everything a policy needs besides the job list and totals.
+
+    It carries no tracer: a policy is a pure function of its inputs
+    (Algorithm 1), and the scheduler reports each round's decision.
+    """
 
     estimator: SiloDPerfEstimator = dataclasses.field(
         default_factory=SiloDPerfEstimator
@@ -55,9 +58,6 @@ class ScheduleContext:
     #: policies prioritise the least-attained job). ``None`` when the
     #: caller does not track progress; LAS then falls back to zero.
     attained_service_s: Optional[Callable[[Job], float]] = None
-    #: Observability sink (``repro.obs``): policies may bump counters or
-    #: emit events through it; defaults to the free no-op tracer.
-    tracer: Tracer = NULL_TRACER
     #: Out-parameter: the score each policy ordered/sized jobs by this
     #: round (arrival rank for FIFO, the Eq 6/7 completion-time score
     #: for SJF, attained service for LAS, the max-min throughput target
@@ -181,13 +181,12 @@ class StorageStepMemo:
     are a pure function of the key, so a memo is sound for any caller.
     """
 
-    __slots__ = ("key", "cache", "io", "io_demand_mbps")
+    __slots__ = ("key", "cache", "io")
 
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.cache: Dict[str, float] = {}
         self.io: Dict[str, float] = {}
-        self.io_demand_mbps = 0.0
 
 
 def _storage_step_key(
@@ -238,8 +237,7 @@ def allocate_storage_greedily(
     order, their GPU grants and generations (what the estimator reads),
     their effective bytes, the cache and IO totals, the allocation's
     cache grants and the IO priority order — grants what the last step
-    granted, in the same order, instead of recomputing it. It still
-    counts as a storage round in the tracer's metrics.
+    granted, in the same order, instead of recomputing it.
     """
     key = None
     if memo is not None:
@@ -251,13 +249,11 @@ def allocate_storage_greedily(
         for name, cache_mb in memo.cache.items():
             allocation.grant_cache(name, cache_mb)
         grants = memo.io
-        io_demand_mbps = memo.io_demand_mbps
     else:
         cache = greedy_cache_allocation(running_jobs, total.cache_mb)
         for name, cache_mb in cache.items():
             allocation.grant_cache(name, cache_mb)
         demands = instantaneous_io_demands(running_jobs, allocation, ctx)
-        io_demand_mbps = sum(demands.values())
         if io_priority_order is not None:
             grants = io_share.priority_fill(
                 io_priority_order, demands, total.remote_io_mbps
@@ -270,12 +266,6 @@ def allocate_storage_greedily(
             memo.key = key
             memo.cache = cache
             memo.io = grants
-            memo.io_demand_mbps = io_demand_mbps
-    if ctx.tracer.enabled:
-        ctx.tracer.metrics.inc("policy.storage_rounds")
-        ctx.tracer.metrics.set_gauge(
-            "policy.last_io_demand_mbps", io_demand_mbps
-        )
     for job_id, mbps in grants.items():
         allocation.grant_remote_io(job_id, mbps)
 

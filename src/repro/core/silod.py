@@ -88,8 +88,8 @@ class SiloDScheduler:
         #: job_id -> {generation: f* MB/s} from the last round —
         #: the per-generation compute bounds the policy weighed.
         self.last_gen_scores: Dict[str, Dict[str, float]] = {}
-        #: The inputs of the last untraced round of a ``pure_round``
-        #: policy, and the allocation in force: the object the last
+        #: The inputs of the last round of a ``pure_round`` policy,
+        #: and the allocation in force: the object the last
         #: call returned (see :meth:`schedule`).
         self._round_key: Optional[tuple] = None
         self._round_allocation: Optional[Allocation] = None
@@ -141,14 +141,15 @@ class SiloDScheduler:
         priorities (Tiresias-style LAS). Omit both for one-shot
         steady-state allocations.
 
-        An untraced round of a ``pure_round`` policy whose inputs equal
-        the previous call's — the same jobs in the same order, their
+        A round of a ``pure_round`` policy whose inputs equal the
+        previous call's — the same jobs in the same order, their
         effective bytes, the totals, and the policy, estimator, GPU
         pools and storage awareness — hands back the allocation already
         returned, without calling the policy: a fresh solve would return
         an equal one. The ``last_*`` fields and the het estimator's
-        ``assignments`` stay those of that solve. Traced rounds always
-        recompute, so each emits its own ``sched_decision``.
+        ``assignments`` stay those of that solve. Traced or not, every
+        call emits one ``sched_decision``, read from the allocation it
+        returns; a reused round's ``latency_ms`` times the reuse.
 
         A solve whose allocation equals the one in force also hands
         back the in-force object, so callers can test identity: the
@@ -158,8 +159,13 @@ class SiloDScheduler:
         solve's own.
         """
         tracer = self.tracer
+        # Wall-clock by design: ``latency_ms`` reports the *real* cost of
+        # a decision round, not simulated time; it never feeds back into
+        # scheduling, so determinism of the run is unaffected.
+        # lint: disable=DET003
+        t0 = time.perf_counter() if tracer.enabled else 0.0
         key = None
-        if self.policy.pure_round and not tracer.enabled:
+        if self.policy.pure_round:
             key = (
                 list(jobs),
                 None
@@ -171,44 +177,54 @@ class SiloDScheduler:
                 self.gpu_pools,
                 self.storage_aware,
             )
-            # Exact on purpose: a reused round must be bit-identical to
-            # a solve.
-            if key == self._round_key:  # lint: disable=FLT001
-                return self._round_allocation
-        # Wall-clock by design: ``latency_ms`` reports the *real* cost of
-        # a decision round, not simulated time; it never feeds back into
-        # scheduling, so determinism of the run is unaffected.
-        # lint: disable=DET003
-        t0 = time.perf_counter() if tracer.enabled else 0.0
-        self.last_scores = {}
-        self.last_gen_scores = {}
-        self.last_generations = {}
-        if isinstance(self.estimator, HetSiloDPerfEstimator):
-            # Generation maps are per-round; stale entries from the
-            # previous round must not leak into the new solve.
-            self.estimator.assignments.clear()
-        # The regular list is only needed when partitioning actually
-        # happens — in the (common) all-regular case one pass suffices.
-        irregular = [j for j in jobs if not j.regular]
-        if not self.storage_aware or not irregular:
-            allocation = self._schedule_pool(
-                list(jobs),
-                total,
-                now_s,
-                self.storage_aware,
-                effective_cache_mb,
-                attained_service_s,
+        # Exact on purpose: a reused round must be bit-identical to a
+        # solve.
+        if key is None or key != self._round_key:  # lint: disable=FLT001
+            self._round_key = key
+            self.last_scores = {}
+            self.last_gen_scores = {}
+            self.last_generations = {}
+            if isinstance(self.estimator, HetSiloDPerfEstimator):
+                # Generation maps are per-round; stale entries from the
+                # previous round must not leak into the new solve.
+                self.estimator.assignments.clear()
+            # The regular list is only needed when partitioning actually
+            # happens — in the (common) all-regular case one pass
+            # suffices.
+            irregular = [j for j in jobs if not j.regular]
+            if not self.storage_aware or not irregular:
+                allocation = self._schedule_pool(
+                    list(jobs),
+                    total,
+                    now_s,
+                    self.storage_aware,
+                    effective_cache_mb,
+                    attained_service_s,
+                )
+            else:
+                allocation = self._schedule_partitioned(
+                    [j for j in jobs if j.regular],
+                    irregular,
+                    total,
+                    now_s,
+                    effective_cache_mb,
+                    attained_service_s,
+                )
+            placement = (
+                self.last_generations if self.gpu_pools is not None else None,
+                dict(self.estimator.assignments)
+                if isinstance(self.estimator, HetSiloDPerfEstimator)
+                else None,
             )
-        else:
-            regular = [j for j in jobs if j.regular]
-            allocation = self._schedule_partitioned(
-                regular,
-                irregular,
-                total,
-                now_s,
-                effective_cache_mb,
-                attained_service_s,
-            )
+            in_force = self._round_allocation
+            if (
+                in_force is None
+                or placement != self._round_placement
+                or not same_allocation(allocation, in_force)
+            ):
+                self._round_allocation = allocation
+                self._round_placement = placement
+        allocation = self._round_allocation
         if tracer.enabled:
             tracer.emit(
                 now_s,
@@ -226,22 +242,6 @@ class SiloDScheduler:
                     time.perf_counter() - t0  # lint: disable=DET003
                 ),
             )
-        placement = (
-            self.last_generations if self.gpu_pools is not None else None,
-            dict(self.estimator.assignments)
-            if isinstance(self.estimator, HetSiloDPerfEstimator)
-            else None,
-        )
-        in_force = self._round_allocation
-        if (
-            in_force is not None
-            and placement == self._round_placement
-            and same_allocation(allocation, in_force)
-        ):
-            allocation = in_force
-        self._round_key = key
-        self._round_allocation = allocation
-        self._round_placement = placement
         return allocation
 
     # ------------------------------------------------------------------
@@ -261,7 +261,6 @@ class SiloDScheduler:
             now_s=now_s,
             effective_cache_mb=effective_cache_mb,
             attained_service_s=attained_service_s,
-            tracer=self.tracer,
             gpu_pools=self.gpu_pools,
         )
         allocation = self.policy.schedule(jobs, total, ctx)

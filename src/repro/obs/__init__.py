@@ -9,8 +9,8 @@ for the full event schema and worked examples):
 * :mod:`repro.obs.tracer` — :class:`Tracer` (records events + metrics)
   and the free :data:`NULL_TRACER` default;
 * :mod:`repro.obs.registry` / :mod:`repro.obs.windows` —
-  :class:`MetricsRegistry` counters/gauges/sliding-window histograms
-  with cluster-wide and per-job scopes;
+  :class:`MetricsRegistry` counters and sliding-window histograms
+  with cluster-wide and per-job scopes, written only by the tracer;
 * :mod:`repro.obs.prov` / :mod:`repro.obs.slo` — decision provenance
   (the Eq. 4 inputs behind every allocation; ``python -m repro
   explain``) and SLO tracking against per-job ``deadline_s`` budgets;

@@ -25,8 +25,9 @@ from typing import Dict, Iterable, List, Sequence, Union
 from repro.obs import events as ev
 from repro.obs.events import Event
 
-#: JSONL header written as the first line of an event log.
+#: JSONL header: the first line of an event log or a serve event stream.
 _HEADER = {"v": 1, "kind": "repro-events"}
+HEADER_LINE = json.dumps(_HEADER) + "\n"
 
 #: Microseconds per simulated second in Chrome traces.
 _US = 1e6
@@ -37,9 +38,24 @@ def save_events(
 ) -> None:
     """Write an event log as versioned JSON Lines, one line at a time."""
     with open(path, "w") as handle:
-        handle.write(json.dumps(_HEADER) + "\n")
+        handle.write(HEADER_LINE)
         for event in events:
-            handle.write(json.dumps(event.to_dict()) + "\n")
+            handle.write(event_line(event))
+
+
+def event_line(event: Event) -> str:
+    """One event as a JSON Lines record, newline included."""
+    return json.dumps(event.to_dict()) + "\n"
+
+
+def check_header(header: dict, source: object) -> None:
+    """Raise ``ValueError`` unless ``header`` opens a readable log."""
+    if header.get("kind") != _HEADER["kind"]:
+        raise ValueError(f"{source}: not a repro event log")
+    if header.get("v") != _HEADER["v"]:
+        raise ValueError(
+            f"{source}: unsupported event-log version {header.get('v')}"
+        )
 
 
 def load_events(path: Union[str, Path]) -> List[Event]:
@@ -49,13 +65,7 @@ def load_events(path: Union[str, Path]) -> List[Event]:
         first = handle.readline()
         if not first.strip():
             return events
-        header = json.loads(first)
-        if header.get("kind") != _HEADER["kind"]:
-            raise ValueError(f"{path}: not a repro event log")
-        if header.get("v") != _HEADER["v"]:
-            raise ValueError(
-                f"{path}: unsupported event-log version {header.get('v')}"
-            )
+        check_header(json.loads(first), path)
         for line in handle:
             line = line.strip()
             if line:

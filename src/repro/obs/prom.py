@@ -6,7 +6,6 @@ the serve engine's latency summary) in the Prometheus text format
 scrapeable by stock Prometheus. Mapping:
 
 * counters  → ``repro_<name>`` with ``# TYPE ... counter``;
-* gauges    → ``repro_<name>`` with ``# TYPE ... gauge``;
 * windows   → ``repro_window_<name>`` summaries: one sample per
   quantile (``{quantile="0.5"}`` ...) plus ``_count``;
 * job-scoped metrics carry a ``job="<id>"`` label;
@@ -62,10 +61,6 @@ def _scope_lines(
     for raw, value in bucket.get("counters", {}).items():
         name = _name(raw)
         typed.setdefault(name, "counter")
-        lines.append(_sample(name, value, labels))
-    for raw, value in bucket.get("gauges", {}).items():
-        name = _name(raw)
-        typed.setdefault(name, "gauge")
         lines.append(_sample(name, value, labels))
     for raw, window in bucket.get("windows", {}).items():
         name = _name(raw, prefix="repro_window_")

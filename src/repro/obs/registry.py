@@ -1,22 +1,23 @@
-"""Counters, gauges, and sliding windows with cluster/job scopes.
+"""Counters and sliding windows with cluster/job scopes.
 
 The registry complements the event log: events answer "what happened,
 in what order", the registry answers "how much, in total" without
-replaying anything. A :class:`~repro.obs.tracer.Tracer` owns one and
-bumps per-event-type counters automatically; instrumented layers
-(scheduler, policies, cache systems) add their own domain counters
-(decision rounds, bytes admitted, throttled jobs, ...). Sliding-window
-histograms (:mod:`repro.obs.windows`) ride alongside for the signals
-whose *distribution* matters — decision latency, queue depth, cache
-hit ratio, JCT — and surface p50/p95/p99 in the snapshot.
+replaying anything. A :class:`~repro.obs.tracer.Tracer` owns one and is
+its only writer: every metric is a function of the event stream — the
+per-event-type counters and the
+:data:`~repro.obs.tracer.DERIVED_METRICS` rows (bytes admitted,
+throttled rounds, ...). Sliding-window histograms
+(:mod:`repro.obs.windows`) ride alongside for the signals whose
+*distribution* matters — decision latency, queue depth, cache hit
+ratio, JCT — and surface p50/p95/p99 in the snapshot.
 
 Scopes
 ------
 Every metric lives in the *cluster* scope by default; passing
 ``job_id`` addresses the per-job scope instead. The two are
 independent — incrementing a job-scoped counter does not touch the
-cluster-scoped counter of the same name, so emitting sites decide
-explicitly what aggregates where.
+cluster-scoped counter of the same name, so each
+:data:`~repro.obs.tracer.DERIVED_METRICS` row says where it aggregates.
 
 Snapshot stability
 ------------------
@@ -35,33 +36,30 @@ from repro.obs.windows import DEFAULT_CAPACITY, SlidingWindow
 
 #: Version of the ``snapshot()`` layout. Bump on any structural change
 #: (new top-level key, renamed bucket) so consumers can detect drift.
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 
 class _Scope:
-    """One scope's metrics: three name-keyed dicts kept in sorted order.
+    """One scope's metrics: two name-keyed dicts kept in sorted order.
 
     A new name marks the scope unsorted; the next snapshot re-sorts it
     once. Value updates never change the order, so most reads copy
     dicts that are already sorted.
     """
 
-    __slots__ = ("counters", "gauges", "windows", "unsorted")
+    __slots__ = ("counters", "windows", "unsorted")
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.windows: Dict[str, SlidingWindow] = {}
         self.unsorted = False
 
     def snapshot(self) -> dict:
         if self.unsorted:
             self.counters = dict(sorted(self.counters.items()))
-            self.gauges = dict(sorted(self.gauges.items()))
             self.windows = dict(sorted(self.windows.items()))
             self.unsorted = False
-        out: dict = {"counters": dict(self.counters),
-                     "gauges": dict(self.gauges)}
+        out: dict = {"counters": dict(self.counters)}
         if self.windows:
             out["windows"] = {
                 name: window.snapshot()
@@ -71,7 +69,7 @@ class _Scope:
 
 
 class MetricsRegistry:
-    """In-memory counters (monotonic), gauges (last-value), windows."""
+    """In-memory counters (monotonic) and sliding windows."""
 
     def __init__(self) -> None:
         self._cluster = _Scope()
@@ -113,15 +111,6 @@ class MetricsRegistry:
         counters[name] = total
         return total
 
-    def set_gauge(
-        self, name: str, value: float, job_id: Optional[str] = None
-    ) -> None:
-        """Record the latest value of a gauge."""
-        scope = self._scope(job_id)
-        if name not in scope.gauges:
-            scope.unsorted = True
-        scope.gauges[name] = value
-
     def observe(
         self,
         name: str,
@@ -156,13 +145,6 @@ class MetricsRegistry:
         """Current value of a counter (0.0 if never incremented)."""
         scope = self._existing(job_id)
         return scope.counters.get(name, 0.0) if scope is not None else 0.0
-
-    def gauge(
-        self, name: str, job_id: Optional[str] = None
-    ) -> Optional[float]:
-        """Latest value of a gauge, or ``None`` if never set."""
-        scope = self._existing(job_id)
-        return scope.gauges.get(name) if scope is not None else None
 
     def window(
         self, name: str, job_id: Optional[str] = None

@@ -22,8 +22,9 @@ every field of its type's :data:`~repro.obs.events.EVENT_FIELDS` entry
 as an explicit keyword, in schema order, and lint rule ``OBS002`` checks
 the set statically, so the JSONL log stays machine-parseable and
 ``docs/OBSERVABILITY.md`` stays truthful. The registry metrics an event
-implies (:data:`DERIVED_METRICS`) are applied by the tracer itself, so
-the registry is a function of the event stream.
+implies (:data:`DERIVED_METRICS`) are applied by the tracer itself, and
+nothing else writes the registry, so it is a function of the event
+stream: a fresh tracer fed the same events reproduces it.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class ServeClient:
         return self.request("status")
 
     def metrics(self) -> dict:
-        """Counter/gauge snapshot plus serve-level latency percentiles."""
+        """Registry snapshot plus serve-level latency percentiles."""
         return self.request("metrics")
 
     def clock(

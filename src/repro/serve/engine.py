@@ -376,7 +376,7 @@ class OnlineEngine:
         return window.percentile(0.99) if window is not None else 0.0
 
     def metrics(self) -> dict:
-        """Counters/gauges plus serve-level latency percentiles."""
+        """Registry snapshot plus serve-level latency percentiles."""
         samples = self._latency_ms
         return {
             "ok": True,

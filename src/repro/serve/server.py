@@ -30,7 +30,7 @@ import json
 import threading
 from typing import List, Optional, Tuple
 
-from repro.obs.export import _HEADER as _EVENTS_HEADER
+from repro.obs.export import HEADER_LINE, event_line
 from repro.obs.prom import (
     PROMETHEUS_CONTENT_TYPE,
     render_metrics_response,
@@ -296,9 +296,9 @@ class ServeServer:
         self._subscribers.append(queue)
         snapshot = list(self.engine.tracer.events)
         try:
-            writer.write((json.dumps(_EVENTS_HEADER) + "\n").encode())
+            writer.write(HEADER_LINE.encode())
             for event in snapshot:
-                writer.write((json.dumps(event.to_dict()) + "\n").encode())
+                writer.write(event_line(event).encode())
             await writer.drain()
             last_seq = snapshot[-1].seq if snapshot else -1
             while True:
@@ -307,7 +307,7 @@ class ServeServer:
                     break
                 if event.seq <= last_seq:
                     continue
-                writer.write((json.dumps(event.to_dict()) + "\n").encode())
+                writer.write(event_line(event).encode())
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass

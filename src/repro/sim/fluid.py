@@ -134,9 +134,8 @@ class FluidSimulator(SimulatorKernel):
         #: it is computed once at admission instead of per event).
         self._job_key: Dict[str, str] = {}
         #: ``(key, [(job_id, miss_rate), ...])`` for jobs currently
-        #: filling their key, refreshed by every rate recompute — the
-        #: advance loop walks this short grouping instead of the whole
-        #: active set.
+        #: filling their key, refreshed by every rate recompute; a traced
+        #: advance emits its ``cache_admit`` events in this key order.
         self._filler_groups: List[Tuple[str, List[Tuple[str, float]]]] = []
         #: ``_filler_groups`` split by contributor count: single-filler
         #: keys run as the store's fill plan (a linear fill), shared keys
@@ -328,68 +327,45 @@ class FluidSimulator(SimulatorKernel):
         store = self._cache
         tracer = self._tracer
         if tracer.enabled:
-            # The tracing path walks every group scalar-wise so each
-            # key's cache_admit event carries its exact before/after.
-            for key, contribs in self._filler_groups:
-                snap = store.snapshot(key)
+            # Each filling key's resident bytes before the fill, so its
+            # cache_admit event carries the exact before/after.
+            before = [
+                (key, store.snapshot(key)) for key, _ in self._filler_groups
+            ]
+        # Single-filler keys: the store's fill plan (a linear fill). A
+        # dict-store plan never goes stale: it skips keys that have gone.
+        if self._fill_plan:
+            store.run_fill_plan(self._fill_plan, dt)
+        # Shared keys solve the exponential ODE with math.exp.
+        for key, contribs in self._filler_multis:
+            snap = store.snapshot(key)
+            if snap is None:
+                continue
+            size_mb, resident_mb, target_mb = snap
+            if resident_mb >= target_mb - 1e-9:
+                continue
+            k = sum(
+                miss / (gap if gap > 1e-9 else 1e-9)
+                for job_id, miss in contribs
+                for gap in [size_mb - self._effective.get(job_id, 0.0)]
+            )
+            filled = size_mb - (size_mb - resident_mb) * math.exp(-k * dt)
+            cap = size_mb if size_mb < target_mb else target_mb
+            store.set_resident_mb(key, filled if filled < cap else cap)
+        if tracer.enabled:
+            for key, snap in before:
                 if snap is None:
                     continue
-                size_mb, resident_mb, target_mb = snap
-                if resident_mb >= target_mb - 1e-9:
-                    continue
-                contributions = [
-                    (miss, self._effective.get(job_id, 0.0))
-                    for job_id, miss in contribs
-                ]
-                cap = size_mb if size_mb < target_mb else target_mb
-                if len(contributions) == 1:
-                    miss, _eff = contributions[0]
-                    filled = resident_mb + miss * dt
-                else:
-                    k = sum(
-                        miss / (gap if gap > 1e-9 else 1e-9)
-                        for miss, eff in contributions
-                        for gap in [size_mb - eff]
-                    )
-                    filled = size_mb - (size_mb - resident_mb) * math.exp(
-                        -k * dt
-                    )
-                before = resident_mb
-                new_resident = filled if filled < cap else cap
-                store.set_resident_mb(key, new_resident)
-                if new_resident - before > 1e-6:
+                new_resident = store.resident_mb(key)
+                if new_resident - snap[1] > 1e-6:
                     tracer.emit(
                         t,
                         ev.CACHE_ADMIT,
                         key=key,
-                        delta_mb=new_resident - before,
+                        delta_mb=new_resident - snap[1],
                         resident_mb=new_resident,
                         via="miss",
                     )
-        else:
-            # Single-filler keys: the store's fill plan (linear fill,
-            # bit-identical to the arithmetic above). A dict-store plan
-            # never goes stale: it skips keys that have gone.
-            if self._fill_plan:
-                store.run_fill_plan(self._fill_plan, dt)
-            # Shared keys solve the exponential ODE with math.exp.
-            for key, contribs in self._filler_multis:
-                snap = store.snapshot(key)
-                if snap is None:
-                    continue
-                size_mb, resident_mb, target_mb = snap
-                if resident_mb >= target_mb - 1e-9:
-                    continue
-                k = sum(
-                    miss / (gap if gap > 1e-9 else 1e-9)
-                    for job_id, miss in contribs
-                    for gap in [size_mb - self._effective.get(job_id, 0.0)]
-                )
-                filled = size_mb - (size_mb - resident_mb) * math.exp(
-                    -k * dt
-                )
-                cap = size_mb if size_mb < target_mb else target_mb
-                store.set_resident_mb(key, filled if filled < cap else cap)
         # Hoard-style prefetching: spare egress warms queued datasets.
         if self._decision.prefetch_rates:
             for key, rate in self._decision.prefetch_rates.items():
@@ -683,10 +659,10 @@ class FluidSimulator(SimulatorKernel):
             miss_rates,
         )
         # Only these jobs can fill the cache until the next recompute;
-        # _advance_to walks this per-key grouping (keys in first-filler
-        # order, contributions in running order) instead of the whole
-        # active set. Single-filler keys (linear fill) additionally get
-        # a store fill plan; shared keys keep the exponential path.
+        # _advance_to fills by this per-key grouping (keys in
+        # first-filler order, contributions in running order) instead of
+        # the whole active set: single-filler keys (linear fill) as a
+        # store fill plan, shared keys on the exponential path.
         self._filler_groups = list(groups.items())
         singles: List[Tuple[str, float]] = []
         multis: List[Tuple[str, List[Tuple[str, float]]]] = []

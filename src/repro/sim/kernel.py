@@ -218,11 +218,10 @@ class SimulatorKernel:
         self._next_sample = 0.0
 
     def finish(self) -> RunResult:
-        """Final sample + counters; returns the run's result."""
+        """Final sample; returns the run's result."""
         if self._retire_at_finish:
             self._retire_completions()
         self._sample()
-        self._publish_counters()
         return self._result()
 
     def _done(self) -> bool:
@@ -235,18 +234,6 @@ class SimulatorKernel:
         clock_s = self.clock_s
         submit_s = self._trace[self._arrival_idx].submit_time_s
         return submit_s if submit_s > clock_s else clock_s
-
-    def _publish_counters(self) -> None:
-        """Push the run's loop/round totals into the obs registry.
-
-        A fresh (disabled) ``NullTracer`` still collects them — counting
-        costs nothing in the hot loop and the shared
-        :data:`~repro.obs.tracer.NULL_TRACER` singleton is never written.
-        """
-        if self._tracer is NULL_TRACER:
-            return
-        self._tracer.metrics.inc("sim.events", float(self.loop_events))
-        self._tracer.metrics.inc("sim.sched_rounds", float(self.sched_rounds))
 
     # ------------------------------------------------------------------
     # Online mutation (``repro.serve``).

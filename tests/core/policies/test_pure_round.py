@@ -207,12 +207,13 @@ def test_a_repeated_round_hands_back_the_allocation_in_force():
     assert len(sjf_calls) == 1
 
 
-def test_traced_and_impure_rounds_are_always_solved():
+def test_a_traced_repeat_is_reused_and_an_impure_round_solved():
     jobs, effective, _ = _round([(2, 100.0, 2048.0, 0, 0.5, 0.0, 0.0)])
     total = ResourceVector(gpus=4.0, cache_mb=1024.0, remote_io_mbps=200.0)
     traced = _scheduler("fifo", storage_aware=True, mixed=False)
     traced.tracer = Tracer()
     las = _scheduler("las", storage_aware=True, mixed=False)
+    solves = {}
     for scheduler in (traced, las):
         calls = _counting(scheduler)
         for _ in range(2):
@@ -222,11 +223,17 @@ def test_traced_and_impure_rounds_are_always_solved():
                 effective_cache_mb=effective,
                 attained_service_s=lambda job: 0.0,
             )
-        assert len(calls) == 2
-    assert [e.etype for e in traced.tracer.events] == [
-        "sched_decision",
-        "sched_decision",
-    ]
+        solves[scheduler.policy.name] = len(calls)
+    assert solves == {"fifo": 1, "las": 2}
+    # The reused round still reports its decision, equal but for the
+    # wall-clock latency.
+    first, second = (
+        (e.ts_s, e.etype, e.job_id, e.fields) for e in traced.tracer.events
+    )
+    for decision in (first, second):
+        assert decision[1] == "sched_decision"
+        del decision[3]["latency_ms"]
+    assert first == second
 
 
 class _Scripted(SchedulingPolicy):

@@ -22,7 +22,6 @@ from repro.core.policies.base import (
     allocate_storage_greedily,
 )
 from repro.core.resources import Allocation, ResourceVector
-from repro.obs.tracer import Tracer
 from tests.cache.test_silod_reuse import bitwise
 
 JOBS = [
@@ -117,7 +116,7 @@ class _Round:
                 (job.dataset.name, draw(st.floats(0.0, 512.0)))
             ]
 
-    def step(self, memo, tracer=None):
+    def step(self, memo):
         allocation = Allocation()
         for job in self.jobs:
             allocation.grant_gpus(job.job_id, self.gpus[job.job_id])
@@ -126,7 +125,6 @@ class _Round:
         ctx = ScheduleContext(
             estimator=self.estimator,
             effective_cache_mb=self.effective,
-            **({} if tracer is None else {"tracer": tracer}),
         )
         allocate_storage_greedily(
             self.jobs,
@@ -224,14 +222,3 @@ def test_a_repeated_step_skips_the_greedy_placement(monkeypatch):
     inputs.step(memo)
     assert len(calls) == 2
 
-
-def test_a_reused_step_still_counts_as_a_storage_round():
-    inputs = _Round()
-    memo = StorageStepMemo()
-    fresh, reused = Tracer(), Tracer()
-    inputs.step(memo, tracer=fresh)
-    inputs.step(memo, tracer=reused)
-    assert reused.metrics.counter("policy.storage_rounds") == 1.0
-    assert reused.metrics.gauge("policy.last_io_demand_mbps") == (
-        fresh.metrics.gauge("policy.last_io_demand_mbps")
-    )

@@ -58,7 +58,6 @@ class OracleRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[Key, float] = {}
-        self._gauges: Dict[Key, float] = {}
         self._windows: Dict[Key, OracleWindow] = {}
 
     def inc(self, name: str, value: float = 1.0,
@@ -67,10 +66,6 @@ class OracleRegistry:
         total = self._counters.get(key, 0.0) + value
         self._counters[key] = total
         return total
-
-    def set_gauge(self, name: str, value: float,
-                  job_id: Optional[str] = None) -> None:
-        self._gauges[(job_id, name)] = value
 
     def observe(self, name: str, value: float,
                 job_id: Optional[str] = None,
@@ -88,24 +83,21 @@ class OracleRegistry:
     def job_ids(self) -> list:
         return sorted({
             scope
-            for scope, _name in (*self._counters, *self._gauges,
-                                 *self._windows)
+            for scope, _name in (*self._counters, *self._windows)
             if scope is not None
         })
 
     def snapshot(self) -> dict:
         out: dict = {
             "schema_version": METRICS_SCHEMA_VERSION,
-            "cluster": {"counters": {}, "gauges": {}},
+            "cluster": {"counters": {}},
             "jobs": {},
         }
 
         def _bucket(scope: Optional[str]) -> dict:
             if scope is None:
                 return out["cluster"]
-            return out["jobs"].setdefault(
-                scope, {"counters": {}, "gauges": {}}
-            )
+            return out["jobs"].setdefault(scope, {"counters": {}})
 
         def _order(kv):
             return (kv[0][0] or "", kv[0][1])
@@ -113,9 +105,6 @@ class OracleRegistry:
         for (scope, name), value in sorted(self._counters.items(),
                                            key=_order):
             _bucket(scope)["counters"][name] = value
-        for (scope, name), value in sorted(self._gauges.items(),
-                                           key=_order):
-            _bucket(scope)["gauges"][name] = value
         for (scope, name), window in sorted(self._windows.items(),
                                             key=_order):
             _bucket(scope).setdefault("windows", {})[name] = (
@@ -128,7 +117,6 @@ class OracleRegistry:
 
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._windows.clear()
 
 

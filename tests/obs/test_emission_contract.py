@@ -8,9 +8,9 @@ runs below do, across both simulators (faults, a cancel, deadlines)
 and the online engine.
 
 The registry is a function of the event stream
-(``repro.obs.tracer.DERIVED_METRICS``); its snapshot on two anchor
-cells is pinned by digest, recorded before the derived metrics moved
-out of per-event-type tracer methods into that table.
+(``repro.obs.tracer.DERIVED_METRICS``): a fresh tracer fed a run's
+events reproduces its snapshot, which is also pinned by digest on two
+anchor cells.
 """
 
 import dataclasses
@@ -162,13 +162,47 @@ def metrics_digest(tracer):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def test_fluid_faults_cell_metrics_digest():
+def _fluid_faults_cell():
     tracer = Tracer()
     sim = fluid_anchors.build_cell("faults", tracer=tracer)
     fluid_anchors.run_sim(sim, "faults")
-    assert metrics_digest(tracer) == "12b80324e049ac6b"
+    return tracer
 
 
-def test_minibatch_preempt_cell_metrics_digest():
-    _anchors, tracer = minibatch_anchors.run_cell("preempt", traced=True)
-    assert metrics_digest(tracer) == "d73563b7897175ea"
+def _minibatch_preempt_cell():
+    return minibatch_anchors.run_cell("preempt", traced=True)[1]
+
+
+#: Traced runs whose whole registry is checked against their events.
+REPLAYED = {
+    "fluid-faults": _fluid_faults_cell,
+    "minibatch-preempt": _minibatch_preempt_cell,
+    "online": _online_run,
+}
+
+
+@pytest.fixture(scope="module")
+def replayed_tracers():
+    return {name: run() for name, run in REPLAYED.items()}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_replayed_events_reproduce_the_registry(replayed_tracers, name):
+    tracer = replayed_tracers[name]
+    assert tracer.dropped == 0
+    replay = Tracer()
+    for e in tracer.events:
+        replay.emit(e.ts_s, e.etype, e.job_id, **e.fields)
+    assert json.dumps(replay.metrics.snapshot()) == json.dumps(
+        tracer.metrics.snapshot()
+    )
+
+
+def test_fluid_faults_cell_metrics_digest(replayed_tracers):
+    tracer = replayed_tracers["fluid-faults"]
+    assert metrics_digest(tracer) == "95910ed601b77020"
+
+
+def test_minibatch_preempt_cell_metrics_digest(replayed_tracers):
+    tracer = replayed_tracers["minibatch-preempt"]
+    assert metrics_digest(tracer) == "630295afafa44a40"

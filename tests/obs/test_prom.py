@@ -15,11 +15,10 @@ pytestmark = pytest.mark.obs
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.inc("sched_rounds", 3)
-    registry.set_gauge("gpus_busy", 6.0)
     registry.observe("queue_depth", 2.0)
     registry.observe("queue_depth", 4.0)
     registry.observe("jct_s", 120.0, job_id="job-1")
-    registry.set_gauge("cache_mb", 512.0, job_id="job-1")
+    registry.inc("cache_mb", 512.0, job_id="job-1")
     return registry
 
 
@@ -31,7 +30,6 @@ def test_render_snapshot_types_labels_and_values():
     text = render_snapshot(_populated_registry().snapshot())
     assert "# TYPE repro_sched_rounds counter" in text
     assert "repro_sched_rounds 3" in text
-    assert "# TYPE repro_gpus_busy gauge" in text
     assert "# TYPE repro_window_queue_depth summary" in text
     assert 'repro_window_queue_depth{quantile="0.5"} 2' in text
     assert 'repro_window_queue_depth{quantile="0.99"} 4' in text

@@ -12,7 +12,7 @@ pytestmark = pytest.mark.obs
 
 def test_snapshot_carries_schema_version():
     snap = MetricsRegistry().snapshot()
-    assert snap["schema_version"] == METRICS_SCHEMA_VERSION == 2
+    assert snap["schema_version"] == METRICS_SCHEMA_VERSION == 3
 
 
 def test_snapshot_keys_are_sorted_regardless_of_insertion_order():
@@ -20,8 +20,6 @@ def test_snapshot_keys_are_sorted_regardless_of_insertion_order():
     # Deliberately insert in reverse-alphabetical order, jobs included.
     registry.inc("zeta", 1)
     registry.inc("alpha", 1)
-    registry.set_gauge("omega", 2.0)
-    registry.set_gauge("beta", 1.0)
     registry.observe("queue_depth", 3.0)
     registry.observe("cache_hit_ratio", 0.5)
     registry.inc("anything", 1, job_id="job-2")
@@ -30,7 +28,6 @@ def test_snapshot_keys_are_sorted_regardless_of_insertion_order():
     assert list(snap) == ["schema_version", "cluster", "jobs"]
     cluster = snap["cluster"]
     assert list(cluster["counters"]) == ["alpha", "zeta"]
-    assert list(cluster["gauges"]) == ["beta", "omega"]
     assert list(cluster["windows"]) == ["cache_hit_ratio", "queue_depth"]
     assert list(snap["jobs"]) == ["job-1", "job-2"]
 
@@ -48,7 +45,7 @@ def test_snapshot_is_json_stable_across_equal_registries():
         registry = MetricsRegistry()
         registry.inc("rounds", 2)
         registry.observe("jct_s", 10.0, job_id="j1")
-        registry.set_gauge("gpus_busy", 4.0)
+        registry.inc("gpus_busy", 4.0)
         return registry
 
     assert json.dumps(build().snapshot()) == json.dumps(build().snapshot())
@@ -61,28 +58,28 @@ def test_clear_resets_everything():
     registry.clear()
     assert registry.snapshot() == {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "cluster": {"counters": {}, "gauges": {}},
+        "cluster": {"counters": {}},
         "jobs": {},
     }
     assert registry.job_ids() == []
 
 
-def test_counter_and_gauge_accessors():
+def test_counter_and_window_accessors():
     registry = MetricsRegistry()
     assert registry.counter("missing") == 0
-    assert registry.gauge("missing") is None
+    assert registry.window("missing") is None
     registry.inc("rounds")
     registry.inc("rounds", 3, job_id="j1")
-    registry.set_gauge("depth", 7.0)
+    registry.observe("depth", 7.0)
     assert registry.counter("rounds") == 1
     assert registry.counter("rounds", job_id="j1") == 3
-    assert registry.gauge("depth") == 7.0
+    assert registry.window("depth").values() == [7.0]
     assert registry.job_ids() == ["j1"]
 
 
 def test_jobs_sorted_by_id_when_a_scope_has_no_counter():
     registry = MetricsRegistry()
-    registry.set_gauge("depth", 1.0, job_id="a")
+    registry.observe("depth", 1.0, job_id="a")
     registry.inc("rounds", job_id="b")
     registry.observe("jct_s", 5.0, job_id="0")
     assert list(registry.snapshot()["jobs"]) == ["0", "a", "b"]
@@ -94,9 +91,9 @@ def test_jobs_sorted_by_id_when_a_scope_has_no_counter():
 def test_snapshot_is_a_copy():
     registry = MetricsRegistry()
     registry.inc("rounds", 2)
-    registry.set_gauge("depth", 1.0, job_id="j1")
+    registry.inc("depth", 1.0, job_id="j1")
     snap = registry.snapshot()
     snap["cluster"]["counters"]["rounds"] = 99.0
-    snap["jobs"]["j1"]["gauges"].clear()
+    snap["jobs"]["j1"]["counters"].clear()
     assert registry.counter("rounds") == 2
-    assert registry.snapshot()["jobs"]["j1"]["gauges"] == {"depth": 1.0}
+    assert registry.snapshot()["jobs"]["j1"]["counters"] == {"depth": 1.0}

@@ -31,7 +31,6 @@ SCOPES = st.sampled_from([None, None, "", "0", "a", "b", "job-10", "job-2"])
 NAMES = st.sampled_from(["zeta", "alpha", "m", "events.job_submit", "a"])
 OPS = st.one_of(
     st.tuples(st.just("inc"), NAMES, VALUES, SCOPES),
-    st.tuples(st.just("set_gauge"), NAMES, VALUES, SCOPES),
     st.tuples(st.just("observe"), NAMES, VALUES, SCOPES,
               st.sampled_from([1, 2, 3, 5])),
     st.tuples(st.just("snapshot")),
@@ -59,10 +58,6 @@ def test_registry_snapshot_matches_sort_everything_oracle(ops):
             _, name, value, scope = op
             assert _same_floats(registry.inc(name, value, job_id=scope),
                                 oracle.inc(name, value, job_id=scope))
-        elif kind == "set_gauge":
-            _, name, value, scope = op
-            registry.set_gauge(name, value, job_id=scope)
-            oracle.set_gauge(name, value, job_id=scope)
         elif kind == "observe":
             _, name, value, scope, capacity = op
             registry.observe(name, value, job_id=scope, capacity=capacity)

@@ -261,8 +261,8 @@ def test_null_tracer_records_nothing():
     _emit_one_of_each(tracer)
     assert len(tracer) == 0
     assert tracer.metrics.snapshot() == {
-        "schema_version": 2,
-        "cluster": {"counters": {}, "gauges": {}},
+        "schema_version": 3,
+        "cluster": {"counters": {}},
         "jobs": {},
     }
     assert not NULL_TRACER.enabled
@@ -301,8 +301,8 @@ def test_clear_resets_events_and_metrics():
     tracer.clear()
     assert len(tracer) == 0
     assert tracer.metrics.snapshot() == {
-        "schema_version": 2,
-        "cluster": {"counters": {}, "gauges": {}},
+        "schema_version": 3,
+        "cluster": {"counters": {}},
         "jobs": {},
     }
 

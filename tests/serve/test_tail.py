@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro.cli import _tail_events
+from repro.obs import load_events
 from repro.serve import ServeClient, ServeServer, ServerThread
 
 from .conftest import job_payload, make_engine
@@ -47,6 +48,26 @@ def test_tail_clean_eof_returns_everything(scripted_server, capsys):
     assert [e.etype for e in events] == ["epoch_boundary"]
     # An orderly close is not an error: nothing on stderr.
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b'{"v": 2, "kind": "repro-events"}\n', b'{"kind": "something-else"}\n'],
+)
+def test_tail_checks_the_header_as_load_events_does(
+    scripted_server, tmp_path, header
+):
+    # A stream of another version or kind is not parsed as a v1 log.
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(header + EVENT)
+    with pytest.raises(ValueError) as saved:
+        load_events(path)
+    host, port = scripted_server(HELLO + ACK + header + EVENT)
+    with pytest.raises(ValueError) as tailed:
+        _tail_events(f"{host}:{port}")
+    assert str(tailed.value) == str(saved.value).replace(
+        str(path), f"{host}:{port}"
+    )
 
 
 def test_tail_against_real_server_shutdown():

@@ -1,11 +1,12 @@
 """Reused scheduling rounds (``SiloDScheduler.schedule``).
 
 A policy that declares ``pure_round`` depends only on the job list, the
-totals and the effective bytes, so an untraced round whose inputs repeat
-keeps the allocation already in force instead of calling the policy, and
-the kernel keeps its round view. The first differential test runs whole
+totals and the effective bytes, so a round whose inputs repeat keeps
+the allocation already in force instead of calling the policy, and the
+kernel keeps its round view. The first differential test runs whole
 simulations against the same policy under a subclass that opts out, and
-requires bit-identical results.
+requires bit-identical results; traced, both runs must also emit the
+same events and registry, but for the wall-clock decision latency.
 
 A round whose solve returns an allocation equal to the one in force gets
 the in-force object back, the round view survives an admission, and the
@@ -26,6 +27,7 @@ from repro.cluster.job import Job
 from repro.core.estimator import HetSiloDPerfEstimator
 from repro.core.resources import Allocation
 from repro.faults import FaultEvent, FaultSchedule
+from repro.obs import Tracer
 from repro.sim.kernel import _RoundView
 from repro.sim.runner import POLICY_FACTORIES, SIMULATORS, make_system
 from tests.cache.test_silod_reuse import bitwise
@@ -167,7 +169,9 @@ def _check_view(sim):
     ]
 
 
-def _simulate(policy, cache, fleet, simulator, opt_out, busy=False):
+def _simulate(
+    policy, cache, fleet, simulator, opt_out, busy=False, tracer=None
+):
     scheduler, cache_system = make_system(policy, cache)
     simulator_cls = SIMULATORS[simulator]
     if busy and opt_out:
@@ -193,6 +197,7 @@ def _simulate(policy, cache, fleet, simulator, opt_out, busy=False):
         _busy_trace() if busy else _trace(),
         sample_interval_s=300.0,
         faults=CHURN,
+        tracer=tracer,
         **kwargs,
     )
     # Per round: (kept the allocation in force, right after an arrival).
@@ -267,6 +272,37 @@ def test_reused_rounds_are_bit_identical(policy, cache, fleet, simulator):
     assert reused == fresh
     assert (rounds, fresh_calls) == (fresh_rounds, fresh_rounds)
     # Reuse fired: some rounds kept the allocation without a solve.
+    assert calls < rounds
+
+
+def _without_latency(tracer):
+    """The events, and the registry snapshot, minus wall-clock latency."""
+    events = []
+    for event in tracer.events:
+        fields = event.fields
+        fields.pop("latency_ms", None)
+        events.append((event.ts_s, event.etype, event.job_id, fields))
+    snapshot = tracer.metrics.snapshot()
+    del snapshot["cluster"]["windows"]["decision_latency_ms"]
+    return events, snapshot
+
+
+@pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+@pytest.mark.parametrize("fleet", sorted(FLEETS))
+@pytest.mark.parametrize("cache", ["silod", "alluxio"])
+@pytest.mark.parametrize("policy", PURE_POLICIES)
+def test_traced_reused_rounds_report_the_same_events(
+    policy, cache, fleet, simulator
+):
+    args = (policy, cache, fleet, simulator)
+    traced, fresh_traced = Tracer(), Tracer()
+    reused, calls, rounds = _simulate(*args, opt_out=False, tracer=traced)
+    fresh, fresh_calls, fresh_rounds = _simulate(
+        *args, opt_out=True, tracer=fresh_traced
+    )
+    assert reused == fresh
+    assert _without_latency(traced) == _without_latency(fresh_traced)
+    assert (rounds, fresh_calls) == (fresh_rounds, fresh_rounds)
     assert calls < rounds
 
 

@@ -8,7 +8,9 @@ checks that ``metrics`` reads reflect the submissions (the cluster
 waits for all three to finish and checks that the registry's event
 counters agree with the event log (``events_total`` equals the
 ``events_recorded`` status field, and the ``events.<type>`` counters
-sum to it), drains the service, and checks the process
+sum to it) and that the snapshot is the current layout
+(``METRICS_SCHEMA_VERSION``, no ``gauges`` bucket, only event-derived
+counters), drains the service, and checks the process
 exits cleanly — the whole cycle bounded by a hard timeout so a hung
 service fails CI instead of wedging it. Before the shutdown it also
 reads the live server's ``/proc/<pid>/maps``: a mapped file under a
@@ -101,6 +103,26 @@ def _check_event_counts(client, deadline: float) -> None:
     by_type = sum(value for name, value in counters.items()
                   if name.startswith("events."))
     assert by_type == total, counters
+
+
+def _check_metrics_layout(client) -> None:
+    """The live ``metrics`` snapshot is layout ``METRICS_SCHEMA_VERSION``
+    and holds only what the event stream derives: no scope has a
+    ``gauges`` bucket, and every counter, cluster or job scoped, is
+    ``events_total``, an ``events.<type>`` counter or a
+    ``DERIVED_METRICS`` counter."""
+    from repro.obs.registry import METRICS_SCHEMA_VERSION
+    from repro.obs.tracer import COUNTER, DERIVED_METRICS
+
+    derived = {row.metric for rows in DERIVED_METRICS.values()
+               for row in rows if row.kind == COUNTER}
+    snapshot = client.metrics()["metrics"]
+    assert snapshot["schema_version"] == METRICS_SCHEMA_VERSION, snapshot
+    for scope in [snapshot["cluster"], *snapshot["jobs"].values()]:
+        assert "gauges" not in scope, scope
+        for name in scope["counters"]:
+            assert (name == "events_total" or name.startswith("events.")
+                    or name in derived), name
 
 
 def _reject_constant(token: str) -> float:
@@ -253,6 +275,7 @@ def _smoke(env: dict, deadline: float, events_path: Path) -> int:
             status = client.status()
             assert status["jobs_submitted"] == 3, status
             _check_event_counts(client, deadline)
+            _check_metrics_layout(client)
             mapped = _numpy_mappings(proc.pid)
             if mapped is None:
                 print(f"serve smoke: /proc/{proc.pid}/maps unreadable, "
@@ -283,7 +306,8 @@ def _smoke(env: dict, deadline: float, events_path: Path) -> int:
                   f"{len(replayed)} replayed lines", file=sys.stderr)
             return 1
         print("serve smoke: bad flags refused; 3 jobs submitted and "
-              "finished, event counters agree, NaN speedup refused, "
+              "finished, event counters agree, metrics hold only "
+              "event-derived counters, NaN speedup refused, "
               f"{len(replayed)} replayed events match the log file, "
               "drained, clean exit")
         return 0
